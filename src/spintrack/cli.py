@@ -19,8 +19,9 @@ qsme-verify quantum-oracle suite battery                 -> CSV + report
 
 Every command is deterministic given (scenario, seed); floats are written
 with 17 significant digits so repeated runs are byte-identical.  Exit
-codes: 0 success, 2 configuration error, 3 numerical error, 4 a
-verification suite or design criterion failed.
+codes: 0 success, 1 any other toolkit error (for example a controller
+fault), 2 configuration error, 3 numerical error, 4 a verification suite
+or design criterion failed.
 """
 
 from __future__ import annotations
@@ -35,8 +36,8 @@ import numpy as np
 
 from . import freq, qsme, riccati, total_covariance as tc
 from .errors import ConfigurationError, NumericalError, SpintrackError
-from .lqg_filter import (design_plant, design_prior, run_closed_loop, run_ensemble,
-                         summarize_ensemble)
+from .lqg_filter import (TRIAL_BLOCK, _ensemble_block_sums, design_plant, design_prior,
+                         run_closed_loop, run_ensemble, summarize_ensemble)
 from .model import DesignParams, PlantParams, Priors
 from .numerics import RngStream
 from .truth_sim import simulate_open_loop
@@ -50,8 +51,6 @@ _INT_KEYS = {"seed", "trials", "n_omega", "decimate"}
 _LIST_KEYS = {"f_sweep"}
 _STR_KEYS = {"mode", "regime"}
 _ALL_KEYS = _FLOAT_KEYS | _INT_KEYS | _LIST_KEYS | _STR_KEYS
-
-_MC_CHUNK = 256  # fixed worker chunk so results do not depend on worker count
 
 
 def parse_scenario(path: str) -> dict:
@@ -164,10 +163,10 @@ def cmd_riccati(sc: dict, seed: int, out: str, workers: int) -> int:
     return 0
 
 
-def _mc_chunk(args):
+def _mc_blocks(args):
+    """Per-block ensemble sums of one worker's contiguous range of whole blocks."""
     p, prior, d, mode, seed, offset, count, dt, T, decimate = args
-    return run_ensemble(p, prior, d, mode, seed, count, dt, T,
-                        decimate=decimate, trial_offset=offset)
+    return _ensemble_block_sums(p, prior, d, mode, seed, count, dt, T, decimate, offset)
 
 
 def cmd_montecarlo(sc: dict, seed: int, out: str, workers: int) -> int:
@@ -179,17 +178,24 @@ def cmd_montecarlo(sc: dict, seed: int, out: str, workers: int) -> int:
     dt, T = sc["dt"], sc["T"]
     n = int(round(T / dt))
     decimate = sc.get("decimate", max(1, n // 200))
-    chunks = [(p, prior, d, mode, seed, off, min(_MC_CHUNK, trials - off), dt, T, decimate)
-              for off in range(0, trials, _MC_CHUNK)]
-    if workers > 1:
-        with Pool(processes=workers) as pool:
-            parts = pool.map(_mc_chunk, chunks)
+    blocks = -(-trials // TRIAL_BLOCK)
+    workers = max(1, min(workers, blocks))
+    if workers == 1:
+        t_out, sums = run_ensemble(p, prior, d, mode, seed, trials, dt, T, decimate=decimate)
     else:
-        parts = [_mc_chunk(c) for c in chunks]
-    t_out = parts[0][0]
-    sums = np.zeros_like(parts[0][1])
-    for _, s in parts:
-        sums += s
+        # each worker takes a contiguous range of whole summation blocks; its
+        # block sums are added in trial order from zero, as run_ensemble adds
+        # them, so the bytes do not depend on the worker count
+        edges = [TRIAL_BLOCK * (blocks * w // workers) for w in range(workers)] + [trials]
+        jobs = [(p, prior, d, mode, seed, lo, hi - lo, dt, T, decimate)
+                for lo, hi in zip(edges[:-1], edges[1:])]
+        with Pool(processes=workers) as pool:
+            parts = pool.map(_mc_blocks, jobs)
+        t_out = parts[0][0]
+        sums = np.zeros_like(parts[0][1][0])
+        for _, per_block in parts:
+            for block in per_block:
+                sums += block
     summary = summarize_ensemble(sums, trials)
     cov = riccati.riccati_at_times(design_plant(p, d), design_prior(d, prior), t_out)
     write_csv(out, ["t", "sigma_bE", "se_bE", "sigma_zE", "se_zE", "sigma_bR", "sigma_zR"],

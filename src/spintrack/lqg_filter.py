@@ -14,6 +14,11 @@ Modes: ``dynamic_gain`` uses the time-dependent Riccati gain K_O(t);
 ``steady_gain`` freezes K_O at its stationary value for the whole run,
 which is the filter a constant transfer function would realize.  Both
 reach the same saturation level; the frozen-gain transient is worse.
+
+``run_ensemble`` advances every trial of an ensemble together, one
+trials-wide array update per step, and reduces the trials in fixed blocks
+of TRIAL_BLOCK; its docstring states the summation contract that makes
+the sums independent of how an ensemble is split across workers.
 """
 
 from __future__ import annotations
@@ -24,13 +29,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, DivergenceError
 from .model import DesignParams, PlantParams, Priors
 from .numerics import RngStream, trial_normals
 from .riccati import CovTrajectory, controller_gain, integrate_estimator_riccati, steady_state_gains
 from .truth_sim import Trajectory
 
 MODES = ("dynamic_gain", "steady_gain")
+TRIAL_BLOCK = 256  # trials per summation block of run_ensemble (the determinism contract)
 
 
 @dataclass
@@ -177,22 +183,48 @@ def run_closed_loop(p: PlantParams, prior: Priors, d: DesignParams, mode: str,
     return RunResult(trajectory=traj, m=m, sigma=cov)
 
 
+def _step_block(trials: int) -> int:
+    """Steps per block of draws: about 2**16 trial-steps, so the draw block
+    and its transposed copy stay in cache."""
+    return min(256, max(8, (1 << 16) // trials))
+
+
 def run_ensemble(p: PlantParams, prior: Priors, d: DesignParams, mode: str,
                  seed: int, trials: int, dt: float, T: float,
-                 decimate: int = 1, trial_offset: int = 0, chunk_steps: int = 1024):
+                 decimate: int = 1, trial_offset: int = 0):
     """Vectorized closed-loop ensemble; per-trial draws match run_closed_loop
     on trial stream seed XOR (trial_offset + k).
 
     Returns (t_out, sums) where sums stacks, per output time, the trial
     sums and sums of squares of (b~-b)^2 and (z~-z)^2 (rows: s1_b, s2_b,
-    s1_z, s2_z).  Summation order is fixed by trial index, so results are
-    identical however the ensemble is split.
+    s1_z, s2_z).
+
+    Summation contract: trials are cut into blocks of TRIAL_BLOCK,
+    counted from ``trial_offset``; each block is reduced with numpy's
+    pairwise sum, and the block sums are added in trial order starting
+    from zero.  An ensemble split at block boundaries (the montecarlo
+    verb gives each worker one range of whole blocks) therefore gives the
+    same bits when its block sums are added in that same order.
+
+    All trials advance together, one trials-wide array update per step, so
+    the gain table is solved once per call.  A non-finite state or sum
+    raises DivergenceError naming the time.
     """
+    t_out, parts = _ensemble_block_sums(p, prior, d, mode, seed, trials, dt, T,
+                                        decimate, trial_offset)
+    return t_out, _sum_blocks(parts)
+
+
+def _ensemble_block_sums(p: PlantParams, prior: Priors, d: DesignParams, mode: str,
+                         seed: int, trials: int, dt: float, T: float,
+                         decimate: int = 1, trial_offset: int = 0):
+    """run_ensemble before the last reduction: (t_out, per-block sums of
+    shape (blocks, 4, times)), blocks of TRIAL_BLOCK in trial order."""
     n = int(round(T / dt))
     if trials < 1:
         raise ConfigurationError("run_ensemble: need at least one trial")
     k1, k2, _ = _gain_arrays(p, prior, d, mode, dt, n)
-    kc = controller_gain(p, d)
+    kc0, kc1 = controller_gain(p, d)
     gj = p.gamma * p.J
     gjp = p.gamma * d.J_prime
     gb = p.gamma_b
@@ -204,45 +236,108 @@ def run_ensemble(p: PlantParams, prior: Priors, d: DesignParams, mode: str,
     if out_idx[-1] != n:
         out_idx = np.append(out_idx, n)
     t_out = out_idx * dt
-    sums = np.zeros((4, len(out_idx)))
     out_pos = {int(k): i for i, k in enumerate(out_idx)}
+    full, rest = divmod(trials, TRIAL_BLOCK)
+    parts = np.zeros((full + (rest > 0), 4, len(out_idx)))
 
     ids = np.arange(trials) + trial_offset
     init = trial_normals(seed, ids, 2)
-    z = math.sqrt(prior.sigma_z0) * init[:, 0]
-    b = math.sqrt(prior.sigma_b0) * init[:, 1]
-    mz = np.zeros(trials)
-    mb = np.zeros(trials)
+    state = np.zeros((4, trials))           # rows z, b, z~, b~
+    z, b, mz, mb = state
+    np.multiply(init[:, 0], math.sqrt(prior.sigma_z0), out=z)
+    np.multiply(init[:, 1], math.sqrt(prior.sigma_b0), out=b)
+    u, innov, tmp, tmp2 = np.empty((4, trials))
+    err = np.empty((4, trials))              # (b~-b)^2, its square, (z~-z)^2, its square
 
-    def record(k):
-        i = out_pos[k]
-        eb = mb - b
-        ez = mz - z
-        eb2 = eb * eb
-        ez2 = ez * ez
-        sums[0, i] = eb2.sum()
-        sums[1, i] = (eb2 * eb2).sum()
-        sums[2, i] = ez2.sum()
-        sums[3, i] = (ez2 * ez2).sum()
+    def record(i):
+        np.subtract(mb, b, out=err[0])
+        np.subtract(mz, z, out=err[2])
+        err[0] *= err[0]
+        err[2] *= err[2]
+        np.multiply(err[0], err[0], out=err[1])
+        np.multiply(err[2], err[2], out=err[3])
+        head = err[:, :full * TRIAL_BLOCK].reshape(4, full, TRIAL_BLOCK)
+        parts[:full, :, i] = head.sum(axis=2).T
+        if rest:
+            parts[full, :, i] = err[:, full * TRIAL_BLOCK:].sum(axis=1)
 
-    record(0)
-    for k0 in range(0, n, chunk_steps):
-        k_end = min(k0 + chunk_steps, n)
-        # draws 2 + 2k and 3 + 2k are (dW1_k, dW2_k); fetch the chunk block
-        block = trial_normals(seed, ids, 2 * (k_end - k0), start=2 + 2 * k0)
-        for j, k in enumerate(range(k0, k_end)):
-            dW1 = block[:, 2 * j] * sqrt_dt
-            dW2 = block[:, 2 * j + 1] * sqrt_dt
-            u = -(kc[0] * mz + kc[1] * mb)
-            ydt = z * dt + sqrt_sm * dW2
-            innov = ydt - mz * dt
-            z = z + gj * (b + u) * dt
-            b = b - gb * b * dt + sqrt_sbf * dW1
-            mz, mb = (mz + (gjp * mb + gjp * u) * dt + k1[k] * innov,
-                      mb - gb * mb * dt + k2[k] * innov)
-            if (k + 1) in out_pos:
-                record(k + 1)
-    return t_out, sums
+    def step(j, k):
+        # one explicit-Euler step for every trial, written as in-place ufuncs
+        # that round exactly like the expressions in run_closed_loop
+        # u = -(kc0 m_z + kc1 m_b)
+        np.multiply(mz, kc0, out=u)
+        np.multiply(mb, kc1, out=tmp)
+        np.add(u, tmp, out=u)
+        np.negative(u, out=u)
+        # innovation y dt - m_z dt, with y dt = z dt + sqrt(sigma_M) dW2
+        np.multiply(z, dt, out=innov)
+        np.add(innov, w[2 * j + 1], out=innov)
+        np.multiply(mz, dt, out=tmp)
+        np.subtract(innov, tmp, out=innov)
+        # z += gamma J (b + u) dt
+        np.add(b, u, out=tmp)
+        np.multiply(tmp, gj, out=tmp)
+        np.multiply(tmp, dt, out=tmp)
+        np.add(z, tmp, out=z)
+        # b += -gamma_b b dt + sqrt(sigma_bF) dW1
+        np.multiply(b, gb, out=tmp)
+        np.multiply(tmp, dt, out=tmp)
+        np.subtract(b, tmp, out=b)
+        np.add(b, w[2 * j], out=b)
+        # m_z += (gamma J' m_b + gamma J' u) dt + K_O1 innov
+        np.multiply(mb, gjp, out=tmp)
+        np.multiply(u, gjp, out=tmp2)
+        np.add(tmp, tmp2, out=tmp)
+        np.multiply(tmp, dt, out=tmp)
+        np.add(mz, tmp, out=mz)
+        np.multiply(innov, k1[k], out=tmp)
+        np.add(mz, tmp, out=mz)
+        # m_b += -gamma_b m_b dt + K_O2 innov
+        np.multiply(mb, gb, out=tmp)
+        np.multiply(tmp, dt, out=tmp)
+        np.subtract(mb, tmp, out=mb)
+        np.multiply(innov, k2[k], out=tmp)
+        np.add(mb, tmp, out=mb)
+
+    step_block = _step_block(trials)
+    noise = np.empty((2 * min(step_block, n), trials))
+    with np.errstate(over="ignore", invalid="ignore"):   # the guards below report these
+        record(0)
+        for k0 in range(0, n, step_block):
+            k_end = min(k0 + step_block, n)
+            # draws 2 + 2k and 3 + 2k are (dW1_k, dW2_k); one row per draw, scaled
+            # exactly as the per-step products sqrt_sbf * dW1 and sqrt_sm * dW2
+            w = noise[:2 * (k_end - k0)]
+            np.multiply(trial_normals(seed, ids, 2 * (k_end - k0), start=2 + 2 * k0).T,
+                        sqrt_dt, out=w)
+            w[0::2] *= sqrt_sbf
+            w[1::2] *= sqrt_sm
+            start_state = state.copy()
+            for j, k in enumerate(range(k0, k_end)):
+                step(j, k)
+                if (k + 1) in out_pos:
+                    record(out_pos[k + 1])
+            if not np.isfinite(state).all():
+                # replay the block step by step to name the first bad step
+                state[...] = start_state
+                for j, k in enumerate(range(k0, k_end)):
+                    step(j, k)
+                    if not np.isfinite(state).all():
+                        raise DivergenceError(
+                            f"run_ensemble: non-finite state at t = {(k + 1) * dt:.6e}")
+    bad = ~np.isfinite(parts).all(axis=(0, 1))
+    if bad.any():
+        raise DivergenceError(f"run_ensemble: error sums overflow at t = "
+                              f"{t_out[np.argmax(bad)]:.6e}")
+    return t_out, parts
+
+
+def _sum_blocks(parts) -> np.ndarray:
+    """Ensemble sums from per-block sums, added in block order from zero."""
+    total = np.zeros_like(parts[0])
+    for part in parts:
+        total += part
+    return total
 
 
 def summarize_ensemble(sums: np.ndarray, trials: int):

@@ -20,6 +20,14 @@ seed ``finalize(s) XOR k`` (the base seed is finalized first so that
 nearby integer seeds do not share key sets under the XOR).  Each Monte
 Carlo trial owns one sub-stream, which makes ensembles independent of
 batch splitting and worker count.
+
+``trial_normals`` generates its draws in cache-sized blocks of about
+``_BLOCK_NORMALS`` normals (a few streams at a time), with in-place
+integer and float operations into a preallocated output.  Every draw is a
+pure function of its (stream, position), so the block size changes speed
+only: the bits are those of the formula above.  ``RngStream.normals_at``
+evaluates the formula directly and is the reference the blocked kernel
+is tested against, bit for bit.
 """
 
 from __future__ import annotations
@@ -36,6 +44,21 @@ _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 _U64 = np.uint64
 _TWO53 = float(1 << 53)
+_TWO_PI = 2.0 * np.pi
+_BLOCK_NORMALS = 16384  # normals per generated block (256 KB of uint64 outputs)
+
+
+def _mix64_inplace(x: np.ndarray, tmp: np.ndarray) -> None:
+    """splitmix64 finalizer applied in place to uint64 ``x`` (wraps mod 2**64)."""
+    with np.errstate(over="ignore"):
+        np.right_shift(x, _U64(30), out=tmp)
+        x ^= tmp
+        x *= _U64(_MIX1)
+        np.right_shift(x, _U64(27), out=tmp)
+        x ^= tmp
+        x *= _U64(_MIX2)
+        np.right_shift(x, _U64(31), out=tmp)
+        x ^= tmp
 
 
 def _mix64(x: np.ndarray) -> np.ndarray:
@@ -57,6 +80,44 @@ def _raw_outputs(state0: int, start: int, count: int) -> np.ndarray:
         return _mix64(idx * _U64(_GAMMA) + _U64(state0))
 
 
+def _stream_normals(states: np.ndarray, start: int, n: int) -> np.ndarray:
+    """Row k = normals [start, start+n) of the stream with state ``states[k]``.
+
+    Works through the rows in blocks of about ``_BLOCK_NORMALS`` draws.  The
+    even (u1) and odd (u2) outputs of a block are laid out as two contiguous
+    planes, so every operation runs in place on contiguous memory.
+    """
+    out = np.empty((len(states), n))
+    if out.size == 0:
+        return out
+    with np.errstate(over="ignore"):
+        ctr = np.arange(2 * start + 1, 2 * (start + n) + 1, dtype=_U64)
+        ctr *= _U64(_GAMMA)
+    ctr = np.ascontiguousarray(ctr.reshape(n, 2).T)[:, None, :]   # (2, 1, n): u1, u2 planes
+    rows = max(1, _BLOCK_NORMALS // n)
+    raw = np.empty((2, min(rows, len(states)), n), dtype=_U64)
+    tmp = np.empty_like(raw)
+    unif = np.empty(raw.shape)
+    for r0 in range(0, len(states), rows):
+        m = min(rows, len(states) - r0)
+        x, t, u = raw[:, :m], tmp[:, :m], unif[:, :m]
+        with np.errstate(over="ignore"):
+            np.add(ctr, states[None, r0:r0 + m, None], out=x)
+        _mix64_inplace(x, t)
+        x >>= _U64(11)
+        u[...] = x                  # < 2**53, so the conversion is exact
+        u[0] += 1.0
+        u *= 1.0 / _TWO53           # power-of-two scaling: exact
+        u1, u2 = u[0], u[1]
+        np.log(u1, out=u1)
+        u1 *= -2.0
+        np.sqrt(u1, out=u1)
+        u2 *= _TWO_PI
+        np.cos(u2, out=u2)
+        np.multiply(u1, u2, out=out[r0:r0 + m])
+    return out
+
+
 class RngStream:
     """Counter-based standard-normal stream; reproducible and splittable."""
 
@@ -71,7 +132,12 @@ class RngStream:
         return RngStream(self._state0 ^ int(k))
 
     def normals_at(self, start: int, n: int) -> np.ndarray:
-        """Normals [start, start+n) by counter, without touching position."""
+        """Normals [start, start+n) by counter, without touching position.
+
+        Written straight from the documented layout, independently of the
+        blocked kernel behind ``trial_normals``, which the tests check
+        against it bit for bit.
+        """
         if n == 0:
             return np.empty(0)
         raw = _raw_outputs(self._state0, 2 * start, 2 * n)
@@ -102,19 +168,13 @@ def trial_stream(seed: int, trial: int) -> RngStream:
 def trial_normals(seed: int, trials: np.ndarray, n: int, start: int = 0) -> np.ndarray:
     """Matrix of draws, row k = normals [start, start+n) of trial_stream(seed, trials[k]).
 
-    Vectorized across trials; identical to calling each trial's stream.
-    Random access by position makes ensembles independent of how work is
-    chunked across steps or workers.
+    Vectorized across trials and generated in cache-sized blocks; identical
+    to calling each trial's stream.  Random access by position makes
+    ensembles independent of how work is chunked across steps or workers.
     """
     trials = np.asarray(trials, dtype=np.int64)
-    with np.errstate(over="ignore"):
-        base = np.array([spread_seed(seed)], dtype=_U64)
-        s0 = _mix64(base ^ trials.astype(_U64))
-        idx = np.arange(2 * start + 1, 2 * (start + n) + 1, dtype=_U64)
-        raw = _mix64(idx[None, :] * _U64(_GAMMA) + s0[:, None])
-    u1 = ((raw[:, 0::2] >> _U64(11)).astype(np.float64) + 1.0) / _TWO53
-    u2 = (raw[:, 1::2] >> _U64(11)).astype(np.float64) / _TWO53
-    return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
+    states = _mix64(_U64(spread_seed(seed)) ^ trials.astype(_U64))
+    return _stream_normals(states, start, int(n))
 
 
 # ---------------------------------------------------------------------------

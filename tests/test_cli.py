@@ -106,6 +106,16 @@ class TestCommands:
         assert run_cli(["montecarlo", "--scenario", str(sc), "--out", str(out)]) == 0
         assert "steady_gain" in capsys.readouterr().out
 
+    def test_montecarlo_divergence_exit_code(self, tmp_path, capsys):
+        sc = tmp_path / "div.scn"
+        base = (SCENARIOS / "transfer_function_comparison.scn").read_text()
+        sc.write_text(base.replace("trials   = 2000", "trials   = 20")
+                          .replace("lambda   = 0.01", "lambda   = 1000")
+                          .replace("T        = 5e-8", "T        = 1e-9"))
+        rc = run_cli(["montecarlo", "--scenario", str(sc), "--out", str(tmp_path / "d.csv")])
+        assert rc == 3
+        assert "non-finite state at t =" in capsys.readouterr().err
+
     def test_mismatch_steady(self, tmp_path):
         out = tmp_path / "mm.csv"
         rc = run_cli(["mismatch", "--scenario", str(SCENARIOS / "mismatch_steady.scn"),

@@ -2,13 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from spintrack.errors import ConfigurationError
+from spintrack.errors import ConfigurationError, DivergenceError
 from spintrack.model import DesignParams, PlantParams, Priors, build_system, fluctuating_plant
 from spintrack.numerics import RngStream, trial_stream
-from spintrack.lqg_filter import (FilterState, design_plant, design_prior, filter_record,
-                                  kalman_step, run_closed_loop, run_ensemble,
-                                  run_open_loop_linefit, summarize_ensemble)
+from spintrack.lqg_filter import (MODES, TRIAL_BLOCK, FilterState, _ensemble_block_sums,
+                                  design_plant, design_prior, filter_record, kalman_step,
+                                  run_closed_loop, run_ensemble, run_open_loop_linefit,
+                                  summarize_ensemble)
 from spintrack.riccati import riccati_at_times
 from spintrack.truth_sim import simulate_plant
 
@@ -109,6 +111,54 @@ class TestClosedLoop:
             r = run_closed_loop(FLUCT, PRIOR, MATCHED, "dynamic_gain", trial_stream(31, k), dt, T)
             other += r.bE_sq[-1]
         assert sums[0, -1] == pytest.approx(other + res.bE_sq[-1], rel=1e-12)
+
+    def test_ensemble_divergence_names_time(self):
+        # a controller gain far beyond the explicit-Euler limit overflows
+        d = DesignParams(J_prime=1e6, lam=1e3)
+        dt, T, trials = 5e-12, 1e-9, 10
+        first_bad = []
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k in range(trials):
+                r = run_closed_loop(FLUCT, PRIOR, d, "steady_gain", trial_stream(1, k), dt, T)
+                ok = (np.isfinite(r.trajectory.z) & np.isfinite(r.trajectory.b)
+                      & np.isfinite(r.m).all(axis=1))
+                first_bad.append(int(np.argmin(ok)))
+        t_bad = min(first_bad) * dt
+        assert 0.0 < t_bad < T
+        # output only at 0 and T, so the state guard names the step itself
+        with pytest.raises(DivergenceError, match=f"non-finite state at t = {t_bad:.6e}"):
+            run_ensemble(FLUCT, PRIOR, d, "steady_gain", seed=1, trials=trials, dt=dt, T=T,
+                         decimate=int(round(T / dt)))
+        # finite states whose squared errors overflow the sums
+        huge = Priors(sigma_z0=5e5, sigma_b0=1e300)
+        with pytest.raises(DivergenceError, match="sums overflow at t = 0.000000e"):
+            run_ensemble(FLUCT, huge, MATCHED, "steady_gain", seed=1, trials=trials, dt=dt,
+                         T=2e-11)
+
+    @settings(max_examples=20, deadline=None)
+    @given(trials=st.integers(1, 700), first_block=st.integers(0, 3),
+           steps=st.integers(1, 40), decimate=st.integers(1, 12),
+           seed=st.integers(0, 2**32), mode=st.sampled_from(MODES))
+    def test_ensemble_is_in_order_sum_of_block_calls(self, trials, first_block, steps,
+                                                     decimate, seed, mode):
+        # the worker-split invariance: any split at block boundaries, summed
+        # in block order, reproduces the single call bit for bit
+        dt = 5e-12
+        offset = first_block * TRIAL_BLOCK
+        args = (FLUCT, PRIOR, MATCHED, mode, seed)
+        t_out, whole = run_ensemble(*args, trials, dt, steps * dt, decimate=decimate,
+                                    trial_offset=offset)
+        _, per_block = _ensemble_block_sums(*args, trials, dt, steps * dt, decimate=decimate,
+                                            trial_offset=offset)
+        total = np.zeros_like(whole)
+        for i, lo in enumerate(range(0, trials, TRIAL_BLOCK)):
+            t_b, part = run_ensemble(*args, min(TRIAL_BLOCK, trials - lo), dt, steps * dt,
+                                     decimate=decimate, trial_offset=offset + lo)
+            assert np.array_equal(t_b, t_out)
+            assert np.array_equal(part.view(np.uint64), per_block[i].view(np.uint64))
+            total += part
+        assert len(per_block) == i + 1
+        assert np.array_equal(total.view(np.uint64), whole.view(np.uint64))
 
     def test_innovation_whiteness_matched(self):
         # gentle-gain regime so the O(K1 dt) variance correction stays

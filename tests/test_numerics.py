@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings, strategies as st
 
+from spintrack import numerics
 from spintrack.errors import DimensionError, DivergenceError
 from spintrack.numerics import (RngStream, euler_maruyama_step, geometric_times,
                                 mat_expm, ode_rk4, ou_increment, trial_normals,
@@ -97,6 +99,25 @@ class TestEulerMaruyama:
         assert abs(var - 1.0) < 3.0 * se
 
 
+def _documented_draw(seed, trial, i):
+    """Normal draw i of trial stream (seed, trial), in plain integers from the
+    layout documented in ``numerics``."""
+    mask = (1 << 64) - 1
+
+    def mix(x):
+        x ^= x >> 30
+        x = (x * 0xBF58476D1CE4E5B9) & mask
+        x ^= x >> 27
+        x = (x * 0x94D049BB133111EB) & mask
+        return x ^ (x >> 31)
+
+    state0 = mix(mix(seed & mask) ^ trial)
+    out = [mix((state0 + (j + 1) * 0x9E3779B97F4A7C15) & mask) for j in (2 * i, 2 * i + 1)]
+    u1 = ((out[0] >> 11) + 1) * 2.0**-53
+    u2 = (out[1] >> 11) * 2.0**-53
+    return math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
+
+
 class TestRngStream:
     def test_bitwise_reproducible(self):
         a = RngStream(42).normals(1000)
@@ -128,6 +149,25 @@ class TestRngStream:
         a = np.sort(trial_normals(1, np.arange(500), 1).ravel())
         b = np.sort(trial_normals(2, np.arange(500), 1).ravel())
         assert not np.allclose(a, b)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**64 - 1),
+           trials=st.lists(st.integers(0, 2**62), min_size=1, max_size=40),
+           start=st.integers(0, 2**40), n=st.integers(0, 70),
+           block=st.sampled_from([1, 5, 64, numerics._BLOCK_NORMALS]))
+    def test_trial_matrix_is_stream_draws_bit_for_bit(self, seed, trials, start, n, block):
+        # small block sizes leave partial row blocks at every trial count
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(numerics, "_BLOCK_NORMALS", block)
+            mat = trial_normals(seed, np.array(trials), n, start=start)
+        assert mat.shape == (len(trials), n)
+        for row, k in zip(mat, trials):
+            ref = trial_stream(seed, k).normals_at(start, n)
+            assert np.array_equal(row.view(np.uint64), ref.view(np.uint64))
+            for i in ([0, n - 1] if n else []):
+                # scalar libm may differ from numpy's SIMD log/cos in the last bit
+                assert math.isclose(row[i], _documented_draw(seed, k, start + i),
+                                    rel_tol=1e-12, abs_tol=1e-12)
 
     def test_moments(self):
         draws = RngStream(2024).normals(200_000)
