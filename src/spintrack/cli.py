@@ -10,6 +10,7 @@ Unknown keys are rejected.
 Verbs
 -----
 simulate    one open-loop truth trajectory               -> CSV t,z,b,u,ydt
+            (with mode set: one closed-loop trial        -> CSV t,z,b,u,z_tilde,b_tilde)
 riccati     covariance solutions, three routes           -> CSV per-time rows
 montecarlo  closed-loop ensemble vs the Riccati curve    -> CSV summary
 mismatch    spin-number mismatch factor sweep            -> CSV + stdout table
@@ -297,7 +298,7 @@ def cmd_bode(sc: dict, seed: int, out: str, workers: int) -> int:
     print(f"lambda_margin: {_fmt(margins['lambda_margin'])}")
     print(f"gammaJ_margin: {_fmt(margins['gammaJ_margin'])}")
     try:
-        cf = freq.char_freqs(p, d, check_closure=False)
+        cf = freq.char_freqs(p, d)
         for k in ("omega_L", "omega_H", "omega_C", "omega_Q", "G_uDC", "G_uAC"):
             print(f"{k}: {_fmt(getattr(cf, k))}")
     except ConfigurationError as exc:

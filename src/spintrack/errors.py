@@ -39,7 +39,3 @@ class UnsupportedCaseError(ConfigurationError):
 
 class ControllerFaultError(SpintrackError):
     """A control callback produced a non-finite actuation value."""
-
-
-class SuiteFailure(SpintrackError):
-    """A verification suite measured a deviation beyond its tolerance."""

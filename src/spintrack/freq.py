@@ -82,12 +82,6 @@ class RationalTF:
             npoly.polyadd(npoly.polymul(self.num, other.den), npoly.polymul(other.num, self.den)),
             npoly.polymul(self.den, other.den))
 
-    def inverse(self) -> "RationalTF":
-        return RationalTF(self.den, self.num)
-
-    def poles(self) -> np.ndarray:
-        return np.roots(self.den[::-1]) if len(self.den) > 1 else np.empty(0, dtype=complex)
-
 
 def _trim(c: np.ndarray) -> np.ndarray:
     # drop exact-zero leading coefficients only; with loop frequencies
@@ -188,13 +182,12 @@ def approximation_margins(p: PlantParams, d: DesignParams) -> dict:
     return {"lambda_margin": lam_margin, "gammaJ_margin": gj_margin}
 
 
-def char_freqs(p: PlantParams, d: DesignParams, check_closure: bool = True) -> CharFreqs:
+def char_freqs(p: PlantParams, d: DesignParams) -> CharFreqs:
     """Limit expressions for the loop frequencies; requires both
     approximation margins to be at least 100.
 
-    When check_closure is set, the closing frequency is also found
-    independently by bisection on |P G_u| = 1 and must agree with 2 w_H
-    within 5 percent.
+    omega_C is the first-order value 2 w_H; ``closure_frequency`` finds
+    the closing frequency independently by bisection on |P G_u| = 1.
     """
     if not p.sigma_bF > 0:
         raise UnsupportedCaseError("char_freqs: needs a fluctuating field")
@@ -220,12 +213,6 @@ def char_freqs(p: PlantParams, d: DesignParams, check_closure: bool = True) -> C
         raise UnsupportedCaseError(
             "char_freqs: frequency ordering w_L < w_H < w_Q violated "
             f"({freqs.omega_L:.3g}, {freqs.omega_H:.3g}, {freqs.omega_Q:.3g})")
-    if check_closure:
-        _, _, gu = closed_loop_tfs(p, d)
-        wc = closure_frequency(gu, gj, hint=omega_h)
-        if abs(wc / freqs.omega_C - 1.0) > 0.05:
-            raise InstabilityError(
-                f"char_freqs: bisection closure {wc:.4g} disagrees with 2 w_H {freqs.omega_C:.4g}")
     return freqs
 
 
@@ -296,12 +283,6 @@ def design_robust_controller(J_min: float, J_max: float, omega_Q: float,
     num = np.array([1.0, 1.0 / omega_h]) * (gain * omega_h / omega_L)
     den = npoly.polymul([1.0, 1.0 / omega_Q], [1.0, 1.0 / omega_L])
     return RationalTF(num, den), w10
-
-
-def sensitivity(c: RationalTF, J: float, gamma: float) -> RationalTF:
-    """S = 1/(1 + P C) for the integrator plant P = gamma J / s."""
-    s_dc = npoly.polymul([0.0, 1.0], c.den)
-    return RationalTF(s_dc, npoly.polyadd(s_dc, gamma * J * c.num))
 
 
 def nyquist_stable(loop_vals: np.ndarray) -> bool:

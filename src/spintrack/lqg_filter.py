@@ -32,20 +32,11 @@ import numpy as np
 from .errors import ConfigurationError, DivergenceError
 from .model import DesignParams, PlantParams, Priors
 from .numerics import RngStream, trial_normals
-from .riccati import CovTrajectory, controller_gain, integrate_estimator_riccati, steady_state_gains
+from .riccati import controller_gain, integrate_estimator_riccati, steady_state_gains
 from .truth_sim import Trajectory
 
 MODES = ("dynamic_gain", "steady_gain")
 TRIAL_BLOCK = 256  # trials per summation block of run_ensemble (the determinism contract)
-
-
-@dataclass
-class FilterState:
-    """Estimate mean, optional covariance snapshot, and current time."""
-
-    m: np.ndarray
-    Sigma: np.ndarray | None
-    t: float
 
 
 @dataclass
@@ -58,7 +49,6 @@ class RunResult:
 
     trajectory: Trajectory
     m: np.ndarray
-    sigma: CovTrajectory | None = None
 
     @property
     def z_tilde(self) -> np.ndarray:
@@ -67,14 +57,6 @@ class RunResult:
     @property
     def b_tilde(self) -> np.ndarray:
         return self.m[:, 1]
-
-    @property
-    def bE_sq(self) -> np.ndarray:
-        return (self.m[:, 1] - self.trajectory.b) ** 2
-
-    @property
-    def zE_sq(self) -> np.ndarray:
-        return (self.m[:, 0] - self.trajectory.z) ** 2
 
 
 def design_prior(d: DesignParams, prior: Priors) -> Priors:
@@ -86,17 +68,6 @@ def design_prior(d: DesignParams, prior: Priors) -> Priors:
 def design_plant(p: PlantParams, d: DesignParams) -> PlantParams:
     """The plant the observer believes in: true rates with spin J'."""
     return replace(p, J=d.J_prime)
-
-
-def kalman_step(s: FilterState, ydt: float, u: float, a_design: np.ndarray,
-                b_design: np.ndarray, k_o: np.ndarray, dt: float) -> FilterState:
-    """One explicit-Euler filter update against a measurement increment."""
-    m = s.m
-    innovation = ydt - m[0] * dt
-    m_new = m + (a_design @ m + b_design * u) * dt + k_o * innovation
-    if not np.all(np.isfinite(m_new)):
-        raise ConfigurationError(f"kalman_step: estimate diverged at t = {s.t:.6e}")
-    return FilterState(m=m_new, Sigma=s.Sigma, t=s.t + dt)
 
 
 def filter_record(a_design: np.ndarray, b_design: np.ndarray, k1: np.ndarray,
@@ -130,10 +101,9 @@ def _gain_arrays(p: PlantParams, prior: Priors, d: DesignParams, mode: str,
         g = steady_state_gains(p_des, d)
         k1 = np.full(n + 1, g.K_O[0])
         k2 = np.full(n + 1, g.K_O[1])
-        return k1, k2, None
+        return k1, k2
     cov = integrate_estimator_riccati(p_des, design_prior(d, prior), dt, n * dt)
-    k1, k2 = cov.gain(p_des.sigma_M)
-    return k1, k2, cov
+    return cov.gain(p_des.sigma_M)
 
 
 def run_closed_loop(p: PlantParams, prior: Priors, d: DesignParams, mode: str,
@@ -147,7 +117,7 @@ def run_closed_loop(p: PlantParams, prior: Priors, d: DesignParams, mode: str,
     if T > 1.0 / p.M:
         warnings.warn("run_closed_loop: T exceeds 1/M; the small-time model is not valid there",
                       stacklevel=2)
-    k1, k2, cov = _gain_arrays(p, prior, d, mode, dt, n)
+    k1, k2 = _gain_arrays(p, prior, d, mode, dt, n)
     kc = controller_gain(p, d)
     gj = p.gamma * p.J
     gjp = p.gamma * d.J_prime
@@ -180,7 +150,7 @@ def run_closed_loop(p: PlantParams, prior: Priors, d: DesignParams, mode: str,
         m[k + 1, 1] = m[k, 1] - gb * m[k, 1] * dt + k2[k] * innov
     u[n] = u[n - 1] if n > 0 else 0.0
     traj = Trajectory(t=t, z=z, b=b, u=u, ydt=ydt, dW1=dW1, dW2=dW2, dt=dt)
-    return RunResult(trajectory=traj, m=m, sigma=cov)
+    return RunResult(trajectory=traj, m=m)
 
 
 def _step_block(trials: int) -> int:
@@ -223,7 +193,7 @@ def _ensemble_block_sums(p: PlantParams, prior: Priors, d: DesignParams, mode: s
     n = int(round(T / dt))
     if trials < 1:
         raise ConfigurationError("run_ensemble: need at least one trial")
-    k1, k2, _ = _gain_arrays(p, prior, d, mode, dt, n)
+    k1, k2 = _gain_arrays(p, prior, d, mode, dt, n)
     kc0, kc1 = controller_gain(p, d)
     gj = p.gamma * p.J
     gjp = p.gamma * d.J_prime

@@ -19,7 +19,6 @@ scenarios are encoded as gamma_b = 0, sigma_bF = 0 with sigma_b0 > 0.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,11 +81,6 @@ class Priors:
             raise ConfigurationError("Priors: sigma_b0 must be nonnegative")
 
 
-def coherent_priors(J: float, sigma_b0: float) -> Priors:
-    """Coherent-state spin prior J/2 together with a field prior."""
-    return Priors(sigma_z0=J / 2.0, sigma_b0=sigma_b0)
-
-
 @dataclass(frozen=True)
 class DesignParams:
     """Observer/controller design: assumed spin J_prime and control cost
@@ -143,15 +137,3 @@ def fluctuating_plant(J: float, gamma: float, M: float, gamma_b: float,
     return PlantParams(J=J, gamma=gamma, M=M, eta=eta, gamma_b=gamma_b,
                        sigma_bF=2.0 * gamma_b * sigma_bfree)
 
-
-def mismatch_ratio(p: PlantParams, d: DesignParams) -> float:
-    """f = J / J_prime, the true spin over the spin assumed by the design."""
-    return p.J / d.J_prime
-
-
-def large_lambda_threshold(p: PlantParams, d: DesignParams) -> float:
-    """Smallest lam^2 counting as 'control much cheaper than estimation',
-    with a factor-100 margin: lam^2 >= 100 * sqrt(sqrt(sigma_bF/sigma_M) /
-    (2*gamma*J_prime))."""
-    r = math.sqrt(p.sigma_bF / p.sigma_M)
-    return 100.0 * math.sqrt(r / (2.0 * p.gamma * d.J_prime))

@@ -36,7 +36,7 @@ import math
 
 import numpy as np
 
-from .errors import DimensionError, DivergenceError
+from .errors import ConfigurationError, DimensionError, DivergenceError
 
 # splitmix64 constants (Steele, Lea & Flood 2014)
 _GAMMA = 0x9E3779B97F4A7C15
@@ -127,10 +127,6 @@ class RngStream:
         self._state0 = int(_mix64(np.array(seed, dtype=_U64)))
         self._pos = 0  # normals consumed so far
 
-    def spawn(self, k: int) -> "RngStream":
-        """Independent sub-stream k (finalized base seed XOR k)."""
-        return RngStream(self._state0 ^ int(k))
-
     def normals_at(self, start: int, n: int) -> np.ndarray:
         """Normals [start, start+n) by counter, without touching position.
 
@@ -150,9 +146,6 @@ class RngStream:
         out = self.normals_at(self._pos, int(n))
         self._pos += int(n)
         return out
-
-    def normal(self) -> float:
-        return float(self.normals(1)[0])
 
 
 def spread_seed(seed: int) -> int:
@@ -232,31 +225,6 @@ def _rk4_step(f, t, x, h):
     return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def ode_rk4(f, x0, t0: float, t1: float, dt: float):
-    """Classical fixed-step RK4 of dx/dt = f(t, x) from t0 to t1.
-
-    The final step is shortened to land exactly on t1.  Returns
-    (times, states) with states[k] = x(times[k]).
-    """
-    if dt <= 0:
-        raise DimensionError("ode_rk4: dt must be positive")
-    if t1 <= t0:
-        raise DimensionError("ode_rk4: t1 must exceed t0")
-    x = np.array(x0, dtype=np.float64, copy=True)
-    times = [t0]
-    states = [x.copy()]
-    t = t0
-    while t < t1 - 1e-15 * max(abs(t1), 1.0):
-        h = min(dt, t1 - t)
-        x = _rk4_step(f, t, x, h)
-        t = t + h
-        if not np.all(np.isfinite(x)):
-            raise DivergenceError(f"ode_rk4: non-finite state at t = {t:.6e}")
-        times.append(t)
-        states.append(x.copy())
-    return np.array(times), np.array(states)
-
-
 def rk4_nonuniform(f, x0, times):
     """RK4 over an explicit increasing time grid; returns states on it."""
     times = np.asarray(times, dtype=np.float64)
@@ -270,25 +238,6 @@ def rk4_nonuniform(f, x0, times):
             raise DivergenceError(f"rk4_nonuniform: non-finite state at t = {times[k + 1]:.6e}")
         out[k + 1] = x
     return out
-
-
-def euler_maruyama_step(x, drift, diffusion, dt: float, dw):
-    """One Ito-Euler update: x + drift*dt + diffusion @ dw.
-
-    dw must already be scaled by sqrt(dt) (i.e. a Wiener increment).
-    """
-    x = np.asarray(x, dtype=np.float64)
-    drift = np.asarray(drift, dtype=np.float64)
-    diffusion = np.asarray(diffusion, dtype=np.float64)
-    dw = np.asarray(dw, dtype=np.float64)
-    if dt <= 0:
-        raise DimensionError("euler_maruyama_step: dt must be positive")
-    if drift.shape != x.shape:
-        raise DimensionError(f"drift shape {drift.shape} != state shape {x.shape}")
-    if diffusion.ndim != 2 or diffusion.shape[0] != x.shape[0] or diffusion.shape[1] != dw.shape[0]:
-        raise DimensionError(
-            f"diffusion shape {diffusion.shape} incompatible with state {x.shape} and noise {dw.shape}")
-    return x + drift * dt + diffusion @ dw
 
 
 # ---------------------------------------------------------------------------
@@ -337,19 +286,22 @@ def ou_increment(alpha: np.ndarray, q: np.ndarray, dt: float):
     return phi, 0.5 * (g + g.T)
 
 
-def geometric_times(t_start: float, t_end: float, ratio: float, t_offset: float = 0.0):
-    """Deterministic quasi-geometric grid from t_start to t_end.
+def geometric_times(t_end: float, g: float, t_offset: float, cap: float = math.inf) -> np.ndarray:
+    """Deterministic quasi-geometric grid from 0 to t_end.
 
-    Steps grow as dt = (ratio - 1) * (t + t_offset), which tracks dynamics
+    Steps grow as dt = min(g * (t + t_offset), cap), which tracks dynamics
     whose local timescale is proportional to elapsed time (Riccati
-    transients).  The grid is a pure function of its arguments.
+    transients); ``cap`` bounds the step once they saturate.  The growth
+    step ``g`` is passed as is (not as a ratio 1 + g, whose subtraction
+    would round), so the grid is a pure function of its arguments.
     """
-    if not (t_end > t_start >= 0.0 and ratio > 1.0):
-        raise DimensionError("geometric_times: need t_end > t_start >= 0 and ratio > 1")
-    times = [t_start]
-    t = t_start
-    g = ratio - 1.0
+    if not (g > 0 and 0 < t_offset < math.inf and t_end < math.inf):
+        # the first step is g * t_offset: the loop would never advance
+        raise ConfigurationError(f"geometric_times: need g > 0 and finite t_offset > 0 and t_end, "
+                                 f"got g = {g}, t_offset = {t_offset}, t_end = {t_end}")
+    times = [0.0]
+    t = 0.0
     while t < t_end:
-        t = min(t + g * (t + t_offset), t_end)
+        t = min(t + min(g * (t + t_offset), cap), t_end)
         times.append(t)
     return np.array(times)

@@ -106,19 +106,6 @@ def _check_state(rho: np.ndarray, tol_pos: float = 1e-6):
         raise InstabilityError("quantum state lost positivity; reduce the step size")
 
 
-def _qnd_update(rho, mz, M, eta, h_term, jz_mean, dt, dwbar):
-    """Shared deterministic + measurement update (elementwise in Jz basis)."""
-    mi = mz[:, None]
-    mj = mz[None, :]
-    decay = M * (mi * mj - 0.5 * (mi * mi + mj * mj))
-    out = rho + rho * (decay * dt)
-    if h_term is not None:
-        out = out + h_term
-    if eta > 0.0:
-        out = out + math.sqrt(eta * M) * ((mi + mj) * rho - 2.0 * jz_mean * rho) * dwbar
-    return out
-
-
 def sme_step(rho: np.ndarray, b: float, u: float, ops: SpinOperators, p: PlantParams,
              dt: float, dW: float, eta: float | None = None, check: bool = False):
     """One Ito-Euler step of the conditional master equation.
@@ -135,41 +122,25 @@ def sme_step(rho: np.ndarray, b: float, u: float, ops: SpinOperators, p: PlantPa
         raise ConfigurationError("sme_step: dt * M * (2J+1) too large; reduce the step")
     h = b + u
     jz_mean, _ = jz_moments(rho, ops.mz)
-    h_term = None
+    # measurement superoperators are elementwise in the Jz basis
+    mi = ops.mz[:, None]
+    mj = ops.mz[None, :]
+    out = rho + rho * (M * (mi * mj - 0.5 * (mi * mi + mj * mj)) * dt)
     if h != 0.0:
         # sign fixed so a positive field drives <Jz> upward, matching the
         # state-space convention dz = +gamma J h dt
         ham = (-p.gamma * h) * ops.Jy
-        h_term = -1j * dt * (ham @ rho - rho @ ham)
+        out = out + -1j * dt * (ham @ rho - rho @ ham)
     if eta_eff > 0.0:
         ydt = jz_mean * dt + math.sqrt(1.0 / (4.0 * M * eta_eff)) * dW
+        out = out + math.sqrt(eta_eff * M) * ((mi + mj) * rho - 2.0 * jz_mean * rho) * dW
     else:
         ydt = math.nan
-    out = _qnd_update(rho, ops.mz, M, eta_eff, h_term, jz_mean, dt, dW)
     out = 0.5 * (out + out.conj().T)
     out = out / np.trace(out).real
     if check:
         _check_state(out)
     return out, ydt
-
-
-def sme_step_record(rho: np.ndarray, b: float, u: float, ops: SpinOperators,
-                    p: PlantParams, dt: float, ydt: float):
-    """Condition a hypothesis state on a given record increment.
-
-    The innovation dWbar_b = 2 sqrt(M eta) (ydt - <Jz>_b dt) replaces the
-    raw noise; otherwise identical to sme_step.
-    """
-    jz_mean, _ = jz_moments(rho, ops.mz)
-    dwbar = 2.0 * math.sqrt(p.M * p.eta) * (ydt - jz_mean * dt)
-    h = b + u
-    h_term = None
-    if h != 0.0:
-        ham = (-p.gamma * h) * ops.Jy  # sign convention as in sme_step
-        h_term = -1j * dt * (ham @ rho - rho @ ham)
-    out = _qnd_update(rho, ops.mz, p.M, p.eta, h_term, jz_mean, dt, dwbar)
-    out = 0.5 * (out + out.conj().T)
-    return out / np.trace(out).real
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +234,7 @@ def grid_filter_record(grid: FieldGrid, ydts: np.ndarray, p: PlantParams, dt: fl
 # ---------------------------------------------------------------------------
 
 def simulate_record(ops: SpinOperators, p: PlantParams, b: float, rng: RngStream,
-                    dt: float, n: int, check_every: int = 0):
+                    dt: float, n: int):
     """Generate a physical record from the conditioned truth state.
 
     Returns (ydts, jx_mean, jz_mean, djz2) histories, each length n (+1
@@ -279,8 +250,7 @@ def simulate_record(ops: SpinOperators, p: PlantParams, b: float, rng: RngStream
     jx[0] = expectation(rho, ops.Jx)
     jz[0], djz2[0] = jz_moments(rho, ops.mz)
     for k in range(n):
-        rho, ydt = sme_step(rho, b, 0.0, ops, p, dt, draws[k] * sqrt_dt,
-                            check=bool(check_every and (k + 1) % check_every == 0))
+        rho, ydt = sme_step(rho, b, 0.0, ops, p, dt, draws[k] * sqrt_dt)
         ydts[k] = ydt
         jx[k + 1] = expectation(rho, ops.Jx)
         jz[k + 1], djz2[k + 1] = jz_moments(rho, ops.mz)

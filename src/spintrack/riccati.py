@@ -38,9 +38,9 @@ import numpy as np
 
 from .errors import ConfigurationError, InstabilityError, SingularityError, UnsupportedCaseError
 from .model import DesignParams, PlantParams, Priors, build_system
-from .numerics import mat_expm
+from .numerics import geometric_times, mat_expm
 
-_SCHEDULE_RATIO = 1.01  # fractional step growth of the geometric schedule
+_SCHEDULE_STEP = 1.01 - 1.0  # fractional step growth of the geometric schedule
 
 
 @dataclass
@@ -55,16 +55,6 @@ class CovTrajectory:
     def gain(self, sigma_M: float):
         """Observer gains (K_O1, K_O2) tabulated on the trajectory grid."""
         return self.sigma_zR / sigma_M, self.sigma_cR / sigma_M
-
-    def gain_interpolator(self, sigma_M: float):
-        """Piecewise-linear K_O(t); clamps outside the tabulated range."""
-        k1, k2 = self.gain(sigma_M)
-        t = self.t
-
-        def k_of_t(tq):
-            return np.interp(tq, t, k1), np.interp(tq, t, k2)
-
-        return k_of_t
 
 
 @dataclass(frozen=True)
@@ -82,6 +72,17 @@ def _prior_values(prior) -> tuple[float, float]:
         return prior.sigma_z0, prior.sigma_b0
     sz0, sb0 = prior
     return float(sz0), float(sb0)
+
+
+def _finite_prior_values(prior) -> tuple[float, float]:
+    """Priors of the numeric routes, which need them finite (the closed
+    forms take infinite priors as limits)."""
+    sz0, sb0 = _prior_values(prior)
+    if not (math.isfinite(sz0) and math.isfinite(sb0) and sz0 > 0 and sb0 >= 0):
+        raise ConfigurationError(
+            f"numeric Riccati routes need finite priors with sigma_z0 > 0, got ({sz0}, {sb0}); "
+            "use the closed forms for infinite priors")
+    return sz0, sb0
 
 
 def _is_constant_field(p: PlantParams) -> bool:
@@ -108,16 +109,11 @@ def exact_steady_sigma(p: PlantParams, J: float | None = None):
     return sz, sc, sb
 
 
-def _schedule_offset(p: PlantParams, prior) -> float:
+def _schedule_offset(p: PlantParams, sz0: float, sb0: float) -> float:
     """Smallest dynamical timescale at t = 0, from parameters alone."""
-    sz0, sb0 = _prior_values(prior)
     sm = p.sigma_M
-    scales = []
-    if math.isfinite(sz0) and sz0 > 0:
-        scales.append(sm / sz0)
-    else:
-        scales.append(1e-6 * math.sqrt(sm))  # infinite prior: resolve from tiny times
-    if sb0 and sb0 > 0 and math.isfinite(sb0):
+    scales = [sm / sz0]
+    if sb0 > 0:
         # onset of field information transfer through the z-c coupling
         scales.append((sm / (p.gamma ** 2 * p.J ** 2 * sb0)) ** (1.0 / 3.0))
     if p.gamma_b > 0:
@@ -128,10 +124,8 @@ def _schedule_offset(p: PlantParams, prior) -> float:
     return min(scales)
 
 
-def _internal_times(p: PlantParams, prior, t_end: float, required: np.ndarray | None):
+def _internal_times(p: PlantParams, sz0: float, sb0: float, t_end: float, required: np.ndarray):
     """Union of the stability/accuracy schedule and required output times."""
-    offset = _schedule_offset(p, prior)
-    g = _SCHEDULE_RATIO - 1.0
     cap = math.inf
     if p.sigma_bF > 0:
         # RK4 stability cap after saturation (local rate ~ 2 K1_steady);
@@ -140,32 +134,19 @@ def _internal_times(p: PlantParams, prior, t_end: float, required: np.ndarray | 
         cap = 0.5 * p.sigma_M / sz_s
         if p.gamma_b > 0:
             cap = min(cap, 0.2 / p.gamma_b)
-    times = [0.0]
-    t = 0.0
-    while t < t_end:
-        t = min(t + min(g * (t + offset), cap), t_end)
-        times.append(t)
-    grid = np.array(times)
-    if required is not None:
-        grid = np.union1d(grid, np.asarray(required, dtype=np.float64))
-    return grid
+    grid = geometric_times(t_end, _SCHEDULE_STEP, _schedule_offset(p, sz0, sb0), cap)
+    return np.union1d(grid, required)
 
 
-def _rk4_triple(p: PlantParams, sz0: float, sb0: float, times: np.ndarray):
-    """Unrolled RK4 on (sigma_zR, sigma_cR, sigma_bR) over the given grid."""
-    gj = p.gamma * p.J
-    gb = p.gamma_b
-    sbf = p.sigma_bF
-    inv_sm = 1.0 / p.sigma_M
+def _rk4_triple(rhs, x0, times: np.ndarray):
+    """Unrolled RK4 of a three-component autonomous ODE over the given grid.
 
-    def rhs(sz, sc, sb):
-        return (2.0 * gj * sc - sz * sz * inv_sm,
-                gj * sb - gb * sc - sz * sc * inv_sm,
-                sbf - 2.0 * gb * sb - sc * sc * inv_sm)
-
+    ``rhs(x, y, z)`` returns the three derivatives; row k of the result is
+    the state at times[k].
+    """
     n = len(times)
     out = np.empty((n, 3))
-    sz, sc, sb = sz0, 0.0, sb0
+    sz, sc, sb = x0
     out[0] = (sz, sc, sb)
     for k in range(n - 1):
         h = times[k + 1] - times[k]
@@ -178,7 +159,7 @@ def _rk4_triple(p: PlantParams, sz0: float, sb0: float, times: np.ndarray):
         sb += (h / 6.0) * (ab + 2.0 * bb + 2.0 * cb + db)
         if not (math.isfinite(sz) and math.isfinite(sc) and math.isfinite(sb)):
             raise InstabilityError(
-                f"Riccati integration lost finiteness at t = {times[k + 1]:.6e}; reduce the step")
+                f"Riccati integration lost finiteness at t = {times[k + 1]:.6e}")
         out[k + 1] = (sz, sc, sb)
     return out
 
@@ -197,14 +178,24 @@ def _check_psd(traj: CovTrajectory):
 
 def riccati_at_times(p: PlantParams, prior, times) -> CovTrajectory:
     """Riccati solution sampled exactly at the requested times."""
-    sz0, sb0 = _prior_values(prior)
+    sz0, sb0 = _finite_prior_values(prior)
     times = np.atleast_1d(np.asarray(times, dtype=np.float64))
     t_end = float(times.max())
     if t_end == 0.0:
         vals = np.tile([sz0, 0.0, sb0], (len(times), 1))
         return CovTrajectory(times, vals[:, 0], vals[:, 1], vals[:, 2])
-    grid = _internal_times(p, prior, t_end, times)
-    vals = _rk4_triple(p, sz0, sb0, grid)
+    gj = p.gamma * p.J
+    gb = p.gamma_b
+    sbf = p.sigma_bF
+    inv_sm = 1.0 / p.sigma_M
+
+    def rhs(sz, sc, sb):
+        return (2.0 * gj * sc - sz * sz * inv_sm,
+                gj * sb - gb * sc - sz * sc * inv_sm,
+                sbf - 2.0 * gb * sb - sc * sc * inv_sm)
+
+    grid = _internal_times(p, sz0, sb0, t_end, times)
+    vals = _rk4_triple(rhs, (sz0, 0.0, sb0), grid)
     idx = np.searchsorted(grid, times)
     traj = CovTrajectory(times.copy(), vals[idx, 0], vals[idx, 1], vals[idx, 2])
     _check_psd(traj)
@@ -369,60 +360,19 @@ def controller_riccati_steady(p: PlantParams, d: DesignParams) -> np.ndarray:
     horizon = 30.0 / (a * d.lam)
     h = 0.02 / (a * d.lam)
     steps = int(math.ceil(horizon / h))
-    v1 = vc = v2 = 0.0
 
     def rhs(v1, vc, v2):
         return (lam2 - (a * v1) ** 2,
                 a * v1 - gb * vc - a * a * v1 * vc,
                 2.0 * (a * vc - gb * v2) - (a * vc) ** 2)
 
-    for _ in range(steps):
-        a1, b1, c1 = rhs(v1, vc, v2)
-        a2, b2, c2 = rhs(v1 + 0.5 * h * a1, vc + 0.5 * h * b1, v2 + 0.5 * h * c1)
-        a3, b3, c3 = rhs(v1 + 0.5 * h * a2, vc + 0.5 * h * b2, v2 + 0.5 * h * c2)
-        a4, b4, c4 = rhs(v1 + h * a3, vc + h * b3, v2 + h * c3)
-        v1 += (h / 6.0) * (a1 + 2 * a2 + 2 * a3 + a4)
-        vc += (h / 6.0) * (b1 + 2 * b2 + 2 * b3 + b4)
-        v2 += (h / 6.0) * (c1 + 2 * c2 + 2 * c3 + c4)
-        if not (math.isfinite(v1) and math.isfinite(vc) and math.isfinite(v2)):
-            raise InstabilityError("controller_riccati_steady: reverse-time integration diverged")
+    v1, vc, _ = _rk4_triple(rhs, (0.0, 0.0, 0.0), np.arange(steps + 1) * h)[-1]
     return np.array([a * v1, a * vc])
 
 
 # ---------------------------------------------------------------------------
 # linearized (block exponential) solution
 # ---------------------------------------------------------------------------
-
-def linearized_riccati_solve(p: PlantParams, prior, t: float) -> np.ndarray:
-    """Sigma(t) through the linear decomposition Sigma = W U^{-1}.
-
-    [W; U] starts at [Sigma0; I] and evolves under the constant block
-    matrix [[A, Sigma1], [C^T C / sigma_M, -A^T]].  Long spans are split
-    so each exponential stays well-scaled (the split count comes from the
-    block matrix spectrum, deterministically), re-normalizing W U^{-1}
-    between jumps; for the nilpotent constant-field block a single jump
-    is exact.
-    """
-    sz0, sb0 = _prior_values(prior)
-    if not (math.isfinite(sz0) and math.isfinite(sb0)):
-        raise ConfigurationError("linearized_riccati_solve: priors must be finite")
-    a, _, c, sigma1 = build_system(p)
-    block = np.zeros((4, 4))
-    block[:2, :2] = a
-    block[:2, 2:] = sigma1
-    block[2:, :2] = c.T @ c / p.sigma_M
-    block[2:, 2:] = -a.T
-    sigma = np.array([[sz0, 0.0], [0.0, sb0]])
-    if t == 0.0:
-        return sigma
-    rho = float(np.max(np.abs(np.linalg.eigvals(block))))
-    n_sub = max(1, int(math.ceil(rho * t / 20.0)))
-    step = t / n_sub
-    e = mat_expm(block * step)
-    for _ in range(n_sub):
-        sigma = _linearized_jump(e, sigma)
-    return sigma
-
 
 def _linearized_jump(e: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     w = e[:2, :2] @ sigma + e[:2, 2:]
@@ -434,12 +384,18 @@ def _linearized_jump(e: np.ndarray, sigma: np.ndarray) -> np.ndarray:
 
 
 def linearized_riccati_curve(p: PlantParams, prior, times) -> CovTrajectory:
-    """Linear-decomposition solution sampled on an increasing grid.
+    """Sigma(t) through the linear decomposition Sigma = W U^{-1}, sampled
+    on an increasing grid.
 
-    Walks the grid incrementally (each interval split per the spectral
-    cap), so a whole curve costs the same as one solve to the final time.
+    [W; U] starts at [Sigma0; I] and evolves under the constant block
+    matrix [[A, Sigma1], [C^T C / sigma_M, -A^T]].  The grid is walked
+    incrementally, each interval split so every exponential stays
+    well-scaled (the split count comes from the block matrix spectrum,
+    deterministically), re-normalizing W U^{-1} between jumps; a whole
+    curve costs the same as one solve to the final time.  For the
+    nilpotent constant-field block a single jump from the prior is exact.
     """
-    sz0, sb0 = _prior_values(prior)
+    sz0, sb0 = _finite_prior_values(prior)
     times = np.asarray(times, dtype=np.float64)
     a, _, c, sigma1 = build_system(p)
     block = np.zeros((4, 4))

@@ -42,20 +42,12 @@ import scipy.linalg
 
 from .errors import ConfigurationError, InstabilityError, UnsupportedCaseError
 from .model import DesignParams, PlantParams, Priors, build_design_system, build_system
-from .numerics import ou_increment, rk4_nonuniform
+from .numerics import geometric_times, ou_increment, rk4_nonuniform
 from .riccati import controller_gain, riccati_at_times, steady_state_gains
 from .lqg_filter import design_plant, design_prior
 
 REGIMES = ("uncontrolled_fluctuating", "uncontrolled_constant",
            "controlled_steady", "controlled_transient")
-
-
-@dataclass
-class TotalCov:
-    """One snapshot of the joint covariance."""
-
-    t: float
-    Theta: np.ndarray
 
 
 # change of variables to error coordinates (z, b, z~-z, b~-b); the
@@ -71,40 +63,21 @@ _S_ERR_INV = np.array([[1.0, 0.0, 0.0, 0.0],
                        [0.0, 1.0, 0.0, 1.0]])
 
 
+@dataclass
 class ThetaTrajectory:
-    """Sequence of TotalCov snapshots stored as arrays.
+    """Joint covariance history on a time grid.
 
-    When produced by an error-basis integration, sigma_bE/sigma_zE come
-    from the error-coordinate variances directly (well conditioned even
-    when the tracking error is many orders below the field variance).
+    thetas[k] is Theta(t[k]) in the raw labeling (z, b, z~, b~).  sigma_bE
+    and sigma_zE are the error-coordinate variances of the integration,
+    which stay accurate when the tracking error is many orders of magnitude
+    below the field variance (rebuilding them from the raw entries as
+    Theta_bb + Theta_b~b~ - 2 Theta_bb~ would cancel).
     """
 
-    def __init__(self, t: np.ndarray, thetas: np.ndarray,
-                 sigma_bE: np.ndarray | None = None, sigma_zE: np.ndarray | None = None):
-        self.t = t
-        self.thetas = thetas
-        self._sigma_bE = sigma_bE
-        self._sigma_zE = sigma_zE
-
-    def __len__(self):
-        return len(self.t)
-
-    def __getitem__(self, i) -> TotalCov:
-        return TotalCov(t=float(self.t[i]), Theta=self.thetas[i])
-
-    @property
-    def sigma_bE(self) -> np.ndarray:
-        if self._sigma_bE is not None:
-            return self._sigma_bE
-        th = self.thetas
-        return th[:, 1, 1] + th[:, 3, 3] - 2.0 * th[:, 1, 3]
-
-    @property
-    def sigma_zE(self) -> np.ndarray:
-        if self._sigma_zE is not None:
-            return self._sigma_zE
-        th = self.thetas
-        return th[:, 0, 0] + th[:, 2, 2] - 2.0 * th[:, 0, 2]
+    t: np.ndarray
+    thetas: np.ndarray
+    sigma_bE: np.ndarray
+    sigma_zE: np.ndarray
 
 
 def theta_init(prior: Priors) -> np.ndarray:
@@ -112,48 +85,12 @@ def theta_init(prior: Priors) -> np.ndarray:
     return np.diag([prior.sigma_z0, prior.sigma_b0, 0.0, 0.0])
 
 
-_THETA_LABELS = ("zz", "zb", "zzt", "zbt", "bb", "bzt", "bbt", "ztzt", "ztbt", "btbt")
-_THETA_INDEX = ((0, 0), (0, 1), (0, 2), (0, 3), (1, 1), (1, 2), (1, 3), (2, 2), (2, 3), (3, 3))
-
-
-def theta_csv_columns(traj: ThetaTrajectory):
-    """(header, columns) for export: t, sigma_bE, and the 10 distinct
-    joint-covariance entries (zt/bt marking the estimator components)."""
-    header = ["t", "sigma_bE"] + [f"theta_{lbl}" for lbl in _THETA_LABELS]
-    cols = [traj.t, traj.sigma_bE]
-    for i, j in _THETA_INDEX:
-        cols.append(traj.thetas[:, i, j])
-    return header, cols
-
-
-def magnetometry_error(theta) -> float:
-    """sigma_bE = Theta_bb + Theta_b~b~ - 2 Theta_bb~ from one snapshot."""
-    th = theta.Theta if isinstance(theta, TotalCov) else np.asarray(theta)
-    return float(th[1, 1] + th[3, 3] - 2.0 * th[1, 3])
-
-
-def build_alpha_beta(p: PlantParams, d: DesignParams, gains, k_c: np.ndarray):
+def build_alpha_beta(p: PlantParams, d: DesignParams, k_of_t, k_c: np.ndarray):
     """Assemble alpha(t), beta(t) callables for the joint flow.
 
-    ``gains`` is either a callable t -> (K_O1, K_O2) or a tuple
-    (t_grid, k1, k2) tabulated on the integration grid (interpolated
-    linearly in between).  ``k_c`` is the constant controller gain.
+    ``k_of_t`` is a callable t -> (K_O1, K_O2), the observer gain at time
+    t; ``k_c`` is the constant controller gain.
     """
-    if callable(gains):
-        k_of_t = gains
-    else:
-        try:
-            tg, k1g, k2g = gains
-        except Exception as exc:
-            raise ConfigurationError(
-                "build_alpha_beta: gains must be callable or (t_grid, k1, k2)") from exc
-        tg = np.asarray(tg, dtype=np.float64)
-        if len(tg) != len(k1g) or len(tg) != len(k2g):
-            raise ConfigurationError("build_alpha_beta: gain tables do not match their time grid")
-
-        def k_of_t(t):
-            return np.interp(t, tg, k1g), np.interp(t, tg, k2g)
-
     a_true, b_true, c, _ = build_system(p)
     a_des, b_des = build_design_system(d, p)
     k_c = np.asarray(k_c, dtype=np.float64)
@@ -182,7 +119,7 @@ def build_alpha_beta(p: PlantParams, d: DesignParams, gains, k_c: np.ndarray):
 
 
 def _check_theta_psd(traj: ThetaTrajectory):
-    for i in range(len(traj)):
+    for i in range(len(traj.t)):
         th = traj.thetas[i]
         scale = max(np.trace(th), 1e-300)
         if np.min(np.linalg.eigvalsh(th)) < -1e-9 * scale:
@@ -190,43 +127,29 @@ def _check_theta_psd(traj: ThetaTrajectory):
                 f"joint covariance lost positivity at t = {traj.t[i]:.6e}; refine the grid")
 
 
-def integrate_theta(alpha, beta, theta0: np.ndarray, dt: float, T: float,
-                    method: str = "rk4", times=None, basis: str = "error") -> ThetaTrajectory:
-    """Propagate Theta over [0, T] (uniform dt, or an explicit grid).
+def integrate_theta(alpha, beta, theta0: np.ndarray, times, method: str) -> ThetaTrajectory:
+    """Propagate Theta over an explicit increasing time grid.
+
+    The flow is conjugated into the error coordinates (z, b, z~-z, b~-b),
+    where the tracking-error variances are direct entries; they are
+    returned as sigma_bE/sigma_zE, and the stored Theta snapshots are
+    mapped back to the raw labeling.
 
     method="rk4" integrates the matrix flow directly; method="expm" uses
     the integrating-factor step with alpha frozen at each interval
     midpoint, exact for piecewise-constant coefficients and stable for
     arbitrarily stiff stable generators.
-
-    basis="error" (default) conjugates the flow into the coordinates
-    (z, b, z~-z, b~-b) so that the tracking-error variances stay accurate
-    when they are many orders of magnitude below the state variances; the
-    stored Theta snapshots are mapped back to the raw labeling.
     """
-    if times is None:
-        if dt <= 0 or T <= 0:
-            raise ConfigurationError("integrate_theta: dt and T must be positive")
-        n = int(round(T / dt))
-        times = np.arange(n + 1) * dt
-    else:
-        times = np.asarray(times, dtype=np.float64)
-    if basis == "error":
-        s, s_inv = _S_ERR, _S_ERR_INV
+    times = np.asarray(times, dtype=np.float64)
+    s, s_inv = _S_ERR, _S_ERR_INV
 
-        def alpha_w(t):
-            return s @ alpha(t) @ s_inv
+    def alpha_w(t):
+        return s @ alpha(t) @ s_inv
 
-        def beta_w(t):
-            return s @ beta(t)
+    def beta_w(t):
+        return s @ beta(t)
 
-        theta_w = s @ np.asarray(theta0, dtype=np.float64) @ s.T
-    elif basis == "raw":
-        alpha_w, beta_w = alpha, beta
-        theta_w = np.array(theta0, dtype=np.float64)
-    else:
-        raise ConfigurationError(f"integrate_theta: unknown basis '{basis}'")
-
+    theta_w = s @ np.asarray(theta0, dtype=np.float64) @ s.T
     out = np.empty((len(times), 4, 4))
     out[0] = theta_w
     if method == "rk4":
@@ -253,13 +176,8 @@ def integrate_theta(alpha, beta, theta0: np.ndarray, dt: float, T: float,
     else:
         raise ConfigurationError(f"integrate_theta: unknown method '{method}'")
 
-    if basis == "error":
-        sigma_bE = out[:, 3, 3].copy()
-        sigma_zE = out[:, 2, 2].copy()
-        raw = np.einsum("ij,njk,lk->nil", _S_ERR_INV, out, _S_ERR_INV)
-        traj = ThetaTrajectory(times, raw, sigma_bE=sigma_bE, sigma_zE=sigma_zE)
-    else:
-        traj = ThetaTrajectory(times, out)
+    raw = np.einsum("ij,njk,lk->nil", _S_ERR_INV, out, _S_ERR_INV)
+    traj = ThetaTrajectory(times, raw, sigma_bE=out[:, 3, 3].copy(), sigma_zE=out[:, 2, 2].copy())
     _check_theta_psd(traj)
     return traj
 
@@ -336,16 +254,14 @@ def transient_error_curve(p: PlantParams, prior: Priors, d: DesignParams,
     p_des = design_plant(p, d)
     prior_des = design_prior(d, prior)
     offset = p.sigma_M / max(prior.sigma_z0, prior_des.sigma_z0)
-    grid = [0.0]
-    t = 0.0
-    while t < t_end:
-        t = min(t + 0.02 * (t + offset), t_end)
-        grid.append(t)
-    grid = np.union1d(np.array(grid), t_eval)
+    grid = np.union1d(geometric_times(t_end, 0.02, offset), t_eval)
     cov = riccati_at_times(p_des, prior_des, grid)
     k1, k2 = cov.gain(p_des.sigma_M)
-    alpha, beta = build_alpha_beta(p, d, (grid, k1, k2), controller_gain(p, d))
-    traj = integrate_theta(alpha, beta, theta_init(prior), 0.0, 0.0,
-                           method="expm", times=grid)
+
+    def k_of_t(t):
+        return np.interp(t, grid, k1), np.interp(t, grid, k2)
+
+    alpha, beta = build_alpha_beta(p, d, k_of_t, controller_gain(p, d))
+    traj = integrate_theta(alpha, beta, theta_init(prior), grid, "expm")
     idx = np.searchsorted(grid, t_eval)
-    return ThetaTrajectory(t_eval, traj.thetas[idx])
+    return ThetaTrajectory(t_eval, traj.thetas[idx], traj.sigma_bE[idx], traj.sigma_zE[idx])

@@ -75,25 +75,6 @@ def simulate_field(p: PlantParams, prior: Priors, rng: RngStream, dt: float, T: 
     return b
 
 
-def simulate_field_ensemble(p: PlantParams, prior: Priors, seed: int, trials: int,
-                            dt: float, T: float) -> np.ndarray:
-    """Vectorized field paths, row k identical to simulate_field on
-    trial stream seed XOR k."""
-    from .numerics import trial_normals
-
-    if dt * p.gamma_b >= 0.1:
-        raise ConfigurationError("simulate_field_ensemble: dt * gamma_b >= 0.1; reduce dt")
-    n = int(round(T / dt))
-    draws = trial_normals(seed, np.arange(trials), 1 + n)
-    b = np.empty((trials, n + 1))
-    b[:, 0] = math.sqrt(prior.sigma_b0) * draws[:, 0]
-    decay = 1.0 - p.gamma_b * dt
-    amp = math.sqrt(p.sigma_bF * dt)
-    for k in range(n):
-        b[:, k + 1] = decay * b[:, k] + amp * draws[:, 1 + k]
-    return b
-
-
 def simulate_plant(p: PlantParams, prior: Priors, field: np.ndarray, control,
                    rng: RngStream, dt: float, T: float) -> Trajectory:
     """Spin trajectory and measurement record for a given field path.

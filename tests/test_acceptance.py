@@ -19,6 +19,7 @@ from spintrack import freq, qsme, riccati as ric, total_covariance as tc
 from spintrack.lqg_filter import (design_plant, design_prior, run_ensemble,
                                   summarize_ensemble)
 from spintrack.cli import main as cli_main
+from spintrack.numerics import geometric_times
 
 FLUCT = fluctuating_plant(J=1e6, gamma=1e6, M=1e4, gamma_b=1e5, sigma_bfree=1.0)
 CONST = PlantParams(J=1e6, gamma=1e6, M=1e4)
@@ -201,18 +202,11 @@ def test_criterion_08_transfer_function_estimator():
         k1s, k2s = g.K_O
         omega_h = math.sqrt(0.5 * 1e12 * math.sqrt(p.sigma_bF / p.sigma_M))
         t_end = max(30.0 / omega_h, 5.0 / gamma_b)
-        offset = p.sigma_M / PRIOR.sigma_z0
-        grid = [0.0]
-        t = 0.0
-        while t < t_end:
-            t = min(t + 0.01 * (t + offset), t_end)
-            grid.append(t)
-        grid = np.array(grid)
+        grid = geometric_times(t_end, 0.01, p.sigma_M / PRIOR.sigma_z0)
         cov = ric.riccati_at_times(p, PRIOR, grid)
         alpha, beta = tc.build_alpha_beta(p, d, lambda _t: (k1s, k2s),
                                           ric.controller_gain(p, d))
-        frozen = tc.integrate_theta(alpha, beta, tc.theta_init(PRIOR), 0, 0,
-                                    method="expm", times=grid)
+        frozen = tc.integrate_theta(alpha, beta, tc.theta_init(PRIOR), grid, "expm")
         ratio = frozen.sigma_bE / cov.sigma_bR
         ordering_ok = ordering_ok and bool(np.all(ratio >= 1.0 - 1e-9))
         worst_sat = max(worst_sat, abs(ratio[-1] - 1.0))
@@ -236,7 +230,7 @@ def test_criterion_09_frequency_domain():
     """
     d = DesignParams(J_prime=1e6, lam=0.2)
     _, _, gu = freq.closed_loop_tfs(FLUCT, d)
-    cf = freq.char_freqs(FLUCT, d, check_closure=False)
+    cf = freq.char_freqs(FLUCT, d)
     wc = freq.closure_frequency(gu, 1e12, hint=cf.omega_H)
     closure_ratio = wc / cf.omega_H
     closure_ok = abs(closure_ratio / 2.0 - 1.0) <= 0.05

@@ -1,5 +1,6 @@
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -115,6 +116,16 @@ class TestCommands:
         rc = run_cli(["montecarlo", "--scenario", str(sc), "--out", str(tmp_path / "d.csv")])
         assert rc == 3
         assert "non-finite state at t =" in capsys.readouterr().err
+
+    def test_riccati_infinite_prior_is_configuration_error(self, tmp_path, capsys):
+        sc = tmp_path / "inf.scn"
+        base = (SCENARIOS / "riccati_fluctuating.scn").read_text()
+        sc.write_text(base.replace("sigma_b0 = 1", "sigma_b0 = inf"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")   # rejected before any arithmetic warns
+            rc = run_cli(["riccati", "--scenario", str(sc), "--out", str(tmp_path / "r.csv")])
+        assert rc == 2
+        assert "finite priors" in capsys.readouterr().err
 
     def test_mismatch_steady(self, tmp_path):
         out = tmp_path / "mm.csv"

@@ -86,7 +86,7 @@ class TestClosedLoopTFs:
         # |G_u| must follow G_uDC (1 + s/wH) / (1 + (1 + s/wQ) s/wL)
         d = DesignParams(J_prime=1e6, lam=0.2)
         _, _, gu = freq.closed_loop_tfs(FLUCT, d)
-        cf = freq.char_freqs(FLUCT, d, check_closure=False)
+        cf = freq.char_freqs(FLUCT, d)
         num = np.array([abs(cf.G_uDC), abs(cf.G_uDC) / cf.omega_H])
         den = np.array([1.0, 1.0 / cf.omega_L, 1.0 / (cf.omega_L * cf.omega_Q)])
         template = freq.RationalTF(num, den)
@@ -109,7 +109,7 @@ class TestBode:
 
     def test_controller_slope_structure(self):
         _, _, gu = freq.closed_loop_tfs(FLUCT, DESIGN)
-        cf = freq.char_freqs(FLUCT, DESIGN, check_closure=False)
+        cf = freq.char_freqs(FLUCT, DESIGN)
         def slope(w_lo, w_hi):
             omega = np.geomspace(w_lo, w_hi, 9)
             mag, _ = freq.bode(gu, omega)
@@ -125,7 +125,7 @@ class TestBode:
 
 class TestCharFreqs:
     def test_reference_values(self):
-        cf = freq.char_freqs(FLUCT, DESIGN, check_closure=False)
+        cf = freq.char_freqs(FLUCT, DESIGN)
         assert cf.omega_H == pytest.approx(2.115e8, rel=1e-3)
         assert cf.omega_C == pytest.approx(4.23e8, rel=1e-3)
         assert cf.omega_L == 1e5
@@ -143,7 +143,7 @@ class TestCharFreqs:
         # x = w/wH, i.e. x = sqrt(2 + 2 sqrt(2)) = 2.1974, about 10% above
         # the first-order value 2; see the decisions record
         _, _, gu = freq.closed_loop_tfs(FLUCT, DesignParams(J_prime=1e6, lam=10.0))
-        cf = freq.char_freqs(FLUCT, DesignParams(J_prime=1e6, lam=10.0), check_closure=False)
+        cf = freq.char_freqs(FLUCT, DesignParams(J_prime=1e6, lam=10.0))
         wc = freq.closure_frequency(gu, 1e12, hint=cf.omega_H)
         assert wc / cf.omega_H == pytest.approx(math.sqrt(2.0 + 2.0 * math.sqrt(2.0)), rel=0.01)
 

@@ -7,10 +7,9 @@ from hypothesis import given, settings, strategies as st
 from spintrack.errors import ConfigurationError, DivergenceError
 from spintrack.model import DesignParams, PlantParams, Priors, build_system, fluctuating_plant
 from spintrack.numerics import RngStream, trial_stream
-from spintrack.lqg_filter import (MODES, TRIAL_BLOCK, FilterState, _ensemble_block_sums,
-                                  design_plant, design_prior, filter_record, kalman_step,
-                                  run_closed_loop, run_ensemble, run_open_loop_linefit,
-                                  summarize_ensemble)
+from spintrack.lqg_filter import (MODES, TRIAL_BLOCK, _ensemble_block_sums,
+                                  design_plant, design_prior, filter_record, run_closed_loop,
+                                  run_ensemble, run_open_loop_linefit, summarize_ensemble)
 from spintrack.riccati import riccati_at_times
 from spintrack.truth_sim import simulate_plant
 
@@ -27,24 +26,18 @@ class TestKalmanStep:
 
     def test_zero_innovation_zero_drift(self):
         a, b = self._design()
-        s = FilterState(m=np.zeros(2), Sigma=None, t=0.0)
-        out = kalman_step(s, ydt=0.0, u=0.0, a_design=a, b_design=b,
-                          k_o=np.array([1e8, 1e4]), dt=1e-10)
-        assert np.array_equal(out.m, np.zeros(2))
+        zero = np.zeros(5)
+        m = filter_record(a, b, np.full(5, 1e8), np.full(5, 1e4), zero, zero, 1e-10)
+        assert np.array_equal(m, np.zeros((5, 2)))
 
     def test_zero_gain_is_pure_propagation(self):
         a, b = self._design()
-        m0 = np.array([1.0, 2.0])
-        s = FilterState(m=m0.copy(), Sigma=None, t=0.0)
-        out = kalman_step(s, ydt=123.0, u=0.5, a_design=a, b_design=b,
-                          k_o=np.zeros(2), dt=1e-12)
-        assert np.allclose(out.m, m0 + (a @ m0 + b * 0.5) * 1e-12)
-
-    def test_divergence_raises(self):
-        a, b = self._design()
-        s = FilterState(m=np.array([math.inf, 0.0]), Sigma=None, t=0.0)
-        with np.errstate(invalid="ignore"), pytest.raises(ConfigurationError):
-            kalman_step(s, 0.0, 0.0, a, b, np.array([1.0, 1.0]), 1e-10)
+        zero = np.zeros(5)
+        m = filter_record(a, b, zero, zero, np.full(5, 123.0), np.full(5, 0.5), 1e-12)
+        ref = np.zeros(2)
+        for k in range(4):
+            ref = ref + (a @ ref + b * 0.5) * 1e-12
+            assert np.allclose(m[k + 1], ref)
 
 
 class TestClosedLoop:
@@ -106,11 +99,14 @@ class TestClosedLoop:
                                    trials=3, dt=dt, T=T, decimate=n)
         assert t_out[-1] == pytest.approx(T)
         # the trial-2 contribution is part of the 3-trial sums; rebuild it
+        def final_be_sq(r):
+            return (r.b_tilde[-1] - r.trajectory.b[-1]) ** 2
+
         other = 0.0
         for k in (0, 1):
-            r = run_closed_loop(FLUCT, PRIOR, MATCHED, "dynamic_gain", trial_stream(31, k), dt, T)
-            other += r.bE_sq[-1]
-        assert sums[0, -1] == pytest.approx(other + res.bE_sq[-1], rel=1e-12)
+            other += final_be_sq(run_closed_loop(FLUCT, PRIOR, MATCHED, "dynamic_gain",
+                                                 trial_stream(31, k), dt, T))
+        assert sums[0, -1] == pytest.approx(other + final_be_sq(res), rel=1e-12)
 
     def test_ensemble_divergence_names_time(self):
         # a controller gain far beyond the explicit-Euler limit overflows

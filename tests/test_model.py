@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from spintrack.errors import ConfigurationError, UnsupportedCaseError
+from spintrack.cli import build_priors
+from spintrack.lqg_filter import design_prior
 from spintrack.model import (DesignParams, PlantParams, Priors, build_system,
-                             coherent_priors, fluctuating_plant, mismatch_ratio,
-                             sigma_bfree, sigma_m)
+                             fluctuating_plant, sigma_bfree, sigma_m)
 
 
 class TestBuildSystem:
@@ -100,9 +101,7 @@ class TestValidation:
         assert DesignParams(J_prime=1.0, lam=0.0).lam == 0.0
 
     def test_coherent_prior_default(self):
-        prior = coherent_priors(1e6, sigma_b0=1.0)
-        assert prior.sigma_z0 == 5e5
-
-    def test_mismatch_ratio(self):
-        p = PlantParams(J=2e6, gamma=1.0, M=1.0)
-        assert mismatch_ratio(p, DesignParams(J_prime=1e6)) == 2.0
+        # scenarios without sigma_z0 and the observer both use the coherent J/2
+        prior = build_priors({"sigma_b0": 1.0}, PlantParams(J=1e6, gamma=1.0, M=1.0))
+        assert (prior.sigma_z0, prior.sigma_b0) == (5e5, 1.0)
+        assert design_prior(DesignParams(J_prime=1e6), Priors(1.0, 1.0)).sigma_z0 == 5e5

@@ -6,10 +6,9 @@ import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from spintrack import numerics
-from spintrack.errors import DimensionError, DivergenceError
-from spintrack.numerics import (RngStream, euler_maruyama_step, geometric_times,
-                                mat_expm, ode_rk4, ou_increment, trial_normals,
-                                trial_stream)
+from spintrack.errors import ConfigurationError, DimensionError, DivergenceError
+from spintrack.numerics import (RngStream, geometric_times, mat_expm, ou_increment,
+                                rk4_nonuniform, trial_normals, trial_stream)
 
 
 class TestMatExpm:
@@ -44,51 +43,44 @@ class TestMatExpm:
             mat_expm(np.zeros((2, 3)))
 
 
+def _uniform(t1: float, dt: float) -> np.ndarray:
+    return np.linspace(0.0, t1, int(round(t1 / dt)) + 1)
+
+
 class TestOdeRk4:
     def test_zero_field_constant(self):
-        _, xs = ode_rk4(lambda t, x: 0.0 * x, np.array([2.0, -1.0]), 0.0, 1.0, 0.1)
+        xs = rk4_nonuniform(lambda t, x: 0.0 * x, np.array([2.0, -1.0]), _uniform(1.0, 0.1))
         assert np.allclose(xs[-1], [2.0, -1.0])
 
     def test_linear_decay(self):
-        _, xs = ode_rk4(lambda t, x: -x, np.array([1.0]), 0.0, 1.0, 1e-3)
+        xs = rk4_nonuniform(lambda t, x: -x, np.array([1.0]), _uniform(1.0, 1e-3))
         assert abs(xs[-1, 0] - math.exp(-1.0)) < 1e-8
 
     def test_quadrature_of_cosine(self):
-        ts, xs = ode_rk4(lambda t, x: np.array([math.cos(t)]), np.array([0.0]), 0.0, 2.0, 1e-3)
+        xs = rk4_nonuniform(lambda t, x: np.array([math.cos(t)]), np.array([0.0]),
+                            _uniform(2.0, 1e-3))
         assert abs(xs[-1, 0] - math.sin(2.0)) < 1e-8
 
     def test_fourth_order_convergence(self):
         def err(dt):
-            _, xs = ode_rk4(lambda t, x: -x, np.array([1.0]), 0.0, 1.0, dt)
+            xs = rk4_nonuniform(lambda t, x: -x, np.array([1.0]), _uniform(1.0, dt))
             return abs(xs[-1, 0] - math.exp(-1.0))
 
         assert err(0.02) / err(0.01) >= 8.0
 
     def test_lands_exactly_on_t1(self):
-        ts, _ = ode_rk4(lambda t, x: -x, np.array([1.0]), 0.0, 1.0, 0.3)
-        assert ts[-1] == 1.0
+        # a shortened last step lands on the final grid time
+        xs = rk4_nonuniform(lambda t, x: -x, np.array([1.0]), [0.0, 0.3, 0.6, 0.9, 1.0])
+        assert xs.shape == (5, 1)
+        assert abs(xs[-1, 0] - math.exp(-1.0)) < 1e-4
 
     def test_divergence_reports_time(self):
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(DivergenceError, match="t ="):
-            ode_rk4(lambda t, x: x * x * 1e8, np.array([1.0]), 0.0, 10.0, 0.5)
+            rk4_nonuniform(lambda t, x: x * x * 1e8, np.array([1.0]), _uniform(10.0, 0.5))
 
 
 class TestEulerMaruyama:
-    def test_no_drift_no_diffusion(self):
-        x = np.array([1.0, 2.0])
-        out = euler_maruyama_step(x, np.zeros(2), np.zeros((2, 2)), 0.1, np.zeros(2))
-        assert np.array_equal(out, x)
-
-    def test_pure_drift(self):
-        out = euler_maruyama_step(np.array([0.0, 0.0]), np.array([1.0, 0.0]),
-                                  np.zeros((2, 2)), 0.1, np.zeros(2))
-        assert np.allclose(out, [0.1, 0.0])
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionError):
-            euler_maruyama_step(np.zeros(2), np.zeros(2), np.zeros((2, 3)), 0.1, np.zeros(2))
-
     def test_wiener_variance_growth(self):
         # identity diffusion: Var[x(T)] = T, Monte Carlo over 10^4 paths
         trials, n, dt = 10_000, 64, 1.0 / 64.0
@@ -191,7 +183,7 @@ class TestOuIncrement:
             p = p_flat.reshape(2, 2)
             return (a @ p + p @ a.T + q).reshape(-1)
 
-        _, states = ode_rk4(rhs, p0.reshape(-1), 0.0, 0.4, 1e-4)
+        states = rk4_nonuniform(rhs, p0.reshape(-1), _uniform(0.4, 1e-4))
         ref = states[-1].reshape(2, 2)
         assert np.allclose(phi @ p0 @ phi.T + g, ref, rtol=1e-9)
 
@@ -209,6 +201,12 @@ class TestOuIncrement:
 
 
 def test_geometric_times_monotone_and_lands():
-    ts = geometric_times(0.0, 1e-4, 1.01, t_offset=1e-10)
+    ts = geometric_times(1e-4, 0.01, 1e-10)
     assert ts[0] == 0.0 and ts[-1] == 1e-4
     assert np.all(np.diff(ts) > 0)
+    capped = geometric_times(1e-4, 0.01, 1e-10, cap=1e-6)
+    assert capped[-1] == 1e-4 and np.max(np.diff(capped)) <= 1e-6
+    assert np.array_equal(capped[:10], ts[:10])
+    for g, offset, t_end in ((0.01, 0.0, 1e-4), (0.0, 1e-10, 1e-4), (0.01, 1e-10, math.inf)):
+        with pytest.raises(ConfigurationError):   # would never reach t_end
+            geometric_times(t_end, g, offset)

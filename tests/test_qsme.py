@@ -9,6 +9,14 @@ from spintrack.numerics import RngStream
 from spintrack import qsme
 
 
+def _conditioned_step(rho, b, ops, p, dt, ydt):
+    """sme_step conditioned on a given record increment: the innovation
+    dW = (ydt - <Jz> dt) / sqrt(sigma_M) replaces the raw noise."""
+    jz, _ = qsme.jz_moments(rho, ops.mz)
+    out, _ = qsme.sme_step(rho, b, 0.0, ops, p, dt, (ydt - jz * dt) / math.sqrt(p.sigma_M))
+    return out
+
+
 class TestSpinOperators:
     def test_spin_half(self):
         ops = qsme.spin_operators(0.5)
@@ -66,7 +74,7 @@ class TestSmeStep:
         rho = qsme.coherent_state_x(5.0)
         for k in range(200):
             rho, _ = qsme.sme_step(rho, 1e-3, 0.0, ops, p, 1e-9,
-                                   rng.normal() * math.sqrt(1e-9))
+                                   rng.normals(1)[0] * math.sqrt(1e-9))
         assert abs(np.trace(rho).real - 1.0) < 1e-10
         assert np.max(np.abs(rho - rho.conj().T)) < 1e-10
 
@@ -82,7 +90,7 @@ class TestSmeStep:
             worst = 0.0
             for k in range(150):
                 rho, _ = qsme.sme_step(rho, 1e-3, 0.0, ops, p, dt,
-                                       rng.normal() * math.sqrt(dt))
+                                       rng.normals(1)[0] * math.sqrt(dt))
                 if k % 25 == 24:
                     worst = min(worst, float(np.min(np.linalg.eigvalsh(rho))))
             dips[dt] = worst
@@ -96,7 +104,7 @@ class TestSmeStep:
         with pytest.raises(InstabilityError, match="positivity"):
             for k in range(200):
                 rho, _ = qsme.sme_step(rho, 1e-3, 0.0, ops, p, 1e-8,
-                                       rng.normal() * math.sqrt(1e-8), check=True)
+                                       rng.normals(1)[0] * math.sqrt(1e-8), check=True)
 
     def test_step_guard(self):
         ops = qsme.spin_operators(10.0)
@@ -112,7 +120,7 @@ class TestSmeStep:
         rho = qsme.coherent_state_x(3.0)
         dw = 0.7 * math.sqrt(1e-8)
         stepped, ydt = qsme.sme_step(rho, 2e-3, 0.0, ops, p, 1e-8, dw)
-        recond = qsme.sme_step_record(rho, 2e-3, 0.0, ops, p, 1e-8, ydt)
+        recond = _conditioned_step(rho, 2e-3, ops, p, 1e-8, ydt)
         assert np.max(np.abs(stepped - recond)) < 1e-14
 
     def test_precession_sign_matches_state_space_model(self):
@@ -155,7 +163,7 @@ class TestBayesGrid:
         ydt = 3e-7
         out = qsme.propagate_grid(grid, ydt, p, 1e-8)
         for i, b in enumerate(grid.b_values):
-            ref = qsme.sme_step_record(grid.rho[i], b, 0.0, ops, p, 1e-8, ydt)
+            ref = _conditioned_step(grid.rho[i], b, ops, p, 1e-8, ydt)
             assert np.max(np.abs(out.rho[i] - ref)) < 1e-13
 
 

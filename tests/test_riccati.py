@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from spintrack.errors import ConfigurationError, UnsupportedCaseError
-from spintrack.model import DesignParams, PlantParams, coherent_priors, fluctuating_plant
+from spintrack.model import DesignParams, PlantParams, Priors, fluctuating_plant
 from spintrack import riccati as ric
 
 FLUCT = fluctuating_plant(J=1e6, gamma=1e6, M=1e4, gamma_b=1e5, sigma_bfree=1.0)
 CONST = PlantParams(J=1e6, gamma=1e6, M=1e4)
-PRIOR = coherent_priors(1e6, sigma_b0=1.0)
+PRIOR = Priors(sigma_z0=5e5, sigma_b0=1.0)
 
 
 class TestNumericIntegration:
@@ -157,26 +157,37 @@ class TestSteadyState:
 
 class TestLinearized:
     def test_t_zero_returns_prior(self):
-        sig = ric.linearized_riccati_solve(CONST, PRIOR, 0.0)
-        assert np.allclose(sig, np.diag([5e5, 1.0]))
+        sig = ric.linearized_riccati_curve(CONST, PRIOR, [0.0])
+        assert (sig.sigma_zR[0], sig.sigma_cR[0], sig.sigma_bR[0]) == (5e5, 0.0, 1.0)
 
     def test_constant_field_matches_analytic(self):
-        sig = ric.linearized_riccati_solve(CONST, PRIOR, 1e-5)
-        assert sig[1, 1] == pytest.approx(ric.analytic_sigma_b(CONST, PRIOR, 1e-5), rel=1e-8)
-        assert sig[0, 0] == pytest.approx(ric.analytic_sigma_z(CONST, PRIOR, 1e-5), rel=1e-8)
+        sig = ric.linearized_riccati_curve(CONST, PRIOR, [1e-5])
+        assert sig.sigma_bR[0] == pytest.approx(ric.analytic_sigma_b(CONST, PRIOR, 1e-5), rel=1e-8)
+        assert sig.sigma_zR[0] == pytest.approx(ric.analytic_sigma_z(CONST, PRIOR, 1e-5), rel=1e-8)
 
     def test_fluctuating_matches_rk4(self):
         t = 5.0 / (2.0 * 2.115e8)
-        sig = ric.linearized_riccati_solve(FLUCT, PRIOR, t)
+        sig = ric.linearized_riccati_curve(FLUCT, PRIOR, [t])
         traj = ric.riccati_at_times(FLUCT, PRIOR, np.array([t]))
-        assert sig[1, 1] == pytest.approx(traj.sigma_bR[-1], rel=1e-6)
+        assert sig.sigma_bR[0] == pytest.approx(traj.sigma_bR[-1], rel=1e-6)
 
     def test_curve_matches_pointwise_solver(self):
+        # walking the grid incrementally agrees with one solve per time
         times = np.geomspace(1e-8, 1e-4, 7)
         curve = ric.linearized_riccati_curve(FLUCT, PRIOR, times)
         for i, t in enumerate(times):
-            sig = ric.linearized_riccati_solve(FLUCT, PRIOR, t)
-            assert curve.sigma_bR[i] == pytest.approx(sig[1, 1], rel=1e-9)
+            sig = ric.linearized_riccati_curve(FLUCT, PRIOR, [t])
+            assert curve.sigma_bR[i] == pytest.approx(sig.sigma_bR[0], rel=1e-9)
+
+    @pytest.mark.parametrize("prior", [(math.inf, 1.0), (5e5, math.inf), (5e5, math.nan)])
+    def test_numeric_routes_reject_non_finite_priors(self, prior):
+        times = np.array([1e-9, 1e-8])
+        for route in (ric.riccati_at_times, ric.linearized_riccati_curve):
+            with pytest.raises(ConfigurationError, match="finite priors"):
+                route(CONST, prior, times)
+        # the closed forms take infinite priors as limits
+        if not math.isnan(prior[1]):
+            assert math.isfinite(ric.analytic_sigma_b(CONST, prior, 1e-8))
 
 
 class TestThreeRouteAgreement:
@@ -198,11 +209,3 @@ class TestThreeRouteAgreement:
         assert np.max(np.abs(lin.sigma_bR / rk4.sigma_bR - 1.0)) < 1e-6
         assert np.max(np.abs(lin.sigma_zR / rk4.sigma_zR - 1.0)) < 1e-6
 
-
-def test_gain_interpolator_clamps_and_interpolates():
-    traj = ric.riccati_at_times(FLUCT, PRIOR, np.array([0.0, 1e-9, 2e-9]))
-    k_of_t = traj.gain_interpolator(FLUCT.sigma_M)
-    k1_mid, _ = k_of_t(1.5e-9)
-    k1_lo, _ = k_of_t(1e-9)
-    k1_hi, _ = k_of_t(2e-9)
-    assert min(k1_lo, k1_hi) <= k1_mid <= max(k1_lo, k1_hi)

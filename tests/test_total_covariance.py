@@ -5,7 +5,7 @@ import pytest
 
 from spintrack.errors import ConfigurationError, UnsupportedCaseError
 from spintrack.model import DesignParams, PlantParams, Priors, fluctuating_plant
-from spintrack.numerics import ou_increment
+from spintrack.numerics import geometric_times, ou_increment
 from spintrack.riccati import (controller_gain, exact_steady_sigma, riccati_at_times,
                                steady_state_gains, transient_sigma_b)
 from spintrack.lqg_filter import design_plant
@@ -17,16 +17,12 @@ PRIOR = Priors(sigma_z0=5e5, sigma_b0=1.0)
 
 def _matched_setup(lam=1e-4, t_end=5e-8, ratio=0.005):
     d = DesignParams(J_prime=1e6, lam=lam)
-    offset = FLUCT.sigma_M / PRIOR.sigma_z0
-    grid = [0.0]
-    t = 0.0
-    while t < t_end:
-        t = min(t + ratio * (t + offset), t_end)
-        grid.append(t)
-    grid = np.array(grid)
+    grid = geometric_times(t_end, ratio, FLUCT.sigma_M / PRIOR.sigma_z0)
     cov = riccati_at_times(FLUCT, PRIOR, grid)
     k1, k2 = cov.gain(FLUCT.sigma_M)
-    alpha, beta = tc.build_alpha_beta(FLUCT, d, (grid, k1, k2), controller_gain(FLUCT, d))
+    alpha, beta = tc.build_alpha_beta(
+        FLUCT, d, lambda t: (np.interp(t, grid, k1), np.interp(t, grid, k2)),
+        controller_gain(FLUCT, d))
     return d, grid, cov, alpha, beta
 
 
@@ -60,10 +56,12 @@ class TestStructure:
         expected = a_des - np.outer(b_des, kc) - np.array([[7.0, 0.0], [11.0, 0.0]])
         assert np.allclose(a[2:, 2:], expected)
 
-    def test_gain_table_shape_mismatch(self):
-        with pytest.raises(ConfigurationError):
-            tc.build_alpha_beta(FLUCT, DesignParams(J_prime=1e6),
-                                (np.zeros(3), np.zeros(2), np.zeros(3)), np.zeros(2))
+
+def _initial_error(theta0):
+    """sigma_bE at t = 0 of the joint flow started from theta0."""
+    d = DesignParams(J_prime=1e6, lam=0.0)
+    alpha, beta = tc.build_alpha_beta(FLUCT, d, lambda t: (0.0, 0.0), np.zeros(2))
+    return tc.integrate_theta(alpha, beta, theta0, [0.0], "rk4").sigma_bE[0]
 
 
 class TestMagnetometryError:
@@ -72,24 +70,22 @@ class TestMagnetometryError:
         for i in (1, 3):
             for j in (1, 3):
                 th[i, j] = 2.5
-        assert tc.magnetometry_error(th) == 0.0
+        assert _initial_error(th) == 0.0
 
     def test_initial_condition_returns_field_prior(self):
-        assert tc.magnetometry_error(tc.theta_init(PRIOR)) == PRIOR.sigma_b0
+        assert _initial_error(tc.theta_init(PRIOR)) == PRIOR.sigma_b0
 
     def test_matched_saturation(self):
         d, grid, cov, alpha, beta = _matched_setup()
-        traj = tc.integrate_theta(alpha, beta, tc.theta_init(PRIOR), 0, 0,
-                                  method="rk4", times=grid)
+        traj = tc.integrate_theta(alpha, beta, tc.theta_init(PRIOR), grid, "rk4")
         _, _, sb = exact_steady_sigma(FLUCT)
-        assert tc.magnetometry_error(traj[len(traj) - 1]) == pytest.approx(sb, rel=5e-3)
+        assert traj.sigma_bE[-1] == pytest.approx(sb, rel=5e-3)
 
 
 class TestMatchedIdentity:
     def test_sigma_bE_equals_sigma_bR(self):
         d, grid, cov, alpha, beta = _matched_setup()
-        traj = tc.integrate_theta(alpha, beta, tc.theta_init(PRIOR), 0, 0,
-                                  method="rk4", times=grid)
+        traj = tc.integrate_theta(alpha, beta, tc.theta_init(PRIOR), grid, "rk4")
         rel = np.abs(traj.sigma_bE[1:] / cov.sigma_bR[1:] - 1.0)
         assert rel.max() < 1e-6
 
@@ -100,10 +96,8 @@ class TestMatchedIdentity:
         k1, k2 = g.K_O
         alpha, beta = tc.build_alpha_beta(FLUCT, d, lambda t: (k1, k2), g.K_C)
         times = np.linspace(0.0, 2e-8, 400)
-        rk4 = tc.integrate_theta(alpha, beta, tc.theta_init(PRIOR), 0, 0,
-                                 method="rk4", times=times)
-        exm = tc.integrate_theta(alpha, beta, tc.theta_init(PRIOR), 0, 0,
-                                 method="expm", times=times)
+        rk4 = tc.integrate_theta(alpha, beta, tc.theta_init(PRIOR), times, "rk4")
+        exm = tc.integrate_theta(alpha, beta, tc.theta_init(PRIOR), times, "expm")
         rel = np.abs(exm.sigma_bE[1:] / rk4.sigma_bE[1:] - 1.0)
         assert rel.max() < 1e-6
 
@@ -112,8 +106,7 @@ class TestMatchedIdentity:
         d = DesignParams(J_prime=1e6, lam=0.0)
         alpha, beta = tc.build_alpha_beta(FLUCT, d, lambda t: (0.0, 0.0), np.zeros(2))
         times = np.linspace(0.0, 1e-6, 200)
-        traj = tc.integrate_theta(alpha, beta, tc.theta_init(PRIOR), 0, 0,
-                                  method="rk4", times=times)
+        traj = tc.integrate_theta(alpha, beta, tc.theta_init(PRIOR), times, "rk4")
         a_true = np.array([[0.0, FLUCT.gamma * FLUCT.J], [0.0, -FLUCT.gamma_b]])
         q_true = np.diag([0.0, FLUCT.sigma_bF])
         p = np.diag([PRIOR.sigma_z0, PRIOR.sigma_b0])
@@ -181,22 +174,9 @@ class TestSteadyStateError:
         k1, k2 = g.K_O
         alpha, beta = tc.build_alpha_beta(FLUCT, d, lambda t: (k1, k2), g.K_C)
         times = np.linspace(0.0, 3e-7, 300)
-        traj = tc.integrate_theta(alpha, beta, tc.theta_init(PRIOR), 0, 0,
-                                  method="expm", times=times)
+        traj = tc.integrate_theta(alpha, beta, tc.theta_init(PRIOR), times, "expm")
         err = tc.steady_state_error(FLUCT, d)
         assert traj.sigma_bE[-1] == pytest.approx(err, rel=5e-3)
-
-
-def test_theta_csv_schema():
-    d = DesignParams(J_prime=1e6, lam=0.0)
-    alpha, beta = tc.build_alpha_beta(FLUCT, d, lambda t: (0.0, 0.0), np.zeros(2))
-    traj = tc.integrate_theta(alpha, beta, tc.theta_init(PRIOR), 0, 0,
-                              method="expm", times=np.linspace(0.0, 1e-8, 5))
-    header, cols = tc.theta_csv_columns(traj)
-    assert header[:2] == ["t", "sigma_bE"]
-    assert len(header) == 12 and len(cols) == 12  # 10 distinct entries
-    assert all(len(c) == 5 for c in cols)
-    assert cols[header.index("theta_bb")][0] == pytest.approx(PRIOR.sigma_b0)
 
 
 class TestTransientCurve:
@@ -225,6 +205,34 @@ class TestTransientCurve:
         prior = Priors(sigma_z0=1e6, sigma_b0=1.0)
         d = DesignParams(J_prime=1e6, lam=1.0)
         traj = tc.transient_error_curve(p, prior, d, np.geomspace(1e-8, 1e-5, 8))
-        for k in range(len(traj)):
+        for k in range(len(traj.t)):
             assert np.min(np.linalg.eigvalsh(traj.thetas[k])) >= -1e-9 * np.trace(traj.thetas[k])
         assert np.all(traj.sigma_bE >= 0.0)
+
+    def test_infinite_spin_prior_rejected(self):
+        # the grid offset sigma_M / sigma_z0 would be 0 and the grid never advance
+        with pytest.raises(ConfigurationError, match="t_offset"):
+            tc.transient_error_curve(PlantParams(J=1e6, gamma=1e6, M=1e4),
+                                     Priors(sigma_z0=math.inf, sigma_b0=1.0),
+                                     DesignParams(J_prime=1e6, lam=1.0), np.array([1e-5]))
+
+    def test_error_variance_carried_from_integration(self, monkeypatch):
+        # sigma_bE at t_eval is the error-coordinate value of the flow,
+        # bit for bit, not a cancellation of raw Theta entries
+        p = PlantParams(J=2e6, gamma=1e6, M=1e4)
+        prior = Priors(sigma_z0=1e6, sigma_b0=1.0)
+        d = DesignParams(J_prime=1e6, lam=1.0)
+        t_eval = np.array([1e-7, 1e-5])
+        runs = []
+        integrate_theta = tc.integrate_theta
+
+        def spy(*args, **kwargs):
+            runs.append(integrate_theta(*args, **kwargs))
+            return runs[-1]
+
+        monkeypatch.setattr(tc, "integrate_theta", spy)
+        traj = tc.transient_error_curve(p, prior, d, t_eval)
+        (full,) = runs
+        idx = np.searchsorted(full.t, t_eval)
+        assert np.array_equal(traj.sigma_bE, full.sigma_bE[idx])
+        assert np.array_equal(traj.sigma_zE, full.sigma_zE[idx])

@@ -5,9 +5,8 @@ import pytest
 
 from spintrack.errors import ConfigurationError, ControllerFaultError
 from spintrack.model import PlantParams, Priors, fluctuating_plant
-from spintrack.numerics import RngStream, trial_normals
-from spintrack.truth_sim import (simulate_field, simulate_field_ensemble,
-                                 simulate_open_loop, simulate_plant)
+from spintrack.numerics import RngStream, trial_normals, trial_stream
+from spintrack.truth_sim import simulate_field, simulate_open_loop, simulate_plant
 
 
 class _ZeroStream:
@@ -15,6 +14,12 @@ class _ZeroStream:
 
     def normals(self, n):
         return np.zeros(n)
+
+
+def _final_fields(p, prior, seed, trials, dt, T):
+    """b(T) of simulate_field on trial streams 0 .. trials-1 of ``seed``."""
+    return np.array([simulate_field(p, prior, trial_stream(seed, k), dt, T)[-1]
+                     for k in range(trials)])
 
 
 class TestSimulateField:
@@ -33,9 +38,8 @@ class TestSimulateField:
         # OU at stationarity: Var[b(T)] -> sigma_bF / (2 gamma_b) = 1
         p = fluctuating_plant(J=1e6, gamma=1e6, M=1e4, gamma_b=1e5, sigma_bfree=1.0)
         trials = 10_000
-        b = simulate_field_ensemble(p, Priors(1.0, 1.0), seed=21, trials=trials,
-                                    dt=1e-7, T=5e-5)
-        var = b[:, -1].var(ddof=1)
+        b = _final_fields(p, Priors(1.0, 1.0), 21, trials, 1e-7, 5e-5)
+        var = b.var(ddof=1)
         se = math.sqrt(2.0 / trials)
         # small positive Euler bias ~ gamma_b dt / 2 = 0.5% is inside the band
         assert abs(var - 1.0) < 3.0 * se + 0.01
@@ -43,19 +47,23 @@ class TestSimulateField:
     def test_wiener_growth_without_damping(self):
         p = PlantParams(J=1.0, gamma=1.0, M=1.0, gamma_b=0.0, sigma_bF=1.0)
         trials = 10_000
-        b = simulate_field_ensemble(p, Priors(1.0, 0.5), seed=4, trials=trials,
-                                    dt=1e-3, T=0.25)
-        var = b[:, -1].var(ddof=1)
+        b = _final_fields(p, Priors(1.0, 0.5), 4, trials, 1e-3, 0.25)
+        var = b.var(ddof=1)
         expected = 0.5 + 0.25
         assert abs(var / expected - 1.0) < 3.0 * math.sqrt(2.0 / trials)
 
     def test_ensemble_matches_scalar_path(self):
+        # draw layout b(0), then one increment per step, on each trial stream
         p = fluctuating_plant(J=1.0, gamma=1.0, M=1.0, gamma_b=10.0, sigma_bfree=2.0)
-        mat = simulate_field_ensemble(p, Priors(1.0, 1.0), seed=9, trials=3, dt=1e-3, T=0.02)
-        from spintrack.numerics import trial_stream
+        draws = trial_normals(9, np.arange(3), 21)
+        decay, amp = 1.0 - p.gamma_b * 1e-3, math.sqrt(p.sigma_bF * 1e-3)
+        mat = np.empty((3, 21))
+        mat[:, 0] = draws[:, 0]
+        for k in range(20):
+            mat[:, k + 1] = decay * mat[:, k] + amp * draws[:, 1 + k]
         for k in range(3):
             b = simulate_field(p, Priors(1.0, 1.0), trial_stream(9, k), 1e-3, 0.02)
-            assert np.allclose(mat[k], b, rtol=0, atol=0)
+            assert np.array_equal(mat[k], b)
 
 
 class TestSimulatePlant:
@@ -98,7 +106,7 @@ class TestSimulatePlant:
         trials, n = 200, 500
         resid = []
         for k in range(trials):
-            traj = simulate_open_loop(p, prior, RngStream(1000).spawn(k), 1e-7, n * 1e-7)
+            traj = simulate_open_loop(p, prior, trial_stream(1000, k), 1e-7, n * 1e-7)
             r = (traj.ydt[:n] - traj.z[:n] * traj.dt) / math.sqrt(p.sigma_M * traj.dt)
             resid.append(r)
         pooled = np.concatenate(resid)
