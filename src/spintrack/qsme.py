@@ -14,6 +14,14 @@ with the record y dt = <Jz> dt + sqrt(sigma_M) dWbar, sigma_M = 1/(4 M eta).
 Because Jz is diagonal, the measurement superoperators are elementwise in
 the Jz eigenbasis; only the field commutator needs a matrix product.
 
+One private kernel, ``_sme_update``, takes the Ito-Euler step of this
+equation on a (batch, dim, dim) stack of dense complex states; sme_step
+(one state), propagate_grid (one state per field hypothesis) and
+simulate_ramp_ensemble (one state per trajectory) are thin entry points
+to it.  Every step enforces dt M (2J+1) < 0.5 (ConfigurationError),
+Hermitizes the state and renormalizes its trace; a trace that is not
+positive and finite raises InstabilityError.
+
 Field estimation with unknown constant b keeps one conditioned state per
 field hypothesis, all filtered against the same physical record: the
 hypothesis innovation is dWbar_b = 2 sqrt(M eta) (y dt - <Jz>_b dt) and
@@ -41,7 +49,7 @@ import numpy as np
 
 from .errors import ConfigurationError, InstabilityError, NumericalError
 from .model import PlantParams
-from .numerics import RngStream, trial_stream
+from .numerics import trial_normals
 
 
 @dataclass
@@ -89,58 +97,61 @@ def expectation(rho: np.ndarray, op: np.ndarray) -> float:
     return float(np.real(np.trace(rho @ op)))
 
 
-def jz_moments(rho: np.ndarray, mz: np.ndarray):
-    """(<Jz>, <Delta Jz^2>) using the diagonal structure of Jz."""
-    pop = np.real(np.diagonal(rho))
-    mean = float(pop @ mz)
-    second = float(pop @ (mz * mz))
-    return mean, second - mean * mean
+def _jz_moments(rho: np.ndarray, mz: np.ndarray):
+    """(<Jz>, <Delta Jz^2>) per state of a (batch, dim, dim) stack, read off
+    the populations since Jz is diagonal."""
+    pops = np.real(np.einsum("bii->bi", rho))
+    mean = pops @ mz
+    return mean, pops @ (mz * mz) - mean * mean
 
 
-def _check_state(rho: np.ndarray, tol_pos: float = 1e-6):
-    if abs(np.trace(rho).real - 1.0) > 1e-8:
-        raise InstabilityError("quantum state trace drifted beyond tolerance")
-    if np.max(np.abs(rho - rho.conj().T)) > 1e-8:
-        raise InstabilityError("quantum state lost Hermiticity")
-    if np.min(np.linalg.eigvalsh(rho)) < -tol_pos:
-        raise InstabilityError("quantum state lost positivity; reduce the step size")
+def _sme_update(rho: np.ndarray, jz: np.ndarray, h, dwbar, ops: SpinOperators,
+                p: PlantParams, dt: float, eta: float) -> np.ndarray:
+    """The one Ito-Euler step of the conditional master equation.
+
+    rho is a (batch, dim, dim) stack with <Jz> values jz; h (the field) and
+    dwbar (the sqrt(dt)-scaled Wiener increments) are scalars or one value
+    per state.  h = 0 skips the commutator and eta = 0 the measurement
+    back-action.  The result is Hermitized and renormalized to unit trace;
+    a trace that is not positive and finite raises InstabilityError.
+    """
+    M = p.M
+    if dt * M * ops.dim >= 0.5:
+        raise ConfigurationError("SME step: dt * M * (2J+1) too large; reduce the step")
+    mi = ops.mz[:, None]
+    mj = ops.mz[None, :]
+    out = rho + rho * (M * (mi * mj - 0.5 * (mi * mi + mj * mj)) * dt)
+    h = np.asarray(h, dtype=np.float64)
+    if np.any(h != 0.0):
+        # sign fixed so a positive field drives <Jz> upward, matching the
+        # state-space convention dz = +gamma J h dt
+        comm = ops.Jy @ rho - rho @ ops.Jy
+        out = out + (-1j) * ((-p.gamma * dt) * h)[..., None, None] * comm
+    if eta > 0.0:
+        meas = (mi + mj) * rho - 2.0 * jz[:, None, None] * rho
+        out = out + math.sqrt(eta * M) * np.asarray(dwbar)[..., None, None] * meas
+    out = 0.5 * (out + np.conj(np.transpose(out, (0, 2, 1))))
+    traces = np.real(np.einsum("bii->b", out))
+    if not np.all((traces > 0.0) & (traces < math.inf)):
+        raise InstabilityError("SME step: state trace is not positive and finite; "
+                               "reduce the step")
+    return out / traces[:, None, None]
 
 
-def sme_step(rho: np.ndarray, b: float, u: float, ops: SpinOperators, p: PlantParams,
-             dt: float, dW: float, eta: float | None = None, check: bool = False):
-    """One Ito-Euler step of the conditional master equation.
+def sme_step(rho: np.ndarray, b: float, ops: SpinOperators, p: PlantParams,
+             dt: float, dW: float, eta: float | None = None):
+    """One step of a single conditioned state in field b.
 
     dW is the Wiener increment dWbar (already sqrt(dt)-scaled).  Returns
     (rho', ydt) with the emitted record increment; eta may be overridden
     (eta = 0 gives the unconditional equation, where the record is
-    meaningless and ydt is returned as nan).  The trace is renormalized
-    each step.
+    meaningless and ydt is returned as nan).
     """
-    M = p.M
-    eta_eff = p.eta if eta is None else eta
-    if dt * M * ops.dim >= 0.5:
-        raise ConfigurationError("sme_step: dt * M * (2J+1) too large; reduce the step")
-    h = b + u
-    jz_mean, _ = jz_moments(rho, ops.mz)
-    # measurement superoperators are elementwise in the Jz basis
-    mi = ops.mz[:, None]
-    mj = ops.mz[None, :]
-    out = rho + rho * (M * (mi * mj - 0.5 * (mi * mi + mj * mj)) * dt)
-    if h != 0.0:
-        # sign fixed so a positive field drives <Jz> upward, matching the
-        # state-space convention dz = +gamma J h dt
-        ham = (-p.gamma * h) * ops.Jy
-        out = out + -1j * dt * (ham @ rho - rho @ ham)
-    if eta_eff > 0.0:
-        ydt = jz_mean * dt + math.sqrt(1.0 / (4.0 * M * eta_eff)) * dW
-        out = out + math.sqrt(eta_eff * M) * ((mi + mj) * rho - 2.0 * jz_mean * rho) * dW
-    else:
-        ydt = math.nan
-    out = 0.5 * (out + out.conj().T)
-    out = out / np.trace(out).real
-    if check:
-        _check_state(out)
-    return out, ydt
+    eta = p.eta if eta is None else eta
+    jz, _ = _jz_moments(rho[None], ops.mz)
+    out = _sme_update(rho[None], jz, b, dW, ops, p, dt, eta)[0]
+    ydt = jz[0] * dt + math.sqrt(1.0 / (4.0 * p.M * eta)) * dW if eta > 0.0 else math.nan
+    return out, float(ydt)
 
 
 # ---------------------------------------------------------------------------
@@ -160,12 +171,12 @@ class FieldGrid:
         return float(self.p @ self.b_values)
 
 
-def gaussian_grid(ops: SpinOperators, sigma_b0: float, n_points: int, span: float = 4.0) -> FieldGrid:
-    """Uniform grid over +-span standard deviations with Gaussian prior weights."""
+def gaussian_grid(ops: SpinOperators, sigma_b0: float, n_points: int) -> FieldGrid:
+    """Uniform grid over +-4 standard deviations with Gaussian prior weights."""
     if n_points < 2:
         raise ConfigurationError("gaussian_grid: need at least two hypotheses")
     sd = math.sqrt(sigma_b0)
-    b_values = np.linspace(-span * sd, span * sd, n_points)
+    b_values = np.linspace(-4.0 * sd, 4.0 * sd, n_points)
     w = np.exp(-0.5 * (b_values / sd) ** 2)
     w /= w.sum()
     rho0 = coherent_state_x(ops.J)
@@ -178,14 +189,13 @@ def two_point_grid(ops: SpinOperators, b0: float) -> FieldGrid:
                      rho=np.tile(rho0, (2, 1, 1)), ops=ops)
 
 
-def bayes_grid_update(grid: FieldGrid, ydt: float, p: PlantParams, dt: float) -> FieldGrid:
+def bayes_grid_update(grid: FieldGrid, ydt: float, p: PlantParams) -> FieldGrid:
     """Reweight hypotheses: pbar_b *= 1 + 4 M eta <Jz>_b ydt, then normalize.
 
     Uses each hypothesis's current <Jz>_b, so call before propagating the
     grid states through the same increment.
     """
-    pops = np.real(np.einsum("bii->bi", grid.rho))
-    jz_means = pops @ grid.ops.mz
+    jz_means, _ = _jz_moments(grid.rho, grid.ops.mz)
     w = grid.p * (1.0 + 4.0 * p.M * p.eta * jz_means * ydt)
     w = np.maximum(w, 0.0)
     total = w.sum()
@@ -194,27 +204,12 @@ def bayes_grid_update(grid: FieldGrid, ydt: float, p: PlantParams, dt: float) ->
     return FieldGrid(b_values=grid.b_values, p=w / total, rho=grid.rho, ops=grid.ops)
 
 
-def propagate_grid(grid: FieldGrid, ydt: float, p: PlantParams, dt: float, u: float = 0.0) -> FieldGrid:
+def propagate_grid(grid: FieldGrid, ydt: float, p: PlantParams, dt: float) -> FieldGrid:
     """Condition every hypothesis state on the shared record increment."""
-    mz = grid.ops.mz
-    pops = np.real(np.einsum("bii->bi", grid.rho))
-    jz_means = pops @ mz
+    jz_means, _ = _jz_moments(grid.rho, grid.ops.mz)
     dwbar = 2.0 * math.sqrt(p.M * p.eta) * (ydt - jz_means * dt)
-    mi = mz[:, None]
-    mj = mz[None, :]
-    decay = p.M * (mi * mj - 0.5 * (mi * mi + mj * mj))
-    out = grid.rho + grid.rho * (decay * dt)[None, :, :]
-    h = grid.b_values + u
-    ham_scale = (-p.gamma * dt) * h  # sign convention as in sme_step
-    jy = grid.ops.Jy
-    comm = jy[None, :, :] @ grid.rho - grid.rho @ jy[None, :, :]
-    out = out + (-1j) * ham_scale[:, None, None] * comm
-    meas = (mi + mj)[None, :, :] * grid.rho - 2.0 * jz_means[:, None, None] * grid.rho
-    out = out + math.sqrt(p.eta * p.M) * dwbar[:, None, None] * meas
-    out = 0.5 * (out + np.conj(np.transpose(out, (0, 2, 1))))
-    traces = np.real(np.einsum("bii->b", out))
-    return FieldGrid(b_values=grid.b_values, p=grid.p, rho=out / traces[:, None, None],
-                     ops=grid.ops)
+    rho = _sme_update(grid.rho, jz_means, grid.b_values, dwbar, grid.ops, p, dt, p.eta)
+    return FieldGrid(b_values=grid.b_values, p=grid.p, rho=rho, ops=grid.ops)
 
 
 def grid_filter_record(grid: FieldGrid, ydts: np.ndarray, p: PlantParams, dt: float):
@@ -223,83 +218,15 @@ def grid_filter_record(grid: FieldGrid, ydts: np.ndarray, p: PlantParams, dt: fl
     means = np.empty(len(ydts) + 1)
     means[0] = grid.posterior_mean()
     for k, ydt in enumerate(ydts):
-        grid = bayes_grid_update(grid, float(ydt), p, dt)
+        grid = bayes_grid_update(grid, float(ydt), p)
         grid = propagate_grid(grid, float(ydt), p, dt)
         means[k + 1] = grid.posterior_mean()
     return grid, means
 
 
 # ---------------------------------------------------------------------------
-# record generation
+# trajectory simulation
 # ---------------------------------------------------------------------------
-
-def simulate_record(ops: SpinOperators, p: PlantParams, b: float, rng: RngStream,
-                    dt: float, n: int):
-    """Generate a physical record from the conditioned truth state.
-
-    Returns (ydts, jx_mean, jz_mean, djz2) histories, each length n (+1
-    for the moment histories).
-    """
-    rho = coherent_state_x(ops.J)
-    draws = rng.normals(n)
-    sqrt_dt = math.sqrt(dt)
-    ydts = np.empty(n)
-    jx = np.empty(n + 1)
-    jz = np.empty(n + 1)
-    djz2 = np.empty(n + 1)
-    jx[0] = expectation(rho, ops.Jx)
-    jz[0], djz2[0] = jz_moments(rho, ops.mz)
-    for k in range(n):
-        rho, ydt = sme_step(rho, b, 0.0, ops, p, dt, draws[k] * sqrt_dt)
-        ydts[k] = ydt
-        jx[k + 1] = expectation(rho, ops.Jx)
-        jz[k + 1], djz2[k + 1] = jz_moments(rho, ops.mz)
-    return ydts, jx, jz, djz2
-
-
-def simulate_qnd_ensemble(ops: SpinOperators, p: PlantParams, rng_seed: int,
-                          trajectories: int, dt: float, n: int):
-    """Batched h = 0 conditioned trajectories; returns the trajectory-averaged
-    <Delta Jz^2>(t) and the per-trajectory <Jz> walks (for martingale checks).
-
-    With Jz diagonal and no Hamiltonian, every update is elementwise, so
-    the whole ensemble advances as one array operation per step.
-    """
-    from .numerics import trial_normals
-
-    dim = ops.dim
-    if dt * p.M * dim >= 0.5:
-        raise ConfigurationError("simulate_qnd_ensemble: dt * M * (2J+1) too large")
-    mz = ops.mz
-    mi = mz[:, None]
-    mj = mz[None, :]
-    decay_dt = p.M * (mi * mj - 0.5 * (mi * mi + mj * mj)) * dt
-    meas_scale = math.sqrt(p.eta * p.M)
-    rho0 = coherent_state_x(ops.J)
-    rho = np.tile(rho0, (trajectories, 1, 1))
-    draws = trial_normals(rng_seed, np.arange(trajectories), n)
-    sqrt_dt = math.sqrt(dt)
-    mean_djz2 = np.empty(n + 1)
-    jz_walks = np.empty((trajectories, n + 1))
-    pops = np.real(np.einsum("bii->bi", rho))
-    jz_mean = pops @ mz
-    mean_djz2[0] = np.mean(pops @ (mz * mz) - jz_mean ** 2)
-    jz_walks[:, 0] = jz_mean
-    for k in range(n):
-        dwbar = draws[:, k] * sqrt_dt
-        pops = np.real(np.einsum("bii->bi", rho))
-        jz_mean = pops @ mz
-        meas = (mi + mj)[None, :, :] * rho - 2.0 * jz_mean[:, None, None] * rho
-        rho = rho + rho * decay_dt[None, :, :] + meas_scale * dwbar[:, None, None] * meas
-        rho = 0.5 * (rho + np.conj(np.transpose(rho, (0, 2, 1))))
-        traces = np.real(np.einsum("bii->b", rho))
-        rho = rho / traces[:, None, None]
-        pops = np.real(np.einsum("bii->bi", rho))
-        jz_mean = pops @ mz
-        mean_djz2[k + 1] = np.mean(pops @ (mz * mz) - jz_mean ** 2)
-        jz_walks[:, k + 1] = jz_mean
-    return mean_djz2, jz_walks
-
 
 def unconditional_jx_decay(ops: SpinOperators, p: PlantParams, dt: float, n: int) -> np.ndarray:
     """<Jx>(t) under the eta = 0 (unconditional) equation; exact law is
@@ -308,41 +235,38 @@ def unconditional_jx_decay(ops: SpinOperators, p: PlantParams, dt: float, n: int
     jx = np.empty(n + 1)
     jx[0] = expectation(rho, ops.Jx)
     for k in range(n):
-        rho, _ = sme_step(rho, 0.0, 0.0, ops, p, dt, 0.0, eta=0.0)
+        rho, _ = sme_step(rho, 0.0, ops, p, dt, 0.0, eta=0.0)
         jx[k + 1] = expectation(rho, ops.Jx)
     return jx
 
 
 def simulate_ramp_ensemble(ops: SpinOperators, p: PlantParams, b: float, seed: int,
-                           trajectories: int, dt: float, n: int) -> np.ndarray:
-    """Batched physical records at fixed field b; returns ydt matrix
-    (trajectories, n)."""
-    from .numerics import trial_normals
+                           trajectories: int, dt: float, n: int):
+    """Batched conditioned trajectories in a fixed field b, all advanced
+    together; trajectory k draws from trial_stream(seed, k).
 
-    mz = ops.mz
-    mi = mz[:, None]
-    mj = mz[None, :]
-    decay_dt = p.M * (mi * mj - 0.5 * (mi * mi + mj * mj)) * dt
-    meas_scale = math.sqrt(p.eta * p.M)
-    sqrt_sm = math.sqrt(p.sigma_M)
-    ham = (-p.gamma * b) * ops.Jy  # sign convention as in sme_step
+    Returns (ydts, jz_walks, mean_djz2): the physical records
+    (trajectories, n), the <Jz> walks (trajectories, n + 1) and the
+    trajectory-averaged <Delta Jz^2> (n + 1).  At b = 0 this is the QND
+    ensemble.
+    """
     rho = np.tile(coherent_state_x(ops.J), (trajectories, 1, 1))
     draws = trial_normals(seed, np.arange(trajectories), n)
     sqrt_dt = math.sqrt(dt)
+    sqrt_sm = math.sqrt(p.sigma_M)
     ydts = np.empty((trajectories, n))
-    for k in range(n):
+    jz_walks = np.empty((trajectories, n + 1))
+    mean_djz2 = np.empty(n + 1)
+    for k in range(n + 1):
+        jz, djz2 = _jz_moments(rho, ops.mz)
+        jz_walks[:, k] = jz
+        mean_djz2[k] = np.mean(djz2)
+        if k == n:
+            break
         dwbar = draws[:, k] * sqrt_dt
-        pops = np.real(np.einsum("bii->bi", rho))
-        jz_mean = pops @ mz
-        ydts[:, k] = jz_mean * dt + sqrt_sm * dwbar
-        comm = ham[None, :, :] @ rho - rho @ ham[None, :, :]
-        meas = (mi + mj)[None, :, :] * rho - 2.0 * jz_mean[:, None, None] * rho
-        rho = (rho + rho * decay_dt[None, :, :] + (-1j * dt) * comm
-               + meas_scale * dwbar[:, None, None] * meas)
-        rho = 0.5 * (rho + np.conj(np.transpose(rho, (0, 2, 1))))
-        traces = np.real(np.einsum("bii->b", rho))
-        rho = rho / traces[:, None, None]
-    return ydts
+        ydts[:, k] = jz * dt + sqrt_sm * dwbar
+        rho = _sme_update(rho, jz, b, dwbar, ops, p, dt, p.eta)
+    return ydts, jz_walks, mean_djz2
 
 
 # ---------------------------------------------------------------------------
@@ -375,7 +299,7 @@ def suite_variance_tracking(J: float = 10, gamma: float = 1e6, M: float = 1e4,
     ops = spin_operators(J)
     p = PlantParams(J=J, gamma=gamma, M=M)
     n = int(round(T / dt))
-    mean_djz2, walks = simulate_qnd_ensemble(ops, p, seed, trajectories, dt, n)
+    _, walks, mean_djz2 = simulate_ramp_ensemble(ops, p, 0.0, seed, trajectories, dt, n)
     t = np.arange(n + 1) * dt
     sz0 = J / 2.0
     sm = p.sigma_M
@@ -400,12 +324,10 @@ def suite_two_point(J: float = 16, gamma: float = 1e6, M: float = 1e4,
     ops = spin_operators(J)
     p = PlantParams(J=J, gamma=gamma, M=M)
     n = int(round(T / dt))
+    ydts, _, _ = simulate_ramp_ensemble(ops, p, +b0, seed, records, dt, n)
     finals = []
-    for r in range(records):
-        rng = trial_stream(seed, r)
-        ydts, _, _, _ = simulate_record(ops, p, +b0, rng, dt, n)
-        grid = two_point_grid(ops, b0)
-        grid, _ = grid_filter_record(grid, ydts, p, dt)
+    for record in ydts:
+        grid, _ = grid_filter_record(two_point_grid(ops, b0), record, p, dt)
         finals.append(float(grid.p[1]))
     worst = min(finals)
     return {"name": "two_point_posterior", "passed": worst >= 0.9,
@@ -433,12 +355,11 @@ def suite_grid_kalman(J: float = 16, gamma: float = 1e6, M: float = 1e4,
     k1, k2 = cov.gain(p.sigma_M)
     env = np.sqrt(cov.sigma_bR)
     b_true = 1.5 * math.sqrt(sigma_b0)
+    records_ydt, _, _ = simulate_ramp_ensemble(ops, p, b_true, seed, records, dt, n)
     devs = []
     curves = []
     posterior = None
-    for r in range(records):
-        rng = trial_stream(seed, r)
-        ydts, _, _, _ = simulate_record(ops, p, b_true, rng, dt, n)
+    for ydts in records_ydt:
         grid = gaussian_grid(ops, sigma_b0, points)
         grid, means = grid_filter_record(grid, ydts, p, dt)
         m = filter_record(a, bvec, k1, k2, np.append(ydts, 0.0), np.zeros(n + 1), dt)
@@ -461,7 +382,7 @@ def suite_ramp_statistics(J: float = 10, gamma: float = 1e6, M: float = 1e4,
     ops = spin_operators(J)
     p = PlantParams(J=J, gamma=gamma, M=M)
     n = int(round(T / dt))
-    ydts = simulate_ramp_ensemble(ops, p, b, seed, trajectories, dt, n)
+    ydts, _, _ = simulate_ramp_ensemble(ops, p, b, seed, trajectories, dt, n)
     t = np.arange(n) * dt
     w = ydts / dt
     tbar = t.mean()

@@ -89,7 +89,7 @@ def _is_constant_field(p: PlantParams) -> bool:
     return p.sigma_bF == 0.0 and p.gamma_b == 0.0
 
 
-def exact_steady_sigma(p: PlantParams, J: float | None = None):
+def exact_steady_sigma(p: PlantParams):
     """Exact stationary Riccati solution (sigma_zS, sigma_cS, sigma_bS).
 
     Valid whenever sigma_bF > 0.  With r = sqrt(sigma_bF / sigma_M) the
@@ -98,7 +98,7 @@ def exact_steady_sigma(p: PlantParams, J: float | None = None):
     """
     if not p.sigma_bF > 0:
         raise UnsupportedCaseError("exact_steady_sigma: no steady state for sigma_bF = 0")
-    gj = p.gamma * (p.J if J is None else J)
+    gj = p.gamma * p.J
     sm = p.sigma_M
     r = math.sqrt(p.sigma_bF / sm)
     k1 = math.sqrt(2.0 * gj * r + p.gamma_b ** 2) - p.gamma_b

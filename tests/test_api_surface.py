@@ -2,8 +2,9 @@
 
 A public function or method that nothing in ``src/spintrack`` names,
 outside its own body, is either dead or kept alive only by the tests;
-both should go.  The deliberate exceptions are listed with the reason
-they stay.
+both should go.  The same holds for a defaulted parameter that no call
+in the package sets.  The deliberate exceptions are listed with the
+reason they stay.
 """
 
 import ast
@@ -19,6 +20,23 @@ ALLOWED_UNUSED = {
         "the paper's least-squares line-fit baseline that the Kalman filter is compared with",
     "riccati.controller_riccati_steady":
         "independent reverse-time route that checks the closed-form controller gain",
+    "numerics.trial_stream":
+        "the documented per-trial stream that trial_normals and the SME records reproduce",
+}
+
+# defaulted parameters that nothing in src/ sets; a bare function name
+# allows all of its defaults
+_SUITE_SIZES = "the benchmark and the tests shrink the oracle battery through these"
+ALLOWED_UNSET = {
+    "qsme.suite_jx_decay": _SUITE_SIZES,
+    "qsme.suite_variance_tracking": _SUITE_SIZES,
+    "qsme.suite_two_point": _SUITE_SIZES,
+    "qsme.suite_grid_kalman": _SUITE_SIZES,
+    "qsme.suite_ramp_statistics": _SUITE_SIZES,
+    "cli.main(argv=)": "the console script passes nothing; tests and the benchmark pass argv",
+    "model.fluctuating_plant": "the paper's form of the plant, kept whole (see ALLOWED_UNUSED)",
+    "lqg_filter.run_ensemble(trial_offset=)":
+        "the summation contract counts blocks from it; the worker-split property drives it",
 }
 
 
@@ -53,9 +71,72 @@ def _surface():
     return defs, refs
 
 
+def _defaulted_params():
+    """Public functions/methods with their defaulted parameters, as
+    (where, bare name, [(position or None, parameter)])."""
+    out = []
+    for path in sorted(SRC.glob("*.py")):
+        for owner, node in _scopes(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.FunctionDef) or node.name.startswith("_"):
+                continue
+            a = node.args
+            positional = a.posonlyargs + a.args
+            skip = 1 if "." in owner and positional and positional[0].arg in ("self", "cls") else 0
+            first = len(positional) - len(a.defaults)
+            params = [(i - skip, positional[i].arg) for i in range(first, len(positional))]
+            params += [(None, arg.arg) for arg, d in zip(a.kwonlyargs, a.kw_defaults)
+                       if d is not None]
+            if params:
+                out.append((f"{path.stem}.{owner}", node.name, params))
+    return out
+
+
+def _calls():
+    """Every call in the package as (calling scope, bare callee name, node)."""
+    for path in sorted(SRC.glob("*.py")):
+        for owner, node in _scopes(ast.parse(path.read_text(encoding="utf-8"))):
+            where = f"{path.stem}.{owner}" if owner else path.stem
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Call):
+                    f = sub.func
+                    name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+                    if name:
+                        yield where, name, sub
+
+
+def _sets(call, position, param):
+    """Whether a call passes the parameter (a splat may pass anything)."""
+    if any(isinstance(a, ast.Starred) for a in call.args):
+        return True
+    if any(k.arg is None or k.arg == param for k in call.keywords):
+        return True
+    return position is not None and position < len(call.args)
+
+
+def _unset_defaults():
+    calls = list(_calls())
+    unset = set()
+    for where, name, params in _defaulted_params():
+        own = [c for w, n, c in calls if n == name and w != where]
+        unset |= {f"{where}({param}=)" for pos, param in params
+                  if not any(_sets(c, pos, param) for c in own)}
+    return unset
+
+
 def test_every_public_function_is_used_by_the_package():
     defs, refs = _surface()
     assert len(defs) > 50   # the parse found the package
     unused = {where for where, name in defs if not refs[name] - {where}}
     assert sorted(unused - set(ALLOWED_UNUSED)) == [], "public but unused in src: delete or use it"
     assert sorted(set(ALLOWED_UNUSED) - unused) == [], "used now: drop it from ALLOWED_UNUSED"
+
+
+def test_every_defaulted_parameter_is_set_by_the_package():
+    # an option that no caller in src/ sets is either dead or test-only
+    flagged = _unset_defaults()
+    allowed = {entry for entry in flagged
+               if entry.split("(")[0] in ALLOWED_UNSET or entry in ALLOWED_UNSET}
+    assert sorted(flagged - allowed) == [], "option never set in src: delete it or set it"
+    stale = {entry for entry in ALLOWED_UNSET
+             if not any(f == entry or f.split("(")[0] == entry for f in flagged)}
+    assert sorted(stale) == [], "set now: drop it from ALLOWED_UNSET"
