@@ -20,9 +20,9 @@ qsme-verify quantum-oracle suite battery                 -> CSV + report
 
 Every command is deterministic given (scenario, seed); floats are written
 with 17 significant digits so repeated runs are byte-identical.  Exit
-codes: 0 success, 1 any other toolkit error (for example a controller
-fault), 2 configuration error, 3 numerical error, 4 a verification suite
-or design criterion failed.
+codes: 0 success, 1 any other toolkit error (no verb raises one today),
+2 configuration error, 3 numerical error, 4 a verification suite or
+design criterion failed.
 """
 
 from __future__ import annotations

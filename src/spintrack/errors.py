@@ -35,7 +35,3 @@ class SingularityError(NumericalError):
 
 class UnsupportedCaseError(ConfigurationError):
     """Closed form requested outside its domain of validity."""
-
-
-class ControllerFaultError(SpintrackError):
-    """A control callback produced a non-finite actuation value."""

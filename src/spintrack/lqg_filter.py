@@ -149,7 +149,7 @@ def run_closed_loop(p: PlantParams, prior: Priors, d: DesignParams, mode: str,
         m[k + 1, 0] = m[k, 0] + (gjp * m[k, 1] + gjp * uk) * dt + k1[k] * innov
         m[k + 1, 1] = m[k, 1] - gb * m[k, 1] * dt + k2[k] * innov
     u[n] = u[n - 1] if n > 0 else 0.0
-    traj = Trajectory(t=t, z=z, b=b, u=u, ydt=ydt, dW1=dW1, dW2=dW2, dt=dt)
+    traj = Trajectory(t=t, z=z, b=b, u=u, ydt=ydt, dW2=dW2, dt=dt)
     return RunResult(trajectory=traj, m=m)
 
 

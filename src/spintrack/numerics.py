@@ -1,8 +1,10 @@
-"""Dense small-matrix kernels, fixed-step integrators, and reproducible noise.
+"""Dense small-matrix kernels, exact covariance steps, and reproducible noise.
 
-Everything here is deterministic: integrators take explicit step schedules
-(no error-adaptive control) and the random stream is counter-based, so a
-(seed, position) pair always yields the same draw on every platform.
+Everything here is deterministic: ``ou_increment`` steps a linear SDE's
+covariance exactly over a given interval, ``geometric_times`` builds
+explicit step schedules (no error-adaptive control), and the random
+stream is counter-based, so a (seed, position) pair always yields the
+same draw on every platform.
 
 Random numbers
 --------------
@@ -211,33 +213,6 @@ def mat_expm(a: np.ndarray) -> np.ndarray:
     for _ in range(s):
         r = r @ r
     return r
-
-
-# ---------------------------------------------------------------------------
-# integrators
-# ---------------------------------------------------------------------------
-
-def _rk4_step(f, t, x, h):
-    k1 = f(t, x)
-    k2 = f(t + 0.5 * h, x + 0.5 * h * k1)
-    k3 = f(t + 0.5 * h, x + 0.5 * h * k2)
-    k4 = f(t + h, x + h * k3)
-    return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
-def rk4_nonuniform(f, x0, times):
-    """RK4 over an explicit increasing time grid; returns states on it."""
-    times = np.asarray(times, dtype=np.float64)
-    x = np.array(x0, dtype=np.float64, copy=True)
-    out = np.empty((len(times),) + x.shape)
-    out[0] = x
-    for k in range(len(times) - 1):
-        h = times[k + 1] - times[k]
-        x = _rk4_step(f, times[k], x, h)
-        if not np.all(np.isfinite(x)):
-            raise DivergenceError(f"rk4_nonuniform: non-finite state at t = {times[k + 1]:.6e}")
-        out[k + 1] = x
-    return out
 
 
 # ---------------------------------------------------------------------------

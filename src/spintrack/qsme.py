@@ -1,31 +1,31 @@
-"""Small-spin quantum oracle: conditional master equation and gridded Bayes.
+"""Small-spin quantum oracle: conditioned spin states and gridded Bayes.
 
-For a spin of magnitude J monitored continuously in Jz while a total field
-h = b + u rotates it about y, the conditioned density matrix obeys the
-Ito equation
+A spin of magnitude J is monitored continuously in Jz while a total field
+h = b + u rotates it about y.  Under efficient measurement (eta = 1) a
+pure state stays pure, and in the Jz eigenbasis it is a real vector psi of
+length 2J+1.  It obeys the Ito stochastic Schroedinger equation
 
-    d rho = -i [gamma h Jy, rho] dt + D[sqrt(M) Jz] rho dt
-            + sqrt(eta) H[sqrt(M) Jz] rho dWbar
+    d psi = [gamma h K dt - (M/2) (Jz - <Jz>)^2 dt
+             + sqrt(M) (Jz - <Jz>) dWbar] psi,        then normalize,
 
-    D[c] rho = c rho c - (c^2 rho + rho c^2) / 2        (c Hermitian)
-    H[c] rho = c rho + rho c - 2 <c> rho
+with the record y dt = <Jz> dt + sqrt(sigma_M) dWbar, sigma_M = 1/(4 M).
+Here Jy = -iK, where K is real, antisymmetric and tridiagonal, so the
+field term is two shifted products of the ladder amplitudes.  The Ito
+product of the back-action terms reproduces the measurement dissipator
+M (Jz rho Jz - {Jz^2, rho}/2) of the master equation for rho = psi psi^T,
+which is therefore positive semidefinite by construction.
 
-with the record y dt = <Jz> dt + sqrt(sigma_M) dWbar, sigma_M = 1/(4 M eta).
-Because Jz is diagonal, the measurement superoperators are elementwise in
-the Jz eigenbasis; only the field commutator needs a matrix product.
-
-One private kernel, ``_sme_update``, takes the Ito-Euler step of this
-equation on a (batch, dim, dim) stack of dense complex states; sme_step
-(one state), propagate_grid (one state per field hypothesis) and
-simulate_ramp_ensemble (one state per trajectory) are thin entry points
-to it.  Every step enforces dt M (2J+1) < 0.5 (ConfigurationError),
-Hermitizes the state and renormalizes its trace; a trace that is not
-positive and finite raises InstabilityError.
+One private kernel, ``_sse_update``, steps a (batch, dim) stack of such
+states for the Bayes grid and the trajectory simulator; it rejects
+eta != 1, where a conditioned state is mixed.  sme_step is the one dense
+step: the unconditional (eta = 0) zero-field equation, pure dephasing.
+Both enforce dt M (2J+1) < 0.5, and the entry points name the time of a
+step that fails.
 
 Field estimation with unknown constant b keeps one conditioned state per
 field hypothesis, all filtered against the same physical record: the
-hypothesis innovation is dWbar_b = 2 sqrt(M eta) (y dt - <Jz>_b dt) and
-the unnormalized weights follow d pbar = 4 M eta <Jz>_b pbar y dt.
+hypothesis innovation is dWbar_b = 2 sqrt(M) (y dt - <Jz>_b dt) and the
+unnormalized weights follow d pbar = 4 M eta <Jz>_b pbar y dt.
 
 This module exists at desk scale (J up to about 50) to validate the
 Gaussian/Kalman reduction used everywhere else:
@@ -47,20 +47,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, InstabilityError, NumericalError
+from .errors import ConfigurationError, InstabilityError, NumericalError, UnsupportedCaseError
 from .model import PlantParams
 from .numerics import trial_normals
 
 
 @dataclass
 class SpinOperators:
-    """Angular momentum matrices in the Jz eigenbasis (m = J ... -J)."""
+    """Spin J in the Jz eigenbasis m = J ... -J: the eigenvalues mz and the
+    J+ amplitudes amp[i] = <i| J+ |i+1>.  Jx = (J+ + J-)/2, and Jy = -iK
+    with K[i, i+1] = amp[i]/2 = -K[i+1, i]."""
 
     J: float
-    Jx: np.ndarray
-    Jy: np.ndarray
-    Jz: np.ndarray
-    mz: np.ndarray  # diagonal of Jz
+    mz: np.ndarray
+    amp: np.ndarray
 
     @property
     def dim(self) -> int:
@@ -68,90 +68,78 @@ class SpinOperators:
 
 
 def spin_operators(J: float) -> SpinOperators:
-    """Ladder-operator construction of (Jx, Jy, Jz) for spin J."""
+    """Jz eigenvalues and ladder amplitudes for spin J."""
     two_j = 2.0 * J
     if J < 0 or abs(two_j - round(two_j)) > 1e-12:
         raise ConfigurationError(f"spin_operators: 2J must be a nonnegative integer, got J = {J}")
-    dim = int(round(two_j)) + 1
-    m = J - np.arange(dim)  # J, J-1, ..., -J
-    jz = np.diag(m).astype(np.complex128)
-    # J+ |J, m> = sqrt(J(J+1) - m(m+1)) |J, m+1>; basis index 0 is m = J
+    m = J - np.arange(int(round(two_j)) + 1)
     amp = np.sqrt(J * (J + 1.0) - m[1:] * (m[1:] + 1.0))
-    jp = np.zeros((dim, dim), dtype=np.complex128)
-    jp[np.arange(dim - 1), np.arange(1, dim)] = amp
-    jm = jp.conj().T
-    jx = 0.5 * (jp + jm)
-    jy = -0.5j * (jp - jm)
-    return SpinOperators(J=J, Jx=jx, Jy=jy, Jz=jz, mz=m.astype(np.float64))
+    return SpinOperators(J=J, mz=m, amp=amp)
 
 
 def coherent_state_x(J: float) -> np.ndarray:
-    """Density matrix of the maximal-Jx eigenstate (spin polarized along x)."""
-    ops = spin_operators(J)
-    vals, vecs = np.linalg.eigh(ops.Jx)
-    psi = vecs[:, -1]
-    return np.outer(psi, psi.conj())
+    """The maximal-Jx eigenstate (spin polarized along x) as a real unit
+    vector: amplitude sqrt(C(2J, i) / 2^(2J)) on basis state i."""
+    n = spin_operators(J).dim - 1   # rejects a J with 2J not a nonnegative integer
+    return np.sqrt([math.comb(n, i) / 2 ** n for i in range(n + 1)])
 
 
-def expectation(rho: np.ndarray, op: np.ndarray) -> float:
-    return float(np.real(np.trace(rho @ op)))
+def _jz_mean(psi: np.ndarray, mz: np.ndarray) -> np.ndarray:
+    """<Jz> of each state of a (batch, dim) stack."""
+    return (psi * psi) @ mz
 
 
-def _jz_moments(rho: np.ndarray, mz: np.ndarray):
-    """(<Jz>, <Delta Jz^2>) per state of a (batch, dim, dim) stack, read off
-    the populations since Jz is diagonal."""
-    pops = np.real(np.einsum("bii->bi", rho))
-    mean = pops @ mz
-    return mean, pops @ (mz * mz) - mean * mean
-
-
-def _sme_update(rho: np.ndarray, jz: np.ndarray, h, dwbar, ops: SpinOperators,
-                p: PlantParams, dt: float, eta: float) -> np.ndarray:
-    """The one Ito-Euler step of the conditional master equation.
-
-    rho is a (batch, dim, dim) stack with <Jz> values jz; h (the field) and
-    dwbar (the sqrt(dt)-scaled Wiener increments) are scalars or one value
-    per state.  h = 0 skips the commutator and eta = 0 the measurement
-    back-action.  The result is Hermitized and renormalized to unit trace;
-    a trace that is not positive and finite raises InstabilityError.
-    """
-    M = p.M
-    if dt * M * ops.dim >= 0.5:
+def _check_step(ops: SpinOperators, p: PlantParams, dt: float) -> None:
+    if not dt * p.M * ops.dim < 0.5:
         raise ConfigurationError("SME step: dt * M * (2J+1) too large; reduce the step")
-    mi = ops.mz[:, None]
-    mj = ops.mz[None, :]
-    out = rho + rho * (M * (mi * mj - 0.5 * (mi * mi + mj * mj)) * dt)
-    h = np.asarray(h, dtype=np.float64)
-    if np.any(h != 0.0):
-        # sign fixed so a positive field drives <Jz> upward, matching the
-        # state-space convention dz = +gamma J h dt
-        comm = ops.Jy @ rho - rho @ ops.Jy
-        out = out + (-1j) * ((-p.gamma * dt) * h)[..., None, None] * comm
-    if eta > 0.0:
-        meas = (mi + mj) * rho - 2.0 * jz[:, None, None] * rho
-        out = out + math.sqrt(eta * M) * np.asarray(dwbar)[..., None, None] * meas
-    out = 0.5 * (out + np.conj(np.transpose(out, (0, 2, 1))))
-    traces = np.real(np.einsum("bii->b", out))
-    if not np.all((traces > 0.0) & (traces < math.inf)):
-        raise InstabilityError("SME step: state trace is not positive and finite; "
-                               "reduce the step")
-    return out / traces[:, None, None]
 
 
-def sme_step(rho: np.ndarray, b: float, ops: SpinOperators, p: PlantParams,
-             dt: float, dW: float, eta: float | None = None):
-    """One step of a single conditioned state in field b.
+def _at_time(err: NumericalError, k: int, dt: float) -> NumericalError:
+    """The same error, naming the start time of the failing step k."""
+    return type(err)(f"{err} (step at t = {k * dt:.6e})")
 
-    dW is the Wiener increment dWbar (already sqrt(dt)-scaled).  Returns
-    (rho', ydt) with the emitted record increment; eta may be overridden
-    (eta = 0 gives the unconditional equation, where the record is
-    meaningless and ydt is returned as nan).
+
+def _sse_update(psi: np.ndarray, jz: np.ndarray, h, dwbar, ops: SpinOperators,
+                p: PlantParams, dt: float) -> np.ndarray:
+    """The one Ito-Euler step of the stochastic Schroedinger equation.
+
+    psi is a (batch, dim) stack of real unit vectors with <Jz> values jz;
+    h (the field) and dwbar (the sqrt(dt)-scaled Wiener increments) are
+    scalars or one value per state.  h = 0 skips the precession.  The
+    result is normalized; a norm that is not positive and finite raises
+    InstabilityError.
     """
-    eta = p.eta if eta is None else eta
-    jz, _ = _jz_moments(rho[None], ops.mz)
-    out = _sme_update(rho[None], jz, b, dW, ops, p, dt, eta)[0]
-    ydt = jz[0] * dt + math.sqrt(1.0 / (4.0 * p.M * eta)) * dW if eta > 0.0 else math.nan
-    return out, float(ydt)
+    _check_step(ops, p, dt)
+    if p.eta != 1.0:
+        raise UnsupportedCaseError("SSE step: a conditioned state is pure only at eta = 1, "
+                                   f"got eta = {p.eta}")
+    dz = ops.mz - jz[:, None]
+    out = psi + psi * dz * (math.sqrt(p.M) * np.asarray(dwbar)[..., None] - (0.5 * p.M * dt) * dz)
+    h = np.asarray(h)[..., None]
+    if h.any():
+        # gamma h K psi dt; the sign makes a positive field drive <Jz>
+        # upward, matching the state-space convention dz = +gamma J h dt
+        kpsi = np.zeros_like(psi)
+        kpsi[:, :-1] = ops.amp * psi[:, 1:]
+        kpsi[:, 1:] -= ops.amp * psi[:, :-1]
+        out += (0.5 * p.gamma * dt) * h * kpsi
+    norm2 = np.einsum("bi,bi->b", out, out)
+    if not (norm2.min() > 0.0 and norm2.max() < math.inf):
+        raise InstabilityError("SSE step: state norm is not positive and finite; reduce the step")
+    return out / np.sqrt(norm2)[:, None]
+
+
+def sme_step(rho: np.ndarray, ops: SpinOperators, p: PlantParams, dt: float) -> np.ndarray:
+    """One Ito-Euler step of the unconditional (eta = 0) zero-field
+    equation, pure dephasing of a real density matrix in the Jz basis:
+    rho_ij <- rho_ij (1 - M (m_i - m_j)^2 dt / 2).  The trace does not
+    change; a non-finite entry raises InstabilityError."""
+    _check_step(ops, p, dt)
+    dm = ops.mz[:, None] - ops.mz[None, :]
+    out = rho * (1.0 - (0.5 * p.M * dt) * dm * dm)
+    if not np.all(np.isfinite(out)):
+        raise InstabilityError("SME step: state is not finite; reduce the step")
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -160,15 +148,25 @@ def sme_step(rho: np.ndarray, b: float, ops: SpinOperators, p: PlantParams,
 
 @dataclass
 class FieldGrid:
-    """Field hypotheses with weights and one conditioned state each."""
+    """Field hypotheses with weights and one conditioned state each.
+
+    jz holds the <Jz> of each state, read once per step: the reweighting
+    and the propagation through the same increment both use it.
+    """
 
     b_values: np.ndarray
     p: np.ndarray
-    rho: np.ndarray  # stack (n_b, dim, dim)
+    psi: np.ndarray  # stack (n_b, dim)
+    jz: np.ndarray
     ops: SpinOperators
 
     def posterior_mean(self) -> float:
         return float(self.p @ self.b_values)
+
+
+def _coherent_grid(ops: SpinOperators, b_values: np.ndarray, w: np.ndarray) -> FieldGrid:
+    psi = np.tile(coherent_state_x(ops.J), (len(b_values), 1))
+    return FieldGrid(b_values=b_values, p=w, psi=psi, jz=_jz_mean(psi, ops.mz), ops=ops)
 
 
 def gaussian_grid(ops: SpinOperators, sigma_b0: float, n_points: int) -> FieldGrid:
@@ -178,15 +176,11 @@ def gaussian_grid(ops: SpinOperators, sigma_b0: float, n_points: int) -> FieldGr
     sd = math.sqrt(sigma_b0)
     b_values = np.linspace(-4.0 * sd, 4.0 * sd, n_points)
     w = np.exp(-0.5 * (b_values / sd) ** 2)
-    w /= w.sum()
-    rho0 = coherent_state_x(ops.J)
-    return FieldGrid(b_values=b_values, p=w, rho=np.tile(rho0, (n_points, 1, 1)), ops=ops)
+    return _coherent_grid(ops, b_values, w / w.sum())
 
 
 def two_point_grid(ops: SpinOperators, b0: float) -> FieldGrid:
-    rho0 = coherent_state_x(ops.J)
-    return FieldGrid(b_values=np.array([-b0, b0]), p=np.array([0.5, 0.5]),
-                     rho=np.tile(rho0, (2, 1, 1)), ops=ops)
+    return _coherent_grid(ops, np.array([-b0, b0]), np.array([0.5, 0.5]))
 
 
 def bayes_grid_update(grid: FieldGrid, ydt: float, p: PlantParams) -> FieldGrid:
@@ -195,21 +189,20 @@ def bayes_grid_update(grid: FieldGrid, ydt: float, p: PlantParams) -> FieldGrid:
     Uses each hypothesis's current <Jz>_b, so call before propagating the
     grid states through the same increment.
     """
-    jz_means, _ = _jz_moments(grid.rho, grid.ops.mz)
-    w = grid.p * (1.0 + 4.0 * p.M * p.eta * jz_means * ydt)
+    w = grid.p * (1.0 + (4.0 * p.M * p.eta * ydt) * grid.jz)
     w = np.maximum(w, 0.0)
     total = w.sum()
     if not (total > 0.0 and math.isfinite(total)):
         raise NumericalError("bayes_grid_update: posterior weights degenerated")
-    return FieldGrid(b_values=grid.b_values, p=w / total, rho=grid.rho, ops=grid.ops)
+    return FieldGrid(b_values=grid.b_values, p=w / total, psi=grid.psi, jz=grid.jz, ops=grid.ops)
 
 
 def propagate_grid(grid: FieldGrid, ydt: float, p: PlantParams, dt: float) -> FieldGrid:
     """Condition every hypothesis state on the shared record increment."""
-    jz_means, _ = _jz_moments(grid.rho, grid.ops.mz)
-    dwbar = 2.0 * math.sqrt(p.M * p.eta) * (ydt - jz_means * dt)
-    rho = _sme_update(grid.rho, jz_means, grid.b_values, dwbar, grid.ops, p, dt, p.eta)
-    return FieldGrid(b_values=grid.b_values, p=grid.p, rho=rho, ops=grid.ops)
+    dwbar = 2.0 * math.sqrt(p.M) * (ydt - grid.jz * dt)
+    psi = _sse_update(grid.psi, grid.jz, grid.b_values, dwbar, grid.ops, p, dt)
+    return FieldGrid(b_values=grid.b_values, p=grid.p, psi=psi, jz=_jz_mean(psi, grid.ops.mz),
+                     ops=grid.ops)
 
 
 def grid_filter_record(grid: FieldGrid, ydts: np.ndarray, p: PlantParams, dt: float):
@@ -217,10 +210,13 @@ def grid_filter_record(grid: FieldGrid, ydts: np.ndarray, p: PlantParams, dt: fl
     grid and the posterior-mean history."""
     means = np.empty(len(ydts) + 1)
     means[0] = grid.posterior_mean()
-    for k, ydt in enumerate(ydts):
-        grid = bayes_grid_update(grid, float(ydt), p)
-        grid = propagate_grid(grid, float(ydt), p, dt)
-        means[k + 1] = grid.posterior_mean()
+    try:
+        for k, ydt in enumerate(ydts):
+            grid = bayes_grid_update(grid, float(ydt), p)
+            grid = propagate_grid(grid, float(ydt), p, dt)
+            means[k + 1] = grid.posterior_mean()
+    except NumericalError as err:
+        raise _at_time(err, k, dt) from err
     return grid, means
 
 
@@ -231,12 +227,16 @@ def grid_filter_record(grid: FieldGrid, ydts: np.ndarray, p: PlantParams, dt: fl
 def unconditional_jx_decay(ops: SpinOperators, p: PlantParams, dt: float, n: int) -> np.ndarray:
     """<Jx>(t) under the eta = 0 (unconditional) equation; exact law is
     J exp(-M t / 2)."""
-    rho = coherent_state_x(ops.J)
+    psi = coherent_state_x(ops.J)
+    rho = np.outer(psi, psi)
     jx = np.empty(n + 1)
-    jx[0] = expectation(rho, ops.Jx)
-    for k in range(n):
-        rho, _ = sme_step(rho, 0.0, ops, p, dt, 0.0, eta=0.0)
-        jx[k + 1] = expectation(rho, ops.Jx)
+    jx[0] = ops.amp @ np.diagonal(rho, 1)   # tr(rho Jx) for a real symmetric rho
+    try:
+        for k in range(n):
+            rho = sme_step(rho, ops, p, dt)
+            jx[k + 1] = ops.amp @ np.diagonal(rho, 1)
+    except NumericalError as err:
+        raise _at_time(err, k, dt) from err
     return jx
 
 
@@ -250,22 +250,26 @@ def simulate_ramp_ensemble(ops: SpinOperators, p: PlantParams, b: float, seed: i
     trajectory-averaged <Delta Jz^2> (n + 1).  At b = 0 this is the QND
     ensemble.
     """
-    rho = np.tile(coherent_state_x(ops.J), (trajectories, 1, 1))
+    psi = np.tile(coherent_state_x(ops.J), (trajectories, 1))
     draws = trial_normals(seed, np.arange(trajectories), n)
     sqrt_dt = math.sqrt(dt)
     sqrt_sm = math.sqrt(p.sigma_M)
+    mz2 = ops.mz * ops.mz
     ydts = np.empty((trajectories, n))
     jz_walks = np.empty((trajectories, n + 1))
     mean_djz2 = np.empty(n + 1)
-    for k in range(n + 1):
-        jz, djz2 = _jz_moments(rho, ops.mz)
-        jz_walks[:, k] = jz
-        mean_djz2[k] = np.mean(djz2)
-        if k == n:
-            break
-        dwbar = draws[:, k] * sqrt_dt
-        ydts[:, k] = jz * dt + sqrt_sm * dwbar
-        rho = _sme_update(rho, jz, b, dwbar, ops, p, dt, p.eta)
+    try:
+        for k in range(n + 1):
+            jz = _jz_mean(psi, ops.mz)
+            jz_walks[:, k] = jz
+            mean_djz2[k] = np.mean((psi * psi) @ mz2 - jz * jz)
+            if k == n:
+                break
+            dwbar = draws[:, k] * sqrt_dt
+            ydts[:, k] = jz * dt + sqrt_sm * dwbar
+            psi = _sse_update(psi, jz, b, dwbar, ops, p, dt)
+    except NumericalError as err:
+        raise _at_time(err, k, dt) from err
     return ydts, jz_walks, mean_djz2
 
 
@@ -357,20 +361,17 @@ def suite_grid_kalman(J: float = 16, gamma: float = 1e6, M: float = 1e4,
     b_true = 1.5 * math.sqrt(sigma_b0)
     records_ydt, _, _ = simulate_ramp_ensemble(ops, p, b_true, seed, records, dt, n)
     devs = []
-    curves = []
     posterior = None
     for ydts in records_ydt:
         grid = gaussian_grid(ops, sigma_b0, points)
         grid, means = grid_filter_record(grid, ydts, p, dt)
         m = filter_record(a, bvec, k1, k2, np.append(ydts, 0.0), np.zeros(n + 1), dt)
         devs.append(float(np.max(np.abs(means - m[:, 1]) / env)))
-        curves.append((means, m[:, 1]))
         if posterior is None:
             posterior = (grid.b_values.copy(), grid.p.copy())
     worst = max(devs)
     return {"name": "grid_vs_kalman", "passed": worst <= 0.1, "measured": worst,
-            "tolerance": 0.1, "devs": devs, "t": tgrid, "envelope": env,
-            "curves": curves, "b_true": b_true, "posterior": posterior}
+            "tolerance": 0.1, "devs": devs, "b_true": b_true, "posterior": posterior}
 
 
 def suite_ramp_statistics(J: float = 10, gamma: float = 1e6, M: float = 1e4,

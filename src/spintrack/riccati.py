@@ -89,6 +89,13 @@ def _is_constant_field(p: PlantParams) -> bool:
     return p.sigma_bF == 0.0 and p.gamma_b == 0.0
 
 
+def _steady_gain(p: PlantParams, gj: float):
+    """Exact stationary Riccati gain (k1, k2) for the coupling gj = gamma J."""
+    r = math.sqrt(p.sigma_bF / p.sigma_M)
+    k1 = math.sqrt(2.0 * gj * r + p.gamma_b ** 2) - p.gamma_b
+    return k1, r - (p.gamma_b / gj) * k1
+
+
 def exact_steady_sigma(p: PlantParams):
     """Exact stationary Riccati solution (sigma_zS, sigma_cS, sigma_bS).
 
@@ -100,9 +107,7 @@ def exact_steady_sigma(p: PlantParams):
         raise UnsupportedCaseError("exact_steady_sigma: no steady state for sigma_bF = 0")
     gj = p.gamma * p.J
     sm = p.sigma_M
-    r = math.sqrt(p.sigma_bF / sm)
-    k1 = math.sqrt(2.0 * gj * r + p.gamma_b ** 2) - p.gamma_b
-    k2 = r - p.gamma_b * k1 / gj
+    k1, k2 = _steady_gain(p, gj)
     sz = sm * k1
     sc = sm * k2
     sb = sc * (p.gamma_b + k1) / gj
@@ -336,9 +341,7 @@ def steady_state_gains(p: PlantParams, d: DesignParams) -> SteadyGains:
             "steady_state_gains: constant fields never saturate; no steady gain exists")
     gj = p.gamma * d.J_prime
     sm = p.sigma_M
-    r = math.sqrt(p.sigma_bF / sm)
-    k1 = math.sqrt(2.0 * gj * r + p.gamma_b ** 2) - p.gamma_b
-    k2 = r - (p.gamma_b / gj) * k1
+    k1, k2 = _steady_gain(p, gj)
     sigma_zS = math.sqrt(2.0 * gj) * sm ** 0.75 * p.sigma_bF ** 0.25
     sigma_bS = math.sqrt(2.0 / gj) * p.sigma_bF ** 0.75 * sm ** 0.25
     return SteadyGains(K_O=np.array([k1, k2]), K_C=controller_gain(p, d),

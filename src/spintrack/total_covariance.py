@@ -19,11 +19,11 @@ from Theta(0) = diag(sigma_z0, sigma_b0, 0, 0) (the estimate starts at
 zero regardless of the truth draw).  The magnetometry error is read off as
 sigma_bE = Theta_bb + Theta_b~b~ - 2 Theta_bb~, with no Monte Carlo.
 
-Two propagation routes are provided: RK4 on the matrix flow (accurate for
-mildly stiff configurations) and the integrating-factor form, stepping
-with exact constant-coefficient increments Theta <- Phi Theta Phi^T + G
-per interval.  The latter is unconditionally stable, which matters for
-aggressive control (rates up to lam * gamma * J * f).
+The flow is propagated in integrating-factor form, stepping with exact
+constant-coefficient increments Theta <- Phi Theta Phi^T + G per
+interval.  It is unconditionally stable, which matters for aggressive
+control (rates up to lam * gamma * J * f).  The tests keep RK4 on the
+matrix flow as the independent reference for this route.
 
 Closed-form mismatch factors, f = J / J':
 
@@ -42,7 +42,7 @@ import scipy.linalg
 
 from .errors import ConfigurationError, InstabilityError, UnsupportedCaseError
 from .model import DesignParams, PlantParams, Priors, build_design_system, build_system
-from .numerics import geometric_times, ou_increment, rk4_nonuniform
+from .numerics import geometric_times, ou_increment
 from .riccati import controller_gain, riccati_at_times, steady_state_gains
 from .lqg_filter import design_plant, design_prior
 
@@ -127,7 +127,7 @@ def _check_theta_psd(traj: ThetaTrajectory):
                 f"joint covariance lost positivity at t = {traj.t[i]:.6e}; refine the grid")
 
 
-def integrate_theta(alpha, beta, theta0: np.ndarray, times, method: str) -> ThetaTrajectory:
+def integrate_theta(alpha, beta, theta0: np.ndarray, times) -> ThetaTrajectory:
     """Propagate Theta over an explicit increasing time grid.
 
     The flow is conjugated into the error coordinates (z, b, z~-z, b~-b),
@@ -135,46 +135,23 @@ def integrate_theta(alpha, beta, theta0: np.ndarray, times, method: str) -> Thet
     returned as sigma_bE/sigma_zE, and the stored Theta snapshots are
     mapped back to the raw labeling.
 
-    method="rk4" integrates the matrix flow directly; method="expm" uses
-    the integrating-factor step with alpha frozen at each interval
-    midpoint, exact for piecewise-constant coefficients and stable for
+    Each interval takes the integrating-factor step with alpha frozen at
+    its midpoint, exact for piecewise-constant coefficients and stable for
     arbitrarily stiff stable generators.
     """
     times = np.asarray(times, dtype=np.float64)
     s, s_inv = _S_ERR, _S_ERR_INV
-
-    def alpha_w(t):
-        return s @ alpha(t) @ s_inv
-
-    def beta_w(t):
-        return s @ beta(t)
-
-    theta_w = s @ np.asarray(theta0, dtype=np.float64) @ s.T
+    theta = s @ np.asarray(theta0, dtype=np.float64) @ s.T
     out = np.empty((len(times), 4, 4))
-    out[0] = theta_w
-    if method == "rk4":
-        def rhs(t, th_flat):
-            th = th_flat.reshape(4, 4)
-            a = alpha_w(t)
-            bb = beta_w(t)
-            d_th = a @ th + th @ a.T + bb @ bb.T
-            return d_th.reshape(-1)
-
-        states = rk4_nonuniform(rhs, theta_w.reshape(-1), times)
-        out = states.reshape(len(times), 4, 4)
-    elif method == "expm":
-        theta = theta_w
-        for k in range(len(times) - 1):
-            h = times[k + 1] - times[k]
-            tm = 0.5 * (times[k] + times[k + 1])
-            a = alpha_w(tm)
-            bb = beta_w(tm)
-            phi, g = ou_increment(a, bb @ bb.T, h)
-            theta = phi @ theta @ phi.T + g
-            theta = 0.5 * (theta + theta.T)
-            out[k + 1] = theta
-    else:
-        raise ConfigurationError(f"integrate_theta: unknown method '{method}'")
+    out[0] = theta
+    for k in range(len(times) - 1):
+        h = times[k + 1] - times[k]
+        tm = 0.5 * (times[k] + times[k + 1])
+        bb = s @ beta(tm)
+        phi, g = ou_increment(s @ alpha(tm) @ s_inv, bb @ bb.T, h)
+        theta = phi @ theta @ phi.T + g
+        theta = 0.5 * (theta + theta.T)
+        out[k + 1] = theta
 
     raw = np.einsum("ij,njk,lk->nil", _S_ERR_INV, out, _S_ERR_INV)
     traj = ThetaTrajectory(times, raw, sigma_bE=out[:, 3, 3].copy(), sigma_zE=out[:, 2, 2].copy())
@@ -262,6 +239,6 @@ def transient_error_curve(p: PlantParams, prior: Priors, d: DesignParams,
         return np.interp(t, grid, k1), np.interp(t, grid, k2)
 
     alpha, beta = build_alpha_beta(p, d, k_of_t, controller_gain(p, d))
-    traj = integrate_theta(alpha, beta, theta_init(prior), grid, "expm")
+    traj = integrate_theta(alpha, beta, theta_init(prior), grid)
     idx = np.searchsorted(grid, t_eval)
     return ThetaTrajectory(t_eval, traj.thetas[idx], traj.sigma_bE[idx], traj.sigma_zE[idx])

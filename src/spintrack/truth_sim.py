@@ -12,8 +12,8 @@ coherent-state variance), b(0) ~ N(0, sigma_b0).  The model holds for
 t << 1/M, before measurement-induced damping of the spin length matters;
 simulating past 1/M triggers a warning, not an error.
 
-Wiener increments are stored with each trajectory so filters can be
-re-run against identical records.
+The measurement Wiener increments are stored with each trajectory, so a
+record can be rebuilt from the spin path.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, ControllerFaultError
+from .errors import ConfigurationError
 from .model import PlantParams, Priors
 from .numerics import RngStream
 
@@ -45,8 +45,7 @@ class Trajectory:
     b: np.ndarray
     u: np.ndarray
     ydt: np.ndarray
-    dW1: np.ndarray  # field Wiener increments (already sqrt(dt)-scaled), length n
-    dW2: np.ndarray  # measurement Wiener increments, length n
+    dW2: np.ndarray  # measurement Wiener increments (already sqrt(dt)-scaled), length n
     dt: float
 
     @property
@@ -75,14 +74,10 @@ def simulate_field(p: PlantParams, prior: Priors, rng: RngStream, dt: float, T: 
     return b
 
 
-def simulate_plant(p: PlantParams, prior: Priors, field: np.ndarray, control,
+def simulate_plant(p: PlantParams, prior: Priors, field: np.ndarray,
                    rng: RngStream, dt: float, T: float) -> Trajectory:
-    """Spin trajectory and measurement record for a given field path.
-
-    ``control`` is called once per step as control(t_k, ydt_history) where
-    ydt_history is the read-only record of increments strictly before t_k;
-    it must return the field value applied over [t_k, t_k+dt).  Pass None
-    for open loop.  Draw layout on ``rng``: z(0), then one measurement
+    """Open-loop spin trajectory and measurement record for a given field
+    path (u = 0).  Draw layout on ``rng``: z(0), then one measurement
     increment per step.
     """
     if dt <= 0 or T <= 0:
@@ -106,23 +101,13 @@ def simulate_plant(p: PlantParams, prior: Priors, field: np.ndarray, control,
     dW2 = draws[1:] * sqrt_dt
     z[0] = math.sqrt(prior.sigma_z0) * draws[0]
     for k in range(n):
-        if control is not None:
-            uk = float(control(t[k], ydt[:k]))
-            if not math.isfinite(uk):
-                raise ControllerFaultError(
-                    f"simulate_plant: controller returned non-finite value at t = {t[k]:.6e}")
-            u[k] = uk
         ydt[k] = z[k] * dt + sqrt_sm * dW2[k]
-        z[k + 1] = z[k] + gj * (field[k] + u[k]) * dt
-    u[n] = u[n - 1] if n > 0 else 0.0
-    dW1 = np.diff(field) + p.gamma_b * field[:-1] * dt if p.sigma_bF > 0 else np.zeros(n)
-    if p.sigma_bF > 0:
-        dW1 = dW1 / math.sqrt(p.sigma_bF)
+        z[k + 1] = z[k] + gj * field[k] * dt
     return Trajectory(t=t, z=z, b=np.asarray(field, dtype=np.float64).copy(), u=u,
-                      ydt=ydt, dW1=dW1, dW2=dW2, dt=dt)
+                      ydt=ydt, dW2=dW2, dt=dt)
 
 
 def simulate_open_loop(p: PlantParams, prior: Priors, rng: RngStream, dt: float, T: float) -> Trajectory:
     """Field plus plant with u = 0, consuming one stream sequentially."""
     field = simulate_field(p, prior, rng, dt, T)
-    return simulate_plant(p, prior, field, None, rng, dt, T)
+    return simulate_plant(p, prior, field, rng, dt, T)

@@ -206,7 +206,7 @@ def test_criterion_08_transfer_function_estimator():
         cov = ric.riccati_at_times(p, PRIOR, grid)
         alpha, beta = tc.build_alpha_beta(p, d, lambda _t: (k1s, k2s),
                                           ric.controller_gain(p, d))
-        frozen = tc.integrate_theta(alpha, beta, tc.theta_init(PRIOR), grid, "expm")
+        frozen = tc.integrate_theta(alpha, beta, tc.theta_init(PRIOR), grid)
         ratio = frozen.sigma_bE / cov.sigma_bR
         ordering_ok = ordering_ok and bool(np.all(ratio >= 1.0 - 1e-9))
         worst_sat = max(worst_sat, abs(ratio[-1] - 1.0))

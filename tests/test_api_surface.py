@@ -3,8 +3,10 @@
 A public function or method that nothing in ``src/spintrack`` names,
 outside its own body, is either dead or kept alive only by the tests;
 both should go.  The same holds for a defaulted parameter that no call
-in the package sets.  The deliberate exceptions are listed with the
-reason they stay.
+in the package sets, and for a parameter that every call in the package
+passes as the same string constant or None (a mode or callback whose
+other branches only the tests reach).  The deliberate exceptions are
+listed with the reason they stay.
 """
 
 import ast
@@ -39,6 +41,10 @@ ALLOWED_UNSET = {
         "the summation contract counts blocks from it; the worker-split property drives it",
 }
 
+# "module.function(parameter)" that every call in src/ passes as the same
+# string constant or None, each with the reason it stays; none today
+ALLOWED_FIXED = {}
+
 
 def _scopes(tree):
     """(owner, node): each top-level function, each method, and the other
@@ -71,9 +77,9 @@ def _surface():
     return defs, refs
 
 
-def _defaulted_params():
-    """Public functions/methods with their defaulted parameters, as
-    (where, bare name, [(position or None, parameter)])."""
+def _params():
+    """Public functions/methods with their parameters, as (where, bare name,
+    [(position or None, parameter, default node or None)])."""
     out = []
     for path in sorted(SRC.glob("*.py")):
         for owner, node in _scopes(ast.parse(path.read_text(encoding="utf-8"))):
@@ -82,12 +88,11 @@ def _defaulted_params():
             a = node.args
             positional = a.posonlyargs + a.args
             skip = 1 if "." in owner and positional and positional[0].arg in ("self", "cls") else 0
-            first = len(positional) - len(a.defaults)
-            params = [(i - skip, positional[i].arg) for i in range(first, len(positional))]
-            params += [(None, arg.arg) for arg, d in zip(a.kwonlyargs, a.kw_defaults)
-                       if d is not None]
-            if params:
-                out.append((f"{path.stem}.{owner}", node.name, params))
+            defaults = [None] * (len(positional) - len(a.defaults)) + list(a.defaults)
+            params = [(i - skip, arg.arg, d)
+                      for i, (arg, d) in enumerate(zip(positional, defaults)) if i >= skip]
+            params += [(None, arg.arg, d) for arg, d in zip(a.kwonlyargs, a.kw_defaults)]
+            out.append((f"{path.stem}.{owner}", node.name, params))
     return out
 
 
@@ -104,23 +109,56 @@ def _calls():
                         yield where, name, sub
 
 
-def _sets(call, position, param):
-    """Whether a call passes the parameter (a splat may pass anything)."""
-    if any(isinstance(a, ast.Starred) for a in call.args):
-        return True
-    if any(k.arg is None or k.arg == param for k in call.keywords):
-        return True
-    return position is not None and position < len(call.args)
+_SPLAT = object()
+
+
+def _argument(call, position, param):
+    """The expression a call passes for the parameter: None if it passes
+    none, _SPLAT if a splat may pass it."""
+    for k in call.keywords:
+        if k.arg == param:
+            return k.value
+    starred = [isinstance(a, ast.Starred) for a in call.args]
+    if position is not None and position < len(call.args) and not any(starred[:position + 1]):
+        return call.args[position]
+    if any(starred) or any(k.arg is None for k in call.keywords):
+        return _SPLAT
+    return None
+
+
+def _literal(node):
+    """repr of a str or None constant; None for anything else."""
+    if isinstance(node, ast.Constant) and (node.value is None or isinstance(node.value, str)):
+        return repr(node.value)
+    return None
 
 
 def _unset_defaults():
     calls = list(_calls())
     unset = set()
-    for where, name, params in _defaulted_params():
+    for where, name, params in _params():
         own = [c for w, n, c in calls if n == name and w != where]
-        unset |= {f"{where}({param}=)" for pos, param in params
-                  if not any(_sets(c, pos, param) for c in own)}
+        unset |= {f"{where}({param}=)" for pos, param, default in params
+                  if default is not None and not any(_argument(c, pos, param) for c in own)}
     return unset
+
+
+def _fixed_arguments():
+    """Parameters that every call in the package passes as one and the same
+    string constant or None (a default that a call leaves in place counts
+    as passed); at least one call must pass it explicitly."""
+    calls = list(_calls())
+    fixed = set()
+    for where, name, params in _params():
+        own = [c for w, n, c in calls if n == name and w != where]
+        for pos, param, default in params:
+            args = [_argument(c, pos, param) for c in own]
+            if any(a is _SPLAT for a in args) or all(a is None for a in args):
+                continue
+            values = {_literal(default if a is None else a) for a in args}
+            if len(values) == 1 and None not in values:
+                fixed.add(f"{where}({param})")
+    return fixed
 
 
 def test_every_public_function_is_used_by_the_package():
@@ -140,3 +178,11 @@ def test_every_defaulted_parameter_is_set_by_the_package():
     stale = {entry for entry in ALLOWED_UNSET
              if not any(f == entry or f.split("(")[0] == entry for f in flagged)}
     assert sorted(stale) == [], "set now: drop it from ALLOWED_UNSET"
+
+
+def test_no_parameter_gets_one_literal_from_every_call():
+    # a mode string or callable that every caller fixes is a branch kept
+    # for the tests only
+    fixed = _fixed_arguments()
+    assert sorted(fixed - set(ALLOWED_FIXED)) == [], "every call passes the same literal: drop it"
+    assert sorted(set(ALLOWED_FIXED) - fixed) == [], "varies now: drop it from ALLOWED_FIXED"

@@ -200,7 +200,7 @@ class TestFilterRecord:
         dt, T = 1e-7, 5e-5
         n = int(round(T / dt))
         field = np.full(n + 1, 0.003)
-        traj = simulate_plant(p, prior, field, None, RngStream(3), dt, T)
+        traj = simulate_plant(p, prior, field, RngStream(3), dt, T)
         a, b, _, _ = build_system(p)
         cov = riccati_at_times(p, prior, traj.t)
         k1, k2 = cov.gain(p.sigma_M)
@@ -222,7 +222,7 @@ class TestOpenLoopLineFit:
         recs = []
         for k in range(trials):
             field = np.full(n + 1, b0)
-            recs.append(simulate_plant(p, prior, field, None, trial_stream(seed, k), dt, T))
+            recs.append(simulate_plant(p, prior, field, trial_stream(seed, k), dt, T))
         return p, prior, recs
 
     def test_noise_free_ramp_exact(self):
@@ -235,7 +235,7 @@ class TestOpenLoopLineFit:
                 return np.zeros(m)
 
         field = np.full(n + 1, 0.004)
-        traj = simulate_plant(p, prior, field, None, _Zero(), dt, n * dt)
+        traj = simulate_plant(p, prior, field, _Zero(), dt, n * dt)
         est = run_open_loop_linefit(p, prior, p.J, [traj])
         assert est[0] == pytest.approx(0.004, rel=1e-12)
 
@@ -249,7 +249,7 @@ class TestOpenLoopLineFit:
                 return np.zeros(m)
 
         field = np.full(n + 1, 0.004)
-        traj = simulate_plant(p, prior, field, None, _Zero(), dt, n * dt)
+        traj = simulate_plant(p, prior, field, _Zero(), dt, n * dt)
         full = run_open_loop_linefit(p, prior, p.J, [traj])[0]
         half = run_open_loop_linefit(p, prior, p.J / 2.0, [traj])[0]
         assert half == pytest.approx(2.0 * full, rel=1e-12)
@@ -266,6 +266,6 @@ class TestOpenLoopLineFit:
     def test_too_few_samples(self):
         p = PlantParams(J=10.0, gamma=1.0, M=1.0)
         prior = Priors(sigma_z0=5.0, sigma_b0=1.0)
-        bad = simulate_plant(p, prior, np.zeros(3), None, RngStream(0), 1e-3, 2e-3)
+        bad = simulate_plant(p, prior, np.zeros(3), RngStream(0), 1e-3, 2e-3)
         with pytest.raises(ConfigurationError):
             run_open_loop_linefit(p, prior, p.J, [bad])

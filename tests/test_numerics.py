@@ -8,7 +8,9 @@ from hypothesis import given, settings, strategies as st
 from spintrack import numerics
 from spintrack.errors import ConfigurationError, DimensionError, DivergenceError
 from spintrack.numerics import (RngStream, geometric_times, mat_expm, ou_increment,
-                                rk4_nonuniform, trial_normals, trial_stream)
+                                trial_normals, trial_stream)
+
+from rk4_reference import rk4_nonuniform
 
 
 class TestMatExpm:

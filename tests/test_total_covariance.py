@@ -11,6 +11,8 @@ from spintrack.riccati import (controller_gain, exact_steady_sigma, riccati_at_t
 from spintrack.lqg_filter import design_plant
 from spintrack import total_covariance as tc
 
+from rk4_reference import integrate_theta_rk4
+
 FLUCT = fluctuating_plant(J=1e6, gamma=1e6, M=1e4, gamma_b=1e5, sigma_bfree=1.0)
 PRIOR = Priors(sigma_z0=5e5, sigma_b0=1.0)
 
@@ -61,7 +63,7 @@ def _initial_error(theta0):
     """sigma_bE at t = 0 of the joint flow started from theta0."""
     d = DesignParams(J_prime=1e6, lam=0.0)
     alpha, beta = tc.build_alpha_beta(FLUCT, d, lambda t: (0.0, 0.0), np.zeros(2))
-    return tc.integrate_theta(alpha, beta, theta0, [0.0], "rk4").sigma_bE[0]
+    return integrate_theta_rk4(alpha, beta, theta0, [0.0]).sigma_bE[0]
 
 
 class TestMagnetometryError:
@@ -77,7 +79,7 @@ class TestMagnetometryError:
 
     def test_matched_saturation(self):
         d, grid, cov, alpha, beta = _matched_setup()
-        traj = tc.integrate_theta(alpha, beta, tc.theta_init(PRIOR), grid, "rk4")
+        traj = integrate_theta_rk4(alpha, beta, tc.theta_init(PRIOR), grid)
         _, _, sb = exact_steady_sigma(FLUCT)
         assert traj.sigma_bE[-1] == pytest.approx(sb, rel=5e-3)
 
@@ -85,7 +87,7 @@ class TestMagnetometryError:
 class TestMatchedIdentity:
     def test_sigma_bE_equals_sigma_bR(self):
         d, grid, cov, alpha, beta = _matched_setup()
-        traj = tc.integrate_theta(alpha, beta, tc.theta_init(PRIOR), grid, "rk4")
+        traj = integrate_theta_rk4(alpha, beta, tc.theta_init(PRIOR), grid)
         rel = np.abs(traj.sigma_bE[1:] / cov.sigma_bR[1:] - 1.0)
         assert rel.max() < 1e-6
 
@@ -96,8 +98,8 @@ class TestMatchedIdentity:
         k1, k2 = g.K_O
         alpha, beta = tc.build_alpha_beta(FLUCT, d, lambda t: (k1, k2), g.K_C)
         times = np.linspace(0.0, 2e-8, 400)
-        rk4 = tc.integrate_theta(alpha, beta, tc.theta_init(PRIOR), times, "rk4")
-        exm = tc.integrate_theta(alpha, beta, tc.theta_init(PRIOR), times, "expm")
+        rk4 = integrate_theta_rk4(alpha, beta, tc.theta_init(PRIOR), times)
+        exm = tc.integrate_theta(alpha, beta, tc.theta_init(PRIOR), times)
         rel = np.abs(exm.sigma_bE[1:] / rk4.sigma_bE[1:] - 1.0)
         assert rel.max() < 1e-6
 
@@ -106,7 +108,7 @@ class TestMatchedIdentity:
         d = DesignParams(J_prime=1e6, lam=0.0)
         alpha, beta = tc.build_alpha_beta(FLUCT, d, lambda t: (0.0, 0.0), np.zeros(2))
         times = np.linspace(0.0, 1e-6, 200)
-        traj = tc.integrate_theta(alpha, beta, tc.theta_init(PRIOR), times, "rk4")
+        traj = integrate_theta_rk4(alpha, beta, tc.theta_init(PRIOR), times)
         a_true = np.array([[0.0, FLUCT.gamma * FLUCT.J], [0.0, -FLUCT.gamma_b]])
         q_true = np.diag([0.0, FLUCT.sigma_bF])
         p = np.diag([PRIOR.sigma_z0, PRIOR.sigma_b0])
@@ -174,7 +176,7 @@ class TestSteadyStateError:
         k1, k2 = g.K_O
         alpha, beta = tc.build_alpha_beta(FLUCT, d, lambda t: (k1, k2), g.K_C)
         times = np.linspace(0.0, 3e-7, 300)
-        traj = tc.integrate_theta(alpha, beta, tc.theta_init(PRIOR), times, "expm")
+        traj = tc.integrate_theta(alpha, beta, tc.theta_init(PRIOR), times)
         err = tc.steady_state_error(FLUCT, d)
         assert traj.sigma_bE[-1] == pytest.approx(err, rel=5e-3)
 

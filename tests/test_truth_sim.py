@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from spintrack.errors import ConfigurationError, ControllerFaultError
+from spintrack.errors import ConfigurationError
 from spintrack.model import PlantParams, Priors, fluctuating_plant
 from spintrack.numerics import RngStream, trial_normals, trial_stream
 from spintrack.truth_sim import simulate_field, simulate_open_loop, simulate_plant
@@ -70,25 +70,12 @@ class TestSimulatePlant:
     def _plant(self):
         return PlantParams(J=100.0, gamma=1.0, M=1e4)
 
-    def test_cheating_controller_freezes_z(self):
-        p = self._plant()
-        prior = Priors(sigma_z0=50.0, sigma_b0=1.0)
-        rng = RngStream(3)
-        field = simulate_field(p, prior, rng, 1e-6, 1e-4)
-
-        def cancel(t, ydt_hist):
-            k = int(round(t / 1e-6))
-            return -field[k]
-
-        traj = simulate_plant(p, prior, field, cancel, rng, 1e-6, 1e-4)
-        assert np.allclose(traj.z, traj.z[0])
-
     def test_noise_free_ramp(self):
         p = self._plant()
         prior = Priors(sigma_z0=50.0, sigma_b0=1.0)
         b0 = 0.25
         field = np.full(101, b0)
-        traj = simulate_plant(p, prior, field, None, _ZeroStream(), 1e-6, 1e-4)
+        traj = simulate_plant(p, prior, field, _ZeroStream(), 1e-6, 1e-4)
         expected = traj.z[0] + p.gamma * p.J * b0 * traj.t
         assert np.allclose(traj.z, expected, rtol=1e-12)
 
@@ -152,27 +139,6 @@ class TestSimulatePlant:
         se = prior.sigma_z0 * math.sqrt(2.0 / trials) * 2.0
         assert abs(cov - prior.sigma_z0) < 3.0 * se
 
-    def test_controller_fault(self):
-        p = self._plant()
-        prior = Priors(sigma_z0=1.0, sigma_b0=0.0)
-        field = np.zeros(11)
-        with pytest.raises(ControllerFaultError):
-            simulate_plant(p, prior, field, lambda t, h: math.nan, RngStream(0), 1e-6, 1e-5)
-
-    def test_control_callback_is_causal(self):
-        p = self._plant()
-        prior = Priors(sigma_z0=1.0, sigma_b0=0.0)
-        field = np.zeros(11)
-        seen = []
-
-        def probe(t, ydt_hist):
-            seen.append((t, len(ydt_hist)))
-            return 0.0
-
-        simulate_plant(p, prior, field, probe, RngStream(5), 1e-6, 1e-5)
-        for k, (t, m) in enumerate(seen):
-            assert m == k  # only increments strictly before t are visible
-
     def test_determinism(self):
         p = self._plant()
         prior = Priors(sigma_z0=1.0, sigma_b0=1.0)
@@ -186,4 +152,4 @@ class TestSimulatePlant:
         prior = Priors(sigma_z0=1.0, sigma_b0=0.0)
         field = np.zeros(int(round(2e-4 / 1e-6)) + 1)
         with pytest.warns(UserWarning, match="1/M"):
-            simulate_plant(p, prior, field, None, RngStream(1), 1e-6, 2e-4)
+            simulate_plant(p, prior, field, RngStream(1), 1e-6, 2e-4)
