@@ -29,9 +29,5 @@ class InstabilityError(NumericalError):
     """Positivity/consistency violated beyond tolerance; try a smaller step."""
 
 
-class SingularityError(NumericalError):
-    """A matrix that must be inverted became numerically singular."""
-
-
 class UnsupportedCaseError(ConfigurationError):
     """Closed form requested outside its domain of validity."""

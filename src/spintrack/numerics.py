@@ -1,10 +1,11 @@
-"""Dense small-matrix kernels, exact covariance steps, and reproducible noise.
+"""Matrix exponentials, exact covariance steps, time grids, reproducible noise.
 
-Everything here is deterministic: ``ou_increment`` steps a linear SDE's
-covariance exactly over a given interval, ``geometric_times`` builds
-explicit step schedules (no error-adaptive control), and the random
-stream is counter-based, so a (seed, position) pair always yields the
-same draw on every platform.
+Everything here is deterministic: ``mat_expm`` (``scipy.linalg.expm``
+behind input guards) and the closed-form ``stable_expm2`` are the matrix
+exponentials, ``ou_increment`` steps a linear SDE's covariance exactly
+over a given interval, ``geometric_times`` builds explicit step schedules
+(no error-adaptive control), and the random stream is counter-based, so a
+(seed, position) pair always yields the same draw on every platform.
 
 Random numbers
 --------------
@@ -37,6 +38,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+import scipy.linalg
 
 from .errors import ConfigurationError, DimensionError, DivergenceError
 
@@ -173,57 +175,31 @@ def trial_normals(seed: int, trials: np.ndarray, n: int, start: int = 0) -> np.n
 
 
 # ---------------------------------------------------------------------------
-# matrix exponential
+# matrix exponential and linear covariance propagation
 # ---------------------------------------------------------------------------
 
-_PADE13 = (
-    64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
-    1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
-    33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0,
-)
-
-
 def mat_expm(a: np.ndarray) -> np.ndarray:
-    """exp(a) by scaling-and-squaring with a fixed order-13 Pade core.
-
-    Scales so the 1-norm is at most 2 before the Pade step, then squares
-    back.  Sized for the small dense matrices used throughout (2x2 to a
-    few hundred square).
-    """
-    a = np.asarray(a, dtype=np.complex128 if np.iscomplexobj(a) else np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    """exp(a) of a square matrix, or of every matrix of a (..., n, n) stack,
+    by scipy.linalg.expm; non-square or non-finite input is rejected."""
+    a = np.asarray(a)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise DimensionError(f"mat_expm needs a square matrix, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise DivergenceError("mat_expm: non-finite entries in input")
-    n = a.shape[0]
-    norm = np.linalg.norm(a, 1)
-    s = max(0, int(math.ceil(math.log2(norm / 2.0))) if norm > 2.0 else 0)
-    a_s = a / (2.0 ** s)
-
-    b = _PADE13
-    ident = np.eye(n, dtype=a.dtype)
-    a2 = a_s @ a_s
-    a4 = a2 @ a2
-    a6 = a2 @ a4
-    u = a_s @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
-               + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * ident)
-    v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
-         + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * ident)
-    r = np.linalg.solve(v - u, v + u)
-    for _ in range(s):
-        r = r @ r
-    return r
+    return scipy.linalg.expm(a)
 
 
-# ---------------------------------------------------------------------------
-# linear covariance propagation
-# ---------------------------------------------------------------------------
-
-# 5-point Gauss-Legendre nodes/weights on [0, 1]
-_GL_NODES = np.array([0.04691007703066800, 0.23076534494715845, 0.5,
-                      0.76923465505284155, 0.95308992296933200])
-_GL_WEIGHTS = np.array([0.11846344252809454, 0.23931433524968324, 0.28444444444444444,
-                        0.23931433524968324, 0.11846344252809454])
+def stable_expm2(m: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """exp(m t) over a vector of times for a real 2x2 m with eigenvalues in
+    the open left half plane: exp(tau t) [cosh(w t) I + sinh(w t) / w N],
+    N = m - tau I, w^2 = -det N, from decaying exponentials only; a
+    repeated eigenvalue (w = 0, m possibly defective) takes sinh(w t) / w = t."""
+    tau = 0.5 * (m[0, 0] + m[1, 1])
+    n = m - tau * np.eye(2)
+    w = np.sqrt(complex(n[0, 1] * n[1, 0] - n[0, 0] * n[1, 1]))
+    g, e = np.exp((tau + w) * t), np.expm1(-2.0 * w * t)
+    c, s = (g * (1.0 + 0.5 * e)).real, (g * t if w == 0 else g * e / (-2.0 * w)).real
+    return c[:, None, None] * np.eye(2) + s[:, None, None] * n
 
 
 def ou_increment(alpha: np.ndarray, q: np.ndarray, dt: float):
@@ -233,28 +209,25 @@ def ou_increment(alpha: np.ndarray, q: np.ndarray, dt: float):
     P(t+dt) = Phi P(t) Phi^T + G with Phi = exp(alpha dt) and
     G = int_0^dt exp(alpha s) q exp(alpha^T s) ds.  Returns (Phi, G).
 
-    G is built on a sub-step small enough that ||alpha h|| <= 0.25
-    (5-point Gauss-Legendre, machine accurate there) and assembled by
-    interval doubling: G(2h) = G(h) + Phi(h) G(h) Phi(h)^T.  The doubling
-    is unconditionally stable, so arbitrarily stiff stable generators are
-    fine.
+    On a sub-step h with ||alpha h||_1 <= 0.25, which keeps the growing
+    block exp(-alpha h) of a stable generator well scaled, both come from
+    one block exponential (Van Loan, IEEE TAC 23, 395, 1978):
+    exp([[-alpha, q], [0, alpha^T]] h) = [[., F12], [0, F22]] gives
+    Phi(h) = F22^T and G(h) = F22^T F12.  Interval doubling, G(2h) = G(h)
+    + Phi(h) G(h) Phi(h)^T, assembles dt; it is unconditionally stable, so
+    arbitrarily stiff stable generators are fine.
     """
     alpha = np.asarray(alpha, dtype=np.float64)
     q = np.asarray(q, dtype=np.float64)
     n = alpha.shape[0]
     if alpha.shape != (n, n) or q.shape != (n, n):
         raise DimensionError("ou_increment: alpha and q must be square and same size")
-    if dt == 0.0:
-        return np.eye(n), np.zeros((n, n))
     norm = np.linalg.norm(alpha, 1) * dt
     s = max(0, int(math.ceil(math.log2(norm / 0.25))) if norm > 0.25 else 0)
     h = dt / (2.0 ** s)
-
-    g = np.zeros((n, n))
-    for node, w in zip(_GL_NODES, _GL_WEIGHTS):
-        e = mat_expm(alpha * (node * h))
-        g += (w * h) * (e @ q @ e.T)
-    phi = mat_expm(alpha * h)
+    f = mat_expm(np.block([[-alpha, q], [np.zeros((n, n)), alpha.T]]) * h)
+    phi = f[n:, n:].T
+    g = phi @ f[:n, n:]
     for _ in range(s):
         g = g + phi @ g @ phi.T
         phi = phi @ phi

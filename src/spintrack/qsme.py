@@ -17,10 +17,10 @@ which is therefore positive semidefinite by construction.
 
 One private kernel, ``_sse_update``, steps a (batch, dim) stack of such
 states for the Bayes grid and the trajectory simulator; it rejects
-eta != 1, where a conditioned state is mixed.  sme_step is the one dense
-step: the unconditional (eta = 0) zero-field equation, pure dephasing.
-Both enforce dt M (2J+1) < 0.5, and the entry points name the time of a
-step that fails.
+eta != 1, where a conditioned state is mixed.  sme_step is the
+unconditional (eta = 0) zero-field equation, pure dephasing, on the first
+superdiagonal of rho that <Jx> reads.  Both enforce dt M (2J+1) < 0.5,
+and the entry points name the time of a step that fails.
 
 Field estimation with unknown constant b keeps one conditioned state per
 field hypothesis, all filtered against the same physical record: the
@@ -48,8 +48,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, InstabilityError, NumericalError, UnsupportedCaseError
-from .model import PlantParams
+from .lqg_filter import filter_record
+from .model import PlantParams, Priors, build_system
 from .numerics import trial_normals
+from .riccati import linearized_riccati_curve
 
 
 @dataclass
@@ -129,17 +131,16 @@ def _sse_update(psi: np.ndarray, jz: np.ndarray, h, dwbar, ops: SpinOperators,
     return out / np.sqrt(norm2)[:, None]
 
 
-def sme_step(rho: np.ndarray, ops: SpinOperators, p: PlantParams, dt: float) -> np.ndarray:
+def sme_step(coh: np.ndarray, ops: SpinOperators, p: PlantParams, dt: float) -> np.ndarray:
     """One Ito-Euler step of the unconditional (eta = 0) zero-field
-    equation, pure dephasing of a real density matrix in the Jz basis:
-    rho_ij <- rho_ij (1 - M (m_i - m_j)^2 dt / 2).  The trace does not
-    change; a non-finite entry raises InstabilityError."""
+    equation, rho_ij <- rho_ij (1 - M (m_i - m_j)^2 dt / 2), in place on the
+    superdiagonal coh_i = rho_{i,i+1} that <Jx> reads: a factor 1 - M dt / 2
+    > 0 under the step guard.  A non-finite entry raises InstabilityError."""
     _check_step(ops, p, dt)
-    dm = ops.mz[:, None] - ops.mz[None, :]
-    out = rho * (1.0 - (0.5 * p.M * dt) * dm * dm)
-    if not np.all(np.isfinite(out)):
+    coh *= 1.0 - (0.5 * p.M * dt)
+    if not np.all(np.isfinite(coh)):
         raise InstabilityError("SME step: state is not finite; reduce the step")
-    return out
+    return coh
 
 
 # ---------------------------------------------------------------------------
@@ -228,13 +229,14 @@ def unconditional_jx_decay(ops: SpinOperators, p: PlantParams, dt: float, n: int
     """<Jx>(t) under the eta = 0 (unconditional) equation; exact law is
     J exp(-M t / 2)."""
     psi = coherent_state_x(ops.J)
-    rho = np.outer(psi, psi)
+    # superdiagonal of rho = psi psi^T as a strided view: <Jx> sums as on the dense rho
+    coh = np.outer(psi, psi).reshape(-1)[1::ops.dim + 1]
     jx = np.empty(n + 1)
-    jx[0] = ops.amp @ np.diagonal(rho, 1)   # tr(rho Jx) for a real symmetric rho
+    jx[0] = ops.amp @ coh   # tr(rho Jx) for a real symmetric rho
     try:
         for k in range(n):
-            rho = sme_step(rho, ops, p, dt)
-            jx[k + 1] = ops.amp @ np.diagonal(rho, 1)
+            coh = sme_step(coh, ops, p, dt)
+            jx[k + 1] = ops.amp @ coh
     except NumericalError as err:
         raise _at_time(err, k, dt) from err
     return jx
@@ -345,17 +347,13 @@ def suite_grid_kalman(J: float = 16, gamma: float = 1e6, M: float = 1e4,
     """Gridded posterior mean against the Kalman field estimate on shared
     records; the worst deviation must stay within 10% of the tracking-error
     envelope sqrt(sigma_bR(t))."""
-    from .model import Priors, build_system
-    from .riccati import riccati_at_times
-    from .lqg_filter import filter_record
-
     ops = spin_operators(J)
     p = PlantParams(J=J, gamma=gamma, M=M)
     n = int(round(T / dt))
     prior = Priors(sigma_z0=J / 2.0, sigma_b0=sigma_b0)
     a, bvec, _, _ = build_system(p)
     tgrid = np.arange(n + 1) * dt
-    cov = riccati_at_times(p, prior, tgrid)
+    cov = linearized_riccati_curve(p, prior, tgrid)
     k1, k2 = cov.gain(p.sigma_M)
     env = np.sqrt(cov.sigma_bR)
     b_true = 1.5 * math.sqrt(sigma_b0)

@@ -40,10 +40,10 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import ConfigurationError, InstabilityError, UnsupportedCaseError
+from .errors import ConfigurationError, InstabilityError, NumericalError, UnsupportedCaseError
 from .model import DesignParams, PlantParams, Priors, build_design_system, build_system
 from .numerics import geometric_times, ou_increment
-from .riccati import controller_gain, riccati_at_times, steady_state_gains
+from .riccati import controller_gain, linearized_riccati_curve, steady_state_gains
 from .lqg_filter import design_plant, design_prior
 
 REGIMES = ("uncontrolled_fluctuating", "uncontrolled_constant",
@@ -119,12 +119,12 @@ def build_alpha_beta(p: PlantParams, d: DesignParams, k_of_t, k_c: np.ndarray):
 
 
 def _check_theta_psd(traj: ThetaTrajectory):
-    for i in range(len(traj.t)):
-        th = traj.thetas[i]
-        scale = max(np.trace(th), 1e-300)
-        if np.min(np.linalg.eigvalsh(th)) < -1e-9 * scale:
-            raise InstabilityError(
-                f"joint covariance lost positivity at t = {traj.t[i]:.6e}; refine the grid")
+    scale = np.maximum(np.trace(traj.thetas, axis1=1, axis2=2), 1e-300)
+    bad = np.linalg.eigvalsh(traj.thetas)[:, 0] < -1e-9 * scale
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise InstabilityError(f"joint covariance lost positivity at t = {traj.t[i]:.6e} "
+                               f"(interval from t = {traj.t[max(i - 1, 0)]:.6e}); refine the grid")
 
 
 def integrate_theta(alpha, beta, theta0: np.ndarray, times) -> ThetaTrajectory:
@@ -137,21 +137,25 @@ def integrate_theta(alpha, beta, theta0: np.ndarray, times) -> ThetaTrajectory:
 
     Each interval takes the integrating-factor step with alpha frozen at
     its midpoint, exact for piecewise-constant coefficients and stable for
-    arbitrarily stiff stable generators.
+    arbitrarily stiff stable generators.  Numerical errors name the start
+    time of the failing interval.
     """
     times = np.asarray(times, dtype=np.float64)
     s, s_inv = _S_ERR, _S_ERR_INV
     theta = s @ np.asarray(theta0, dtype=np.float64) @ s.T
     out = np.empty((len(times), 4, 4))
     out[0] = theta
-    for k in range(len(times) - 1):
-        h = times[k + 1] - times[k]
-        tm = 0.5 * (times[k] + times[k + 1])
-        bb = s @ beta(tm)
-        phi, g = ou_increment(s @ alpha(tm) @ s_inv, bb @ bb.T, h)
-        theta = phi @ theta @ phi.T + g
-        theta = 0.5 * (theta + theta.T)
-        out[k + 1] = theta
+    try:
+        for k in range(len(times) - 1):
+            h = times[k + 1] - times[k]
+            tm = 0.5 * (times[k] + times[k + 1])
+            bb = s @ beta(tm)
+            phi, g = ou_increment(s @ alpha(tm) @ s_inv, bb @ bb.T, h)
+            theta = phi @ theta @ phi.T + g
+            theta = 0.5 * (theta + theta.T)
+            out[k + 1] = theta
+    except NumericalError as err:
+        raise type(err)(f"{err} (interval from t = {times[k]:.6e})") from err
 
     raw = np.einsum("ij,njk,lk->nil", _S_ERR_INV, out, _S_ERR_INV)
     traj = ThetaTrajectory(times, raw, sigma_bE=out[:, 3, 3].copy(), sigma_zE=out[:, 2, 2].copy())
@@ -221,10 +225,10 @@ def transient_error_curve(p: PlantParams, prior: Priors, d: DesignParams,
                           t_eval: np.ndarray) -> ThetaTrajectory:
     """sigma_bE(t) for a constant field under a J' design, dynamic gains.
 
-    Gains come from the observer's own Riccati solution (J' system, J'/2
-    spin prior); the joint flow starts from the true priors.  Uses the
-    integrating-factor route on a quasi-geometric grid, so large lam * J
-    is handled without step-size collapse.
+    Gains are the observer's own Riccati solution (J' system, J'/2 spin
+    prior) at the interval midpoints where the joint flow freezes them; the
+    flow starts from the true priors.  The integrating-factor route on a
+    quasi-geometric grid handles large lam * J without step-size collapse.
     """
     t_eval = np.atleast_1d(np.asarray(t_eval, dtype=np.float64))
     t_end = float(t_eval.max())
@@ -232,13 +236,10 @@ def transient_error_curve(p: PlantParams, prior: Priors, d: DesignParams,
     prior_des = design_prior(d, prior)
     offset = p.sigma_M / max(prior.sigma_z0, prior_des.sigma_z0)
     grid = np.union1d(geometric_times(t_end, 0.02, offset), t_eval)
-    cov = riccati_at_times(p_des, prior_des, grid)
-    k1, k2 = cov.gain(p_des.sigma_M)
-
-    def k_of_t(t):
-        return np.interp(t, grid, k1), np.interp(t, grid, k2)
-
-    alpha, beta = build_alpha_beta(p, d, k_of_t, controller_gain(p, d))
+    mid = 0.5 * (grid[:-1] + grid[1:])   # the times integrate_theta freezes alpha at
+    cov = linearized_riccati_curve(p_des, prior_des, mid)
+    gains = dict(zip(mid, zip(*cov.gain(p_des.sigma_M))))
+    alpha, beta = build_alpha_beta(p, d, gains.__getitem__, controller_gain(p, d))
     traj = integrate_theta(alpha, beta, theta_init(prior), grid)
     idx = np.searchsorted(grid, t_eval)
     return ThetaTrajectory(t_eval, traj.thetas[idx], traj.sigma_bE[idx], traj.sigma_zE[idx])

@@ -6,7 +6,9 @@ both should go.  The same holds for a defaulted parameter that no call
 in the package sets, and for a parameter that every call in the package
 passes as the same string constant or None (a mode or callback whose
 other branches only the tests reach).  The deliberate exceptions are
-listed with the reason they stay.
+listed with the reason they stay.  Every name a module imports is also
+used by that module: an import left behind by a deleted route goes with
+it.
 """
 
 import ast
@@ -186,3 +188,24 @@ def test_no_parameter_gets_one_literal_from_every_call():
     fixed = _fixed_arguments()
     assert sorted(fixed - set(ALLOWED_FIXED)) == [], "every call passes the same literal: drop it"
     assert sorted(set(ALLOWED_FIXED) - fixed) == [], "varies now: drop it from ALLOWED_FIXED"
+
+
+def _unused_imports():
+    """'module.name' for every name a module of the package imports and
+    never reads (``from __future__`` imports are directives, not names)."""
+    unused = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        bound = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                bound |= {(a.asname or a.name).split(".")[0] for a in node.names}
+        read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        unused |= {f"{path.stem}.{name}" for name in bound - read}
+    return unused
+
+
+def test_every_import_is_used():
+    assert sorted(_unused_imports()) == [], "imported but never used: drop the import"

@@ -73,6 +73,27 @@ class TestCommands:
         devs = np.array([float(r[header.index("bdev_analytic")]) for r in rows])
         assert np.nanmax(devs) < 1e-6
 
+    def test_riccati_decaying_field(self, tmp_path, capsys):
+        # sigma_bF = 0 < gamma_b: the linearized columns come from one jump
+        # from the prior and agree with RK4; past the jump's horizon they
+        # are NaN, like the analytic columns, and the verb still succeeds
+        base = (SCENARIOS / "constant_field_tables.scn").read_text()
+        for t_end, finite in (("1e-4", True), ("4e-3", False)):
+            sc = tmp_path / f"decay_{t_end}.scn"
+            sc.write_text(base.replace("gamma_b  = 0", "gamma_b  = 1e5")
+                              .replace("T        = 1e-4", f"T        = {t_end}"))
+            out = tmp_path / f"decay_{t_end}.csv"
+            assert run_cli(["riccati", "--scenario", str(sc), "--out", str(out)]) == 0
+            header, rows = read_csv(out)
+            lin = np.array([float(r[header.index("sigma_bR_linearized")]) for r in rows])
+            dev = np.array([float(r[header.index("bdev_linearized")]) for r in rows])
+            assert np.all(np.isnan([float(r[header.index("bdev_analytic")]) for r in rows]))
+            if finite:
+                assert np.all(np.isfinite(lin)) and np.max(dev) < 1e-6
+            else:
+                assert np.all(np.isnan(lin))
+                assert "linearized columns left NaN" in capsys.readouterr().out
+
     def test_montecarlo_small(self, tmp_path):
         out = tmp_path / "mc.csv"
         sc = tmp_path / "mc.scn"

@@ -8,8 +8,9 @@ from hypothesis import given, settings, strategies as st
 from spintrack import numerics
 from spintrack.errors import ConfigurationError, DimensionError, DivergenceError
 from spintrack.numerics import (RngStream, geometric_times, mat_expm, ou_increment,
-                                trial_normals, trial_stream)
+                                stable_expm2, trial_normals, trial_stream)
 
+from ou_reference import ou_increment_gl
 from rk4_reference import rk4_nonuniform
 
 
@@ -43,6 +44,39 @@ class TestMatExpm:
     def test_rejects_non_square(self):
         with pytest.raises(DimensionError):
             mat_expm(np.zeros((2, 3)))
+
+    def test_stack_is_per_matrix(self):
+        rng = np.random.default_rng(4)
+        stack = rng.normal(size=(3, 4, 4))
+        out = mat_expm(stack)
+        for a, e in zip(stack, out):
+            assert np.array_equal(e, mat_expm(a))
+
+
+class TestStableExpm2:
+    @settings(max_examples=100, deadline=None)
+    @given(entries=st.lists(st.floats(-3.0, 3.0), min_size=4, max_size=4),
+           shift=st.floats(0.01, 3.0), times=st.lists(st.floats(0.0, 50.0), min_size=1, max_size=5))
+    def test_matches_scipy_on_stable_matrices(self, entries, shift, times):
+        m = np.array(entries).reshape(2, 2)
+        m -= (np.max(np.linalg.eigvals(m).real) + shift) * np.eye(2)
+        t = np.array(times)
+        out = stable_expm2(m, t)
+        for k, tk in enumerate(t):
+            ref = scipy.linalg.expm(m * tk)
+            assert np.allclose(out[k], ref, rtol=1e-10, atol=1e-13 * max(1.0, np.abs(ref).max()))
+
+    def test_defective_matrix(self):
+        # a repeated eigenvalue with one eigenvector: exp(m t) = e^{-t} [[1, t], [0, 1]]
+        t = np.array([0.0, 0.5, 3.0, 800.0])
+        out = stable_expm2(np.array([[-1.0, 1.0], [0.0, -1.0]]), t)
+        ref = np.exp(-t)[:, None, None] * np.array([[[1.0, tk], [0.0, 1.0]] for tk in t])
+        assert np.allclose(out, ref, rtol=1e-14, atol=0.0)
+
+    def test_no_overflow_at_long_times(self):
+        # cosh(w t) alone would overflow; the decaying form gives 0
+        out = stable_expm2(np.array([[-1.0, 0.0], [0.0, -1000.0]]), np.array([1e3]))
+        assert np.all(np.isfinite(out)) and np.all(out == 0.0)
 
 
 def _uniform(t1: float, dt: float) -> np.ndarray:
@@ -200,6 +234,21 @@ class TestOuIncrement:
     def test_zero_interval(self):
         phi, g = ou_increment(np.array([[-1.0]]), np.array([[1.0]]), 0.0)
         assert phi[0, 0] == 1.0 and g[0, 0] == 0.0
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), scale=st.floats(-2.0, 3.0),
+           margin=st.floats(-2.0, 2.0), log_dt=st.floats(-6.0, 0.0))
+    def test_van_loan_matches_quadrature(self, seed, scale, margin, log_dt):
+        # random stable 4x4 generators and PSD intensities, dt from 1e-6 to 1
+        rng = np.random.default_rng(seed)
+        a = rng.normal(size=(4, 4)) * 10 ** scale
+        a -= (np.max(np.linalg.eigvals(a).real) + 10 ** margin * np.abs(a).max()) * np.eye(4)
+        b = rng.normal(size=(4, 4))
+        phi, g = ou_increment(a, b @ b.T, 10 ** log_dt)
+        phi_ref, g_ref = ou_increment_gl(a, b @ b.T, 10 ** log_dt)
+        assert np.max(np.abs(phi - phi_ref)) <= 1e-11 * np.max(np.abs(phi_ref))
+        assert np.max(np.abs(g - g_ref)) <= 1e-11 * np.max(np.abs(g_ref))
+        assert np.min(np.linalg.eigvalsh(g)) >= -1e-12 * np.trace(g)
 
 
 def test_geometric_times_monotone_and_lands():

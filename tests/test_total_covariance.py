@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from spintrack.errors import ConfigurationError, UnsupportedCaseError
+from spintrack.errors import (ConfigurationError, DivergenceError, InstabilityError,
+                              UnsupportedCaseError)
 from spintrack.model import DesignParams, PlantParams, Priors, fluctuating_plant
 from spintrack.numerics import geometric_times, ou_increment
 from spintrack.riccati import (controller_gain, exact_steady_sigma, riccati_at_times,
@@ -102,6 +103,31 @@ class TestMatchedIdentity:
         exm = tc.integrate_theta(alpha, beta, tc.theta_init(PRIOR), times)
         rel = np.abs(exm.sigma_bE[1:] / rk4.sigma_bE[1:] - 1.0)
         assert rel.max() < 1e-6
+
+    def test_failures_name_the_interval(self, monkeypatch):
+        # a NaN gain on interval k surfaces from the step's exponential, a
+        # non-positive increment from the positivity check; both name t_k
+        d = DesignParams(J_prime=1e6, lam=1e-4)
+        g = steady_state_gains(FLUCT, d)
+        times = np.linspace(0.0, 2e-8, 40)
+        k = 17
+        bad = 0.5 * (times[k] + times[k + 1])
+        alpha, beta = tc.build_alpha_beta(
+            FLUCT, d, lambda t: (math.nan, 0.0) if t == bad else tuple(g.K_O), g.K_C)
+        with pytest.raises(DivergenceError, match=f"interval from t = {times[k]:.6e}"):
+            tc.integrate_theta(alpha, beta, tc.theta_init(PRIOR), times)
+
+        alpha, beta = tc.build_alpha_beta(FLUCT, d, lambda t: tuple(g.K_O), g.K_C)
+        calls = []
+
+        def negative_at_k(a, q, h):
+            calls.append(None)
+            phi, inc = ou_increment(a, q, h)
+            return phi, inc - (1e3 * np.eye(4) if len(calls) == k + 1 else 0.0)
+
+        monkeypatch.setattr(tc, "ou_increment", negative_at_k)
+        with pytest.raises(InstabilityError, match=f"interval from t = {times[k]:.6e}"):
+            tc.integrate_theta(alpha, beta, tc.theta_init(PRIOR), times)
 
     def test_disconnected_filter_marginals(self):
         # K_O' = K_C' = 0: the truth marginals must follow the open plant
