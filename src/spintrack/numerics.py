@@ -7,6 +7,12 @@ over a given interval, ``geometric_times`` builds explicit step schedules
 (no error-adaptive control), and the random stream is counter-based, so a
 (seed, position) pair always yields the same draw on every platform.
 
+Stacks: ``mat_expm`` and ``ou_increment`` take a (..., n, n) stack of
+matrices as well as one matrix, and treat each matrix of the stack
+exactly as a call on that matrix alone would, bit for bit (a stacked
+``ou_increment`` also takes one ``dt`` per matrix).  One call on a stack
+replaces a Python loop of calls.
+
 Random numbers
 --------------
 ``RngStream`` implements splitmix64: output ``j`` of stream ``s0`` is
@@ -36,6 +42,7 @@ is tested against, bit for bit.
 from __future__ import annotations
 
 import math
+from array import array
 
 import numpy as np
 import scipy.linalg
@@ -202,7 +209,7 @@ def stable_expm2(m: np.ndarray, t: np.ndarray) -> np.ndarray:
     return c[:, None, None] * np.eye(2) + s[:, None, None] * n
 
 
-def ou_increment(alpha: np.ndarray, q: np.ndarray, dt: float):
+def ou_increment(alpha: np.ndarray, q: np.ndarray, dt: float | np.ndarray):
     """Exact one-step propagator for a linear SDE covariance.
 
     For dX = alpha X dt + (noise with intensity q), the covariance obeys
@@ -216,22 +223,39 @@ def ou_increment(alpha: np.ndarray, q: np.ndarray, dt: float):
     Phi(h) = F22^T and G(h) = F22^T F12.  Interval doubling, G(2h) = G(h)
     + Phi(h) G(h) Phi(h)^T, assembles dt; it is unconditionally stable, so
     arbitrarily stiff stable generators are fine.
+
+    Stacks: ``alpha`` and ``q`` may be (..., n, n) stacks with ``dt`` a
+    scalar or an array of the leading shape; Phi and G then have the
+    stack's shape.  Each matrix keeps its own sub-step count, all blocks
+    go through one ``mat_expm`` call, and doubling pass j touches only the
+    matrices with more than j sub-steps, so matrix k of a stacked call
+    equals the 2-D call on (alpha[k], q[k], dt[k]) bit for bit.
     """
     alpha = np.asarray(alpha, dtype=np.float64)
     q = np.asarray(q, dtype=np.float64)
-    n = alpha.shape[0]
-    if alpha.shape != (n, n) or q.shape != (n, n):
+    if alpha.ndim < 2 or alpha.shape[-1] != alpha.shape[-2] or q.shape != alpha.shape:
         raise DimensionError("ou_increment: alpha and q must be square and same size")
-    norm = np.linalg.norm(alpha, 1) * dt
-    s = max(0, int(math.ceil(math.log2(norm / 0.25))) if norm > 0.25 else 0)
-    h = dt / (2.0 ** s)
-    f = mat_expm(np.block([[-alpha, q], [np.zeros((n, n)), alpha.T]]) * h)
-    phi = f[n:, n:].T
-    g = phi @ f[:n, n:]
-    for _ in range(s):
-        g = g + phi @ g @ phi.T
-        phi = phi @ phi
-    return phi, 0.5 * (g + g.T)
+    shape, n = alpha.shape, alpha.shape[-1]
+    alpha, q = alpha.reshape(-1, n, n), q.reshape(-1, n, n)
+    dt = np.broadcast_to(np.asarray(dt, dtype=np.float64), shape[:-2]).reshape(-1)
+    norm = np.abs(alpha).sum(axis=1).max(axis=1) * dt   # ||alpha||_1 dt per matrix
+    s = np.array([math.ceil(math.log2(v / 0.25)) if v > 0.25 else 0 for v in norm.tolist()],
+                 dtype=np.int64)
+    h = dt / 2.0 ** s
+    block = np.zeros((len(s), 2 * n, 2 * n))
+    block[:, :n, :n] = -alpha
+    block[:, :n, n:] = q
+    block[:, n:, n:] = alpha.swapaxes(1, 2)
+    block *= h[:, None, None]
+    f = mat_expm(block)
+    phi = f[:, n:, n:].swapaxes(1, 2)
+    g = phi @ f[:, :n, n:]
+    for j in range(s.max(initial=0)):
+        rows = np.flatnonzero(s > j)
+        p, gj = phi[rows], g[rows]
+        g[rows] = gj + p @ gj @ p.swapaxes(1, 2)
+        phi[rows] = p @ p
+    return phi.reshape(shape), (0.5 * (g + g.swapaxes(1, 2))).reshape(shape)
 
 
 def geometric_times(t_end: float, g: float, t_offset: float, cap: float = math.inf) -> np.ndarray:
@@ -247,9 +271,14 @@ def geometric_times(t_end: float, g: float, t_offset: float, cap: float = math.i
         # the first step is g * t_offset: the loop would never advance
         raise ConfigurationError(f"geometric_times: need g > 0 and finite t_offset > 0 and t_end, "
                                  f"got g = {g}, t_offset = {t_offset}, t_end = {t_end}")
-    times = [0.0]
+    times = array("d", (0.0,))
     t = 0.0
     while t < t_end:
-        t = min(t + min(g * (t + t_offset), cap), t_end)
+        dt = g * (t + t_offset)
+        if dt > cap:
+            dt = cap
+        t += dt
+        if t > t_end:
+            t = t_end
         times.append(t)
-    return np.array(times)
+    return np.frombuffer(times)

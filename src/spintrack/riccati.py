@@ -33,6 +33,7 @@ K_C = [lam, 1/(1 + gamma_b/(gamma J' lam))], and by integration.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -151,26 +152,28 @@ def _rk4_triple(rhs, x0, times: np.ndarray):
     """Unrolled RK4 of a three-component autonomous ODE over the given grid.
 
     ``rhs(x, y, z)`` returns the three derivatives; row k of the result is
-    the state at times[k].
+    the state at times[k].  The loop runs on Python floats: the grid is
+    read into a float buffer once and the states are appended to another,
+    which becomes the (n, 3) result without a copy.
     """
-    n = len(times)
-    out = np.empty((n, 3))
+    grid = array("d", np.asarray(times, dtype=np.float64).tobytes())
     sz, sc, sb = x0
-    out[0] = (sz, sc, sb)
-    for k in range(n - 1):
-        h = times[k + 1] - times[k]
+    out = array("d", (sz, sc, sb))
+    for k in range(len(grid) - 1):
+        h = grid[k + 1] - grid[k]
+        hh, h6 = 0.5 * h, h / 6.0
         az, ac, ab = rhs(sz, sc, sb)
-        bz, bc, bb = rhs(sz + 0.5 * h * az, sc + 0.5 * h * ac, sb + 0.5 * h * ab)
-        cz, cc, cb = rhs(sz + 0.5 * h * bz, sc + 0.5 * h * bc, sb + 0.5 * h * bb)
+        bz, bc, bb = rhs(sz + hh * az, sc + hh * ac, sb + hh * ab)
+        cz, cc, cb = rhs(sz + hh * bz, sc + hh * bc, sb + hh * bb)
         dz, dc, db = rhs(sz + h * cz, sc + h * cc, sb + h * cb)
-        sz += (h / 6.0) * (az + 2.0 * bz + 2.0 * cz + dz)
-        sc += (h / 6.0) * (ac + 2.0 * bc + 2.0 * cc + dc)
-        sb += (h / 6.0) * (ab + 2.0 * bb + 2.0 * cb + db)
+        sz += h6 * (az + 2.0 * bz + 2.0 * cz + dz)
+        sc += h6 * (ac + 2.0 * bc + 2.0 * cc + dc)
+        sb += h6 * (ab + 2.0 * bb + 2.0 * cb + db)
         if not (math.isfinite(sz) and math.isfinite(sc) and math.isfinite(sb)):
             raise InstabilityError(
-                f"Riccati integration lost finiteness at t = {times[k + 1]:.6e}")
-        out[k + 1] = (sz, sc, sb)
-    return out
+                f"Riccati integration lost finiteness at t = {grid[k + 1]:.6e}")
+        out.extend((sz, sc, sb))
+    return np.frombuffer(out).reshape(-1, 3)
 
 
 def _check_psd(traj: CovTrajectory):

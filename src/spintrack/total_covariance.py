@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import ConfigurationError, InstabilityError, NumericalError, UnsupportedCaseError
+from .errors import ConfigurationError, DivergenceError, InstabilityError, UnsupportedCaseError
 from .model import DesignParams, PlantParams, Priors, build_design_system, build_system
 from .numerics import geometric_times, ou_increment
 from .riccati import controller_gain, linearized_riccati_curve, steady_state_gains
@@ -137,25 +137,30 @@ def integrate_theta(alpha, beta, theta0: np.ndarray, times) -> ThetaTrajectory:
 
     Each interval takes the integrating-factor step with alpha frozen at
     its midpoint, exact for piecewise-constant coefficients and stable for
-    arbitrarily stiff stable generators.  Numerical errors name the start
-    time of the failing interval.
+    arbitrarily stiff stable generators.  The steps of all intervals come
+    from one stacked ``ou_increment`` call; only the recursion
+    Theta <- Phi Theta Phi^T + G runs per interval.  Numerical errors name
+    the start time of the failing interval.
     """
     times = np.asarray(times, dtype=np.float64)
     s, s_inv = _S_ERR, _S_ERR_INV
+    mid = 0.5 * (times[:-1] + times[1:])
+    a = s @ np.array([alpha(t) for t in mid]).reshape(-1, 4, 4) @ s_inv
+    bb = s @ np.array([beta(t) for t in mid]).reshape(-1, 4, 4)
+    q = bb @ bb.swapaxes(1, 2)
+    bad = ~(np.isfinite(a).all(axis=(1, 2)) & np.isfinite(q).all(axis=(1, 2)))
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise DivergenceError(f"integrate_theta: non-finite generator "
+                              f"(interval from t = {times[k]:.6e})")
+    phi, g = ou_increment(a, q, np.diff(times))
     theta = s @ np.asarray(theta0, dtype=np.float64) @ s.T
     out = np.empty((len(times), 4, 4))
     out[0] = theta
-    try:
-        for k in range(len(times) - 1):
-            h = times[k + 1] - times[k]
-            tm = 0.5 * (times[k] + times[k + 1])
-            bb = s @ beta(tm)
-            phi, g = ou_increment(s @ alpha(tm) @ s_inv, bb @ bb.T, h)
-            theta = phi @ theta @ phi.T + g
-            theta = 0.5 * (theta + theta.T)
-            out[k + 1] = theta
-    except NumericalError as err:
-        raise type(err)(f"{err} (interval from t = {times[k]:.6e})") from err
+    for k in range(len(times) - 1):
+        theta = phi[k] @ theta @ phi[k].T + g[k]
+        theta = 0.5 * (theta + theta.T)
+        out[k + 1] = theta
 
     raw = np.einsum("ij,njk,lk->nil", _S_ERR_INV, out, _S_ERR_INV)
     traj = ThetaTrajectory(times, raw, sigma_bE=out[:, 3, 3].copy(), sigma_zE=out[:, 2, 2].copy())

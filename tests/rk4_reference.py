@@ -1,6 +1,7 @@
 """Classical RK4, kept in the tests as the independent reference that the
 integrating-factor route of ``total_covariance.integrate_theta`` and the
-exact ``numerics.ou_increment`` are checked against."""
+exact ``numerics.ou_increment`` are checked against, and that the unrolled
+float loop behind ``riccati.riccati_at_times`` must equal bit for bit."""
 
 import numpy as np
 

@@ -250,6 +250,54 @@ class TestOuIncrement:
         assert np.max(np.abs(g - g_ref)) <= 1e-11 * np.max(np.abs(g_ref))
         assert np.min(np.linalg.eigvalsh(g)) >= -1e-12 * np.trace(g)
 
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), scale=st.floats(-2.0, 3.0),
+           steps=st.lists(st.integers(0, 9), max_size=6), top=st.integers(6, 12),
+           fill=st.floats(0.7, 1.0))
+    def test_stack_rows_equal_two_d_calls(self, seed, scale, steps, top, fill):
+        # row k of a stacked call is the 2-D call on row k, bit for bit, with
+        # one stack mixing matrices of 0 up to >= 6 doubling sub-steps:
+        # ||alpha_k||_1 dt_k = 0.2 fill 2**s_k takes exactly s_k of them
+        steps = [0, *steps, top]
+        rng = np.random.default_rng(seed)
+        a = rng.normal(size=(len(steps), 4, 4)) * 10 ** scale
+        for ak in a:
+            ak -= (np.max(np.linalg.eigvals(ak).real) + np.abs(ak).max()) * np.eye(4)
+        b = rng.normal(size=(len(steps), 4, 4))
+        q = b @ b.swapaxes(1, 2)
+        dt = 0.2 * fill * 2.0 ** np.array(steps) / np.abs(a).sum(axis=1).max(axis=1)
+        phi, g = ou_increment(a, q, dt)
+        assert phi.shape == g.shape == a.shape
+        for k in range(len(steps)):
+            phi_k, g_k = ou_increment(a[k], q[k], dt[k])
+            assert np.array_equal(phi[k], phi_k) and np.array_equal(g[k], g_k)
+
+    def test_stack_shape_mismatch_rejected(self):
+        with pytest.raises(DimensionError):
+            ou_increment(np.zeros((3, 4, 4)), np.zeros((4, 4)), 1.0)
+
+
+def _geometric_reference(t_end, g, t_offset, cap=math.inf):
+    """The schedule recursion of ``geometric_times`` written plainly."""
+    times = [0.0]
+    t = 0.0
+    while t < t_end:
+        t = min(t + min(g * (t + t_offset), cap), t_end)
+        times.append(t)
+    return np.array(times)
+
+
+@settings(max_examples=60, deadline=None)
+@given(g=st.floats(1e-3, 0.5), log_offset=st.floats(-12.0, -6.0), span=st.floats(0.0, 5.0),
+       capped=st.booleans(), log_cap=st.floats(0.5, 3.0))
+def test_geometric_times_is_the_plain_recursion(g, log_offset, span, capped, log_cap):
+    t_offset = 10 ** log_offset
+    t_end = t_offset * 10 ** span
+    args = (t_end, g, t_offset) + ((t_end * 10 ** -log_cap,) if capped else ())
+    ts = geometric_times(*args)
+    assert np.array_equal(ts, _geometric_reference(*args))
+    assert ts[-1] == t_end
+
 
 def test_geometric_times_monotone_and_lands():
     ts = geometric_times(1e-4, 0.01, 1e-10)

@@ -8,6 +8,8 @@ from spintrack.errors import ConfigurationError, UnsupportedCaseError
 from spintrack.model import DesignParams, PlantParams, Priors, fluctuating_plant
 from spintrack import riccati as ric
 
+from rk4_reference import rk4_nonuniform
+
 FLUCT = fluctuating_plant(J=1e6, gamma=1e6, M=1e4, gamma_b=1e5, sigma_bfree=1.0)
 CONST = PlantParams(J=1e6, gamma=1e6, M=1e4)
 PRIOR = Priors(sigma_z0=5e5, sigma_b0=1.0)
@@ -254,6 +256,29 @@ class TestRouteProperties:
         p, rate = _fluctuating(j, gamma, m, gb, sbf)
         prior = (p.J / 2.0 * 10 ** z0, p.sigma_bF / (2.0 * p.gamma_b) * 10 ** b0)
         _assert_routes_agree(p, prior, np.geomspace(1e-4, 30.0 * 10 ** span, 25) / rate)
+
+    @settings(max_examples=20, deadline=None)
+    @given(gb=st.floats(-3.0, 0.0), sbf=st.floats(-2.0, 6.0), z0=_LOG, b0=_LOG,
+           span=st.floats(-1.0, 0.5), **_PAPER)
+    def test_rk4_rows_are_the_reference_rk4_bit_for_bit(self, j, gamma, m, gb, sbf, z0, b0,
+                                                         span):
+        # the float-buffer RK4 loop does the reference's operations in the
+        # reference's order on the same internal grid
+        p, rate = _fluctuating(j, gamma, m, gb, sbf)
+        prior = (p.J / 2.0 * 10 ** z0, p.sigma_bF / (2.0 * p.gamma_b) * 10 ** b0)
+        times = np.geomspace(1e-4, 3.0 * 10 ** span, 12) / rate
+        gj, gamma_b, sigma_bf, inv_sm = p.gamma * p.J, p.gamma_b, p.sigma_bF, 1.0 / p.sigma_M
+
+        def rhs(t, x):
+            sz, sc, sb = x
+            return np.array([2.0 * gj * sc - sz * sz * inv_sm,
+                             gj * sb - gamma_b * sc - sz * sc * inv_sm,
+                             sigma_bf - 2.0 * gamma_b * sb - sc * sc * inv_sm])
+
+        grid = ric._internal_times(p, *prior, float(times.max()), times)
+        ref = rk4_nonuniform(rhs, [prior[0], 0.0, prior[1]], grid)[np.searchsorted(grid, times)]
+        traj = ric.riccati_at_times(p, prior, times)
+        assert np.array_equal(np.column_stack([traj.sigma_zR, traj.sigma_cR, traj.sigma_bR]), ref)
 
     @settings(max_examples=60, deadline=None)
     @given(gb=st.floats(-3.0, 1.0), sbf=st.floats(-4.0, 4.0), z0=_LOG, b0=_LOG, **_WIDE)

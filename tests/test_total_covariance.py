@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spintrack.errors import (ConfigurationError, DivergenceError, InstabilityError,
                               UnsupportedCaseError)
@@ -104,9 +105,28 @@ class TestMatchedIdentity:
         rel = np.abs(exm.sigma_bE[1:] / rk4.sigma_bE[1:] - 1.0)
         assert rel.max() < 1e-6
 
+    @settings(max_examples=30, deadline=None)
+    @given(f=st.floats(0.6, 3.0), log_lam=st.floats(-5.0, 0.0), log_gb=st.floats(4.0, 6.0))
+    def test_theta_stays_psd_and_matches_rk4(self, f, log_lam, log_gb):
+        # random mismatched designs around the paper's regime, frozen design
+        # gains; the grid resolves the fastest closed-loop rate for RK4
+        p = fluctuating_plant(J=f * 1e6, gamma=1e6, M=1e4, gamma_b=10 ** log_gb, sigma_bfree=1.0)
+        d = DesignParams(J_prime=1e6, lam=10 ** log_lam)
+        g = steady_state_gains(design_plant(p, d), d)
+        k1, k2 = g.K_O
+        alpha, beta = tc.build_alpha_beta(p, d, lambda t: (k1, k2), g.K_C)
+        rate = np.max(np.abs(np.linalg.eigvals(alpha(0.0))))
+        times = np.arange(400) * (0.01 / rate)
+        exm = tc.integrate_theta(alpha, beta, tc.theta_init(PRIOR), times)
+        for theta in exm.thetas:
+            assert np.linalg.eigvalsh(theta)[0] >= -1e-9 * np.trace(theta)
+        rk4 = integrate_theta_rk4(alpha, beta, tc.theta_init(PRIOR), times)
+        assert np.max(np.abs(exm.sigma_bE[1:] / rk4.sigma_bE[1:] - 1.0)) < 1e-6
+
     def test_failures_name_the_interval(self, monkeypatch):
-        # a NaN gain on interval k surfaces from the step's exponential, a
-        # non-positive increment from the positivity check; both name t_k
+        # a NaN gain on interval k surfaces from the generator check before
+        # the exponentials, a non-positive increment from the positivity
+        # check; both name t_k
         d = DesignParams(J_prime=1e6, lam=1e-4)
         g = steady_state_gains(FLUCT, d)
         times = np.linspace(0.0, 2e-8, 40)
@@ -118,12 +138,11 @@ class TestMatchedIdentity:
             tc.integrate_theta(alpha, beta, tc.theta_init(PRIOR), times)
 
         alpha, beta = tc.build_alpha_beta(FLUCT, d, lambda t: tuple(g.K_O), g.K_C)
-        calls = []
 
         def negative_at_k(a, q, h):
-            calls.append(None)
             phi, inc = ou_increment(a, q, h)
-            return phi, inc - (1e3 * np.eye(4) if len(calls) == k + 1 else 0.0)
+            inc[k] -= 1e3 * np.eye(4)
+            return phi, inc
 
         monkeypatch.setattr(tc, "ou_increment", negative_at_k)
         with pytest.raises(InstabilityError, match=f"interval from t = {times[k]:.6e}"):
