@@ -36,9 +36,10 @@ from multiprocessing import Pool
 import numpy as np
 
 from . import freq, qsme, riccati, total_covariance as tc
-from .errors import ConfigurationError, NumericalError, SpintrackError, UnsupportedCaseError
-from .lqg_filter import (TRIAL_BLOCK, _ensemble_block_sums, design_plant, design_prior,
-                         run_closed_loop, run_ensemble, summarize_ensemble)
+from .errors import (ConfigurationError, DivergenceError, NumericalError, SpintrackError,
+                     UnsupportedCaseError)
+from .lqg_filter import (TRIAL_BLOCK, _ensemble_block_sums, _sum_blocks, design_plant,
+                         design_prior, run_closed_loop, run_ensemble, summarize_ensemble)
 from .model import DesignParams, PlantParams, Priors
 from .numerics import RngStream
 from .truth_sim import simulate_open_loop
@@ -99,6 +100,17 @@ def build_design(sc: dict, p: PlantParams) -> DesignParams:
     return DesignParams(J_prime=sc.get("J_prime", p.J), lam=sc.get("lambda", 0.0))
 
 
+def _positive(sc: dict, *keys) -> list:
+    """Values of required scenario keys that must be positive and finite."""
+    for key in keys:
+        if key not in sc:
+            raise ConfigurationError(f"scenario missing required key '{key}'")
+        if not 0 < sc[key] < math.inf:
+            raise ConfigurationError(f"scenario key '{key}' must be positive and finite, "
+                                     f"got {sc[key]}")
+    return [sc[key] for key in keys]
+
+
 def _fmt(x) -> str:
     if isinstance(x, float) or isinstance(x, np.floating):
         return "%.17g" % x
@@ -120,16 +132,20 @@ def write_csv(path: str, header: list[str], columns: list[np.ndarray]):
 def cmd_simulate(sc: dict, seed: int, out: str, workers: int) -> int:
     p = build_plant(sc)
     prior = build_priors(sc, p)
+    dt, T = _positive(sc, "dt", "T")
     if "mode" in sc:
         # closed-loop trial: truth plus the filter history
         d = build_design(sc, p)
-        res = run_closed_loop(p, prior, d, sc["mode"], RngStream(seed), sc["dt"], sc["T"])
+        res = run_closed_loop(p, prior, d, sc["mode"], RngStream(seed), dt, T)
         traj = res.trajectory
+        ok = np.isfinite(traj.z) & np.isfinite(traj.b) & np.isfinite(res.m).all(axis=1)
+        if not ok.all():
+            raise DivergenceError(f"simulate: non-finite state at t = {traj.t[np.argmin(ok)]:.6e}")
         write_csv(out, ["t", "z", "b", "u", "z_tilde", "b_tilde"],
                   [traj.t, traj.z, traj.b, traj.u, res.z_tilde, res.b_tilde])
         print(f"simulate ({sc['mode']}): {traj.n_steps} steps written to {out}")
         return 0
-    traj = simulate_open_loop(p, prior, RngStream(seed), sc["dt"], sc["T"])
+    traj = simulate_open_loop(p, prior, RngStream(seed), dt, T)
     write_csv(out, ["t", "z", "b", "u", "ydt"], [traj.t, traj.z, traj.b, traj.u, traj.ydt])
     print(f"simulate: {traj.n_steps} steps written to {out}")
     return 0
@@ -138,7 +154,7 @@ def cmd_simulate(sc: dict, seed: int, out: str, workers: int) -> int:
 def cmd_riccati(sc: dict, seed: int, out: str, workers: int) -> int:
     p = build_plant(sc)
     prior = build_priors(sc, p)
-    times = np.geomspace(sc["dt"], sc["T"], 241)
+    times = np.geomspace(*_positive(sc, "dt", "T"), 241)
     cov = riccati.riccati_at_times(p, prior, times)
     sz_an = sb_an = sz_lin = sb_lin = np.full_like(times, np.nan)   # a route may not apply
     try:
@@ -177,27 +193,26 @@ def cmd_montecarlo(sc: dict, seed: int, out: str, workers: int) -> int:
     d = build_design(sc, p)
     mode = sc.get("mode", "dynamic_gain")
     trials = sc.get("trials", 2000)
-    dt, T = sc["dt"], sc["T"]
+    dt, T = _positive(sc, "dt", "T")
     n = int(round(T / dt))
     decimate = sc.get("decimate", max(1, n // 200))
+    if decimate < 1:
+        raise ConfigurationError(f"scenario key 'decimate' must be positive, got {decimate}")
     blocks = -(-trials // TRIAL_BLOCK)
     workers = max(1, min(workers, blocks))
     if workers == 1:
         t_out, sums = run_ensemble(p, prior, d, mode, seed, trials, dt, T, decimate=decimate)
     else:
-        # each worker takes a contiguous range of whole summation blocks; its
-        # block sums are added in trial order from zero, as run_ensemble adds
-        # them, so the bytes do not depend on the worker count
+        # each worker takes a contiguous range of whole summation blocks; all
+        # block sums are added in trial order by run_ensemble's own reduction,
+        # so the bytes do not depend on the worker count
         edges = [TRIAL_BLOCK * (blocks * w // workers) for w in range(workers)] + [trials]
         jobs = [(p, prior, d, mode, seed, lo, hi - lo, dt, T, decimate)
                 for lo, hi in zip(edges[:-1], edges[1:])]
         with Pool(processes=workers) as pool:
             parts = pool.map(_mc_blocks, jobs)
         t_out = parts[0][0]
-        sums = np.zeros_like(parts[0][1][0])
-        for _, per_block in parts:
-            for block in per_block:
-                sums += block
+        sums = _sum_blocks(np.concatenate([per_block for _, per_block in parts]))
     summary = summarize_ensemble(sums, trials)
     cov = riccati.linearized_riccati_curve(design_plant(p, d), design_prior(d, prior), t_out)
     write_csv(out, ["t", "sigma_bE", "se_bE", "sigma_zE", "se_zE", "sigma_bR", "sigma_zR"],

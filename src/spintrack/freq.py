@@ -67,21 +67,6 @@ class RationalTF:
         with np.errstate(divide="ignore", invalid="ignore"):
             return npoly.polyval(s, self.num) / npoly.polyval(s, self.den)
 
-    def __mul__(self, other):
-        if isinstance(other, RationalTF):
-            return RationalTF(npoly.polymul(self.num, other.num),
-                              npoly.polymul(self.den, other.den))
-        return RationalTF(self.num * float(other), self.den)
-
-    __rmul__ = __mul__
-
-    def __add__(self, other):
-        if not isinstance(other, RationalTF):
-            other = RationalTF([float(other)], [1.0])
-        return RationalTF(
-            npoly.polyadd(npoly.polymul(self.num, other.den), npoly.polymul(other.num, self.den)),
-            npoly.polymul(self.den, other.den))
-
 
 def _trim(c: np.ndarray) -> np.ndarray:
     # drop exact-zero leading coefficients only; with loop frequencies

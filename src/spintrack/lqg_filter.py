@@ -15,16 +15,24 @@ Modes: ``dynamic_gain`` uses the time-dependent Riccati gain K_O(t);
 which is the filter a constant transfer function would realize.  Both
 reach the same saturation level; the frozen-gain transient is worse.
 
-``run_ensemble`` advances every trial of an ensemble together, one
-trials-wide array update per step, and reduces the trials in fixed blocks
-of TRIAL_BLOCK; its docstring states the summation contract that makes
-the sums independent of how an ensemble is split across workers.
+One closed-loop step (plant, record, controller and filter update) is
+written once, in ``_loop_step`` with the filter update in
+``_filter_step``, as plain arithmetic with augmented assignments.  The
+same lines run on Python floats for one trial (``run_closed_loop``,
+``filter_record``) and in place on the trials-wide state rows of an
+ensemble (``run_ensemble``).  Float and array arithmetic round alike, so
+a trial of an ensemble equals the one-trial run bit for bit.
+
+``run_ensemble`` reduces the trials in fixed blocks of TRIAL_BLOCK; its
+docstring states the summation contract that makes the sums independent
+of how an ensemble is split across workers.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
+from array import array
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -70,23 +78,48 @@ def design_plant(p: PlantParams, d: DesignParams) -> PlantParams:
     return replace(p, J=d.J_prime)
 
 
-def filter_record(a_design: np.ndarray, b_design: np.ndarray, k1: np.ndarray,
-                  k2: np.ndarray, ydt: np.ndarray, u: np.ndarray, dt: float) -> np.ndarray:
-    """Re-run the filter over a stored record; returns m with m[0] = 0.
+def _filter_step(mz, mb, ydt, u, k1, k2, gjp, gb, dt):
+    """One observer step m += (A'm + B'u) dt + K_O (y dt - m_z dt), with
+    A' = [[0, gjp], [0, -gb]] and B' = (gjp, 0).  On arrays the rows
+    passed in are updated in place."""
+    innov = ydt - mz * dt
+    mz += (gjp * mb + gjp * u) * dt
+    mz += k1 * innov
+    mb -= gb * mb * dt
+    mb += k2 * innov
+    return mz, mb
 
-    k1, k2 are the gain components tabulated on the record grid; u is the
-    control history actually applied (zeros for open loop).
-    """
-    n = len(ydt) - 1
-    m = np.zeros((n + 1, 2))
-    a01 = a_design[0, 1]
-    a11 = a_design[1, 1]
-    b0 = b_design[0]
-    for k in range(n):
-        innov = ydt[k] - m[k, 0] * dt
-        m[k + 1, 0] = m[k, 0] + (a01 * m[k, 1] + b0 * u[k]) * dt + k1[k] * innov
-        m[k + 1, 1] = m[k, 1] + a11 * m[k, 1] * dt + k2[k] * innov
-    return m
+
+def _loop_step(z, b, mz, mb, w1, w2, k1, k2, c):
+    """One closed-loop step: u = -K_C m, y dt = z dt + sqrt(sigma_M) dW2,
+    then the plant (z, b) and the filter.  w1, w2 are the scaled noises
+    sqrt(sigma_bF) dW1 and sqrt(sigma_M) dW2; c holds the constants of
+    _loop_setup.  Returns (z, b, z~, b~, u, y dt); on arrays the state rows
+    passed in are updated in place."""
+    gj, gjp, gb, kc0, kc1, dt = c
+    u = -(kc0 * mz + kc1 * mb)
+    ydt = z * dt + w2
+    z += gj * (b + u) * dt
+    b -= gb * b * dt
+    b += w1
+    mz, mb = _filter_step(mz, mb, ydt, u, k1, k2, gjp, gb, dt)
+    return z, b, mz, mb, u, ydt
+
+
+def filter_record(p: PlantParams, k1: np.ndarray, k2: np.ndarray, ydt: np.ndarray,
+                  dt: float) -> np.ndarray:
+    """Re-run the open-loop (u = 0) filter of plant p over a stored record;
+    returns m with m[0] = 0.  k1, k2 are the gain components tabulated on
+    the record grid."""
+    if min(len(k1), len(k2)) < len(ydt) - 1:
+        raise ConfigurationError("filter_record: gain tables are shorter than the record")
+    gj, gb = p.gamma * p.J, p.gamma_b
+    mz = mb = 0.0
+    m = array("d", (mz, mb))
+    for y, g1, g2 in zip(ydt[:-1].tolist(), k1.tolist(), k2.tolist()):
+        mz, mb = _filter_step(mz, mb, y, 0.0, g1, g2, gj, gb, dt)
+        m.extend((mz, mb))
+    return np.array(m).reshape(-1, 2)
 
 
 def _gain_arrays(p: PlantParams, prior: Priors, d: DesignParams, mode: str,
@@ -106,6 +139,25 @@ def _gain_arrays(p: PlantParams, prior: Priors, d: DesignParams, mode: str,
     return cov.gain(p_des.sigma_M)
 
 
+def _loop_setup(who: str, p: PlantParams, prior: Priors, d: DesignParams, mode: str,
+                dt: float, T: float):
+    """Step count, gain tables and the constants of _loop_step."""
+    if not (dt > 0 and T > 0):
+        raise ConfigurationError(f"{who}: dt and T must be positive")
+    n = int(round(T / dt))
+    k1, k2 = _gain_arrays(p, prior, d, mode, dt, n)
+    kc0, kc1 = controller_gain(p, d)
+    return n, k1, k2, (p.gamma * p.J, p.gamma * d.J_prime, p.gamma_b,
+                       float(kc0), float(kc1), dt)
+
+
+def _scaled_noise(w: np.ndarray, p: PlantParams):
+    """Scale rows (dW1, dW2, dW1, ...) in place to the noises of _loop_step."""
+    w[0::2] *= math.sqrt(p.sigma_bF)
+    w[1::2] *= math.sqrt(p.sigma_M)
+    return w
+
+
 def run_closed_loop(p: PlantParams, prior: Priors, d: DesignParams, mode: str,
                     rng: RngStream, dt: float, T: float) -> RunResult:
     """Single closed-loop trial with u = -K_C m applied causally.
@@ -113,44 +165,22 @@ def run_closed_loop(p: PlantParams, prior: Priors, d: DesignParams, mode: str,
     Draw layout: z(0), b(0), then (dW1, dW2) per step; the vectorized
     ensemble consumes the identical layout per trial stream.
     """
-    n = int(round(T / dt))
+    n, k1, k2, c = _loop_setup("run_closed_loop", p, prior, d, mode, dt, T)
     if T > 1.0 / p.M:
         warnings.warn("run_closed_loop: T exceeds 1/M; the small-time model is not valid there",
                       stacklevel=2)
-    k1, k2 = _gain_arrays(p, prior, d, mode, dt, n)
-    kc = controller_gain(p, d)
-    gj = p.gamma * p.J
-    gjp = p.gamma * d.J_prime
-    gb = p.gamma_b
-    sqrt_sm = math.sqrt(p.sigma_M)
-    sqrt_sbf = math.sqrt(p.sigma_bF)
-    sqrt_dt = math.sqrt(dt)
-
     draws = rng.normals(2 + 2 * n)
-    z0 = math.sqrt(prior.sigma_z0) * draws[0]
-    b0 = math.sqrt(prior.sigma_b0) * draws[1]
-    dW1 = draws[2::2] * sqrt_dt
-    dW2 = draws[3::2] * sqrt_dt
-
-    t = np.arange(n + 1) * dt
-    z = np.empty(n + 1)
-    b = np.empty(n + 1)
-    u = np.zeros(n + 1)
-    ydt = np.zeros(n + 1)
-    m = np.zeros((n + 1, 2))
-    z[0], b[0] = z0, b0
-    for k in range(n):
-        uk = -(kc[0] * m[k, 0] + kc[1] * m[k, 1])
-        u[k] = uk
-        ydt[k] = z[k] * dt + sqrt_sm * dW2[k]
-        innov = ydt[k] - m[k, 0] * dt
-        z[k + 1] = z[k] + gj * (b[k] + uk) * dt
-        b[k + 1] = b[k] - gb * b[k] * dt + sqrt_sbf * dW1[k]
-        m[k + 1, 0] = m[k, 0] + (gjp * m[k, 1] + gjp * uk) * dt + k1[k] * innov
-        m[k + 1, 1] = m[k, 1] - gb * m[k, 1] * dt + k2[k] * innov
-    u[n] = u[n - 1] if n > 0 else 0.0
-    traj = Trajectory(t=t, z=z, b=b, u=u, ydt=ydt, dW2=dW2, dt=dt)
-    return RunResult(trajectory=traj, m=m)
+    w = _scaled_noise(draws[2:] * math.sqrt(dt), p).tolist()
+    x = (math.sqrt(prior.sigma_z0) * float(draws[0]),
+         math.sqrt(prior.sigma_b0) * float(draws[1]), 0.0, 0.0, 0.0, 0.0)
+    rows = array("d", x)     # per time: z, b, z~, b~, then u and y dt of the step before
+    for w1, w2, g1, g2 in zip(w[0::2], w[1::2], k1.tolist(), k2.tolist()):
+        x = _loop_step(x[0], x[1], x[2], x[3], w1, w2, g1, g2, c)
+        rows.extend(x)
+    h = np.array(rows).reshape(n + 1, 6)
+    traj = Trajectory(t=np.arange(n + 1) * dt, z=h[:, 0], b=h[:, 1],
+                      u=np.append(h[1:, 4], h[-1, 4]), ydt=np.append(h[1:, 5], 0.0), dt=dt)
+    return RunResult(trajectory=traj, m=h[:, 2:4])
 
 
 def _step_block(trials: int) -> int:
@@ -176,9 +206,9 @@ def run_ensemble(p: PlantParams, prior: Priors, d: DesignParams, mode: str,
     verb gives each worker one range of whole blocks) therefore gives the
     same bits when its block sums are added in that same order.
 
-    All trials advance together, one trials-wide array update per step, so
-    the gain table is solved once per call.  A non-finite state or sum
-    raises DivergenceError naming the time.
+    All trials advance together through _loop_step on the trials-wide
+    state rows, so the gain table is solved once per call.  A non-finite
+    state or sum raises DivergenceError naming the time.
     """
     t_out, parts = _ensemble_block_sums(p, prior, d, mode, seed, trials, dt, T,
                                         decimate, trial_offset)
@@ -190,17 +220,9 @@ def _ensemble_block_sums(p: PlantParams, prior: Priors, d: DesignParams, mode: s
                          decimate: int = 1, trial_offset: int = 0):
     """run_ensemble before the last reduction: (t_out, per-block sums of
     shape (blocks, 4, times)), blocks of TRIAL_BLOCK in trial order."""
-    n = int(round(T / dt))
     if trials < 1:
         raise ConfigurationError("run_ensemble: need at least one trial")
-    k1, k2 = _gain_arrays(p, prior, d, mode, dt, n)
-    kc0, kc1 = controller_gain(p, d)
-    gj = p.gamma * p.J
-    gjp = p.gamma * d.J_prime
-    gb = p.gamma_b
-    sqrt_sm = math.sqrt(p.sigma_M)
-    sqrt_sbf = math.sqrt(p.sigma_bF)
-    sqrt_dt = math.sqrt(dt)
+    n, k1, k2, c = _loop_setup("run_ensemble", p, prior, d, mode, dt, T)
 
     out_idx = np.arange(0, n + 1, decimate)
     if out_idx[-1] != n:
@@ -216,7 +238,6 @@ def _ensemble_block_sums(p: PlantParams, prior: Priors, d: DesignParams, mode: s
     z, b, mz, mb = state
     np.multiply(init[:, 0], math.sqrt(prior.sigma_z0), out=z)
     np.multiply(init[:, 1], math.sqrt(prior.sigma_b0), out=b)
-    u, innov, tmp, tmp2 = np.empty((4, trials))
     err = np.empty((4, trials))              # (b~-b)^2, its square, (z~-z)^2, its square
 
     def record(i):
@@ -232,42 +253,7 @@ def _ensemble_block_sums(p: PlantParams, prior: Priors, d: DesignParams, mode: s
             parts[full, :, i] = err[:, full * TRIAL_BLOCK:].sum(axis=1)
 
     def step(j, k):
-        # one explicit-Euler step for every trial, written as in-place ufuncs
-        # that round exactly like the expressions in run_closed_loop
-        # u = -(kc0 m_z + kc1 m_b)
-        np.multiply(mz, kc0, out=u)
-        np.multiply(mb, kc1, out=tmp)
-        np.add(u, tmp, out=u)
-        np.negative(u, out=u)
-        # innovation y dt - m_z dt, with y dt = z dt + sqrt(sigma_M) dW2
-        np.multiply(z, dt, out=innov)
-        np.add(innov, w[2 * j + 1], out=innov)
-        np.multiply(mz, dt, out=tmp)
-        np.subtract(innov, tmp, out=innov)
-        # z += gamma J (b + u) dt
-        np.add(b, u, out=tmp)
-        np.multiply(tmp, gj, out=tmp)
-        np.multiply(tmp, dt, out=tmp)
-        np.add(z, tmp, out=z)
-        # b += -gamma_b b dt + sqrt(sigma_bF) dW1
-        np.multiply(b, gb, out=tmp)
-        np.multiply(tmp, dt, out=tmp)
-        np.subtract(b, tmp, out=b)
-        np.add(b, w[2 * j], out=b)
-        # m_z += (gamma J' m_b + gamma J' u) dt + K_O1 innov
-        np.multiply(mb, gjp, out=tmp)
-        np.multiply(u, gjp, out=tmp2)
-        np.add(tmp, tmp2, out=tmp)
-        np.multiply(tmp, dt, out=tmp)
-        np.add(mz, tmp, out=mz)
-        np.multiply(innov, k1[k], out=tmp)
-        np.add(mz, tmp, out=mz)
-        # m_b += -gamma_b m_b dt + K_O2 innov
-        np.multiply(mb, gb, out=tmp)
-        np.multiply(tmp, dt, out=tmp)
-        np.subtract(mb, tmp, out=mb)
-        np.multiply(innov, k2[k], out=tmp)
-        np.add(mb, tmp, out=mb)
+        _loop_step(z, b, mz, mb, w[2 * j], w[2 * j + 1], k1[k], k2[k], c)
 
     step_block = _step_block(trials)
     noise = np.empty((2 * min(step_block, n), trials))
@@ -275,13 +261,11 @@ def _ensemble_block_sums(p: PlantParams, prior: Priors, d: DesignParams, mode: s
         record(0)
         for k0 in range(0, n, step_block):
             k_end = min(k0 + step_block, n)
-            # draws 2 + 2k and 3 + 2k are (dW1_k, dW2_k); one row per draw, scaled
-            # exactly as the per-step products sqrt_sbf * dW1 and sqrt_sm * dW2
+            # draws 2 + 2k and 3 + 2k are (dW1_k, dW2_k); one row per draw
             w = noise[:2 * (k_end - k0)]
             np.multiply(trial_normals(seed, ids, 2 * (k_end - k0), start=2 + 2 * k0).T,
-                        sqrt_dt, out=w)
-            w[0::2] *= sqrt_sbf
-            w[1::2] *= sqrt_sm
+                        math.sqrt(dt), out=w)
+            _scaled_noise(w, p)
             start_state = state.copy()
             for j, k in enumerate(range(k0, k_end)):
                 step(j, k)

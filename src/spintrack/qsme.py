@@ -49,7 +49,7 @@ import numpy as np
 
 from .errors import ConfigurationError, InstabilityError, NumericalError, UnsupportedCaseError
 from .lqg_filter import filter_record
-from .model import PlantParams, Priors, build_system
+from .model import PlantParams, Priors
 from .numerics import trial_normals
 from .riccati import linearized_riccati_curve
 
@@ -351,7 +351,6 @@ def suite_grid_kalman(J: float = 16, gamma: float = 1e6, M: float = 1e4,
     p = PlantParams(J=J, gamma=gamma, M=M)
     n = int(round(T / dt))
     prior = Priors(sigma_z0=J / 2.0, sigma_b0=sigma_b0)
-    a, bvec, _, _ = build_system(p)
     tgrid = np.arange(n + 1) * dt
     cov = linearized_riccati_curve(p, prior, tgrid)
     k1, k2 = cov.gain(p.sigma_M)
@@ -363,7 +362,7 @@ def suite_grid_kalman(J: float = 16, gamma: float = 1e6, M: float = 1e4,
     for ydts in records_ydt:
         grid = gaussian_grid(ops, sigma_b0, points)
         grid, means = grid_filter_record(grid, ydts, p, dt)
-        m = filter_record(a, bvec, k1, k2, np.append(ydts, 0.0), np.zeros(n + 1), dt)
+        m = filter_record(p, k1, k2, np.append(ydts, 0.0), dt)
         devs.append(float(np.max(np.abs(means - m[:, 1]) / env)))
         if posterior is None:
             posterior = (grid.b_values.copy(), grid.p.copy())

@@ -11,9 +11,6 @@ conditions are drawn from the priors: z(0) ~ N(0, sigma_z0) (the quantum
 coherent-state variance), b(0) ~ N(0, sigma_b0).  The model holds for
 t << 1/M, before measurement-induced damping of the spin length matters;
 simulating past 1/M triggers a warning, not an error.
-
-The measurement Wiener increments are stored with each trajectory, so a
-record can be rebuilt from the spin path.
 """
 
 from __future__ import annotations
@@ -45,7 +42,6 @@ class Trajectory:
     b: np.ndarray
     u: np.ndarray
     ydt: np.ndarray
-    dW2: np.ndarray  # measurement Wiener increments (already sqrt(dt)-scaled), length n
     dt: float
 
     @property
@@ -104,7 +100,7 @@ def simulate_plant(p: PlantParams, prior: Priors, field: np.ndarray,
         ydt[k] = z[k] * dt + sqrt_sm * dW2[k]
         z[k + 1] = z[k] + gj * field[k] * dt
     return Trajectory(t=t, z=z, b=np.asarray(field, dtype=np.float64).copy(), u=u,
-                      ydt=ydt, dW2=dW2, dt=dt)
+                      ydt=ydt, dt=dt)
 
 
 def simulate_open_loop(p: PlantParams, prior: Priors, rng: RngStream, dt: float, T: float) -> Trajectory:

@@ -45,6 +45,27 @@ class TestScenarioParsing:
         f.write_text("f_sweep = 0.5, 1, 2\n")
         assert parse_scenario(str(f))["f_sweep"] == [0.5, 1.0, 2.0]
 
+    @pytest.mark.parametrize("verb, fixture, old, new, key", [
+        ("simulate", "constant_field_tables.scn", "dt       = 1e-8\n", "", "dt"),
+        ("riccati", "riccati_fluctuating.scn", "T        = 1e-4\n", "", "T"),
+        ("montecarlo", "montecarlo_matched.scn", "T        = 5e-8\n", "", "T"),
+        ("simulate", "constant_field_tables.scn", "dt       = 1e-8", "dt = 0", "dt"),
+        ("simulate", "montecarlo_matched.scn", "T        = 5e-8", "T = -1e-9", "T"),
+        ("riccati", "riccati_fluctuating.scn", "dt       = 1e-8", "dt = 0", "dt"),
+        ("montecarlo", "montecarlo_matched.scn", "dt       = 5e-12", "dt = 0", "dt"),
+        ("montecarlo", "montecarlo_matched.scn", "seed", "decimate = 0\nseed", "decimate"),
+        ("montecarlo", "montecarlo_matched.scn", "seed", "decimate = -4\nseed", "decimate"),
+    ])
+    def test_bad_step_values_are_configuration_errors(self, tmp_path, capsys, verb, fixture,
+                                                      old, new, key):
+        base = (SCENARIOS / fixture).read_text()
+        assert old in base
+        sc = tmp_path / "bad.scn"
+        sc.write_text(base.replace(old, new))
+        rc = run_cli([verb, "--scenario", str(sc), "--out", str(tmp_path / "o.csv")])
+        assert rc == 2
+        assert f"'{key}'" in capsys.readouterr().err
+
     def test_invalid_physics_rejected_at_build(self, tmp_path):
         f = tmp_path / "p.scn"
         f.write_text("J = 1e6\ngamma = 1e6\nM = 1e4\neta = 2\ndt = 1e-9\nT = 1e-7\n")
@@ -135,6 +156,17 @@ class TestCommands:
                           .replace("lambda   = 0.01", "lambda   = 1000")
                           .replace("T        = 5e-8", "T        = 1e-9"))
         rc = run_cli(["montecarlo", "--scenario", str(sc), "--out", str(tmp_path / "d.csv")])
+        assert rc == 3
+        assert "non-finite state at t =" in capsys.readouterr().err
+
+    def test_simulate_divergence_exit_code(self, tmp_path, capsys):
+        # the one-trial loop runs on Python floats, which overflow without a
+        # warning, so the verb itself must catch the non-finite rows
+        sc = tmp_path / "div.scn"
+        base = (SCENARIOS / "transfer_function_comparison.scn").read_text()
+        sc.write_text(base.replace("lambda   = 0.01", "lambda   = 1000")
+                          .replace("T        = 5e-8", "T        = 1e-9"))
+        rc = run_cli(["simulate", "--scenario", str(sc), "--out", str(tmp_path / "d.csv")])
         assert rc == 3
         assert "non-finite state at t =" in capsys.readouterr().err
 

@@ -19,15 +19,6 @@ class TestRationalTF:
         val = tf(1j * 2.0)
         assert val == pytest.approx((1 + 4j) / (1 - 4.0))
 
-    def test_multiplication_and_addition(self):
-        a = freq.RationalTF([1.0], [1.0, 1.0])
-        b = freq.RationalTF([2.0], [1.0])
-        prod = a * b
-        s = 0.5j
-        assert prod(s) == pytest.approx(a(s) * b(s))
-        tot = a + b
-        assert tot(s) == pytest.approx(a(s) + b(s))
-
     def test_common_root_cancellation(self):
         # (1+s)(2+s) / (1+s)(3+s) -> (2+s)/(3+s)
         num = np.array([2.0, 3.0, 1.0])

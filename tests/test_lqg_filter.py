@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,24 +20,25 @@ MATCHED = DesignParams(J_prime=1e6, lam=0.01)
 
 
 class TestKalmanStep:
-    def _design(self):
-        a = np.array([[0.0, 1e12], [0.0, -1e5]])
-        b = np.array([1e12, 0.0])
-        return a, b
-
     def test_zero_innovation_zero_drift(self):
-        a, b = self._design()
-        zero = np.zeros(5)
-        m = filter_record(a, b, np.full(5, 1e8), np.full(5, 1e4), zero, zero, 1e-10)
+        m = filter_record(FLUCT, np.full(5, 1e8), np.full(5, 1e4), np.zeros(5), 1e-10)
         assert np.array_equal(m, np.zeros((5, 2)))
 
+    def test_short_gain_table_rejected(self):
+        with pytest.raises(ConfigurationError, match="shorter than the record"):
+            filter_record(FLUCT, np.full(3, 1e8), np.full(5, 1e4), np.zeros(5), 1e-10)
+
     def test_zero_gain_is_pure_propagation(self):
-        a, b = self._design()
-        zero = np.zeros(5)
-        m = filter_record(a, b, zero, zero, np.full(5, 123.0), np.full(5, 0.5), 1e-12)
-        ref = np.zeros(2)
-        for k in range(4):
-            ref = ref + (a @ ref + b * 0.5) * 1e-12
+        # one innovation kicks the estimate at step 0; with the gains off
+        # afterwards the record is ignored and m <- m + A m dt
+        a, _, _, _ = build_system(FLUCT)
+        k1, k2 = np.zeros(6), np.zeros(6)
+        k1[0], k2[0] = 1.0, 1e3
+        m = filter_record(FLUCT, k1, k2, np.full(6, 0.5), 1e-12)
+        ref = np.array([0.5, 500.0])
+        assert np.array_equal(m[1], ref)
+        for k in range(1, 5):
+            ref = ref + (a @ ref) * 1e-12
             assert np.allclose(m[k + 1], ref)
 
 
@@ -91,22 +93,32 @@ class TestClosedLoop:
         with pytest.raises(ConfigurationError):
             run_closed_loop(FLUCT, PRIOR, MATCHED, "nonsense", RngStream(0), 5e-12, 1e-9)
 
-    def test_single_run_matches_ensemble_row(self):
-        dt, T = 5e-12, 2e-9
-        res = run_closed_loop(FLUCT, PRIOR, MATCHED, "dynamic_gain", trial_stream(31, 2), dt, T)
-        n = res.trajectory.n_steps
-        t_out, sums = run_ensemble(FLUCT, PRIOR, MATCHED, "dynamic_gain", seed=31,
-                                   trials=3, dt=dt, T=T, decimate=n)
-        assert t_out[-1] == pytest.approx(T)
-        # the trial-2 contribution is part of the 3-trial sums; rebuild it
-        def final_be_sq(r):
-            return (r.b_tilde[-1] - r.trajectory.b[-1]) ** 2
+    @pytest.mark.parametrize("dt, T", [(0.0, 1e-9), (-5e-12, 1e-9), (5e-12, 0.0),
+                                       (math.nan, 1e-9)])
+    def test_nonpositive_step_or_horizon_rejected(self, dt, T):
+        with pytest.raises(ConfigurationError, match="dt and T must be positive"):
+            run_closed_loop(FLUCT, PRIOR, MATCHED, "dynamic_gain", RngStream(0), dt, T)
+        with pytest.raises(ConfigurationError, match="dt and T must be positive"):
+            run_ensemble(FLUCT, PRIOR, MATCHED, "dynamic_gain", 0, 4, dt, T)
 
-        other = 0.0
-        for k in (0, 1):
-            other += final_be_sq(run_closed_loop(FLUCT, PRIOR, MATCHED, "dynamic_gain",
-                                                 trial_stream(31, k), dt, T))
-        assert sums[0, -1] == pytest.approx(other + final_be_sq(res), rel=1e-12)
+    @settings(max_examples=40, deadline=None)
+    @given(f=st.floats(0.5, 2.0), lam=st.one_of(st.just(0.0), st.floats(1e-4, 0.1)),
+           mode=st.sampled_from(MODES), seed=st.integers(0, 2**32),
+           k=st.integers(0, 10**6), steps=st.integers(1, 60))
+    def test_single_run_is_the_ensemble_row(self, f, lam, mode, seed, k, steps):
+        # one step serves both paths, so a one-trial ensemble reproduces the
+        # one-trial run bit for bit; a one-element block sum is exact
+        p = replace(FLUCT, J=f * MATCHED.J_prime)
+        d = DesignParams(J_prime=MATCHED.J_prime, lam=lam)
+        dt = 5e-12
+        res = run_closed_loop(p, PRIOR, d, mode, trial_stream(seed, k), dt, steps * dt)
+        t_out, sums = run_ensemble(p, PRIOR, d, mode, seed, 1, dt, steps * dt,
+                                   trial_offset=k)
+        assert np.array_equal(t_out, res.trajectory.t)
+        be = (res.b_tilde - res.trajectory.b) ** 2
+        ze = (res.z_tilde - res.trajectory.z) ** 2
+        assert np.array_equal(sums[0].view(np.uint64), be.view(np.uint64))
+        assert np.array_equal(sums[2].view(np.uint64), ze.view(np.uint64))
 
     def test_ensemble_divergence_names_time(self):
         # a controller gain far beyond the explicit-Euler limit overflows
@@ -201,14 +213,13 @@ class TestFilterRecord:
         n = int(round(T / dt))
         field = np.full(n + 1, 0.003)
         traj = simulate_plant(p, prior, field, RngStream(3), dt, T)
-        a, b, _, _ = build_system(p)
         cov = riccati_at_times(p, prior, traj.t)
         k1, k2 = cov.gain(p.sigma_M)
-        m_ref = filter_record(a, b, k1, k2, traj.ydt, np.zeros(n + 1), dt)
+        m_ref = filter_record(p, k1, k2, traj.ydt, dt)
         spliced = traj.ydt.copy()
         k_star = n // 2
         spliced[k_star] += 10.0 * math.sqrt(p.sigma_M * dt)
-        m_new = filter_record(a, b, k1, k2, spliced, np.zeros(n + 1), dt)
+        m_new = filter_record(p, k1, k2, spliced, dt)
         assert np.array_equal(m_new[: k_star + 1], m_ref[: k_star + 1])
         assert not np.allclose(m_new[k_star + 1:], m_ref[k_star + 1:])
 

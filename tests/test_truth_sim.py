@@ -80,11 +80,15 @@ class TestSimulatePlant:
         assert np.allclose(traj.z, expected, rtol=1e-12)
 
     def test_record_invariant(self):
+        # the open-loop draw layout: b(0), n field steps, z(0), then dW2 per step
         p = self._plant()
         prior = Priors(sigma_z0=50.0, sigma_b0=0.0)
         traj = simulate_open_loop(p, prior, RngStream(12), 1e-6, 1e-4)
         n = traj.n_steps
-        recon = traj.z[:n] * traj.dt + math.sqrt(p.sigma_M) * traj.dW2[:n]
+        draws = RngStream(12).normals(2 * (n + 1))
+        assert traj.z[0] == math.sqrt(prior.sigma_z0) * draws[n + 1]
+        dW2 = draws[n + 2:] * math.sqrt(traj.dt)
+        recon = traj.z[:n] * traj.dt + math.sqrt(p.sigma_M) * dW2
         assert np.array_equal(traj.ydt[:n], recon)
 
     def test_whiteness_of_residuals(self):
