@@ -81,12 +81,21 @@ def design_plant(p: PlantParams, d: DesignParams) -> PlantParams:
 def _filter_step(mz, mb, ydt, u, k1, k2, gjp, gb, dt):
     """One observer step m += (A'm + B'u) dt + K_O (y dt - m_z dt), with
     A' = [[0, gjp], [0, -gb]] and B' = (gjp, 0).  On arrays the rows
-    passed in are updated in place."""
-    innov = ydt - mz * dt
-    mz += (gjp * mb + gjp * u) * dt
+    passed in are updated in place.  Each update builds its increment in
+    one temporary, in the operation order of the formula above (y dt -
+    m_z dt as m_z (-dt) + y dt, the same bits)."""
+    innov = mz * -dt
+    innov += ydt
+    dm = gjp * mb
+    dm += gjp * u
+    dm *= dt
+    mz += dm
     mz += k1 * innov
-    mb -= gb * mb * dt
-    mb += k2 * innov
+    dm = gb * mb
+    dm *= dt
+    mb -= dm
+    innov *= k2
+    mb += innov
     return mz, mb
 
 
@@ -97,10 +106,18 @@ def _loop_step(z, b, mz, mb, w1, w2, k1, k2, c):
     _loop_setup.  Returns (z, b, z~, b~, u, y dt); on arrays the state rows
     passed in are updated in place."""
     gj, gjp, gb, kc0, kc1, dt = c
-    u = -(kc0 * mz + kc1 * mb)
-    ydt = z * dt + w2
-    z += gj * (b + u) * dt
-    b -= gb * b * dt
+    u = kc0 * mz
+    u += kc1 * mb
+    u = -u
+    ydt = z * dt
+    ydt += w2
+    dx = b + u
+    dx *= gj
+    dx *= dt
+    z += dx
+    dx = gb * b
+    dx *= dt
+    b -= dx
     b += w1
     mz, mb = _filter_step(mz, mb, ydt, u, k1, k2, gjp, gb, dt)
     return z, b, mz, mb, u, ydt

@@ -5,19 +5,25 @@ h = b + u rotates it about y.  Under efficient measurement (eta = 1) a
 pure state stays pure, and in the Jz eigenbasis it is a real vector psi of
 length 2J+1.  It obeys the Ito stochastic Schroedinger equation
 
-    d psi = [gamma h K dt - (M/2) (Jz - <Jz>)^2 dt
+    d psi = [(gamma h / 2) K^T dt - (M/2) (Jz - <Jz>)^2 dt
              + sqrt(M) (Jz - <Jz>) dWbar] psi,        then normalize,
 
 with the record y dt = <Jz> dt + sqrt(sigma_M) dWbar, sigma_M = 1/(4 M).
-Here Jy = -iK, where K is real, antisymmetric and tridiagonal, so the
-field term is two shifted products of the ladder amplitudes.  The Ito
+Here Jy = iK/2, where K is real, antisymmetric and tridiagonal with
+K[i+1, i] = amp[i] = -K[i, i+1] from the ladder amplitudes;
+spin_operators builds it once and SpinOperators carries it, so on a row
+stack of states the field term is one product, psi @ K.  The Ito
 product of the back-action terms reproduces the measurement dissipator
 M (Jz rho Jz - {Jz^2, rho}/2) of the master equation for rho = psi psi^T,
 which is therefore positive semidefinite by construction.
 
 One private kernel, ``_sse_update``, steps a (batch, dim) stack of such
 states for the Bayes grid and the trajectory simulator; it rejects
-eta != 1, where a conditioned state is mixed.  sme_step is the
+eta != 1, where a conditioned state is mixed.  Its update order: the
+measurement term in one temporary, f = ((M dt/2) dz - sqrt(M) dWbar) dz
+psi with dz = Jz - <Jz>, then psi - f; the field term psi @ K scaled in
+place by gamma dt h / 2 and added (skipped when every h is 0); then the
+norm guard and an in-place normalization.  sme_step is the
 unconditional (eta = 0) zero-field equation, pure dephasing, on the first
 superdiagonal of rho that <Jx> reads.  Both enforce dt M (2J+1) < 0.5,
 and the entry points name the time of a step that fails.
@@ -57,12 +63,14 @@ from .riccati import linearized_riccati_curve
 @dataclass
 class SpinOperators:
     """Spin J in the Jz eigenbasis m = J ... -J: the eigenvalues mz and the
-    J+ amplitudes amp[i] = <i| J+ |i+1>.  Jx = (J+ + J-)/2, and Jy = -iK
-    with K[i, i+1] = amp[i]/2 = -K[i+1, i]."""
+    J+ amplitudes amp[i] = <i| J+ |i+1>.  Jx = (J+ + J-)/2, and Jy = iK/2
+    with K[i+1, i] = amp[i] = -K[i, i+1], so that for a row stack
+    (psi @ K)[:, i] = amp[i] psi[:, i+1] - amp[i-1] psi[:, i-1]."""
 
     J: float
     mz: np.ndarray
     amp: np.ndarray
+    K: np.ndarray
 
     @property
     def dim(self) -> int:
@@ -76,7 +84,8 @@ def spin_operators(J: float) -> SpinOperators:
         raise ConfigurationError(f"spin_operators: 2J must be a nonnegative integer, got J = {J}")
     m = J - np.arange(int(round(two_j)) + 1)
     amp = np.sqrt(J * (J + 1.0) - m[1:] * (m[1:] + 1.0))
-    return SpinOperators(J=J, mz=m, amp=amp)
+    K = np.diag(amp, -1) - np.diag(amp, 1)
+    return SpinOperators(J=J, mz=m, amp=amp, K=K)
 
 
 def coherent_state_x(J: float) -> np.ndarray:
@@ -94,6 +103,11 @@ def _jz_mean(psi: np.ndarray, mz: np.ndarray) -> np.ndarray:
 def _check_step(ops: SpinOperators, p: PlantParams, dt: float) -> None:
     if not dt * p.M * ops.dim < 0.5:
         raise ConfigurationError("SME step: dt * M * (2J+1) too large; reduce the step")
+
+
+def _require_at_least(who: str, name: str, value: int, low: int) -> None:
+    if value < low:
+        raise ConfigurationError(f"{who}: {name} must be at least {low}, got {value}")
 
 
 def _at_time(err: NumericalError, k: int, dt: float) -> NumericalError:
@@ -116,19 +130,23 @@ def _sse_update(psi: np.ndarray, jz: np.ndarray, h, dwbar, ops: SpinOperators,
         raise UnsupportedCaseError("SSE step: a conditioned state is pure only at eta = 1, "
                                    f"got eta = {p.eta}")
     dz = ops.mz - jz[:, None]
-    out = psi + psi * dz * (math.sqrt(p.M) * np.asarray(dwbar)[..., None] - (0.5 * p.M * dt) * dz)
-    h = np.asarray(h)[..., None]
-    if h.any():
+    f = (0.5 * p.M * dt) * dz
+    f -= math.sqrt(p.M) * np.asarray(dwbar)[..., None]
+    f *= dz
+    f *= psi
+    out = psi - f
+    h = np.asarray(h)
+    if np.count_nonzero(h):
         # gamma h K psi dt; the sign makes a positive field drive <Jz>
         # upward, matching the state-space convention dz = +gamma J h dt
-        kpsi = np.zeros_like(psi)
-        kpsi[:, :-1] = ops.amp * psi[:, 1:]
-        kpsi[:, 1:] -= ops.amp * psi[:, :-1]
-        out += (0.5 * p.gamma * dt) * h * kpsi
+        kpsi = psi @ ops.K
+        kpsi *= (0.5 * p.gamma * dt) * h[..., None]
+        out += kpsi
     norm2 = np.einsum("bi,bi->b", out, out)
-    if not (norm2.min() > 0.0 and norm2.max() < math.inf):
+    if not (np.minimum.reduce(norm2) > 0.0 and np.maximum.reduce(norm2) < math.inf):
         raise InstabilityError("SSE step: state norm is not positive and finite; reduce the step")
-    return out / np.sqrt(norm2)[:, None]
+    out /= np.sqrt(norm2)[:, None]
+    return out
 
 
 def sme_step(coh: np.ndarray, ops: SpinOperators, p: PlantParams, dt: float) -> np.ndarray:
@@ -190,12 +208,15 @@ def bayes_grid_update(grid: FieldGrid, ydt: float, p: PlantParams) -> FieldGrid:
     Uses each hypothesis's current <Jz>_b, so call before propagating the
     grid states through the same increment.
     """
-    w = grid.p * (1.0 + (4.0 * p.M * p.eta * ydt) * grid.jz)
-    w = np.maximum(w, 0.0)
+    w = grid.jz * (4.0 * p.M * p.eta * ydt)
+    w += 1.0
+    w *= grid.p
+    np.maximum(w, 0.0, out=w)
     total = w.sum()
     if not (total > 0.0 and math.isfinite(total)):
         raise NumericalError("bayes_grid_update: posterior weights degenerated")
-    return FieldGrid(b_values=grid.b_values, p=w / total, psi=grid.psi, jz=grid.jz, ops=grid.ops)
+    w /= total
+    return FieldGrid(b_values=grid.b_values, p=w, psi=grid.psi, jz=grid.jz, ops=grid.ops)
 
 
 def propagate_grid(grid: FieldGrid, ydt: float, p: PlantParams, dt: float) -> FieldGrid:
@@ -212,9 +233,9 @@ def grid_filter_record(grid: FieldGrid, ydts: np.ndarray, p: PlantParams, dt: fl
     means = np.empty(len(ydts) + 1)
     means[0] = grid.posterior_mean()
     try:
-        for k, ydt in enumerate(ydts):
-            grid = bayes_grid_update(grid, float(ydt), p)
-            grid = propagate_grid(grid, float(ydt), p, dt)
+        for k, ydt in enumerate(ydts.tolist()):
+            grid = bayes_grid_update(grid, ydt, p)
+            grid = propagate_grid(grid, ydt, p, dt)
             means[k + 1] = grid.posterior_mean()
     except NumericalError as err:
         raise _at_time(err, k, dt) from err
@@ -252,26 +273,31 @@ def simulate_ramp_ensemble(ops: SpinOperators, p: PlantParams, b: float, seed: i
     trajectory-averaged <Delta Jz^2> (n + 1).  At b = 0 this is the QND
     ensemble.
     """
+    _require_at_least("simulate_ramp_ensemble", "trajectories", trajectories, 1)
+    _require_at_least("simulate_ramp_ensemble", "n", n, 1)
     psi = np.tile(coherent_state_x(ops.J), (trajectories, 1))
     draws = trial_normals(seed, np.arange(trajectories), n)
-    sqrt_dt = math.sqrt(dt)
-    sqrt_sm = math.sqrt(p.sigma_M)
+    draws *= math.sqrt(dt)
     mz2 = ops.mz * ops.mz
-    ydts = np.empty((trajectories, n))
     jz_walks = np.empty((trajectories, n + 1))
     mean_djz2 = np.empty(n + 1)
+    dwbars = draws.T          # row k: the sqrt(dt)-scaled increments of step k
     try:
         for k in range(n + 1):
-            jz = _jz_mean(psi, ops.mz)
+            prob = psi * psi
+            jz = prob @ ops.mz    # _jz_mean's product, sharing psi^2 with <Jz^2>
             jz_walks[:, k] = jz
-            mean_djz2[k] = np.mean((psi * psi) @ mz2 - jz * jz)
+            # the bits of np.mean, without its per-call dispatch
+            mean_djz2[k] = np.add.reduce(prob @ mz2 - jz * jz) / trajectories
             if k == n:
                 break
-            dwbar = draws[:, k] * sqrt_dt
-            ydts[:, k] = jz * dt + sqrt_sm * dwbar
-            psi = _sse_update(psi, jz, b, dwbar, ops, p, dt)
+            psi = _sse_update(psi, jz, b, dwbars[k], ops, p, dt)
     except NumericalError as err:
         raise _at_time(err, k, dt) from err
+    # the records y dt = <Jz> dt + sqrt(sigma_M) dWbar, elementwise as if per step
+    ydts = jz_walks[:, :n] * dt
+    draws *= math.sqrt(p.sigma_M)
+    ydts += draws
     return ydts, jz_walks, mean_djz2
 
 
@@ -279,12 +305,19 @@ def simulate_ramp_ensemble(ops: SpinOperators, p: PlantParams, b: float, seed: i
 # verification suites (consumed by the CLI and the acceptance tests)
 # ---------------------------------------------------------------------------
 
+def _suite_setup(who: str, J: float, gamma: float, M: float, dt: float, T: float):
+    """Spin operators, plant and step count of a suite; a horizon of less
+    than one step is a ConfigurationError."""
+    if not (dt > 0 and T / dt > 0.5):
+        raise ConfigurationError(f"{who}: need dt > 0 and T of at least one step, "
+                                 f"got dt = {dt}, T = {T}")
+    return spin_operators(J), PlantParams(J=J, gamma=gamma, M=M), int(round(T / dt))
+
+
 def suite_jx_decay(J: float = 10, gamma: float = 1e6, M: float = 1e4,
                    dt: float = 1e-7, T: float = 1e-4) -> dict:
     """Unconditional spin-length decay against J exp(-M t / 2); 1% budget."""
-    ops = spin_operators(J)
-    p = PlantParams(J=J, gamma=gamma, M=M)
-    n = int(round(T / dt))
+    ops, p, n = _suite_setup("suite_jx_decay", J, gamma, M, dt, T)
     jx = unconditional_jx_decay(ops, p, dt, n)
     t = np.arange(n + 1) * dt
     predicted = J * np.exp(-M * t / 2.0)
@@ -302,9 +335,8 @@ def suite_variance_tracking(J: float = 10, gamma: float = 1e6, M: float = 1e4,
     Also checks the QND structure: the averaged variance decreases
     monotonically (within averaging noise) and the <Jz> walk is unbiased.
     """
-    ops = spin_operators(J)
-    p = PlantParams(J=J, gamma=gamma, M=M)
-    n = int(round(T / dt))
+    _require_at_least("suite_variance_tracking", "trajectories", trajectories, 2)
+    ops, p, n = _suite_setup("suite_variance_tracking", J, gamma, M, dt, T)
     _, walks, mean_djz2 = simulate_ramp_ensemble(ops, p, 0.0, seed, trajectories, dt, n)
     t = np.arange(n + 1) * dt
     sz0 = J / 2.0
@@ -327,9 +359,8 @@ def suite_two_point(J: float = 16, gamma: float = 1e6, M: float = 1e4,
                     b0: float = 2.8e-3, dt: float = 5e-9, T: float = 1e-4,
                     records: int = 3, seed: int = 3001) -> dict:
     """Posterior concentration on the true field of a two-hypothesis grid."""
-    ops = spin_operators(J)
-    p = PlantParams(J=J, gamma=gamma, M=M)
-    n = int(round(T / dt))
+    _require_at_least("suite_two_point", "records", records, 1)
+    ops, p, n = _suite_setup("suite_two_point", J, gamma, M, dt, T)
     ydts, _, _ = simulate_ramp_ensemble(ops, p, +b0, seed, records, dt, n)
     finals = []
     for record in ydts:
@@ -347,9 +378,8 @@ def suite_grid_kalman(J: float = 16, gamma: float = 1e6, M: float = 1e4,
     """Gridded posterior mean against the Kalman field estimate on shared
     records; the worst deviation must stay within 10% of the tracking-error
     envelope sqrt(sigma_bR(t))."""
-    ops = spin_operators(J)
-    p = PlantParams(J=J, gamma=gamma, M=M)
-    n = int(round(T / dt))
+    _require_at_least("suite_grid_kalman", "records", records, 1)
+    ops, p, n = _suite_setup("suite_grid_kalman", J, gamma, M, dt, T)
     prior = Priors(sigma_z0=J / 2.0, sigma_b0=sigma_b0)
     tgrid = np.arange(n + 1) * dt
     cov = linearized_riccati_curve(p, prior, tgrid)
@@ -377,9 +407,8 @@ def suite_ramp_statistics(J: float = 10, gamma: float = 1e6, M: float = 1e4,
     """Record statistics against the classical-equivalent model: per-record
     line fits must show slope gamma b J and intercept variance J/2 above
     the known fit noise."""
-    ops = spin_operators(J)
-    p = PlantParams(J=J, gamma=gamma, M=M)
-    n = int(round(T / dt))
+    _require_at_least("suite_ramp_statistics", "trajectories", trajectories, 2)
+    ops, p, n = _suite_setup("suite_ramp_statistics", J, gamma, M, dt, T)
     ydts, _, _ = simulate_ramp_ensemble(ops, p, b, seed, trajectories, dt, n)
     t = np.arange(n) * dt
     w = ydts / dt

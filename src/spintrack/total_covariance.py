@@ -97,14 +97,21 @@ def build_alpha_beta(p: PlantParams, d: DesignParams, k_of_t, k_c: np.ndarray):
     sqrt_sbf = math.sqrt(p.sigma_bF)
     sqrt_sm = math.sqrt(p.sigma_M)
 
+    # the blocks that do not depend on t; alpha(t) places the gain K_O(t)
+    # in the K_O C column and subtracts it from the A' - B' K_C' column
+    # (its zero column leaves the other entries as they are)
+    const = np.zeros((4, 4))
+    const[:2, :2] = a_true
+    const[:2, 2:] = -np.outer(b_true, k_c)
+    const[2:, 2:] = a_des - np.outer(b_des, k_c)
+
     def alpha(t: float) -> np.ndarray:
         k1, k2 = k_of_t(t)
-        ko_c = np.array([[k1, 0.0], [k2, 0.0]])
-        out = np.zeros((4, 4))
-        out[:2, :2] = a_true
-        out[:2, 2:] = -np.outer(b_true, k_c)
-        out[2:, :2] = ko_c
-        out[2:, 2:] = a_des - np.outer(b_des, k_c) - ko_c
+        out = const.copy()
+        out[2, 0] = k1
+        out[3, 0] = k2
+        out[2, 2] -= k1
+        out[3, 2] -= k2
         return out
 
     def beta(t: float) -> np.ndarray:

@@ -9,6 +9,7 @@ from spintrack.errors import (ConfigurationError, InstabilityError, NumericalErr
 from spintrack.model import PlantParams
 from spintrack.numerics import RngStream
 from spintrack import qsme
+from sse_reference import ramp_ensemble_reference, shifted_kpsi, sse_update_reference
 
 
 def _dense(ops):
@@ -300,6 +301,26 @@ class TestBayesGrid:
 
 
 class TestSuites:
+    @pytest.mark.parametrize("call, match", [
+        (lambda: qsme.suite_two_point(records=0), "records must be at least 1"),
+        (lambda: qsme.suite_grid_kalman(records=0), "records must be at least 1"),
+        (lambda: qsme.suite_variance_tracking(trajectories=1), "trajectories must be at least 2"),
+        (lambda: qsme.suite_ramp_statistics(trajectories=1), "trajectories must be at least 2"),
+        (lambda: qsme.suite_two_point(T=0.0), "T of at least one step"),
+        (lambda: qsme.suite_jx_decay(dt=0.0), "dt > 0"),
+        (lambda: qsme.simulate_ramp_ensemble(qsme.spin_operators(1.0), PlantParams(
+            J=1.0, gamma=1e6, M=1e4), 0.0, 1, 0, 1e-9, 3), "trajectories must be at least 1"),
+        (lambda: qsme.simulate_ramp_ensemble(qsme.spin_operators(1.0), PlantParams(
+            J=1.0, gamma=1e6, M=1e4), 0.0, 1, 2, 1e-9, 0), "n must be at least 1"),
+    ], ids=["two_point-records", "grid_kalman-records", "variance_tracking-trajectories",
+            "ramp_statistics-trajectories", "two_point-T", "jx_decay-dt",
+            "simulate-trajectories", "simulate-n"])
+    def test_degenerate_sizes_rejected(self, call, match):
+        # each crashed inside numpy, returned NaN standard errors, or
+        # reported on zero steps
+        with pytest.raises(ConfigurationError, match=match):
+            call()
+
     def test_jx_decay_within_one_percent(self):
         s = qsme.suite_jx_decay(J=6, dt=2e-7, T=6e-5)
         assert s["passed"], s
@@ -371,3 +392,40 @@ class TestKernelProperties:
         for a, c in zip(full[:2], part[:2]):   # records and <Jz> walks, row by row
             scale = np.max(np.abs(a[:batch - 1]))
             assert np.max(np.abs(a[:batch - 1] - c)) <= 1e-12 * scale
+
+    @settings(max_examples=60, deadline=None)
+    @given(two_j=st.integers(1, 12), batch=st.integers(1, 5), seed=st.integers(0, 2**32 - 1),
+           h=st.floats(-0.05, 0.05), dt_frac=st.floats(0.01, 0.99))
+    def test_kernel_matches_reference(self, two_j, batch, seed, h, dt_frac):
+        # the field term as one product with K, the measurement term in one
+        # temporary: the step moves by rounding only
+        J = two_j / 2.0
+        ops = qsme.spin_operators(J)
+        p = PlantParams(J=J, gamma=1e6, M=1e4)
+        dt = dt_frac * 0.5 / (p.M * ops.dim)
+        rng = np.random.default_rng(seed)
+        psi = rng.normal(size=(batch, ops.dim))
+        psi /= np.linalg.norm(psi, axis=1)[:, None]
+        hs = h * rng.uniform(-1.0, 1.0, batch)
+        dws = rng.normal(size=batch) * math.sqrt(dt)
+        jz = qsme._jz_mean(psi, ops.mz)
+        out = qsme._sse_update(psi, jz, hs, dws, ops, p, dt)
+        assert np.max(np.abs(out - sse_update_reference(psi, jz, hs, dws, ops, p, dt))) <= 1e-14
+        # relative to the size of the two terms of each entry
+        ref = shifted_kpsi(psi, ops.amp)
+        scale = np.max(np.abs(psi) @ np.abs(ops.K))
+        assert np.max(np.abs(psi @ ops.K - ref)) <= 1e-15 * scale
+
+    @settings(max_examples=25, deadline=None)
+    @given(two_j=st.integers(1, 8), trajectories=st.integers(1, 7), seed=st.integers(0, 2**32 - 1),
+           b=st.floats(-0.05, 0.05), n=st.integers(1, 30))
+    def test_ramp_loop_matches_per_step_reference(self, two_j, trajectories, seed, b, n):
+        # records formed after the loop and the mean as add.reduce / count
+        # give the bits of one record column and one np.mean per step
+        J = two_j / 2.0
+        ops = qsme.spin_operators(J)
+        p = PlantParams(J=J, gamma=1e6, M=1e4)
+        out = qsme.simulate_ramp_ensemble(ops, p, b, seed, trajectories, 1e-8, n)
+        ref = ramp_ensemble_reference(ops, p, b, seed, trajectories, 1e-8, n)
+        for a, c in zip(out, ref):   # records, <Jz> walks, mean_djz2
+            assert np.array_equal(a, c)
