@@ -31,7 +31,12 @@ and the entry points name the time of a step that fails.
 Field estimation with unknown constant b keeps one conditioned state per
 field hypothesis, all filtered against the same physical record: the
 hypothesis innovation is dWbar_b = 2 sqrt(M) (y dt - <Jz>_b dt) and the
-unnormalized weights follow d pbar = 4 M eta <Jz>_b pbar y dt.
+unnormalized weights follow d pbar = 4 M eta <Jz>_b pbar y dt.  The
+records are simulated in the same stack: each record contributes one
+truth row in the true field, which emits y dt, followed by its
+hypothesis rows, and every row of every record takes one _sse_update per
+step.  Given its own record, a truth row's innovation 2 sqrt(M) (y dt -
+<Jz> dt) is its raw sqrt(dt) xi up to rounding, since sigma_M = 1/(4 M).
 
 This module exists at desk scale (J up to about 50) to validate the
 Gaussian/Kalman reduction used everywhere else:
@@ -167,79 +172,110 @@ def sme_step(coh: np.ndarray, ops: SpinOperators, p: PlantParams, dt: float) -> 
 
 @dataclass
 class FieldGrid:
-    """Field hypotheses with weights and one conditioned state each.
+    """The stacked rows of a Bayes-grid run with their posterior weights.
 
-    jz holds the <Jz> of each state, read once per step: the reweighting
-    and the propagation through the same increment both use it.
+    Each record owns 1 + H consecutive rows: its truth state, then one
+    conditioned state per field hypothesis.  b_values holds each row's
+    field (the true field on a truth row), p the (records, H) posterior
+    weights, and jz the <Jz> of each row, read once per step: the record,
+    the reweighting and the propagation through the same increment all
+    use it.
     """
 
     b_values: np.ndarray
     p: np.ndarray
-    psi: np.ndarray  # stack (n_b, dim)
+    psi: np.ndarray  # stack (records * (1 + H), dim)
     jz: np.ndarray
     ops: SpinOperators
 
-    def posterior_mean(self) -> float:
-        return float(self.p @ self.b_values)
 
-
-def _coherent_grid(ops: SpinOperators, b_values: np.ndarray, w: np.ndarray) -> FieldGrid:
+def _stacked_grid(ops: SpinOperators, b: float, hypotheses: np.ndarray, weights: np.ndarray,
+                  records: int) -> FieldGrid:
+    """records copies of [truth in field b, one row per hypothesis], every
+    state coherent along x, every record with the prior weights."""
+    b_values = np.tile(np.concatenate(([b], hypotheses)), records)
     psi = np.tile(coherent_state_x(ops.J), (len(b_values), 1))
-    return FieldGrid(b_values=b_values, p=w, psi=psi, jz=_jz_mean(psi, ops.mz), ops=ops)
+    return FieldGrid(b_values=b_values, p=np.tile(weights, (records, 1)), psi=psi,
+                     jz=_jz_mean(psi, ops.mz), ops=ops)
 
 
-def gaussian_grid(ops: SpinOperators, sigma_b0: float, n_points: int) -> FieldGrid:
-    """Uniform grid over +-4 standard deviations with Gaussian prior weights."""
-    if n_points < 2:
-        raise ConfigurationError("gaussian_grid: need at least two hypotheses")
+def _gaussian_hypotheses(sigma_b0: float, points: int):
+    """Uniform grid over +-4 standard deviations and its normalized
+    Gaussian prior weights."""
+    if points < 2:
+        raise ConfigurationError("gaussian grid: need at least two hypotheses")
     sd = math.sqrt(sigma_b0)
-    b_values = np.linspace(-4.0 * sd, 4.0 * sd, n_points)
+    b_values = np.linspace(-4.0 * sd, 4.0 * sd, points)
     w = np.exp(-0.5 * (b_values / sd) ** 2)
-    return _coherent_grid(ops, b_values, w / w.sum())
+    return b_values, w / w.sum()
 
 
-def two_point_grid(ops: SpinOperators, b0: float) -> FieldGrid:
-    return _coherent_grid(ops, np.array([-b0, b0]), np.array([0.5, 0.5]))
-
-
-def bayes_grid_update(grid: FieldGrid, ydt: float, p: PlantParams) -> FieldGrid:
-    """Reweight hypotheses: pbar_b *= 1 + 4 M eta <Jz>_b ydt, then normalize.
+def bayes_grid_update(grid: FieldGrid, ydt: np.ndarray, p: PlantParams) -> FieldGrid:
+    """Reweight each record's hypotheses on its increment ydt[r]:
+    pbar_b *= 1 + 4 M eta <Jz>_b ydt[r], then normalize per record.
 
     Uses each hypothesis's current <Jz>_b, so call before propagating the
     grid states through the same increment.
     """
-    w = grid.jz * (4.0 * p.M * p.eta * ydt)
+    records, hyps = grid.p.shape
+    w = grid.jz.reshape(records, 1 + hyps)[:, 1:] * (4.0 * p.M * p.eta * ydt)[:, None]
     w += 1.0
     w *= grid.p
     np.maximum(w, 0.0, out=w)
-    total = w.sum()
-    if not (total > 0.0 and math.isfinite(total)):
+    total = np.add.reduce(w, axis=1)
+    if not (np.minimum.reduce(total) > 0.0 and np.maximum.reduce(total) < math.inf):
         raise NumericalError("bayes_grid_update: posterior weights degenerated")
-    w /= total
+    w /= total[:, None]
     return FieldGrid(b_values=grid.b_values, p=w, psi=grid.psi, jz=grid.jz, ops=grid.ops)
 
 
-def propagate_grid(grid: FieldGrid, ydt: float, p: PlantParams, dt: float) -> FieldGrid:
-    """Condition every hypothesis state on the shared record increment."""
+def propagate_grid(grid: FieldGrid, ydt: np.ndarray, p: PlantParams, dt: float) -> FieldGrid:
+    """Condition every row on its record's increment (ydt holds one value
+    per row): one _sse_update for the whole stack."""
     dwbar = 2.0 * math.sqrt(p.M) * (ydt - grid.jz * dt)
     psi = _sse_update(grid.psi, grid.jz, grid.b_values, dwbar, grid.ops, p, dt)
     return FieldGrid(b_values=grid.b_values, p=grid.p, psi=psi, jz=_jz_mean(psi, grid.ops.mz),
                      ops=grid.ops)
 
 
-def grid_filter_record(grid: FieldGrid, ydts: np.ndarray, p: PlantParams, dt: float):
-    """Run reweight-then-propagate over a full record; returns the final
-    grid and the posterior-mean history."""
-    means = np.empty(len(ydts) + 1)
-    means[0] = grid.posterior_mean()
+def grid_filter_records(ops: SpinOperators, p: PlantParams, b: float, hypotheses: np.ndarray,
+                        weights: np.ndarray, seed: int, records: int, dt: float, n: int):
+    """Simulate records in the true field b and filter each on a Bayes grid
+    over the field hypotheses with prior weights, all rows in one stack
+    stepped together; record r draws from trial_stream(seed, r) in the
+    layout of simulate_ramp_ensemble.
+
+    Returns (ydts, walks, means, weights): the records (records, n), the
+    truth <Jz> walks (records, n + 1), the posterior means
+    (records, n + 1) and the final weights (records, H).
+    """
+    _require_at_least("grid_filter_records", "records", records, 1)
+    rows = 1 + len(hypotheses)
+    grid = _stacked_grid(ops, b, hypotheses, weights, records)
+    draws = trial_normals(seed, np.arange(records), n)
+    draws *= math.sqrt(dt)
+    draws *= math.sqrt(p.sigma_M)   # the record noise, scaled as simulate_ramp_ensemble does
+    noise = draws.T
+    walks = np.empty((n + 1, records))
+    means = np.empty((n + 1, records))
+    means[0] = grid.p @ hypotheses
     try:
-        for k, ydt in enumerate(ydts.tolist()):
+        for k in range(n):
+            jz = grid.jz[::rows]
+            walks[k] = jz
+            ydt = jz * dt
+            ydt += noise[k]
             grid = bayes_grid_update(grid, ydt, p)
-            grid = propagate_grid(grid, ydt, p, dt)
-            means[k + 1] = grid.posterior_mean()
+            grid = propagate_grid(grid, ydt.repeat(rows), p, dt)
+            means[k + 1] = grid.p @ hypotheses
     except NumericalError as err:
         raise _at_time(err, k, dt) from err
-    return grid, means
+    walks[n] = grid.jz[::rows]
+    walks = walks.T
+    # the records again, elementwise with the bits of the loop's ydt
+    ydts = walks[:, :n] * dt
+    ydts += draws
+    return ydts, walks, means.T, grid.p
 
 
 # ---------------------------------------------------------------------------
@@ -359,13 +395,10 @@ def suite_two_point(J: float = 16, gamma: float = 1e6, M: float = 1e4,
                     b0: float = 2.8e-3, dt: float = 5e-9, T: float = 1e-4,
                     records: int = 3, seed: int = 3001) -> dict:
     """Posterior concentration on the true field of a two-hypothesis grid."""
-    _require_at_least("suite_two_point", "records", records, 1)
     ops, p, n = _suite_setup("suite_two_point", J, gamma, M, dt, T)
-    ydts, _, _ = simulate_ramp_ensemble(ops, p, +b0, seed, records, dt, n)
-    finals = []
-    for record in ydts:
-        grid, _ = grid_filter_record(two_point_grid(ops, b0), record, p, dt)
-        finals.append(float(grid.p[1]))
+    *_, weights = grid_filter_records(ops, p, +b0, np.array([-b0, b0]), np.array([0.5, 0.5]),
+                                      seed, records, dt, n)
+    finals = weights[:, 1].tolist()
     worst = min(finals)
     return {"name": "two_point_posterior", "passed": worst >= 0.9,
             "measured": worst, "tolerance": 0.9, "finals": finals}
@@ -378,27 +411,23 @@ def suite_grid_kalman(J: float = 16, gamma: float = 1e6, M: float = 1e4,
     """Gridded posterior mean against the Kalman field estimate on shared
     records; the worst deviation must stay within 10% of the tracking-error
     envelope sqrt(sigma_bR(t))."""
-    _require_at_least("suite_grid_kalman", "records", records, 1)
     ops, p, n = _suite_setup("suite_grid_kalman", J, gamma, M, dt, T)
+    hypotheses, prior_weights = _gaussian_hypotheses(sigma_b0, points)
     prior = Priors(sigma_z0=J / 2.0, sigma_b0=sigma_b0)
     tgrid = np.arange(n + 1) * dt
     cov = linearized_riccati_curve(p, prior, tgrid)
     k1, k2 = cov.gain(p.sigma_M)
     env = np.sqrt(cov.sigma_bR)
     b_true = 1.5 * math.sqrt(sigma_b0)
-    records_ydt, _, _ = simulate_ramp_ensemble(ops, p, b_true, seed, records, dt, n)
-    devs = []
-    posterior = None
-    for ydts in records_ydt:
-        grid = gaussian_grid(ops, sigma_b0, points)
-        grid, means = grid_filter_record(grid, ydts, p, dt)
-        m = filter_record(p, k1, k2, np.append(ydts, 0.0), dt)
-        devs.append(float(np.max(np.abs(means - m[:, 1]) / env)))
-        if posterior is None:
-            posterior = (grid.b_values.copy(), grid.p.copy())
+    ydts, _, means, weights = grid_filter_records(ops, p, b_true, hypotheses, prior_weights,
+                                                  seed, records, dt, n)
+    # the Kalman filter is a scalar recursion, run record by record
+    devs = [float(np.max(np.abs(mean - filter_record(p, k1, k2, np.append(ydt, 0.0), dt)[:, 1])
+                         / env)) for ydt, mean in zip(ydts, means)]
     worst = max(devs)
     return {"name": "grid_vs_kalman", "passed": worst <= 0.1, "measured": worst,
-            "tolerance": 0.1, "devs": devs, "b_true": b_true, "posterior": posterior}
+            "tolerance": 0.1, "devs": devs, "b_true": b_true,
+            "posterior": (hypotheses, weights[0])}
 
 
 def suite_ramp_statistics(J: float = 10, gamma: float = 1e6, M: float = 1e4,

@@ -9,6 +9,7 @@ from spintrack.errors import (ConfigurationError, InstabilityError, NumericalErr
 from spintrack.model import PlantParams
 from spintrack.numerics import RngStream
 from spintrack import qsme
+from grid_reference import grid_records_reference
 from sse_reference import ramp_ensemble_reference, shifted_kpsi, sse_update_reference
 
 
@@ -30,6 +31,17 @@ def _step(psi, b, ops, p, dt, dw):
     jz = qsme._jz_mean(psi[None], ops.mz)
     out = qsme._sse_update(psi[None], jz, b, dw, ops, p, dt)[0]
     return out, float(jz[0] * dt + math.sqrt(p.sigma_M) * dw)
+
+
+def _two_point(ops, b0, records=1):
+    """A stacked two-hypothesis grid, +-b0, with its truth rows in +b0."""
+    return qsme._stacked_grid(ops, b0, np.array([-b0, b0]), np.array([0.5, 0.5]), records)
+
+
+def _two_point_run(ops, p, b0, seed, records, dt, n):
+    """grid_filter_records on the two-hypothesis grid of _two_point."""
+    return qsme.grid_filter_records(ops, p, b0, np.array([-b0, b0]), np.array([0.5, 0.5]),
+                                    seed, records, dt, n)
 
 
 def _conditioned_step(psi, b, ops, p, dt, ydt):
@@ -159,7 +171,7 @@ class TestSmeStep:
         with pytest.raises(InstabilityError, match="norm"):
             _step(psi, 1e-3, ops, p, 1e-9, math.nan)
         with pytest.raises(InstabilityError, match="norm"):
-            qsme.propagate_grid(qsme.two_point_grid(ops, 1e-3), math.nan, p, 1e-9)
+            qsme.propagate_grid(_two_point(ops, 1e-3), np.full(3, math.nan), p, 1e-9)
         with pytest.raises(InstabilityError, match="not finite"):
             qsme.sme_step(np.full(ops.dim - 1, math.nan), ops, p, 1e-9)
 
@@ -167,11 +179,6 @@ class TestSmeStep:
         ops = qsme.spin_operators(5.0)
         p = PlantParams(J=5.0, gamma=1e6, M=1e4)
         dt, k = 1e-9, 7
-        ydts = np.full(12, 1e-9)
-        ydts[k] = math.nan   # the posterior weights degenerate first
-        with pytest.raises(NumericalError, match=f"t = {k * dt:.6e}"):
-            qsme.grid_filter_record(qsme.two_point_grid(ops, 1e-3), ydts, p, dt)
-
         draws = qsme.trial_normals
 
         def nan_at_k(*args):
@@ -180,6 +187,9 @@ class TestSmeStep:
             return out
 
         monkeypatch.setattr(qsme, "trial_normals", nan_at_k)
+        # a NaN record: the posterior weights degenerate first
+        with pytest.raises(NumericalError, match=f"degenerated.*t = {k * dt:.6e}"):
+            _two_point_run(ops, p, 1e-3, 1, 2, dt, 12)
         with pytest.raises(InstabilityError, match=f"t = {k * dt:.6e}"):
             qsme.simulate_ramp_ensemble(ops, p, 1e-3, 1, 2, dt, 12)
 
@@ -198,11 +208,10 @@ class TestSmeStep:
         # a state conditioned on an inefficient measurement is mixed
         ops = qsme.spin_operators(2.0)
         p = PlantParams(J=2.0, gamma=1e6, M=1e4, eta=0.5)
-        grid = qsme.two_point_grid(ops, 1e-3)
         with pytest.raises(UnsupportedCaseError, match="eta"):
-            qsme.propagate_grid(grid, 0.0, p, 1e-9)
+            qsme.propagate_grid(_two_point(ops, 1e-3), np.zeros(3), p, 1e-9)
         with pytest.raises(UnsupportedCaseError, match="eta"):
-            qsme.grid_filter_record(grid, np.zeros(3), p, 1e-9)
+            _two_point_run(ops, p, 1e-3, 1, 2, 1e-9, 3)
         with pytest.raises(UnsupportedCaseError, match="eta"):
             qsme.simulate_ramp_ensemble(ops, p, 0.0, 1, 2, 1e-9, 3)
 
@@ -215,10 +224,9 @@ class TestSmeStep:
         entry_points = {
             "sme_step": lambda dt: qsme.sme_step(psi[:-1] * psi[1:], ops, p, dt),
             "unconditional_jx_decay": lambda dt: qsme.unconditional_jx_decay(ops, p, dt, 1),
-            "propagate_grid": lambda dt: qsme.propagate_grid(qsme.two_point_grid(ops, 1e-3),
-                                                             0.0, p, dt),
-            "grid_filter_record": lambda dt: qsme.grid_filter_record(
-                qsme.two_point_grid(ops, 1e-3), np.zeros(1), p, dt),
+            "propagate_grid": lambda dt: qsme.propagate_grid(_two_point(ops, 1e-3),
+                                                             np.zeros(3), p, dt),
+            "grid_filter_records": lambda dt: _two_point_run(ops, p, 1e-3, 1, 2, dt, 1),
             "simulate_ramp_ensemble": lambda dt: qsme.simulate_ramp_ensemble(
                 ops, p, 1e-3, 1, 2, dt, 1),
         }
@@ -229,14 +237,15 @@ class TestSmeStep:
                 pytest.fail(f"{name} took a step above the guard")
 
     def test_record_and_raw_forms_agree(self):
-        # filtering the emitted record with the true field reproduces the
-        # conditioned <Jz> walk
+        # a truth row stepped on the innovation of its own record walks as
+        # the trajectory stepped on the raw noise
         ops = qsme.spin_operators(3.0)
         p = PlantParams(J=3.0, gamma=1e6, M=1e4)
         b, dt, n = 2e-3, 1e-8, 50
-        ydts, walks, _ = qsme.simulate_ramp_ensemble(ops, p, b, 17, 1, dt, n)
-        grid, _ = qsme.grid_filter_record(qsme.two_point_grid(ops, b), ydts[0], p, dt)
-        assert grid.jz[1] == pytest.approx(walks[0, -1], abs=1e-12)
+        ydts, walks, _ = qsme.simulate_ramp_ensemble(ops, p, b, 17, 2, dt, n)
+        stacked_ydts, stacked_walks, _, _ = _two_point_run(ops, p, b, 17, 2, dt, n)
+        assert np.max(np.abs(stacked_walks - walks)) <= 1e-12
+        assert np.max(np.abs(stacked_ydts - ydts)) <= 1e-12 * dt
 
     def test_precession_sign_matches_state_space_model(self):
         # positive field must push <Jz> up at rate gamma <Jx> h; a vanishing
@@ -253,51 +262,58 @@ class TestBayesGrid:
     def test_uninformative_measurement_keeps_weights(self):
         ops = qsme.spin_operators(2.0)
         p = PlantParams(J=2.0, gamma=1e6, M=1e4)
-        grid = qsme.gaussian_grid(ops, 1e-6, 11)
+        grid = qsme._stacked_grid(ops, 0.0, *qsme._gaussian_hypotheses(1e-6, 11), 2)
         # identical states across hypotheses: <Jz>_b all equal
-        out = qsme.bayes_grid_update(grid, 1e-7, p)
+        out = qsme.bayes_grid_update(grid, np.array([1e-7, -3e-7]), p)
         assert np.allclose(out.p, grid.p)
 
     def test_posterior_mean_of_symmetric_grid(self):
         ops = qsme.spin_operators(2.0)
-        grid = qsme.gaussian_grid(ops, 1e-6, 21)
-        assert grid.posterior_mean() == pytest.approx(0.0, abs=1e-15)
+        p = PlantParams(J=2.0, gamma=1e6, M=1e4)
+        hypotheses, weights = qsme._gaussian_hypotheses(1e-6, 21)
+        _, _, means, _ = qsme.grid_filter_records(ops, p, 0.0, hypotheses, weights, 1, 2,
+                                                  1e-8, 1)
+        assert np.max(np.abs(means[:, 0])) <= 1e-15
 
     def test_degenerate_posterior_detected(self):
+        # the check is per record: one degenerate record among several fails
         ops = qsme.spin_operators(2.0)
         p = PlantParams(J=2.0, gamma=1e6, M=1e4)
-        grid = qsme.two_point_grid(ops, 1e-3)
-        grid.p = np.array([0.0, 0.0])
-        with pytest.raises(Exception):
-            qsme.bayes_grid_update(grid, 1e-7, p)
+        grid = _two_point(ops, 1e-3, records=3)
+        grid.p[1] = 0.0
+        with pytest.raises(NumericalError, match="degenerated"):
+            qsme.bayes_grid_update(grid, np.full(3, 1e-7), p)
 
     def test_grid_propagation_matches_scalar_path(self):
         ops = qsme.spin_operators(2.0)
         p = PlantParams(J=2.0, gamma=1e6, M=1e4)
-        grid = qsme.two_point_grid(ops, 2e-3)
-        ydt = 3e-7
+        grid = _two_point(ops, 2e-3, records=2)
+        ydt = np.repeat([3e-7, -1e-7], 3)   # each record's increment on its three rows
         out = qsme.propagate_grid(grid, ydt, p, 1e-8)
         for i, b in enumerate(grid.b_values):
-            ref = _conditioned_step(grid.psi[i], b, ops, p, 1e-8, ydt)
+            ref = _conditioned_step(grid.psi[i], b, ops, p, 1e-8, ydt[i])
             assert np.max(np.abs(out.psi[i] - ref)) < 1e-13
 
-    def test_one_jz_read_per_step_matches_two(self):
-        # the grid carries <Jz>_b from one propagation to the next step's
-        # reweighting; reading it afresh before each half changes no bit
+    def test_one_jz_read_per_step_matches_two(self, monkeypatch):
+        # the grid carries <Jz> of every row from one propagation to the
+        # next step's record and reweighting; reading it afresh before each
+        # half changes no bit
         ops = qsme.spin_operators(3.0)
         p = PlantParams(J=3.0, gamma=1e6, M=1e4)
-        dt = 1e-8
-        ydts, _, _ = qsme.simulate_ramp_ensemble(ops, p, 2e-3, 5, 1, dt, 60)
-        start = qsme.gaussian_grid(ops, 4e-6, 7)
-        _, means = qsme.grid_filter_record(start, ydts[0], p, dt)
-        grid, ref = start, [start.posterior_mean()]
-        for ydt in ydts[0]:
-            grid.jz = qsme._jz_mean(grid.psi, ops.mz)
-            grid = qsme.bayes_grid_update(grid, ydt, p)
-            grid.jz = qsme._jz_mean(grid.psi, ops.mz)
-            grid = qsme.propagate_grid(grid, ydt, p, dt)
-            ref.append(grid.posterior_mean())
-        assert np.array_equal(means, ref)
+        hypotheses, weights = qsme._gaussian_hypotheses(4e-6, 7)
+
+        def run():
+            return qsme.grid_filter_records(ops, p, 2e-3, hypotheses, weights, 5, 2, 1e-8, 60)
+
+        carried = run()
+        for name in ("bayes_grid_update", "propagate_grid"):
+            def fresh(grid, *args, _half=getattr(qsme, name)):
+                grid.jz = qsme._jz_mean(grid.psi, ops.mz)
+                return _half(grid, *args)
+
+            monkeypatch.setattr(qsme, name, fresh)
+        for a, b in zip(carried, run()):
+            assert np.array_equal(a, b)
 
 
 class TestSuites:
@@ -306,6 +322,7 @@ class TestSuites:
         (lambda: qsme.suite_grid_kalman(records=0), "records must be at least 1"),
         (lambda: qsme.suite_variance_tracking(trajectories=1), "trajectories must be at least 2"),
         (lambda: qsme.suite_ramp_statistics(trajectories=1), "trajectories must be at least 2"),
+        (lambda: qsme.suite_grid_kalman(points=1), "at least two hypotheses"),
         (lambda: qsme.suite_two_point(T=0.0), "T of at least one step"),
         (lambda: qsme.suite_jx_decay(dt=0.0), "dt > 0"),
         (lambda: qsme.simulate_ramp_ensemble(qsme.spin_operators(1.0), PlantParams(
@@ -313,7 +330,7 @@ class TestSuites:
         (lambda: qsme.simulate_ramp_ensemble(qsme.spin_operators(1.0), PlantParams(
             J=1.0, gamma=1e6, M=1e4), 0.0, 1, 2, 1e-9, 0), "n must be at least 1"),
     ], ids=["two_point-records", "grid_kalman-records", "variance_tracking-trajectories",
-            "ramp_statistics-trajectories", "two_point-T", "jx_decay-dt",
+            "ramp_statistics-trajectories", "grid_kalman-points", "two_point-T", "jx_decay-dt",
             "simulate-trajectories", "simulate-n"])
     def test_degenerate_sizes_rejected(self, call, match):
         # each crashed inside numpy, returned NaN standard errors, or
@@ -332,6 +349,27 @@ class TestSuites:
     def test_ramp_statistics_suite(self):
         s = qsme.suite_ramp_statistics(trajectories=300, seed=71)
         assert s["passed"], s
+
+    @pytest.mark.parametrize("suite, sizes", [
+        (qsme.suite_two_point, {"dt": 5e-9, "T": 1e-7}),
+        (qsme.suite_grid_kalman, {"dt": 2.5e-9, "T": 5e-8, "points": 5}),
+    ], ids=["two_point", "grid_kalman"])
+    def test_one_sse_update_per_step(self, monkeypatch, suite, sizes):
+        # the truth and hypothesis rows of every record step as one stack
+        calls = []
+        update = qsme._sse_update
+
+        def counted(psi, *args):
+            calls.append(len(psi))
+            return update(psi, *args)
+
+        monkeypatch.setattr(qsme, "_sse_update", counted)
+        n = int(round(sizes["T"] / sizes["dt"]))
+        rows = 1 + sizes.get("points", 2)
+        for records in (1, 3):
+            calls.clear()
+            suite(records=records, **sizes)
+            assert calls == [records * rows] * n
 
     def test_qnd_ensemble_matches_scalar_steps(self):
         # the batched simulator at b = 0 is the QND ensemble
@@ -429,3 +467,40 @@ class TestKernelProperties:
         ref = ramp_ensemble_reference(ops, p, b, seed, trajectories, 1e-8, n)
         for a, c in zip(out, ref):   # records, <Jz> walks, mean_djz2
             assert np.array_equal(a, c)
+
+    @settings(max_examples=25, deadline=None)
+    @given(two_j=st.integers(1, 8), hyps=st.integers(2, 6), records=st.integers(1, 4),
+           seed=st.integers(0, 2**32 - 1), n=st.integers(1, 30))
+    def test_stacked_grid_matches_per_record_reference(self, two_j, hyps, records, seed, n):
+        # one stack of truth and hypothesis rows against a truth simulation
+        # followed by one grid per record: the truth rows take their raw
+        # noise back from the record, so values move by rounding only
+        J = two_j / 2.0
+        ops = qsme.spin_operators(J)
+        p = PlantParams(J=J, gamma=1e6, M=1e4)
+        rng = np.random.default_rng(seed)
+        hypotheses = np.sort(rng.uniform(-0.05, 0.05, hyps))
+        weights = rng.uniform(0.1, 1.0, hyps)
+        weights /= weights.sum()
+        b = float(rng.uniform(-0.05, 0.05))
+        out = qsme.grid_filter_records(ops, p, b, hypotheses, weights, seed, records, 1e-8, n)
+        ref = grid_records_reference(ops, p, b, hypotheses, weights, seed, records, 1e-8, n)
+        # records, walks, means, weights, each against the size of its terms
+        for a, c, scale in zip(out, ref, (J * 1e-8, J, np.max(np.abs(hypotheses)), 1.0)):
+            assert a.shape == c.shape
+            assert np.max(np.abs(a - c)) <= 1e-12 * scale
+
+    @settings(max_examples=25, deadline=None)
+    @given(two_j=st.integers(1, 8), records=st.integers(2, 5), seed=st.integers(0, 2**32 - 1),
+           b=st.floats(-0.05, 0.05), n=st.integers(1, 30))
+    def test_grid_records_do_not_depend_on_record_count(self, two_j, records, seed, b, n):
+        J = two_j / 2.0
+        ops = qsme.spin_operators(J)
+        p = PlantParams(J=J, gamma=1e6, M=1e4)
+        dt = 1e-8
+        full = _two_point_run(ops, p, b, seed, records, dt, n)
+        part = _two_point_run(ops, p, b, seed, records - 1, dt, n)
+        # records, walks, means and weights row by row, each against the
+        # size of its terms: another stack shape moves them by rounding
+        for a, c, scale in zip(full, part, (J * dt, J, abs(b), 1.0)):
+            assert np.max(np.abs(a[:records - 1] - c)) <= 1e-12 * scale
