@@ -236,51 +236,31 @@ def cmd_mismatch(sc: dict, seed: int, out: str, workers: int) -> int:
     p0 = build_plant(sc)
     d = build_design(sc, p0)
     sigma_b0 = sc.get("sigma_b0", 0.0)
-    rows_f, rows_t, rows_sbe, rows_factor, rows_pred, rows_valid = [], [], [], [], [], []
-    table = []
+    rows = []   # (f, t, sigma_bE, factor, factor_predicted, valid)
     for f in f_values:
         p = replace(p0, J=f * d.J_prime)
         prior = Priors(sigma_z0=p.J / 2.0, sigma_b0=sigma_b0)
         if regime == "fluctuating_steady":
-            err = tc.steady_state_error(p, d)
+            t, err, valid = math.inf, tc.steady_state_error(p, d), 1
             if d.lam > 0:
                 ref = riccati.steady_state_gains(design_plant(p, d), d).sigma_bS
                 pred = tc.mismatch_factors(f, "controlled_steady")
             else:
                 ref = p.sigma_bFree
                 pred = tc.mismatch_factors(f, "uncontrolled_fluctuating")
-            factor = err / ref
-            rows_f.append(f)
-            rows_t.append(math.inf)
-            rows_sbe.append(err)
-            rows_factor.append(factor)
-            rows_pred.append(pred)
-            rows_valid.append(1)
-            table.append((f, factor, pred))
         else:
-            t_eval = sc.get("t_eval", 1e-5)
-            curve = tc.transient_error_curve(p, prior, d, np.array([t_eval]))
-            err = float(curve.sigma_bE[0])
-            ref = riccati.transient_sigma_b(p, t_eval, J=d.J_prime)
-            factor = err / ref
+            t = sc.get("t_eval", 1e-5)
+            err = float(tc.transient_error_curve(p, prior, d, np.array([t])).sigma_bE[0])
+            ref = riccati.transient_sigma_b(p, t, J=d.J_prime)
             try:
-                pred = tc.mismatch_factors(f, "controlled_transient")
-                valid = 1
+                pred, valid = tc.mismatch_factors(f, "controlled_transient"), 1
             except ConfigurationError:
-                pred = math.nan
-                valid = 0
-            rows_f.append(f)
-            rows_t.append(t_eval)
-            rows_sbe.append(err)
-            rows_factor.append(factor)
-            rows_pred.append(pred)
-            rows_valid.append(valid)
-            table.append((f, factor, pred))
+                pred, valid = math.nan, 0
+        rows.append((f, t, err, err / ref, pred, valid))
     write_csv(out, ["f", "t", "sigma_bE", "factor", "factor_predicted", "valid"],
-              [np.array(rows_f), np.array(rows_t), np.array(rows_sbe),
-               np.array(rows_factor), np.array(rows_pred), np.array(rows_valid)])
+              [np.array(col) for col in zip(*rows)])
     print(f"mismatch ({regime}): factor at reference point vs prediction")
-    for f, factor, pred in table:
+    for f, _, _, factor, pred, _ in rows:
         if math.isnan(pred):
             print(f"  f = {f:8.3g}: measured {factor:.4f}, prediction out of validity")
         else:

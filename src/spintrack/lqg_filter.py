@@ -324,23 +324,19 @@ def summarize_ensemble(sums: np.ndarray, trials: int):
     return out
 
 
-def run_open_loop_linefit(p: PlantParams, prior: Priors, J_assumed: float, records):
-    """Estimate constant fields by least-squares line fits to the record rate.
+def run_open_loop_linefit(ydt: np.ndarray, dt: float):
+    """Least-squares line fits to the record rates w = ydt / dt.
 
-    For each trajectory the rate samples w_k = ydt_k / dt scatter around
-    the ramp z(t) = z(0) + gamma J b t, so the fitted slope divided by
-    gamma * J_assumed estimates b.  Returns one estimate per record.
+    Row r of ``ydt`` (shape (records, n)) holds the increments over
+    [k dt, (k + 1) dt), whose rates scatter around the ramp
+    z(t) = z(0) + gamma J b t.  Returns (slopes, intercepts), one per
+    record; slope / (gamma J') estimates b under an assumed spin J'.
     """
-    if isinstance(records, Trajectory):
-        records = [records]
-    out = np.empty(len(records))
-    for i, rec in enumerate(records):
-        n = rec.n_steps
-        if n < 3:
-            raise ConfigurationError("run_open_loop_linefit: need at least 3 samples to fit a line")
-        t = rec.t[:n]
-        w = rec.ydt[:n] / rec.dt
-        tbar = t.mean()
-        slope = np.dot(t - tbar, w) / np.dot(t - tbar, t - tbar)
-        out[i] = slope / (p.gamma * J_assumed)
-    return out
+    n = ydt.shape[-1]
+    if n < 3:
+        raise ConfigurationError("run_open_loop_linefit: need at least 3 samples to fit a line")
+    t = np.arange(n) * dt
+    w = ydt / dt
+    tbar = t.mean()
+    slopes = (w @ (t - tbar)) / float(np.dot(t - tbar, t - tbar))
+    return slopes, w.mean(axis=1) - slopes * tbar

@@ -106,14 +106,6 @@ def build_system(p: PlantParams):
     return a, b, c, sigma1
 
 
-def build_design_system(d: DesignParams, template: PlantParams):
-    """Matrices the observer believes in: the template plant with J_prime."""
-    gj = template.gamma * d.J_prime
-    a = np.array([[0.0, gj], [0.0, -template.gamma_b]])
-    b = np.array([gj, 0.0])
-    return a, b
-
-
 def sigma_m(M: float, eta: float) -> float:
     """Measurement sensitivity 1/(4*M*eta); the shot-noise intensity of y dt."""
     if not M > 0:

@@ -30,13 +30,14 @@ nearby integer seeds do not share key sets under the XOR).  Each Monte
 Carlo trial owns one sub-stream, which makes ensembles independent of
 batch splitting and worker count.
 
-``trial_normals`` generates its draws in cache-sized blocks of about
-``_BLOCK_NORMALS`` normals (a few streams at a time), with in-place
-integer and float operations into a preallocated output.  Every draw is a
-pure function of its (stream, position), so the block size changes speed
-only: the bits are those of the formula above.  ``RngStream.normals_at``
-evaluates the formula directly and is the reference the blocked kernel
-is tested against, bit for bit.
+One kernel generates every draw, for ``RngStream`` and ``trial_normals``
+alike: it works in cache-sized tiles of about ``_BLOCK_NORMALS`` normals
+(a few streams at a time, or a stretch of positions of one long stream),
+with in-place integer and float operations into a preallocated output.
+Every draw is a pure function of its (stream, position), so the tiling
+changes speed only: the bits are those of the formula above.  The plain
+formula itself lives in the tests (``tests/rng_reference.py``), which
+check the kernel against it bit for bit.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ _MIX2 = 0x94D049BB133111EB
 _U64 = np.uint64
 _TWO53 = float(1 << 53)
 _TWO_PI = 2.0 * np.pi
-_BLOCK_NORMALS = 16384  # normals per generated block (256 KB of uint64 outputs)
+_BLOCK_NORMALS = 16384  # normals per generated tile (256 KB of uint64 outputs)
 
 
 def _mix64_inplace(x: np.ndarray, tmp: np.ndarray) -> None:
@@ -72,60 +73,56 @@ def _mix64_inplace(x: np.ndarray, tmp: np.ndarray) -> None:
         x ^= tmp
 
 
-def _mix64(x: np.ndarray) -> np.ndarray:
-    """splitmix64 finalizer on a uint64 array (wraps mod 2**64)."""
-    with np.errstate(over="ignore"):
-        x = np.asarray(x, dtype=_U64).copy()
-        x ^= x >> _U64(30)
-        x *= _U64(_MIX1)
-        x ^= x >> _U64(27)
-        x *= _U64(_MIX2)
-        x ^= x >> _U64(31)
+def _mix64(x) -> np.ndarray:
+    """splitmix64 finalizer on a copy of uint64 ``x`` (wraps mod 2**64)."""
+    x = np.array(x, dtype=_U64)
+    _mix64_inplace(x, np.empty_like(x))
     return x
-
-
-def _raw_outputs(state0: int, start: int, count: int) -> np.ndarray:
-    """uint64 outputs [start, start+count) of the splitmix64 stream."""
-    with np.errstate(over="ignore"):
-        idx = np.arange(start + 1, start + count + 1, dtype=_U64)
-        return _mix64(idx * _U64(_GAMMA) + _U64(state0))
 
 
 def _stream_normals(states: np.ndarray, start: int, n: int) -> np.ndarray:
     """Row k = normals [start, start+n) of the stream with state ``states[k]``.
 
-    Works through the rows in blocks of about ``_BLOCK_NORMALS`` draws.  The
-    even (u1) and odd (u2) outputs of a block are laid out as two contiguous
-    planes, so every operation runs in place on contiguous memory.
+    Works in tiles of about ``_BLOCK_NORMALS`` draws: a tile is a few rows
+    of at most ``_BLOCK_NORMALS`` positions, so a single long stream is cut
+    along its positions and many short ones are grouped by rows.  The even
+    (u1) and odd (u2) outputs of a tile are laid out as two planes of
+    contiguous rows, so every operation runs in place.
     """
     out = np.empty((len(states), n))
     if out.size == 0:
         return out
+    width = min(n, _BLOCK_NORMALS)
     with np.errstate(over="ignore"):
-        ctr = np.arange(2 * start + 1, 2 * (start + n) + 1, dtype=_U64)
+        ctr = np.arange(2 * start + 1, 2 * (start + width) + 1, dtype=_U64)
         ctr *= _U64(_GAMMA)
-    ctr = np.ascontiguousarray(ctr.reshape(n, 2).T)[:, None, :]   # (2, 1, n): u1, u2 planes
-    rows = max(1, _BLOCK_NORMALS // n)
-    raw = np.empty((2, min(rows, len(states)), n), dtype=_U64)
+    ctr = np.ascontiguousarray(ctr.reshape(width, 2).T)[:, None, :]   # (2, 1, width): u1, u2 planes
+    advance = _U64(2 * width * _GAMMA & 0xFFFFFFFFFFFFFFFF)          # counter step per tile, mod 2**64
+    rows = max(1, _BLOCK_NORMALS // width)
+    raw = np.empty((2, min(rows, len(states)), width), dtype=_U64)
     tmp = np.empty_like(raw)
     unif = np.empty(raw.shape)
-    for r0 in range(0, len(states), rows):
-        m = min(rows, len(states) - r0)
-        x, t, u = raw[:, :m], tmp[:, :m], unif[:, :m]
-        with np.errstate(over="ignore"):
-            np.add(ctr, states[None, r0:r0 + m, None], out=x)
-        _mix64_inplace(x, t)
-        x >>= _U64(11)
-        u[...] = x                  # < 2**53, so the conversion is exact
-        u[0] += 1.0
-        u *= 1.0 / _TWO53           # power-of-two scaling: exact
-        u1, u2 = u[0], u[1]
-        np.log(u1, out=u1)
-        u1 *= -2.0
-        np.sqrt(u1, out=u1)
-        u2 *= _TWO_PI
-        np.cos(u2, out=u2)
-        np.multiply(u1, u2, out=out[r0:r0 + m])
+    for p0 in range(0, n, width):
+        w = min(width, n - p0)
+        if p0:
+            ctr += advance
+        for r0 in range(0, len(states), rows):
+            m = min(rows, len(states) - r0)
+            x, t, u = raw[:, :m, :w], tmp[:, :m, :w], unif[:, :m, :w]
+            with np.errstate(over="ignore"):
+                np.add(ctr[..., :w], states[None, r0:r0 + m, None], out=x)
+            _mix64_inplace(x, t)
+            x >>= _U64(11)
+            u[...] = x                  # < 2**53, so the conversion is exact
+            u[0] += 1.0
+            u *= 1.0 / _TWO53           # power-of-two scaling: exact
+            u1, u2 = u[0], u[1]
+            np.log(u1, out=u1)
+            u1 *= -2.0
+            np.sqrt(u1, out=u1)
+            u2 *= _TWO_PI
+            np.cos(u2, out=u2)
+            np.multiply(u1, u2, out=out[r0:r0 + m, p0:p0 + w])
     return out
 
 
@@ -135,22 +132,12 @@ class RngStream:
     def __init__(self, seed: int):
         seed = int(seed) & 0xFFFFFFFFFFFFFFFF
         self.seed = seed
-        self._state0 = int(_mix64(np.array(seed, dtype=_U64)))
+        self._state0 = _mix64(seed).reshape(1)   # the kernel takes one state per row
         self._pos = 0  # normals consumed so far
 
     def normals_at(self, start: int, n: int) -> np.ndarray:
-        """Normals [start, start+n) by counter, without touching position.
-
-        Written straight from the documented layout, independently of the
-        blocked kernel behind ``trial_normals``, which the tests check
-        against it bit for bit.
-        """
-        if n == 0:
-            return np.empty(0)
-        raw = _raw_outputs(self._state0, 2 * start, 2 * n)
-        u1 = ((raw[0::2] >> _U64(11)).astype(np.float64) + 1.0) / _TWO53
-        u2 = (raw[1::2] >> _U64(11)).astype(np.float64) / _TWO53
-        return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
+        """Normals [start, start+n) by counter, without touching position."""
+        return _stream_normals(self._state0, start, int(n))[0]
 
     def normals(self, n: int) -> np.ndarray:
         """Next n standard-normal draws, advancing the stream."""
@@ -161,7 +148,7 @@ class RngStream:
 
 def spread_seed(seed: int) -> int:
     """Finalized base seed used as the root of the sub-stream family."""
-    return int(_mix64(np.array(int(seed) & 0xFFFFFFFFFFFFFFFF, dtype=_U64)))
+    return int(_mix64(int(seed) & 0xFFFFFFFFFFFFFFFF))
 
 
 def trial_stream(seed: int, trial: int) -> RngStream:

@@ -59,7 +59,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, InstabilityError, NumericalError, UnsupportedCaseError
-from .lqg_filter import filter_record
+from .lqg_filter import filter_record, run_open_loop_linefit
 from .model import PlantParams, Priors
 from .numerics import trial_normals
 from .riccati import linearized_riccati_curve
@@ -439,14 +439,11 @@ def suite_ramp_statistics(J: float = 10, gamma: float = 1e6, M: float = 1e4,
     _require_at_least("suite_ramp_statistics", "trajectories", trajectories, 2)
     ops, p, n = _suite_setup("suite_ramp_statistics", J, gamma, M, dt, T)
     ydts, _, _ = simulate_ramp_ensemble(ops, p, b, seed, trajectories, dt, n)
+    slopes, intercepts = run_open_loop_linefit(ydts, dt)
     t = np.arange(n) * dt
-    w = ydts / dt
     tbar = t.mean()
     stt = float(np.dot(t - tbar, t - tbar))
-    slopes = (w @ (t - tbar)) / stt
-    intercepts = w.mean(axis=1) - slopes * tbar
-    v_noise = p.sigma_M / dt
-    fit_var_intercept = v_noise * (1.0 / n + tbar ** 2 / stt)
+    fit_var_intercept = (p.sigma_M / dt) * (1.0 / n + tbar ** 2 / stt)
     slope_mean = float(np.mean(slopes))
     slope_se = float(np.std(slopes, ddof=1) / math.sqrt(trajectories))
     slope_target = gamma * b * J

@@ -41,7 +41,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import ConfigurationError, DivergenceError, InstabilityError, UnsupportedCaseError
-from .model import DesignParams, PlantParams, Priors, build_design_system, build_system
+from .model import DesignParams, PlantParams, Priors, build_system
 from .numerics import geometric_times, ou_increment
 from .riccati import controller_gain, linearized_riccati_curve, steady_state_gains
 from .lqg_filter import design_plant, design_prior
@@ -92,7 +92,7 @@ def build_alpha_beta(p: PlantParams, d: DesignParams, k_of_t, k_c: np.ndarray):
     t; ``k_c`` is the constant controller gain.
     """
     a_true, b_true, c, _ = build_system(p)
-    a_des, b_des = build_design_system(d, p)
+    a_des, b_des = build_system(design_plant(p, d))[:2]
     k_c = np.asarray(k_c, dtype=np.float64)
     sqrt_sbf = math.sqrt(p.sigma_bF)
     sqrt_sm = math.sqrt(p.sigma_M)

@@ -11,6 +11,11 @@ conditions are drawn from the priors: z(0) ~ N(0, sigma_z0) (the quantum
 coherent-state variance), b(0) ~ N(0, sigma_b0).  The model holds for
 t << 1/M, before measurement-induced damping of the spin length matters;
 simulating past 1/M triggers a warning, not an error.
+
+``simulate_open_loop`` is the one open-loop (u = 0) simulator: field path,
+spin ramp and record from one stream.  Closed-loop runs step the same
+plant inside ``lqg_filter``, together with the controller and the filter,
+and return their truth in a ``Trajectory`` too.
 """
 
 from __future__ import annotations
@@ -50,57 +55,32 @@ class Trajectory:
         return len(self.t) - 1
 
 
-def simulate_field(p: PlantParams, prior: Priors, rng: RngStream, dt: float, T: float) -> np.ndarray:
-    """Field sample path b(0..T) under db = -gamma_b b dt + sqrt(sigma_bF) dW1.
+def simulate_open_loop(p: PlantParams, prior: Priors, rng: RngStream, dt: float, T: float) -> Trajectory:
+    """Open-loop truth run (u = 0): field path, spin ramp and measurement
+    record on the grid t[k] = k dt, k = 0 .. round(T / dt).
 
-    Draw layout on ``rng``: b(0), then one increment per step.
+    Draw layout on ``rng``: b(0), then one field increment per step, then
+    z(0), then one measurement increment per step.
     """
     if dt <= 0 or T <= 0:
-        raise ConfigurationError("simulate_field: dt and T must be positive")
+        raise ConfigurationError("simulate_open_loop: dt and T must be positive")
     if dt * p.gamma_b >= 0.1:
         raise ConfigurationError(
-            f"simulate_field: dt * gamma_b = {dt * p.gamma_b:.3g} >= 0.1; reduce dt")
+            f"simulate_open_loop: dt * gamma_b = {dt * p.gamma_b:.3g} >= 0.1; reduce dt")
+    if T > 1.0 / p.M:
+        warnings.warn("simulate_open_loop: T exceeds 1/M; the small-time model is not valid there",
+                      stacklevel=2)
     n = int(round(T / dt))
-    x = rng.normals(1 + n)
+    draws = rng.normals(2 + 2 * n)
+    x, w = draws[:1 + n], draws[1 + n:]
     x[0] *= math.sqrt(prior.sigma_b0)
     x[1:] *= math.sqrt(p.sigma_bF * dt)
     decay = 1.0 - p.gamma_b * dt
     # b[k+1] = decay b[k] + x[k+1] on Python floats: the bits of an
     # elementwise loop at a fraction of its cost
-    return np.array(list(accumulate(x.tolist(), lambda b, xk: decay * b + xk)))
-
-
-def simulate_plant(p: PlantParams, prior: Priors, field: np.ndarray,
-                   rng: RngStream, dt: float, T: float) -> Trajectory:
-    """Open-loop spin trajectory and measurement record for a given field
-    path (u = 0).  Draw layout on ``rng``: z(0), then one measurement
-    increment per step.
-    """
-    if dt <= 0 or T <= 0:
-        raise ConfigurationError("simulate_plant: dt and T must be positive")
-    n = int(round(T / dt))
-    if len(field) != n + 1:
-        raise ConfigurationError(
-            f"simulate_plant: field has {len(field)} samples, expected {n + 1}")
-    if T > 1.0 / p.M:
-        warnings.warn("simulate_plant: T exceeds 1/M; the small-time model is not valid there",
-                      stacklevel=2)
-    draws = rng.normals(1 + n)
-    gj = p.gamma * p.J
-    sqrt_sm = math.sqrt(p.sigma_M)
-    sqrt_dt = math.sqrt(dt)
-
-    t = np.arange(n + 1) * dt
-    b = np.asarray(field, dtype=np.float64)
-    # add.accumulate sums in order: z[k+1] = z[k] + gj b[k] dt
-    z = np.cumsum(np.concatenate(([math.sqrt(prior.sigma_z0) * draws[0]], gj * b[:n] * dt)))
-    u = np.zeros(n + 1)
+    b = np.array(list(accumulate(x.tolist(), lambda bk, xk: decay * bk + xk)))
+    # add.accumulate sums in order: z[k+1] = z[k] + gamma J b[k] dt
+    z = np.cumsum(np.concatenate(([math.sqrt(prior.sigma_z0) * w[0]], p.gamma * p.J * b[:n] * dt)))
     ydt = np.zeros(n + 1)
-    ydt[:n] = z[:n] * dt + sqrt_sm * (draws[1:] * sqrt_dt)
-    return Trajectory(t=t, z=z, b=b.copy(), u=u, ydt=ydt, dt=dt)
-
-
-def simulate_open_loop(p: PlantParams, prior: Priors, rng: RngStream, dt: float, T: float) -> Trajectory:
-    """Field plus plant with u = 0, consuming one stream sequentially."""
-    field = simulate_field(p, prior, rng, dt, T)
-    return simulate_plant(p, prior, field, rng, dt, T)
+    ydt[:n] = z[:n] * dt + math.sqrt(p.sigma_M) * (w[1:] * math.sqrt(dt))
+    return Trajectory(t=np.arange(n + 1) * dt, z=z, b=b, u=np.zeros(n + 1), ydt=ydt, dt=dt)

@@ -20,8 +20,6 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "spintrack"
 ALLOWED_UNUSED = {
     "model.fluctuating_plant":
         "builds a plant from the stationary field variance, the form the paper quotes",
-    "lqg_filter.run_open_loop_linefit":
-        "the paper's least-squares line-fit baseline that the Kalman filter is compared with",
     "riccati.controller_riccati_steady":
         "independent reverse-time route that checks the closed-form controller gain",
     "numerics.trial_stream":

@@ -7,12 +7,12 @@ from hypothesis import given, settings, strategies as st
 
 from spintrack.errors import ConfigurationError, DivergenceError
 from spintrack.model import DesignParams, PlantParams, Priors, build_system, fluctuating_plant
-from spintrack.numerics import RngStream, trial_stream
+from spintrack.numerics import RngStream, trial_normals, trial_stream
 from spintrack.lqg_filter import (MODES, TRIAL_BLOCK, _ensemble_block_sums,
                                   design_plant, design_prior, filter_record, run_closed_loop,
                                   run_ensemble, run_open_loop_linefit, summarize_ensemble)
 from spintrack.riccati import riccati_at_times
-from spintrack.truth_sim import simulate_plant
+from spintrack.truth_sim import simulate_open_loop
 
 FLUCT = fluctuating_plant(J=1e6, gamma=1e6, M=1e4, gamma_b=1e5, sigma_bfree=1.0)
 PRIOR = Priors(sigma_z0=5e5, sigma_b0=1.0)
@@ -211,8 +211,7 @@ class TestFilterRecord:
         prior = Priors(sigma_z0=50.0, sigma_b0=1e-4)
         dt, T = 1e-7, 5e-5
         n = int(round(T / dt))
-        field = np.full(n + 1, 0.003)
-        traj = simulate_plant(p, prior, field, RngStream(3), dt, T)
+        traj = simulate_open_loop(p, prior, RngStream(3), dt, T)
         cov = riccati_at_times(p, prior, traj.t)
         k1, k2 = cov.gain(p.sigma_M)
         m_ref = filter_record(p, k1, k2, traj.ydt, dt)
@@ -224,59 +223,38 @@ class TestFilterRecord:
         assert not np.allclose(m_new[k_star + 1:], m_ref[k_star + 1:])
 
 
-class TestOpenLoopLineFit:
-    def _records(self, J_true, b0, trials, seed):
-        p = PlantParams(J=J_true, gamma=1e6, M=1e4)
-        prior = Priors(sigma_z0=J_true / 2.0, sigma_b0=b0 ** 2)
-        dt, T = 1e-7, 1e-5
-        n = int(round(T / dt))
-        recs = []
-        for k in range(trials):
-            field = np.full(n + 1, b0)
-            recs.append(simulate_plant(p, prior, field, trial_stream(seed, k), dt, T))
-        return p, prior, recs
+def _ramp_records(p, draws, b0, dt):
+    """Records of a constant field b0 built from the model: row k takes
+    z(0) = sqrt(J/2) draws[k, 0] and one shot-noise draw per step after it."""
+    t = np.arange(draws.shape[1] - 1) * dt
+    z = math.sqrt(p.J / 2.0) * draws[:, :1] + p.gamma * p.J * b0 * t
+    return z * dt + math.sqrt(p.sigma_M) * (draws[:, 1:] * math.sqrt(dt))
 
+
+class TestOpenLoopLineFit:
     def test_noise_free_ramp_exact(self):
         p = PlantParams(J=100.0, gamma=1e6, M=1e4)
-        prior = Priors(sigma_z0=50.0, sigma_b0=1.0)
-        n, dt = 100, 1e-7
-
-        class _Zero:
-            def normals(self, m):
-                return np.zeros(m)
-
-        field = np.full(n + 1, 0.004)
-        traj = simulate_plant(p, prior, field, _Zero(), dt, n * dt)
-        est = run_open_loop_linefit(p, prior, p.J, [traj])
-        assert est[0] == pytest.approx(0.004, rel=1e-12)
+        ydt = _ramp_records(p, np.zeros((1, 101)), 0.004, 1e-7)
+        slopes, intercepts = run_open_loop_linefit(ydt, 1e-7)
+        assert slopes[0] / (p.gamma * p.J) == pytest.approx(0.004, rel=1e-12)
+        assert abs(intercepts[0]) < 1e-12 * p.gamma * p.J * 0.004 * 1e-5
 
     def test_wrong_spin_scales_estimate(self):
+        # the ramp of spin 2J read with the design spin J doubles the field estimate
         p = PlantParams(J=100.0, gamma=1e6, M=1e4)
-        prior = Priors(sigma_z0=50.0, sigma_b0=1.0)
-        n, dt = 64, 1e-7
-
-        class _Zero:
-            def normals(self, m):
-                return np.zeros(m)
-
-        field = np.full(n + 1, 0.004)
-        traj = simulate_plant(p, prior, field, _Zero(), dt, n * dt)
-        full = run_open_loop_linefit(p, prior, p.J, [traj])[0]
-        half = run_open_loop_linefit(p, prior, p.J / 2.0, [traj])[0]
-        assert half == pytest.approx(2.0 * full, rel=1e-12)
+        ydt = [_ramp_records(replace(p, J=j), np.zeros((1, 65)), 0.004, 1e-7) for j in (p.J, 2 * p.J)]
+        est = [run_open_loop_linefit(y, 1e-7)[0][0] / (p.gamma * p.J) for y in ydt]
+        assert est[1] == pytest.approx(2.0 * est[0], rel=1e-12)
 
     def test_variance_matches_line_fit_law(self):
-        trials = 2000
-        p, prior, recs = self._records(J_true=1e4, b0=5e-4, trials=trials, seed=51)
-        est = run_open_loop_linefit(p, prior, p.J, recs)
-        T = 1e-5
-        predicted = 12.0 * p.sigma_M / (p.gamma ** 2 * p.J ** 2 * T ** 3)
+        trials, n, dt = 2000, 100, 1e-7
+        p = PlantParams(J=1e4, gamma=1e6, M=1e4)
+        ydt = _ramp_records(p, trial_normals(51, np.arange(trials), 1 + n), 5e-4, dt)
+        est = run_open_loop_linefit(ydt, dt)[0] / (p.gamma * p.J)
+        predicted = 12.0 * p.sigma_M / (p.gamma ** 2 * p.J ** 2 * (n * dt) ** 3)
         measured = est.var(ddof=1)
         assert abs(measured / predicted - 1.0) < 0.1
 
     def test_too_few_samples(self):
-        p = PlantParams(J=10.0, gamma=1.0, M=1.0)
-        prior = Priors(sigma_z0=5.0, sigma_b0=1.0)
-        bad = simulate_plant(p, prior, np.zeros(3), RngStream(0), 1e-3, 2e-3)
-        with pytest.raises(ConfigurationError):
-            run_open_loop_linefit(p, prior, p.J, [bad])
+        with pytest.raises(ConfigurationError, match="at least 3"):
+            run_open_loop_linefit(np.zeros((4, 2)), 1e-3)

@@ -6,33 +6,46 @@ import pytest
 from spintrack.errors import ConfigurationError
 from spintrack.model import PlantParams, Priors, fluctuating_plant
 from spintrack.numerics import RngStream, trial_normals, trial_stream
-from spintrack.truth_sim import simulate_field, simulate_open_loop, simulate_plant
+from spintrack.truth_sim import simulate_open_loop
 
 
-class _ZeroStream:
-    """Stand-in stream with all draws forced to zero (noise-free runs)."""
+class _FirstDraw:
+    """Stand-in stream whose first draw (b(0) in the open-loop layout) is
+    prescribed and whose other draws are zero (noise-free runs)."""
+
+    def __init__(self, first):
+        self.first = first
 
     def normals(self, n):
-        return np.zeros(n)
+        out = np.zeros(n)
+        out[0] = self.first
+        return out
+
+
+def _field(p, prior, rng, dt, T):
+    """The field path b(0..T) of an open-loop run."""
+    return simulate_open_loop(p, prior, rng, dt, T).b
 
 
 def _final_fields(p, prior, seed, trials, dt, T):
-    """b(T) of simulate_field on trial streams 0 .. trials-1 of ``seed``."""
-    return np.array([simulate_field(p, prior, trial_stream(seed, k), dt, T)[-1]
+    """b(T) of open-loop runs on trial streams 0 .. trials-1 of ``seed``."""
+    return np.array([_field(p, prior, trial_stream(seed, k), dt, T)[-1]
                      for k in range(trials)])
 
 
 class TestSimulateField:
+    """The field part of the open-loop run."""
+
     def test_frozen_field(self):
         p = PlantParams(J=1.0, gamma=1.0, M=1.0)
-        b = simulate_field(p, Priors(1.0, 4.0), RngStream(1), 1e-3, 0.1)
+        b = _field(p, Priors(1.0, 4.0), RngStream(1), 1e-3, 0.1)
         assert np.all(b == b[0])
         assert b[0] != 0.0
 
     def test_step_guard(self):
         p = PlantParams(J=1.0, gamma=1.0, M=1.0, gamma_b=1e3, sigma_bF=1.0)
         with pytest.raises(ConfigurationError):
-            simulate_field(p, Priors(1.0, 0.0), RngStream(1), 1e-3, 0.1)
+            simulate_open_loop(p, Priors(1.0, 0.0), RngStream(1), 1e-3, 0.1)
 
     def test_stationary_variance(self):
         # OU at stationarity: Var[b(T)] -> sigma_bF / (2 gamma_b) = 1
@@ -62,11 +75,13 @@ class TestSimulateField:
         for k in range(20):
             mat[:, k + 1] = decay * mat[:, k] + amp * draws[:, 1 + k]
         for k in range(3):
-            b = simulate_field(p, Priors(1.0, 1.0), trial_stream(9, k), 1e-3, 0.02)
+            b = _field(p, Priors(1.0, 1.0), trial_stream(9, k), 1e-3, 0.02)
             assert np.array_equal(mat[k], b)
 
 
 class TestSimulatePlant:
+    """The spin ramp and the measurement record of the open-loop run."""
+
     def _plant(self):
         return PlantParams(J=100.0, gamma=1.0, M=1e4)
 
@@ -74,8 +89,9 @@ class TestSimulatePlant:
         p = self._plant()
         prior = Priors(sigma_z0=50.0, sigma_b0=1.0)
         b0 = 0.25
-        field = np.full(101, b0)
-        traj = simulate_plant(p, prior, field, _ZeroStream(), 1e-6, 1e-4)
+        # constant field (gamma_b = sigma_bF = 0) from the draw b(0) = b0 / sqrt(sigma_b0)
+        traj = simulate_open_loop(p, prior, _FirstDraw(b0), 1e-6, 1e-4)
+        assert np.all(traj.b == b0)
         expected = traj.z[0] + p.gamma * p.J * b0 * traj.t
         assert np.allclose(traj.z, expected, rtol=1e-12)
 
@@ -154,6 +170,5 @@ class TestSimulatePlant:
     def test_long_horizon_warns(self):
         p = self._plant()
         prior = Priors(sigma_z0=1.0, sigma_b0=0.0)
-        field = np.zeros(int(round(2e-4 / 1e-6)) + 1)
         with pytest.warns(UserWarning, match="1/M"):
-            simulate_plant(p, prior, field, RngStream(1), 1e-6, 2e-4)
+            simulate_open_loop(p, prior, RngStream(1), 1e-6, 2e-4)
