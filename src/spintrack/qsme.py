@@ -30,13 +30,21 @@ and the entry points name the time of a step that fails.
 
 Field estimation with unknown constant b keeps one conditioned state per
 field hypothesis, all filtered against the same physical record: the
-hypothesis innovation is dWbar_b = 2 sqrt(M) (y dt - <Jz>_b dt) and the
-unnormalized weights follow d pbar = 4 M eta <Jz>_b pbar y dt.  The
+hypothesis innovation is dWbar_b = 2 sqrt(M) (y dt - <Jz>_b dt).  The
 records are simulated in the same stack: each record contributes one
 truth row in the true field, which emits y dt, followed by its
-hypothesis rows, and every row of every record takes one _sse_update per
-step.  Given its own record, a truth row's innovation 2 sqrt(M) (y dt -
-<Jz> dt) is its raw sqrt(dt) xi up to rounding, since sigma_M = 1/(4 M).
+hypothesis rows, and every row of every record takes one _sse_update
+per step, the time loop's only state work.  Given its own record, a
+truth row's innovation 2 sqrt(M) (y dt - <Jz> dt) is its raw sqrt(dt) xi
+up to rounding, since sigma_M = 1/(4 M).
+
+The conditioned states never read the posterior weights: a hypothesis's
+unnormalized weight is its likelihood of the record, the product over
+steps of the factors 1 + 4 M eta <Jz>_b y dt of d pbar = 4 M eta <Jz>_b
+pbar y dt (Gambetta & Wiseman, PRA 64, 042105).  So the loop stores the
+<Jz> history, and after it one pass, bayes_grid_update, sums the logs of
+the factors (clamped at 0) over time and normalizes the weights of every
+record at every time.
 
 This module exists at desk scale (J up to about 50) to validate the
 Gaussian/Kalman reduction used everywhere else:
@@ -172,31 +180,27 @@ def sme_step(coh: np.ndarray, ops: SpinOperators, p: PlantParams, dt: float) -> 
 
 @dataclass
 class FieldGrid:
-    """The stacked rows of a Bayes-grid run with their posterior weights.
+    """The stacked rows of a Bayes-grid run.
 
     Each record owns 1 + H consecutive rows: its truth state, then one
     conditioned state per field hypothesis.  b_values holds each row's
-    field (the true field on a truth row), p the (records, H) posterior
-    weights, and jz the <Jz> of each row, read once per step: the record,
-    the reweighting and the propagation through the same increment all
-    use it.
+    field (the true field on a truth row) and jz the <Jz> of each row,
+    read once per step: the record, the stored history and the
+    propagation through the same increment all use it.
     """
 
     b_values: np.ndarray
-    p: np.ndarray
     psi: np.ndarray  # stack (records * (1 + H), dim)
     jz: np.ndarray
     ops: SpinOperators
 
 
-def _stacked_grid(ops: SpinOperators, b: float, hypotheses: np.ndarray, weights: np.ndarray,
-                  records: int) -> FieldGrid:
+def _stacked_grid(ops: SpinOperators, b: float, hypotheses: np.ndarray, records: int) -> FieldGrid:
     """records copies of [truth in field b, one row per hypothesis], every
-    state coherent along x, every record with the prior weights."""
+    state coherent along x."""
     b_values = np.tile(np.concatenate(([b], hypotheses)), records)
     psi = np.tile(coherent_state_x(ops.J), (len(b_values), 1))
-    return FieldGrid(b_values=b_values, p=np.tile(weights, (records, 1)), psi=psi,
-                     jz=_jz_mean(psi, ops.mz), ops=ops)
+    return FieldGrid(b_values=b_values, psi=psi, jz=_jz_mean(psi, ops.mz), ops=ops)
 
 
 def _gaussian_hypotheses(sigma_b0: float, points: int):
@@ -210,23 +214,38 @@ def _gaussian_hypotheses(sigma_b0: float, points: int):
     return b_values, w / w.sum()
 
 
-def bayes_grid_update(grid: FieldGrid, ydt: np.ndarray, p: PlantParams) -> FieldGrid:
-    """Reweight each record's hypotheses on its increment ydt[r]:
-    pbar_b *= 1 + 4 M eta <Jz>_b ydt[r], then normalize per record.
+def bayes_grid_update(jz: np.ndarray, ydt: np.ndarray, weights: np.ndarray, p: PlantParams,
+                      dt: float) -> np.ndarray:
+    """The posterior weights of every record after every step.
 
-    Uses each hypothesis's current <Jz>_b, so call before propagating the
-    grid states through the same increment.
+    jz is the hypotheses' <Jz> history (n, records, H), read before each
+    step, ydt the records (n, records) and weights the prior (H,).  Step
+    k multiplies pbar_b by 1 + 4 M eta <Jz>_b ydt[k], clamped at 0; the
+    products are summed as logs over time, from the log prior, and
+    shifted by their maximum at each time before exp, so no weight
+    overflows.  Returns the normalized weights (n + 1, records, H), row 0
+    the prior.  A record whose weights all vanish or turn non-finite
+    raises NumericalError naming the first such step.
     """
-    records, hyps = grid.p.shape
-    w = grid.jz.reshape(records, 1 + hyps)[:, 1:] * (4.0 * p.M * p.eta * ydt)[:, None]
-    w += 1.0
-    w *= grid.p
-    np.maximum(w, 0.0, out=w)
-    total = np.add.reduce(w, axis=1)
-    if not (np.minimum.reduce(total) > 0.0 and np.maximum.reduce(total) < math.inf):
-        raise NumericalError("bayes_grid_update: posterior weights degenerated")
-    w /= total[:, None]
-    return FieldGrid(b_values=grid.b_values, p=w, psi=grid.psi, jz=grid.jz, ops=grid.ops)
+    n, records, hyps = jz.shape
+    logw = np.empty((n + 1, records, hyps))
+    f = np.multiply(jz, (4.0 * p.M * p.eta * ydt)[:, :, None], out=logw[1:])
+    f += 1.0
+    np.maximum(f, 0.0, out=f)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.log(f, out=f)
+        logw[0] = np.log(weights)
+        np.cumsum(logw, axis=0, out=logw)
+        # a record with no finite maximum turns NaN here
+        logw -= np.max(logw, axis=2, keepdims=True)
+    w = np.exp(logw, out=logw)
+    total = np.add.reduce(w, axis=2)   # at least 1 (the maximum's exp) unless NaN
+    alive = np.all(total < math.inf, axis=1)
+    if not alive.all():
+        k = max(int(np.argmin(alive)) - 1, 0)   # row k + 1 holds the weights after step k
+        raise _at_time(NumericalError("bayes_grid_update: posterior weights degenerated"), k, dt)
+    w /= total[:, :, None]
+    return w
 
 
 def propagate_grid(grid: FieldGrid, ydt: np.ndarray, p: PlantParams, dt: float) -> FieldGrid:
@@ -234,8 +253,7 @@ def propagate_grid(grid: FieldGrid, ydt: np.ndarray, p: PlantParams, dt: float) 
     per row): one _sse_update for the whole stack."""
     dwbar = 2.0 * math.sqrt(p.M) * (ydt - grid.jz * dt)
     psi = _sse_update(grid.psi, grid.jz, grid.b_values, dwbar, grid.ops, p, dt)
-    return FieldGrid(b_values=grid.b_values, p=grid.p, psi=psi, jz=_jz_mean(psi, grid.ops.mz),
-                     ops=grid.ops)
+    return FieldGrid(b_values=grid.b_values, psi=psi, jz=_jz_mean(psi, grid.ops.mz), ops=grid.ops)
 
 
 def grid_filter_records(ops: SpinOperators, p: PlantParams, b: float, hypotheses: np.ndarray,
@@ -243,7 +261,9 @@ def grid_filter_records(ops: SpinOperators, p: PlantParams, b: float, hypotheses
     """Simulate records in the true field b and filter each on a Bayes grid
     over the field hypotheses with prior weights, all rows in one stack
     stepped together; record r draws from trial_stream(seed, r) in the
-    layout of simulate_ramp_ensemble.
+    layout of simulate_ramp_ensemble.  The time loop steps the states and
+    stores every row's <Jz>; one bayes_grid_update after it gives the
+    posterior at every time.
 
     Returns (ydts, walks, means, weights): the records (records, n), the
     truth <Jz> walks (records, n + 1), the posterior means
@@ -251,31 +271,28 @@ def grid_filter_records(ops: SpinOperators, p: PlantParams, b: float, hypotheses
     """
     _require_at_least("grid_filter_records", "records", records, 1)
     rows = 1 + len(hypotheses)
-    grid = _stacked_grid(ops, b, hypotheses, weights, records)
+    grid = _stacked_grid(ops, b, hypotheses, records)
     draws = trial_normals(seed, np.arange(records), n)
     draws *= math.sqrt(dt)
     draws *= math.sqrt(p.sigma_M)   # the record noise, scaled as simulate_ramp_ensemble does
     noise = draws.T
-    walks = np.empty((n + 1, records))
-    means = np.empty((n + 1, records))
-    means[0] = grid.p @ hypotheses
+    jzs = np.empty((n + 1, records * rows))
     try:
         for k in range(n):
-            jz = grid.jz[::rows]
-            walks[k] = jz
-            ydt = jz * dt
+            jzs[k] = grid.jz
+            ydt = grid.jz[::rows] * dt
             ydt += noise[k]
-            grid = bayes_grid_update(grid, ydt, p)
             grid = propagate_grid(grid, ydt.repeat(rows), p, dt)
-            means[k + 1] = grid.p @ hypotheses
     except NumericalError as err:
         raise _at_time(err, k, dt) from err
-    walks[n] = grid.jz[::rows]
-    walks = walks.T
+    jzs[n] = grid.jz
+    jzs = jzs.reshape(n + 1, records, rows)
+    walks = jzs[:, :, 0].T
     # the records again, elementwise with the bits of the loop's ydt
     ydts = walks[:, :n] * dt
     ydts += draws
-    return ydts, walks, means.T, grid.p
+    w = bayes_grid_update(jzs[:n, :, 1:], ydts.T, weights, p, dt)
+    return ydts, walks, (w @ hypotheses).T, w[n].copy()
 
 
 # ---------------------------------------------------------------------------

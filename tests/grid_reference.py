@@ -1,13 +1,28 @@
 """The Bayes-grid route as first written, kept in the tests as the reference
 for ``qsme.grid_filter_records``: the truth simulated on its own by
 ``qsme.simulate_ramp_ensemble``, then each record filtered by its own
-grid, one reweight-then-propagate pass per step."""
+grid, one propagation per step, and its weights by the sequential
+reweight-then-normalize recursion, the reference for
+``qsme.bayes_grid_update``."""
 
 import math
 
 import numpy as np
 
 from spintrack import qsme
+
+
+def posterior_reference(jz, ydt, weights, p):
+    """The weights (n + 1, records, H) of bayes_grid_update, one step at a
+    time: multiply by 1 + 4 M eta <Jz>_b ydt, clamp at 0, normalize."""
+    n, records, hyps = jz.shape
+    w = np.empty((n + 1, records, hyps))
+    w[0] = weights
+    for k in range(n):
+        wk = w[k] * (1.0 + 4.0 * p.M * p.eta * jz[k] * ydt[k][:, None])
+        np.maximum(wk, 0.0, out=wk)
+        w[k + 1] = wk / wk.sum(axis=1)[:, None]
+    return w
 
 
 def grid_records_reference(ops, p, b, hypotheses, weights, seed, records, dt, n):
@@ -17,15 +32,13 @@ def grid_records_reference(ops, p, b, hypotheses, weights, seed, records, dt, n)
     finals = np.empty((records, len(hypotheses)))
     for r, record in enumerate(ydts):
         psi = np.tile(qsme.coherent_state_x(ops.J), (len(hypotheses), 1))
-        w = np.array(weights, dtype=float)
-        means[r, 0] = w @ hypotheses
+        jzs = np.empty((n, len(hypotheses)))
         for k, ydt in enumerate(record.tolist()):
             jz = qsme._jz_mean(psi, ops.mz)
-            w = w * (1.0 + 4.0 * p.M * p.eta * jz * ydt)
-            np.maximum(w, 0.0, out=w)
-            w /= w.sum()
+            jzs[k] = jz
             dwbar = 2.0 * math.sqrt(p.M) * (ydt - jz * dt)
             psi = qsme._sse_update(psi, jz, hypotheses, dwbar, ops, p, dt)
-            means[r, k + 1] = w @ hypotheses
-        finals[r] = w
+        w = posterior_reference(jzs[:, None], record[:, None], weights, p)[:, 0]
+        means[r] = w @ hypotheses
+        finals[r] = w[n]
     return ydts, walks, means, finals

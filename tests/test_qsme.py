@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from spintrack.errors import (ConfigurationError, InstabilityError, NumericalErr
 from spintrack.model import PlantParams
 from spintrack.numerics import RngStream
 from spintrack import qsme
-from grid_reference import grid_records_reference
+from grid_reference import grid_records_reference, posterior_reference
 from sse_reference import ramp_ensemble_reference, shifted_kpsi, sse_update_reference
 
 
@@ -35,7 +36,7 @@ def _step(psi, b, ops, p, dt, dw):
 
 def _two_point(ops, b0, records=1):
     """A stacked two-hypothesis grid, +-b0, with its truth rows in +b0."""
-    return qsme._stacked_grid(ops, b0, np.array([-b0, b0]), np.array([0.5, 0.5]), records)
+    return qsme._stacked_grid(ops, b0, np.array([-b0, b0]), records)
 
 
 def _two_point_run(ops, p, b0, seed, records, dt, n):
@@ -187,8 +188,8 @@ class TestSmeStep:
             return out
 
         monkeypatch.setattr(qsme, "trial_normals", nan_at_k)
-        # a NaN record: the posterior weights degenerate first
-        with pytest.raises(NumericalError, match=f"degenerated.*t = {k * dt:.6e}"):
+        # a NaN record: the states, stepped before the posterior, fail first
+        with pytest.raises(InstabilityError, match=f"norm.*t = {k * dt:.6e}"):
             _two_point_run(ops, p, 1e-3, 1, 2, dt, 12)
         with pytest.raises(InstabilityError, match=f"t = {k * dt:.6e}"):
             qsme.simulate_ramp_ensemble(ops, p, 1e-3, 1, 2, dt, 12)
@@ -260,12 +261,16 @@ class TestSmeStep:
 
 class TestBayesGrid:
     def test_uninformative_measurement_keeps_weights(self):
-        ops = qsme.spin_operators(2.0)
+        # <Jz>_b equal across hypotheses at every step: every factor of a
+        # record is the same, so the prior holds at every time
         p = PlantParams(J=2.0, gamma=1e6, M=1e4)
-        grid = qsme._stacked_grid(ops, 0.0, *qsme._gaussian_hypotheses(1e-6, 11), 2)
-        # identical states across hypotheses: <Jz>_b all equal
-        out = qsme.bayes_grid_update(grid, np.array([1e-7, -3e-7]), p)
-        assert np.allclose(out.p, grid.p)
+        _, prior = qsme._gaussian_hypotheses(1e-6, 11)
+        rng = np.random.default_rng(3)
+        jz = np.repeat(rng.uniform(-2.0, 2.0, (40, 2, 1)), 11, axis=2)
+        ydt = rng.normal(0.0, 3e-7, (40, 2))
+        w = qsme.bayes_grid_update(jz, ydt, prior, p, 1e-8)
+        assert w.shape == (41, 2, 11)
+        assert np.allclose(w, prior)
 
     def test_posterior_mean_of_symmetric_grid(self):
         ops = qsme.spin_operators(2.0)
@@ -276,13 +281,26 @@ class TestBayesGrid:
         assert np.max(np.abs(means[:, 0])) <= 1e-15
 
     def test_degenerate_posterior_detected(self):
-        # the check is per record: one degenerate record among several fails
-        ops = qsme.spin_operators(2.0)
+        # the check is per record and names the first step after which some
+        # record's weights all vanish or turn non-finite: one bad record
+        # among three, in the middle of a run as at its start
         p = PlantParams(J=2.0, gamma=1e6, M=1e4)
-        grid = _two_point(ops, 1e-3, records=3)
-        grid.p[1] = 0.0
-        with pytest.raises(NumericalError, match="degenerated"):
-            qsme.bayes_grid_update(grid, np.full(3, 1e-7), p)
+        dt, n, k = 1e-9, 12, 7
+        prior = np.array([0.25, 0.75])
+        jz = np.zeros((n, 3, 2))
+        ydt = np.full((n, 3), 1e-7)
+        clamp = -2.0 / (4.0 * p.M * 1e-7)   # factors 1 + 4 M <Jz> ydt = -1
+        vanish = jz.copy()
+        vanish[k, 1, 0] = clamp
+        vanish[k - 2, 1, 1] = clamp   # one clamped hypothesis alone is no failure
+        vanish[k + 2, 0] = clamp      # a later failure of another record is not named
+        nan_record = ydt.copy()
+        nan_record[k:, 2] = math.nan
+        for jz_k, ydt_k, prior_k, step in ((vanish, ydt, prior, k), (jz, nan_record, prior, k),
+                                           (jz, ydt, np.zeros(2), 0)):
+            message = f"degenerated (step at t = {step * dt:.6e})"
+            with pytest.raises(NumericalError, match=re.escape(message)):
+                qsme.bayes_grid_update(jz_k, ydt_k, prior_k, p, dt)
 
     def test_grid_propagation_matches_scalar_path(self):
         ops = qsme.spin_operators(2.0)
@@ -296,8 +314,8 @@ class TestBayesGrid:
 
     def test_one_jz_read_per_step_matches_two(self, monkeypatch):
         # the grid carries <Jz> of every row from one propagation to the
-        # next step's record and reweighting; reading it afresh before each
-        # half changes no bit
+        # next step's record, history and propagation; reading it afresh
+        # before the propagation changes no bit
         ops = qsme.spin_operators(3.0)
         p = PlantParams(J=3.0, gamma=1e6, M=1e4)
         hypotheses, weights = qsme._gaussian_hypotheses(4e-6, 7)
@@ -306,12 +324,13 @@ class TestBayesGrid:
             return qsme.grid_filter_records(ops, p, 2e-3, hypotheses, weights, 5, 2, 1e-8, 60)
 
         carried = run()
-        for name in ("bayes_grid_update", "propagate_grid"):
-            def fresh(grid, *args, _half=getattr(qsme, name)):
-                grid.jz = qsme._jz_mean(grid.psi, ops.mz)
-                return _half(grid, *args)
+        propagate = qsme.propagate_grid
 
-            monkeypatch.setattr(qsme, name, fresh)
+        def fresh(grid, *args):
+            grid.jz = qsme._jz_mean(grid.psi, ops.mz)
+            return propagate(grid, *args)
+
+        monkeypatch.setattr(qsme, "propagate_grid", fresh)
         for a, b in zip(carried, run()):
             assert np.array_equal(a, b)
 
@@ -355,21 +374,29 @@ class TestSuites:
         (qsme.suite_grid_kalman, {"dt": 2.5e-9, "T": 5e-8, "points": 5}),
     ], ids=["two_point", "grid_kalman"])
     def test_one_sse_update_per_step(self, monkeypatch, suite, sizes):
-        # the truth and hypothesis rows of every record step as one stack
-        calls = []
-        update = qsme._sse_update
+        # the truth and hypothesis rows of every record step as one stack,
+        # and one posterior pass follows the time loop
+        calls, posteriors = [], []
+        update, posterior = qsme._sse_update, qsme.bayes_grid_update
 
         def counted(psi, *args):
             calls.append(len(psi))
             return update(psi, *args)
 
+        def counted_posterior(jz, *args):
+            posteriors.append(jz.shape)
+            return posterior(jz, *args)
+
         monkeypatch.setattr(qsme, "_sse_update", counted)
+        monkeypatch.setattr(qsme, "bayes_grid_update", counted_posterior)
         n = int(round(sizes["T"] / sizes["dt"]))
-        rows = 1 + sizes.get("points", 2)
+        hyps = sizes.get("points", 2)
         for records in (1, 3):
             calls.clear()
+            posteriors.clear()
             suite(records=records, **sizes)
-            assert calls == [records * rows] * n
+            assert calls == [records * (1 + hyps)] * n
+            assert posteriors == [(n, records, hyps)]
 
     def test_qnd_ensemble_matches_scalar_steps(self):
         # the batched simulator at b = 0 is the QND ensemble
@@ -467,6 +494,39 @@ class TestKernelProperties:
         ref = ramp_ensemble_reference(ops, p, b, seed, trajectories, 1e-8, n)
         for a, c in zip(out, ref):   # records, <Jz> walks, mean_djz2
             assert np.array_equal(a, c)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), records=st.integers(1, 4), hyps=st.integers(2, 6),
+           n=st.integers(60, 150), clamps=st.integers(0, 6))
+    def test_posterior_matches_sequential_reference(self, seed, records, hyps, n, clamps):
+        # random <Jz> histories and records with factors 1 + 4 M <Jz> ydt
+        # in (0.1, 1.9), a few clamped ones (<= 0), and per record one
+        # hypothesis with factors of 1e-12..1e-9 or 1e9..1e12: its
+        # log-weight leaves the others by more than 1e3, and a plain
+        # product of its factors overflows
+        p = PlantParams(J=4.0, gamma=1e6, M=1e4)
+        rng = np.random.default_rng(seed)
+        ydt = rng.choice([-1.0, 1.0], (n, records)) * rng.uniform(1e-8, 1e-6, (n, records))
+        factors = rng.uniform(0.1, 1.9, (n, records, hyps))
+        sign = rng.choice([-1.0, 1.0], (1, records))
+        factors[:, :, -1] = 10.0 ** (sign * rng.uniform(9.0, 12.0, (n, records)))
+        clamped = []
+        if hyps >= 3:   # never the first hypothesis or the extreme one, so every record lives
+            for _ in range(clamps):
+                k, r, h = rng.integers(n), rng.integers(records), rng.integers(1, hyps - 1)
+                factors[k, r, h] = rng.uniform(-1.0, -0.01)
+                clamped.append((k, r, h))
+        jz = (factors - 1.0) / (4.0 * p.M * p.eta * ydt[:, :, None])
+        prior = rng.uniform(0.1, 1.0, hyps)
+        prior /= prior.sum()
+        spread = np.cumsum(np.log(factors[:, :, [0, -1]]), axis=0)[-1]
+        assert np.all(np.abs(spread[:, 1] - spread[:, 0]) > 1e3)
+        w = qsme.bayes_grid_update(jz, ydt, prior, p, 1e-9)
+        assert w.shape == (n + 1, records, hyps)
+        assert np.all(np.isfinite(w))
+        assert np.max(np.abs(w - posterior_reference(jz, ydt, prior, p))) <= 1e-12
+        for k, r, h in clamped:
+            assert np.all(w[k + 1:, r, h] == 0.0)
 
     @settings(max_examples=25, deadline=None)
     @given(two_j=st.integers(1, 8), hyps=st.integers(2, 6), records=st.integers(1, 4),
