@@ -118,11 +118,14 @@ def _fmt(x) -> str:
 
 
 def write_csv(path: str, header: list[str], columns: list[np.ndarray]):
-    rows = len(columns[0])
+    """One line per row, each entry as _fmt writes it: one format line from
+    the column dtypes (%.17g for float columns, %s for the rest) applied
+    to the rows of the columns' Python values."""
+    columns = [np.asarray(col) for col in columns]
+    line = ",".join("%.17g" if col.dtype.kind == "f" else "%s" for col in columns) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for i in range(rows):
-            fh.write(",".join(_fmt(col[i]) for col in columns) + "\n")
+        fh.writelines(line % row for row in zip(*(col.tolist() for col in columns)))
 
 
 # ---------------------------------------------------------------------------

@@ -263,9 +263,20 @@ def geometric_times(t_end: float, g: float, t_offset: float, cap: float = math.i
     while t < t_end:
         dt = g * (t + t_offset)
         if dt > cap:
-            dt = cap
+            break
         t += dt
         if t > t_end:
             t = t_end
         times.append(t)
-    return np.frombuffer(times)
+    # g * (t + t_offset) only grows with t, so from a capped step on every
+    # step is capped: the tail t + cap + cap + ..., added in order by
+    # cumsum, in blocks in case the sums round short of t_end
+    count = int((t_end - t) / cap) + 2
+    grid = np.frombuffer(times)
+    while grid[-1] < t_end:
+        start = len(grid) - 1
+        grid = np.pad(grid, (0, count), constant_values=cap)
+        np.cumsum(grid[start:], out=grid[start:])
+    end = int(np.searchsorted(grid, t_end))   # the first time at or past t_end
+    grid[end] = t_end
+    return grid[:end + 1]

@@ -17,24 +17,25 @@ product of the back-action terms reproduces the measurement dissipator
 M (Jz rho Jz - {Jz^2, rho}/2) of the master equation for rho = psi psi^T,
 which is therefore positive semidefinite by construction.
 
-One private kernel, ``_sse_update``, steps a (batch, dim) stack of such
-states for the Bayes grid and the trajectory simulator; it rejects
+One kernel, ``StateStack.step``, steps a (rows, dim) stack of such
+states in place for the Bayes grid and the trajectory simulator; the
+stack is set up once per run (guards, constants, buffers) and rejects
 eta != 1, where a conditioned state is mixed.  Its update order: the
 measurement term in one temporary, f = ((M dt/2) dz - sqrt(M) dWbar) dz
-psi with dz = Jz - <Jz>, then psi - f; the field term psi @ K scaled in
-place by gamma dt h / 2 and added (skipped when every h is 0); then the
-norm guard and an in-place normalization.  sme_step is the
-unconditional (eta = 0) zero-field equation, pure dephasing, on the first
-superdiagonal of rho that <Jx> reads.  Both enforce dt M (2J+1) < 0.5,
-and the entry points name the time of a step that fails.
+psi with dz = Jz - <Jz>, then psi - f; the field term psi @ K scaled by
+gamma dt h / 2 and added (skipped when every h is 0); then an in-place
+normalization, whose squared norms are checked once per block of steps.
+sme_step is the unconditional (eta = 0) zero-field equation, pure
+dephasing, on the first superdiagonal of rho that <Jx> reads.  Both
+enforce dt M (2J+1) < 0.5, and a step that fails is named by its time.
 
 Field estimation with unknown constant b keeps one conditioned state per
 field hypothesis, all filtered against the same physical record: the
 hypothesis innovation is dWbar_b = 2 sqrt(M) (y dt - <Jz>_b dt).  The
 records are simulated in the same stack: each record contributes one
 truth row in the true field, which emits y dt, followed by its
-hypothesis rows, and every row of every record takes one _sse_update
-per step, the time loop's only state work.  Given its own record, a
+hypothesis rows, and every row of every record takes one step of the
+stack per time, the time loop's only state work.  Given its own record, a
 truth row's innovation 2 sqrt(M) (y dt - <Jz> dt) is its raw sqrt(dt) xi
 up to rounding, since sigma_M = 1/(4 M).
 
@@ -108,11 +109,6 @@ def coherent_state_x(J: float) -> np.ndarray:
     return np.sqrt([math.comb(n, i) / 2 ** n for i in range(n + 1)])
 
 
-def _jz_mean(psi: np.ndarray, mz: np.ndarray) -> np.ndarray:
-    """<Jz> of each state of a (batch, dim) stack."""
-    return (psi * psi) @ mz
-
-
 def _check_step(ops: SpinOperators, p: PlantParams, dt: float) -> None:
     if not dt * p.M * ops.dim < 0.5:
         raise ConfigurationError("SME step: dt * M * (2J+1) too large; reduce the step")
@@ -128,38 +124,85 @@ def _at_time(err: NumericalError, k: int, dt: float) -> NumericalError:
     return type(err)(f"{err} (step at t = {k * dt:.6e})")
 
 
-def _sse_update(psi: np.ndarray, jz: np.ndarray, h, dwbar, ops: SpinOperators,
-                p: PlantParams, dt: float) -> np.ndarray:
-    """The one Ito-Euler step of the stochastic Schroedinger equation.
+_NORM_BLOCK = 128   # steps between two checks of the recorded norms
 
-    psi is a (batch, dim) stack of real unit vectors with <Jz> values jz;
-    h (the field) and dwbar (the sqrt(dt)-scaled Wiener increments) are
-    scalars or one value per state.  h = 0 skips the precession.  The
-    result is normalized; a norm that is not positive and finite raises
-    InstabilityError.
+
+class StateStack:
+    """A (rows, dim) stack of conditioned states, row i in the field
+    b_values[i], and the one Ito-Euler step of the stochastic Schroedinger
+    equation that advances them all together.
+
+    What stays fixed over a run is set up here once: the step guard and the
+    eta check, the constants M dt / 2, sqrt(M) and gamma dt b / 2 per row,
+    whether any field is nonzero, and the buffers, so a step allocates
+    nothing.  step() overwrites psi with its normalized successor and
+    prob, jz with the successor's psi^2 and <Jz>.  The squared norms are
+    recorded rather than tested per step: check() raises InstabilityError,
+    naming the first step whose norm was not positive and finite, and runs
+    by itself every _NORM_BLOCK steps; a run calls it once more at its end.
+    A failed row stays non-finite until then.
     """
-    _check_step(ops, p, dt)
-    if p.eta != 1.0:
-        raise UnsupportedCaseError("SSE step: a conditioned state is pure only at eta = 1, "
-                                   f"got eta = {p.eta}")
-    dz = ops.mz - jz[:, None]
-    f = (0.5 * p.M * dt) * dz
-    f -= math.sqrt(p.M) * np.asarray(dwbar)[..., None]
-    f *= dz
-    f *= psi
-    out = psi - f
-    h = np.asarray(h)
-    if np.count_nonzero(h):
-        # gamma h K psi dt; the sign makes a positive field drive <Jz>
+
+    def __init__(self, ops: SpinOperators, p: PlantParams, dt: float, b_values: np.ndarray,
+                 psi: np.ndarray):
+        _check_step(ops, p, dt)
+        if p.eta != 1.0:
+            raise UnsupportedCaseError("SSE step: a conditioned state is pure only at eta = 1, "
+                                       f"got eta = {p.eta}")
+        rows, dim = psi.shape
+        self.b_values, self.ops, self.dt = b_values, ops, dt
+        self.sqrt_m = math.sqrt(p.M)
+        self._half_mdt = 0.5 * p.M * dt
+        # gamma b K psi dt / 2; the sign makes a positive field drive <Jz>
         # upward, matching the state-space convention dz = +gamma J h dt
-        kpsi = psi @ ops.K
-        kpsi *= (0.5 * p.gamma * dt) * h[..., None]
-        out += kpsi
-    norm2 = np.einsum("bi,bi->b", out, out)
-    if not (np.minimum.reduce(norm2) > 0.0 and np.maximum.reduce(norm2) < math.inf):
-        raise InstabilityError("SSE step: state norm is not positive and finite; reduce the step")
-    out /= np.sqrt(norm2)[:, None]
-    return out
+        self._rot = (0.5 * p.gamma * dt) * b_values[:, None] if np.count_nonzero(b_values) else None
+        self.psi, self.prob, self.jz = psi, np.empty_like(psi), np.empty(rows)
+        self._read_jz()
+        self._jz_col = self.jz[:, None]
+        self._dz, self._f, self._kpsi = np.empty((3, rows, dim))
+        self._sdw, self._scale = np.empty((2, rows))
+        self._sdw_col, self._scale_col = self._sdw[:, None], self._scale[:, None]
+        self._norms = np.empty((_NORM_BLOCK, rows))
+        self._steps = self._recorded = 0
+
+    def step(self, dwbar: np.ndarray) -> None:
+        """One step on the sqrt(dt)-scaled Wiener increments dwbar, one per
+        row, in the update order of the module docstring."""
+        psi = self.psi
+        if self._rot is not None:
+            kpsi = np.matmul(psi, self.ops.K, out=self._kpsi)
+            kpsi *= self._rot
+        dz = np.subtract(self.ops.mz, self._jz_col, out=self._dz)
+        f = np.multiply(dz, self._half_mdt, out=self._f)
+        np.multiply(dwbar, self.sqrt_m, out=self._sdw)
+        f -= self._sdw_col
+        f *= dz
+        f *= psi
+        psi -= f
+        if self._rot is not None:
+            psi += kpsi
+        norm2 = np.einsum("bi,bi->b", psi, psi, out=self._norms[self._recorded])
+        np.sqrt(norm2, out=self._scale)
+        psi /= self._scale_col
+        self._read_jz()
+        self._steps += 1
+        self._recorded += 1
+        if self._recorded == _NORM_BLOCK:
+            self.check()
+
+    def _read_jz(self) -> None:
+        np.matmul(np.multiply(self.psi, self.psi, out=self.prob), self.ops.mz, out=self.jz)
+
+    def check(self) -> None:
+        """Raise InstabilityError if a step since the last check left a
+        norm that is not positive and finite, naming the first such step."""
+        norms = self._norms[:self._recorded]
+        ok = np.all((norms > 0.0) & (norms < math.inf), axis=1)
+        if not ok.all():
+            k = self._steps - self._recorded + int(np.argmin(ok))
+            raise _at_time(InstabilityError(
+                "SSE step: state norm is not positive and finite; reduce the step"), k, self.dt)
+        self._recorded = 0
 
 
 def sme_step(coh: np.ndarray, ops: SpinOperators, p: PlantParams, dt: float) -> np.ndarray:
@@ -178,29 +221,25 @@ def sme_step(coh: np.ndarray, ops: SpinOperators, p: PlantParams, dt: float) -> 
 # gridded Bayesian field estimation
 # ---------------------------------------------------------------------------
 
-@dataclass
-class FieldGrid:
+class FieldGrid(StateStack):
     """The stacked rows of a Bayes-grid run.
 
-    Each record owns 1 + H consecutive rows: its truth state, then one
-    conditioned state per field hypothesis.  b_values holds each row's
-    field (the true field on a truth row) and jz the <Jz> of each row,
-    read once per step: the record, the stored history and the
-    propagation through the same increment all use it.
+    Each record owns 1 + H consecutive rows: its truth state in the true
+    field b, then one conditioned state per field hypothesis, all coherent
+    along x at the start.  jz, read once per step, serves the record, the
+    stored history and the innovations alike; jz_by_record and
+    dwbar_by_record view it and the innovation buffer as
+    (records, 1 + H), over which each record's increment broadcasts.
     """
 
-    b_values: np.ndarray
-    psi: np.ndarray  # stack (records * (1 + H), dim)
-    jz: np.ndarray
-    ops: SpinOperators
-
-
-def _stacked_grid(ops: SpinOperators, b: float, hypotheses: np.ndarray, records: int) -> FieldGrid:
-    """records copies of [truth in field b, one row per hypothesis], every
-    state coherent along x."""
-    b_values = np.tile(np.concatenate(([b], hypotheses)), records)
-    psi = np.tile(coherent_state_x(ops.J), (len(b_values), 1))
-    return FieldGrid(b_values=b_values, psi=psi, jz=_jz_mean(psi, ops.mz), ops=ops)
+    def __init__(self, ops: SpinOperators, p: PlantParams, dt: float, b: float,
+                 hypotheses: np.ndarray, records: int):
+        b_values = np.tile(np.concatenate(([b], hypotheses)), records)
+        super().__init__(ops, p, dt, b_values,
+                         np.tile(coherent_state_x(ops.J), (len(b_values), 1)))
+        self.jz_by_record = self.jz.reshape(records, -1)
+        self.dwbar = np.empty_like(self.jz)
+        self.dwbar_by_record = self.dwbar.reshape(records, -1)
 
 
 def _gaussian_hypotheses(sigma_b0: float, points: int):
@@ -248,12 +287,14 @@ def bayes_grid_update(jz: np.ndarray, ydt: np.ndarray, weights: np.ndarray, p: P
     return w
 
 
-def propagate_grid(grid: FieldGrid, ydt: np.ndarray, p: PlantParams, dt: float) -> FieldGrid:
-    """Condition every row on its record's increment (ydt holds one value
-    per row): one _sse_update for the whole stack."""
-    dwbar = 2.0 * math.sqrt(p.M) * (ydt - grid.jz * dt)
-    psi = _sse_update(grid.psi, grid.jz, grid.b_values, dwbar, grid.ops, p, dt)
-    return FieldGrid(b_values=grid.b_values, psi=psi, jz=_jz_mean(psi, grid.ops.mz), ops=grid.ops)
+def propagate_grid(grid: FieldGrid, ydt: np.ndarray) -> None:
+    """Condition every row on its record's increment, ydt (records, 1):
+    the innovations 2 sqrt(M) (ydt - <Jz> dt), then one step of the whole
+    stack, in place."""
+    dwbar = np.multiply(grid.jz_by_record, grid.dt, out=grid.dwbar_by_record)
+    np.subtract(ydt, dwbar, out=dwbar)
+    dwbar *= 2.0 * grid.sqrt_m
+    grid.step(grid.dwbar)
 
 
 def grid_filter_records(ops: SpinOperators, p: PlantParams, b: float, hypotheses: np.ndarray,
@@ -270,23 +311,23 @@ def grid_filter_records(ops: SpinOperators, p: PlantParams, b: float, hypotheses
     (records, n + 1) and the final weights (records, H).
     """
     _require_at_least("grid_filter_records", "records", records, 1)
-    rows = 1 + len(hypotheses)
-    grid = _stacked_grid(ops, b, hypotheses, records)
+    grid = FieldGrid(ops, p, dt, b, hypotheses, records)
     draws = trial_normals(seed, np.arange(records), n)
     draws *= math.sqrt(dt)
     draws *= math.sqrt(p.sigma_M)   # the record noise, scaled as simulate_ramp_ensemble does
     noise = draws.T
-    jzs = np.empty((n + 1, records * rows))
-    try:
-        for k in range(n):
-            jzs[k] = grid.jz
-            ydt = grid.jz[::rows] * dt
-            ydt += noise[k]
-            grid = propagate_grid(grid, ydt.repeat(rows), p, dt)
-    except NumericalError as err:
-        raise _at_time(err, k, dt) from err
+    jzs = np.empty((n + 1, len(grid.jz)))
+    truth_jz = grid.jz_by_record[:, 0]
+    ydt = np.empty((records, 1))
+    record = ydt[:, 0]
+    for k in range(n):
+        jzs[k] = grid.jz
+        np.multiply(truth_jz, dt, out=record)
+        record += noise[k]
+        propagate_grid(grid, ydt)
+    grid.check()
     jzs[n] = grid.jz
-    jzs = jzs.reshape(n + 1, records, rows)
+    jzs = jzs.reshape(n + 1, records, -1)
     walks = jzs[:, :, 0].T
     # the records again, elementwise with the bits of the loop's ydt
     ydts = walks[:, :n] * dt
@@ -328,25 +369,23 @@ def simulate_ramp_ensemble(ops: SpinOperators, p: PlantParams, b: float, seed: i
     """
     _require_at_least("simulate_ramp_ensemble", "trajectories", trajectories, 1)
     _require_at_least("simulate_ramp_ensemble", "n", n, 1)
-    psi = np.tile(coherent_state_x(ops.J), (trajectories, 1))
+    stack = StateStack(ops, p, dt, np.full(trajectories, b),
+                       np.tile(coherent_state_x(ops.J), (trajectories, 1)))
     draws = trial_normals(seed, np.arange(trajectories), n)
     draws *= math.sqrt(dt)
     mz2 = ops.mz * ops.mz
     jz_walks = np.empty((trajectories, n + 1))
     mean_djz2 = np.empty(n + 1)
     dwbars = draws.T          # row k: the sqrt(dt)-scaled increments of step k
-    try:
-        for k in range(n + 1):
-            prob = psi * psi
-            jz = prob @ ops.mz    # _jz_mean's product, sharing psi^2 with <Jz^2>
-            jz_walks[:, k] = jz
-            # the bits of np.mean, without its per-call dispatch
-            mean_djz2[k] = np.add.reduce(prob @ mz2 - jz * jz) / trajectories
-            if k == n:
-                break
-            psi = _sse_update(psi, jz, b, dwbars[k], ops, p, dt)
-    except NumericalError as err:
-        raise _at_time(err, k, dt) from err
+    for k in range(n + 1):
+        jz = stack.jz
+        jz_walks[:, k] = jz
+        # the bits of np.mean, without its per-call dispatch
+        mean_djz2[k] = np.add.reduce(stack.prob @ mz2 - jz * jz) / trajectories
+        if k == n:
+            break
+        stack.step(dwbars[k])
+    stack.check()
     # the records y dt = <Jz> dt + sqrt(sigma_M) dWbar, elementwise as if per step
     ydts = jz_walks[:, :n] * dt
     draws *= math.sqrt(p.sigma_M)

@@ -148,32 +148,74 @@ def _internal_times(p: PlantParams, sz0: float, sb0: float, t_end: float, requir
     return np.union1d(grid, required)
 
 
+def _next_longer(times: np.ndarray, k: int, h: float) -> int:
+    """Index of the first step after step k (step j runs from times[j] to
+    times[j + 1]) that is longer than h, or the number of steps: a scan in
+    windows of doubling width, so a run of m steps costs O(m) however far
+    the grid goes on."""
+    lo, width = k + 1, 16
+    while lo < len(times) - 1:
+        longer = np.flatnonzero(np.diff(times[lo:lo + width + 1]) > h)
+        if longer.size:
+            return lo + int(longer[0])
+        lo += width
+        width *= 2
+    return len(times) - 1
+
+
 def _rk4_triple(rhs, x0, times: np.ndarray):
     """Unrolled RK4 of a three-component autonomous ODE over the given grid.
 
-    ``rhs(x, y, z)`` returns the three derivatives; row k of the result is
-    the state at times[k].  The loop runs on Python floats: the grid is
-    read into a float buffer once and the states are appended to another,
-    which becomes the (n, 3) result without a copy.
+    ``rhs(x, y, z)`` returns the three derivatives and must be autonomous
+    and pure: the same floats in give the same floats out.  Row k of the
+    result is the state at times[k].  The loop runs on Python floats: the
+    grid is read into a float buffer once and the states are appended to
+    another, which becomes the (n, 3) result.
+
+    A step of size h is an exact fixed point when both its Euler probe
+    x + h a (a = rhs(x)) and its result equal x bit for bit: every stage
+    then reads x and returns a, and rounding to nearest is monotone, so
+    every later step h' <= h returns x as well.  From such a step the
+    loop repeats the row up to the next step longer than h and computes
+    that one again; the rows are those of stepping through.  Repeats are
+    counted in the loop and written once, by np.repeat, at the end.
     """
-    grid = array("d", np.asarray(times, dtype=np.float64).tobytes())
+    times = np.asarray(times, dtype=np.float64)
+    grid = array("d", times.tobytes())
     sz, sc, sb = x0
     out = array("d", (sz, sc, sb))
-    for k in range(len(grid) - 1):
+    repeats = []   # (row, further copies of it)
+    k, steps = 0, len(grid) - 1
+    while k < steps:
         h = grid[k + 1] - grid[k]
         hh, h6 = 0.5 * h, h / 6.0
         az, ac, ab = rhs(sz, sc, sb)
         bz, bc, bb = rhs(sz + hh * az, sc + hh * ac, sb + hh * ab)
         cz, cc, cb = rhs(sz + hh * bz, sc + hh * bc, sb + hh * bb)
         dz, dc, db = rhs(sz + h * cz, sc + h * cc, sb + h * cb)
-        sz += h6 * (az + 2.0 * bz + 2.0 * cz + dz)
-        sc += h6 * (ac + 2.0 * bc + 2.0 * cc + dc)
-        sb += h6 * (ab + 2.0 * bb + 2.0 * cb + db)
-        if not (math.isfinite(sz) and math.isfinite(sc) and math.isfinite(sb)):
+        z1 = sz + h6 * (az + 2.0 * bz + 2.0 * cz + dz)
+        c1 = sc + h6 * (ac + 2.0 * bc + 2.0 * cc + dc)
+        b1 = sb + h6 * (ab + 2.0 * bb + 2.0 * cb + db)
+        if not (math.isfinite(z1) and math.isfinite(c1) and math.isfinite(b1)):
             raise InstabilityError(
                 f"Riccati integration lost finiteness at t = {grid[k + 1]:.6e}")
+        if z1 == sz and c1 == sc and b1 == sb:
+            bits = array("d", (sz, sc, sb)).tobytes()
+            # bitwise, so a flip between +0.0 and -0.0 counts as a change
+            if (bits == array("d", (z1, c1, b1)).tobytes()
+                    == array("d", (sz + h * az, sc + h * ac, sb + h * ab)).tobytes()):
+                j = _next_longer(times, k, h)
+                repeats.append((len(out) // 3 - 1, j - k))
+                k = j
+                continue
+        sz, sc, sb = z1, c1, b1
         out.extend((sz, sc, sb))
-    return np.frombuffer(out).reshape(-1, 3)
+        k += 1
+    rows = np.frombuffer(out).reshape(-1, 3)
+    counts = np.ones(len(rows), dtype=np.intp)
+    for row, extra in repeats:
+        counts[row] += extra
+    return np.repeat(rows, counts, axis=0)
 
 
 def _check_psd(traj: CovTrajectory):

@@ -10,6 +10,7 @@ import math
 import numpy as np
 
 from spintrack import qsme
+from sse_reference import jz_mean, sse_step
 
 
 def posterior_reference(jz, ydt, weights, p):
@@ -34,10 +35,10 @@ def grid_records_reference(ops, p, b, hypotheses, weights, seed, records, dt, n)
         psi = np.tile(qsme.coherent_state_x(ops.J), (len(hypotheses), 1))
         jzs = np.empty((n, len(hypotheses)))
         for k, ydt in enumerate(record.tolist()):
-            jz = qsme._jz_mean(psi, ops.mz)
+            jz = jz_mean(psi, ops.mz)
             jzs[k] = jz
             dwbar = 2.0 * math.sqrt(p.M) * (ydt - jz * dt)
-            psi = qsme._sse_update(psi, jz, hypotheses, dwbar, ops, p, dt)
+            psi = sse_step(psi, hypotheses, dwbar, ops, p, dt)
         w = posterior_reference(jzs[:, None], record[:, None], weights, p)[:, 0]
         means[r] = w @ hypotheses
         finals[r] = w[n]

@@ -1,8 +1,9 @@
 """The stochastic Schroedinger step and the trajectory loop as first
-written, kept in the tests as the references for ``qsme._sse_update``
+written, kept in the tests as the references for ``qsme.StateStack.step``
 (the field term as two shifted products of the ladder amplitudes, the
 measurement term as one expression) and for ``qsme.simulate_ramp_ensemble``
-(records and the averaged <Delta Jz^2> formed step by step with np.mean)."""
+(records and the averaged <Delta Jz^2> formed step by step with np.mean),
+and the module's kernel as a one-step function of a stack."""
 
 import math
 
@@ -10,6 +11,21 @@ import numpy as np
 
 from spintrack import qsme
 from spintrack.numerics import trial_normals
+
+
+def jz_mean(psi, mz):
+    """<Jz> of each state of a (batch, dim) stack."""
+    return (psi * psi) @ mz
+
+
+def sse_step(psi, h, dwbar, ops, p, dt):
+    """One step of qsme's kernel on a copy of the (batch, dim) stack psi in
+    the fields h (a scalar or one per row), its norm checked."""
+    h = np.broadcast_to(np.asarray(h, dtype=np.float64), (len(psi),))
+    stack = qsme.StateStack(ops, p, dt, h, np.array(psi, dtype=np.float64))
+    stack.step(dwbar)
+    stack.check()
+    return stack.psi
 
 
 def shifted_kpsi(psi, amp):
@@ -44,12 +60,12 @@ def ramp_ensemble_reference(ops, p, b, seed, trajectories, dt, n):
     jz_walks = np.empty((trajectories, n + 1))
     mean_djz2 = np.empty(n + 1)
     for k in range(n + 1):
-        jz = qsme._jz_mean(psi, ops.mz)
+        jz = jz_mean(psi, ops.mz)
         jz_walks[:, k] = jz
         mean_djz2[k] = np.mean((psi * psi) @ mz2 - jz * jz)
         if k == n:
             break
         dwbar = draws[:, k] * sqrt_dt
         ydts[:, k] = jz * dt + sqrt_sm * dwbar
-        psi = qsme._sse_update(psi, jz, b, dwbar, ops, p, dt)
+        psi = sse_step(psi, b, dwbar, ops, p, dt)
     return ydts, jz_walks, mean_djz2

@@ -1,3 +1,4 @@
+import math
 import subprocess
 import sys
 import warnings
@@ -6,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spintrack.cli import main, parse_scenario
+from spintrack.cli import _fmt, main, parse_scenario, write_csv
 from spintrack.errors import ConfigurationError
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "src" / "spintrack" / "scenarios"
@@ -275,6 +276,20 @@ class TestCommands:
         val = rows[0][1]
         assert float(val) == float("%.17g" % float(val))
         assert len(val.replace(".", "").replace("-", "").replace("e", "").lstrip("0")) >= 15
+
+    def test_csv_lines_are_the_per_entry_format(self, tmp_path):
+        # one format line from the column dtypes writes the bytes of _fmt
+        # applied entry by entry
+        floats = np.array([math.nan, math.inf, -math.inf, -0.0, 0.0, 1e-300, 5e-324, 0.1,
+                           -1.0 / 3.0, 1e300])
+        n = len(floats)
+        columns = [floats, np.linspace(-1.0, 1.0, n, dtype=np.float32), np.arange(n) % 3 == 0,
+                   np.arange(n) - 4, np.array([f"s{i}" for i in range(n)]), floats * 7.0]
+        header = ["f64", "f32", "flag", "int", "name", "scaled"]
+        write_csv(tmp_path / "out.csv", header, columns)
+        expected = ",".join(header) + "\n" + "".join(
+            ",".join(_fmt(col[i]) for col in columns) + "\n" for i in range(n))
+        assert (tmp_path / "out.csv").read_bytes() == expected.encode("utf-8")
 
     def test_riccati_determinism_bytes(self, tmp_path):
         outs = []

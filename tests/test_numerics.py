@@ -318,6 +318,7 @@ def _geometric_reference(t_end, g, t_offset, cap=math.inf):
 @settings(max_examples=60, deadline=None)
 @given(g=st.floats(1e-3, 0.5), log_offset=st.floats(-12.0, -6.0), span=st.floats(0.0, 5.0),
        capped=st.booleans(), log_cap=st.floats(0.5, 3.0))
+@example(g=0.01, log_offset=-9.0, span=4.0, capped=True, log_cap=4.3)   # a capped tail of 2e4 steps
 def test_geometric_times_is_the_plain_recursion(g, log_offset, span, capped, log_cap):
     t_offset = 10 ** log_offset
     t_end = t_offset * 10 ** span

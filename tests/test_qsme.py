@@ -11,7 +11,8 @@ from spintrack.model import PlantParams
 from spintrack.numerics import RngStream
 from spintrack import qsme
 from grid_reference import grid_records_reference, posterior_reference
-from sse_reference import ramp_ensemble_reference, shifted_kpsi, sse_update_reference
+from sse_reference import (jz_mean, ramp_ensemble_reference, shifted_kpsi, sse_step,
+                           sse_update_reference)
 
 
 def _dense(ops):
@@ -29,14 +30,14 @@ def _moment(psi, op):
 def _step(psi, b, ops, p, dt, dw):
     """One conditioned step of a single state in field b; returns
     (psi', ydt) with the emitted record increment."""
-    jz = qsme._jz_mean(psi[None], ops.mz)
-    out = qsme._sse_update(psi[None], jz, b, dw, ops, p, dt)[0]
+    jz = jz_mean(psi[None], ops.mz)
+    out = sse_step(psi[None], b, dw, ops, p, dt)[0]
     return out, float(jz[0] * dt + math.sqrt(p.sigma_M) * dw)
 
 
-def _two_point(ops, b0, records=1):
+def _two_point(ops, p, dt, b0, records=1):
     """A stacked two-hypothesis grid, +-b0, with its truth rows in +b0."""
-    return qsme._stacked_grid(ops, b0, np.array([-b0, b0]), records)
+    return qsme.FieldGrid(ops, p, dt, b0, np.array([-b0, b0]), records)
 
 
 def _two_point_run(ops, p, b0, seed, records, dt, n):
@@ -48,7 +49,7 @@ def _two_point_run(ops, p, b0, seed, records, dt, n):
 def _conditioned_step(psi, b, ops, p, dt, ydt):
     """The step conditioned on a given record increment: the innovation
     dW = (ydt - <Jz> dt) / sqrt(sigma_M) replaces the raw noise."""
-    jz = float(qsme._jz_mean(psi[None], ops.mz)[0])
+    jz = float(jz_mean(psi[None], ops.mz)[0])
     out, _ = _step(psi, b, ops, p, dt, (ydt - jz * dt) / math.sqrt(p.sigma_M))
     return out
 
@@ -171,8 +172,12 @@ class TestSmeStep:
         psi = qsme.coherent_state_x(5.0)
         with pytest.raises(InstabilityError, match="norm"):
             _step(psi, 1e-3, ops, p, 1e-9, math.nan)
+        # the grid records the failed norm and raises at its next check
+        grid = _two_point(ops, p, 1e-9, 1e-3)
+        qsme.propagate_grid(grid, np.full((1, 1), math.nan))
+        assert np.all(np.isnan(grid.jz))
         with pytest.raises(InstabilityError, match="norm"):
-            qsme.propagate_grid(_two_point(ops, 1e-3), np.full(3, math.nan), p, 1e-9)
+            grid.check()
         with pytest.raises(InstabilityError, match="not finite"):
             qsme.sme_step(np.full(ops.dim - 1, math.nan), ops, p, 1e-9)
 
@@ -205,12 +210,33 @@ class TestSmeStep:
         with pytest.raises(InstabilityError, match=f"t = {k * dt:.6e}"):
             qsme.unconditional_jx_decay(ops, p, dt, 12)
 
+    @pytest.mark.parametrize("block_step", [-1, 0, 5])
+    def test_norm_failure_in_any_block_names_its_time(self, monkeypatch, block_step):
+        # the norms are checked every _NORM_BLOCK steps and once after the
+        # loop: a failure on either side of a block's end names its step
+        ops = qsme.spin_operators(2.0)
+        p = PlantParams(J=2.0, gamma=1e6, M=1e4)
+        dt, k = 1e-9, 2 * qsme._NORM_BLOCK + block_step
+        draws = qsme.trial_normals
+
+        def nan_at_k(*args):
+            out = draws(*args)
+            out[:, k] = math.nan
+            return out
+
+        monkeypatch.setattr(qsme, "trial_normals", nan_at_k)
+        n = 2 * qsme._NORM_BLOCK + 20
+        with pytest.raises(InstabilityError, match=f"norm.*t = {k * dt:.6e}"):
+            _two_point_run(ops, p, 1e-3, 1, 2, dt, n)
+        with pytest.raises(InstabilityError, match=f"norm.*t = {k * dt:.6e}"):
+            qsme.simulate_ramp_ensemble(ops, p, 1e-3, 1, 2, dt, n)
+
     def test_inefficient_measurement_rejected(self):
         # a state conditioned on an inefficient measurement is mixed
         ops = qsme.spin_operators(2.0)
         p = PlantParams(J=2.0, gamma=1e6, M=1e4, eta=0.5)
         with pytest.raises(UnsupportedCaseError, match="eta"):
-            qsme.propagate_grid(_two_point(ops, 1e-3), np.zeros(3), p, 1e-9)
+            qsme.propagate_grid(_two_point(ops, p, 1e-9, 1e-3), np.zeros((1, 1)))
         with pytest.raises(UnsupportedCaseError, match="eta"):
             _two_point_run(ops, p, 1e-3, 1, 2, 1e-9, 3)
         with pytest.raises(UnsupportedCaseError, match="eta"):
@@ -225,8 +251,8 @@ class TestSmeStep:
         entry_points = {
             "sme_step": lambda dt: qsme.sme_step(psi[:-1] * psi[1:], ops, p, dt),
             "unconditional_jx_decay": lambda dt: qsme.unconditional_jx_decay(ops, p, dt, 1),
-            "propagate_grid": lambda dt: qsme.propagate_grid(_two_point(ops, 1e-3),
-                                                             np.zeros(3), p, dt),
+            "propagate_grid": lambda dt: qsme.propagate_grid(_two_point(ops, p, dt, 1e-3),
+                                                             np.zeros((1, 1))),
             "grid_filter_records": lambda dt: _two_point_run(ops, p, 1e-3, 1, 2, dt, 1),
             "simulate_ramp_ensemble": lambda dt: qsme.simulate_ramp_ensemble(
                 ops, p, 1e-3, 1, 2, dt, 1),
@@ -255,7 +281,7 @@ class TestSmeStep:
         p = PlantParams(J=8.0, gamma=1e6, M=1e-12)
         b = 1e-3
         out, _ = _step(qsme.coherent_state_x(8.0), b, ops, p, 1e-9, 0.0)
-        jz = float(qsme._jz_mean(out[None], ops.mz)[0])
+        jz = float(jz_mean(out[None], ops.mz)[0])
         assert jz == pytest.approx(p.gamma * b * 8.0 * 1e-9, rel=1e-6)
 
 
@@ -305,12 +331,13 @@ class TestBayesGrid:
     def test_grid_propagation_matches_scalar_path(self):
         ops = qsme.spin_operators(2.0)
         p = PlantParams(J=2.0, gamma=1e6, M=1e4)
-        grid = _two_point(ops, 2e-3, records=2)
-        ydt = np.repeat([3e-7, -1e-7], 3)   # each record's increment on its three rows
-        out = qsme.propagate_grid(grid, ydt, p, 1e-8)
+        grid = _two_point(ops, p, 1e-8, 2e-3, records=2)
+        psi = grid.psi.copy()
+        ydt = np.array([[3e-7], [-1e-7]])   # each record's increment, for its three rows
+        qsme.propagate_grid(grid, ydt)
         for i, b in enumerate(grid.b_values):
-            ref = _conditioned_step(grid.psi[i], b, ops, p, 1e-8, ydt[i])
-            assert np.max(np.abs(out.psi[i] - ref)) < 1e-13
+            ref = _conditioned_step(psi[i], b, ops, p, 1e-8, ydt[i // 3, 0])
+            assert np.max(np.abs(grid.psi[i] - ref)) < 1e-13
 
     def test_one_jz_read_per_step_matches_two(self, monkeypatch):
         # the grid carries <Jz> of every row from one propagation to the
@@ -327,7 +354,7 @@ class TestBayesGrid:
         propagate = qsme.propagate_grid
 
         def fresh(grid, *args):
-            grid.jz = qsme._jz_mean(grid.psi, ops.mz)
+            grid.jz[:] = jz_mean(grid.psi, ops.mz)
             return propagate(grid, *args)
 
         monkeypatch.setattr(qsme, "propagate_grid", fresh)
@@ -377,17 +404,17 @@ class TestSuites:
         # the truth and hypothesis rows of every record step as one stack,
         # and one posterior pass follows the time loop
         calls, posteriors = [], []
-        update, posterior = qsme._sse_update, qsme.bayes_grid_update
+        update, posterior = qsme.StateStack.step, qsme.bayes_grid_update
 
-        def counted(psi, *args):
-            calls.append(len(psi))
-            return update(psi, *args)
+        def counted(stack, *args):
+            calls.append(len(stack.psi))
+            return update(stack, *args)
 
         def counted_posterior(jz, *args):
             posteriors.append(jz.shape)
             return posterior(jz, *args)
 
-        monkeypatch.setattr(qsme, "_sse_update", counted)
+        monkeypatch.setattr(qsme.StateStack, "step", counted)
         monkeypatch.setattr(qsme, "bayes_grid_update", counted_posterior)
         n = int(round(sizes["T"] / sizes["dt"]))
         hyps = sizes.get("points", 2)
@@ -413,7 +440,7 @@ class TestSuites:
             for k in range(n):
                 psi, ydt = _step(psi, 0.0, ops, p, 1e-8, draws[k] * math.sqrt(1e-8))
                 assert ydts[traj, k] == pytest.approx(ydt, rel=1e-12, abs=1e-20)
-            jz = float(qsme._jz_mean(psi[None], ops.mz)[0])
+            jz = float(jz_mean(psi[None], ops.mz)[0])
             assert walks[traj, -1] == pytest.approx(jz, abs=1e-10)
 
 
@@ -434,11 +461,11 @@ class TestKernelProperties:
         psi = rng.normal(size=(batch, ops.dim))
         psi /= np.linalg.norm(psi, axis=1)[:, None]
         hs = h * rng.uniform(-1.0, 1.0, batch)
-        jz = qsme._jz_mean(psi, ops.mz)
+        jz = jz_mean(psi, ops.mz)
         scaled = []
         for dt in np.array([1.0, 0.1]) * dt_frac * 1e-2 / (p.M * ops.dim ** 2):
             dws = np.array(signs[:batch]) * math.sqrt(dt)
-            out = qsme._sse_update(psi, jz, hs, dws, ops, p, dt)
+            out = sse_step(psi, hs, dws, ops, p, dt)
             err = max(np.max(np.abs(np.outer(out[i], out[i]) - _textbook_step(
                 np.outer(psi[i], psi[i]), hs[i], dws[i], ops, p, dt))) for i in range(batch))
             scaled.append(err / dt ** 1.5)
@@ -473,8 +500,8 @@ class TestKernelProperties:
         psi /= np.linalg.norm(psi, axis=1)[:, None]
         hs = h * rng.uniform(-1.0, 1.0, batch)
         dws = rng.normal(size=batch) * math.sqrt(dt)
-        jz = qsme._jz_mean(psi, ops.mz)
-        out = qsme._sse_update(psi, jz, hs, dws, ops, p, dt)
+        jz = jz_mean(psi, ops.mz)
+        out = sse_step(psi, hs, dws, ops, p, dt)
         assert np.max(np.abs(out - sse_update_reference(psi, jz, hs, dws, ops, p, dt))) <= 1e-14
         # relative to the size of the two terms of each entry
         ref = shifted_kpsi(psi, ops.amp)

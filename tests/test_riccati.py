@@ -1,14 +1,17 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from spintrack.errors import ConfigurationError, UnsupportedCaseError
 from spintrack.model import DesignParams, PlantParams, Priors, fluctuating_plant
-from spintrack import riccati as ric
+from spintrack import cli, riccati as ric
 
 from rk4_reference import rk4_nonuniform
+
+SCENARIOS = Path(__file__).resolve().parents[1] / "src" / "spintrack" / "scenarios"
 
 FLUCT = fluctuating_plant(J=1e6, gamma=1e6, M=1e4, gamma_b=1e5, sigma_bfree=1.0)
 CONST = PlantParams(J=1e6, gamma=1e6, M=1e4)
@@ -157,6 +160,44 @@ class TestSteadyState:
         ref = ric.controller_gain(FLUCT, d)
         assert np.max(np.abs(num / ref - 1.0)) < 1e-8
 
+    @pytest.mark.parametrize("lam", [0.01, 0.1, 1.0, 10.0])
+    def test_controller_riccati_is_the_reference_rk4_bit_for_bit(self, lam):
+        d = DesignParams(J_prime=1e6, lam=lam)
+        a, gb, lam2 = FLUCT.gamma * d.J_prime, FLUCT.gamma_b, lam ** 2
+        h = 0.02 / (a * lam)
+
+        def rhs(t, x):
+            v1, vc, v2 = x
+            return np.array([lam2 - (a * v1) ** 2,
+                             a * v1 - gb * vc - a * a * v1 * vc,
+                             2.0 * (a * vc - gb * v2) - (a * vc) ** 2])
+
+        steps = int(math.ceil((30.0 / (a * lam)) / h))
+        v1, vc, _ = rk4_nonuniform(rhs, [0.0, 0.0, 0.0], np.arange(steps + 1) * h)[-1]
+        assert np.array_equal(ric.controller_riccati_steady(FLUCT, d), [a * v1, a * vc])
+
+
+class TestRk4FixedPoint:
+    """The loop copies a step that returns its input bit for bit, and every
+    following step up to the next longer one, without computing them."""
+
+    def test_a_longer_step_leaves_the_fixed_point(self):
+        # a derivative whose unit step stays below half an ulp of x = 1
+        # (1.1e-16) and whose step of 1.5 does not
+        times = np.cumsum([0.0, 1.0, 1.0, 0.5, 1.0, 1.5, 1.0, 100.0])
+        got = ric._rk4_triple(lambda x, y, z: (1e-16, 0.0, -0.0), (1.0, 2.0, 0.0), times)
+        ref = rk4_nonuniform(lambda t, x: np.array([1e-16, 0.0, -0.0]), [1.0, 2.0, 0.0], times)
+        assert got.tobytes() == ref.tobytes()
+        assert got[-1, 0] > got[-3, 0] > got[0, 0] == got[4, 0]
+
+    def test_a_sign_flip_of_zero_is_a_change(self):
+        # -0.0 + 0.0 is +0.0: equal as numbers, not as bits
+        times = np.arange(6.0)
+        got = ric._rk4_triple(lambda x, y, z: (0.0, 0.0, 0.0), (-0.0, 1.0, 1.0), times)
+        ref = rk4_nonuniform(lambda t, x: np.zeros(3), [-0.0, 1.0, 1.0], times)
+        assert got.tobytes() == ref.tobytes()
+        assert math.copysign(1.0, got[1, 0]) == 1.0
+
 
 class TestLinearized:
     def test_t_zero_returns_prior(self):
@@ -231,6 +272,24 @@ def _assert_routes_agree(p, prior, times):
     return lin
 
 
+def _assert_rk4_rows_are_the_reference(p, prior, times):
+    """riccati_at_times against the reference RK4 on the same internal
+    grid, bit for bit; returns the trajectory."""
+    gj, gamma_b, sigma_bf, inv_sm = p.gamma * p.J, p.gamma_b, p.sigma_bF, 1.0 / p.sigma_M
+
+    def rhs(t, x):
+        sz, sc, sb = x
+        return np.array([2.0 * gj * sc - sz * sz * inv_sm,
+                         gj * sb - gamma_b * sc - sz * sc * inv_sm,
+                         sigma_bf - 2.0 * gamma_b * sb - sc * sc * inv_sm])
+
+    grid = ric._internal_times(p, *prior, float(times.max()), times)
+    ref = rk4_nonuniform(rhs, [prior[0], 0.0, prior[1]], grid)[np.searchsorted(grid, times)]
+    traj = ric.riccati_at_times(p, prior, times)
+    assert np.array_equal(np.column_stack([traj.sigma_zR, traj.sigma_cR, traj.sigma_bR]), ref)
+    return traj
+
+
 _LOG = st.floats(-1.0, 1.0)   # decades around a reference value
 # The regime around the paper's J = gamma = 1e6, M = 1e4, where RK4's 1%
 # schedule holds 1e-6: at corners of the wide ranges (J = 10 with
@@ -260,25 +319,46 @@ class TestRouteProperties:
     @settings(max_examples=20, deadline=None)
     @given(gb=st.floats(-3.0, 0.0), sbf=st.floats(-2.0, 6.0), z0=_LOG, b0=_LOG,
            span=st.floats(-1.0, 0.5), **_PAPER)
+    # a span of 300 / rate: the covariance reaches its exact fixed point and
+    # about 1,350 of the 2,400 steps are copied rather than computed
+    @example(j=6.0, gamma=6.0, m=4.0, gb=0.0, sbf=0.0, z0=0.0, b0=0.0, span=2.0)
     def test_rk4_rows_are_the_reference_rk4_bit_for_bit(self, j, gamma, m, gb, sbf, z0, b0,
                                                          span):
         # the float-buffer RK4 loop does the reference's operations in the
         # reference's order on the same internal grid
         p, rate = _fluctuating(j, gamma, m, gb, sbf)
         prior = (p.J / 2.0 * 10 ** z0, p.sigma_bF / (2.0 * p.gamma_b) * 10 ** b0)
-        times = np.geomspace(1e-4, 3.0 * 10 ** span, 12) / rate
-        gj, gamma_b, sigma_bf, inv_sm = p.gamma * p.J, p.gamma_b, p.sigma_bF, 1.0 / p.sigma_M
+        _assert_rk4_rows_are_the_reference(p, prior, np.geomspace(1e-4, 3.0 * 10 ** span, 12) / rate)
 
-        def rhs(t, x):
-            sz, sc, sb = x
-            return np.array([2.0 * gj * sc - sz * sz * inv_sm,
-                             gj * sb - gamma_b * sc - sz * sc * inv_sm,
-                             sigma_bf - 2.0 * gamma_b * sb - sc * sc * inv_sm])
-
+    def test_a_time_inside_a_copied_step_keeps_the_reference_rows(self):
+        # a required time splits one capped step deep in the stationary
+        # tail into two shorter steps, both inside the copied stretch
+        p, rate = _fluctuating(6.0, 6.0, 4.0, 0.0, 0.0)
+        prior = (p.J / 2.0, p.sigma_bF / (2.0 * p.gamma_b))
+        times = np.geomspace(1e-4, 300.0, 12) / rate
         grid = ric._internal_times(p, *prior, float(times.max()), times)
-        ref = rk4_nonuniform(rhs, [prior[0], 0.0, prior[1]], grid)[np.searchsorted(grid, times)]
-        traj = ric.riccati_at_times(p, prior, times)
-        assert np.array_equal(np.column_stack([traj.sigma_zR, traj.sigma_cR, traj.sigma_bR]), ref)
+        split = 0.5 * (grid[-20] + grid[-19])
+        assert grid[-19] - grid[-20] == grid[-20] - grid[-21]   # a capped step
+        traj = _assert_rk4_rows_are_the_reference(p, prior, np.sort(np.append(times, split)))
+        assert traj.sigma_bR[-2] == traj.sigma_bR[-1]
+
+    def test_stationary_tail_is_copied_not_stepped(self, monkeypatch):
+        # the shipped fluctuating scenario: 85,491 steps, all but about 800
+        # of them exact fixed points of the RK4 step
+        sc = cli.parse_scenario(str(SCENARIOS / "riccati_fluctuating.scn"))
+        p = cli.build_plant(sc)
+        calls = []
+        rk4 = ric._rk4_triple
+
+        def counted(rhs, x0, times):
+            def rhs_counted(*x):
+                calls.append(None)
+                return rhs(*x)
+            return rk4(rhs_counted, x0, times)
+
+        monkeypatch.setattr(ric, "_rk4_triple", counted)
+        ric.riccati_at_times(p, cli.build_priors(sc, p), np.geomspace(sc["dt"], sc["T"], 241))
+        assert 0 < len(calls) <= 4000
 
     @settings(max_examples=60, deadline=None)
     @given(gb=st.floats(-3.0, 1.0), sbf=st.floats(-4.0, 4.0), z0=_LOG, b0=_LOG, **_WIDE)
