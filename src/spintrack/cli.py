@@ -38,8 +38,8 @@ import numpy as np
 from . import freq, qsme, riccati, total_covariance as tc
 from .errors import (ConfigurationError, DivergenceError, NumericalError, SpintrackError,
                      UnsupportedCaseError)
-from .lqg_filter import (TRIAL_BLOCK, _ensemble_block_sums, _sum_blocks, design_plant,
-                         design_prior, run_closed_loop, run_ensemble, summarize_ensemble)
+from .lqg_filter import (TRIAL_BLOCK, design_plant, design_prior, run_closed_loop, run_ensemble,
+                         summarize_ensemble)
 from .model import DesignParams, PlantParams, Priors
 from .numerics import RngStream
 from .truth_sim import simulate_open_loop
@@ -186,8 +186,9 @@ def cmd_riccati(sc: dict, seed: int, out: str, workers: int) -> int:
 
 def _mc_blocks(args):
     """Per-block ensemble sums of one worker's contiguous range of whole blocks."""
-    p, prior, d, mode, seed, offset, count, dt, T, decimate = args
-    return _ensemble_block_sums(p, prior, d, mode, seed, count, dt, T, decimate, offset)
+    p, prior, d, mode, seed, lo, hi, dt, T, decimate = args
+    return run_ensemble(p, prior, d, mode, seed, hi - lo, dt, T, decimate=decimate,
+                        trial_offset=lo)
 
 
 def cmd_montecarlo(sc: dict, seed: int, out: str, workers: int) -> int:
@@ -201,22 +202,21 @@ def cmd_montecarlo(sc: dict, seed: int, out: str, workers: int) -> int:
     decimate = sc.get("decimate", max(1, n // 200))
     if decimate < 1:
         raise ConfigurationError(f"scenario key 'decimate' must be positive, got {decimate}")
+    # each worker takes a contiguous range of whole summation blocks;
+    # summarize_ensemble adds all block sums in trial order, so the bytes do
+    # not depend on the worker count
     blocks = -(-trials // TRIAL_BLOCK)
     workers = max(1, min(workers, blocks))
+    edges = [TRIAL_BLOCK * (blocks * w // workers) for w in range(workers)] + [trials]
+    jobs = [(p, prior, d, mode, seed, lo, hi, dt, T, decimate)
+            for lo, hi in zip(edges[:-1], edges[1:])]
     if workers == 1:
-        t_out, sums = run_ensemble(p, prior, d, mode, seed, trials, dt, T, decimate=decimate)
+        parts = [_mc_blocks(jobs[0])]
     else:
-        # each worker takes a contiguous range of whole summation blocks; all
-        # block sums are added in trial order by run_ensemble's own reduction,
-        # so the bytes do not depend on the worker count
-        edges = [TRIAL_BLOCK * (blocks * w // workers) for w in range(workers)] + [trials]
-        jobs = [(p, prior, d, mode, seed, lo, hi - lo, dt, T, decimate)
-                for lo, hi in zip(edges[:-1], edges[1:])]
         with Pool(processes=workers) as pool:
             parts = pool.map(_mc_blocks, jobs)
-        t_out = parts[0][0]
-        sums = _sum_blocks(np.concatenate([per_block for _, per_block in parts]))
-    summary = summarize_ensemble(sums, trials)
+    t_out = parts[0][0]
+    summary = summarize_ensemble(np.concatenate([per_block for _, per_block in parts]), trials)
     cov = riccati.linearized_riccati_curve(design_plant(p, d), design_prior(d, prior), t_out)
     write_csv(out, ["t", "sigma_bE", "se_bE", "sigma_zE", "se_zE", "sigma_bR", "sigma_zR"],
               [t_out, summary["sigma_bE"], summary["se_bE"],
@@ -257,7 +257,7 @@ def cmd_mismatch(sc: dict, seed: int, out: str, workers: int) -> int:
             ref = riccati.transient_sigma_b(p, t, J=d.J_prime)
             try:
                 pred, valid = tc.mismatch_factors(f, "controlled_transient"), 1
-            except ConfigurationError:
+            except UnsupportedCaseError:
                 pred, valid = math.nan, 0
         rows.append((f, t, err, err / ref, pred, valid))
     write_csv(out, ["f", "t", "sigma_bE", "factor", "factor_predicted", "valid"],
@@ -293,6 +293,9 @@ def cmd_bode(sc: dict, seed: int, out: str, workers: int) -> int:
     print(f"omega_H (formula): {_fmt(omega_h)}")
     print(f"omega_C (bisection): {_fmt(wc)}")
     print(f"omega_C / omega_H: {_fmt(wc / omega_h)}")
+    # the exact |P G_u| = 1 crossover of the saturated loop, which the
+    # first-order identity omega_C = 2 omega_H approximates
+    print(f"crossover_closed_form: {_fmt(math.sqrt(2.0 + 2.0 * math.sqrt(2.0)))}")
     margins = freq.approximation_margins(p, d)
     print(f"lambda_margin: {_fmt(margins['lambda_margin'])}")
     print(f"gammaJ_margin: {_fmt(margins['gammaJ_margin'])}")

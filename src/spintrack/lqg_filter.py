@@ -23,9 +23,10 @@ same lines run on Python floats for one trial (``run_closed_loop``,
 ensemble (``run_ensemble``).  Float and array arithmetic round alike, so
 a trial of an ensemble equals the one-trial run bit for bit.
 
-``run_ensemble`` reduces the trials in fixed blocks of TRIAL_BLOCK; its
-docstring states the summation contract that makes the sums independent
-of how an ensemble is split across workers.
+``run_ensemble`` reduces the trials in fixed blocks of TRIAL_BLOCK and
+``summarize_ensemble`` adds the blocks in order; their docstrings state
+the summation contract that makes the sums independent of how an
+ensemble is split across workers.
 """
 
 from __future__ import annotations
@@ -212,31 +213,19 @@ def run_ensemble(p: PlantParams, prior: Priors, d: DesignParams, mode: str,
     """Vectorized closed-loop ensemble; per-trial draws match run_closed_loop
     on trial stream seed XOR (trial_offset + k).
 
-    Returns (t_out, sums) where sums stacks, per output time, the trial
-    sums and sums of squares of (b~-b)^2 and (z~-z)^2 (rows: s1_b, s2_b,
-    s1_z, s2_z).
-
-    Summation contract: trials are cut into blocks of TRIAL_BLOCK,
-    counted from ``trial_offset``; each block is reduced with numpy's
-    pairwise sum, and the block sums are added in trial order starting
-    from zero.  An ensemble split at block boundaries (the montecarlo
-    verb gives each worker one range of whole blocks) therefore gives the
-    same bits when its block sums are added in that same order.
+    Returns (t_out, parts): parts[i] stacks, per output time, the sums and
+    sums of squares of (b~-b)^2 and (z~-z)^2 (rows: s1_b, s2_b, s1_z,
+    s2_z) over block i of the trials.  Blocks hold TRIAL_BLOCK trials,
+    counted from ``trial_offset``, each reduced with numpy's pairwise sum;
+    ``summarize_ensemble`` adds them in block order.  An ensemble split at
+    block boundaries (the montecarlo verb gives each worker one range of
+    whole blocks) therefore has the same blocks, and the same sums, as one
+    call.
 
     All trials advance together through _loop_step on the trials-wide
     state rows, so the gain table is solved once per call.  A non-finite
     state or sum raises DivergenceError naming the time.
     """
-    t_out, parts = _ensemble_block_sums(p, prior, d, mode, seed, trials, dt, T,
-                                        decimate, trial_offset)
-    return t_out, _sum_blocks(parts)
-
-
-def _ensemble_block_sums(p: PlantParams, prior: Priors, d: DesignParams, mode: str,
-                         seed: int, trials: int, dt: float, T: float,
-                         decimate: int = 1, trial_offset: int = 0):
-    """run_ensemble before the last reduction: (t_out, per-block sums of
-    shape (blocks, 4, times)), blocks of TRIAL_BLOCK in trial order."""
     if trials < 1:
         raise ConfigurationError("run_ensemble: need at least one trial")
     n, k1, k2, c = _loop_setup("run_ensemble", p, prior, d, mode, dt, T)
@@ -303,18 +292,19 @@ def _ensemble_block_sums(p: PlantParams, prior: Priors, d: DesignParams, mode: s
     return t_out, parts
 
 
-def _sum_blocks(parts) -> np.ndarray:
-    """Ensemble sums from per-block sums, added in block order from zero."""
-    total = np.zeros_like(parts[0])
-    for part in parts:
-        total += part
-    return total
+def summarize_ensemble(parts: np.ndarray, trials: int):
+    """Means and standard errors of (b~-b)^2 and (z~-z)^2 from the block
+    sums of ``run_ensemble``.
 
-
-def summarize_ensemble(sums: np.ndarray, trials: int):
-    """Means and standard errors of (b~-b)^2 and (z~-z)^2 from trial sums."""
+    Summation contract: the blocks are added in block order starting from
+    zero, so the result does not depend on how the blocks were split
+    across calls.
+    """
     if trials < 2:
         raise ConfigurationError("summarize_ensemble: need at least two trials for standard errors")
+    sums = np.zeros_like(parts[0])
+    for part in parts:
+        sums += part
     out = {}
     for name, s1, s2 in (("b", sums[0], sums[1]), ("z", sums[2], sums[3])):
         mean = s1 / trials

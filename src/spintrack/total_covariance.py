@@ -19,15 +19,19 @@ from Theta(0) = diag(sigma_z0, sigma_b0, 0, 0) (the estimate starts at
 zero regardless of the truth draw).  The magnetometry error is read off as
 sigma_bE = Theta_bb + Theta_b~b~ - 2 Theta_bb~, with no Monte Carlo.
 
-The flow is propagated in integrating-factor form, stepping with exact
-constant-coefficient increments Theta <- Phi Theta Phi^T + G per
-interval.  It is unconditionally stable, which matters for aggressive
-control (rates up to lam * gamma * J * f).  The tests keep RK4 on the
-matrix flow as the independent reference for this route.
+``build_alpha_beta`` builds alpha and beta as (n, 4, 4) stacks from
+arrays of observer gains, one row per gain pair.  The same stacks feed
+the two consumers: ``integrate_theta`` takes one generator per interval
+of its time grid and steps with exact constant-coefficient increments
+Theta <- Phi Theta Phi^T + G (unconditionally stable, which matters for
+aggressive control at rates up to lam * gamma * J * f), and
+``steady_state_error`` solves the stationary Lyapunov equation of a
+one-row stack.  The tests keep RK4 on the matrix flow as the independent
+reference for the integrating-factor route.
 
 Closed-form mismatch factors, f = J / J':
 
-    uncontrolled saturation   (1 - f)^2           (times sigma_b0 or sigma_bFree)
+    uncontrolled saturation   (1 - f)^2           (times sigma_bFree)
     controlled steady state   (1 + f) / (2 f)
     controlled transient      (f^2 + 2) / (4 f^2 - 1),  valid for f > 1/2
 """
@@ -40,14 +44,14 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import ConfigurationError, DivergenceError, InstabilityError, UnsupportedCaseError
+from .errors import (ConfigurationError, DimensionError, DivergenceError, InstabilityError,
+                     UnsupportedCaseError)
 from .model import DesignParams, PlantParams, Priors, build_system
 from .numerics import geometric_times, ou_increment
 from .riccati import controller_gain, linearized_riccati_curve, steady_state_gains
 from .lqg_filter import design_plant, design_prior
 
-REGIMES = ("uncontrolled_fluctuating", "uncontrolled_constant",
-           "controlled_steady", "controlled_transient")
+REGIMES = ("uncontrolled_fluctuating", "controlled_steady", "controlled_transient")
 
 
 # change of variables to error coordinates (z, b, z~-z, b~-b); the
@@ -85,44 +89,43 @@ def theta_init(prior: Priors) -> np.ndarray:
     return np.diag([prior.sigma_z0, prior.sigma_b0, 0.0, 0.0])
 
 
-def build_alpha_beta(p: PlantParams, d: DesignParams, k_of_t, k_c: np.ndarray):
-    """Assemble alpha(t), beta(t) callables for the joint flow.
+def build_alpha_beta(p: PlantParams, d: DesignParams, k1, k2, k_c: np.ndarray):
+    """Generator stacks (alpha, beta), each of shape (n, 4, 4), of the joint
+    flow for n observer gains K_O = (k1[i], k2[i]) and the constant
+    controller gain ``k_c``.
 
-    ``k_of_t`` is a callable t -> (K_O1, K_O2), the observer gain at time
-    t; ``k_c`` is the constant controller gain.
+    Row i of a stack depends only on (k1[i], k2[i]), so the caller chooses
+    the times the gains are frozen at (one row per ``integrate_theta``
+    interval, or one row for a stationary solve).
     """
-    a_true, b_true, c, _ = build_system(p)
+    a_true, b_true, _, _ = build_system(p)
     a_des, b_des = build_system(design_plant(p, d))[:2]
+    k1 = np.asarray(k1, dtype=np.float64)
+    k2 = np.asarray(k2, dtype=np.float64)
     k_c = np.asarray(k_c, dtype=np.float64)
-    sqrt_sbf = math.sqrt(p.sigma_bF)
-    sqrt_sm = math.sqrt(p.sigma_M)
 
-    # the blocks that do not depend on t; alpha(t) places the gain K_O(t)
-    # in the K_O C column and subtracts it from the A' - B' K_C' column
-    # (its zero column leaves the other entries as they are)
-    const = np.zeros((4, 4))
-    const[:2, :2] = a_true
-    const[:2, 2:] = -np.outer(b_true, k_c)
-    const[2:, 2:] = a_des - np.outer(b_des, k_c)
-
-    def alpha(t: float) -> np.ndarray:
-        k1, k2 = k_of_t(t)
-        out = const.copy()
-        out[2, 0] = k1
-        out[3, 0] = k2
-        out[2, 2] -= k1
-        out[3, 2] -= k2
-        return out
-
-    def beta(t: float) -> np.ndarray:
-        k1, k2 = k_of_t(t)
-        out = np.zeros((4, 4))
-        out[1, 1] = sqrt_sbf
-        out[2, 2] = sqrt_sm * k1
-        out[3, 2] = sqrt_sm * k2
-        return out
-
+    # the gain sits in the K_O C column (C = [1, 0]) and is subtracted from
+    # the first column of A' - B' K_C'
+    alpha = np.zeros((len(k1), 4, 4))
+    alpha[:, :2, :2] = a_true
+    alpha[:, :2, 2:] = -np.outer(b_true, k_c)
+    alpha[:, 2:, 2:] = a_des - np.outer(b_des, k_c)
+    alpha[:, 2, 0] = k1
+    alpha[:, 3, 0] = k2
+    alpha[:, 2, 2] -= k1
+    alpha[:, 3, 2] -= k2
+    beta = np.zeros((len(k1), 4, 4))
+    beta[:, 1, 1] = math.sqrt(p.sigma_bF)
+    beta[:, 2, 2] = math.sqrt(p.sigma_M) * k1
+    beta[:, 3, 2] = math.sqrt(p.sigma_M) * k2
     return alpha, beta
+
+
+def _error_generator(alpha, beta):
+    """(a, q) of the flow in the error coordinates: a = S alpha S^-1 and
+    q = (S beta)(S beta)^T, on stacks or single matrices."""
+    bb = _S_ERR @ beta
+    return _S_ERR @ alpha @ _S_ERR_INV, bb @ bb.swapaxes(-1, -2)
 
 
 def _check_theta_psd(traj: ThetaTrajectory):
@@ -137,31 +140,32 @@ def _check_theta_psd(traj: ThetaTrajectory):
 def integrate_theta(alpha, beta, theta0: np.ndarray, times) -> ThetaTrajectory:
     """Propagate Theta over an explicit increasing time grid.
 
-    The flow is conjugated into the error coordinates (z, b, z~-z, b~-b),
-    where the tracking-error variances are direct entries; they are
-    returned as sigma_bE/sigma_zE, and the stored Theta snapshots are
-    mapped back to the raw labeling.
+    ``alpha`` and ``beta`` are ``build_alpha_beta`` stacks with one
+    generator per interval, held constant over it; a stack of another
+    length raises DimensionError.  The flow is conjugated into the error
+    coordinates (z, b, z~-z, b~-b), where the tracking-error variances are
+    direct entries; they are returned as sigma_bE/sigma_zE, and the stored
+    Theta snapshots are mapped back to the raw labeling.
 
-    Each interval takes the integrating-factor step with alpha frozen at
-    its midpoint, exact for piecewise-constant coefficients and stable for
-    arbitrarily stiff stable generators.  The steps of all intervals come
-    from one stacked ``ou_increment`` call; only the recursion
-    Theta <- Phi Theta Phi^T + G runs per interval.  Numerical errors name
-    the start time of the failing interval.
+    Each interval takes the integrating-factor step, exact for
+    piecewise-constant coefficients and stable for arbitrarily stiff
+    stable generators.  The steps of all intervals come from one stacked
+    ``ou_increment`` call; only the recursion Theta <- Phi Theta Phi^T + G
+    runs per interval.  Numerical errors name the start time of the
+    failing interval.
     """
     times = np.asarray(times, dtype=np.float64)
-    s, s_inv = _S_ERR, _S_ERR_INV
-    mid = 0.5 * (times[:-1] + times[1:])
-    a = s @ np.array([alpha(t) for t in mid]).reshape(-1, 4, 4) @ s_inv
-    bb = s @ np.array([beta(t) for t in mid]).reshape(-1, 4, 4)
-    q = bb @ bb.swapaxes(1, 2)
+    if not len(alpha) == len(beta) == len(times) - 1:
+        raise DimensionError(f"integrate_theta: {len(times)} times need {len(times) - 1} "
+                             f"generators, got {len(alpha)} alpha and {len(beta)} beta")
+    a, q = _error_generator(alpha, beta)
     bad = ~(np.isfinite(a).all(axis=(1, 2)) & np.isfinite(q).all(axis=(1, 2)))
     if bad.any():
         k = int(np.argmax(bad))
         raise DivergenceError(f"integrate_theta: non-finite generator "
                               f"(interval from t = {times[k]:.6e})")
     phi, g = ou_increment(a, q, np.diff(times))
-    theta = s @ np.asarray(theta0, dtype=np.float64) @ s.T
+    theta = _S_ERR @ np.asarray(theta0, dtype=np.float64) @ _S_ERR.T
     out = np.empty((len(times), 4, 4))
     out[0] = theta
     for k in range(len(times) - 1):
@@ -179,7 +183,7 @@ def mismatch_factors(f: float, regime: str) -> float:
     """Closed-form error factor for spin-number mismatch f = J / J'."""
     if not f > 0:
         raise ConfigurationError("mismatch_factors: f must be positive")
-    if regime in ("uncontrolled_fluctuating", "uncontrolled_constant"):
+    if regime == "uncontrolled_fluctuating":
         return (1.0 - f) ** 2
     if regime == "controlled_steady":
         return (1.0 + f) / (2.0 * f)
@@ -198,39 +202,21 @@ def mismatch_factors(f: float, regime: str) -> float:
 def steady_state_error(p: PlantParams, d: DesignParams) -> float:
     """Saturated sigma_bE for a fluctuating field under a J' design.
 
-    Controlled designs (lam > 0) solve the 4x4 stationary Lyapunov
-    equation alpha X + X alpha^T + beta beta^T = 0 with frozen gains.  For
-    lam = 0 the raw stack is not stationary (z integrates the field), so
-    the closed stable subsystem (z - z~, b, b~) is solved instead.
+    Solves the stationary Lyapunov equation a X + X a^T + q = 0 of the
+    steady-gain generator in the error coordinates (z, b, z~-z, b~-b).
+    For lam = 0 the raw stack is not stationary (z integrates the field),
+    but with no control nothing else depends on z, so the closed block
+    (b, z~-z, b~-b) is solved instead.
     """
     if not p.fluctuating:
         raise UnsupportedCaseError("steady_state_error: needs a fluctuating field")
     g = steady_state_gains(design_plant(p, d), d)
-    k1, k2 = g.K_O
-    sm = p.sigma_M
-    if d.lam > 0:
-        alpha, beta = build_alpha_beta(p, d, lambda t: (k1, k2), g.K_C)
-        a = _S_ERR @ alpha(0.0) @ _S_ERR_INV
-        if np.max(np.linalg.eigvals(a).real) >= 0:
-            raise InstabilityError("steady_state_error: mismatched closed loop is unstable")
-        bb = _S_ERR @ beta(0.0)
-        x = scipy.linalg.solve_continuous_lyapunov(a, -(bb @ bb.T))
-        return float(x[3, 3])
-    # lam = 0: the raw stack is not stationary (z integrates the field);
-    # solve the closed stable subsystem (e_z, b, e_b) = (z~-z, b, b~-b)
-    gj = p.gamma * p.J
-    gjp = p.gamma * d.J_prime
-    gb = p.gamma_b
-    sqrt_sbf = math.sqrt(p.sigma_bF)
-    sqrt_sm = math.sqrt(sm)
-    a = np.array([[-k1, gjp - gj, gjp],
-                  [0.0, -gb, 0.0],
-                  [-k2, 0.0, -gb]])
-    b_noise = np.array([[0.0, k1 * sqrt_sm],
-                        [sqrt_sbf, 0.0],
-                        [-sqrt_sbf, k2 * sqrt_sm]])
-    x = scipy.linalg.solve_continuous_lyapunov(a, -(b_noise @ b_noise.T))
-    return float(x[2, 2])
+    a, q = _error_generator(*build_alpha_beta(p, d, g.K_O[:1], g.K_O[1:], g.K_C))
+    keep = slice(0, 4) if d.lam > 0 else slice(1, 4)
+    a, q = a[0, keep, keep], q[0, keep, keep]
+    if np.max(np.linalg.eigvals(a).real) >= 0:
+        raise InstabilityError("steady_state_error: mismatched closed loop is unstable")
+    return float(scipy.linalg.solve_continuous_lyapunov(a, -q)[-1, -1])
 
 
 def transient_error_curve(p: PlantParams, prior: Priors, d: DesignParams,
@@ -248,10 +234,9 @@ def transient_error_curve(p: PlantParams, prior: Priors, d: DesignParams,
     prior_des = design_prior(d, prior)
     offset = p.sigma_M / max(prior.sigma_z0, prior_des.sigma_z0)
     grid = np.union1d(geometric_times(t_end, 0.02, offset), t_eval)
-    mid = 0.5 * (grid[:-1] + grid[1:])   # the times integrate_theta freezes alpha at
-    cov = linearized_riccati_curve(p_des, prior_des, mid)
-    gains = dict(zip(mid, zip(*cov.gain(p_des.sigma_M))))
-    alpha, beta = build_alpha_beta(p, d, gains.__getitem__, controller_gain(p, d))
+    mid = 0.5 * (grid[:-1] + grid[1:])
+    k1, k2 = linearized_riccati_curve(p_des, prior_des, mid).gain(p_des.sigma_M)
+    alpha, beta = build_alpha_beta(p, d, k1, k2, controller_gain(p, d))
     traj = integrate_theta(alpha, beta, theta_init(prior), grid)
     idx = np.searchsorted(grid, t_eval)
     return ThetaTrajectory(t_eval, traj.thetas[idx], traj.sigma_bE[idx], traj.sigma_zE[idx])

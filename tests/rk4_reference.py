@@ -32,16 +32,26 @@ def rk4_nonuniform(f, x0, times):
     return out
 
 
-def integrate_theta_rk4(alpha, beta, theta0, times) -> tc.ThetaTrajectory:
-    """integrate_theta with RK4 on the matrix flow in place of the
-    integrating-factor step: same error coordinates, same outputs."""
+def joint_generator(p, d, gains, k_c):
+    """t -> (alpha, beta) of the joint flow: one-row ``build_alpha_beta``
+    calls on the observer gains (K_O1, K_O2) = gains(t)."""
+    def at(t):
+        k1, k2 = gains(t)
+        alpha, beta = tc.build_alpha_beta(p, d, [k1], [k2], k_c)
+        return alpha[0], beta[0]
+    return at
+
+
+def integrate_theta_rk4(generator, theta0, times) -> tc.ThetaTrajectory:
+    """integrate_theta with RK4 on the matrix flow of the continuous-time
+    generator t -> (alpha, beta) in place of the integrating-factor step
+    on frozen intervals: same error coordinates, same outputs."""
     s, s_inv = tc._S_ERR, tc._S_ERR_INV
 
     def rhs(t, th_flat):
         th = th_flat.reshape(4, 4)
-        a = s @ alpha(t) @ s_inv
-        bb = s @ beta(t)
-        return (a @ th + th @ a.T + bb @ bb.T).reshape(-1)
+        a, q = tc._error_generator(*generator(t))
+        return (a @ th + th @ a.T + q).reshape(-1)
 
     theta_w = s @ np.asarray(theta0, dtype=np.float64) @ s.T
     out = rk4_nonuniform(rhs, theta_w.reshape(-1), times).reshape(len(times), 4, 4)

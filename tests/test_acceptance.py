@@ -204,8 +204,8 @@ def test_criterion_08_transfer_function_estimator():
         t_end = max(30.0 / omega_h, 5.0 / gamma_b)
         grid = geometric_times(t_end, 0.01, p.sigma_M / PRIOR.sigma_z0)
         cov = ric.riccati_at_times(p, PRIOR, grid)
-        alpha, beta = tc.build_alpha_beta(p, d, lambda _t: (k1s, k2s),
-                                          ric.controller_gain(p, d))
+        alpha, beta = tc.build_alpha_beta(p, d, np.full(len(grid) - 1, k1s),
+                                          np.full(len(grid) - 1, k2s), ric.controller_gain(p, d))
         frozen = tc.integrate_theta(alpha, beta, tc.theta_init(PRIOR), grid)
         ratio = frozen.sigma_bE / cov.sigma_bR
         ordering_ok = ordering_ok and bool(np.all(ratio >= 1.0 - 1e-9))

@@ -37,8 +37,6 @@ ALLOWED_UNSET = {
     "qsme.suite_ramp_statistics": _SUITE_SIZES,
     "cli.main(argv=)": "the console script passes nothing; tests and the benchmark pass argv",
     "model.fluctuating_plant": "the paper's form of the plant, kept whole (see ALLOWED_UNUSED)",
-    "lqg_filter.run_ensemble(trial_offset=)":
-        "the summation contract counts blocks from it; the worker-split property drives it",
 }
 
 # "module.function(parameter)" that every call in src/ passes as the same

@@ -1,4 +1,5 @@
 import math
+import os
 import subprocess
 import sys
 import warnings
@@ -206,8 +207,13 @@ class TestCommands:
         rc = run_cli(["bode", "--scenario", str(SCENARIOS / "bode_nominal.scn"),
                       "--out", str(out)])
         assert rc == 0
-        report = capsys.readouterr().out
-        assert "omega_C / omega_H" in report
+        report = dict(line.split(": ", 1) for line in capsys.readouterr().out.splitlines()
+                      if ": " in line)
+        # the bisected crossover sits on the closed form, not on the
+        # first-order 2 omega_H of criterion 9
+        closed_form = float(report["crossover_closed_form"])
+        assert closed_form == math.sqrt(2.0 + 2.0 * math.sqrt(2.0))
+        assert abs(closed_form / float(report["omega_C / omega_H"]) - 1.0) < 0.005
         header, rows = read_csv(out)
         assert header[0] == "omega" and "Gu_mag_dB" in header
 
@@ -311,3 +317,15 @@ def test_console_entry_point(tmp_path):
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert out.exists()
+
+
+def test_blas_threads_default_to_one():
+    # importing the package pins BLAS to one thread unless the environment sets it
+    blas = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    code = f"import os, spintrack; print(*(os.environ[v] for v in {blas!r}))"
+    env = {k: v for k, v in os.environ.items() if k not in blas}
+    for preset, expected in (({}, "1 1 1"), ({"OMP_NUM_THREADS": "3"}, "1 3 1")):
+        proc = subprocess.run([sys.executable, "-c", code], env={**env, **preset},
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == expected.split()

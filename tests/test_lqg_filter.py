@@ -8,9 +8,9 @@ from hypothesis import given, settings, strategies as st
 from spintrack.errors import ConfigurationError, DivergenceError
 from spintrack.model import DesignParams, PlantParams, Priors, build_system, fluctuating_plant
 from spintrack.numerics import RngStream, trial_normals, trial_stream
-from spintrack.lqg_filter import (MODES, TRIAL_BLOCK, _ensemble_block_sums,
-                                  design_plant, design_prior, filter_record, run_closed_loop,
-                                  run_ensemble, run_open_loop_linefit, summarize_ensemble)
+from spintrack.lqg_filter import (MODES, TRIAL_BLOCK, design_plant, design_prior, filter_record,
+                                  run_closed_loop, run_ensemble, run_open_loop_linefit,
+                                  summarize_ensemble)
 from spintrack.riccati import riccati_at_times
 from spintrack.truth_sim import simulate_open_loop
 
@@ -112,8 +112,8 @@ class TestClosedLoop:
         d = DesignParams(J_prime=MATCHED.J_prime, lam=lam)
         dt = 5e-12
         res = run_closed_loop(p, PRIOR, d, mode, trial_stream(seed, k), dt, steps * dt)
-        t_out, sums = run_ensemble(p, PRIOR, d, mode, seed, 1, dt, steps * dt,
-                                   trial_offset=k)
+        t_out, (sums,) = run_ensemble(p, PRIOR, d, mode, seed, 1, dt, steps * dt,
+                                      trial_offset=k)
         assert np.array_equal(t_out, res.trajectory.t)
         be = (res.b_tilde - res.trajectory.b) ** 2
         ze = (res.z_tilde - res.trajectory.z) ** 2
@@ -149,24 +149,25 @@ class TestClosedLoop:
            seed=st.integers(0, 2**32), mode=st.sampled_from(MODES))
     def test_ensemble_is_in_order_sum_of_block_calls(self, trials, first_block, steps,
                                                      decimate, seed, mode):
-        # the worker-split invariance: any split at block boundaries, summed
-        # in block order, reproduces the single call bit for bit
+        # the worker-split invariance: one call per block gives the single
+        # call's blocks bit for bit, and the summary adds them in block order
         dt = 5e-12
         offset = first_block * TRIAL_BLOCK
         args = (FLUCT, PRIOR, MATCHED, mode, seed)
-        t_out, whole = run_ensemble(*args, trials, dt, steps * dt, decimate=decimate,
-                                    trial_offset=offset)
-        _, per_block = _ensemble_block_sums(*args, trials, dt, steps * dt, decimate=decimate,
-                                            trial_offset=offset)
-        total = np.zeros_like(whole)
+        t_out, per_block = run_ensemble(*args, trials, dt, steps * dt, decimate=decimate,
+                                        trial_offset=offset)
+        total = np.zeros_like(per_block[0])
         for i, lo in enumerate(range(0, trials, TRIAL_BLOCK)):
-            t_b, part = run_ensemble(*args, min(TRIAL_BLOCK, trials - lo), dt, steps * dt,
-                                     decimate=decimate, trial_offset=offset + lo)
+            t_b, (part,) = run_ensemble(*args, min(TRIAL_BLOCK, trials - lo), dt, steps * dt,
+                                        decimate=decimate, trial_offset=offset + lo)
             assert np.array_equal(t_b, t_out)
             assert np.array_equal(part.view(np.uint64), per_block[i].view(np.uint64))
             total += part
         assert len(per_block) == i + 1
-        assert np.array_equal(total.view(np.uint64), whole.view(np.uint64))
+        if trials > 1:
+            summed = summarize_ensemble(total[None], trials)
+            for key, value in summarize_ensemble(per_block, trials).items():
+                assert np.array_equal(value, summed[key]), key
 
     def test_innovation_whiteness_matched(self):
         # gentle-gain regime so the O(K1 dt) variance correction stays

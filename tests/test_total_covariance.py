@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
-from spintrack.errors import (ConfigurationError, DivergenceError, InstabilityError,
-                              UnsupportedCaseError)
+from spintrack.errors import (ConfigurationError, DimensionError, DivergenceError,
+                              InstabilityError, UnsupportedCaseError)
 from spintrack.model import DesignParams, PlantParams, Priors, fluctuating_plant
 from spintrack.numerics import geometric_times, ou_increment
 from spintrack.riccati import (controller_gain, exact_steady_sigma, riccati_at_times,
@@ -13,7 +14,7 @@ from spintrack.riccati import (controller_gain, exact_steady_sigma, riccati_at_t
 from spintrack.lqg_filter import design_plant
 from spintrack import total_covariance as tc
 
-from rk4_reference import integrate_theta_rk4
+from rk4_reference import integrate_theta_rk4, joint_generator
 
 FLUCT = fluctuating_plant(J=1e6, gamma=1e6, M=1e4, gamma_b=1e5, sigma_bfree=1.0)
 PRIOR = Priors(sigma_z0=5e5, sigma_b0=1.0)
@@ -24,25 +25,30 @@ def _matched_setup(lam=1e-4, t_end=5e-8, ratio=0.005):
     grid = geometric_times(t_end, ratio, FLUCT.sigma_M / PRIOR.sigma_z0)
     cov = riccati_at_times(FLUCT, PRIOR, grid)
     k1, k2 = cov.gain(FLUCT.sigma_M)
-    alpha, beta = tc.build_alpha_beta(
-        FLUCT, d, lambda t: (np.interp(t, grid, k1), np.interp(t, grid, k2)),
-        controller_gain(FLUCT, d))
-    return d, grid, cov, alpha, beta
+    gen = joint_generator(FLUCT, d, lambda t: (np.interp(t, grid, k1), np.interp(t, grid, k2)),
+                          controller_gain(FLUCT, d))
+    return d, grid, cov, gen
+
+
+def _frozen(p, d, g, intervals):
+    """build_alpha_beta stacks with the steady gains g on every interval."""
+    k1, k2 = g.K_O
+    return tc.build_alpha_beta(p, d, np.full(intervals, k1), np.full(intervals, k2), g.K_C)
 
 
 class TestStructure:
     def test_matched_uncontrolled_blocks(self):
         d = DesignParams(J_prime=1e6, lam=0.0)
-        alpha, beta = tc.build_alpha_beta(FLUCT, d, lambda t: (2.0, 3.0), np.zeros(2))
-        a = alpha(0.0)
+        alpha, beta = tc.build_alpha_beta(FLUCT, d, [2.0], [3.0], np.zeros(2))
+        a = alpha[0]
         assert np.allclose(a[:2, 2:], 0.0)                       # no control feedthrough
         assert np.allclose(a[2:, :2], [[2.0, 0.0], [3.0, 0.0]])  # K_O C block
 
     def test_beta_constant_field(self):
         p = PlantParams(J=1e6, gamma=1e6, M=1e4)
         d = DesignParams(J_prime=1e6, lam=0.0)
-        _, beta = tc.build_alpha_beta(p, d, lambda t: (2.0, 3.0), np.zeros(2))
-        b = beta(0.0)
+        _, beta = tc.build_alpha_beta(p, d, [2.0], [3.0], np.zeros(2))
+        b = beta[0]
         sm = math.sqrt(p.sigma_M)
         expected = np.zeros((4, 4))
         expected[2, 2] = 2.0 * sm
@@ -52,20 +58,37 @@ class TestStructure:
     def test_lower_right_block_identity(self):
         d = DesignParams(J_prime=2e6, lam=0.5)
         kc = controller_gain(FLUCT, d)
-        alpha, _ = tc.build_alpha_beta(FLUCT, d, lambda t: (7.0, 11.0), kc)
-        a = alpha(0.0)
+        alpha, _ = tc.build_alpha_beta(FLUCT, d, [7.0], [11.0], kc)
+        a = alpha[0]
         gjp = FLUCT.gamma * d.J_prime
         a_des = np.array([[0.0, gjp], [0.0, -FLUCT.gamma_b]])
         b_des = np.array([gjp, 0.0])
         expected = a_des - np.outer(b_des, kc) - np.array([[7.0, 0.0], [11.0, 0.0]])
         assert np.allclose(a[2:, 2:], expected)
 
+    @settings(max_examples=40, deadline=None)
+    @given(gains=st.lists(st.tuples(st.floats(-1e12, 1e12), st.floats(-1e12, 1e12)),
+                          min_size=1, max_size=12),
+           f=st.floats(0.5, 2.0), lam=st.one_of(st.just(0.0), st.floats(1e-4, 1.0)))
+    def test_stack_rows_are_one_row_calls(self, gains, f, lam):
+        # each row depends on its own gains only, bit for bit
+        k1, k2 = np.array(gains).T
+        p = fluctuating_plant(J=f * 1e6, gamma=1e6, M=1e4, gamma_b=1e5, sigma_bfree=1.0)
+        d = DesignParams(J_prime=1e6, lam=lam)
+        kc = controller_gain(p, d)
+        alpha, beta = tc.build_alpha_beta(p, d, k1, k2, kc)
+        assert alpha.shape == beta.shape == (len(k1), 4, 4)
+        for k in range(len(k1)):
+            a_k, b_k = tc.build_alpha_beta(p, d, k1[k:k + 1], k2[k:k + 1], kc)
+            assert np.array_equal(alpha[k:k + 1].view(np.uint64), a_k.view(np.uint64))
+            assert np.array_equal(beta[k:k + 1].view(np.uint64), b_k.view(np.uint64))
+
 
 def _initial_error(theta0):
     """sigma_bE at t = 0 of the joint flow started from theta0."""
     d = DesignParams(J_prime=1e6, lam=0.0)
-    alpha, beta = tc.build_alpha_beta(FLUCT, d, lambda t: (0.0, 0.0), np.zeros(2))
-    return integrate_theta_rk4(alpha, beta, theta0, [0.0]).sigma_bE[0]
+    gen = joint_generator(FLUCT, d, lambda t: (0.0, 0.0), np.zeros(2))
+    return integrate_theta_rk4(gen, theta0, [0.0]).sigma_bE[0]
 
 
 class TestMagnetometryError:
@@ -80,16 +103,16 @@ class TestMagnetometryError:
         assert _initial_error(tc.theta_init(PRIOR)) == PRIOR.sigma_b0
 
     def test_matched_saturation(self):
-        d, grid, cov, alpha, beta = _matched_setup()
-        traj = integrate_theta_rk4(alpha, beta, tc.theta_init(PRIOR), grid)
+        d, grid, cov, gen = _matched_setup()
+        traj = integrate_theta_rk4(gen, tc.theta_init(PRIOR), grid)
         _, _, sb = exact_steady_sigma(FLUCT)
         assert traj.sigma_bE[-1] == pytest.approx(sb, rel=5e-3)
 
 
 class TestMatchedIdentity:
     def test_sigma_bE_equals_sigma_bR(self):
-        d, grid, cov, alpha, beta = _matched_setup()
-        traj = integrate_theta_rk4(alpha, beta, tc.theta_init(PRIOR), grid)
+        d, grid, cov, gen = _matched_setup()
+        traj = integrate_theta_rk4(gen, tc.theta_init(PRIOR), grid)
         rel = np.abs(traj.sigma_bE[1:] / cov.sigma_bR[1:] - 1.0)
         assert rel.max() < 1e-6
 
@@ -97,11 +120,11 @@ class TestMatchedIdentity:
         # piecewise-constant gains: both routes solve the same flow
         d = DesignParams(J_prime=1e6, lam=1e-4)
         g = steady_state_gains(FLUCT, d)
-        k1, k2 = g.K_O
-        alpha, beta = tc.build_alpha_beta(FLUCT, d, lambda t: (k1, k2), g.K_C)
         times = np.linspace(0.0, 2e-8, 400)
-        rk4 = integrate_theta_rk4(alpha, beta, tc.theta_init(PRIOR), times)
-        exm = tc.integrate_theta(alpha, beta, tc.theta_init(PRIOR), times)
+        rk4 = integrate_theta_rk4(joint_generator(FLUCT, d, lambda t: g.K_O, g.K_C),
+                                  tc.theta_init(PRIOR), times)
+        exm = tc.integrate_theta(*_frozen(FLUCT, d, g, len(times) - 1), tc.theta_init(PRIOR),
+                                 times)
         rel = np.abs(exm.sigma_bE[1:] / rk4.sigma_bE[1:] - 1.0)
         assert rel.max() < 1e-6
 
@@ -113,14 +136,14 @@ class TestMatchedIdentity:
         p = fluctuating_plant(J=f * 1e6, gamma=1e6, M=1e4, gamma_b=10 ** log_gb, sigma_bfree=1.0)
         d = DesignParams(J_prime=1e6, lam=10 ** log_lam)
         g = steady_state_gains(design_plant(p, d), d)
-        k1, k2 = g.K_O
-        alpha, beta = tc.build_alpha_beta(p, d, lambda t: (k1, k2), g.K_C)
-        rate = np.max(np.abs(np.linalg.eigvals(alpha(0.0))))
+        alpha, beta = _frozen(p, d, g, 399)
+        rate = np.max(np.abs(np.linalg.eigvals(alpha[0])))
         times = np.arange(400) * (0.01 / rate)
         exm = tc.integrate_theta(alpha, beta, tc.theta_init(PRIOR), times)
         for theta in exm.thetas:
             assert np.linalg.eigvalsh(theta)[0] >= -1e-9 * np.trace(theta)
-        rk4 = integrate_theta_rk4(alpha, beta, tc.theta_init(PRIOR), times)
+        rk4 = integrate_theta_rk4(joint_generator(p, d, lambda t: g.K_O, g.K_C),
+                                  tc.theta_init(PRIOR), times)
         assert np.max(np.abs(exm.sigma_bE[1:] / rk4.sigma_bE[1:] - 1.0)) < 1e-6
 
     def test_failures_name_the_interval(self, monkeypatch):
@@ -131,13 +154,13 @@ class TestMatchedIdentity:
         g = steady_state_gains(FLUCT, d)
         times = np.linspace(0.0, 2e-8, 40)
         k = 17
-        bad = 0.5 * (times[k] + times[k + 1])
-        alpha, beta = tc.build_alpha_beta(
-            FLUCT, d, lambda t: (math.nan, 0.0) if t == bad else tuple(g.K_O), g.K_C)
+        k1, k2 = np.full(39, g.K_O[0]), np.full(39, g.K_O[1])
+        k1[k] = math.nan
+        alpha, beta = tc.build_alpha_beta(FLUCT, d, k1, k2, g.K_C)
         with pytest.raises(DivergenceError, match=f"interval from t = {times[k]:.6e}"):
             tc.integrate_theta(alpha, beta, tc.theta_init(PRIOR), times)
 
-        alpha, beta = tc.build_alpha_beta(FLUCT, d, lambda t: tuple(g.K_O), g.K_C)
+        alpha, beta = _frozen(FLUCT, d, g, 39)
 
         def negative_at_k(a, q, h):
             phi, inc = ou_increment(a, q, h)
@@ -148,12 +171,23 @@ class TestMatchedIdentity:
         with pytest.raises(InstabilityError, match=f"interval from t = {times[k]:.6e}"):
             tc.integrate_theta(alpha, beta, tc.theta_init(PRIOR), times)
 
+    def test_one_generator_per_interval(self):
+        d = DesignParams(J_prime=1e6, lam=1e-4)
+        g = steady_state_gains(FLUCT, d)
+        times = np.linspace(0.0, 2e-8, 40)
+        for n in (38, 40):
+            with pytest.raises(DimensionError, match="40 times need 39 generators"):
+                tc.integrate_theta(*_frozen(FLUCT, d, g, n), tc.theta_init(PRIOR), times)
+        alpha, beta = _frozen(FLUCT, d, g, 39)
+        with pytest.raises(DimensionError, match="got 39 alpha and 38 beta"):
+            tc.integrate_theta(alpha, beta[1:], tc.theta_init(PRIOR), times)
+
     def test_disconnected_filter_marginals(self):
         # K_O' = K_C' = 0: the truth marginals must follow the open plant
         d = DesignParams(J_prime=1e6, lam=0.0)
-        alpha, beta = tc.build_alpha_beta(FLUCT, d, lambda t: (0.0, 0.0), np.zeros(2))
+        gen = joint_generator(FLUCT, d, lambda t: (0.0, 0.0), np.zeros(2))
         times = np.linspace(0.0, 1e-6, 200)
-        traj = integrate_theta_rk4(alpha, beta, tc.theta_init(PRIOR), times)
+        traj = integrate_theta_rk4(gen, tc.theta_init(PRIOR), times)
         a_true = np.array([[0.0, FLUCT.gamma * FLUCT.J], [0.0, -FLUCT.gamma_b]])
         q_true = np.diag([0.0, FLUCT.sigma_bF])
         p = np.diag([PRIOR.sigma_z0, PRIOR.sigma_b0])
@@ -209,6 +243,26 @@ class TestSteadyStateError:
         _, _, sb = exact_steady_sigma(FLUCT)
         assert err == pytest.approx(sb, rel=1e-6)
 
+    def test_uncontrolled_matches_hand_written_subsystem(self):
+        # the lam = 0 block of the shared generator against the closed
+        # (z~-z, b, b~-b) system written out by hand
+        d = DesignParams(J_prime=1e6, lam=0.0)
+        for f in (0.5, 0.75, 1.0, 1.25, 2.0, 10.0, 100.0):
+            for gamma_b in (1e4, 1e5, 1e6):
+                p = fluctuating_plant(J=f * 1e6, gamma=1e6, M=1e4, gamma_b=gamma_b,
+                                      sigma_bfree=1.0)
+                k1, k2 = steady_state_gains(design_plant(p, d), d).K_O
+                gj, gjp = p.gamma * p.J, p.gamma * d.J_prime
+                sqrt_sbf, sqrt_sm = math.sqrt(p.sigma_bF), math.sqrt(p.sigma_M)
+                a = np.array([[-k1, gjp - gj, gjp],
+                              [0.0, -gamma_b, 0.0],
+                              [-k2, 0.0, -gamma_b]])
+                b_noise = np.array([[0.0, k1 * sqrt_sm],
+                                    [sqrt_sbf, 0.0],
+                                    [-sqrt_sbf, k2 * sqrt_sm]])
+                ref = scipy.linalg.solve_continuous_lyapunov(a, -(b_noise @ b_noise.T))[2, 2]
+                assert tc.steady_state_error(p, d) == pytest.approx(ref, rel=1e-14, abs=0.0)
+
     def test_constant_field_rejected(self):
         with pytest.raises(UnsupportedCaseError):
             tc.steady_state_error(PlantParams(J=1e6, gamma=1e6, M=1e4),
@@ -218,10 +272,9 @@ class TestSteadyStateError:
         # the stationary solve is a fixed point of the integrated flow
         d = DesignParams(J_prime=1e6, lam=1e-4)
         g = steady_state_gains(FLUCT, d)
-        k1, k2 = g.K_O
-        alpha, beta = tc.build_alpha_beta(FLUCT, d, lambda t: (k1, k2), g.K_C)
         times = np.linspace(0.0, 3e-7, 300)
-        traj = tc.integrate_theta(alpha, beta, tc.theta_init(PRIOR), times)
+        traj = tc.integrate_theta(*_frozen(FLUCT, d, g, len(times) - 1), tc.theta_init(PRIOR),
+                                  times)
         err = tc.steady_state_error(FLUCT, d)
         assert traj.sigma_bE[-1] == pytest.approx(err, rel=5e-3)
 
