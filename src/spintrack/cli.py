@@ -36,8 +36,7 @@ from multiprocessing import Pool
 import numpy as np
 
 from . import freq, qsme, riccati, total_covariance as tc
-from .errors import (ConfigurationError, DivergenceError, NumericalError, SpintrackError,
-                     UnsupportedCaseError)
+from .errors import ConfigurationError, NumericalError, SpintrackError, UnsupportedCaseError
 from .lqg_filter import (TRIAL_BLOCK, design_plant, design_prior, run_closed_loop, run_ensemble,
                          summarize_ensemble)
 from .model import DesignParams, PlantParams, Priors
@@ -141,9 +140,6 @@ def cmd_simulate(sc: dict, seed: int, out: str, workers: int) -> int:
         d = build_design(sc, p)
         res = run_closed_loop(p, prior, d, sc["mode"], RngStream(seed), dt, T)
         traj = res.trajectory
-        ok = np.isfinite(traj.z) & np.isfinite(traj.b) & np.isfinite(res.m).all(axis=1)
-        if not ok.all():
-            raise DivergenceError(f"simulate: non-finite state at t = {traj.t[np.argmin(ok)]:.6e}")
         write_csv(out, ["t", "z", "b", "u", "z_tilde", "b_tilde"],
                   [traj.t, traj.z, traj.b, traj.u, res.z_tilde, res.b_tilde])
         print(f"simulate ({sc['mode']}): {traj.n_steps} steps written to {out}")
@@ -252,7 +248,7 @@ def cmd_mismatch(sc: dict, seed: int, out: str, workers: int) -> int:
                 ref = p.sigma_bFree
                 pred = tc.mismatch_factors(f, "uncontrolled_fluctuating")
         else:
-            t = sc.get("t_eval", 1e-5)
+            t = _positive(sc, "t_eval")[0] if "t_eval" in sc else 1e-5
             err = float(tc.transient_error_curve(p, prior, d, np.array([t])).sigma_bE[0])
             ref = riccati.transient_sigma_b(p, t, J=d.J_prime)
             try:

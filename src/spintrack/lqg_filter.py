@@ -181,7 +181,8 @@ def run_closed_loop(p: PlantParams, prior: Priors, d: DesignParams, mode: str,
     """Single closed-loop trial with u = -K_C m applied causally.
 
     Draw layout: z(0), b(0), then (dW1, dW2) per step; the vectorized
-    ensemble consumes the identical layout per trial stream.
+    ensemble consumes the identical layout per trial stream.  A non-finite
+    state raises DivergenceError naming the first such time.
     """
     n, k1, k2, c = _loop_setup("run_closed_loop", p, prior, d, mode, dt, T)
     if T > 1.0 / p.M:
@@ -196,6 +197,9 @@ def run_closed_loop(p: PlantParams, prior: Priors, d: DesignParams, mode: str,
         x = _loop_step(x[0], x[1], x[2], x[3], w1, w2, g1, g2, c)
         rows.extend(x)
     h = np.array(rows).reshape(n + 1, 6)
+    ok = np.isfinite(h[:, :4]).all(axis=1)
+    if not ok.all():
+        raise DivergenceError(f"run_closed_loop: non-finite state at t = {np.argmin(ok) * dt:.6e}")
     traj = Trajectory(t=np.arange(n + 1) * dt, z=h[:, 0], b=h[:, 1],
                       u=np.append(h[1:, 4], h[-1, 4]), ydt=np.append(h[1:, 5], 0.0), dt=dt)
     return RunResult(trajectory=traj, m=h[:, 2:4])

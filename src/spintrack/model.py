@@ -55,11 +55,16 @@ class PlantParams:
 
     @property
     def sigma_M(self) -> float:
-        return sigma_m(self.M, self.eta)
+        """Measurement sensitivity 1/(4*M*eta); the shot-noise intensity of y dt."""
+        return 1.0 / (4.0 * self.M * self.eta)
 
     @property
     def sigma_bFree(self) -> float:
-        return sigma_bfree(self)
+        """Stationary field variance sigma_bF / (2*gamma_b) of the OU field."""
+        if not self.gamma_b > 0:
+            raise UnsupportedCaseError(
+                "sigma_bFree: stationary variance undefined for gamma_b = 0 (constant field)")
+        return self.sigma_bF / (2.0 * self.gamma_b)
 
     @property
     def fluctuating(self) -> bool:
@@ -104,23 +109,6 @@ def build_system(p: PlantParams):
     c = np.array([[1.0, 0.0]])
     sigma1 = np.array([[0.0, 0.0], [0.0, p.sigma_bF]])
     return a, b, c, sigma1
-
-
-def sigma_m(M: float, eta: float) -> float:
-    """Measurement sensitivity 1/(4*M*eta); the shot-noise intensity of y dt."""
-    if not M > 0:
-        raise ConfigurationError("sigma_m: M must be positive")
-    if not (0.0 < eta <= 1.0):
-        raise ConfigurationError("sigma_m: eta must lie in (0, 1]; eta = 0 discards the measurement")
-    return 1.0 / (4.0 * M * eta)
-
-
-def sigma_bfree(p: PlantParams) -> float:
-    """Stationary field variance sigma_bF / (2*gamma_b) of the OU field."""
-    if not p.gamma_b > 0:
-        raise UnsupportedCaseError(
-            "sigma_bfree: stationary variance undefined for gamma_b = 0 (constant field)")
-    return p.sigma_bF / (2.0 * p.gamma_b)
 
 
 def fluctuating_plant(J: float, gamma: float, M: float, gamma_b: float,

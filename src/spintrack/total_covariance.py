@@ -1,23 +1,31 @@
 """Joint truth-plus-estimator covariance under possibly mismatched design.
 
-Stack the true state and the estimate into theta = (z, b, z~, b~).  For a
-linear plant, filter, and controller the stack is a (time-dependent)
-Ornstein-Uhlenbeck process d theta = alpha(t) theta dt + beta(t) dW with
+Stack the true state x = (z, b) and the estimation error e = m - x =
+(z~-z, b~-b) into theta = (x, e).  For a linear plant, filter, and
+controller the stack is a (time-dependent) Ornstein-Uhlenbeck process
+d theta = alpha(t) theta dt + beta(t) dW with
 
-    alpha = [[A,          -B K_C'               ],
-             [K_O'(t) C,  A' - B' K_C' - K_O'(t) C]]
+    alpha = [[A - B K_C,                   -B K_C                    ],
+             [A' - A - (B' - B) K_C,       A' - B' K_C - K_O(t) C + B K_C]]
 
-    beta  = diag-structured: sqrt(sigma_bF) drives b, and the measurement
-            noise enters the estimator rows through sqrt(sigma_M) K_O'(t).
+    beta:  sqrt(sigma_bF) drives b and, with the opposite sign, b~-b; the
+           measurement noise enters the error rows through sqrt(sigma_M) K_O(t).
 
-Primes mark design quantities built with the assumed spin J'.  The 4x4
-covariance Theta(t) = E[theta theta^T] then obeys the deterministic flow
+Primes mark design quantities built with the assumed spin J'.  The
+lower-left block, the coupling of the truth into the error, reduces to
+
+    gamma (J' - J) [[-K_C1, 1 - K_C2], [0, 0]]:
+
+zero for a matched design (separation), and as K_C2 -> 1 the field stops
+driving the error however wrong J' is, the robustness feedback buys.
+The 4x4 covariance Theta(t) = E[theta theta^T] obeys
 
     dTheta/dt = alpha Theta + Theta alpha^T + beta beta^T
 
-from Theta(0) = diag(sigma_z0, sigma_b0, 0, 0) (the estimate starts at
-zero regardless of the truth draw).  The magnetometry error is read off as
-sigma_bE = Theta_bb + Theta_b~b~ - 2 Theta_bb~, with no Monte Carlo.
+from Theta(0) = S diag(sigma_z0, sigma_b0, 0, 0) S^T, with S the map from
+(z, b, z~, b~) to (x, e): the estimate starts at zero whatever the truth
+draw.  The magnetometry error sigma_bE = Theta[3, 3] is a direct entry,
+with no cancellation and no Monte Carlo.
 
 ``build_alpha_beta`` builds alpha and beta as (n, 4, 4) stacks from
 arrays of observer gains, one row per gain pair.  The same stacks feed
@@ -54,45 +62,32 @@ from .lqg_filter import design_plant, design_prior
 REGIMES = ("uncontrolled_fluctuating", "controlled_steady", "controlled_transient")
 
 
-# change of variables to error coordinates (z, b, z~-z, b~-b); the
-# magnetometry error becomes a direct variance entry instead of a
-# cancellation-prone combination of order-one entries
-_S_ERR = np.array([[1.0, 0.0, 0.0, 0.0],
-                   [0.0, 1.0, 0.0, 0.0],
-                   [-1.0, 0.0, 1.0, 0.0],
-                   [0.0, -1.0, 0.0, 1.0]])
-_S_ERR_INV = np.array([[1.0, 0.0, 0.0, 0.0],
-                       [0.0, 1.0, 0.0, 0.0],
-                       [1.0, 0.0, 1.0, 0.0],
-                       [0.0, 1.0, 0.0, 1.0]])
-
-
 @dataclass
 class ThetaTrajectory:
-    """Joint covariance history on a time grid.
-
-    thetas[k] is Theta(t[k]) in the raw labeling (z, b, z~, b~).  sigma_bE
-    and sigma_zE are the error-coordinate variances of the integration,
-    which stay accurate when the tracking error is many orders of magnitude
-    below the field variance (rebuilding them from the raw entries as
-    Theta_bb + Theta_b~b~ - 2 Theta_bb~ would cancel).
-    """
+    """Joint covariance history on a time grid: theta[k] is Theta(t[k]) in
+    the coordinates (z, b, z~-z, b~-b), so the tracking-error variances
+    (z~-z)^2 and sigma_bE are the diagonal entries theta[:, 2, 2] and
+    theta[:, 3, 3] of the integration itself."""
 
     t: np.ndarray
-    thetas: np.ndarray
-    sigma_bE: np.ndarray
-    sigma_zE: np.ndarray
+    theta: np.ndarray
+
+    @property
+    def sigma_bE(self) -> np.ndarray:
+        return self.theta[:, 3, 3]
 
 
 def theta_init(prior: Priors) -> np.ndarray:
-    """Initial joint covariance: truth variances, estimator rows zero."""
-    return np.diag([prior.sigma_z0, prior.sigma_b0, 0.0, 0.0])
+    """Initial joint covariance S diag(sigma_z0, sigma_b0, 0, 0) S^T: the
+    estimate starts at zero, so each error starts at minus its truth."""
+    s = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
+    return s @ np.diag([prior.sigma_z0, prior.sigma_b0]) @ s.T
 
 
 def build_alpha_beta(p: PlantParams, d: DesignParams, k1, k2, k_c: np.ndarray):
     """Generator stacks (alpha, beta), each of shape (n, 4, 4), of the joint
-    flow for n observer gains K_O = (k1[i], k2[i]) and the constant
-    controller gain ``k_c``.
+    flow in (x, e) for n observer gains K_O = (k1[i], k2[i]) and the
+    constant controller gain ``k_c``.
 
     Row i of a stack depends only on (k1[i], k2[i]), so the caller chooses
     the times the gains are frozen at (one row per ``integrate_theta``
@@ -103,34 +98,35 @@ def build_alpha_beta(p: PlantParams, d: DesignParams, k1, k2, k_c: np.ndarray):
     k1 = np.asarray(k1, dtype=np.float64)
     k2 = np.asarray(k2, dtype=np.float64)
     k_c = np.asarray(k_c, dtype=np.float64)
+    bk = np.outer(b_true, k_c)
 
-    # the gain sits in the K_O C column (C = [1, 0]) and is subtracted from
-    # the first column of A' - B' K_C'
+    # the error block starts from the estimator's A' - B' K_C - K_O C
+    # (C = [1, 0]), the coupling block from K_O C - A; every entry is
+    # accumulated onto +0, so the stacks hold no negative zeros and equal
+    # S alpha_raw S^-1 and S beta_raw of the raw (z, b, z~, b~) flow bit for bit
     alpha = np.zeros((len(k1), 4, 4))
-    alpha[:, :2, :2] = a_true
-    alpha[:, :2, 2:] = -np.outer(b_true, k_c)
-    alpha[:, 2:, 2:] = a_des - np.outer(b_des, k_c)
-    alpha[:, 2, 0] = k1
-    alpha[:, 3, 0] = k2
+    alpha[:, :2, :2] += a_true
+    alpha[:, :2, :2] -= bk
+    alpha[:, :2, 2:] -= bk
+    alpha[:, 2:, 2:] += a_des - np.outer(b_des, k_c)
     alpha[:, 2, 2] -= k1
     alpha[:, 3, 2] -= k2
+    alpha[:, 2:, 2:] += bk
+    alpha[:, 2, 0] += k1
+    alpha[:, 3, 0] += k2
+    alpha[:, 2:, :2] -= a_true
+    alpha[:, 2:, :2] += alpha[:, 2:, 2:]
     beta = np.zeros((len(k1), 4, 4))
-    beta[:, 1, 1] = math.sqrt(p.sigma_bF)
-    beta[:, 2, 2] = math.sqrt(p.sigma_M) * k1
-    beta[:, 3, 2] = math.sqrt(p.sigma_M) * k2
+    beta[:, 1, 1] += math.sqrt(p.sigma_bF)
+    beta[:, 3, 1] -= math.sqrt(p.sigma_bF)
+    beta[:, 2, 2] += math.sqrt(p.sigma_M) * k1
+    beta[:, 3, 2] += math.sqrt(p.sigma_M) * k2
     return alpha, beta
 
 
-def _error_generator(alpha, beta):
-    """(a, q) of the flow in the error coordinates: a = S alpha S^-1 and
-    q = (S beta)(S beta)^T, on stacks or single matrices."""
-    bb = _S_ERR @ beta
-    return _S_ERR @ alpha @ _S_ERR_INV, bb @ bb.swapaxes(-1, -2)
-
-
 def _check_theta_psd(traj: ThetaTrajectory):
-    scale = np.maximum(np.trace(traj.thetas, axis1=1, axis2=2), 1e-300)
-    bad = np.linalg.eigvalsh(traj.thetas)[:, 0] < -1e-9 * scale
+    scale = np.maximum(np.trace(traj.theta, axis1=1, axis2=2), 1e-300)
+    bad = np.linalg.eigvalsh(traj.theta)[:, 0] < -1e-9 * scale
     if bad.any():
         i = int(np.argmax(bad))
         raise InstabilityError(f"joint covariance lost positivity at t = {traj.t[i]:.6e} "
@@ -138,14 +134,13 @@ def _check_theta_psd(traj: ThetaTrajectory):
 
 
 def integrate_theta(alpha, beta, theta0: np.ndarray, times) -> ThetaTrajectory:
-    """Propagate Theta over an explicit increasing time grid.
+    """Propagate Theta over an explicit strictly increasing time grid.
 
     ``alpha`` and ``beta`` are ``build_alpha_beta`` stacks with one
     generator per interval, held constant over it; a stack of another
-    length raises DimensionError.  The flow is conjugated into the error
-    coordinates (z, b, z~-z, b~-b), where the tracking-error variances are
-    direct entries; they are returned as sigma_bE/sigma_zE, and the stored
-    Theta snapshots are mapped back to the raw labeling.
+    length raises DimensionError, and a grid that does not increase
+    strictly raises ConfigurationError.  ``theta0`` is in the coordinates
+    of the stacks, (z, b, z~-z, b~-b), as ``theta_init`` returns it.
 
     Each interval takes the integrating-factor step, exact for
     piecewise-constant coefficients and stable for arbitrarily stiff
@@ -158,23 +153,26 @@ def integrate_theta(alpha, beta, theta0: np.ndarray, times) -> ThetaTrajectory:
     if not len(alpha) == len(beta) == len(times) - 1:
         raise DimensionError(f"integrate_theta: {len(times)} times need {len(times) - 1} "
                              f"generators, got {len(alpha)} alpha and {len(beta)} beta")
-    a, q = _error_generator(alpha, beta)
-    bad = ~(np.isfinite(a).all(axis=(1, 2)) & np.isfinite(q).all(axis=(1, 2)))
+    h = np.diff(times)
+    if not (h > 0).all():
+        k = int(np.argmin(h > 0))
+        raise ConfigurationError(f"integrate_theta: times must increase strictly, but "
+                                 f"t = {times[k + 1]:.6e} follows t = {times[k]:.6e}")
+    q = beta @ beta.swapaxes(-1, -2)
+    bad = ~(np.isfinite(alpha).all(axis=(1, 2)) & np.isfinite(q).all(axis=(1, 2)))
     if bad.any():
         k = int(np.argmax(bad))
         raise DivergenceError(f"integrate_theta: non-finite generator "
                               f"(interval from t = {times[k]:.6e})")
-    phi, g = ou_increment(a, q, np.diff(times))
-    theta = _S_ERR @ np.asarray(theta0, dtype=np.float64) @ _S_ERR.T
+    phi, g = ou_increment(alpha, q, h)
+    theta = np.asarray(theta0, dtype=np.float64)
     out = np.empty((len(times), 4, 4))
     out[0] = theta
     for k in range(len(times) - 1):
         theta = phi[k] @ theta @ phi[k].T + g[k]
         theta = 0.5 * (theta + theta.T)
         out[k + 1] = theta
-
-    raw = np.einsum("ij,njk,lk->nil", _S_ERR_INV, out, _S_ERR_INV)
-    traj = ThetaTrajectory(times, raw, sigma_bE=out[:, 3, 3].copy(), sigma_zE=out[:, 2, 2].copy())
+    traj = ThetaTrajectory(times, out)
     _check_theta_psd(traj)
     return traj
 
@@ -203,17 +201,18 @@ def steady_state_error(p: PlantParams, d: DesignParams) -> float:
     """Saturated sigma_bE for a fluctuating field under a J' design.
 
     Solves the stationary Lyapunov equation a X + X a^T + q = 0 of the
-    steady-gain generator in the error coordinates (z, b, z~-z, b~-b).
-    For lam = 0 the raw stack is not stationary (z integrates the field),
-    but with no control nothing else depends on z, so the closed block
-    (b, z~-z, b~-b) is solved instead.
+    steady-gain generator in (z, b, z~-z, b~-b).  For lam = 0 the full
+    stack is not stationary (z integrates the field), but with no control
+    nothing else depends on z, so the closed block (b, z~-z, b~-b) is
+    solved instead.
     """
     if not p.fluctuating:
         raise UnsupportedCaseError("steady_state_error: needs a fluctuating field")
     g = steady_state_gains(design_plant(p, d), d)
-    a, q = _error_generator(*build_alpha_beta(p, d, g.K_O[:1], g.K_O[1:], g.K_C))
+    alpha, beta = build_alpha_beta(p, d, g.K_O[:1], g.K_O[1:], g.K_C)
+    q = beta @ beta.swapaxes(-1, -2)
     keep = slice(0, 4) if d.lam > 0 else slice(1, 4)
-    a, q = a[0, keep, keep], q[0, keep, keep]
+    a, q = alpha[0, keep, keep], q[0, keep, keep]
     if np.max(np.linalg.eigvals(a).real) >= 0:
         raise InstabilityError("steady_state_error: mismatched closed loop is unstable")
     return float(scipy.linalg.solve_continuous_lyapunov(a, -q)[-1, -1])
@@ -239,4 +238,4 @@ def transient_error_curve(p: PlantParams, prior: Priors, d: DesignParams,
     alpha, beta = build_alpha_beta(p, d, k1, k2, controller_gain(p, d))
     traj = integrate_theta(alpha, beta, theta_init(prior), grid)
     idx = np.searchsorted(grid, t_eval)
-    return ThetaTrajectory(t_eval, traj.thetas[idx], traj.sigma_bE[idx], traj.sigma_zE[idx])
+    return ThetaTrajectory(t_eval, traj.theta[idx])

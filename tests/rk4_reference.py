@@ -45,18 +45,14 @@ def joint_generator(p, d, gains, k_c):
 def integrate_theta_rk4(generator, theta0, times) -> tc.ThetaTrajectory:
     """integrate_theta with RK4 on the matrix flow of the continuous-time
     generator t -> (alpha, beta) in place of the integrating-factor step
-    on frozen intervals: same error coordinates, same outputs."""
-    s, s_inv = tc._S_ERR, tc._S_ERR_INV
-
+    on frozen intervals: same coordinates, same outputs."""
     def rhs(t, th_flat):
         th = th_flat.reshape(4, 4)
-        a, q = tc._error_generator(*generator(t))
-        return (a @ th + th @ a.T + q).reshape(-1)
+        a, beta = generator(t)
+        return (a @ th + th @ a.T + beta @ beta.T).reshape(-1)
 
-    theta_w = s @ np.asarray(theta0, dtype=np.float64) @ s.T
-    out = rk4_nonuniform(rhs, theta_w.reshape(-1), times).reshape(len(times), 4, 4)
-    raw = np.einsum("ij,njk,lk->nil", s_inv, out, s_inv)
-    traj = tc.ThetaTrajectory(np.asarray(times, dtype=np.float64), raw,
-                              sigma_bE=out[:, 3, 3].copy(), sigma_zE=out[:, 2, 2].copy())
+    theta0 = np.asarray(theta0, dtype=np.float64)
+    out = rk4_nonuniform(rhs, theta0.reshape(-1), times).reshape(len(times), 4, 4)
+    traj = tc.ThetaTrajectory(np.asarray(times, dtype=np.float64), out)
     tc._check_theta_psd(traj)
     return traj

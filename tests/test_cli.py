@@ -57,6 +57,8 @@ class TestScenarioParsing:
         ("montecarlo", "montecarlo_matched.scn", "dt       = 5e-12", "dt = 0", "dt"),
         ("montecarlo", "montecarlo_matched.scn", "seed", "decimate = 0\nseed", "decimate"),
         ("montecarlo", "montecarlo_matched.scn", "seed", "decimate = -4\nseed", "decimate"),
+        ("mismatch", "mismatch_transient.scn", "t_eval   = 1e-5", "t_eval = 0", "t_eval"),
+        ("mismatch", "mismatch_transient.scn", "t_eval   = 1e-5", "t_eval = -1e-5", "t_eval"),
     ])
     def test_bad_step_values_are_configuration_errors(self, tmp_path, capsys, verb, fixture,
                                                       old, new, key):
@@ -163,7 +165,7 @@ class TestCommands:
 
     def test_simulate_divergence_exit_code(self, tmp_path, capsys):
         # the one-trial loop runs on Python floats, which overflow without a
-        # warning, so the verb itself must catch the non-finite rows
+        # warning, so run_closed_loop checks its rows before returning
         sc = tmp_path / "div.scn"
         base = (SCENARIOS / "transfer_function_comparison.scn").read_text()
         sc.write_text(base.replace("lambda   = 0.01", "lambda   = 1000")

@@ -125,13 +125,11 @@ class TestClosedLoop:
         d = DesignParams(J_prime=1e6, lam=1e3)
         dt, T, trials = 5e-12, 1e-9, 10
         first_bad = []
-        with np.errstate(over="ignore", invalid="ignore"):
-            for k in range(trials):
-                r = run_closed_loop(FLUCT, PRIOR, d, "steady_gain", trial_stream(1, k), dt, T)
-                ok = (np.isfinite(r.trajectory.z) & np.isfinite(r.trajectory.b)
-                      & np.isfinite(r.m).all(axis=1))
-                first_bad.append(int(np.argmin(ok)))
-        t_bad = min(first_bad) * dt
+        for k in range(trials):
+            with pytest.raises(DivergenceError, match="run_closed_loop: non-finite state") as exc:
+                run_closed_loop(FLUCT, PRIOR, d, "steady_gain", trial_stream(1, k), dt, T)
+            first_bad.append(float(str(exc.value).rpartition("t = ")[2]))
+        t_bad = min(first_bad)
         assert 0.0 < t_bad < T
         # output only at 0 and T, so the state guard names the step itself
         with pytest.raises(DivergenceError, match=f"non-finite state at t = {t_bad:.6e}"):

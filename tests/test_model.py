@@ -4,8 +4,7 @@ import pytest
 from spintrack.errors import ConfigurationError, UnsupportedCaseError
 from spintrack.cli import build_priors
 from spintrack.lqg_filter import design_prior
-from spintrack.model import (DesignParams, PlantParams, Priors, build_system,
-                             fluctuating_plant, sigma_bfree, sigma_m)
+from spintrack.model import DesignParams, PlantParams, Priors, build_system, fluctuating_plant
 
 
 class TestBuildSystem:
@@ -41,40 +40,45 @@ class TestBuildSystem:
             assert np.array_equal(x, y)
 
 
+def _sigma_m(M, eta):
+    return PlantParams(J=1.0, gamma=1.0, M=M, eta=eta).sigma_M
+
+
 class TestSigmaM:
     def test_unit_efficiency(self):
-        assert sigma_m(1e4, 1.0) == pytest.approx(2.5e-5)
+        assert _sigma_m(1e4, 1.0) == pytest.approx(2.5e-5)
 
     def test_half_efficiency(self):
-        assert sigma_m(1e4, 0.5) == pytest.approx(5e-5)
+        assert _sigma_m(1e4, 0.5) == pytest.approx(5e-5)
 
     def test_monotone_in_rate_and_efficiency(self):
-        vals = [sigma_m(m, e) for m, e in [(1e3, 0.5), (1e4, 0.5), (1e4, 1.0), (1e6, 1.0)]]
+        vals = [_sigma_m(m, e) for m, e in [(1e3, 0.5), (1e4, 0.5), (1e4, 1.0), (1e6, 1.0)]]
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
     def test_zero_efficiency_rejected(self):
-        with pytest.raises(ConfigurationError):
-            sigma_m(1e4, 0.0)
+        # eta = 0 would discard the measurement; the plant cannot be built
+        with pytest.raises(ConfigurationError, match="eta"):
+            _sigma_m(1e4, 0.0)
 
 
 class TestSigmaBFree:
     def test_reference_value(self):
         p = fluctuating_plant(J=1e6, gamma=1e6, M=1e4, gamma_b=1e5, sigma_bfree=1.0)
         assert p.sigma_bF == pytest.approx(2e5)
-        assert sigma_bfree(p) == pytest.approx(1.0)
+        assert p.sigma_bFree == pytest.approx(1.0)
 
     def test_zero_diffusion(self):
         p = PlantParams(J=1.0, gamma=1.0, M=1.0, gamma_b=1.0, sigma_bF=0.0)
-        assert sigma_bfree(p) == 0.0
+        assert p.sigma_bFree == 0.0
 
     def test_linear_in_diffusion(self):
         p1 = PlantParams(J=1.0, gamma=1.0, M=1.0, gamma_b=2.0, sigma_bF=3.0)
         p2 = PlantParams(J=1.0, gamma=1.0, M=1.0, gamma_b=2.0, sigma_bF=6.0)
-        assert sigma_bfree(p2) == pytest.approx(2.0 * sigma_bfree(p1))
+        assert p2.sigma_bFree == pytest.approx(2.0 * p1.sigma_bFree)
 
     def test_constant_field_rejected(self):
-        with pytest.raises(UnsupportedCaseError):
-            sigma_bfree(PlantParams(J=1.0, gamma=1.0, M=1.0))
+        with pytest.raises(UnsupportedCaseError, match="gamma_b = 0"):
+            PlantParams(J=1.0, gamma=1.0, M=1.0).sigma_bFree
 
 
 class TestValidation:

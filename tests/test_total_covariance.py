@@ -14,6 +14,7 @@ from spintrack.riccati import (controller_gain, exact_steady_sigma, riccati_at_t
 from spintrack.lqg_filter import design_plant
 from spintrack import total_covariance as tc
 
+from joint_reference import S_ERR, error_generator, raw_alpha_beta, to_error
 from rk4_reference import integrate_theta_rk4, joint_generator
 
 FLUCT = fluctuating_plant(J=1e6, gamma=1e6, M=1e4, gamma_b=1e5, sigma_bfree=1.0)
@@ -38,11 +39,14 @@ def _frozen(p, d, g, intervals):
 
 class TestStructure:
     def test_matched_uncontrolled_blocks(self):
+        # separation: without control the truth ignores the error, and with
+        # a matched design the error ignores the truth, exactly
         d = DesignParams(J_prime=1e6, lam=0.0)
         alpha, beta = tc.build_alpha_beta(FLUCT, d, [2.0], [3.0], np.zeros(2))
         a = alpha[0]
-        assert np.allclose(a[:2, 2:], 0.0)                       # no control feedthrough
-        assert np.allclose(a[2:, :2], [[2.0, 0.0], [3.0, 0.0]])  # K_O C block
+        assert np.array_equal(a[:2, 2:], np.zeros((2, 2)))      # no control feedthrough
+        assert np.array_equal(a[2:, :2], np.zeros((2, 2)))      # no truth -> error coupling
+        assert np.array_equal(a[2:, 2:], [[-2.0, FLUCT.gamma * 1e6], [-3.0, -FLUCT.gamma_b]])
 
     def test_beta_constant_field(self):
         p = PlantParams(J=1e6, gamma=1e6, M=1e4)
@@ -56,15 +60,19 @@ class TestStructure:
         assert np.allclose(b, expected)
 
     def test_lower_right_block_identity(self):
+        # the error block: the estimator's A' - B' K_C - K_O C plus the
+        # true feedback B K_C that the truth rows no longer carry
         d = DesignParams(J_prime=2e6, lam=0.5)
         kc = controller_gain(FLUCT, d)
         alpha, _ = tc.build_alpha_beta(FLUCT, d, [7.0], [11.0], kc)
         a = alpha[0]
-        gjp = FLUCT.gamma * d.J_prime
+        gj, gjp = FLUCT.gamma * FLUCT.J, FLUCT.gamma * d.J_prime
         a_des = np.array([[0.0, gjp], [0.0, -FLUCT.gamma_b]])
         b_des = np.array([gjp, 0.0])
-        expected = a_des - np.outer(b_des, kc) - np.array([[7.0, 0.0], [11.0, 0.0]])
+        expected = (a_des - np.outer(b_des, kc) - np.array([[7.0, 0.0], [11.0, 0.0]])
+                    + np.outer([gj, 0.0], kc))
         assert np.allclose(a[2:, 2:], expected)
+        assert np.allclose(a[:2, 2:], -np.outer([gj, 0.0], kc))
 
     @settings(max_examples=40, deadline=None)
     @given(gains=st.lists(st.tuples(st.floats(-1e12, 1e12), st.floats(-1e12, 1e12)),
@@ -83,9 +91,49 @@ class TestStructure:
             assert np.array_equal(alpha[k:k + 1].view(np.uint64), a_k.view(np.uint64))
             assert np.array_equal(beta[k:k + 1].view(np.uint64), b_k.view(np.uint64))
 
+    @settings(max_examples=60, deadline=None)
+    @given(gains=st.lists(st.tuples(st.floats(-1e12, 1e12), st.floats(-1e12, 1e12)),
+                          min_size=1, max_size=8),
+           f=st.floats(0.01, 100.0), lam=st.one_of(st.just(0.0), st.floats(1e-4, 1.0)),
+           gamma_b=st.one_of(st.just(0.0), st.floats(1e3, 1e6)))
+    def test_stacks_equal_conjugated_raw_reference(self, gains, f, lam, gamma_b):
+        # S alpha S^-1 and (S beta)(S beta)^T of the raw flow, bit for bit
+        # (negative zeros included), constant fields included
+        k1, k2 = np.array(gains).T
+        p = PlantParams(J=f * 1e6, gamma=1e6, M=1e4, gamma_b=gamma_b, sigma_bF=2.0 * gamma_b)
+        d = DesignParams(J_prime=1e6, lam=lam)
+        kc = controller_gain(p, d)
+        alpha, beta = tc.build_alpha_beta(p, d, k1, k2, kc)
+        alpha_raw, beta_raw = raw_alpha_beta(p, d, k1, k2, kc)
+        a_ref, q_ref = error_generator(alpha_raw, beta_raw)
+        q = beta @ beta.swapaxes(-1, -2)
+        assert np.array_equal(alpha.view(np.uint64), a_ref.view(np.uint64))
+        assert np.array_equal(beta.view(np.uint64), (S_ERR @ beta_raw).view(np.uint64))
+        assert np.array_equal(q.view(np.uint64), q_ref.view(np.uint64))
+
+    @settings(max_examples=60, deadline=None)
+    @given(gains=st.tuples(st.floats(-1e12, 1e12), st.floats(-1e12, 1e12)),
+           f=st.floats(0.01, 100.0), lam=st.one_of(st.just(0.0), st.floats(1e-4, 1.0)))
+    def test_coupling_block_is_the_mismatch(self, gains, f, lam):
+        # the truth -> error block is gamma (J' - J) [[-K_C1, 1 - K_C2], [0, 0]]
+        # (the feedback robustness: K_C2 -> 1 cuts the field out of the
+        # error) and vanishes for a matched design, both to the rounding of
+        # the terms that build it
+        k1, k2 = gains
+        d = DesignParams(J_prime=1e6, lam=lam)
+        for J in (f * 1e6, 1e6):
+            p = fluctuating_plant(J=J, gamma=1e6, M=1e4, gamma_b=1e5, sigma_bfree=1.0)
+            kc = controller_gain(p, d)
+            alpha, _ = tc.build_alpha_beta(p, d, [k1], [k2], kc)
+            gj, gjp = p.gamma * p.J, p.gamma * d.J_prime
+            expected = (gjp - gj) * np.array([[-kc[0], 1.0 - kc[1]], [0.0, 0.0]])
+            scale = abs(k1) + abs(k2) + (gj + gjp) * (1.0 + lam) + p.gamma_b
+            assert np.max(np.abs(alpha[0, 2:, :2] - expected)) <= 4 * np.finfo(float).eps * scale
+
 
 def _initial_error(theta0):
-    """sigma_bE at t = 0 of the joint flow started from theta0."""
+    """sigma_bE at t = 0 of the joint flow started from theta0, given in
+    (z, b, z~-z, b~-b)."""
     d = DesignParams(J_prime=1e6, lam=0.0)
     gen = joint_generator(FLUCT, d, lambda t: (0.0, 0.0), np.zeros(2))
     return integrate_theta_rk4(gen, theta0, [0.0]).sigma_bE[0]
@@ -97,10 +145,13 @@ class TestMagnetometryError:
         for i in (1, 3):
             for j in (1, 3):
                 th[i, j] = 2.5
-        assert _initial_error(th) == 0.0
+        assert _initial_error(to_error(th)) == 0.0
 
     def test_initial_condition_returns_field_prior(self):
-        assert _initial_error(tc.theta_init(PRIOR)) == PRIOR.sigma_b0
+        theta0 = tc.theta_init(PRIOR)
+        raw = np.diag([PRIOR.sigma_z0, PRIOR.sigma_b0, 0.0, 0.0])
+        assert np.array_equal(theta0.view(np.uint64), to_error(raw).view(np.uint64))
+        assert _initial_error(theta0) == PRIOR.sigma_b0
 
     def test_matched_saturation(self):
         d, grid, cov, gen = _matched_setup()
@@ -140,7 +191,7 @@ class TestMatchedIdentity:
         rate = np.max(np.abs(np.linalg.eigvals(alpha[0])))
         times = np.arange(400) * (0.01 / rate)
         exm = tc.integrate_theta(alpha, beta, tc.theta_init(PRIOR), times)
-        for theta in exm.thetas:
+        for theta in exm.theta:
             assert np.linalg.eigvalsh(theta)[0] >= -1e-9 * np.trace(theta)
         rk4 = integrate_theta_rk4(joint_generator(p, d, lambda t: g.K_O, g.K_C),
                                   tc.theta_init(PRIOR), times)
@@ -182,6 +233,13 @@ class TestMatchedIdentity:
         with pytest.raises(DimensionError, match="got 39 alpha and 38 beta"):
             tc.integrate_theta(alpha, beta[1:], tc.theta_init(PRIOR), times)
 
+    def test_grid_must_increase_strictly(self):
+        d = DesignParams(J_prime=1e6, lam=1e-4)
+        g = steady_state_gains(FLUCT, d)
+        for times, bad in (([0.0, 2e-8, 1e-8, 3e-8], 1e-8), ([0.0, 1e-8, 1e-8, 3e-8], 1e-8)):
+            with pytest.raises(ConfigurationError, match=f"t = {bad:.6e} follows t = "):
+                tc.integrate_theta(*_frozen(FLUCT, d, g, 3), tc.theta_init(PRIOR), times)
+
     def test_disconnected_filter_marginals(self):
         # K_O' = K_C' = 0: the truth marginals must follow the open plant
         d = DesignParams(J_prime=1e6, lam=0.0)
@@ -194,8 +252,8 @@ class TestMatchedIdentity:
         for k in range(1, len(times)):
             phi, g = ou_increment(a_true, q_true, times[k] - times[k - 1])
             p = phi @ p @ phi.T + g
-        assert traj.thetas[-1][0, 0] == pytest.approx(p[0, 0], rel=1e-8)
-        assert traj.thetas[-1][1, 1] == pytest.approx(p[1, 1], rel=1e-8)
+        assert traj.theta[-1][0, 0] == pytest.approx(p[0, 0], rel=1e-8)
+        assert traj.theta[-1][1, 1] == pytest.approx(p[1, 1], rel=1e-8)
 
 
 class TestMismatchFactors:
@@ -306,7 +364,7 @@ class TestTransientCurve:
         d = DesignParams(J_prime=1e6, lam=1.0)
         traj = tc.transient_error_curve(p, prior, d, np.geomspace(1e-8, 1e-5, 8))
         for k in range(len(traj.t)):
-            assert np.min(np.linalg.eigvalsh(traj.thetas[k])) >= -1e-9 * np.trace(traj.thetas[k])
+            assert np.min(np.linalg.eigvalsh(traj.theta[k])) >= -1e-9 * np.trace(traj.theta[k])
         assert np.all(traj.sigma_bE >= 0.0)
 
     def test_infinite_spin_prior_rejected(self):
@@ -317,8 +375,8 @@ class TestTransientCurve:
                                      DesignParams(J_prime=1e6, lam=1.0), np.array([1e-5]))
 
     def test_error_variance_carried_from_integration(self, monkeypatch):
-        # sigma_bE at t_eval is the error-coordinate value of the flow,
-        # bit for bit, not a cancellation of raw Theta entries
+        # the snapshots at t_eval, and sigma_bE read from them, are those
+        # of the integration, bit for bit
         p = PlantParams(J=2e6, gamma=1e6, M=1e4)
         prior = Priors(sigma_z0=1e6, sigma_b0=1.0)
         d = DesignParams(J_prime=1e6, lam=1.0)
@@ -334,5 +392,4 @@ class TestTransientCurve:
         traj = tc.transient_error_curve(p, prior, d, t_eval)
         (full,) = runs
         idx = np.searchsorted(full.t, t_eval)
-        assert np.array_equal(traj.sigma_bE, full.sigma_bE[idx])
-        assert np.array_equal(traj.sigma_zE, full.sigma_zE[idx])
+        assert np.array_equal(traj.theta, full.theta[idx])
