@@ -157,8 +157,7 @@ def cmd_riccati(sc: dict, seed: int, out: str, workers: int) -> int:
     cov = riccati.riccati_at_times(p, prior, times)
     sz_an = sb_an = sz_lin = sb_lin = np.full_like(times, np.nan)   # a route may not apply
     try:
-        sb_an = np.array([riccati.analytic_sigma_b(p, prior, t) for t in times])
-        sz_an = np.array([riccati.analytic_sigma_z(p, prior, t) for t in times])
+        sz_an, sb_an = np.array([riccati.analytic_sigma(p, prior, t) for t in times]).T
     except UnsupportedCaseError:
         pass
     try:
@@ -234,6 +233,15 @@ def cmd_mismatch(sc: dict, seed: int, out: str, workers: int) -> int:
         raise ConfigurationError("mismatch: scenario must set f_sweep")
     p0 = build_plant(sc)
     d = build_design(sc, p0)
+    for f in f_values:
+        if not (f > 0 and f * d.J_prime < math.inf):
+            raise ConfigurationError(f"scenario key 'f_sweep' needs f > 0 with f * J_prime "
+                                     f"finite, got f = {f}")
+    if regime == "constant_transient":
+        t = _positive(sc, "t_eval")[0] if "t_eval" in sc else 1e-5
+        # the late-time law 12 sigma_M / ((gamma J')^2 t^3): both priors
+        # infinite on the design plant
+        ref = riccati.analytic_sigma(design_plant(p0, d), (math.inf, math.inf), t)[1]
     sigma_b0 = sc.get("sigma_b0", 0.0)
     rows = []   # (f, t, sigma_bE, factor, factor_predicted, valid)
     for f in f_values:
@@ -248,9 +256,7 @@ def cmd_mismatch(sc: dict, seed: int, out: str, workers: int) -> int:
                 ref = p.sigma_bFree
                 pred = tc.mismatch_factors(f, "uncontrolled_fluctuating")
         else:
-            t = _positive(sc, "t_eval")[0] if "t_eval" in sc else 1e-5
             err = float(tc.transient_error_curve(p, prior, d, np.array([t])).sigma_bE[0])
-            ref = riccati.transient_sigma_b(p, t, J=d.J_prime)
             try:
                 pred, valid = tc.mismatch_factors(f, "controlled_transient"), 1
             except UnsupportedCaseError:
@@ -272,8 +278,8 @@ def cmd_bode(sc: dict, seed: int, out: str, workers: int) -> int:
     p = build_plant(sc)
     d = build_design(sc, p)
     gz, gb, gu = freq.closed_loop_tfs(p, d)
-    omega = np.geomspace(sc.get("omega_min", 1e4), sc.get("omega_max", 1e12),
-                         sc.get("n_omega", 481))
+    sc = {"omega_min": 1e4, "omega_max": 1e12, "n_omega": 481, **sc}
+    omega = np.geomspace(*_positive(sc, "omega_min", "omega_max", "n_omega"))
     cols = [omega]
     header = ["omega"]
     for name, tf in (("Gz", gz), ("Gb", gb), ("Gu", gu)):
@@ -305,17 +311,17 @@ def cmd_bode(sc: dict, seed: int, out: str, workers: int) -> int:
 
 
 def cmd_design(sc: dict, seed: int, out: str, workers: int) -> int:
-    for key in ("J_min", "J_max", "omega_Q", "omega_1", "gamma"):
-        if key not in sc:
-            raise ConfigurationError(f"design: scenario must set {key}")
+    sc = {"n_omega": 600, **sc}
+    _positive(sc, "J_min", "J_max", "omega_Q", "omega_1", "gamma", "n_omega")
+    if "omega_L" in sc:
+        _positive(sc, "omega_L")
     c, w10 = freq.design_robust_controller(sc["J_min"], sc["J_max"], sc["omega_Q"],
                                            sc["omega_1"], sc["gamma"],
                                            omega_L=sc.get("omega_L"))
     w1 = freq.performance_weight(w10, sc["omega_1"])
     omega_h = sc["omega_1"] * w10
     omega_l = sc.get("omega_L", omega_h / 100.0)
-    grid = np.geomspace(omega_l / 10.0, 10.0 * sc["omega_Q"],
-                        max(400, sc.get("n_omega", 600)))
+    grid = np.geomspace(omega_l / 10.0, 10.0 * sc["omega_Q"], max(400, sc["n_omega"]))
     j_grid = np.geomspace(sc["J_min"], sc["J_max"], 25)
     norms = np.empty(25)
     stable = np.empty(25)

@@ -60,7 +60,6 @@ class RationalTF:
         self.den = _trim(self.den)
         if len(self.den) == 0 or self.den[-1] == 0.0:
             raise ConfigurationError("RationalTF: denominator leading coefficient must be nonzero")
-        self.num, self.den = _cancel_common_roots(self.num, self.den)
 
     def __call__(self, s):
         s = np.asarray(s, dtype=np.complex128)
@@ -76,29 +75,6 @@ def _trim(c: np.ndarray) -> np.ndarray:
     while keep > 1 and c[keep - 1] == 0.0:
         keep -= 1
     return c[:keep].copy()
-
-
-def _cancel_common_roots(num: np.ndarray, den: np.ndarray, tol: float = 1e-9):
-    """Remove root pairs shared by numerator and denominator within tol."""
-    if len(num) < 2 or len(den) < 2:
-        return num, den
-    rn = list(np.roots(num[::-1]))
-    rd = list(np.roots(den[::-1]))
-    matched = False
-    for r in list(rn):
-        for q in rd:
-            if abs(r - q) <= tol * max(1.0, abs(r), abs(q)):
-                rn.remove(r)
-                rd.remove(q)
-                matched = True
-                break
-    if not matched:
-        return num, den
-    lead_n = num[-1]
-    lead_d = den[-1]
-    new_num = np.real_if_close(np.poly(rn)[::-1] * lead_n, tol=1e6) if rn else np.array([lead_n])
-    new_den = np.real_if_close(np.poly(rd)[::-1] * lead_d, tol=1e6) if rd else np.array([lead_d])
-    return np.real(new_num), np.real(new_den)
 
 
 @dataclass(frozen=True)

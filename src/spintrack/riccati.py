@@ -18,16 +18,17 @@ sigma_cR) / sigma_M.  Three independent solution paths are provided:
   Hamiltonian block [[A, Sigma1], [C^T C / sigma_M, -A^T]], exact at any
   set of times at once (Vaughan's negative-exponential form, or one jump
   from the prior for sigma_bF = 0); every gain table comes from it;
-* closed forms for the constant-field case (the full expression with
-  arbitrary priors plus its documented limits for zero/infinite priors);
+* one closed form for the constant-field case, a rational function of t
+  in homogeneous prior coordinates that covers zero and infinite priors
+  and the late-time law without a case of its own;
 * fixed-step RK4 on a deterministic quasi-geometric schedule (the local
   timescale of the transient is sigma_M / sigma_zR(t), which grows like
   elapsed time, so steps proportional to t + sigma_M/sigma_z0 keep the
   per-step gain-times-step product constant).
 
 The controller Riccati for the quadratic cost with weight ratio
-lam^2 = p/q runs in reverse time and is solved both in closed form,
-K_C = [lam, 1/(1 + gamma_b/(gamma J' lam))], and by integration.
+lam^2 = p/q runs in reverse time; its stationary solution is the closed
+form K_C = [lam, 1/(1 + gamma_b/(gamma J' lam))].
 """
 
 from __future__ import annotations
@@ -79,12 +80,12 @@ def _prior_values(prior) -> tuple[float, float]:
 
 def _finite_prior_values(prior) -> tuple[float, float]:
     """Priors of the numeric routes, which need them finite (the closed
-    forms take infinite priors as limits)."""
+    form takes infinite priors as limits)."""
     sz0, sb0 = _prior_values(prior)
     if not (math.isfinite(sz0) and math.isfinite(sb0) and sz0 > 0 and sb0 >= 0):
         raise ConfigurationError(
             f"numeric Riccati routes need finite priors with sigma_z0 > 0, got ({sz0}, {sb0}); "
-            "use the closed forms for infinite priors")
+            "use the closed form for infinite priors")
     return sz0, sb0
 
 
@@ -273,85 +274,42 @@ def integrate_estimator_riccati(p: PlantParams, prior: Priors, dt: float, T: flo
 
 
 # ---------------------------------------------------------------------------
-# constant-field closed forms
+# constant-field closed form
 # ---------------------------------------------------------------------------
 
-def analytic_sigma_b(p: PlantParams, prior, t: float) -> float:
-    """Field tracking error sigma_bR(t) for constant fields.
+def analytic_sigma(p: PlantParams, prior, t: float) -> tuple[float, float]:
+    """Constant-field tracking errors (sigma_zR(t), sigma_bR(t)) for any priors.
 
-    Implements the general-prior expression
+    Each prior enters in homogeneous coordinates, sigma_z0 = a / alpha and
+    sigma_b0 = c / beta, with (a, alpha) = (v, 1) for a finite value v and
+    (1, 0) for math.inf.  The general-prior solution multiplied through by
+    alpha beta is
 
-        12 sb0 sm (sm + sz0 t)
-        ----------------------------------------------------------
-        12 sm^2 + g2 sb0 sz0 t^4 + 4 sm (3 sz0 t + g2 t^3 sb0)
+        sigma_bR = 12 c sm (sm alpha + a t) / D
+        sigma_zR = 4 sm (g2 c a t^3 + 3 sm (a beta + g2 t^2 c alpha)) / D
+        D = 12 sm^2 alpha beta + g2 c a t^4 + 4 sm (3 a t beta + g2 t^3 c alpha)
 
-    (g2 = gamma^2 J^2, sm = sigma_M) together with its limits when either
-    prior is 0 or math.inf.  Fluctuating-field parameters are rejected.
+    (g2 = gamma^2 J^2, sm = sigma_M).  D > 0 at every t > 0 (in floats,
+    while g2 t^4 does not underflow), so the one expression holds for every
+    zero and infinite prior; t = 0 returns the prior.  Both priors infinite
+    give the late-time law sigma_bR = 12 sm / (g2 t^3), the scaling a
+    least-squares line fit to the record achieves.  Fluctuating-field
+    parameters are rejected.
     """
     if not _is_constant_field(p):
         raise UnsupportedCaseError(
-            "analytic_sigma_b: closed form holds for constant fields only; integrate numerically")
+            "analytic_sigma: closed form holds for constant fields only; integrate numerically")
     sz0, sb0 = _prior_values(prior)
+    if t == 0.0:
+        return sz0, sb0
+    a, alpha = (1.0, 0.0) if math.isinf(sz0) else (sz0, 1.0)
+    c, beta = (1.0, 0.0) if math.isinf(sb0) else (sb0, 1.0)
     sm = p.sigma_M
     g2 = (p.gamma * p.J) ** 2
-    if sb0 == 0.0:
-        return 0.0
-    if math.isinf(sb0):
-        if sz0 == 0.0:
-            return 3.0 * sm / (g2 * t ** 3) if t > 0 else math.inf
-        if math.isinf(sz0):
-            return 12.0 * sm / (g2 * t ** 3) if t > 0 else math.inf
-        if t == 0.0:
-            return math.inf
-        return 12.0 * sm * (sm + sz0 * t) / (g2 * t ** 3 * (4.0 * sm + sz0 * t))
-    if sz0 == 0.0:
-        return 3.0 * sb0 * sm / (3.0 * sm + g2 * sb0 * t ** 3)
-    if math.isinf(sz0):
-        return 12.0 * sb0 * sm / (12.0 * sm + g2 * t ** 3 * sb0)
-    num = 12.0 * sb0 * sm * (sm + sz0 * t)
-    den = 12.0 * sm ** 2 + g2 * sb0 * sz0 * t ** 4 + 4.0 * sm * (3.0 * sz0 * t + g2 * t ** 3 * sb0)
-    return num / den
-
-
-def analytic_sigma_z(p: PlantParams, prior, t: float) -> float:
-    """Spin tracking error sigma_zR(t) for constant fields (general prior
-    expression plus zero/infinite prior limits)."""
-    if not _is_constant_field(p):
-        raise UnsupportedCaseError(
-            "analytic_sigma_z: closed form holds for constant fields only; integrate numerically")
-    sz0, sb0 = _prior_values(prior)
-    sm = p.sigma_M
-    g2 = (p.gamma * p.J) ** 2
-    if sb0 == 0.0:
-        if sz0 == 0.0:
-            return 0.0
-        if math.isinf(sz0):
-            return sm / t if t > 0 else math.inf
-        return sm * sz0 / (sm + sz0 * t)
-    if sz0 == 0.0:
-        if math.isinf(sb0):
-            return 3.0 * sm / t if t > 0 else 0.0
-        return 3.0 * g2 * sb0 * sm * t ** 2 / (3.0 * sm + g2 * sb0 * t ** 3)
-    if math.isinf(sz0):
-        if math.isinf(sb0):
-            return 4.0 * sm / t if t > 0 else math.inf
-        if t == 0.0:
-            return math.inf
-        return 4.0 * sm * (3.0 * sm + g2 * t ** 3 * sb0) / (12.0 * sm * t + g2 * t ** 4 * sb0)
-    if math.isinf(sb0):
-        if t == 0.0:
-            return sz0
-        return 4.0 * sm * (3.0 * sm + sz0 * t) / (t * (4.0 * sm + sz0 * t))
-    num = 4.0 * sm * (g2 * sb0 * sz0 * t ** 3 + 3.0 * sm * (sz0 + g2 * t ** 2 * sb0))
-    den = 12.0 * sm ** 2 + g2 * sb0 * sz0 * t ** 4 + 4.0 * sm * (3.0 * sz0 * t + g2 * t ** 3 * sb0)
-    return num / den
-
-
-def transient_sigma_b(p: PlantParams, t: float, J: float | None = None) -> float:
-    """Late-time constant-field tracking error 12 sigma_M / (gamma^2 J^2 t^3),
-    the same scaling a least-squares line fit to the record achieves."""
-    gj = p.gamma * (p.J if J is None else J)
-    return 12.0 * p.sigma_M / (gj ** 2 * t ** 3)
+    den = (12.0 * sm ** 2 * (alpha * beta) + g2 * c * a * t ** 4
+           + 4.0 * sm * (3.0 * a * t * beta + g2 * t ** 3 * c * alpha))
+    return (4.0 * sm * (g2 * c * a * t ** 3 + 3.0 * sm * (a * beta + g2 * t ** 2 * c * alpha)) / den,
+            12.0 * c * sm * (sm * alpha + a * t) / den)
 
 
 # ---------------------------------------------------------------------------
@@ -390,31 +348,6 @@ def steady_state_gains(p: PlantParams, d: DesignParams) -> SteadyGains:
     sigma_bS = math.sqrt(2.0 / gj) * p.sigma_bF ** 0.75 * sm ** 0.25
     return SteadyGains(K_O=np.array([k1, k2]), K_C=controller_gain(p, d),
                        sigma_zS=sigma_zS, sigma_bS=sigma_bS)
-
-
-def controller_riccati_steady(p: PlantParams, d: DesignParams) -> np.ndarray:
-    """Controller gain from reverse-time integration of the cost Riccati.
-
-    Integrates dV/dT = P + A'^T V + V A' - V B' B'^T V / q (P = diag(lam^2, 0),
-    q = 1) until stationary and returns K_C = B'^T V.  Must agree with the
-    closed form to high accuracy; kept as an independent route.
-    """
-    if not d.lam > 0:
-        raise ConfigurationError("controller_riccati_steady: lam must be positive")
-    a = p.gamma * d.J_prime
-    gb = p.gamma_b
-    lam2 = d.lam ** 2
-    horizon = 30.0 / (a * d.lam)
-    h = 0.02 / (a * d.lam)
-    steps = int(math.ceil(horizon / h))
-
-    def rhs(v1, vc, v2):
-        return (lam2 - (a * v1) ** 2,
-                a * v1 - gb * vc - a * a * v1 * vc,
-                2.0 * (a * vc - gb * v2) - (a * vc) ** 2)
-
-    v1, vc, _ = _rk4_triple(rhs, (0.0, 0.0, 0.0), np.arange(steps + 1) * h)[-1]
-    return np.array([a * v1, a * vc])
 
 
 # ---------------------------------------------------------------------------

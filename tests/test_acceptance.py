@@ -36,8 +36,7 @@ def test_criterion_01_riccati_triple_agreement():
     times = np.geomspace(1e-8, 1e-4, 25)
     rk4 = ric.riccati_at_times(CONST, PRIOR, times)
     lin = ric.linearized_riccati_curve(CONST, PRIOR, times)
-    ana_b = np.array([ric.analytic_sigma_b(CONST, PRIOR, t) for t in times])
-    ana_z = np.array([ric.analytic_sigma_z(CONST, PRIOR, t) for t in times])
+    ana_z, ana_b = np.array([ric.analytic_sigma(CONST, PRIOR, t) for t in times]).T
     worst = max(
         np.max(np.abs(rk4.sigma_bR / ana_b - 1.0)),
         np.max(np.abs(lin.sigma_bR / ana_b - 1.0)),
@@ -58,7 +57,7 @@ def test_criterion_02_transient_law():
     traj = ric.riccati_at_times(CONST, PRIOR, times)
     slope = np.polyfit(np.log10(times), np.log10(traj.sigma_bR), 1)[0]
     value = ric.riccati_at_times(CONST, PRIOR, np.array([1e-5])).sigma_bR[-1]
-    oracle = ric.analytic_sigma_b(CONST, PRIOR, 1e-5)
+    oracle = ric.analytic_sigma(CONST, PRIOR, 1e-5)[1]
     ok = abs(slope + 3.0) <= 0.05 and abs(value / 3.0e-13 - 1.0) <= 0.01
     _report(2, ok, f"log-log slope {slope:.4f} (need -3.00 +- 0.05); "
                    f"sigma_bR(1e-5) = {value:.4e} vs 3.0e-13 "
@@ -122,11 +121,11 @@ def test_criterion_04_monte_carlo_self_consistency():
 
 def test_criterion_05_factor_of_four_structure():
     t = 1e-4  # deep in t >> sigma_M / sigma_z0
-    b_finite = ric.analytic_sigma_b(CONST, (5e5, math.inf), t)
-    b_zero = ric.analytic_sigma_b(CONST, (0.0, math.inf), t)
+    b_finite = ric.analytic_sigma(CONST, (5e5, math.inf), t)[1]
+    b_zero = ric.analytic_sigma(CONST, (0.0, math.inf), t)[1]
     ratio_b = b_finite / b_zero
-    z_inf = ric.analytic_sigma_z(CONST, (5e5, math.inf), t)
-    z_zero = ric.analytic_sigma_z(CONST, (5e5, 0.0), t)
+    z_inf = ric.analytic_sigma(CONST, (5e5, math.inf), t)[0]
+    z_zero = ric.analytic_sigma(CONST, (5e5, 0.0), t)[0]
     ratio_z = z_inf / z_zero
     ok = abs(ratio_b - 4.0) < 1e-4 and abs(ratio_z - 4.0) < 1e-3
     _report(5, ok, f"field-error ratio (sigma_z0>0 vs 0) = {ratio_b:.6f}; "
@@ -178,7 +177,9 @@ def test_criterion_07_mismatch_transient_factors():
         p = PlantParams(J=f * 1e6, gamma=1e6, M=1e4)
         prior = Priors(sigma_z0=p.J / 2.0, sigma_b0=1.0)
         traj = tc.transient_error_curve(p, prior, d, t_eval)
-        factor = traj.sigma_bE[0] / ric.transient_sigma_b(p, 1e-5, J=1e6)
+        # the late-time law: both priors infinite on the design plant
+        late = ric.analytic_sigma(design_plant(p, d), (math.inf, math.inf), 1e-5)[1]
+        factor = traj.sigma_bE[0] / late
         pred = tc.mismatch_factors(f, "controlled_transient")
         devs[f] = abs(factor / pred - 1.0)
     with pytest.raises(Exception):

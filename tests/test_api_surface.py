@@ -20,8 +20,6 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "spintrack"
 ALLOWED_UNUSED = {
     "model.fluctuating_plant":
         "builds a plant from the stationary field variance, the form the paper quotes",
-    "riccati.controller_riccati_steady":
-        "independent reverse-time route that checks the closed-form controller gain",
     "numerics.trial_stream":
         "the documented per-trial stream that trial_normals and the SME records reproduce",
 }

@@ -25,6 +25,10 @@ def read_csv(path):
     return header, rows
 
 
+_STEADY_F = "f_sweep  = 0.5,0.75,1,1.25,2,10,100\n"
+_TRANSIENT_F = "f_sweep  = 0.5,0.75,1,1.25,2,10,100,1000\n"
+
+
 class TestScenarioParsing:
     def test_fixture_loads(self):
         sc = parse_scenario(str(SCENARIOS / "riccati_fluctuating.scn"))
@@ -59,6 +63,18 @@ class TestScenarioParsing:
         ("montecarlo", "montecarlo_matched.scn", "seed", "decimate = -4\nseed", "decimate"),
         ("mismatch", "mismatch_transient.scn", "t_eval   = 1e-5", "t_eval = 0", "t_eval"),
         ("mismatch", "mismatch_transient.scn", "t_eval   = 1e-5", "t_eval = -1e-5", "t_eval"),
+        ("mismatch", "mismatch_steady.scn", _STEADY_F, "f_sweep = 1,inf\n", "f_sweep"),
+        ("mismatch", "mismatch_steady.scn", _STEADY_F, "f_sweep = 1,1e308\n", "f_sweep"),
+        ("mismatch", "mismatch_transient.scn", _TRANSIENT_F, "f_sweep = 1,inf\n", "f_sweep"),
+        ("mismatch", "mismatch_transient.scn", _TRANSIENT_F, "f_sweep = 1,0\n", "f_sweep"),
+        ("mismatch", "mismatch_transient.scn", _TRANSIENT_F, "f_sweep = 1,nan\n", "f_sweep"),
+        ("bode", "bode_nominal.scn", "n_omega   = 481", "n_omega = -5", "n_omega"),
+        ("bode", "bode_nominal.scn", "n_omega   = 481", "n_omega = 0", "n_omega"),
+        ("bode", "bode_nominal.scn", "omega_min = 1e4", "omega_min = 0", "omega_min"),
+        ("bode", "bode_nominal.scn", "omega_max = 1e12", "omega_max = inf", "omega_max"),
+        ("design", "robust_design.scn", "n_omega = 600", "omega_L = 0\nn_omega = 600", "omega_L"),
+        ("design", "robust_design.scn", "n_omega = 600", "n_omega = -5", "n_omega"),
+        ("design", "robust_design.scn", "omega_1 = 8e7", "omega_1 = inf", "omega_1"),
     ])
     def test_bad_step_values_are_configuration_errors(self, tmp_path, capsys, verb, fixture,
                                                       old, new, key):
@@ -203,6 +219,16 @@ class TestCommands:
         by_f = {float(r[0]): r for r in rows}
         assert by_f[0.5][header.index("valid")] == "0"
         assert by_f[1.0][header.index("valid")] == "1"
+
+    def test_mismatch_transient_needs_a_constant_field(self, tmp_path, capsys):
+        # the late-time law the factors divide by holds for constant fields only
+        base = (SCENARIOS / "mismatch_transient.scn").read_text()
+        sc = tmp_path / "fluct.scn"
+        sc.write_text(base.replace("sigma_bF = 0\n", "sigma_bF = 2e5\n")
+                      .replace("gamma_b  = 0\n", "gamma_b  = 1e5\n"))
+        rc = run_cli(["mismatch", "--scenario", str(sc), "--out", str(tmp_path / "o.csv")])
+        assert rc == 2
+        assert "constant fields only" in capsys.readouterr().err
 
     def test_bode_report(self, tmp_path, capsys):
         out = tmp_path / "bode.csv"

@@ -9,8 +9,8 @@ from spintrack.errors import (ConfigurationError, DimensionError, DivergenceErro
                               InstabilityError, UnsupportedCaseError)
 from spintrack.model import DesignParams, PlantParams, Priors, fluctuating_plant
 from spintrack.numerics import geometric_times, ou_increment
-from spintrack.riccati import (controller_gain, exact_steady_sigma, riccati_at_times,
-                               steady_state_gains, transient_sigma_b)
+from spintrack.riccati import (analytic_sigma, controller_gain, exact_steady_sigma,
+                               riccati_at_times, steady_state_gains)
 from spintrack.lqg_filter import design_plant
 from spintrack import total_covariance as tc
 
@@ -345,7 +345,7 @@ class TestTransientCurve:
         t_eval = np.array([1e-6, 1e-5])
         traj = tc.transient_error_curve(p, prior, d, t_eval)
         for t, sb in zip(t_eval, traj.sigma_bE):
-            assert sb == pytest.approx(transient_sigma_b(p, t), rel=5e-3)
+            assert sb == pytest.approx(analytic_sigma(p, (math.inf, math.inf), t)[1], rel=5e-3)
 
     def test_reference_mismatch_point(self):
         # f = 2 at late transient: measured factor sits near (but below)
@@ -355,7 +355,8 @@ class TestTransientCurve:
         prior = Priors(sigma_z0=p.J / 2.0, sigma_b0=1.0)
         d = DesignParams(J_prime=1e6, lam=1.0)
         traj = tc.transient_error_curve(p, prior, d, np.array([1e-5]))
-        factor = traj.sigma_bE[0] / transient_sigma_b(p, 1e-5, J=1e6)
+        factor = traj.sigma_bE[0] / analytic_sigma(design_plant(p, d), (math.inf, math.inf),
+                                                   1e-5)[1]
         assert 0.3 < factor < 0.45
 
     def test_psd_throughout(self):
