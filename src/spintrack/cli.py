@@ -43,42 +43,42 @@ from .model import DesignParams, PlantParams, Priors
 from .numerics import RngStream
 from .truth_sim import simulate_open_loop
 
-_FLOAT_KEYS = {
-    "J", "gamma", "M", "eta", "gamma_b", "sigma_bF", "sigma_z0", "sigma_b0",
-    "J_prime", "lambda", "dt", "T", "t_eval", "omega_min", "omega_max",
-    "J_min", "J_max", "omega_Q", "omega_1", "omega_L",
+# every scenario key, with the parser of its value
+_PARSERS = {
+    **dict.fromkeys(("J", "gamma", "M", "eta", "gamma_b", "sigma_bF", "sigma_z0", "sigma_b0",
+                     "J_prime", "lambda", "dt", "T", "t_eval", "omega_min", "omega_max",
+                     "J_min", "J_max", "omega_Q", "omega_1", "omega_L"), float),
+    **dict.fromkeys(("seed", "trials", "n_omega", "decimate"), int),
+    **dict.fromkeys(("mode", "regime"), str),
+    "f_sweep": lambda val: [float(x) for x in val.split(",") if x.strip()],
 }
-_INT_KEYS = {"seed", "trials", "n_omega", "decimate"}
-_LIST_KEYS = {"f_sweep"}
-_STR_KEYS = {"mode", "regime"}
-_ALL_KEYS = _FLOAT_KEYS | _INT_KEYS | _LIST_KEYS | _STR_KEYS
 
 
 def parse_scenario(path: str) -> dict:
     """Load and validate a key = value scenario file."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigurationError(f"{path}: cannot read scenario file ({exc})") from exc
     values: dict = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigurationError(f"{path}:{lineno}: expected 'key = value'")
-            key, _, val = line.partition("=")
-            key = key.strip()
-            val = val.strip()
-            if key not in _ALL_KEYS:
-                raise ConfigurationError(f"{path}:{lineno}: unknown scenario key '{key}'")
-            if key in values:
-                raise ConfigurationError(f"{path}:{lineno}: duplicate key '{key}'")
-            if key in _FLOAT_KEYS:
-                values[key] = float(val)
-            elif key in _INT_KEYS:
-                values[key] = int(val)
-            elif key in _LIST_KEYS:
-                values[key] = [float(x) for x in val.split(",") if x.strip()]
-            else:
-                values[key] = val
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigurationError(f"{path}:{lineno}: expected 'key = value'")
+        key, _, val = line.partition("=")
+        key, val = key.strip(), val.strip()
+        if key not in _PARSERS:
+            raise ConfigurationError(f"{path}:{lineno}: unknown scenario key '{key}'")
+        if key in values:
+            raise ConfigurationError(f"{path}:{lineno}: duplicate key '{key}'")
+        try:
+            values[key] = _PARSERS[key](val)
+        except ValueError:
+            raise ConfigurationError(f"{path}:{lineno}: cannot parse '{val}' for scenario key "
+                                     f"'{key}'") from None
     return values
 
 
@@ -111,9 +111,7 @@ def _positive(sc: dict, *keys) -> list:
 
 
 def _fmt(x) -> str:
-    if isinstance(x, float) or isinstance(x, np.floating):
-        return "%.17g" % x
-    return str(x)
+    return "%.17g" % x if isinstance(x, (float, np.floating)) else str(x)
 
 
 def write_csv(path: str, header: list[str], columns: list[np.ndarray]):
@@ -349,35 +347,25 @@ def cmd_design(sc: dict, seed: int, out: str, workers: int) -> int:
 
 def cmd_qsme_verify(sc: dict, seed: int, out: str, workers: int) -> int:
     suites = qsme.run_all_suites(seed=seed)
-    decay = next(s for s in suites if s["name"] == "jx_decay")
-    track = next(s for s in suites if s["name"] == "variance_tracking")
-    grid = next(s for s in suites if s["name"] == "grid_vs_kalman")
-    cols_suite, cols_t, cols_val, cols_pred = [], [], [], []
-    for s, key in ((decay, "jx"), (track, "dJz2")):
-        stride = max(1, len(s["t"]) // 200)
-        for i in range(0, len(s["t"]), stride):
-            cols_suite.append(s["name"])
-            cols_t.append(s["t"][i])
-            cols_val.append(s[key][i])
-            cols_pred.append(s["predicted"][i])
+    by_name = {s["name"]: s for s in suites}
+    blocks = []   # per block of rows: the columns suite, t, value, predicted
+    for name, key in (("jx_decay", "jx"), ("variance_tracking", "dJz2")):
+        s = by_name[name]
+        rows = slice(None, None, max(1, len(s["t"]) // 200))
+        blocks.append((np.full(len(s["t"][rows]), name), s["t"][rows], s[key][rows],
+                       s["predicted"][rows]))
     # final posterior snapshot: rows are (hypothesis b, weight)
-    b_vals, weights = grid["posterior"]
-    for bv, w in zip(b_vals, weights):
-        cols_suite.append("grid_posterior")
-        cols_t.append(bv)
-        cols_val.append(w)
-        cols_pred.append(math.nan)
-    write_csv(out, ["suite", "t", "value", "predicted"],
-              [np.array(cols_suite), np.array(cols_t), np.array(cols_val), np.array(cols_pred)])
-    all_ok = True
+    b_vals, weights = by_name["grid_vs_kalman"]["posterior"]
+    blocks.append((np.full(len(b_vals), "grid_posterior"), b_vals, weights,
+                   np.full(len(b_vals), math.nan)))
+    write_csv(out, ["suite", "t", "value", "predicted"], [np.concatenate(c) for c in zip(*blocks)])
     for s in suites:
         status = "pass" if s["passed"] else "FAIL"
         detail = {k: v for k, v in s.items()
                   if isinstance(v, (int, float, bool)) and k not in ("passed",)}
         print(f"{s['name']}: {status} " +
               " ".join(f"{k}={_fmt(v)}" for k, v in detail.items()))
-        all_ok = all_ok and s["passed"]
-    return 0 if all_ok else 4
+    return 0 if all(s["passed"] for s in suites) else 4
 
 
 _COMMANDS = {

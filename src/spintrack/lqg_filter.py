@@ -15,9 +15,9 @@ Modes: ``dynamic_gain`` uses the time-dependent Riccati gain K_O(t);
 which is the filter a constant transfer function would realize.  Both
 reach the same saturation level; the frozen-gain transient is worse.
 
-One closed-loop step (plant, record, controller and filter update) is
-written once, in ``_loop_step`` with the filter update in
-``_filter_step``, as plain arithmetic with augmented assignments.  The
+One closed-loop step (the plant, whose field takes the open loop's exact
+OU step, record, controller and filter update) is written once, in
+``_loop_step`` with the filter update in ``_filter_step``.  The
 same lines run on Python floats for one trial (``run_closed_loop``,
 ``filter_record``) and in place on the trials-wide state rows of an
 ensemble (``run_ensemble``).  Float and array arithmetic round alike, so
@@ -32,7 +32,6 @@ ensemble is split across workers.
 from __future__ import annotations
 
 import math
-import warnings
 from array import array
 from dataclasses import dataclass, replace
 
@@ -42,7 +41,7 @@ from .errors import ConfigurationError, DivergenceError
 from .model import DesignParams, PlantParams, Priors
 from .numerics import RngStream, trial_normals
 from .riccati import controller_gain, integrate_estimator_riccati, steady_state_gains
-from .truth_sim import Trajectory
+from .truth_sim import Trajectory, field_step, step_count
 
 MODES = ("dynamic_gain", "steady_gain")
 TRIAL_BLOCK = 256  # trials per summation block of run_ensemble (the determinism contract)
@@ -102,11 +101,12 @@ def _filter_step(mz, mb, ydt, u, k1, k2, gjp, gb, dt):
 
 def _loop_step(z, b, mz, mb, w1, w2, k1, k2, c):
     """One closed-loop step: u = -K_C m, y dt = z dt + sqrt(sigma_M) dW2,
-    then the plant (z, b) and the filter.  w1, w2 are the scaled noises
-    sqrt(sigma_bF) dW1 and sqrt(sigma_M) dW2; c holds the constants of
-    _loop_setup.  Returns (z, b, z~, b~, u, y dt); on arrays the state rows
-    passed in are updated in place."""
-    gj, gjp, gb, kc0, kc1, dt = c
+    then the plant (Euler in z, the exact OU step b <- decay b + w1 of
+    truth_sim.field_step) and the filter.  w1, w2 are the scaled noises of
+    _scaled_noise; c holds the constants of _loop_setup.  Returns (z, b,
+    z~, b~, u, y dt); on arrays the state rows passed in are updated in
+    place."""
+    gj, gjp, gb, decay, kc0, kc1, dt = c
     u = kc0 * mz
     u += kc1 * mb
     u = -u
@@ -116,9 +116,7 @@ def _loop_step(z, b, mz, mb, w1, w2, k1, k2, c):
     dx *= gj
     dx *= dt
     z += dx
-    dx = gb * b
-    dx *= dt
-    b -= dx
+    b *= decay
     b += w1
     mz, mb = _filter_step(mz, mb, ydt, u, k1, k2, gjp, gb, dt)
     return z, b, mz, mb, u, ydt
@@ -140,38 +138,31 @@ def filter_record(p: PlantParams, k1: np.ndarray, k2: np.ndarray, ydt: np.ndarra
     return np.array(m).reshape(-1, 2)
 
 
-def _gain_arrays(p: PlantParams, prior: Priors, d: DesignParams, mode: str,
-                 dt: float, n: int):
-    """Observer gain components on the record grid, per mode."""
+def _loop_setup(p: PlantParams, prior: Priors, d: DesignParams, mode: str, dt: float, n: int):
+    """The observer gains of the mode on the grid of n steps, the constants
+    of _loop_step and the field noise amplitude."""
     if mode not in MODES:
         raise ConfigurationError(f"unknown filter mode '{mode}'; choose one of {MODES}")
     p_des = design_plant(p, d)
-    if mode == "steady_gain":
-        if not p.sigma_bF > 0:
-            raise ConfigurationError("steady_gain mode needs sigma_bF > 0 (gains undefined otherwise)")
-        g = steady_state_gains(p_des, d)
-        k1 = np.full(n + 1, g.K_O[0])
-        k2 = np.full(n + 1, g.K_O[1])
-        return k1, k2
-    cov = integrate_estimator_riccati(p_des, design_prior(d, prior), dt, n * dt)
-    return cov.gain(p_des.sigma_M)
-
-
-def _loop_setup(who: str, p: PlantParams, prior: Priors, d: DesignParams, mode: str,
-                dt: float, T: float):
-    """Step count, gain tables and the constants of _loop_step."""
-    if not (dt > 0 and T > 0):
-        raise ConfigurationError(f"{who}: dt and T must be positive")
-    n = int(round(T / dt))
-    k1, k2 = _gain_arrays(p, prior, d, mode, dt, n)
+    if mode == "dynamic_gain":
+        cov = integrate_estimator_riccati(p_des, design_prior(d, prior), dt, n * dt)
+        k1, k2 = cov.gain(p_des.sigma_M)
+    elif not p.sigma_bF > 0:
+        raise ConfigurationError("steady_gain mode needs sigma_bF > 0 (gains undefined otherwise)")
+    else:
+        k1, k2 = (np.full(n + 1, k) for k in steady_state_gains(p_des, d).K_O)
     kc0, kc1 = controller_gain(p, d)
-    return n, k1, k2, (p.gamma * p.J, p.gamma * d.J_prime, p.gamma_b,
-                       float(kc0), float(kc1), dt)
+    decay, amp = field_step(p, dt)
+    return k1, k2, (p.gamma * p.J, p.gamma * d.J_prime, p.gamma_b, decay,
+                    float(kc0), float(kc1), dt), amp
 
 
-def _scaled_noise(w: np.ndarray, p: PlantParams):
-    """Scale rows (dW1, dW2, dW1, ...) in place to the noises of _loop_step."""
-    w[0::2] *= math.sqrt(p.sigma_bF)
+def _scaled_noise(w: np.ndarray, draws: np.ndarray, amp: float, p: PlantParams, dt: float):
+    """Scale rows (xi_1, xi_2, xi_1, ...) of standard normals into w, rows
+    alike, as the noises of _loop_step: amp xi_1 for the field and
+    (xi_2 sqrt(dt)) sqrt(sigma_M) for the record."""
+    np.multiply(draws[0::2], amp, out=w[0::2])
+    np.multiply(draws[1::2], math.sqrt(dt), out=w[1::2])
     w[1::2] *= math.sqrt(p.sigma_M)
     return w
 
@@ -180,16 +171,14 @@ def run_closed_loop(p: PlantParams, prior: Priors, d: DesignParams, mode: str,
                     rng: RngStream, dt: float, T: float) -> RunResult:
     """Single closed-loop trial with u = -K_C m applied causally.
 
-    Draw layout: z(0), b(0), then (dW1, dW2) per step; the vectorized
+    Draw layout: z(0), b(0), then (field, record) per step; the vectorized
     ensemble consumes the identical layout per trial stream.  A non-finite
     state raises DivergenceError naming the first such time.
     """
-    n, k1, k2, c = _loop_setup("run_closed_loop", p, prior, d, mode, dt, T)
-    if T > 1.0 / p.M:
-        warnings.warn("run_closed_loop: T exceeds 1/M; the small-time model is not valid there",
-                      stacklevel=2)
+    n = step_count("run_closed_loop", p, dt, T)
+    k1, k2, c, amp = _loop_setup(p, prior, d, mode, dt, n)
     draws = rng.normals(2 + 2 * n)
-    w = _scaled_noise(draws[2:] * math.sqrt(dt), p).tolist()
+    w = _scaled_noise(draws[2:], draws[2:], amp, p, dt).tolist()
     x = (math.sqrt(prior.sigma_z0) * float(draws[0]),
          math.sqrt(prior.sigma_b0) * float(draws[1]), 0.0, 0.0, 0.0, 0.0)
     rows = array("d", x)     # per time: z, b, z~, b~, then u and y dt of the step before
@@ -232,7 +221,8 @@ def run_ensemble(p: PlantParams, prior: Priors, d: DesignParams, mode: str,
     """
     if trials < 1:
         raise ConfigurationError("run_ensemble: need at least one trial")
-    n, k1, k2, c = _loop_setup("run_ensemble", p, prior, d, mode, dt, T)
+    n = step_count("run_ensemble", p, dt, T)
+    k1, k2, c, amp = _loop_setup(p, prior, d, mode, dt, n)
 
     out_idx = np.arange(0, n + 1, decimate)
     if out_idx[-1] != n:
@@ -271,11 +261,10 @@ def run_ensemble(p: PlantParams, prior: Priors, d: DesignParams, mode: str,
         record(0)
         for k0 in range(0, n, step_block):
             k_end = min(k0 + step_block, n)
-            # draws 2 + 2k and 3 + 2k are (dW1_k, dW2_k); one row per draw
-            w = noise[:2 * (k_end - k0)]
-            np.multiply(trial_normals(seed, ids, 2 * (k_end - k0), start=2 + 2 * k0).T,
-                        math.sqrt(dt), out=w)
-            _scaled_noise(w, p)
+            # draws 2 + 2k and 3 + 2k are step k's (field, record) normals; one row per draw
+            w = _scaled_noise(noise[:2 * (k_end - k0)],
+                              trial_normals(seed, ids, 2 * (k_end - k0), start=2 + 2 * k0).T,
+                              amp, p, dt)
             start_state = state.copy()
             for j, k in enumerate(range(k0, k_end)):
                 step(j, k)

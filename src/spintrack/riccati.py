@@ -34,13 +34,14 @@ form K_C = [lam, 1/(1 + gamma_b/(gamma J' lam))].
 from __future__ import annotations
 
 import math
+import sys
 from array import array
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
-from .errors import ConfigurationError, InstabilityError, UnsupportedCaseError
+from .errors import ConfigurationError, InstabilityError, NumericalError, UnsupportedCaseError
 from .model import DesignParams, PlantParams, Priors, build_system
 from .numerics import geometric_times, mat_expm, stable_expm2
 
@@ -289,12 +290,13 @@ def analytic_sigma(p: PlantParams, prior, t: float) -> tuple[float, float]:
         sigma_zR = 4 sm (g2 c a t^3 + 3 sm (a beta + g2 t^2 c alpha)) / D
         D = 12 sm^2 alpha beta + g2 c a t^4 + 4 sm (3 a t beta + g2 t^3 c alpha)
 
-    (g2 = gamma^2 J^2, sm = sigma_M).  D > 0 at every t > 0 (in floats,
-    while g2 t^4 does not underflow), so the one expression holds for every
-    zero and infinite prior; t = 0 returns the prior.  Both priors infinite
-    give the late-time law sigma_bR = 12 sm / (g2 t^3), the scaling a
-    least-squares line fit to the record achieves.  Fluctuating-field
-    parameters are rejected.
+    (g2 = gamma^2 J^2, sm = sigma_M).  D > 0 at every t > 0, so the one
+    expression holds for every zero and infinite prior; t = 0 returns the
+    prior.  A t at which t^4 or D is not a normal float (t < 1.2e-77, or D
+    overflowing) would cost precision, so NumericalError names it.  Both
+    priors infinite give the late-time law sigma_bR = 12 sm / (g2 t^3), the
+    scaling a least-squares line fit to the record achieves.
+    Fluctuating-field parameters are rejected.
     """
     if not _is_constant_field(p):
         raise UnsupportedCaseError(
@@ -306,8 +308,15 @@ def analytic_sigma(p: PlantParams, prior, t: float) -> tuple[float, float]:
     c, beta = (1.0, 0.0) if math.isinf(sb0) else (sb0, 1.0)
     sm = p.sigma_M
     g2 = (p.gamma * p.J) ** 2
-    den = (12.0 * sm ** 2 * (alpha * beta) + g2 * c * a * t ** 4
-           + 4.0 * sm * (3.0 * a * t * beta + g2 * t ** 3 * c * alpha))
+    try:
+        t4 = t ** 4
+        den = (12.0 * sm ** 2 * (alpha * beta) + g2 * c * a * t4
+               + 4.0 * sm * (3.0 * a * t * beta + g2 * t ** 3 * c * alpha))
+    except OverflowError:
+        t4 = den = math.inf
+    if not (sys.float_info.min <= t4 < math.inf and sys.float_info.min <= den < math.inf):
+        raise NumericalError(f"analytic_sigma: t^4 = {t4:.3g} and denominator {den:.3g} "
+                             f"are not both normal floats at t = {t:.6e}")
     return (4.0 * sm * (g2 * c * a * t ** 3 + 3.0 * sm * (a * beta + g2 * t ** 2 * c * alpha)) / den,
             12.0 * c * sm * (sm * alpha + a * t) / den)
 

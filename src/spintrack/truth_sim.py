@@ -10,7 +10,8 @@ and the field follows db = -gamma_b b dt + sqrt(sigma_bF) dW1.  Initial
 conditions are drawn from the priors: z(0) ~ N(0, sigma_z0) (the quantum
 coherent-state variance), b(0) ~ N(0, sigma_b0).  The model holds for
 t << 1/M, before measurement-induced damping of the spin length matters;
-simulating past 1/M triggers a warning, not an error.
+``step_count``, which every truth run calls, warns past 1/M.  Every truth
+run steps z by Euler and the field by the exact OU step of ``field_step``.
 
 ``simulate_open_loop`` is the one open-loop (u = 0) simulator: field path,
 spin ramp and record from one stream.  Closed-loop runs step the same
@@ -55,6 +56,26 @@ class Trajectory:
         return len(self.t) - 1
 
 
+def step_count(who: str, p: PlantParams, dt: float, T: float) -> int:
+    """Steps round(T / dt) of truth run ``who``; checks dt, T and warns past 1/M."""
+    if not (dt > 0 and T > 0):
+        raise ConfigurationError(f"{who}: dt and T must be positive")
+    if T > 1.0 / p.M:
+        warnings.warn(f"{who}: T exceeds 1/M; the small-time model is not valid there",
+                      stacklevel=3)
+    return int(round(T / dt))
+
+
+def field_step(p: PlantParams, dt: float) -> tuple[float, float]:
+    """(decay, amp) of the exact OU step b <- decay b + amp xi, xi ~ N(0, 1):
+    decay = exp(-gamma_b dt), amp^2 = sigma_bF (1 - decay^2) / (2 gamma_b),
+    and (1, sqrt(sigma_bF dt)) at gamma_b = 0."""
+    if p.gamma_b == 0.0:
+        return 1.0, math.sqrt(p.sigma_bF * dt)
+    return (math.exp(-p.gamma_b * dt),
+            math.sqrt(p.sigma_bF * -math.expm1(-2.0 * p.gamma_b * dt) / (2.0 * p.gamma_b)))
+
+
 def simulate_open_loop(p: PlantParams, prior: Priors, rng: RngStream, dt: float, T: float) -> Trajectory:
     """Open-loop truth run (u = 0): field path, spin ramp and measurement
     record on the grid t[k] = k dt, k = 0 .. round(T / dt).
@@ -62,20 +83,12 @@ def simulate_open_loop(p: PlantParams, prior: Priors, rng: RngStream, dt: float,
     Draw layout on ``rng``: b(0), then one field increment per step, then
     z(0), then one measurement increment per step.
     """
-    if dt <= 0 or T <= 0:
-        raise ConfigurationError("simulate_open_loop: dt and T must be positive")
-    if dt * p.gamma_b >= 0.1:
-        raise ConfigurationError(
-            f"simulate_open_loop: dt * gamma_b = {dt * p.gamma_b:.3g} >= 0.1; reduce dt")
-    if T > 1.0 / p.M:
-        warnings.warn("simulate_open_loop: T exceeds 1/M; the small-time model is not valid there",
-                      stacklevel=2)
-    n = int(round(T / dt))
+    n = step_count("simulate_open_loop", p, dt, T)
+    decay, amp = field_step(p, dt)
     draws = rng.normals(2 + 2 * n)
     x, w = draws[:1 + n], draws[1 + n:]
     x[0] *= math.sqrt(prior.sigma_b0)
-    x[1:] *= math.sqrt(p.sigma_bF * dt)
-    decay = 1.0 - p.gamma_b * dt
+    x[1:] *= amp
     # b[k+1] = decay b[k] + x[k+1] on Python floats: the bits of an
     # elementwise loop at a fraction of its cost
     b = np.array(list(accumulate(x.tolist(), lambda bk, xk: decay * bk + xk)))

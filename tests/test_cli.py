@@ -86,6 +86,28 @@ class TestScenarioParsing:
         assert rc == 2
         assert f"'{key}'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("verb, fixture, old, new, key", [
+        ("montecarlo", "montecarlo_matched.scn", "trials   = 2000", "trials   = 2e3", "trials"),
+        ("simulate", "constant_field_tables.scn", "J        = 1e6", "J        = abc", "J"),
+        ("mismatch", "mismatch_steady.scn", _STEADY_F, "f_sweep  = 1,x\n", "f_sweep"),
+    ])
+    def test_unparsed_values_name_the_line(self, tmp_path, capsys, verb, fixture, old, new, key):
+        base = (SCENARIOS / fixture).read_text()
+        assert old in base
+        lineno = base[:base.index(old)].count("\n") + 1
+        sc = tmp_path / "bad.scn"
+        sc.write_text(base.replace(old, new))
+        rc = run_cli([verb, "--scenario", str(sc), "--out", str(tmp_path / "o.csv")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"{sc}:{lineno}:" in err and f"'{key}'" in err
+
+    def test_missing_scenario_file(self, tmp_path, capsys):
+        missing = tmp_path / "absent.scn"
+        rc = run_cli(["simulate", "--scenario", str(missing), "--out", str(tmp_path / "o.csv")])
+        assert rc == 2
+        assert f"{missing}: cannot read scenario file" in capsys.readouterr().err
+
     def test_invalid_physics_rejected_at_build(self, tmp_path):
         f = tmp_path / "p.scn"
         f.write_text("J = 1e6\ngamma = 1e6\nM = 1e4\neta = 2\ndt = 1e-9\nT = 1e-7\n")
@@ -229,6 +251,15 @@ class TestCommands:
         rc = run_cli(["mismatch", "--scenario", str(sc), "--out", str(tmp_path / "o.csv")])
         assert rc == 2
         assert "constant fields only" in capsys.readouterr().err
+
+    def test_mismatch_time_out_of_float_range_is_numerical_error(self, tmp_path, capsys):
+        # t_eval^4 underflows, so the late-time law has no normal denominator
+        base = (SCENARIOS / "mismatch_transient.scn").read_text()
+        sc = tmp_path / "tiny_t.scn"
+        sc.write_text(base.replace("t_eval   = 1e-5", "t_eval   = 1e-90"))
+        rc = run_cli(["mismatch", "--scenario", str(sc), "--out", str(tmp_path / "o.csv")])
+        assert rc == 3
+        assert "at t = 1.000000e-90" in capsys.readouterr().err
 
     def test_bode_report(self, tmp_path, capsys):
         out = tmp_path / "bode.csv"

@@ -12,7 +12,7 @@ from spintrack.lqg_filter import (MODES, TRIAL_BLOCK, design_plant, design_prior
                                   run_closed_loop, run_ensemble, run_open_loop_linefit,
                                   summarize_ensemble)
 from spintrack.riccati import riccati_at_times
-from spintrack.truth_sim import simulate_open_loop
+from spintrack.truth_sim import field_step, simulate_open_loop
 
 FLUCT = fluctuating_plant(J=1e6, gamma=1e6, M=1e4, gamma_b=1e5, sigma_bfree=1.0)
 PRIOR = Priors(sigma_z0=5e5, sigma_b0=1.0)
@@ -96,10 +96,38 @@ class TestClosedLoop:
     @pytest.mark.parametrize("dt, T", [(0.0, 1e-9), (-5e-12, 1e-9), (5e-12, 0.0),
                                        (math.nan, 1e-9)])
     def test_nonpositive_step_or_horizon_rejected(self, dt, T):
+        # one check serves every truth run, the open loop included
+        with pytest.raises(ConfigurationError, match="simulate_open_loop: dt and T must be"):
+            simulate_open_loop(FLUCT, PRIOR, RngStream(0), dt, T)
         with pytest.raises(ConfigurationError, match="dt and T must be positive"):
             run_closed_loop(FLUCT, PRIOR, MATCHED, "dynamic_gain", RngStream(0), dt, T)
         with pytest.raises(ConfigurationError, match="dt and T must be positive"):
             run_ensemble(FLUCT, PRIOR, MATCHED, "dynamic_gain", 0, 4, dt, T)
+
+    def test_long_horizon_warns(self):
+        # past 1/M = 1e-9 s every closed-loop run warns, at its caller's line
+        p = replace(FLUCT, M=1e9)
+        runs = (lambda: run_closed_loop(p, PRIOR, MATCHED, "dynamic_gain", RngStream(0),
+                                        5e-12, 2e-9),
+                lambda: run_ensemble(p, PRIOR, MATCHED, "dynamic_gain", 0, 4, 5e-12, 2e-9))
+        for run in runs:
+            with pytest.warns(UserWarning, match="T exceeds 1/M") as record:
+                run()
+            assert record[0].filename == __file__
+
+    @pytest.mark.parametrize("p", [FLUCT, replace(FLUCT, gamma_b=0.0),
+                                   replace(FLUCT, gamma_b=2e11)])
+    def test_field_column_is_the_exact_step(self, p):
+        # b[k+1] = decay b[k] + amp xi_k with xi_k at position 2 + 2k of the
+        # trial's stream, the same step as the open loop's (gamma_b dt = 1 last)
+        dt, n = 5e-12, 40
+        res = run_closed_loop(p, PRIOR, MATCHED, "dynamic_gain", RngStream(3), dt, n * dt)
+        decay, amp = field_step(p, dt)
+        draws = RngStream(3).normals(2 + 2 * n)
+        b = [math.sqrt(PRIOR.sigma_b0) * draws[1]]
+        for k in range(n):
+            b.append(decay * b[k] + amp * draws[2 + 2 * k])
+        assert np.array_equal(res.trajectory.b, np.array(b))
 
     @settings(max_examples=40, deadline=None)
     @given(f=st.floats(0.5, 2.0), lam=st.one_of(st.just(0.0), st.floats(1e-4, 0.1)),

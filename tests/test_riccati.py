@@ -1,11 +1,12 @@
 import math
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from spintrack.errors import ConfigurationError, UnsupportedCaseError
+from spintrack.errors import ConfigurationError, NumericalError, UnsupportedCaseError
 from spintrack.model import DesignParams, PlantParams, Priors, fluctuating_plant
 from spintrack import cli, riccati as ric
 
@@ -130,6 +131,19 @@ class TestAnalyticForms:
     def test_fluctuating_field_rejected(self):
         with pytest.raises(UnsupportedCaseError):
             ric.analytic_sigma(FLUCT, PRIOR, 1e-5)
+
+    @pytest.mark.parametrize("t", [1e-75, 1e-70, 1e70])
+    def test_extreme_times_keep_their_value(self, t):
+        # t^4 and D stay normal floats: the late-time law to rounding
+        law = 12.0 * CONST.sigma_M / ((CONST.gamma * CONST.J) ** 2 * t ** 3)
+        assert ric.analytic_sigma(CONST, INF, t)[1] == pytest.approx(law, rel=1e-14)
+
+    @pytest.mark.parametrize("t", [1e-80, 1e-81, 1e75, 1e80, 1e110])
+    def test_times_out_of_float_range_raise(self, t):
+        # 1e-80: subnormal t^4 (off by 1e-5); 1e-81: D = 0; 1e75: D = inf
+        # (the result read 0.0); 1e80, 1e110: t ** 4, t ** 3 overflow
+        with pytest.raises(NumericalError, match=re.escape(f"at t = {t:.6e}")):
+            ric.analytic_sigma(CONST, INF, t)
 
     @settings(max_examples=300, deadline=None)
     @given(j=st.floats(0.0, 8.0), gamma=st.floats(2.0, 8.0), m=st.floats(0.0, 6.0),

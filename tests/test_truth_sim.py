@@ -3,10 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from spintrack.errors import ConfigurationError
 from spintrack.model import PlantParams, Priors, fluctuating_plant
 from spintrack.numerics import RngStream, trial_normals, trial_stream
-from spintrack.truth_sim import simulate_open_loop
+from spintrack.truth_sim import field_step, simulate_open_loop
 
 
 class _FirstDraw:
@@ -42,11 +41,6 @@ class TestSimulateField:
         assert np.all(b == b[0])
         assert b[0] != 0.0
 
-    def test_step_guard(self):
-        p = PlantParams(J=1.0, gamma=1.0, M=1.0, gamma_b=1e3, sigma_bF=1.0)
-        with pytest.raises(ConfigurationError):
-            simulate_open_loop(p, Priors(1.0, 0.0), RngStream(1), 1e-3, 0.1)
-
     def test_stationary_variance(self):
         # OU at stationarity: Var[b(T)] -> sigma_bF / (2 gamma_b) = 1
         p = fluctuating_plant(J=1e6, gamma=1e6, M=1e4, gamma_b=1e5, sigma_bfree=1.0)
@@ -54,8 +48,15 @@ class TestSimulateField:
         b = _final_fields(p, Priors(1.0, 1.0), 21, trials, 1e-7, 5e-5)
         var = b.var(ddof=1)
         se = math.sqrt(2.0 / trials)
-        # small positive Euler bias ~ gamma_b dt / 2 = 0.5% is inside the band
         assert abs(var - 1.0) < 3.0 * se + 0.01
+
+    def test_stationary_variance_at_unit_step(self):
+        # the exact OU step keeps sigma_bF / (2 gamma_b) = 1 at gamma_b dt = 1,
+        # where an Euler step would give sigma_bF / (gamma_b (2 - gamma_b dt)) = 2
+        p = fluctuating_plant(J=1e6, gamma=1e6, M=1e4, gamma_b=1e5, sigma_bfree=1.0)
+        trials = 10_000
+        b = _final_fields(p, Priors(1.0, 1.0), 21, trials, 1e-5, 5e-5)
+        assert abs(b.var(ddof=1) - 1.0) < 3.0 * math.sqrt(2.0 / trials)
 
     def test_wiener_growth_without_damping(self):
         p = PlantParams(J=1.0, gamma=1.0, M=1.0, gamma_b=0.0, sigma_bF=1.0)
@@ -69,7 +70,7 @@ class TestSimulateField:
         # draw layout b(0), then one increment per step, on each trial stream
         p = fluctuating_plant(J=1.0, gamma=1.0, M=1.0, gamma_b=10.0, sigma_bfree=2.0)
         draws = trial_normals(9, np.arange(3), 21)
-        decay, amp = 1.0 - p.gamma_b * 1e-3, math.sqrt(p.sigma_bF * 1e-3)
+        decay, amp = field_step(p, 1e-3)
         mat = np.empty((3, 21))
         mat[:, 0] = draws[:, 0]
         for k in range(20):
