@@ -3,49 +3,61 @@
 A spin of magnitude J is monitored continuously in Jz while a total field
 h = b + u rotates it about y.  Under efficient measurement (eta = 1) a
 pure state stays pure, and in the Jz eigenbasis it is a real vector psi of
-length 2J+1.  It obeys the Ito stochastic Schroedinger equation
+length 2J+1.  Given the record y dt = <Jz> dt + sqrt(sigma_M) dWbar,
+sigma_M = 1/(4 M), its unnormalized form obeys the linear equation
 
-    d psi = [(gamma h / 2) K^T dt - (M/2) (Jz - <Jz>)^2 dt
-             + sqrt(M) (Jz - <Jz>) dWbar] psi,        then normalize,
+    d psi = [(gamma h / 2) K^T dt - (M/2) Jz^2 dt + 2 M Jz y dt] psi,
 
-with the record y dt = <Jz> dt + sqrt(sigma_M) dWbar, sigma_M = 1/(4 M).
-Here Jy = iK/2, where K is real, antisymmetric and tridiagonal with
-K[i+1, i] = amp[i] = -K[i, i+1] from the ladder amplitudes;
-spin_operators builds it once and SpinOperators carries it, so on a row
-stack of states the field term is one product, psi @ K.  The Ito
-product of the back-action terms reproduces the measurement dissipator
-M (Jz rho Jz - {Jz^2, rho}/2) of the master equation for rho = psi psi^T,
-which is therefore positive semidefinite by construction.
+and the squared norm it accumulates is the likelihood of the record
+(Gambetta & Wiseman, PRA 64, 042105 (2001)); normalized, it is the Ito
+stochastic Schroedinger equation.  Here Jy = iK/2, where K is real,
+antisymmetric and tridiagonal with K[i+1, i] = amp[i] = -K[i, i+1] from
+the ladder amplitudes; spin_operators builds it once and SpinOperators
+carries it.  rho = psi psi^T is positive semidefinite by construction.
 
-One kernel, ``StateStack.step``, steps a (rows, dim) stack of such
-states in place for the Bayes grid and the trajectory simulator; the
-stack is set up once per run (guards, constants, buffers) and rejects
-eta != 1, where a conditioned state is mixed.  Its update order: the
-measurement term in one temporary, f = ((M dt/2) dz - sqrt(M) dWbar) dz
-psi with dz = Jz - <Jz>, then psi - f; the field term psi @ K scaled by
-gamma dt h / 2 and added (skipped when every h is 0); then an in-place
-normalization, whose squared norms are checked once per block of steps.
-sme_step is the unconditional (eta = 0) zero-field equation, pure
-dephasing, on the first superdiagonal of rho that <Jx> reads.  Both
-enforce dt M (2J+1) < 0.5, and a step that fails is named by its time.
+One kernel, ``StateStack.step``, advances a stack of such states by dt on
+the record increments ydt, one per record, for the Bayes grid and the
+trajectory simulator alike.  It is the Kraus map of Rouchon & Ralph
+(PRA 91, 012118 (2015)), in this order per row:
+
+1. measure: psi_m <- psi_m exp(2 M m ydt - M m^2 dt), the exact step of
+   the measurement part, which is diagonal in Jz.  Its exponent is
+   shifted by M ydt^2 / dt, one constant per record, which turns the
+   factor into the Gaussian kernel exp(-M (ydt - m dt)^2 / dt) <= 1;
+2. record |psi|^2, the likelihood of ydt under the row's state up to
+   that record's constant;
+3. normalize;
+4. rotate: psi <- psi exp(gamma h dt K / 2), the exact step of the field
+   part, one orthogonal matrix per field, built once per run.
+
+Steps 3 and 4 run as one pass, rotation first: dividing by the norm
+commutes with an orthogonal map.  Only the splitting of the two parts
+costs accuracy (first order in dt), so at h = 0 the step is exact at any
+dt.  The guard dt M (2J+1) < 0.5, which the Ito-Euler form needed, is
+kept as a bound on the step size.  The stack is set up once per run
+(guard, eta check, rotations, buffers) and rejects eta != 1, where a
+conditioned state is mixed.  sme_step is the unconditional (eta = 0)
+zero-field equation, pure dephasing, on the first superdiagonal of rho
+that <Jx> reads.  A step that fails is named by its time.
 
 Field estimation with unknown constant b keeps one conditioned state per
-field hypothesis, all filtered against the same physical record: the
-hypothesis innovation is dWbar_b = 2 sqrt(M) (y dt - <Jz>_b dt).  The
+field hypothesis, all conditioned on the same physical record.  The
 records are simulated in the same stack: each record contributes one
-truth row in the true field, which emits y dt, followed by its
-hypothesis rows, and every row of every record takes one step of the
-stack per time, the time loop's only state work.  Given its own record, a
-truth row's innovation 2 sqrt(M) (y dt - <Jz> dt) is its raw sqrt(dt) xi
-up to rounding, since sigma_M = 1/(4 M).
+truth row in the true field, which emits y dt = <Jz> dt + sqrt(sigma_M)
+dWbar before each step, and its hypothesis rows; every row of every
+record takes one step of the stack per time, the time loop's only state
+work.  The conditioned states never read the posterior weights: the
+squared norms that step k records for a hypothesis are its likelihood
+factor of ydt[k], so after the loop one pass, bayes_grid_update, sums
+their logs over time from the log prior and normalizes the weights of
+every record at every time, where the constant per record cancels.
 
-The conditioned states never read the posterior weights: a hypothesis's
-unnormalized weight is its likelihood of the record, the product over
-steps of the factors 1 + 4 M eta <Jz>_b y dt of d pbar = 4 M eta <Jz>_b
-pbar y dt (Gambetta & Wiseman, PRA 64, 042105).  So the loop stores the
-<Jz> history, and after it one pass, bayes_grid_update, sums the logs of
-the factors (clamped at 0) over time and normalizes the weights of every
-record at every time.
+The Bayes-grid suites step at 4 times the step of their draws:
+grid_filter_records sums _DRAWS_PER_STEP = 4 consecutive draws of
+trial_stream(seed, r) into each record increment, so its records lie on
+the Brownian path that those draws lay out at dt / 4, and the declared
+coarse steps (two_point 2e-8, grid_kalman 1e-8) move the results by
+their discretization error only.
 
 This module exists at desk scale (J up to about 50) to validate the
 Gaussian/Kalman reduction used everywhere else:
@@ -70,7 +82,7 @@ import numpy as np
 from .errors import ConfigurationError, InstabilityError, NumericalError, UnsupportedCaseError
 from .lqg_filter import filter_record, run_open_loop_linefit
 from .model import PlantParams, Priors
-from .numerics import trial_normals
+from .numerics import mat_expm, trial_normals
 from .riccati import linearized_riccati_curve
 
 
@@ -128,81 +140,75 @@ _NORM_BLOCK = 128   # steps between two checks of the recorded norms
 
 
 class StateStack:
-    """A (rows, dim) stack of conditioned states, row i in the field
-    b_values[i], and the one Ito-Euler step of the stochastic Schroedinger
-    equation that advances them all together.
+    """Conditioned states in fixed fields, advanced together by the Kraus
+    map of the module docstring.
 
-    What stays fixed over a run is set up here once: the step guard and the
-    eta check, the constants M dt / 2, sqrt(M) and gamma dt b / 2 per row,
-    whether any field is nonzero, and the buffers, so a step allocates
-    nothing.  step() overwrites psi with its normalized successor and
-    prob, jz with the successor's psi^2 and <Jz>.  The squared norms are
-    recorded rather than tested per step: check() raises InstabilityError,
-    naming the first step whose norm was not positive and finite, and runs
-    by itself every _NORM_BLOCK steps; a run calls it once more at its end.
-    A failed row stays non-finite until then.
+    psi is a (groups, records, dim) stack, every state coherent along x at
+    the start: group g holds one state per record in the field fields[g],
+    and every row of record r is conditioned on the record's increment
+    ydt[r].  b_values is the field of each row, group by group.
+
+    What stays fixed over a run is set up here once: the step guard and
+    the eta check, the rotation of each field (none when every field is
+    0), and the buffers, so a step allocates nothing.  Step k overwrites
+    psi with its normalized successor and norms[k] with the squared norms
+    of the measured states.  The norms are checked in blocks rather than
+    per step: check() raises InstabilityError, naming the first step whose
+    norm was not positive and finite, and runs by itself every
+    _NORM_BLOCK steps; a run calls it once more at its end.  A failed row
+    stays non-finite until then.
     """
 
-    def __init__(self, ops: SpinOperators, p: PlantParams, dt: float, b_values: np.ndarray,
-                 psi: np.ndarray):
+    def __init__(self, ops: SpinOperators, p: PlantParams, dt: float, fields: np.ndarray,
+                 records: int, n: int):
         _check_step(ops, p, dt)
         if p.eta != 1.0:
             raise UnsupportedCaseError("SSE step: a conditioned state is pure only at eta = 1, "
                                        f"got eta = {p.eta}")
-        rows, dim = psi.shape
-        self.b_values, self.ops, self.dt = b_values, ops, dt
-        self.sqrt_m = math.sqrt(p.M)
-        self._half_mdt = 0.5 * p.M * dt
-        # gamma b K psi dt / 2; the sign makes a positive field drive <Jz>
-        # upward, matching the state-space convention dz = +gamma J h dt
-        self._rot = (0.5 * p.gamma * dt) * b_values[:, None] if np.count_nonzero(b_values) else None
-        self.psi, self.prob, self.jz = psi, np.empty_like(psi), np.empty(rows)
-        self._read_jz()
-        self._jz_col = self.jz[:, None]
-        self._dz, self._f, self._kpsi = np.empty((3, rows, dim))
-        self._sdw, self._scale = np.empty((2, rows))
-        self._sdw_col, self._scale_col = self._sdw[:, None], self._scale[:, None]
-        self._norms = np.empty((_NORM_BLOCK, rows))
-        self._steps = self._recorded = 0
+        fields = np.asarray(fields, dtype=np.float64)
+        self.dt = dt
+        self.b_values = np.repeat(fields, records)
+        self.psi = np.tile(coherent_state_x(ops.J), (len(fields), records, 1))
+        self.norms = np.empty((n, len(fields), records))
+        self._mdt, self._gain = ops.mz * dt, -p.M / dt
+        # psi @ exp(gamma h dt K / 2); the sign makes a positive field drive
+        # <Jz> upward, matching the state-space convention dz = +gamma J h dt
+        self._rot = (mat_expm((0.5 * p.gamma * dt) * fields[:, None, None] * ops.K)
+                     if np.count_nonzero(fields) else None)
+        self._f = np.empty((records, ops.dim))
+        self._rotated = np.empty_like(self.psi)
+        self._scale = np.empty((len(fields), records))
+        self._scale_col = self._scale[:, :, None]
+        self._steps = self._checked = 0
 
-    def step(self, dwbar: np.ndarray) -> None:
-        """One step on the sqrt(dt)-scaled Wiener increments dwbar, one per
-        row, in the update order of the module docstring."""
+    def step(self, ydt: np.ndarray) -> None:
+        """One step on the record increments ydt, one per record, in the
+        update order of the module docstring."""
+        f = np.subtract.outer(ydt, self._mdt, out=self._f)
+        f *= f
+        f *= self._gain
+        np.exp(f, out=f)
         psi = self.psi
-        if self._rot is not None:
-            kpsi = np.matmul(psi, self.ops.K, out=self._kpsi)
-            kpsi *= self._rot
-        dz = np.subtract(self.ops.mz, self._jz_col, out=self._dz)
-        f = np.multiply(dz, self._half_mdt, out=self._f)
-        np.multiply(dwbar, self.sqrt_m, out=self._sdw)
-        f -= self._sdw_col
-        f *= dz
-        f *= psi
-        psi -= f
-        if self._rot is not None:
-            psi += kpsi
-        norm2 = np.einsum("bi,bi->b", psi, psi, out=self._norms[self._recorded])
+        psi *= f
+        norm2 = np.einsum("gri,gri->gr", psi, psi, out=self.norms[self._steps])
         np.sqrt(norm2, out=self._scale)
-        psi /= self._scale_col
-        self._read_jz()
+        if self._rot is None:
+            psi /= self._scale_col
+        else:
+            np.divide(np.matmul(psi, self._rot, out=self._rotated), self._scale_col, out=psi)
         self._steps += 1
-        self._recorded += 1
-        if self._recorded == _NORM_BLOCK:
+        if self._steps - self._checked == _NORM_BLOCK:
             self.check()
-
-    def _read_jz(self) -> None:
-        np.matmul(np.multiply(self.psi, self.psi, out=self.prob), self.ops.mz, out=self.jz)
 
     def check(self) -> None:
         """Raise InstabilityError if a step since the last check left a
         norm that is not positive and finite, naming the first such step."""
-        norms = self._norms[:self._recorded]
-        ok = np.all((norms > 0.0) & (norms < math.inf), axis=1)
+        norms = self.norms[self._checked:self._steps]
+        ok = np.all((norms > 0.0) & (norms < math.inf), axis=(1, 2))
         if not ok.all():
-            k = self._steps - self._recorded + int(np.argmin(ok))
-            raise _at_time(InstabilityError(
-                "SSE step: state norm is not positive and finite; reduce the step"), k, self.dt)
-        self._recorded = 0
+            raise _at_time(InstabilityError("SSE step: state norm is not positive and finite"),
+                           self._checked + int(np.argmin(ok)), self.dt)
+        self._checked = self._steps
 
 
 def sme_step(coh: np.ndarray, ops: SpinOperators, p: PlantParams, dt: float) -> np.ndarray:
@@ -217,29 +223,24 @@ def sme_step(coh: np.ndarray, ops: SpinOperators, p: PlantParams, dt: float) -> 
     return coh
 
 
+def _read_jz(psi: np.ndarray, mz: np.ndarray, prob: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """<Jz> of each row of a (rows, dim) stack into out, psi^2 into prob."""
+    return np.matmul(np.multiply(psi, psi, out=prob), mz, out=out)
+
+
 # ---------------------------------------------------------------------------
 # gridded Bayesian field estimation
 # ---------------------------------------------------------------------------
 
 class FieldGrid(StateStack):
-    """The stacked rows of a Bayes-grid run.
-
-    Each record owns 1 + H consecutive rows: its truth state in the true
-    field b, then one conditioned state per field hypothesis, all coherent
-    along x at the start.  jz, read once per step, serves the record, the
-    stored history and the innovations alike; jz_by_record and
-    dwbar_by_record view it and the innovation buffer as
-    (records, 1 + H), over which each record's increment broadcasts.
-    """
+    """The stacked rows of a Bayes-grid run over n steps: group 0 holds
+    every record's truth state in the true field b, group 1 + j its state
+    in hypothesis j, so each record owns 1 + H rows and the rows of one
+    field share its rotation."""
 
     def __init__(self, ops: SpinOperators, p: PlantParams, dt: float, b: float,
-                 hypotheses: np.ndarray, records: int):
-        b_values = np.tile(np.concatenate(([b], hypotheses)), records)
-        super().__init__(ops, p, dt, b_values,
-                         np.tile(coherent_state_x(ops.J), (len(b_values), 1)))
-        self.jz_by_record = self.jz.reshape(records, -1)
-        self.dwbar = np.empty_like(self.jz)
-        self.dwbar_by_record = self.dwbar.reshape(records, -1)
+                 hypotheses: np.ndarray, records: int, n: int):
+        super().__init__(ops, p, dt, np.concatenate(([b], hypotheses)), records, n)
 
 
 def _gaussian_hypotheses(sigma_b0: float, points: int):
@@ -253,26 +254,22 @@ def _gaussian_hypotheses(sigma_b0: float, points: int):
     return b_values, w / w.sum()
 
 
-def bayes_grid_update(jz: np.ndarray, ydt: np.ndarray, weights: np.ndarray, p: PlantParams,
-                      dt: float) -> np.ndarray:
+def bayes_grid_update(norms: np.ndarray, weights: np.ndarray, dt: float) -> np.ndarray:
     """The posterior weights of every record after every step.
 
-    jz is the hypotheses' <Jz> history (n, records, H), read before each
-    step, ydt the records (n, records) and weights the prior (H,).  Step
-    k multiplies pbar_b by 1 + 4 M eta <Jz>_b ydt[k], clamped at 0; the
-    products are summed as logs over time, from the log prior, and
+    norms (n, records, H) are the squared norms that each step recorded
+    for the hypothesis rows, the likelihood factors of the record up to
+    one constant per record and step; weights is the prior (H,).  The log
+    weights are the cumulative sums of log norms from the log prior,
     shifted by their maximum at each time before exp, so no weight
     overflows.  Returns the normalized weights (n + 1, records, H), row 0
     the prior.  A record whose weights all vanish or turn non-finite
     raises NumericalError naming the first such step.
     """
-    n, records, hyps = jz.shape
+    n, records, hyps = norms.shape
     logw = np.empty((n + 1, records, hyps))
-    f = np.multiply(jz, (4.0 * p.M * p.eta * ydt)[:, :, None], out=logw[1:])
-    f += 1.0
-    np.maximum(f, 0.0, out=f)
     with np.errstate(divide="ignore", invalid="ignore"):
-        np.log(f, out=f)
+        np.log(norms, out=logw[1:])
         logw[0] = np.log(weights)
         np.cumsum(logw, axis=0, out=logw)
         # a record with no finite maximum turns NaN here
@@ -288,52 +285,47 @@ def bayes_grid_update(jz: np.ndarray, ydt: np.ndarray, weights: np.ndarray, p: P
 
 
 def propagate_grid(grid: FieldGrid, ydt: np.ndarray) -> None:
-    """Condition every row on its record's increment, ydt (records, 1):
-    the innovations 2 sqrt(M) (ydt - <Jz> dt), then one step of the whole
-    stack, in place."""
-    dwbar = np.multiply(grid.jz_by_record, grid.dt, out=grid.dwbar_by_record)
-    np.subtract(ydt, dwbar, out=dwbar)
-    dwbar *= 2.0 * grid.sqrt_m
-    grid.step(grid.dwbar)
+    """Condition every row on its record's increment, ydt (records,): one
+    step of the whole stack, in place.  The grid's one call per time step,
+    which the benchmark traces and counts rows by."""
+    grid.step(ydt)
+
+
+_DRAWS_PER_STEP = 4   # fine draws summed into one record increment of a grid run
 
 
 def grid_filter_records(ops: SpinOperators, p: PlantParams, b: float, hypotheses: np.ndarray,
                         weights: np.ndarray, seed: int, records: int, dt: float, n: int):
     """Simulate records in the true field b and filter each on a Bayes grid
     over the field hypotheses with prior weights, all rows in one stack
-    stepped together; record r draws from trial_stream(seed, r) in the
-    layout of simulate_ramp_ensemble.  The time loop steps the states and
-    stores every row's <Jz>; one bayes_grid_update after it gives the
-    posterior at every time.
+    stepped together.  Record r draws _DRAWS_PER_STEP * n normals from
+    trial_stream(seed, r), the layout of simulate_ramp_ensemble at step
+    dt / _DRAWS_PER_STEP, and sums each run of _DRAWS_PER_STEP into the
+    noise of one step.  The time loop steps the states; one
+    bayes_grid_update after it gives the posterior at every time.
 
     Returns (ydts, walks, means, weights): the records (records, n), the
     truth <Jz> walks (records, n + 1), the posterior means
     (records, n + 1) and the final weights (records, H).
     """
     _require_at_least("grid_filter_records", "records", records, 1)
-    grid = FieldGrid(ops, p, dt, b, hypotheses, records)
-    draws = trial_normals(seed, np.arange(records), n)
-    draws *= math.sqrt(dt)
-    draws *= math.sqrt(p.sigma_M)   # the record noise, scaled as simulate_ramp_ensemble does
-    noise = draws.T
-    jzs = np.empty((n + 1, len(grid.jz)))
-    truth_jz = grid.jz_by_record[:, 0]
-    ydt = np.empty((records, 1))
-    record = ydt[:, 0]
+    grid = FieldGrid(ops, p, dt, b, hypotheses, records, n)
+    draws = trial_normals(seed, np.arange(records), _DRAWS_PER_STEP * n)
+    noise = np.add.reduce(draws.reshape(records, n, _DRAWS_PER_STEP), axis=2)
+    noise *= math.sqrt(p.sigma_M * dt / _DRAWS_PER_STEP)
+    noise = noise.T
+    truth = grid.psi[0]
+    prob = np.empty_like(truth)
+    walks = np.empty((n + 1, records))
+    ydts = np.empty((n, records))
     for k in range(n):
-        jzs[k] = grid.jz
-        np.multiply(truth_jz, dt, out=record)
+        record = np.multiply(_read_jz(truth, ops.mz, prob, walks[k]), dt, out=ydts[k])
         record += noise[k]
-        propagate_grid(grid, ydt)
+        propagate_grid(grid, record)
     grid.check()
-    jzs[n] = grid.jz
-    jzs = jzs.reshape(n + 1, records, -1)
-    walks = jzs[:, :, 0].T
-    # the records again, elementwise with the bits of the loop's ydt
-    ydts = walks[:, :n] * dt
-    ydts += draws
-    w = bayes_grid_update(jzs[:n, :, 1:], ydts.T, weights, p, dt)
-    return ydts, walks, (w @ hypotheses).T, w[n].copy()
+    _read_jz(truth, ops.mz, prob, walks[n])
+    w = bayes_grid_update(grid.norms[:, 1:].transpose(0, 2, 1), weights, dt)
+    return ydts.T, walks.T, (w @ hypotheses).T, w[n].copy()
 
 
 # ---------------------------------------------------------------------------
@@ -360,7 +352,8 @@ def unconditional_jx_decay(ops: SpinOperators, p: PlantParams, dt: float, n: int
 def simulate_ramp_ensemble(ops: SpinOperators, p: PlantParams, b: float, seed: int,
                            trajectories: int, dt: float, n: int):
     """Batched conditioned trajectories in a fixed field b, all advanced
-    together; trajectory k draws from trial_stream(seed, k).
+    together, each on the record it emits; trajectory k draws one normal
+    per step from trial_stream(seed, k).
 
     Returns (ydts, jz_walks, mean_djz2): the physical records
     (trajectories, n), the <Jz> walks (trajectories, n + 1) and the
@@ -369,28 +362,28 @@ def simulate_ramp_ensemble(ops: SpinOperators, p: PlantParams, b: float, seed: i
     """
     _require_at_least("simulate_ramp_ensemble", "trajectories", trajectories, 1)
     _require_at_least("simulate_ramp_ensemble", "n", n, 1)
-    stack = StateStack(ops, p, dt, np.full(trajectories, b),
-                       np.tile(coherent_state_x(ops.J), (trajectories, 1)))
+    stack = StateStack(ops, p, dt, np.array([b]), trajectories, n)
+    psi = stack.psi[0]
     draws = trial_normals(seed, np.arange(trajectories), n)
     draws *= math.sqrt(dt)
+    draws *= math.sqrt(p.sigma_M)
+    noise = draws.T           # row k: the record noise of step k
     mz2 = ops.mz * ops.mz
-    jz_walks = np.empty((trajectories, n + 1))
+    prob = np.empty_like(psi)
+    jz_walks = np.empty((n + 1, trajectories))
+    ydts = np.empty((n, trajectories))
     mean_djz2 = np.empty(n + 1)
-    dwbars = draws.T          # row k: the sqrt(dt)-scaled increments of step k
     for k in range(n + 1):
-        jz = stack.jz
-        jz_walks[:, k] = jz
+        jz = _read_jz(psi, ops.mz, prob, jz_walks[k])
         # the bits of np.mean, without its per-call dispatch
-        mean_djz2[k] = np.add.reduce(stack.prob @ mz2 - jz * jz) / trajectories
+        mean_djz2[k] = np.add.reduce(prob @ mz2 - jz * jz) / trajectories
         if k == n:
             break
-        stack.step(dwbars[k])
+        record = np.multiply(jz, dt, out=ydts[k])
+        record += noise[k]
+        stack.step(record)
     stack.check()
-    # the records y dt = <Jz> dt + sqrt(sigma_M) dWbar, elementwise as if per step
-    ydts = jz_walks[:, :n] * dt
-    draws *= math.sqrt(p.sigma_M)
-    ydts += draws
-    return ydts, jz_walks, mean_djz2
+    return ydts.T, jz_walks.T, mean_djz2
 
 
 # ---------------------------------------------------------------------------
@@ -448,7 +441,7 @@ def suite_variance_tracking(J: float = 10, gamma: float = 1e6, M: float = 1e4,
 
 
 def suite_two_point(J: float = 16, gamma: float = 1e6, M: float = 1e4,
-                    b0: float = 2.8e-3, dt: float = 5e-9, T: float = 1e-4,
+                    b0: float = 2.8e-3, dt: float = 2e-8, T: float = 1e-4,
                     records: int = 3, seed: int = 3001) -> dict:
     """Posterior concentration on the true field of a two-hypothesis grid."""
     ops, p, n = _suite_setup("suite_two_point", J, gamma, M, dt, T)
@@ -462,7 +455,7 @@ def suite_two_point(J: float = 16, gamma: float = 1e6, M: float = 1e4,
 
 def suite_grid_kalman(J: float = 16, gamma: float = 1e6, M: float = 1e4,
                       sigma_b0: float = 5.6e-5, points: int = 41,
-                      dt: float = 2.5e-9, T: float = 1e-5, records: int = 3,
+                      dt: float = 1e-8, T: float = 1e-5, records: int = 3,
                       seed: int = 4001) -> dict:
     """Gridded posterior mean against the Kalman field estimate on shared
     records; the worst deviation must stay within 10% of the tracking-error

@@ -57,9 +57,11 @@ class Trajectory:
 
 
 def step_count(who: str, p: PlantParams, dt: float, T: float) -> int:
-    """Steps round(T / dt) of truth run ``who``; checks dt, T and warns past 1/M."""
-    if not (dt > 0 and T > 0):
-        raise ConfigurationError(f"{who}: dt and T must be positive")
+    """Steps round(T / dt) of truth run ``who``, at least one; checks dt, T
+    and warns past 1/M."""
+    if not (dt > 0 and T / dt > 0.5):
+        raise ConfigurationError(f"{who}: dt and T must be positive, with T of at least one "
+                                 f"step; got dt = {dt}, T = {T}")
     if T > 1.0 / p.M:
         warnings.warn(f"{who}: T exceeds 1/M; the small-time model is not valid there",
                       stacklevel=3)

@@ -1,13 +1,15 @@
-"""The stochastic Schroedinger step and the trajectory loop as first
-written, kept in the tests as the references for ``qsme.StateStack.step``
-(the field term as two shifted products of the ladder amplitudes, the
-measurement term as one expression) and for ``qsme.simulate_ramp_ensemble``
-(records and the averaged <Delta Jz^2> formed step by step with np.mean),
-and the module's kernel as a one-step function of a stack."""
+"""The stochastic Schroedinger steps kept in the tests: the Ito-Euler step
+the oracle used before the exact-measurement kernel, as the comparator of
+the convergence study; the exact step written plainly (unshifted
+exponent, a library exponential per row), as the reference for
+``qsme.StateStack.step``; and the trajectory loop as first written, as the
+reference for ``qsme.simulate_ramp_ensemble`` (records and the averaged
+<Delta Jz^2> formed step by step with np.mean)."""
 
 import math
 
 import numpy as np
+import scipy.linalg
 
 from spintrack import qsme
 from spintrack.numerics import trial_normals
@@ -18,34 +20,62 @@ def jz_mean(psi, mz):
     return (psi * psi) @ mz
 
 
-def sse_step(psi, h, dwbar, ops, p, dt):
-    """One step of qsme's kernel on a copy of the (batch, dim) stack psi in
-    the fields h (a scalar or one per row), its norm checked."""
-    h = np.broadcast_to(np.asarray(h, dtype=np.float64), (len(psi),))
-    stack = qsme.StateStack(ops, p, dt, h, np.array(psi, dtype=np.float64))
-    stack.step(dwbar)
+def kernel_step(psi, fields, ydt, ops, p, dt):
+    """One step of qsme's kernel on a copy of the (groups, records, dim)
+    stack psi in the fields (groups,) on the increments ydt (records,);
+    returns the successor and the squared norms it recorded, its norms
+    checked."""
+    psi = np.asarray(psi, dtype=np.float64)
+    stack = qsme.StateStack(ops, p, dt, fields, psi.shape[1], 1)
+    stack.psi[...] = psi
+    stack.step(np.asarray(ydt, dtype=np.float64))
     stack.check()
-    return stack.psi
+    return stack.psi, stack.norms[0]
+
+
+def sse_step(psi, h, ydt, ops, p, dt):
+    """One kernel step of each row of a (batch, dim) stack on its own: row
+    i in the field h (a scalar or one per row) on its increment ydt[i]."""
+    h = np.broadcast_to(np.asarray(h, dtype=np.float64), (len(psi),))
+    ydt = np.broadcast_to(np.asarray(ydt, dtype=np.float64), (len(psi),))
+    return np.array([kernel_step(row[None, None], [hi], [yi], ops, p, dt)[0][0, 0]
+                     for row, hi, yi in zip(psi, h, ydt)])
 
 
 def shifted_kpsi(psi, amp):
-    """Row i of the field term: amp[i] psi[i+1] - amp[i-1] psi[i-1]."""
+    """Row i of psi @ K: amp[i] psi[i+1] - amp[i-1] psi[i-1]."""
     kpsi = np.zeros_like(psi)
     kpsi[:, :-1] = amp * psi[:, 1:]
     kpsi[:, 1:] -= amp * psi[:, :-1]
     return kpsi
 
 
-def sse_update_reference(psi, jz, h, dwbar, ops, p, dt):
-    """One Ito-Euler step of the stochastic Schroedinger equation, then
-    normalization; no guards."""
+def exact_step_reference(psi, h, ydt, ops, p, dt):
+    """The exact-measurement step of each row of a (batch, dim) stack with
+    no guards: psi_m exp(2 M m ydt - M m^2 dt), its squared norm,
+    normalization, then exp(gamma h dt K / 2) by scipy.  Returns the
+    successor and the unshifted squared norms."""
+    h = np.broadcast_to(np.asarray(h, dtype=np.float64), (len(psi),))
+    ydt = np.asarray(ydt, dtype=np.float64)
+    out = psi * np.exp(2.0 * p.M * np.multiply.outer(ydt, ops.mz) - p.M * ops.mz ** 2 * dt)
+    norm2 = np.sum(out * out, axis=1)
+    out /= np.sqrt(norm2)[:, None]
+    return (np.array([row @ scipy.linalg.expm(0.5 * p.gamma * hi * dt * ops.K)
+                      for row, hi in zip(out, h)]), norm2)
+
+
+def euler_step(psi, h, ydt, ops, p, dt):
+    """One Ito-Euler step of the stochastic Schroedinger equation on the
+    record increments ydt, through the innovations 2 sqrt(M) (ydt - <Jz>
+    dt), then normalization; no guards.  Returns the successor and the
+    Euler likelihood factors 1 + 4 M <Jz> ydt."""
+    jz = jz_mean(psi, ops.mz)
+    dwbar = 2.0 * math.sqrt(p.M) * (ydt - jz * dt)
     dz = ops.mz - jz[:, None]
-    out = psi + psi * dz * (math.sqrt(p.M) * np.asarray(dwbar)[..., None] - (0.5 * p.M * dt) * dz)
-    h = np.asarray(h)[..., None]
-    if h.any():
-        out += (0.5 * p.gamma * dt) * h * shifted_kpsi(psi, ops.amp)
+    out = psi + psi * dz * (math.sqrt(p.M) * dwbar[:, None] - (0.5 * p.M * dt) * dz)
+    out += (0.5 * p.gamma * dt) * np.asarray(h)[..., None] * (psi @ ops.K)
     norm2 = np.einsum("bi,bi->b", out, out)
-    return out / np.sqrt(norm2)[:, None]
+    return out / np.sqrt(norm2)[:, None], 1.0 + 4.0 * p.M * jz * ydt
 
 
 def ramp_ensemble_reference(ops, p, b, seed, trajectories, dt, n):
@@ -65,7 +95,6 @@ def ramp_ensemble_reference(ops, p, b, seed, trajectories, dt, n):
         mean_djz2[k] = np.mean((psi * psi) @ mz2 - jz * jz)
         if k == n:
             break
-        dwbar = draws[:, k] * sqrt_dt
-        ydts[:, k] = jz * dt + sqrt_sm * dwbar
-        psi = sse_step(psi, b, dwbar, ops, p, dt)
+        ydts[:, k] = jz * dt + sqrt_sm * (draws[:, k] * sqrt_dt)
+        psi = kernel_step(psi[None], [b], ydts[:, k], ops, p, dt)[0][0]
     return ydts, jz_walks, mean_djz2

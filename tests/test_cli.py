@@ -201,6 +201,20 @@ class TestCommands:
         assert rc == 3
         assert "non-finite state at t =" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("verb, who", [("montecarlo", "run_ensemble"),
+                                           ("simulate", "run_closed_loop")])
+    def test_horizon_below_one_step_is_configuration_error(self, tmp_path, capsys, verb, who):
+        # round(T / dt) = 0: the truth run names itself, before any gain
+        # table is solved for an empty horizon
+        sc = tmp_path / "short.scn"
+        base = (SCENARIOS / "montecarlo_matched.scn").read_text()
+        sc.write_text(base.replace("T        = 5e-8", "T        = 2e-12"))
+        rc = run_cli([verb, "--scenario", str(sc), "--out", str(tmp_path / "s.csv")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert f"{who}: dt and T must be positive, with T of at least one step" in err
+        assert "integrate_estimator_riccati" not in err
+
     def test_simulate_divergence_exit_code(self, tmp_path, capsys):
         # the one-trial loop runs on Python floats, which overflow without a
         # warning, so run_closed_loop checks its rows before returning

@@ -94,9 +94,10 @@ class TestClosedLoop:
             run_closed_loop(FLUCT, PRIOR, MATCHED, "nonsense", RngStream(0), 5e-12, 1e-9)
 
     @pytest.mark.parametrize("dt, T", [(0.0, 1e-9), (-5e-12, 1e-9), (5e-12, 0.0),
-                                       (math.nan, 1e-9)])
+                                       (math.nan, 1e-9), (5e-12, 2e-12), (5e-12, 2.5e-12)])
     def test_nonpositive_step_or_horizon_rejected(self, dt, T):
-        # one check serves every truth run, the open loop included
+        # one check serves every truth run, the open loop included; a
+        # horizon that rounds to no step is rejected with the rest
         with pytest.raises(ConfigurationError, match="simulate_open_loop: dt and T must be"):
             simulate_open_loop(FLUCT, PRIOR, RngStream(0), dt, T)
         with pytest.raises(ConfigurationError, match="dt and T must be positive"):

@@ -10,9 +10,10 @@ from spintrack.errors import (ConfigurationError, InstabilityError, NumericalErr
 from spintrack.model import PlantParams
 from spintrack.numerics import RngStream
 from spintrack import qsme
+from spintrack.numerics import trial_normals
 from grid_reference import grid_records_reference, posterior_reference
-from sse_reference import (jz_mean, ramp_ensemble_reference, shifted_kpsi, sse_step,
-                           sse_update_reference)
+from sse_reference import (euler_step, exact_step_reference, jz_mean, kernel_step,
+                           ramp_ensemble_reference, shifted_kpsi, sse_step)
 
 
 def _dense(ops):
@@ -28,30 +29,21 @@ def _moment(psi, op):
 
 
 def _step(psi, b, ops, p, dt, dw):
-    """One conditioned step of a single state in field b; returns
-    (psi', ydt) with the emitted record increment."""
-    jz = jz_mean(psi[None], ops.mz)
-    out = sse_step(psi[None], b, dw, ops, p, dt)[0]
-    return out, float(jz[0] * dt + math.sqrt(p.sigma_M) * dw)
+    """One step of a single state in field b on the record it emits with
+    the raw noise dw; returns (psi', ydt)."""
+    ydt = float(jz_mean(psi[None], ops.mz)[0] * dt + math.sqrt(p.sigma_M) * dw)
+    return sse_step(psi[None], b, ydt, ops, p, dt)[0], ydt
 
 
-def _two_point(ops, p, dt, b0, records=1):
+def _two_point(ops, p, dt, b0, records=1, n=1):
     """A stacked two-hypothesis grid, +-b0, with its truth rows in +b0."""
-    return qsme.FieldGrid(ops, p, dt, b0, np.array([-b0, b0]), records)
+    return qsme.FieldGrid(ops, p, dt, b0, np.array([-b0, b0]), records, n)
 
 
 def _two_point_run(ops, p, b0, seed, records, dt, n):
     """grid_filter_records on the two-hypothesis grid of _two_point."""
     return qsme.grid_filter_records(ops, p, b0, np.array([-b0, b0]), np.array([0.5, 0.5]),
                                     seed, records, dt, n)
-
-
-def _conditioned_step(psi, b, ops, p, dt, ydt):
-    """The step conditioned on a given record increment: the innovation
-    dW = (ydt - <Jz> dt) / sqrt(sigma_M) replaces the raw noise."""
-    jz = float(jz_mean(psi[None], ops.mz)[0])
-    out, _ = _step(psi, b, ops, p, dt, (ydt - jz * dt) / math.sqrt(p.sigma_M))
-    return out
 
 
 def _textbook_step(rho, h, dw, ops, p, dt):
@@ -67,6 +59,15 @@ def _textbook_step(rho, h, dw, ops, p, dt):
     out = rho + drho
     out = 0.5 * (out + out.conj().T)
     return out / np.trace(out).real
+
+
+def _nan_draw(k):
+    """trial_normals with draw k of every stream replaced by NaN."""
+    def draws(*args):
+        out = trial_normals(*args)
+        out[:, k] = math.nan
+        return out
+    return draws
 
 
 class TestSpinOperators:
@@ -174,8 +175,8 @@ class TestSmeStep:
             _step(psi, 1e-3, ops, p, 1e-9, math.nan)
         # the grid records the failed norm and raises at its next check
         grid = _two_point(ops, p, 1e-9, 1e-3)
-        qsme.propagate_grid(grid, np.full((1, 1), math.nan))
-        assert np.all(np.isnan(grid.jz))
+        qsme.propagate_grid(grid, np.full(1, math.nan))
+        assert np.all(np.isnan(grid.psi))
         with pytest.raises(InstabilityError, match="norm"):
             grid.check()
         with pytest.raises(InstabilityError, match="not finite"):
@@ -185,17 +186,12 @@ class TestSmeStep:
         ops = qsme.spin_operators(5.0)
         p = PlantParams(J=5.0, gamma=1e6, M=1e4)
         dt, k = 1e-9, 7
-        draws = qsme.trial_normals
-
-        def nan_at_k(*args):
-            out = draws(*args)
-            out[:, k] = math.nan
-            return out
-
-        monkeypatch.setattr(qsme, "trial_normals", nan_at_k)
-        # a NaN record: the states, stepped before the posterior, fail first
+        # a NaN draw: the states, stepped before the posterior, fail first;
+        # a grid step sums four draws
+        monkeypatch.setattr(qsme, "trial_normals", _nan_draw(4 * k + 2))
         with pytest.raises(InstabilityError, match=f"norm.*t = {k * dt:.6e}"):
             _two_point_run(ops, p, 1e-3, 1, 2, dt, 12)
+        monkeypatch.setattr(qsme, "trial_normals", _nan_draw(k))
         with pytest.raises(InstabilityError, match=f"t = {k * dt:.6e}"):
             qsme.simulate_ramp_ensemble(ops, p, 1e-3, 1, 2, dt, 12)
 
@@ -217,17 +213,11 @@ class TestSmeStep:
         ops = qsme.spin_operators(2.0)
         p = PlantParams(J=2.0, gamma=1e6, M=1e4)
         dt, k = 1e-9, 2 * qsme._NORM_BLOCK + block_step
-        draws = qsme.trial_normals
-
-        def nan_at_k(*args):
-            out = draws(*args)
-            out[:, k] = math.nan
-            return out
-
-        monkeypatch.setattr(qsme, "trial_normals", nan_at_k)
         n = 2 * qsme._NORM_BLOCK + 20
+        monkeypatch.setattr(qsme, "trial_normals", _nan_draw(4 * k + 3))
         with pytest.raises(InstabilityError, match=f"norm.*t = {k * dt:.6e}"):
             _two_point_run(ops, p, 1e-3, 1, 2, dt, n)
+        monkeypatch.setattr(qsme, "trial_normals", _nan_draw(k))
         with pytest.raises(InstabilityError, match=f"norm.*t = {k * dt:.6e}"):
             qsme.simulate_ramp_ensemble(ops, p, 1e-3, 1, 2, dt, n)
 
@@ -236,7 +226,7 @@ class TestSmeStep:
         ops = qsme.spin_operators(2.0)
         p = PlantParams(J=2.0, gamma=1e6, M=1e4, eta=0.5)
         with pytest.raises(UnsupportedCaseError, match="eta"):
-            qsme.propagate_grid(_two_point(ops, p, 1e-9, 1e-3), np.zeros((1, 1)))
+            qsme.propagate_grid(_two_point(ops, p, 1e-9, 1e-3), np.zeros(1))
         with pytest.raises(UnsupportedCaseError, match="eta"):
             _two_point_run(ops, p, 1e-3, 1, 2, 1e-9, 3)
         with pytest.raises(UnsupportedCaseError, match="eta"):
@@ -252,7 +242,7 @@ class TestSmeStep:
             "sme_step": lambda dt: qsme.sme_step(psi[:-1] * psi[1:], ops, p, dt),
             "unconditional_jx_decay": lambda dt: qsme.unconditional_jx_decay(ops, p, dt, 1),
             "propagate_grid": lambda dt: qsme.propagate_grid(_two_point(ops, p, dt, 1e-3),
-                                                             np.zeros((1, 1))),
+                                                             np.zeros(1)),
             "grid_filter_records": lambda dt: _two_point_run(ops, p, 1e-3, 1, 2, dt, 1),
             "simulate_ramp_ensemble": lambda dt: qsme.simulate_ramp_ensemble(
                 ops, p, 1e-3, 1, 2, dt, 1),
@@ -263,38 +253,44 @@ class TestSmeStep:
                 call(bad_dt)
                 pytest.fail(f"{name} took a step above the guard")
 
-    def test_record_and_raw_forms_agree(self):
-        # a truth row stepped on the innovation of its own record walks as
-        # the trajectory stepped on the raw noise
+    def test_grid_records_lie_on_the_fine_path(self):
+        # a grid run at dt sums in fours the record noise that
+        # simulate_ramp_ensemble draws at dt / 4, and its truth rows walk
+        # as lone states stepped on the records they emit
         ops = qsme.spin_operators(3.0)
         p = PlantParams(J=3.0, gamma=1e6, M=1e4)
         b, dt, n = 2e-3, 1e-8, 50
-        ydts, walks, _ = qsme.simulate_ramp_ensemble(ops, p, b, 17, 2, dt, n)
-        stacked_ydts, stacked_walks, _, _ = _two_point_run(ops, p, b, 17, 2, dt, n)
-        assert np.max(np.abs(stacked_walks - walks)) <= 1e-12
-        assert np.max(np.abs(stacked_ydts - ydts)) <= 1e-12 * dt
+        ydts, walks, _, _ = _two_point_run(ops, p, b, 17, 2, dt, n)
+        fine_ydts, fine_walks, _ = qsme.simulate_ramp_ensemble(ops, p, b, 17, 2, dt / 4, 4 * n)
+        fine_noise = (fine_ydts - fine_walks[:, :-1] * (dt / 4)).reshape(2, n, 4).sum(axis=2)
+        scale = math.sqrt(p.sigma_M * dt)
+        assert np.max(np.abs(ydts - walks[:, :-1] * dt - fine_noise)) <= 1e-12 * scale
+        for r in range(2):
+            psi = qsme.coherent_state_x(3.0)[None, None]
+            for k in range(n):
+                psi = kernel_step(psi, [b], ydts[r, k:k + 1], ops, p, dt)[0]
+                assert abs(jz_mean(psi[0], ops.mz)[0] - walks[r, k + 1]) <= 1e-12
 
     def test_precession_sign_matches_state_space_model(self):
         # positive field must push <Jz> up at rate gamma <Jx> h; a vanishing
-        # M keeps the measurement's -(M/2)(Jz-<Jz>)^2 dt term out of it
+        # M keeps the measurement out of it, and the rotation is exact:
+        # <Jz> = J sin(gamma h dt)
         ops = qsme.spin_operators(8.0)
         p = PlantParams(J=8.0, gamma=1e6, M=1e-12)
         b = 1e-3
         out, _ = _step(qsme.coherent_state_x(8.0), b, ops, p, 1e-9, 0.0)
         jz = float(jz_mean(out[None], ops.mz)[0])
-        assert jz == pytest.approx(p.gamma * b * 8.0 * 1e-9, rel=1e-6)
+        assert jz == pytest.approx(8.0 * math.sin(p.gamma * b * 1e-9), rel=1e-9)
 
 
 class TestBayesGrid:
     def test_uninformative_measurement_keeps_weights(self):
-        # <Jz>_b equal across hypotheses at every step: every factor of a
+        # norms equal across hypotheses at every step: every factor of a
         # record is the same, so the prior holds at every time
-        p = PlantParams(J=2.0, gamma=1e6, M=1e4)
         _, prior = qsme._gaussian_hypotheses(1e-6, 11)
         rng = np.random.default_rng(3)
-        jz = np.repeat(rng.uniform(-2.0, 2.0, (40, 2, 1)), 11, axis=2)
-        ydt = rng.normal(0.0, 3e-7, (40, 2))
-        w = qsme.bayes_grid_update(jz, ydt, prior, p, 1e-8)
+        norms = np.repeat(rng.uniform(1e-3, 1.0, (40, 2, 1)), 11, axis=2)
+        w = qsme.bayes_grid_update(norms, prior, 1e-8)
         assert w.shape == (41, 2, 11)
         assert np.allclose(w, prior)
 
@@ -310,56 +306,50 @@ class TestBayesGrid:
         # the check is per record and names the first step after which some
         # record's weights all vanish or turn non-finite: one bad record
         # among three, in the middle of a run as at its start
-        p = PlantParams(J=2.0, gamma=1e6, M=1e4)
         dt, n, k = 1e-9, 12, 7
         prior = np.array([0.25, 0.75])
-        jz = np.zeros((n, 3, 2))
-        ydt = np.full((n, 3), 1e-7)
-        clamp = -2.0 / (4.0 * p.M * 1e-7)   # factors 1 + 4 M <Jz> ydt = -1
-        vanish = jz.copy()
-        vanish[k, 1, 0] = clamp
-        vanish[k - 2, 1, 1] = clamp   # one clamped hypothesis alone is no failure
-        vanish[k + 2, 0] = clamp      # a later failure of another record is not named
-        nan_record = ydt.copy()
+        norms = np.full((n, 3, 2), 0.5)
+        vanish = norms.copy()
+        vanish[k, 1, 0] = 0.0
+        vanish[k - 2, 1, 1] = 0.0   # one vanishing hypothesis alone is no failure
+        vanish[k + 2, 0] = 0.0      # a later failure of another record is not named
+        nan_record = norms.copy()
         nan_record[k:, 2] = math.nan
-        for jz_k, ydt_k, prior_k, step in ((vanish, ydt, prior, k), (jz, nan_record, prior, k),
-                                           (jz, ydt, np.zeros(2), 0)):
+        for norms_k, prior_k, step in ((vanish, prior, k), (nan_record, prior, k),
+                                       (norms, np.zeros(2), 0)):
             message = f"degenerated (step at t = {step * dt:.6e})"
             with pytest.raises(NumericalError, match=re.escape(message)):
-                qsme.bayes_grid_update(jz_k, ydt_k, prior_k, p, dt)
+                qsme.bayes_grid_update(norms_k, prior_k, dt)
 
     def test_grid_propagation_matches_scalar_path(self):
         ops = qsme.spin_operators(2.0)
         p = PlantParams(J=2.0, gamma=1e6, M=1e4)
         grid = _two_point(ops, p, 1e-8, 2e-3, records=2)
         psi = grid.psi.copy()
-        ydt = np.array([[3e-7], [-1e-7]])   # each record's increment, for its three rows
+        ydt = np.array([3e-7, -1e-7])   # each record's increment, for its three rows
         qsme.propagate_grid(grid, ydt)
+        # b_values lists the rows group by group: truth, then -b0, then +b0
         for i, b in enumerate(grid.b_values):
-            ref = _conditioned_step(psi[i], b, ops, p, 1e-8, ydt[i // 3, 0])
-            assert np.max(np.abs(grid.psi[i] - ref)) < 1e-13
+            g, r = divmod(i, 2)
+            ref = sse_step(psi[g, r][None], b, ydt[r], ops, p, 1e-8)[0]
+            assert np.max(np.abs(grid.psi[g, r] - ref)) < 1e-13
 
-    def test_one_jz_read_per_step_matches_two(self, monkeypatch):
-        # the grid carries <Jz> of every row from one propagation to the
-        # next step's record, history and propagation; reading it afresh
-        # before the propagation changes no bit
+    def test_hypothesis_rows_do_not_see_the_truth_rows(self):
+        # the truth rows share the stack but not a bit of the hypotheses'
+        # work: a stack of the hypothesis rows alone, stepped on the
+        # records the grid run emitted, gives its posterior bit for bit
         ops = qsme.spin_operators(3.0)
         p = PlantParams(J=3.0, gamma=1e6, M=1e4)
         hypotheses, weights = qsme._gaussian_hypotheses(4e-6, 7)
-
-        def run():
-            return qsme.grid_filter_records(ops, p, 2e-3, hypotheses, weights, 5, 2, 1e-8, 60)
-
-        carried = run()
-        propagate = qsme.propagate_grid
-
-        def fresh(grid, *args):
-            grid.jz[:] = jz_mean(grid.psi, ops.mz)
-            return propagate(grid, *args)
-
-        monkeypatch.setattr(qsme, "propagate_grid", fresh)
-        for a, b in zip(carried, run()):
-            assert np.array_equal(a, b)
+        dt, n = 1e-8, 60
+        ydts, _, means, finals = qsme.grid_filter_records(ops, p, 2e-3, hypotheses, weights,
+                                                          5, 2, dt, n)
+        alone = qsme.StateStack(ops, p, dt, hypotheses, 2, n)
+        for k in range(n):
+            alone.step(np.ascontiguousarray(ydts[:, k]))
+        w = qsme.bayes_grid_update(alone.norms.transpose(0, 2, 1), weights, dt)
+        assert np.array_equal((w @ hypotheses).T, means)
+        assert np.array_equal(w[n], finals)
 
 
 class TestSuites:
@@ -397,8 +387,8 @@ class TestSuites:
         assert s["passed"], s
 
     @pytest.mark.parametrize("suite, sizes", [
-        (qsme.suite_two_point, {"dt": 5e-9, "T": 1e-7}),
-        (qsme.suite_grid_kalman, {"dt": 2.5e-9, "T": 5e-8, "points": 5}),
+        (qsme.suite_two_point, {"dt": 2e-8, "T": 2e-7}),
+        (qsme.suite_grid_kalman, {"dt": 1e-8, "T": 1e-7, "points": 5}),
     ], ids=["two_point", "grid_kalman"])
     def test_one_sse_update_per_step(self, monkeypatch, suite, sizes):
         # the truth and hypothesis rows of every record step as one stack,
@@ -407,7 +397,7 @@ class TestSuites:
         update, posterior = qsme.StateStack.step, qsme.bayes_grid_update
 
         def counted(stack, *args):
-            calls.append(len(stack.psi))
+            calls.append(stack.psi.shape[:2])
             return update(stack, *args)
 
         def counted_posterior(jz, *args):
@@ -422,7 +412,7 @@ class TestSuites:
             calls.clear()
             posteriors.clear()
             suite(records=records, **sizes)
-            assert calls == [records * (1 + hyps)] * n
+            assert calls == [(1 + hyps, records)] * n
             assert posteriors == [(n, records, hyps)]
 
     def test_qnd_ensemble_matches_scalar_steps(self):
@@ -451,8 +441,9 @@ class TestKernelProperties:
                                                     max_size=4),
            dt_frac=st.floats(0.01, 1.0))
     def test_kernel_matches_textbook_step(self, two_j, batch, seed, h, signs, dt_frac):
-        # with dW = +-sqrt(dt) the (dW^2 - dt) term vanishes, and psi psi^T
-        # after one step differs from the textbook rho step by
+        # with dW = +-sqrt(dt) the (dW^2 - dt) term of the textbook step
+        # vanishes, and psi psi^T after one exact step on the record
+        # <Jz> dt + sqrt(sigma_M) dW differs from the textbook rho step by
         # O(dt^(3/2)): the error over dt^(3/2) holds still as dt falls 10x
         J = two_j / 2.0
         ops = qsme.spin_operators(J)
@@ -465,7 +456,7 @@ class TestKernelProperties:
         scaled = []
         for dt in np.array([1.0, 0.1]) * dt_frac * 1e-2 / (p.M * ops.dim ** 2):
             dws = np.array(signs[:batch]) * math.sqrt(dt)
-            out = sse_step(psi, hs, dws, ops, p, dt)
+            out = sse_step(psi, hs, jz * dt + math.sqrt(p.sigma_M) * dws, ops, p, dt)
             err = max(np.max(np.abs(np.outer(out[i], out[i]) - _textbook_step(
                 np.outer(psi[i], psi[i]), hs[i], dws[i], ops, p, dt))) for i in range(batch))
             scaled.append(err / dt ** 1.5)
@@ -489,8 +480,10 @@ class TestKernelProperties:
     @given(two_j=st.integers(1, 12), batch=st.integers(1, 5), seed=st.integers(0, 2**32 - 1),
            h=st.floats(-0.05, 0.05), dt_frac=st.floats(0.01, 0.99))
     def test_kernel_matches_reference(self, two_j, batch, seed, h, dt_frac):
-        # the field term as one product with K, the measurement term in one
-        # temporary: the step moves by rounding only
+        # the shifted exponent, the rotation after the norm is taken and
+        # one rotation per field of a stack: the step moves by rounding
+        # only, and the recorded norms by the shift's factor
+        # exp(-2 M ydt^2 / dt), one per record
         J = two_j / 2.0
         ops = qsme.spin_operators(J)
         p = PlantParams(J=J, gamma=1e6, M=1e4)
@@ -499,14 +492,20 @@ class TestKernelProperties:
         psi = rng.normal(size=(batch, ops.dim))
         psi /= np.linalg.norm(psi, axis=1)[:, None]
         hs = h * rng.uniform(-1.0, 1.0, batch)
-        dws = rng.normal(size=batch) * math.sqrt(dt)
-        jz = jz_mean(psi, ops.mz)
-        out = sse_step(psi, hs, dws, ops, p, dt)
-        assert np.max(np.abs(out - sse_update_reference(psi, jz, hs, dws, ops, p, dt))) <= 1e-14
-        # relative to the size of the two terms of each entry
-        ref = shifted_kpsi(psi, ops.amp)
+        ydt = jz_mean(psi, ops.mz) * dt + math.sqrt(p.sigma_M * dt) * rng.normal(size=batch)
+        # the rows as the groups of one record, in the record's increment ydt[0]
+        out, norms = kernel_step(psi[:, None], hs, ydt[:1], ops, p, dt)
+        ref, ref_norms = exact_step_reference(psi, hs, np.full(batch, ydt[0]), ops, p, dt)
+        assert np.max(np.abs(out[:, 0] - ref)) <= 1e-14
+        assert np.allclose(norms[:, 0], ref_norms * math.exp(-2.0 * p.M * ydt[0] ** 2 / dt),
+                           rtol=1e-13, atol=0.0)
+        # each row alone, on its own increment
+        ref = exact_step_reference(psi, hs, ydt, ops, p, dt)[0]
+        assert np.max(np.abs(sse_step(psi, hs, ydt, ops, p, dt) - ref)) <= 1e-14
+        # K acts on a row as the shifted ladder products, relative to the
+        # size of the two terms of each entry
         scale = np.max(np.abs(psi) @ np.abs(ops.K))
-        assert np.max(np.abs(psi @ ops.K - ref)) <= 1e-15 * scale
+        assert np.max(np.abs(psi @ ops.K - shifted_kpsi(psi, ops.amp))) <= 1e-15 * scale
 
     @settings(max_examples=25, deadline=None)
     @given(two_j=st.integers(1, 8), trajectories=st.integers(1, 7), seed=st.integers(0, 2**32 - 1),
@@ -524,35 +523,31 @@ class TestKernelProperties:
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), records=st.integers(1, 4), hyps=st.integers(2, 6),
-           n=st.integers(60, 150), clamps=st.integers(0, 6))
-    def test_posterior_matches_sequential_reference(self, seed, records, hyps, n, clamps):
-        # random <Jz> histories and records with factors 1 + 4 M <Jz> ydt
-        # in (0.1, 1.9), a few clamped ones (<= 0), and per record one
-        # hypothesis with factors of 1e-12..1e-9 or 1e9..1e12: its
+           n=st.integers(60, 150), zeros=st.integers(0, 6))
+    def test_posterior_matches_sequential_reference(self, seed, records, hyps, n, zeros):
+        # random squared norms in (0.1, 1.9), a few vanishing ones, and per
+        # record one hypothesis with norms of 1e-12..1e-9 or 1e9..1e12: its
         # log-weight leaves the others by more than 1e3, and a plain
-        # product of its factors overflows
-        p = PlantParams(J=4.0, gamma=1e6, M=1e4)
+        # product of its norms overflows
         rng = np.random.default_rng(seed)
-        ydt = rng.choice([-1.0, 1.0], (n, records)) * rng.uniform(1e-8, 1e-6, (n, records))
-        factors = rng.uniform(0.1, 1.9, (n, records, hyps))
+        norms = rng.uniform(0.1, 1.9, (n, records, hyps))
         sign = rng.choice([-1.0, 1.0], (1, records))
-        factors[:, :, -1] = 10.0 ** (sign * rng.uniform(9.0, 12.0, (n, records)))
-        clamped = []
+        norms[:, :, -1] = 10.0 ** (sign * rng.uniform(9.0, 12.0, (n, records)))
+        vanished = []
         if hyps >= 3:   # never the first hypothesis or the extreme one, so every record lives
-            for _ in range(clamps):
+            for _ in range(zeros):
                 k, r, h = rng.integers(n), rng.integers(records), rng.integers(1, hyps - 1)
-                factors[k, r, h] = rng.uniform(-1.0, -0.01)
-                clamped.append((k, r, h))
-        jz = (factors - 1.0) / (4.0 * p.M * p.eta * ydt[:, :, None])
+                norms[k, r, h] = 0.0
+                vanished.append((k, r, h))
         prior = rng.uniform(0.1, 1.0, hyps)
         prior /= prior.sum()
-        spread = np.cumsum(np.log(factors[:, :, [0, -1]]), axis=0)[-1]
+        spread = np.cumsum(np.log(norms[:, :, [0, -1]]), axis=0)[-1]
         assert np.all(np.abs(spread[:, 1] - spread[:, 0]) > 1e3)
-        w = qsme.bayes_grid_update(jz, ydt, prior, p, 1e-9)
+        w = qsme.bayes_grid_update(norms, prior, 1e-9)
         assert w.shape == (n + 1, records, hyps)
         assert np.all(np.isfinite(w))
-        assert np.max(np.abs(w - posterior_reference(jz, ydt, prior, p))) <= 1e-12
-        for k, r, h in clamped:
+        assert np.max(np.abs(w - posterior_reference(norms, prior))) <= 1e-12
+        for k, r, h in vanished:
             assert np.all(w[k + 1:, r, h] == 0.0)
 
     @settings(max_examples=25, deadline=None)
@@ -591,3 +586,141 @@ class TestKernelProperties:
         # size of its terms: another stack shape moves them by rounding
         for a, c, scale in zip(full, part, (J * dt, J, abs(b), 1.0)):
             assert np.max(np.abs(a[:records - 1] - c)) <= 1e-12 * scale
+
+
+class TestExactStep:
+    @settings(max_examples=40, deadline=None)
+    @given(two_j=st.integers(1, 12), records=st.integers(1, 3), seed=st.integers(0, 2**32 - 1),
+           n=st.integers(2, 12), dt_frac=st.floats(0.01, 0.99))
+    def test_zero_field_steps_compose(self, two_j, records, seed, n, dt_frac):
+        # at h = 0 the measurement maps commute: n steps equal one step of
+        # n dt on the summed record, and the recorded log-norms sum to the
+        # log-likelihood of the increments under the initial mixture over
+        # m, log sum_m psi_m^2 exp(-2 M sum_k (ydt_k - m dt)^2 / dt)
+        J = two_j / 2.0
+        ops = qsme.spin_operators(J)
+        p = PlantParams(J=J, gamma=1e6, M=1e4)
+        dt = dt_frac * 0.5 / (p.M * ops.dim * n)
+        rng = np.random.default_rng(seed)
+        psi = rng.normal(size=(1, records, ops.dim))
+        psi /= np.linalg.norm(psi, axis=2)[:, :, None]
+        ydts = rng.uniform(-J, J, records) * dt + math.sqrt(p.sigma_M * dt) * rng.normal(
+            size=(n, records))
+        stack = qsme.StateStack(ops, p, dt, [0.0], records, n)
+        stack.psi[...] = psi
+        for ydt in ydts:
+            stack.step(ydt)
+        stack.check()
+        once = kernel_step(psi, [0.0], ydts.sum(axis=0), ops, p, n * dt)[0]
+        assert np.max(np.abs(stack.psi - once)) <= 1e-12
+        exponent = -2.0 * p.M / dt * ((ydts[:, :, None] - ops.mz * dt) ** 2).sum(axis=0)
+        shift = exponent.max(axis=1)
+        loglik = np.log(np.sum(psi[0] ** 2 * np.exp(exponent - shift[:, None]), axis=1)) + shift
+        assert np.allclose(np.log(stack.norms[:, 0]).sum(axis=0), loglik, rtol=1e-11, atol=1e-11)
+
+    @settings(max_examples=40, deadline=None)
+    @given(two_j=st.integers(1, 16), seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40),
+           fields=st.lists(st.floats(-5.0, 5.0), min_size=1, max_size=4))
+    def test_rotation_preserves_norm_and_is_exact(self, two_j, seed, n, fields):
+        # fields of up to a radian per step: the rotation keeps every norm
+        # at 1, and with the measurement switched off a coherent state
+        # turns by exactly gamma h dt per step, <Jz> = J sin(n gamma h dt)
+        J = two_j / 2.0
+        ops = qsme.spin_operators(J)
+        dt = 1e-7
+        fields = np.array(fields) / (1e6 * dt * 5.0)
+        rng = np.random.default_rng(seed)
+        p = PlantParams(J=J, gamma=1e6, M=1e4)
+        stack = qsme.StateStack(ops, p, dt, fields, 2, n)
+        for _ in range(n):
+            stack.step(math.sqrt(p.sigma_M * dt) * rng.normal(size=2))
+            assert np.max(np.abs(np.einsum("gri,gri->gr", stack.psi, stack.psi) - 1.0)) <= 1e-13
+        quiet = qsme.StateStack(ops, PlantParams(J=J, gamma=1e6, M=1e-30), dt, fields, 1, n)
+        for _ in range(n):
+            quiet.step(np.zeros(1))
+        angle = p.gamma * fields * n * dt
+        assert np.allclose(jz_mean(quiet.psi[:, 0], ops.mz), J * np.sin(angle), rtol=0.0,
+                           atol=1e-12 * J)
+
+    @settings(max_examples=30, deadline=None)
+    @given(two_j=st.integers(1, 8), groups=st.integers(1, 4), records=st.integers(1, 4),
+           seed=st.integers(0, 2**32 - 1), n=st.integers(1, 20))
+    def test_results_do_not_depend_on_stacking(self, two_j, groups, records, seed, n):
+        # a (groups, records) stack against every row stepped in a stack of
+        # its own: the states and the recorded norms move by rounding only
+        J = two_j / 2.0
+        ops = qsme.spin_operators(J)
+        p = PlantParams(J=J, gamma=1e6, M=1e4)
+        dt = 1e-8
+        rng = np.random.default_rng(seed)
+        fields = rng.uniform(-0.05, 0.05, groups)
+        ydts = math.sqrt(p.sigma_M * dt) * rng.normal(size=(n, records))
+        psi = rng.normal(size=(groups, records, ops.dim))
+        psi /= np.linalg.norm(psi, axis=2)[:, :, None]
+        stack = qsme.StateStack(ops, p, dt, fields, records, n)
+        stack.psi[...] = psi
+        for ydt in ydts:
+            stack.step(ydt)
+        for g in range(groups):
+            for r in range(records):
+                alone = qsme.StateStack(ops, p, dt, fields[g:g + 1], 1, n)
+                alone.psi[...] = psi[g, r]
+                for ydt in ydts[:, r:r + 1]:
+                    alone.step(ydt)
+                assert np.max(np.abs(alone.psi[0, 0] - stack.psi[g, r])) <= 1e-13
+                assert np.allclose(alone.norms[:, 0, 0], stack.norms[:, g, r], rtol=1e-13, atol=0)
+
+
+class TestSharedPathConvergence:
+    def test_exact_step_converges_and_beats_euler(self):
+        # one Brownian path of fine increments at h = 1e-9, summed into
+        # steps of 4h ... 32h; each step size simulates its own truth row
+        # and two hypotheses +-b0 on it.  Against the exact step at h, the
+        # root mean square over 8 records of the error in the final
+        # log-odds falls at least about linearly in the step, and the
+        # Ito-Euler step with its factors 1 + 4 M <Jz> ydt is worse at
+        # every step
+        J, b0, h, T, records = 2.0, 0.05, 1e-9, 2e-5, 8
+        ops = qsme.spin_operators(J)
+        p = PlantParams(J=J, gamma=1e6, M=1e4)
+        fine = trial_normals(11, np.arange(records), int(round(T / h)))
+        fine *= math.sqrt(p.sigma_M * h)
+        factors = np.array([4, 8, 16, 32])
+        ref = _exact_log_odds(ops, p, b0, fine, h)
+        exact, euler = (np.array([np.sqrt(np.mean((run(ops, p, b0, coarse, h * f) - ref) ** 2))
+                                  for f, coarse in ((f, _coarsen(fine, f)) for f in factors)])
+                        for run in (_exact_log_odds, _euler_log_odds))
+        slope = np.polyfit(np.log(factors), np.log(exact), 1)[0]
+        assert slope >= 0.8, (exact, slope)
+        assert np.all(exact < euler), (exact, euler)
+
+
+def _coarsen(noise, factor):
+    """Each run of factor increments of the (records, n) noise summed."""
+    records, n = noise.shape
+    return noise.reshape(records, n // factor, factor).sum(axis=2)
+
+
+def _exact_log_odds(ops, p, b0, noise, dt):
+    """Final log-odds of +b0 over -b0 per record: a grid whose truth rows
+    in +b0 emit y dt = <Jz> dt + noise[:, k], stepped by the kernel."""
+    records, n = noise.shape
+    grid = qsme.FieldGrid(ops, p, dt, b0, np.array([-b0, b0]), records, n)
+    for k in range(n):
+        qsme.propagate_grid(grid, jz_mean(grid.psi[0], ops.mz) * dt + noise[:, k])
+    grid.check()
+    lognorms = np.log(grid.norms).sum(axis=0)
+    return lognorms[2] - lognorms[1]
+
+
+def _euler_log_odds(ops, p, b0, noise, dt):
+    """_exact_log_odds with the Ito-Euler step and its likelihood factors."""
+    records, n = noise.shape
+    psi = np.tile(qsme.coherent_state_x(ops.J), (3 * records, 1))
+    fields = np.tile([b0, -b0, b0], records)
+    log_odds = np.zeros(records)
+    for k in range(n):
+        ydt = jz_mean(psi[0::3], ops.mz) * dt + noise[:, k]
+        psi, factors = euler_step(psi, fields, np.repeat(ydt, 3), ops, p, dt)
+        log_odds += np.log(factors[2::3]) - np.log(factors[1::3])
+    return log_odds
