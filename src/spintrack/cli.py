@@ -151,7 +151,11 @@ def cmd_simulate(sc: dict, seed: int, out: str, workers: int) -> int:
 def cmd_riccati(sc: dict, seed: int, out: str, workers: int) -> int:
     p = build_plant(sc)
     prior = build_priors(sc, p)
-    times = np.geomspace(*_positive(sc, "dt", "T"), 241)
+    dt, T = _positive(sc, "dt", "T")
+    if not dt < T:
+        raise ConfigurationError(f"riccati: scenario key 'dt' (the first output time) must be "
+                                 f"below 'T', got dt = {dt}, T = {T}")
+    times = np.geomspace(dt, T, 241)
     cov = riccati.riccati_at_times(p, prior, times)
     sz_an = sb_an = sz_lin = sb_lin = np.full_like(times, np.nan)   # a route may not apply
     try:

@@ -19,11 +19,21 @@ scenarios are encoded as gamma_b = 0, sigma_bF = 0 with sigma_b0 > 0.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigurationError, UnsupportedCaseError
+
+
+def _require_finite(who: str, name: str, value: float, positive: bool = False) -> None:
+    """Raise unless value is finite and nonnegative (positive if asked);
+    the comparisons are written so that NaN fails them."""
+    above_low = 0 < value if positive else 0 <= value
+    if not (above_low and value < math.inf):
+        kind = "positive" if positive else "nonnegative"
+        raise ConfigurationError(f"{who}: {name} must be {kind} and finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -46,12 +56,12 @@ class PlantParams:
     sigma_bF: float = 0.0
 
     def __post_init__(self):
-        if not (self.J > 0 and self.gamma > 0 and self.M > 0):
-            raise ConfigurationError("PlantParams: J, gamma, M must be positive")
+        for name in ("J", "gamma", "M"):
+            _require_finite("PlantParams", name, getattr(self, name), positive=True)
         if not (0.0 < self.eta <= 1.0):
             raise ConfigurationError("PlantParams: eta must lie in (0, 1]")
-        if self.gamma_b < 0 or self.sigma_bF < 0:
-            raise ConfigurationError("PlantParams: gamma_b and sigma_bF must be nonnegative")
+        for name in ("gamma_b", "sigma_bF"):
+            _require_finite("PlantParams", name, getattr(self, name))
 
     @property
     def sigma_M(self) -> float:
@@ -80,10 +90,8 @@ class Priors:
     sigma_b0: float
 
     def __post_init__(self):
-        if not self.sigma_z0 > 0:
-            raise ConfigurationError("Priors: sigma_z0 must be positive (J/2 for a coherent state)")
-        if self.sigma_b0 < 0:
-            raise ConfigurationError("Priors: sigma_b0 must be nonnegative")
+        _require_finite("Priors", "sigma_z0", self.sigma_z0, positive=True)
+        _require_finite("Priors", "sigma_b0", self.sigma_b0)
 
 
 @dataclass(frozen=True)
@@ -95,10 +103,8 @@ class DesignParams:
     lam: float = 0.0
 
     def __post_init__(self):
-        if not self.J_prime > 0:
-            raise ConfigurationError("DesignParams: J_prime must be positive")
-        if self.lam < 0:
-            raise ConfigurationError("DesignParams: lam must be nonnegative")
+        _require_finite("DesignParams", "J_prime", self.J_prime, positive=True)
+        _require_finite("DesignParams", "lam (lambda)", self.lam)
 
 
 def build_system(p: PlantParams):

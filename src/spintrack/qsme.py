@@ -28,7 +28,9 @@ trajectory simulator alike.  It is the Kraus map of Rouchon & Ralph
    that record's constant;
 3. normalize;
 4. rotate: psi <- psi exp(gamma h dt K / 2), the exact step of the field
-   part, one orthogonal matrix per field, built once per run.
+   part, one orthogonal matrix per field, built once per run.  Every
+   stack rotates: at h = 0 the matrix is exactly the identity, and the
+   product with it changes no bit.
 
 Steps 3 and 4 run as one pass, rotation first: dividing by the norm
 commutes with an orthogonal map.  Only the splitting of the two parts
@@ -40,17 +42,20 @@ conditioned state is mixed.  sme_step is the unconditional (eta = 0)
 zero-field equation, pure dephasing, on the first superdiagonal of rho
 that <Jx> reads.  A step that fails is named by its time.
 
-Field estimation with unknown constant b keeps one conditioned state per
-field hypothesis, all conditioned on the same physical record.  The
-records are simulated in the same stack: each record contributes one
-truth row in the true field, which emits y dt = <Jz> dt + sqrt(sigma_M)
-dWbar before each step, and its hypothesis rows; every row of every
-record takes one step of the stack per time, the time loop's only state
-work.  The conditioned states never read the posterior weights: the
-squared norms that step k records for a hypothesis are its likelihood
-factor of ydt[k], so after the loop one pass, bayes_grid_update, sums
-their logs over time from the log prior and normalizes the weights of
-every record at every time, where the constant per record cancels.
+One record loop, the private function _run_records, serves the
+trajectory simulator and the Bayes grid alike.  Group 0 of its stack
+holds one truth row per record in the true field; before each step the
+loop reads the truth rows' <Jz> and <Jz^2>, and each truth row emits
+its record increment y dt = <Jz> dt + sqrt(sigma_M) dWbar, on which
+every row of that record takes one step of the stack, the time loop's
+only state work.  simulate_ramp_ensemble steps a stack of truth rows alone.  Field
+estimation with unknown constant b, grid_filter_records, adds one group
+per field hypothesis, all conditioned on the same physical records.  The
+conditioned states never read the posterior weights: the squared norms
+that step k records for a hypothesis are its likelihood factor of
+ydt[k], so after the loop one pass, bayes_grid_update, sums their logs
+over time from the log prior and normalizes the weights of every record
+at every time, where the constant per record cancels.
 
 The Bayes-grid suites step at 4 times the step of their draws:
 grid_filter_records sums _DRAWS_PER_STEP = 4 consecutive draws of
@@ -75,6 +80,7 @@ Gaussian/Kalman reduction used everywhere else:
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -149,14 +155,13 @@ class StateStack:
     ydt[r].  b_values is the field of each row, group by group.
 
     What stays fixed over a run is set up here once: the step guard and
-    the eta check, the rotation of each field (none when every field is
-    0), and the buffers, so a step allocates nothing.  Step k overwrites
-    psi with its normalized successor and norms[k] with the squared norms
-    of the measured states.  The norms are checked in blocks rather than
-    per step: check() raises InstabilityError, naming the first step whose
-    norm was not positive and finite, and runs by itself every
-    _NORM_BLOCK steps; a run calls it once more at its end.  A failed row
-    stays non-finite until then.
+    the eta check, the rotation of each field, and the buffers, so a step
+    allocates nothing.  Step k overwrites psi with its normalized
+    successor and norms[k] with the squared norms of the measured states.
+    The norms are checked in blocks rather than per step: check() raises
+    InstabilityError, naming the first step whose norm was not positive
+    and finite, and runs by itself every _NORM_BLOCK steps; a run calls it
+    once more at its end.  A failed row stays non-finite until then.
     """
 
     def __init__(self, ops: SpinOperators, p: PlantParams, dt: float, fields: np.ndarray,
@@ -173,8 +178,7 @@ class StateStack:
         self._mdt, self._gain = ops.mz * dt, -p.M / dt
         # psi @ exp(gamma h dt K / 2); the sign makes a positive field drive
         # <Jz> upward, matching the state-space convention dz = +gamma J h dt
-        self._rot = (mat_expm((0.5 * p.gamma * dt) * fields[:, None, None] * ops.K)
-                     if np.count_nonzero(fields) else None)
+        self._rot = mat_expm((0.5 * p.gamma * dt) * fields[:, None, None] * ops.K)
         self._f = np.empty((records, ops.dim))
         self._rotated = np.empty_like(self.psi)
         self._scale = np.empty((len(fields), records))
@@ -192,10 +196,7 @@ class StateStack:
         psi *= f
         norm2 = np.einsum("gri,gri->gr", psi, psi, out=self.norms[self._steps])
         np.sqrt(norm2, out=self._scale)
-        if self._rot is None:
-            psi /= self._scale_col
-        else:
-            np.divide(np.matmul(psi, self._rot, out=self._rotated), self._scale_col, out=psi)
+        np.divide(np.matmul(psi, self._rot, out=self._rotated), self._scale_col, out=psi)
         self._steps += 1
         if self._steps - self._checked == _NORM_BLOCK:
             self.check()
@@ -223,25 +224,37 @@ def sme_step(coh: np.ndarray, ops: SpinOperators, p: PlantParams, dt: float) -> 
     return coh
 
 
-def _read_jz(psi: np.ndarray, mz: np.ndarray, prob: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """<Jz> of each row of a (rows, dim) stack into out, psi^2 into prob."""
-    return np.matmul(np.multiply(psi, psi, out=prob), mz, out=out)
+def _run_records(ops: SpinOperators, p: PlantParams, dt: float, fields: np.ndarray,
+                 noise: np.ndarray, step: Callable[[StateStack, np.ndarray], None]):
+    """The record loop of the module docstring: n steps of a stack in the
+    fields, fields[0] the truth's, on the record noise (n, records).  Before
+    step k the truth rows' <Jz> and <Jz^2> are read, and record k, <Jz> dt
+    + noise[k], goes to step(stack, record).  Returns the stepped stack,
+    the records (n, records) and the truth moments (n + 1, records)."""
+    n, records = noise.shape
+    stack = StateStack(ops, p, dt, fields, records, n)
+    truth = stack.psi[0]
+    prob = np.empty_like(truth)
+    mz2 = ops.mz * ops.mz
+    jz = np.empty((n + 1, records))
+    jz2 = np.empty((n + 1, records))
+    ydts = np.empty((n, records))
+    for k in range(n + 1):
+        np.multiply(truth, truth, out=prob)
+        np.matmul(prob, ops.mz, out=jz[k])
+        np.matmul(prob, mz2, out=jz2[k])
+        if k == n:
+            break
+        record = np.multiply(jz[k], dt, out=ydts[k])
+        record += noise[k]
+        step(stack, record)
+    stack.check()
+    return stack, ydts, jz, jz2
 
 
 # ---------------------------------------------------------------------------
 # gridded Bayesian field estimation
 # ---------------------------------------------------------------------------
-
-class FieldGrid(StateStack):
-    """The stacked rows of a Bayes-grid run over n steps: group 0 holds
-    every record's truth state in the true field b, group 1 + j its state
-    in hypothesis j, so each record owns 1 + H rows and the rows of one
-    field share its rotation."""
-
-    def __init__(self, ops: SpinOperators, p: PlantParams, dt: float, b: float,
-                 hypotheses: np.ndarray, records: int, n: int):
-        super().__init__(ops, p, dt, np.concatenate(([b], hypotheses)), records, n)
-
 
 def _gaussian_hypotheses(sigma_b0: float, points: int):
     """Uniform grid over +-4 standard deviations and its normalized
@@ -284,10 +297,13 @@ def bayes_grid_update(norms: np.ndarray, weights: np.ndarray, dt: float) -> np.n
     return w
 
 
-def propagate_grid(grid: FieldGrid, ydt: np.ndarray) -> None:
-    """Condition every row on its record's increment, ydt (records,): one
-    step of the whole stack, in place.  The grid's one call per time step,
-    which the benchmark traces and counts rows by."""
+def propagate_grid(grid: StateStack, ydt: np.ndarray) -> None:
+    """Condition every row of a grid on its record's increment, ydt
+    (records,): one step of the whole stack, in place.  A grid is the
+    StateStack of the fields (b, *hypotheses): group 0 holds every
+    record's truth state, group 1 + j its state in hypothesis j.  The
+    grid's one call per time step, which the benchmark traces and counts
+    rows by."""
     grid.step(ydt)
 
 
@@ -301,29 +317,20 @@ def grid_filter_records(ops: SpinOperators, p: PlantParams, b: float, hypotheses
     stepped together.  Record r draws _DRAWS_PER_STEP * n normals from
     trial_stream(seed, r), the layout of simulate_ramp_ensemble at step
     dt / _DRAWS_PER_STEP, and sums each run of _DRAWS_PER_STEP into the
-    noise of one step.  The time loop steps the states; one
-    bayes_grid_update after it gives the posterior at every time.
+    noise of one step.  The record loop steps the states through
+    propagate_grid; one bayes_grid_update after it gives the posterior at
+    every time.
 
     Returns (ydts, walks, means, weights): the records (records, n), the
     truth <Jz> walks (records, n + 1), the posterior means
     (records, n + 1) and the final weights (records, H).
     """
     _require_at_least("grid_filter_records", "records", records, 1)
-    grid = FieldGrid(ops, p, dt, b, hypotheses, records, n)
     draws = trial_normals(seed, np.arange(records), _DRAWS_PER_STEP * n)
     noise = np.add.reduce(draws.reshape(records, n, _DRAWS_PER_STEP), axis=2)
     noise *= math.sqrt(p.sigma_M * dt / _DRAWS_PER_STEP)
-    noise = noise.T
-    truth = grid.psi[0]
-    prob = np.empty_like(truth)
-    walks = np.empty((n + 1, records))
-    ydts = np.empty((n, records))
-    for k in range(n):
-        record = np.multiply(_read_jz(truth, ops.mz, prob, walks[k]), dt, out=ydts[k])
-        record += noise[k]
-        propagate_grid(grid, record)
-    grid.check()
-    _read_jz(truth, ops.mz, prob, walks[n])
+    grid, ydts, walks, _ = _run_records(ops, p, dt, np.concatenate(([b], hypotheses)), noise.T,
+                                        propagate_grid)
     w = bayes_grid_update(grid.norms[:, 1:].transpose(0, 2, 1), weights, dt)
     return ydts.T, walks.T, (w @ hypotheses).T, w[n].copy()
 
@@ -362,28 +369,12 @@ def simulate_ramp_ensemble(ops: SpinOperators, p: PlantParams, b: float, seed: i
     """
     _require_at_least("simulate_ramp_ensemble", "trajectories", trajectories, 1)
     _require_at_least("simulate_ramp_ensemble", "n", n, 1)
-    stack = StateStack(ops, p, dt, np.array([b]), trajectories, n)
-    psi = stack.psi[0]
     draws = trial_normals(seed, np.arange(trajectories), n)
     draws *= math.sqrt(dt)
     draws *= math.sqrt(p.sigma_M)
-    noise = draws.T           # row k: the record noise of step k
-    mz2 = ops.mz * ops.mz
-    prob = np.empty_like(psi)
-    jz_walks = np.empty((n + 1, trajectories))
-    ydts = np.empty((n, trajectories))
-    mean_djz2 = np.empty(n + 1)
-    for k in range(n + 1):
-        jz = _read_jz(psi, ops.mz, prob, jz_walks[k])
-        # the bits of np.mean, without its per-call dispatch
-        mean_djz2[k] = np.add.reduce(prob @ mz2 - jz * jz) / trajectories
-        if k == n:
-            break
-        record = np.multiply(jz, dt, out=ydts[k])
-        record += noise[k]
-        stack.step(record)
-    stack.check()
-    return ydts.T, jz_walks.T, mean_djz2
+    _, ydts, jz, jz2 = _run_records(ops, p, dt, np.array([b]), draws.T, StateStack.step)
+    mean_djz2 = np.add.reduce(jz2 - jz * jz, axis=1) / trajectories
+    return ydts.T, jz.T, mean_djz2
 
 
 # ---------------------------------------------------------------------------

@@ -114,6 +114,36 @@ class TestScenarioParsing:
         rc = run_cli(["simulate", "--scenario", str(f), "--out", str(tmp_path / "o.csv")])
         assert rc == 2
 
+    @pytest.mark.parametrize("verb, fixture, old, new, key", [
+        ("simulate", "constant_field_tables.scn", "sigma_b0 = 1", "sigma_b0 = nan", "sigma_b0"),
+        ("simulate", "constant_field_tables.scn", "sigma_b0 = 1", "sigma_b0 = inf", "sigma_b0"),
+        ("riccati", "riccati_fluctuating.scn", "gamma_b  = 1e5", "gamma_b = nan", "gamma_b"),
+        ("mismatch", "mismatch_steady.scn", "lambda   = 1", "lambda = nan", "lambda"),
+        ("montecarlo", "montecarlo_matched.scn", "sigma_bF = 2e5", "sigma_bF = nan", "sigma_bF"),
+        ("bode", "bode_nominal.scn", "sigma_bF  = 2e5", "sigma_bF = inf", "sigma_bF"),
+        ("simulate", "constant_field_tables.scn", "J        = 1e6", "J = inf", "J must"),
+        ("riccati", "riccati_fluctuating.scn", "M        = 1e4", "M = inf", "M must"),
+        ("bode", "bode_nominal.scn", "gamma     = 1e6", "gamma = inf", "gamma must"),
+        ("riccati", "riccati_fluctuating.scn", "dt       = 1e-8", "dt = 1e-3", "'dt'"),
+        ("riccati", "riccati_fluctuating.scn", "dt       = 1e-8", "dt = 1e-4", "'dt'"),
+    ])
+    def test_non_finite_or_inverted_values_rejected(self, tmp_path, capsys, verb, fixture, old,
+                                                     new, key):
+        # each value is rejected as the scenario is built, before any
+        # arithmetic warns or a row is written
+        base = (SCENARIOS / fixture).read_text()
+        assert base.count(old) == 1
+        sc = tmp_path / "bad.scn"
+        sc.write_text(base.replace(old, new))
+        out = tmp_path / "o.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = run_cli([verb, "--scenario", str(sc), "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and key in err
+        assert not out.exists()
+
 
 class TestCommands:
     def test_simulate_csv_schema(self, tmp_path):
@@ -234,7 +264,7 @@ class TestCommands:
             warnings.simplefilter("error")   # rejected before any arithmetic warns
             rc = run_cli(["riccati", "--scenario", str(sc), "--out", str(tmp_path / "r.csv")])
         assert rc == 2
-        assert "finite priors" in capsys.readouterr().err
+        assert "sigma_b0 must be nonnegative and finite" in capsys.readouterr().err
 
     def test_mismatch_steady(self, tmp_path):
         out = tmp_path / "mm.csv"

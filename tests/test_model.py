@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -88,10 +90,23 @@ class TestValidation:
         dict(J=1.0, gamma=1.0, M=1.0, eta=0.0),
         dict(J=1.0, gamma=1.0, M=1.0, eta=1.5),
         dict(J=1.0, gamma=1.0, M=1.0, gamma_b=-1.0),
+        dict(J=math.nan, gamma=1.0, M=1.0),
+        dict(J=1.0, gamma=math.nan, M=1.0),
+        dict(J=1.0, gamma=1.0, M=math.nan),
+        dict(J=1.0, gamma=1.0, M=1.0, eta=math.nan),
+        dict(J=math.inf, gamma=1.0, M=1.0),
+        dict(J=1.0, gamma=math.inf, M=1.0),
+        dict(J=1.0, gamma=1.0, M=math.inf),
     ])
     def test_plant_invariants(self, kwargs):
         with pytest.raises(ConfigurationError):
             PlantParams(**kwargs)
+
+    @pytest.mark.parametrize("name", ["gamma_b", "sigma_bF"])
+    @pytest.mark.parametrize("value", [-1.0, math.nan, math.inf])
+    def test_field_rates_nonnegative_and_finite(self, name, value):
+        with pytest.raises(ConfigurationError, match=f"{name} must be nonnegative and finite"):
+            PlantParams(J=1.0, gamma=1.0, M=1.0, **{name: value})
 
     def test_priors(self):
         with pytest.raises(ConfigurationError):
@@ -99,10 +114,26 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             Priors(sigma_z0=1.0, sigma_b0=-1.0)
 
+    @pytest.mark.parametrize("sigma_z0, sigma_b0, name", [
+        (math.nan, 1.0, "sigma_z0"), (math.inf, 1.0, "sigma_z0"),
+        (1.0, math.nan, "sigma_b0"), (1.0, math.inf, "sigma_b0"),
+    ])
+    def test_priors_finite(self, sigma_z0, sigma_b0, name):
+        with pytest.raises(ConfigurationError, match=f"Priors: {name} must be"):
+            Priors(sigma_z0=sigma_z0, sigma_b0=sigma_b0)
+
     def test_design(self):
         with pytest.raises(ConfigurationError):
             DesignParams(J_prime=0.0)
         assert DesignParams(J_prime=1.0, lam=0.0).lam == 0.0
+
+    @pytest.mark.parametrize("J_prime, lam, name", [
+        (math.nan, 0.0, "J_prime"), (math.inf, 0.0, "J_prime"), (1.0, -1.0, "lam"), (1.0, math.nan, "lam"),
+        (1.0, math.inf, "lam"),
+    ])
+    def test_design_finite(self, J_prime, lam, name):
+        with pytest.raises(ConfigurationError, match=f"DesignParams: {name}"):
+            DesignParams(J_prime=J_prime, lam=lam)
 
     def test_coherent_prior_default(self):
         # scenarios without sigma_z0 and the observer both use the coherent J/2

@@ -37,7 +37,7 @@ def _step(psi, b, ops, p, dt, dw):
 
 def _two_point(ops, p, dt, b0, records=1, n=1):
     """A stacked two-hypothesis grid, +-b0, with its truth rows in +b0."""
-    return qsme.FieldGrid(ops, p, dt, b0, np.array([-b0, b0]), records, n)
+    return qsme.StateStack(ops, p, dt, np.array([b0, -b0, b0]), records, n)
 
 
 def _two_point_run(ops, p, b0, seed, records, dt, n):
@@ -351,6 +351,17 @@ class TestBayesGrid:
         assert np.array_equal((w @ hypotheses).T, means)
         assert np.array_equal(w[n], finals)
 
+    def test_truth_rows_do_not_see_the_hypotheses(self):
+        # the truth rows share the record loop's stack with any hypothesis
+        # set, and emit the same records and walks bit for bit
+        ops = qsme.spin_operators(3.0)
+        p = PlantParams(J=3.0, gamma=1e6, M=1e4)
+        dt, n = 1e-8, 60
+        runs = [qsme.grid_filter_records(ops, p, 2e-3, *qsme._gaussian_hypotheses(4e-6, points),
+                                         5, 2, dt, n) for points in (2, 7)]
+        for few, many in zip(runs[0][:2], runs[1][:2]):
+            assert np.array_equal(few, many)
+
 
 class TestSuites:
     @pytest.mark.parametrize("call, match", [
@@ -619,6 +630,28 @@ class TestExactStep:
         assert np.allclose(np.log(stack.norms[:, 0]).sum(axis=0), loglik, rtol=1e-11, atol=1e-11)
 
     @settings(max_examples=40, deadline=None)
+    @given(two_j=st.integers(1, 12), groups=st.integers(1, 3), records=st.integers(1, 3),
+           seed=st.integers(0, 2**32 - 1))
+    def test_zero_field_step_is_measure_then_normalize(self, two_j, groups, records, seed):
+        # every stack rotates, and at h = 0 the rotation is exactly the
+        # identity: a step is the measurement factor, the squared norm and
+        # the division by the norm, bit for bit
+        J = two_j / 2.0
+        ops = qsme.spin_operators(J)
+        p = PlantParams(J=J, gamma=1e6, M=1e4)
+        dt = 0.25 / (p.M * ops.dim)
+        rng = np.random.default_rng(seed)
+        psi = rng.normal(size=(groups, records, ops.dim))
+        psi /= np.linalg.norm(psi, axis=2)[:, :, None]
+        ydt = rng.uniform(-J, J, records) * dt + math.sqrt(p.sigma_M * dt) * rng.normal(
+            size=records)
+        stepped, norms = kernel_step(psi, np.zeros(groups), ydt, ops, p, dt)
+        measured = psi * np.exp(np.subtract.outer(ydt, ops.mz * dt) ** 2 * (-p.M / dt))
+        norm2 = np.einsum("gri,gri->gr", measured, measured)
+        assert np.array_equal(norms, norm2)
+        assert np.array_equal(stepped, measured / np.sqrt(norm2)[:, :, None])
+
+    @settings(max_examples=40, deadline=None)
     @given(two_j=st.integers(1, 16), seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40),
            fields=st.lists(st.floats(-5.0, 5.0), min_size=1, max_size=4))
     def test_rotation_preserves_norm_and_is_exact(self, two_j, seed, n, fields):
@@ -705,7 +738,7 @@ def _exact_log_odds(ops, p, b0, noise, dt):
     """Final log-odds of +b0 over -b0 per record: a grid whose truth rows
     in +b0 emit y dt = <Jz> dt + noise[:, k], stepped by the kernel."""
     records, n = noise.shape
-    grid = qsme.FieldGrid(ops, p, dt, b0, np.array([-b0, b0]), records, n)
+    grid = _two_point(ops, p, dt, b0, records, n)
     for k in range(n):
         qsme.propagate_grid(grid, jz_mean(grid.psi[0], ops.mz) * dt + noise[:, k])
     grid.check()

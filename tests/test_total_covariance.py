@@ -369,8 +369,9 @@ class TestTransientCurve:
         assert np.all(traj.sigma_bE >= 0.0)
 
     def test_infinite_spin_prior_rejected(self):
-        # the grid offset sigma_M / sigma_z0 would be 0 and the grid never advance
-        with pytest.raises(ConfigurationError, match="t_offset"):
+        # the grid offset sigma_M / sigma_z0 would be 0 and the grid never
+        # advance; Priors rejects the infinite spin prior before the curve
+        with pytest.raises(ConfigurationError, match="sigma_z0 must be positive and finite"):
             tc.transient_error_curve(PlantParams(J=1e6, gamma=1e6, M=1e4),
                                      Priors(sigma_z0=math.inf, sigma_b0=1.0),
                                      DesignParams(J_prime=1e6, lam=1.0), np.array([1e-5]))
