@@ -94,44 +94,43 @@ def closed_loop_tfs(p: PlantParams, d: DesignParams):
 
     Built by inverting the 2x2 resolvent s I - A' + B' K_C + K_O C
     symbolically; needs a fluctuating field so the stationary gains exist.
+    A coefficient that overflows (lambda gamma J' past the float range) is
+    a ConfigurationError naming lambda.
     """
     g = steady_state_gains(design_plant(p, d), d)
     k1, k2 = g.K_O
     kc1, kc2 = g.K_C
     a = p.gamma * d.J_prime
     gb = p.gamma_b
-    den = np.array([(a * kc1 + k1) * gb + a * k2 * (1.0 - kc2),
-                    gb + a * kc1 + k1,
-                    1.0])
-    gz = RationalTF(np.array([k1 * gb + a * k2 * (1.0 - kc2), k1]), den)
-    gbb = RationalTF(np.array([k2 * a * kc1, k2]), den)
-    gu = RationalTF(np.array([-(kc1 * (k1 * gb + a * k2 * (1.0 - kc2)) + kc2 * k2 * a * kc1),
-                              -(kc1 * k1 + kc2 * k2)]), den)
-    return gz, gbb, gu
+    with np.errstate(over="ignore", invalid="ignore"):
+        den = np.array([(a * kc1 + k1) * gb + a * k2 * (1.0 - kc2),
+                        gb + a * kc1 + k1,
+                        1.0])
+        num_z = np.array([k1 * gb + a * k2 * (1.0 - kc2), k1])
+        num_b = np.array([k2 * a * kc1, k2])
+        num_u = np.array([-(kc1 * (k1 * gb + a * k2 * (1.0 - kc2)) + kc2 * k2 * a * kc1),
+                          -(kc1 * k1 + kc2 * k2)])
+    if not all(np.isfinite(c).all() for c in (den, num_z, num_b, num_u)):
+        raise ConfigurationError(f"closed_loop_tfs: scenario key 'lambda' = {d.lam:.3g} gives "
+                                 f"a loop coefficient that is not finite (gamma J' = {a:.3g})")
+    return RationalTF(num_z, den), RationalTF(num_b, den), RationalTF(num_u, den)
 
 
 def bode(tf: RationalTF, omega_grid) -> tuple[np.ndarray, np.ndarray]:
-    """(magnitude dB, unwrapped phase deg) on a positive sorted grid.
+    """(magnitude dB, unwrapped phase deg) of tf(j omega) on a positive
+    sorted grid.
 
-    Samples landing on a pole of the rational function are flagged NaN.
+    The closed-loop G_z, G_b and G_u have the denominator s^2 + b1 s + b0
+    with b1 >= k1 > 0 and b0 >= 0, so no pole lies on omega > 0; a sample
+    on a pole of another tf is whatever the division gives.
     """
     omega = np.asarray(omega_grid, dtype=np.float64)
     if np.any(omega <= 0) or np.any(np.diff(omega) <= 0):
         raise ConfigurationError("bode: omega grid must be positive and strictly increasing")
-    s = 1j * omega
-    den_vals = npoly.polyval(s, tf.den)
-    num_vals = npoly.polyval(s, tf.num)
-    # a sample sits on a pole when the evaluated denominator is tiny
-    # compared with the no-cancellation magnitude sum |c_k| |s|^k
-    den_scale = sum(abs(c) * np.abs(s) ** k for k, c in enumerate(tf.den))
-    flagged = np.abs(den_vals) < 1e-9 * den_scale
-    with np.errstate(divide="ignore", invalid="ignore"):
-        h = num_vals / den_vals
+    h = tf(1j * omega)
+    with np.errstate(divide="ignore"):
         mag = 20.0 * np.log10(np.abs(h))
-    phase = np.degrees(np.unwrap(np.angle(h)))
-    mag[flagged] = np.nan
-    phase[flagged] = np.nan
-    return mag, phase
+    return mag, np.degrees(np.unwrap(np.angle(h)))
 
 
 def approximation_margins(p: PlantParams, d: DesignParams) -> dict:

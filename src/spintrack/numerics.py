@@ -271,7 +271,12 @@ def geometric_times(t_end: float, g: float, t_offset: float, cap: float = math.i
     # g * (t + t_offset) only grows with t, so from a capped step on every
     # step is capped: the tail t + cap + cap + ..., added in order by
     # cumsum, in blocks in case the sums round short of t_end
-    count = int((t_end - t) / cap) + 2
+    tail = (t_end - t) / cap
+    if not len(times) + tail + 2.0 <= np.iinfo(np.intp).max:
+        raise ConfigurationError(f"geometric_times: the tail of {tail:.3g} steps of {cap:.3g} "
+                                 f"to t_end = {t_end:.3g} exceeds numpy's largest index "
+                                 f"{np.iinfo(np.intp).max}")
+    count = int(tail) + 2
     grid = np.frombuffer(times)
     while grid[-1] < t_end:
         start = len(grid) - 1

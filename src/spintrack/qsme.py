@@ -142,9 +142,6 @@ def _at_time(err: NumericalError, k: int, dt: float) -> NumericalError:
     return type(err)(f"{err} (step at t = {k * dt:.6e})")
 
 
-_NORM_BLOCK = 128   # steps between two checks of the recorded norms
-
-
 class StateStack:
     """Conditioned states in fixed fields, advanced together by the Kraus
     map of the module docstring.
@@ -158,10 +155,9 @@ class StateStack:
     the eta check, the rotation of each field, and the buffers, so a step
     allocates nothing.  Step k overwrites psi with its normalized
     successor and norms[k] with the squared norms of the measured states.
-    The norms are checked in blocks rather than per step: check() raises
-    InstabilityError, naming the first step whose norm was not positive
-    and finite, and runs by itself every _NORM_BLOCK steps; a run calls it
-    once more at its end.  A failed row stays non-finite until then.
+    The norms are checked once, after the last step, rather than per step:
+    check() raises InstabilityError, naming the first step whose norm was
+    not positive and finite.  A failed row runs on as NaN until then.
     """
 
     def __init__(self, ops: SpinOperators, p: PlantParams, dt: float, fields: np.ndarray,
@@ -183,7 +179,7 @@ class StateStack:
         self._rotated = np.empty_like(self.psi)
         self._scale = np.empty((len(fields), records))
         self._scale_col = self._scale[:, :, None]
-        self._steps = self._checked = 0
+        self._steps = 0
 
     def step(self, ydt: np.ndarray) -> None:
         """One step on the record increments ydt, one per record, in the
@@ -198,18 +194,15 @@ class StateStack:
         np.sqrt(norm2, out=self._scale)
         np.divide(np.matmul(psi, self._rot, out=self._rotated), self._scale_col, out=psi)
         self._steps += 1
-        if self._steps - self._checked == _NORM_BLOCK:
-            self.check()
 
     def check(self) -> None:
-        """Raise InstabilityError if a step since the last check left a
-        norm that is not positive and finite, naming the first such step."""
-        norms = self.norms[self._checked:self._steps]
+        """Raise InstabilityError if a step so far left a norm that is not
+        positive and finite, naming the first such step."""
+        norms = self.norms[:self._steps]
         ok = np.all((norms > 0.0) & (norms < math.inf), axis=(1, 2))
         if not ok.all():
             raise _at_time(InstabilityError("SSE step: state norm is not positive and finite"),
-                           self._checked + int(np.argmin(ok)), self.dt)
-        self._checked = self._steps
+                           int(np.argmin(ok)), self.dt)
 
 
 def sme_step(coh: np.ndarray, ops: SpinOperators, p: PlantParams, dt: float) -> np.ndarray:

@@ -72,24 +72,6 @@ class SteadyGains:
     sigma_bS: float
 
 
-def _prior_values(prior) -> tuple[float, float]:
-    if isinstance(prior, Priors):
-        return prior.sigma_z0, prior.sigma_b0
-    sz0, sb0 = prior
-    return float(sz0), float(sb0)
-
-
-def _finite_prior_values(prior) -> tuple[float, float]:
-    """Priors of the numeric routes, which need them finite (the closed
-    form takes infinite priors as limits)."""
-    sz0, sb0 = _prior_values(prior)
-    if not (math.isfinite(sz0) and math.isfinite(sb0) and sz0 > 0 and sb0 >= 0):
-        raise ConfigurationError(
-            f"numeric Riccati routes need finite priors with sigma_z0 > 0, got ({sz0}, {sb0}); "
-            "use the closed form for infinite priors")
-    return sz0, sb0
-
-
 def _is_constant_field(p: PlantParams) -> bool:
     return p.sigma_bF == 0.0 and p.gamma_b == 0.0
 
@@ -232,9 +214,9 @@ def _check_psd(traj: CovTrajectory):
                                f"t = {traj.t[k]:.6e}; use a smaller dt")
 
 
-def riccati_at_times(p: PlantParams, prior, times) -> CovTrajectory:
+def riccati_at_times(p: PlantParams, prior: Priors, times) -> CovTrajectory:
     """Riccati solution sampled exactly at the requested times."""
-    sz0, sb0 = _finite_prior_values(prior)
+    sz0, sb0 = prior.sigma_z0, prior.sigma_b0
     times = np.atleast_1d(np.asarray(times, dtype=np.float64))
     gj = p.gamma * p.J
     gb = p.gamma_b
@@ -281,6 +263,9 @@ def integrate_estimator_riccati(p: PlantParams, prior: Priors, dt: float, T: flo
 def analytic_sigma(p: PlantParams, prior, t: float) -> tuple[float, float]:
     """Constant-field tracking errors (sigma_zR(t), sigma_bR(t)) for any priors.
 
+    ``prior`` is a Priors or a (sigma_z0, sigma_b0) pair; only the pair
+    can hold math.inf, which a Priors rejects.
+
     Each prior enters in homogeneous coordinates, sigma_z0 = a / alpha and
     sigma_b0 = c / beta, with (a, alpha) = (v, 1) for a finite value v and
     (1, 0) for math.inf.  The general-prior solution multiplied through by
@@ -301,7 +286,10 @@ def analytic_sigma(p: PlantParams, prior, t: float) -> tuple[float, float]:
     if not _is_constant_field(p):
         raise UnsupportedCaseError(
             "analytic_sigma: closed form holds for constant fields only; integrate numerically")
-    sz0, sb0 = _prior_values(prior)
+    if isinstance(prior, Priors):
+        sz0, sb0 = prior.sigma_z0, prior.sigma_b0
+    else:
+        sz0, sb0 = map(float, prior)
     if t == 0.0:
         return sz0, sb0
     a, alpha = (1.0, 0.0) if math.isinf(sz0) else (sz0, 1.0)
@@ -366,7 +354,7 @@ def steady_state_gains(p: PlantParams, d: DesignParams) -> SteadyGains:
 _JUMP_HORIZON = 300.0   # largest gamma_b t of the jump for a decaying field
 
 
-def linearized_riccati_curve(p: PlantParams, prior, times) -> CovTrajectory:
+def linearized_riccati_curve(p: PlantParams, prior: Priors, times) -> CovTrajectory:
     """Sigma(t) = W U^{-1} at all requested times at once; [W; U] starts at
     [Sigma0; I] under the Hamiltonian H = [[A, Sigma1], [C^T C / sigma_M, -A^T]].
 
@@ -383,7 +371,7 @@ def linearized_riccati_curve(p: PlantParams, prior, times) -> CovTrajectory:
     exp(gamma_b t), stays within 3e-13 of an 800-digit evaluation up to
     gamma_b t = _JUMP_HORIZON and overflows near 700: later t is unsupported.
     """
-    sz0, sb0 = _finite_prior_values(prior)
+    sz0, sb0 = prior.sigma_z0, prior.sigma_b0
     times = np.atleast_1d(np.asarray(times, dtype=np.float64))
     a, _, c, sigma1 = build_system(p)
     h = np.block([[a, sigma1], [c.T @ c / p.sigma_M, -a.T]])

@@ -57,11 +57,16 @@ class Trajectory:
 
 
 def step_count(who: str, p: PlantParams, dt: float, T: float) -> int:
-    """Steps round(T / dt) of truth run ``who``, at least one; checks dt, T
-    and warns past 1/M."""
+    """Steps n = round(T / dt) of truth run ``who``, at least one; checks dt,
+    T and that the run's longest array, its 2 + 2n normals, fits numpy's
+    largest index, and warns past 1/M."""
     if not (dt > 0 and T / dt > 0.5):
         raise ConfigurationError(f"{who}: dt and T must be positive, with T of at least one "
                                  f"step; got dt = {dt}, T = {T}")
+    if not 2.0 + 2.0 * (T / dt) <= np.iinfo(np.intp).max:
+        raise ConfigurationError(f"{who}: T / dt = {T / dt:.3g} steps need more normals than "
+                                 f"numpy's largest index {np.iinfo(np.intp).max}; "
+                                 f"got dt = {dt}, T = {T}")
     if T > 1.0 / p.M:
         warnings.warn(f"{who}: T exceeds 1/M; the small-time model is not valid there",
                       stacklevel=3)

@@ -245,6 +245,36 @@ class TestCommands:
         assert f"{who}: dt and T must be positive, with T of at least one step" in err
         assert "integrate_estimator_riccati" not in err
 
+    @pytest.mark.parametrize("verb, fixture, edits, named", [
+        ("simulate", "constant_field_tables.scn",
+         [("dt       = 1e-8", "dt = 1e-20"), ("T        = 1e-4", "T = 1")],
+         "simulate_open_loop: T / dt = 1e+20 steps"),
+        ("montecarlo", "montecarlo_matched.scn",
+         [("dt       = 5e-12", "dt = 1e-20"), ("T        = 5e-8", "T = 1")],
+         "run_ensemble: T / dt = 1e+20 steps"),
+        ("riccati", "riccati_fluctuating.scn", [("sigma_bF = 2e5", "sigma_bF = 1e300")],
+         "geometric_times: the tail of 4e+78 steps"),
+        ("bode", "bode_nominal.scn", [("lambda    = 0.2", "lambda = 1e300")], "'lambda'"),
+    ])
+    def test_sizes_past_the_float_or_index_range_are_configuration_errors(
+            self, tmp_path, capsys, verb, fixture, edits, named):
+        # step counts no array can index, and loop coefficients that
+        # overflow, are rejected before any allocation or warning
+        base = (SCENARIOS / fixture).read_text()
+        for old, new in edits:
+            assert base.count(old) == 1
+            base = base.replace(old, new)
+        sc = tmp_path / "big.scn"
+        sc.write_text(base)
+        out = tmp_path / "o.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = run_cli([verb, "--scenario", str(sc), "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and err.count("\n") == 1 and named in err
+        assert not out.exists()
+
     def test_simulate_divergence_exit_code(self, tmp_path, capsys):
         # the one-trial loop runs on Python floats, which overflow without a
         # warning, so run_closed_loop checks its rows before returning

@@ -105,6 +105,14 @@ class TestBode:
         with pytest.raises(ConfigurationError):
             freq.bode(freq.RationalTF([1.0], [1.0]), np.array([1.0, 0.5]))
 
+    def test_is_the_transfer_function_on_the_axis(self):
+        omega = np.geomspace(1e4, 1e12, 481)
+        for tf in freq.closed_loop_tfs(FLUCT, DESIGN):
+            mag, phase = freq.bode(tf, omega)
+            h = tf(1j * omega)
+            assert np.array_equal(mag, 20.0 * np.log10(np.abs(h)))
+            assert np.array_equal(phase, np.degrees(np.unwrap(np.angle(h))))
+
 
 class TestCharFreqs:
     def test_reference_values(self):

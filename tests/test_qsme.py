@@ -206,19 +206,20 @@ class TestSmeStep:
         with pytest.raises(InstabilityError, match=f"t = {k * dt:.6e}"):
             qsme.unconditional_jx_decay(ops, p, dt, 12)
 
-    @pytest.mark.parametrize("block_step", [-1, 0, 5])
-    def test_norm_failure_in_any_block_names_its_time(self, monkeypatch, block_step):
-        # the norms are checked every _NORM_BLOCK steps and once after the
-        # loop: a failure on either side of a block's end names its step
+    @pytest.mark.parametrize("where", ["first", "middle", "last"])
+    def test_norm_failure_at_any_step_names_its_time(self, monkeypatch, where):
+        # the norms are checked once, after the loop: a failure at the
+        # first, a middle or the last step names that step
         ops = qsme.spin_operators(2.0)
         p = PlantParams(J=2.0, gamma=1e6, M=1e4)
-        dt, k = 1e-9, 2 * qsme._NORM_BLOCK + block_step
-        n = 2 * qsme._NORM_BLOCK + 20
+        dt, n = 1e-9, 276
+        k = {"first": 0, "middle": n // 2, "last": n - 1}[where]
+        named = f"norm.*t = {re.escape(f'{k * dt:.6e}')}"
         monkeypatch.setattr(qsme, "trial_normals", _nan_draw(4 * k + 3))
-        with pytest.raises(InstabilityError, match=f"norm.*t = {k * dt:.6e}"):
+        with pytest.raises(InstabilityError, match=named):
             _two_point_run(ops, p, 1e-3, 1, 2, dt, n)
         monkeypatch.setattr(qsme, "trial_normals", _nan_draw(k))
-        with pytest.raises(InstabilityError, match=f"norm.*t = {k * dt:.6e}"):
+        with pytest.raises(InstabilityError, match=named):
             qsme.simulate_ramp_ensemble(ops, p, 1e-3, 1, 2, dt, n)
 
     def test_inefficient_measurement_rejected(self):

@@ -41,7 +41,7 @@ class TestNumericIntegration:
 
     def test_zero_prior_zero_field_stays_zero(self):
         p = CONST
-        traj = ric.riccati_at_times(p, (5e5, 0.0), np.geomspace(1e-9, 1e-5, 20))
+        traj = ric.riccati_at_times(p, Priors(5e5, 0.0), np.geomspace(1e-9, 1e-5, 20))
         assert np.all(traj.sigma_bR == 0.0)
 
     def test_matches_analytic_constant_field(self):
@@ -273,15 +273,12 @@ class TestLinearized:
             sig = ric.linearized_riccati_curve(FLUCT, PRIOR, [t])
             assert curve.sigma_bR[i] == pytest.approx(sig.sigma_bR[0], rel=1e-9)
 
-    @pytest.mark.parametrize("prior", [(math.inf, 1.0), (5e5, math.inf), (5e5, math.nan)])
-    def test_numeric_routes_reject_non_finite_priors(self, prior):
-        times = np.array([1e-9, 1e-8])
-        for route in (ric.riccati_at_times, ric.linearized_riccati_curve):
-            with pytest.raises(ConfigurationError, match="finite priors"):
-                route(CONST, prior, times)
-        # the closed form takes infinite priors as limits
-        if not math.isnan(prior[1]):
-            assert all(map(math.isfinite, ric.analytic_sigma(CONST, prior, 1e-8)))
+    @pytest.mark.parametrize("prior", [(math.inf, 1.0), (5e5, math.inf)])
+    def test_closed_form_takes_infinite_priors(self, prior):
+        # the numeric routes take a Priors, which rejects them
+        # (test_model.py::TestValidation::test_priors_finite); the closed
+        # form takes them as limits
+        assert all(map(math.isfinite, ric.analytic_sigma(CONST, prior, 1e-8)))
 
 
 class TestThreeRouteAgreement:
@@ -332,8 +329,9 @@ def _assert_rk4_rows_are_the_reference(p, prior, times):
                          gj * sb - gamma_b * sc - sz * sc * inv_sm,
                          sigma_bf - 2.0 * gamma_b * sb - sc * sc * inv_sm])
 
-    grid = ric._internal_times(p, *prior, float(times.max()), times)
-    ref = rk4_nonuniform(rhs, [prior[0], 0.0, prior[1]], grid)[np.searchsorted(grid, times)]
+    sz0, sb0 = prior.sigma_z0, prior.sigma_b0
+    grid = ric._internal_times(p, sz0, sb0, float(times.max()), times)
+    ref = rk4_nonuniform(rhs, [sz0, 0.0, sb0], grid)[np.searchsorted(grid, times)]
     traj = ric.riccati_at_times(p, prior, times)
     assert np.array_equal(np.column_stack([traj.sigma_zR, traj.sigma_cR, traj.sigma_bR]), ref)
     return traj
@@ -362,7 +360,7 @@ class TestRouteProperties:
            span=st.floats(0.0, 1.5), **_PAPER)
     def test_fluctuating_field_routes_agree(self, j, gamma, m, gb, sbf, z0, b0, span):
         p, rate = _fluctuating(j, gamma, m, gb, sbf)
-        prior = (p.J / 2.0 * 10 ** z0, p.sigma_bF / (2.0 * p.gamma_b) * 10 ** b0)
+        prior = Priors(p.J / 2.0 * 10 ** z0, p.sigma_bF / (2.0 * p.gamma_b) * 10 ** b0)
         _assert_routes_agree(p, prior, np.geomspace(1e-4, 30.0 * 10 ** span, 25) / rate)
 
     @settings(max_examples=20, deadline=None)
@@ -376,16 +374,16 @@ class TestRouteProperties:
         # the float-buffer RK4 loop does the reference's operations in the
         # reference's order on the same internal grid
         p, rate = _fluctuating(j, gamma, m, gb, sbf)
-        prior = (p.J / 2.0 * 10 ** z0, p.sigma_bF / (2.0 * p.gamma_b) * 10 ** b0)
+        prior = Priors(p.J / 2.0 * 10 ** z0, p.sigma_bF / (2.0 * p.gamma_b) * 10 ** b0)
         _assert_rk4_rows_are_the_reference(p, prior, np.geomspace(1e-4, 3.0 * 10 ** span, 12) / rate)
 
     def test_a_time_inside_a_copied_step_keeps_the_reference_rows(self):
         # a required time splits one capped step deep in the stationary
         # tail into two shorter steps, both inside the copied stretch
         p, rate = _fluctuating(6.0, 6.0, 4.0, 0.0, 0.0)
-        prior = (p.J / 2.0, p.sigma_bF / (2.0 * p.gamma_b))
+        prior = Priors(p.J / 2.0, p.sigma_bF / (2.0 * p.gamma_b))
         times = np.geomspace(1e-4, 300.0, 12) / rate
-        grid = ric._internal_times(p, *prior, float(times.max()), times)
+        grid = ric._internal_times(p, prior.sigma_z0, prior.sigma_b0, float(times.max()), times)
         split = 0.5 * (grid[-20] + grid[-19])
         assert grid[-19] - grid[-20] == grid[-20] - grid[-21]   # a capped step
         traj = _assert_rk4_rows_are_the_reference(p, prior, np.sort(np.append(times, split)))
@@ -414,7 +412,7 @@ class TestRouteProperties:
     def test_fluctuating_field_saturates_at_the_exact_steady_state(self, j, gamma, m, gb, sbf,
                                                                   z0, b0):
         p, rate = _fluctuating(j, gamma, m, gb, sbf)
-        prior = (p.J / 2.0 * 10 ** z0, p.sigma_bF / (2.0 * p.gamma_b) * 10 ** b0)
+        prior = Priors(p.J / 2.0 * 10 ** z0, p.sigma_bF / (2.0 * p.gamma_b) * 10 ** b0)
         times = np.geomspace(1e-4, 1e3, 30) / min(rate, p.gamma_b)
         lin = ric.linearized_riccati_curve(p, prior, times)
         for i in range(len(times)):
@@ -429,8 +427,8 @@ class TestRouteProperties:
     @given(z0=_LOG, b0=st.floats(-3.0, 1.0), span=st.floats(-1.0, 1.0), **_PAPER)
     def test_constant_field_routes_agree_with_closed_forms(self, j, gamma, m, z0, b0, span):
         p = PlantParams(J=10 ** j, gamma=10 ** gamma, M=10 ** m)
-        prior = (p.J / 2.0 * 10 ** z0, 10 ** b0)
-        times = np.geomspace(1e-2, 1e4 * 10 ** span, 25) * p.sigma_M / prior[0]
+        prior = Priors(p.J / 2.0 * 10 ** z0, 10 ** b0)
+        times = np.geomspace(1e-2, 1e4 * 10 ** span, 25) * p.sigma_M / prior.sigma_z0
         lin = _assert_routes_agree(p, prior, times)
         ana_z, ana_b = _closed(p, prior, times)
         assert np.max(np.abs(lin.sigma_bR / ana_b - 1.0)) < 1e-6
@@ -440,8 +438,8 @@ class TestRouteProperties:
     @given(z0=_LOG, b0=st.floats(-6.0, 2.0), span=st.floats(-1.0, 1.0), **_WIDE)
     def test_constant_field_jump_matches_closed_forms(self, j, gamma, m, z0, b0, span):
         p = PlantParams(J=10 ** j, gamma=10 ** gamma, M=10 ** m)
-        prior = (p.J / 2.0 * 10 ** z0, 10 ** b0)
-        times = np.geomspace(1e-2, 1e4 * 10 ** span, 25) * p.sigma_M / prior[0]
+        prior = Priors(p.J / 2.0 * 10 ** z0, 10 ** b0)
+        times = np.geomspace(1e-2, 1e4 * 10 ** span, 25) * p.sigma_M / prior.sigma_z0
         lin = ric.linearized_riccati_curve(p, prior, times)
         ana_z, ana_b = _closed(p, prior, times)
         assert np.max(np.abs(lin.sigma_bR / ana_b - 1.0)) < 1e-9
@@ -452,7 +450,7 @@ class TestRouteProperties:
     def test_decaying_field_jump_agrees_with_rk4(self, j, gb, z0, horizon):
         # sigma_bF = 0 < gamma_b: the single jump from the prior
         p = PlantParams(J=10 ** j, gamma=1e6, M=1e4, gamma_b=10 ** gb)
-        _assert_routes_agree(p, (p.J / 2.0 * 10 ** z0, 1.0),
+        _assert_routes_agree(p, Priors(p.J / 2.0 * 10 ** z0, 1.0),
                              np.geomspace(1e-3, 10 ** horizon, 20) / p.gamma_b)
 
     def test_repeated_eigenvalue_needs_no_special_case(self):
@@ -463,7 +461,7 @@ class TestRouteProperties:
         p0 = PlantParams(J=1e3, gamma=1e3, M=1e2, sigma_bF=1.0)
         gb = math.sqrt(2.0 * p0.gamma * p0.J * math.sqrt(p0.sigma_bF / p0.sigma_M))
         p = PlantParams(J=p0.J, gamma=p0.gamma, M=p0.M, gamma_b=gb, sigma_bF=p0.sigma_bF)
-        _assert_routes_agree(p, (p.J / 2.0, p.sigma_bF / (2.0 * gb)),
+        _assert_routes_agree(p, Priors(p.J / 2.0, p.sigma_bF / (2.0 * gb)),
                              np.geomspace(1e-3, 30.0, 40) / gb)
 
     def test_decaying_field_past_the_jump_horizon_is_unsupported(self):
