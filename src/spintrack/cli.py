@@ -195,9 +195,8 @@ def cmd_montecarlo(sc: dict, seed: int, out: str, workers: int) -> int:
     mode = sc.get("mode", "dynamic_gain")
     trials = sc.get("trials", 2000)
     dt, T = _positive(sc, "dt", "T")
-    n = int(round(T / dt))
-    decimate = sc.get("decimate", max(1, n // 200))
-    if decimate < 1:
+    decimate = sc.get("decimate")   # None: run_ensemble keeps about 200 rows
+    if decimate is not None and decimate < 1:
         raise ConfigurationError(f"scenario key 'decimate' must be positive, got {decimate}")
     # each worker takes a contiguous range of whole summation blocks;
     # summarize_ensemble adds all block sums in trial order, so the bytes do

@@ -5,7 +5,7 @@ The estimate m = (z~, b~) follows
     dm = A' m dt + B' u dt + K_O(t) [y dt - C m dt],    m(0) = (0, 0)
 
 discretized by explicit Euler on the record grid (the record and filter
-share dt; keep dt * K_O1 small, with the saturated gain as the proxy).
+share dt; both modes need dt * K_O1_steady < 0.1, checked in _loop_setup).
 Primed quantities use the design spin J'; the observer's own prior is the
 coherent variance J'/2 for spin together with the scenario field prior.
 The controller applies u = -K_C m with the stationary controller gain.
@@ -140,17 +140,21 @@ def filter_record(p: PlantParams, k1: np.ndarray, k2: np.ndarray, ydt: np.ndarra
 
 def _loop_setup(p: PlantParams, prior: Priors, d: DesignParams, mode: str, dt: float, n: int):
     """The observer gains of the mode on the grid of n steps, the constants
-    of _loop_step and the field noise amplitude."""
+    of _loop_step and the field noise amplitude; both modes bound dt by the
+    saturated gain, dt * K_O1_steady < 0.1, which steady_gain needs."""
     if mode not in MODES:
         raise ConfigurationError(f"unknown filter mode '{mode}'; choose one of {MODES}")
     p_des = design_plant(p, d)
+    if mode == "steady_gain" or p.sigma_bF > 0:
+        k_steady = steady_state_gains(p_des, d).K_O   # UnsupportedCaseError at sigma_bF = 0
+        if dt * k_steady[0] >= 0.1:
+            raise ConfigurationError(f"Euler filter: dt * K_O1_steady >= 0.1; choose dt below "
+                                     f"{0.1 / k_steady[0]:.3e}")
     if mode == "dynamic_gain":
         cov = integrate_estimator_riccati(p_des, design_prior(d, prior), dt, n * dt)
         k1, k2 = cov.gain(p_des.sigma_M)
-    elif not p.sigma_bF > 0:
-        raise ConfigurationError("steady_gain mode needs sigma_bF > 0 (gains undefined otherwise)")
     else:
-        k1, k2 = (np.full(n + 1, k) for k in steady_state_gains(p_des, d).K_O)
+        k1, k2 = (np.full(n + 1, k) for k in k_steady)
     kc0, kc1 = controller_gain(p, d)
     decay, amp = field_step(p, dt)
     return k1, k2, (p.gamma * p.J, p.gamma * d.J_prime, p.gamma_b, decay,
@@ -202,9 +206,10 @@ def _step_block(trials: int) -> int:
 
 def run_ensemble(p: PlantParams, prior: Priors, d: DesignParams, mode: str,
                  seed: int, trials: int, dt: float, T: float,
-                 decimate: int = 1, trial_offset: int = 0):
+                 decimate: int | None = 1, trial_offset: int = 0):
     """Vectorized closed-loop ensemble; per-trial draws match run_closed_loop
-    on trial stream seed XOR (trial_offset + k).
+    on trial stream seed XOR (trial_offset + k), with output at every
+    ``decimate``-th of the n steps (None: max(1, n // 200)) and at T.
 
     Returns (t_out, parts): parts[i] stacks, per output time, the sums and
     sums of squares of (b~-b)^2 and (z~-z)^2 (rows: s1_b, s2_b, s1_z,
@@ -224,7 +229,7 @@ def run_ensemble(p: PlantParams, prior: Priors, d: DesignParams, mode: str,
     n = step_count("run_ensemble", p, dt, T)
     k1, k2, c, amp = _loop_setup(p, prior, d, mode, dt, n)
 
-    out_idx = np.arange(0, n + 1, decimate)
+    out_idx = np.arange(0, n + 1, max(1, n // 200) if decimate is None else decimate)
     if out_idx[-1] != n:
         out_idx = np.append(out_idx, n)
     t_out = out_idx * dt

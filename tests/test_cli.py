@@ -252,6 +252,9 @@ class TestCommands:
         ("montecarlo", "montecarlo_matched.scn",
          [("dt       = 5e-12", "dt = 1e-20"), ("T        = 5e-8", "T = 1")],
          "run_ensemble: T / dt = 1e+20 steps"),
+        ("montecarlo", "montecarlo_matched.scn",
+         [("dt       = 5e-12", "dt = 1e-20"), ("T        = 5e-8", "T = 1e300")],
+         "run_ensemble: T / dt = inf steps"),
         ("riccati", "riccati_fluctuating.scn", [("sigma_bF = 2e5", "sigma_bF = 1e300")],
          "geometric_times: the tail of 4e+78 steps"),
         ("bode", "bode_nominal.scn", [("lambda    = 0.2", "lambda = 1e300")], "'lambda'"),
@@ -274,6 +277,38 @@ class TestCommands:
         err = capsys.readouterr().err
         assert err.startswith("configuration error:") and err.count("\n") == 1 and named in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("verb", ["montecarlo", "simulate"])
+    def test_steady_gain_past_the_filter_step_bound_is_configuration_error(self, tmp_path,
+                                                                           capsys, verb):
+        # dt = 1e-9 is 4x past the Euler filter's bound dt * K_O1_steady
+        # < 0.1, which the frozen gain must meet as the dynamic one does
+        base = (SCENARIOS / "transfer_function_comparison.scn").read_text()
+        sc = tmp_path / "coarse.scn"
+        sc.write_text(base.replace("dt       = 5e-12", "dt = 1e-9")
+                          .replace("T        = 5e-8", "T = 1e-7")
+                          .replace("trials   = 2000", "trials = 256"))
+        out = tmp_path / "o.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = run_cli([verb, "--scenario", str(sc), "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and err.count("\n") == 1
+        assert "choose dt below 2.365e-10" in err
+        assert not out.exists()
+
+    def test_riccati_time_out_of_float_range_is_numerical_error(self, tmp_path, capsys):
+        # the closed form names the time before any arithmetic warns
+        base = (SCENARIOS / "constant_field_tables.scn").read_text()
+        sc = tmp_path / "long.scn"
+        sc.write_text(base.replace("T        = 1e-4", "T = 1e300"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = run_cli(["riccati", "--scenario", str(sc), "--out", str(tmp_path / "o.csv")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical error: analytic_sigma:") and err.count("\n") == 1
 
     def test_simulate_divergence_exit_code(self, tmp_path, capsys):
         # the one-trial loop runs on Python floats, which overflow without a

@@ -89,6 +89,17 @@ class TestClosedLoop:
         with pytest.raises(ConfigurationError):
             run_closed_loop(p, PRIOR, MATCHED, "steady_gain", RngStream(0), 1e-10, 1e-8)
 
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("run", [
+        lambda mode, dt, T: run_closed_loop(FLUCT, PRIOR, MATCHED, mode, RngStream(0), dt, T),
+        lambda mode, dt, T: run_ensemble(FLUCT, PRIOR, MATCHED, mode, 0, 4, dt, T),
+    ], ids=["run_closed_loop", "run_ensemble"])
+    def test_uniform_grid_guard(self, run, mode):
+        # both gain modes drive the same Euler filter, so both meet its
+        # step bound dt * K_O1_steady < 0.1
+        with pytest.raises(ConfigurationError, match="dt \\* K_O1_steady >= 0.1"):
+            run(mode, 1e-8, 1e-6)
+
     def test_unknown_mode_rejected(self):
         with pytest.raises(ConfigurationError):
             run_closed_loop(FLUCT, PRIOR, MATCHED, "nonsense", RngStream(0), 5e-12, 1e-9)

@@ -179,8 +179,6 @@ class TestSmeStep:
         assert np.all(np.isnan(grid.psi))
         with pytest.raises(InstabilityError, match="norm"):
             grid.check()
-        with pytest.raises(InstabilityError, match="not finite"):
-            qsme.sme_step(np.full(ops.dim - 1, math.nan), ops, p, 1e-9)
 
     def test_failures_name_the_time(self, monkeypatch):
         ops = qsme.spin_operators(5.0)
@@ -194,17 +192,6 @@ class TestSmeStep:
         monkeypatch.setattr(qsme, "trial_normals", _nan_draw(k))
         with pytest.raises(InstabilityError, match=f"t = {k * dt:.6e}"):
             qsme.simulate_ramp_ensemble(ops, p, 1e-3, 1, 2, dt, 12)
-
-        step = qsme.sme_step
-        calls = []
-
-        def nan_state_at_k(coh, *args):
-            calls.append(None)
-            return step(coh * math.nan if len(calls) == k + 1 else coh, *args)
-
-        monkeypatch.setattr(qsme, "sme_step", nan_state_at_k)
-        with pytest.raises(InstabilityError, match=f"t = {k * dt:.6e}"):
-            qsme.unconditional_jx_decay(ops, p, dt, 12)
 
     @pytest.mark.parametrize("where", ["first", "middle", "last"])
     def test_norm_failure_at_any_step_names_its_time(self, monkeypatch, where):
@@ -372,17 +359,22 @@ class TestSuites:
         (lambda: qsme.suite_ramp_statistics(trajectories=1), "trajectories must be at least 2"),
         (lambda: qsme.suite_grid_kalman(points=1), "at least two hypotheses"),
         (lambda: qsme.suite_two_point(T=0.0), "T of at least one step"),
-        (lambda: qsme.suite_jx_decay(dt=0.0), "dt > 0"),
+        (lambda: qsme.suite_jx_decay(dt=0.0), "dt and T must be positive"),
+        (lambda: qsme.suite_variance_tracking(T=-1e-5), "dt and T must be positive"),
+        (lambda: qsme.suite_grid_kalman(dt=math.nan), "dt and T must be positive"),
+        (lambda: qsme.suite_ramp_statistics(dt=1e-8, T=4e-9), "T of at least one step"),
+        (lambda: qsme.suite_two_point(dt=1e-30), r"suite_two_point: T / dt = 1e\+26 steps"),
         (lambda: qsme.simulate_ramp_ensemble(qsme.spin_operators(1.0), PlantParams(
             J=1.0, gamma=1e6, M=1e4), 0.0, 1, 0, 1e-9, 3), "trajectories must be at least 1"),
         (lambda: qsme.simulate_ramp_ensemble(qsme.spin_operators(1.0), PlantParams(
             J=1.0, gamma=1e6, M=1e4), 0.0, 1, 2, 1e-9, 0), "n must be at least 1"),
     ], ids=["two_point-records", "grid_kalman-records", "variance_tracking-trajectories",
             "ramp_statistics-trajectories", "grid_kalman-points", "two_point-T", "jx_decay-dt",
+            "variance_tracking-T", "grid_kalman-dt", "ramp_statistics-T", "two_point-index",
             "simulate-trajectories", "simulate-n"])
     def test_degenerate_sizes_rejected(self, call, match):
         # each crashed inside numpy, returned NaN standard errors, or
-        # reported on zero steps
+        # reported on zero steps; the suites size their runs by step_count
         with pytest.raises(ConfigurationError, match=match):
             call()
 
