@@ -1,17 +1,21 @@
 """Matrix exponentials, exact covariance steps, time grids, reproducible noise.
 
 Everything here is deterministic: ``mat_expm`` (``scipy.linalg.expm``
-behind input guards) and the closed-form ``stable_expm2`` are the matrix
-exponentials, ``ou_increment`` steps a linear SDE's covariance exactly
-over a given interval, ``geometric_times`` builds explicit step schedules
-(no error-adaptive control), and the random stream is counter-based, so a
-(seed, position) pair always yields the same draw on every platform.
+behind input guards) and the closed-form ``stable_expm2`` are the general
+matrix exponentials, ``ou_increment`` steps a linear SDE's covariance
+exactly over a given interval (its Van Loan blocks have bounded norm by
+construction, so it takes one stacked Pade [7/7] step of its own, with no
+scipy call and no squaring), ``geometric_times`` builds explicit step
+schedules (no error-adaptive control), and the random stream is
+counter-based, so a (seed, position) pair always yields the same draw on
+every platform.
 
 Stacks: ``mat_expm`` and ``ou_increment`` take a (..., n, n) stack of
 matrices as well as one matrix, and treat each matrix of the stack
 exactly as a call on that matrix alone would, bit for bit (a stacked
 ``ou_increment`` also takes one ``dt`` per matrix).  One call on a stack
-replaces a Python loop of calls.
+replaces a Python loop of calls; ``mat_expm`` still loops over the stack
+inside scipy, ``ou_increment`` does not.
 
 Random numbers
 --------------
@@ -196,6 +200,45 @@ def stable_expm2(m: np.ndarray, t: np.ndarray) -> np.ndarray:
     return c[:, None, None] * np.eye(2) + s[:, None, None] * n
 
 
+# Pade [7/7] coefficients of exp (Higham, SIAM J. Matrix Anal. Appl. 26, 1179, 2005)
+_PADE7 = (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0, 1512.0, 56.0, 1.0)
+
+
+def _pade7(a: np.ndarray) -> np.ndarray:
+    """The [7/7] Pade approximant of exp on a (m, k, k) stack, without
+    scaling and squaring: backward-stable to unit roundoff for matrices of
+    norm at most theta_7 = 0.95 in any consistent norm (Higham 2005)."""
+    b = _PADE7
+    eye = np.eye(a.shape[-1])
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a4 @ a2
+    u = a @ (b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
+    v = b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye
+    return np.linalg.solve(v - u, v + u)
+
+
+def _halvings(v: np.ndarray) -> np.ndarray:
+    """Least s >= 0 with v 2**-s <= 0.25, for finite v >= 0: ceil(log2(v /
+    0.25)) read exactly from the binary exponent of v."""
+    m, e = np.frexp(v)
+    return np.where(v > 0.25, e + 2 - (m == 0.5), 0)
+
+
+def _step_norms(alpha: np.ndarray, q: np.ndarray, dt: np.ndarray):
+    """(||alpha||_1 dt, sum |q| dt) per matrix of (m, n, n) stacks; NaN or
+    inf where an entry is not finite or the product overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (np.abs(alpha).sum(axis=1).max(axis=1) * dt,
+                np.abs(q).sum(axis=(1, 2)) * dt)
+
+
+def _compose(phi2, g2, phi1, g1):
+    """The covariance map P -> Phi2 (Phi1 P Phi1^T + G1) Phi2^T + G2 as one
+    pair (Phi2 Phi1, Phi2 G1 Phi2^T + G2), on matching (..., n, n) stacks."""
+    return phi2 @ phi1, phi2 @ g1 @ phi2.swapaxes(-1, -2) + g2
+
+
 def ou_increment(alpha: np.ndarray, q: np.ndarray, dt: float | np.ndarray):
     """Exact one-step propagator for a linear SDE covariance.
 
@@ -203,20 +246,31 @@ def ou_increment(alpha: np.ndarray, q: np.ndarray, dt: float | np.ndarray):
     P(t+dt) = Phi P(t) Phi^T + G with Phi = exp(alpha dt) and
     G = int_0^dt exp(alpha s) q exp(alpha^T s) ds.  Returns (Phi, G).
 
-    On a sub-step h with ||alpha h||_1 <= 0.25, which keeps the growing
-    block exp(-alpha h) of a stable generator well scaled, both come from
-    one block exponential (Van Loan, IEEE TAC 23, 395, 1978):
+    On a sub-step h = dt 2**-s with ||alpha h||_1 <= 0.25, which keeps the
+    growing block exp(-alpha h) of a stable generator well scaled, both
+    come from one block exponential (Van Loan, IEEE TAC 23, 395, 1978):
     exp([[-alpha, q], [0, alpha^T]] h) = [[., F12], [0, F22]] gives
-    Phi(h) = F22^T and G(h) = F22^T F12.  Interval doubling, G(2h) = G(h)
-    + Phi(h) G(h) Phi(h)^T, assembles dt; it is unconditionally stable, so
-    arbitrarily stiff stable generators are fine.
+    Phi(h) = F22^T and G(h) = F22^T F12.  F12 is linear in q, so the q
+    block enters scaled by an exact power of two, 2**-k, that brings
+    sum |q_ij| h to at most 0.25, and G takes the factor 2**k back.  The
+    block then has norm at most 0.5 in the operator norm of ||x||_1 +
+    ||y||_inf on its two halves (alpha^T measured in the infinity norm is
+    ||alpha||_1), below theta_7, so one Pade [7/7] approximant is the
+    exponential to unit roundoff with no squaring.
+    Interval doubling, (Phi, G)(2h) = (Phi, G)(h) composed with itself,
+    assembles dt; it is unconditionally stable, so arbitrarily stiff
+    stable generators are fine.
 
     Stacks: ``alpha`` and ``q`` may be (..., n, n) stacks with ``dt`` a
     scalar or an array of the leading shape; Phi and G then have the
-    stack's shape.  Each matrix keeps its own sub-step count, all blocks
-    go through one ``mat_expm`` call, and doubling pass j touches only the
-    matrices with more than j sub-steps, so matrix k of a stacked call
-    equals the 2-D call on (alpha[k], q[k], dt[k]) bit for bit.
+    stack's shape.  Each matrix keeps its own s and k, all blocks go
+    through one stacked Pade step, and doubling pass j touches only the
+    matrices with more than j sub-steps (a prefix of the stack sorted by
+    s), so matrix k of a stacked call equals the 2-D call on (alpha[k],
+    q[k], dt[k]) bit for bit.
+
+    A non-finite entry, or a step norm ||alpha||_1 dt or sum |q| dt that
+    overflows, raises DivergenceError naming the first such matrix.
     """
     alpha = np.asarray(alpha, dtype=np.float64)
     q = np.asarray(q, dtype=np.float64)
@@ -225,24 +279,29 @@ def ou_increment(alpha: np.ndarray, q: np.ndarray, dt: float | np.ndarray):
     shape, n = alpha.shape, alpha.shape[-1]
     alpha, q = alpha.reshape(-1, n, n), q.reshape(-1, n, n)
     dt = np.broadcast_to(np.asarray(dt, dtype=np.float64), shape[:-2]).reshape(-1)
-    norm = np.abs(alpha).sum(axis=1).max(axis=1) * dt   # ||alpha||_1 dt per matrix
-    s = np.array([math.ceil(math.log2(v / 0.25)) if v > 0.25 else 0 for v in norm.tolist()],
-                 dtype=np.int64)
-    h = dt / 2.0 ** s
+    a_norm, q_norm = _step_norms(alpha, q, dt)
+    bad = ~(np.isfinite(a_norm) & np.isfinite(q_norm))
+    if bad.any():
+        where = f" (matrix {int(np.argmax(bad))} of the stack)" if len(shape) > 2 else ""
+        raise DivergenceError(f"ou_increment: non-finite entries or step norm{where}")
+    s = _halvings(a_norm)
+    order = np.argsort(-s, kind="stable")   # most sub-steps first: each pass doubles a prefix
+    alpha, q, dt, s = alpha[order], q[order], dt[order], s[order]
+    k = _halvings(np.ldexp(q_norm[order], -s))
+    h = np.ldexp(dt, -s)[:, None, None]
     block = np.zeros((len(s), 2 * n, 2 * n))
-    block[:, :n, :n] = -alpha
-    block[:, :n, n:] = q
-    block[:, n:, n:] = alpha.swapaxes(1, 2)
-    block *= h[:, None, None]
-    f = mat_expm(block)
-    phi = f[:, n:, n:].swapaxes(1, 2)
-    g = phi @ f[:, :n, n:]
+    block[:, :n, :n] = -alpha * h
+    block[:, :n, n:] = np.ldexp(q * h, -k[:, None, None])
+    block[:, n:, n:] = alpha.swapaxes(1, 2) * h
+    f = _pade7(block)
+    phi = np.ascontiguousarray(f[:, n:, n:].swapaxes(1, 2))
+    g = np.ldexp(phi @ f[:, :n, n:], k[:, None, None])
     for j in range(s.max(initial=0)):
-        rows = np.flatnonzero(s > j)
-        p, gj = phi[rows], g[rows]
-        g[rows] = gj + p @ gj @ p.swapaxes(1, 2)
-        phi[rows] = p @ p
-    return phi.reshape(shape), (0.5 * (g + g.swapaxes(1, 2))).reshape(shape)
+        m = np.count_nonzero(s > j)
+        phi[:m], g[:m] = _compose(phi[:m], g[:m], phi[:m], g[:m])
+    out_phi, out_g = np.empty_like(phi), np.empty_like(g)
+    out_phi[order], out_g[order] = phi, 0.5 * (g + g.swapaxes(1, 2))
+    return out_phi.reshape(shape), out_g.reshape(shape)
 
 
 def geometric_times(t_end: float, g: float, t_offset: float, cap: float = math.inf) -> np.ndarray:

@@ -357,8 +357,11 @@ def linearized_riccati_curve(p: PlantParams, prior: Priors, times) -> CovTraject
     no eigenvectors appear: the repeated eigenvalue at gamma J sqrt(sigma_bF
     / sigma_M) = gamma_b^2 / 2 is no special case.
 
-    sigma_bF = 0: one exact jump exp(H t) [Sigma0; I] from the prior (one
-    mat_expm call on the stack).  For a decaying field it grows like
+    sigma_bF = 0: one exact jump exp(H t) [Sigma0; I] from the prior.  For
+    a constant field (gamma_b = 0) H is nilpotent, H^4 = 0 exactly in
+    floats, and the jump is the cubic (I + H t + (H t)^2/2 + (H t)^3/6)
+    [Sigma0; I], with each H^k [Sigma0; I] formed once for all times.  For
+    a decaying field (one mat_expm call on the stack) it grows like
     exp(gamma_b t), stays within 3e-13 of an 800-digit evaluation up to
     gamma_b t = _JUMP_HORIZON and overflows near 700: later t is unsupported.
     """
@@ -381,7 +384,14 @@ def linearized_riccati_curve(p: PlantParams, prior: Priors, times) -> CovTraject
         if far.any():
             raise UnsupportedCaseError(f"linearized Riccati: decaying field past gamma_b t = "
                                        f"{_JUMP_HORIZON:g}, first at t = {times[far][0]:.6e}")
-        wu = mat_expm(h * times[:, None, None]) @ start
+        if np.linalg.matrix_power(h, 4).any():
+            wu = mat_expm(h * times[:, None, None]) @ start
+        else:
+            h1 = h @ start
+            h2 = h @ h1
+            h3 = h @ h2
+            t = times[:, None, None]
+            wu = start + t * (h1 + t * (0.5 * h2 + t * (h3 / 6.0)))
     w, u = wu[:, :2], wu[:, 2:]
     det = u[:, 0, 0] * u[:, 1, 1] - u[:, 0, 1] * u[:, 1, 0]
     traj = CovTrajectory(times.copy(),

@@ -55,7 +55,7 @@ import scipy.linalg
 from .errors import (ConfigurationError, DimensionError, DivergenceError, InstabilityError,
                      UnsupportedCaseError)
 from .model import DesignParams, PlantParams, Priors, build_system
-from .numerics import geometric_times, ou_increment
+from .numerics import _compose, _step_norms, geometric_times, ou_increment
 from .riccati import controller_gain, linearized_riccati_curve, steady_state_gains
 from .lqg_filter import design_plant, design_prior
 
@@ -144,10 +144,15 @@ def integrate_theta(alpha, beta, theta0: np.ndarray, times) -> ThetaTrajectory:
 
     Each interval takes the integrating-factor step, exact for
     piecewise-constant coefficients and stable for arbitrarily stiff
-    stable generators.  The steps of all intervals come from one stacked
-    ``ou_increment`` call; only the recursion Theta <- Phi Theta Phi^T + G
-    runs per interval.  Numerical errors name the start time of the
-    failing interval.
+    stable generators: the affine map Theta <- Phi_k Theta Phi_k^T + G_k,
+    from one stacked ``ou_increment`` call for all intervals.  An inclusive
+    prefix scan of their composition (Hillis-Steele, ceil(log2 N) stacked
+    passes; cf. Sarkka & Garcia-Fernandez, IEEE TAC 66, 299, 2021) turns
+    them into the maps (Phi_k...Phi_0, G-bar_k) from t_0 to t_(k+1), so
+    Theta_(k+1) = Phi_k...Phi_0 Theta_0 (...)^T + G-bar_k with no loop over
+    intervals.  Numerical errors name the start time of the failing
+    interval: a non-finite generator, a step norm ||alpha||_1 h or
+    sum |q| h that overflows, or a loss of positivity.
     """
     times = np.asarray(times, dtype=np.float64)
     if not len(alpha) == len(beta) == len(times) - 1:
@@ -159,19 +164,20 @@ def integrate_theta(alpha, beta, theta0: np.ndarray, times) -> ThetaTrajectory:
         raise ConfigurationError(f"integrate_theta: times must increase strictly, but "
                                  f"t = {times[k + 1]:.6e} follows t = {times[k]:.6e}")
     q = beta @ beta.swapaxes(-1, -2)
-    bad = ~(np.isfinite(alpha).all(axis=(1, 2)) & np.isfinite(q).all(axis=(1, 2)))
+    a_norm, q_norm = _step_norms(alpha, q, h)
+    bad = ~(np.isfinite(a_norm) & np.isfinite(q_norm))
     if bad.any():
         k = int(np.argmax(bad))
-        raise DivergenceError(f"integrate_theta: non-finite generator "
+        raise DivergenceError(f"integrate_theta: non-finite generator or step norm "
                               f"(interval from t = {times[k]:.6e})")
     phi, g = ou_increment(alpha, q, h)
-    theta = np.asarray(theta0, dtype=np.float64)
-    out = np.empty((len(times), 4, 4))
-    out[0] = theta
-    for k in range(len(times) - 1):
-        theta = phi[k] @ theta @ phi[k].T + g[k]
-        theta = 0.5 * (theta + theta.T)
-        out[k + 1] = theta
+    span = 1
+    while span < len(phi):
+        phi[span:], g[span:] = _compose(phi[span:], g[span:], phi[:-span], g[:-span])
+        span *= 2
+    theta0 = np.asarray(theta0, dtype=np.float64)
+    theta = phi @ theta0 @ phi.swapaxes(1, 2) + g
+    out = np.concatenate([theta0[None], 0.5 * (theta + theta.swapaxes(1, 2))])
     traj = ThetaTrajectory(times, out)
     _check_theta_psd(traj)
     return traj

@@ -1,7 +1,8 @@
 """The joint truth-plus-estimator flow in the raw labeling (z, b, z~, b~)
 and its conjugation into (z, b, z~-z, b~-b), kept in the tests as the
 reference that ``total_covariance.build_alpha_beta`` must equal bit for
-bit."""
+bit; and the per-interval recursion that ``integrate_theta``'s prefix
+scan is checked against."""
 
 import math
 
@@ -9,6 +10,7 @@ import numpy as np
 
 from spintrack.lqg_filter import design_plant
 from spintrack.model import build_system
+from spintrack.numerics import ou_increment
 
 # S maps (z, b, z~, b~) to (z, b, z~-z, b~-b)
 S_ERR = np.array([[1.0, 0.0, 0.0, 0.0],
@@ -54,3 +56,15 @@ def error_generator(alpha, beta):
 def to_error(theta_raw):
     """A raw-labeled covariance in (z, b, z~-z, b~-b): S Theta S^T."""
     return S_ERR @ np.asarray(theta_raw, dtype=np.float64) @ S_ERR.T
+
+
+def integrate_theta_sequential(alpha, beta, theta0, times):
+    """Theta on the grid by the loop Theta <- Phi_k Theta Phi_k^T + G_k over
+    the intervals, symmetrised at every step, with the (Phi_k, G_k) of one
+    stacked ``ou_increment`` call."""
+    phi, g = ou_increment(alpha, beta @ beta.swapaxes(-1, -2), np.diff(times))
+    out = [np.asarray(theta0, dtype=np.float64)]
+    for phi_k, g_k in zip(phi, g):
+        theta = phi_k @ out[-1] @ phi_k.T + g_k
+        out.append(0.5 * (theta + theta.T))
+    return np.array(out)

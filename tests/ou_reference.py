@@ -1,9 +1,11 @@
-"""Gauss-Legendre quadrature of the OU covariance increment, kept in the
-tests as the independent reference that the Van Loan block exponential of
-``numerics.ou_increment`` is checked against."""
+"""Two independent references for the OU covariance increment that the
+stacked Pade step of ``numerics.ou_increment`` is checked against:
+Gauss-Legendre quadrature in floats, and the Van Loan block exponential in
+50-digit arithmetic."""
 
 import math
 
+import mpmath
 import numpy as np
 import scipy.linalg
 
@@ -35,3 +37,24 @@ def ou_increment_gl(alpha, q, dt):
         g = g + phi @ g @ phi.T
         phi = phi @ phi
     return phi, 0.5 * (g + g.T)
+
+
+def ou_increment_50_digits(alpha, q, dt):
+    """(Phi, G) of ``ou_increment`` in 50-digit arithmetic: mpmath's block
+    exponential on a sub-step with ||alpha h||_1 <= 0.25, so that the
+    growing block exp(-alpha h) cancels no digits, then interval doubling."""
+    with mpmath.workdps(50):
+        a, qm = mpmath.matrix(np.asarray(alpha).tolist()), mpmath.matrix(np.asarray(q).tolist())
+        n, h, s = a.rows, mpmath.mpf(dt), 0
+        while mpmath.mnorm(a, 1) * h > 0.25:
+            h, s = h / 2, s + 1
+        block = mpmath.zeros(2 * n, 2 * n)
+        for i in range(n):
+            for j in range(n):
+                block[i, j], block[i, n + j], block[n + i, n + j] = -a[i, j] * h, qm[i, j] * h, a[j, i] * h
+        f = mpmath.expm(block)
+        phi = f[n:, n:].T
+        g = phi * f[:n, n:]
+        for _ in range(s):
+            g, phi = g + phi * g * phi.T, phi * phi
+        return np.array(phi.tolist(), dtype=np.float64), np.array(g.tolist(), dtype=np.float64)

@@ -370,6 +370,22 @@ class TestCommands:
         assert rc == 3
         assert "at t = 1.000000e-90" in capsys.readouterr().err
 
+    def test_mismatch_overflowing_step_norm_is_numerical_error(self, tmp_path, capsys):
+        # ||alpha||_1 h overflows on a long interval: one line naming it,
+        # before any numpy warning
+        base = (SCENARIOS / "mismatch_transient.scn").read_text()
+        sc = tmp_path / "huge.scn"
+        sc.write_text(base.replace("lambda   = 1\n", "lambda   = 1e290\n")
+                      .replace("t_eval   = 1e-5", "t_eval   = 1e12")
+                      .replace(_TRANSIENT_F, "f_sweep  = 2\n"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = run_cli(["mismatch", "--scenario", str(sc), "--out", str(tmp_path / "o.csv")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical error: integrate_theta: non-finite generator or step "
+                              "norm (interval from t = ") and err.count("\n") == 1
+
     def test_bode_report(self, tmp_path, capsys):
         out = tmp_path / "bode.csv"
         rc = run_cli(["bode", "--scenario", str(SCENARIOS / "bode_nominal.scn"),

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -11,7 +12,7 @@ from spintrack.errors import ConfigurationError, DimensionError, DivergenceError
 from spintrack.numerics import (RngStream, geometric_times, mat_expm, ou_increment,
                                 stable_expm2, trial_normals, trial_stream)
 
-from ou_reference import ou_increment_gl
+from ou_reference import ou_increment_50_digits, ou_increment_gl
 from rk4_reference import rk4_nonuniform
 from rng_reference import reference_normals
 
@@ -299,6 +300,45 @@ class TestOuIncrement:
         for k in range(len(steps)):
             phi_k, g_k = ou_increment(a[k], q[k], dt[k])
             assert np.array_equal(phi[k], phi_k) and np.array_equal(g[k], g_k)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), log_norm=st.floats(-3.0, 3.0),
+           log_q=st.floats(-30.0, 30.0), margin=st.floats(-2.0, 2.0))
+    def test_pade_step_matches_50_digits(self, seed, log_norm, log_q, margin):
+        # random stable 4x4 generators with ||alpha||_1 dt from 1e-3 to 1e3
+        # (0 to 12 doubling sub-steps) and intensities over 60 decades, which
+        # moves the power-of-two scale of the q block
+        rng = np.random.default_rng(seed)
+        a = rng.normal(size=(4, 4))
+        a -= (np.max(np.linalg.eigvals(a).real) + 10 ** margin * np.abs(a).max()) * np.eye(4)
+        b = rng.normal(size=(4, 4))
+        q = b @ b.T * 10 ** log_q
+        dt = 10 ** log_norm / np.linalg.norm(a, 1)
+        phi, g = ou_increment(a, q, dt)
+        phi_ref, g_ref = ou_increment_50_digits(a, q, dt)
+        assert np.max(np.abs(phi - phi_ref)) <= 1e-11 * np.max(np.abs(phi_ref))
+        assert np.max(np.abs(g - g_ref)) <= 1e-11 * np.max(np.abs(g_ref))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("arg", [0, 1, 2])   # alpha, q, dt
+    @pytest.mark.parametrize("stack", [(), (4,)])
+    def test_non_finite_input_rejected(self, bad, arg, stack):
+        args = [np.tile(-np.eye(3), stack + (1, 1)), np.tile(np.eye(3), stack + (1, 1)),
+                np.full(stack, 0.5)]
+        args[arg][(2,) * len(stack) + (1, 0) * (arg < 2)] = bad
+        where = r" \(matrix 2 of the stack\)" if stack else ""
+        with pytest.raises(DivergenceError, match=f"step norm{where}$"):
+            ou_increment(*args)
+
+    def test_overflowing_step_norm_rejected(self):
+        # finite entries whose ||alpha||_1 dt or sum |q| dt overflows: the
+        # sub-step count and the q scale have no float to come from
+        a, q = np.array([[-1e300, 0.0], [0.0, -1.0]]), np.eye(2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for alpha, intensity in ((a, q), (-np.eye(2), 1e300 * q)):
+                with pytest.raises(DivergenceError, match="non-finite entries or step norm"):
+                    ou_increment(alpha, intensity, 1e12)
 
     def test_stack_shape_mismatch_rejected(self):
         with pytest.raises(DimensionError):

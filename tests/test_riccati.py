@@ -3,12 +3,13 @@ import re
 import warnings
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from spintrack.errors import NumericalError, UnsupportedCaseError
-from spintrack.model import DesignParams, PlantParams, Priors, fluctuating_plant
+from spintrack.model import DesignParams, PlantParams, Priors, build_system, fluctuating_plant
 from spintrack import cli, riccati as ric
 
 import closed_form_reference as closed_ref
@@ -446,6 +447,25 @@ class TestRouteProperties:
         ana_z, ana_b = _closed(p, prior, times)
         assert np.max(np.abs(lin.sigma_bR / ana_b - 1.0)) < 1e-9
         assert np.max(np.abs(lin.sigma_zR / ana_z - 1.0)) < 1e-9
+
+    @settings(max_examples=30, deadline=None)
+    @given(z0=_LOG, b0=st.floats(-6.0, 2.0), span=st.floats(-1.0, 1.0), **_WIDE)
+    def test_constant_field_jump_matches_50_digits(self, j, gamma, m, z0, b0, span):
+        # the cubic jump of the nilpotent H against mpmath's exponential of
+        # the same float H, with W U^-1 formed at 50 digits too
+        p = PlantParams(J=10 ** j, gamma=10 ** gamma, M=10 ** m)
+        prior = Priors(p.J / 2.0 * 10 ** z0, 10 ** b0)
+        times = np.geomspace(1e-2, 1e4 * 10 ** span, 25) * p.sigma_M / prior.sigma_z0
+        lin = ric.linearized_riccati_curve(p, prior, times)
+        a, _, c, sigma1 = build_system(p)
+        h = np.block([[a, sigma1], [c.T @ c / p.sigma_M, -a.T]])
+        with mpmath.workdps(50):
+            start = mpmath.matrix([[prior.sigma_z0, 0], [0, prior.sigma_b0], [1, 0], [0, 1]])
+            for k, t in enumerate(times):
+                wu = mpmath.expm(mpmath.matrix(h.tolist()) * mpmath.mpf(t)) * start
+                ref = np.array((wu[:2, :] * wu[2:, :] ** -1).tolist(), dtype=np.float64)
+                scale = np.sqrt(np.outer(np.diag(ref), np.diag(ref)))
+                assert np.max(np.abs(_cov_matrix(lin, k) - ref) / scale) < 1e-14
 
     @settings(max_examples=20, deadline=None)
     @given(j=st.floats(4.0, 7.0), gb=st.floats(1.0, 6.0), z0=_LOG, horizon=st.floats(-1.0, 1.5))

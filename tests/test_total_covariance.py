@@ -1,4 +1,6 @@
 import math
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,11 +14,13 @@ from spintrack.numerics import geometric_times, ou_increment
 from spintrack.riccati import (analytic_sigma, controller_gain, exact_steady_sigma,
                                riccati_at_times, steady_state_gains)
 from spintrack.lqg_filter import design_plant
-from spintrack import total_covariance as tc
+from spintrack import cli, total_covariance as tc
 
-from joint_reference import S_ERR, error_generator, raw_alpha_beta, to_error
+from joint_reference import (S_ERR, error_generator, integrate_theta_sequential,
+                             raw_alpha_beta, to_error)
 from rk4_reference import integrate_theta_rk4, joint_generator
 
+SCENARIOS = Path(__file__).resolve().parents[1] / "src" / "spintrack" / "scenarios"
 FLUCT = fluctuating_plant(J=1e6, gamma=1e6, M=1e4, gamma_b=1e5, sigma_bfree=1.0)
 PRIOR = Priors(sigma_z0=5e5, sigma_b0=1.0)
 
@@ -196,6 +200,30 @@ class TestMatchedIdentity:
         rk4 = integrate_theta_rk4(joint_generator(p, d, lambda t: g.K_O, g.K_C),
                                   tc.theta_init(PRIOR), times)
         assert np.max(np.abs(exm.sigma_bE[1:] / rk4.sigma_bE[1:] - 1.0)) < 1e-6
+
+    def test_prefix_scan_matches_the_sequential_recursion(self, monkeypatch):
+        # every grid of the shipped transient sweep: the scanned Theta against
+        # the per-interval loop on the same (Phi, G)
+        sc = cli.parse_scenario(str(SCENARIOS / "mismatch_transient.scn"))
+        p0 = cli.build_plant(sc)
+        d = cli.build_design(sc, p0)
+        runs = []
+        integrate_theta = tc.integrate_theta
+
+        def spy(*args):
+            runs.append((args, integrate_theta(*args)))
+            return runs[-1][1]
+
+        monkeypatch.setattr(tc, "integrate_theta", spy)
+        for f in sc["f_sweep"]:
+            p = replace(p0, J=f * d.J_prime)
+            tc.transient_error_curve(p, Priors(p.J / 2.0, sc["sigma_b0"]), d, [sc["t_eval"]])
+        assert len(runs) == len(sc["f_sweep"])
+        for args, traj in runs:
+            seq = integrate_theta_sequential(*args)
+            scale = np.abs(seq).max(axis=(1, 2))
+            assert np.all(np.abs(traj.theta - seq).max(axis=(1, 2)) <= 1e-8 * scale)
+            assert np.max(np.abs(traj.sigma_bE[1:] / seq[1:, 3, 3] - 1.0)) < 1e-10
 
     def test_failures_name_the_interval(self, monkeypatch):
         # a NaN gain on interval k surfaces from the generator check before
