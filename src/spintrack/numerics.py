@@ -5,10 +5,10 @@ behind input guards) and the closed-form ``stable_expm2`` are the general
 matrix exponentials, ``ou_increment`` steps a linear SDE's covariance
 exactly over a given interval (its Van Loan blocks have bounded norm by
 construction, so it takes one stacked Pade [7/7] step of its own, with no
-scipy call and no squaring), ``geometric_times`` builds explicit step
-schedules (no error-adaptive control), and the random stream is
-counter-based, so a (seed, position) pair always yields the same draw on
-every platform.
+scipy call, no squaring and no value check), ``geometric_times`` builds
+explicit step schedules (no error-adaptive control), and the random
+stream is counter-based, so a (seed, position) pair always yields the
+same draw on every platform.
 
 Stacks: ``mat_expm`` and ``ou_increment`` take a (..., n, n) stack of
 matrices as well as one matrix, and treat each matrix of the stack
@@ -220,17 +220,9 @@ def _pade7(a: np.ndarray) -> np.ndarray:
 
 def _halvings(v: np.ndarray) -> np.ndarray:
     """Least s >= 0 with v 2**-s <= 0.25, for finite v >= 0: ceil(log2(v /
-    0.25)) read exactly from the binary exponent of v."""
+    0.25)) read exactly from the binary exponent of v (NaN gives 0, inf 2)."""
     m, e = np.frexp(v)
     return np.where(v > 0.25, e + 2 - (m == 0.5), 0)
-
-
-def _step_norms(alpha: np.ndarray, q: np.ndarray, dt: np.ndarray):
-    """(||alpha||_1 dt, sum |q| dt) per matrix of (m, n, n) stacks; NaN or
-    inf where an entry is not finite or the product overflows."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        return (np.abs(alpha).sum(axis=1).max(axis=1) * dt,
-                np.abs(q).sum(axis=(1, 2)) * dt)
 
 
 def _compose(phi2, g2, phi1, g1):
@@ -239,6 +231,7 @@ def _compose(phi2, g2, phi1, g1):
     return phi2 @ phi1, phi2 @ g1 @ phi2.swapaxes(-1, -2) + g2
 
 
+@np.errstate(over="ignore", invalid="ignore")   # the caller's check reports these
 def ou_increment(alpha: np.ndarray, q: np.ndarray, dt: float | np.ndarray):
     """Exact one-step propagator for a linear SDE covariance.
 
@@ -269,8 +262,9 @@ def ou_increment(alpha: np.ndarray, q: np.ndarray, dt: float | np.ndarray):
     s), so matrix k of a stacked call equals the 2-D call on (alpha[k],
     q[k], dt[k]) bit for bit.
 
-    A non-finite entry, or a step norm ||alpha||_1 dt or sum |q| dt that
-    overflows, raises DivergenceError naming the first such matrix.
+    Only shapes raise: a matrix with a non-finite entry or step norm gets
+    NaN (Phi, G), one whose doubling overflows inf or NaN entries, silently
+    and leaving the rest of the stack as it is; the caller checks them.
     """
     alpha = np.asarray(alpha, dtype=np.float64)
     q = np.asarray(q, dtype=np.float64)
@@ -279,21 +273,21 @@ def ou_increment(alpha: np.ndarray, q: np.ndarray, dt: float | np.ndarray):
     shape, n = alpha.shape, alpha.shape[-1]
     alpha, q = alpha.reshape(-1, n, n), q.reshape(-1, n, n)
     dt = np.broadcast_to(np.asarray(dt, dtype=np.float64), shape[:-2]).reshape(-1)
-    a_norm, q_norm = _step_norms(alpha, q, dt)
-    bad = ~(np.isfinite(a_norm) & np.isfinite(q_norm))
-    if bad.any():
-        where = f" (matrix {int(np.argmax(bad))} of the stack)" if len(shape) > 2 else ""
-        raise DivergenceError(f"ou_increment: non-finite entries or step norm{where}")
+    a_norm = np.abs(alpha).sum(axis=1).max(axis=1) * dt
+    q_norm = np.abs(q).sum(axis=(1, 2)) * dt
     s = _halvings(a_norm)
     order = np.argsort(-s, kind="stable")   # most sub-steps first: each pass doubles a prefix
     alpha, q, dt, s = alpha[order], q[order], dt[order], s[order]
+    bad = ~(np.isfinite(a_norm) & np.isfinite(q_norm))[order]
     k = _halvings(np.ldexp(q_norm[order], -s))
     h = np.ldexp(dt, -s)[:, None, None]
     block = np.zeros((len(s), 2 * n, 2 * n))
     block[:, :n, :n] = -alpha * h
     block[:, :n, n:] = np.ldexp(q * h, -k[:, None, None])
     block[:, n:, n:] = alpha.swapaxes(1, 2) * h
+    block[bad] = 0.0   # an overflowing block can be exactly singular and fail the whole solve
     f = _pade7(block)
+    f[bad] = np.nan
     phi = np.ascontiguousarray(f[:, n:, n:].swapaxes(1, 2))
     g = np.ldexp(phi @ f[:, :n, n:], k[:, None, None])
     for j in range(s.max(initial=0)):

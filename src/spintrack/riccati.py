@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import ConfigurationError, InstabilityError, NumericalError, UnsupportedCaseError
+from .errors import InstabilityError, NumericalError, UnsupportedCaseError
 from .model import DesignParams, PlantParams, Priors, build_system
 from .numerics import geometric_times, mat_expm, stable_expm2
 
@@ -239,9 +239,8 @@ def riccati_at_times(p: PlantParams, prior: Priors, times) -> CovTrajectory:
 def integrate_estimator_riccati(p: PlantParams, prior: Priors, dt: float, T: float) -> CovTrajectory:
     """Riccati solution on the uniform grid 0, dt, ..., T: the gain table,
     exact at every grid time (``linearized_riccati_curve``); the filter's
-    step bound on dt is checked in ``lqg_filter._loop_setup``."""
-    if dt <= 0 or T <= 0:
-        raise ConfigurationError("integrate_estimator_riccati: dt and T must be positive")
+    step bound on dt is checked in ``lqg_filter._loop_setup``, after
+    ``truth_sim.step_count`` has checked dt and T."""
     n = int(round(T / dt))
     return linearized_riccati_curve(p, prior, np.arange(n + 1) * dt)
 

