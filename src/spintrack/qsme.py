@@ -57,12 +57,25 @@ ydt[k], so after the loop one pass, bayes_grid_update, sums their logs
 over time from the log prior and normalizes the weights of every record
 at every time, where the constant per record cancels.
 
-The Bayes-grid suites step at 4 times the step of their draws:
-grid_filter_records sums _DRAWS_PER_STEP = 4 consecutive draws of
-trial_stream(seed, r) into each record increment, so its records lie on
-the Brownian path that those draws lay out at dt / 4, and the declared
-coarse steps (two_point 2e-8, grid_kalman 1e-8) move the results by
-their discretization error only.
+One rule, _record_noise, forms the noise of every record: row r of a run
+of n steps of dt draws F n normals from trial_stream(seed, r), and each
+run of F consecutive draws, summed and scaled by sqrt(sigma_M dt / F), is
+the noise of one step.  The records therefore lie on the Brownian path
+that the same draws lay out at the draw step dt / F, and F = 1 is the
+run at that step.  Each stochastic suite declares its F next to its dt
+default, so that it draws the normals of a run at its draw step while
+the kernel takes F times fewer steps:
+
+    suite             F   dt      draw step
+    variance_tracking 10  5e-8    5e-9
+    two_point         16  8e-8    5e-9
+    grid_kalman       16  4e-8    2.5e-9
+    ramp_statistics    5  5e-8    1e-8
+
+At h = 0 the Kraus step is exact at any dt, and what the coarse step
+leaves is the weak error of the record's Euler form y dt = <Jz> dt +
+noise; with the field on, the splitting adds an error first order in dt.
+Either moves the suites' values by the discretization error only.
 
 This module exists at desk scale (J up to about 50) to validate the
 Gaussian/Kalman reduction used everywhere else:
@@ -216,6 +229,18 @@ def sme_step(coh: np.ndarray, ops: SpinOperators, p: PlantParams, dt: float) -> 
     return coh
 
 
+def _record_noise(who: str, p: PlantParams, seed: int, rows: int, dt: float, n: int,
+                  F: int) -> np.ndarray:
+    """The record noise (n, rows) of the rule in the module docstring: row
+    r draws F n normals from trial_stream(seed, r), and each run of F,
+    summed and scaled by sqrt(sigma_M dt / F), is the noise of one step."""
+    _require_at_least(who, "F", F, 1)
+    draws = trial_normals(seed, np.arange(rows), F * n)
+    noise = np.add.reduce(draws.reshape(rows, n, F), axis=2)
+    noise *= math.sqrt(p.sigma_M * dt / F)
+    return noise.T
+
+
 def _run_records(ops: SpinOperators, p: PlantParams, dt: float, fields: np.ndarray,
                  noise: np.ndarray, step: Callable[[StateStack, np.ndarray], None]):
     """The record loop of the module docstring: n steps of a stack in the
@@ -299,29 +324,22 @@ def propagate_grid(grid: StateStack, ydt: np.ndarray) -> None:
     grid.step(ydt)
 
 
-_DRAWS_PER_STEP = 4   # fine draws summed into one record increment of a grid run
-
-
 def grid_filter_records(ops: SpinOperators, p: PlantParams, b: float, hypotheses: np.ndarray,
-                        weights: np.ndarray, seed: int, records: int, dt: float, n: int):
+                        weights: np.ndarray, seed: int, records: int, dt: float, n: int, F: int):
     """Simulate records in the true field b and filter each on a Bayes grid
     over the field hypotheses with prior weights, all rows in one stack
-    stepped together.  Record r draws _DRAWS_PER_STEP * n normals from
-    trial_stream(seed, r), the layout of simulate_ramp_ensemble at step
-    dt / _DRAWS_PER_STEP, and sums each run of _DRAWS_PER_STEP into the
-    noise of one step.  The record loop steps the states through
-    propagate_grid; one bayes_grid_update after it gives the posterior at
-    every time.
+    stepped together.  Record r takes its noise from trial_stream(seed, r),
+    F draws per step (_record_noise).  The record loop steps the states
+    through propagate_grid; one bayes_grid_update after it gives the
+    posterior at every time.
 
     Returns (ydts, walks, means, weights): the records (records, n), the
     truth <Jz> walks (records, n + 1), the posterior means
     (records, n + 1) and the final weights (records, H).
     """
     _require_at_least("grid_filter_records", "records", records, 1)
-    draws = trial_normals(seed, np.arange(records), _DRAWS_PER_STEP * n)
-    noise = np.add.reduce(draws.reshape(records, n, _DRAWS_PER_STEP), axis=2)
-    noise *= math.sqrt(p.sigma_M * dt / _DRAWS_PER_STEP)
-    grid, ydts, walks, _ = _run_records(ops, p, dt, np.concatenate(([b], hypotheses)), noise.T,
+    noise = _record_noise("grid_filter_records", p, seed, records, dt, n, F)
+    grid, ydts, walks, _ = _run_records(ops, p, dt, np.concatenate(([b], hypotheses)), noise,
                                         propagate_grid)
     w = bayes_grid_update(grid.norms[:, 1:].transpose(0, 2, 1), weights, dt)
     return ydts.T, walks.T, (w @ hypotheses).T, w[n].copy()
@@ -346,10 +364,10 @@ def unconditional_jx_decay(ops: SpinOperators, p: PlantParams, dt: float, n: int
 
 
 def simulate_ramp_ensemble(ops: SpinOperators, p: PlantParams, b: float, seed: int,
-                           trajectories: int, dt: float, n: int):
+                           trajectories: int, dt: float, n: int, F: int):
     """Batched conditioned trajectories in a fixed field b, all advanced
-    together, each on the record it emits; trajectory k draws one normal
-    per step from trial_stream(seed, k).
+    together, each on the record it emits; trajectory k takes its noise
+    from trial_stream(seed, k), F draws per step (_record_noise).
 
     Returns (ydts, jz_walks, mean_djz2): the physical records
     (trajectories, n), the <Jz> walks (trajectories, n + 1) and the
@@ -358,10 +376,8 @@ def simulate_ramp_ensemble(ops: SpinOperators, p: PlantParams, b: float, seed: i
     """
     _require_at_least("simulate_ramp_ensemble", "trajectories", trajectories, 1)
     _require_at_least("simulate_ramp_ensemble", "n", n, 1)
-    draws = trial_normals(seed, np.arange(trajectories), n)
-    draws *= math.sqrt(dt)
-    draws *= math.sqrt(p.sigma_M)
-    _, ydts, jz, jz2 = _run_records(ops, p, dt, np.array([b]), draws.T, StateStack.step)
+    noise = _record_noise("simulate_ramp_ensemble", p, seed, trajectories, dt, n, F)
+    _, ydts, jz, jz2 = _run_records(ops, p, dt, np.array([b]), noise, StateStack.step)
     mean_djz2 = np.add.reduce(jz2 - jz * jz, axis=1) / trajectories
     return ydts.T, jz.T, mean_djz2
 
@@ -389,18 +405,23 @@ def suite_jx_decay(J: float = 10, gamma: float = 1e6, M: float = 1e4,
             "tolerance": 0.01, "t": t, "jx": jx, "predicted": predicted}
 
 
+_VARIANCE_TRACKING_F = 10   # draws per step of the dt default: draw step 5e-9
+
+
 def suite_variance_tracking(J: float = 10, gamma: float = 1e6, M: float = 1e4,
-                            trajectories: int = 200, dt: float = 5e-9,
+                            trajectories: int = 200, dt: float = 5e-8,
                             T: float = 1e-5, seed: int = 2024) -> dict:
     """Trajectory-averaged conditioned variance along the deterministic
     collapse curve sigma_z0 sigma_M / (sigma_M + sigma_z0 t); 5% budget.
 
     Also checks the QND structure: the averaged variance decreases
     monotonically (within averaging noise) and the <Jz> walk is unbiased.
+    Each step of dt sums _VARIANCE_TRACKING_F = 10 draws.
     """
     _require_at_least("suite_variance_tracking", "trajectories", trajectories, 2)
     ops, p, n = _suite_setup("suite_variance_tracking", J, gamma, M, dt, T)
-    _, walks, mean_djz2 = simulate_ramp_ensemble(ops, p, 0.0, seed, trajectories, dt, n)
+    _, walks, mean_djz2 = simulate_ramp_ensemble(ops, p, 0.0, seed, trajectories, dt, n,
+                                                 _VARIANCE_TRACKING_F)
     t = np.arange(n + 1) * dt
     sz0 = J / 2.0
     sm = p.sigma_M
@@ -418,26 +439,34 @@ def suite_variance_tracking(J: float = 10, gamma: float = 1e6, M: float = 1e4,
             "t": t, "dJz2": mean_djz2, "predicted": predicted}
 
 
+_TWO_POINT_F = 16   # draws per step of the dt default: draw step 5e-9
+
+
 def suite_two_point(J: float = 16, gamma: float = 1e6, M: float = 1e4,
-                    b0: float = 2.8e-3, dt: float = 2e-8, T: float = 1e-4,
+                    b0: float = 2.8e-3, dt: float = 8e-8, T: float = 1e-4,
                     records: int = 3, seed: int = 3001) -> dict:
-    """Posterior concentration on the true field of a two-hypothesis grid."""
+    """Posterior concentration on the true field of a two-hypothesis grid;
+    each step of dt sums _TWO_POINT_F = 16 draws."""
     ops, p, n = _suite_setup("suite_two_point", J, gamma, M, dt, T)
     *_, weights = grid_filter_records(ops, p, +b0, np.array([-b0, b0]), np.array([0.5, 0.5]),
-                                      seed, records, dt, n)
+                                      seed, records, dt, n, _TWO_POINT_F)
     finals = weights[:, 1].tolist()
     worst = min(finals)
     return {"name": "two_point_posterior", "passed": worst >= 0.9,
             "measured": worst, "tolerance": 0.9, "finals": finals}
 
 
+_GRID_KALMAN_F = 16   # draws per step of the dt default: draw step 2.5e-9
+
+
 def suite_grid_kalman(J: float = 16, gamma: float = 1e6, M: float = 1e4,
                       sigma_b0: float = 5.6e-5, points: int = 41,
-                      dt: float = 1e-8, T: float = 1e-5, records: int = 3,
+                      dt: float = 4e-8, T: float = 1e-5, records: int = 3,
                       seed: int = 4001) -> dict:
     """Gridded posterior mean against the Kalman field estimate on shared
     records; the worst deviation must stay within 10% of the tracking-error
-    envelope sqrt(sigma_bR(t))."""
+    envelope sqrt(sigma_bR(t)).  Each step of dt sums _GRID_KALMAN_F = 16
+    draws."""
     ops, p, n = _suite_setup("suite_grid_kalman", J, gamma, M, dt, T)
     hypotheses, prior_weights = _gaussian_hypotheses(sigma_b0, points)
     prior = Priors(sigma_z0=J / 2.0, sigma_b0=sigma_b0)
@@ -447,7 +476,7 @@ def suite_grid_kalman(J: float = 16, gamma: float = 1e6, M: float = 1e4,
     env = np.sqrt(cov.sigma_bR)
     b_true = 1.5 * math.sqrt(sigma_b0)
     ydts, _, means, weights = grid_filter_records(ops, p, b_true, hypotheses, prior_weights,
-                                                  seed, records, dt, n)
+                                                  seed, records, dt, n, _GRID_KALMAN_F)
     # the Kalman filter is a scalar recursion, run record by record
     devs = [float(np.max(np.abs(mean - filter_record(p, k1, k2, np.append(ydt, 0.0), dt)[:, 1])
                          / env)) for ydt, mean in zip(ydts, means)]
@@ -457,15 +486,20 @@ def suite_grid_kalman(J: float = 16, gamma: float = 1e6, M: float = 1e4,
             "posterior": (hypotheses, weights[0])}
 
 
+_RAMP_STATISTICS_F = 5   # draws per step of the dt default: draw step 1e-8
+
+
 def suite_ramp_statistics(J: float = 10, gamma: float = 1e6, M: float = 1e4,
-                          b: float = 0.03, dt: float = 1e-8, T: float = 1e-5,
+                          b: float = 0.03, dt: float = 5e-8, T: float = 1e-5,
                           trajectories: int = 600, seed: int = 5001) -> dict:
     """Record statistics against the classical-equivalent model: per-record
     line fits must show slope gamma b J and intercept variance J/2 above
-    the known fit noise."""
+    the known fit noise.  Each step of dt sums _RAMP_STATISTICS_F = 5
+    draws."""
     _require_at_least("suite_ramp_statistics", "trajectories", trajectories, 2)
     ops, p, n = _suite_setup("suite_ramp_statistics", J, gamma, M, dt, T)
-    ydts, _, _ = simulate_ramp_ensemble(ops, p, b, seed, trajectories, dt, n)
+    ydts, _, _ = simulate_ramp_ensemble(ops, p, b, seed, trajectories, dt, n,
+                                        _RAMP_STATISTICS_F)
     slopes, intercepts = run_open_loop_linefit(ydts, dt)
     t = np.arange(n) * dt
     tbar = t.mean()

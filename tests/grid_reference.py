@@ -4,13 +4,10 @@ from its documented stream, then filtered by its own grid, one kernel step
 per time, and its weights by the sequential reweight-then-normalize
 recursion, the reference for ``qsme.bayes_grid_update``."""
 
-import math
-
 import numpy as np
 
 from spintrack import qsme
-from spintrack.numerics import trial_stream
-from sse_reference import jz_mean, kernel_step
+from sse_reference import jz_mean, kernel_step, record_noise
 
 
 def posterior_reference(norms, weights):
@@ -25,22 +22,21 @@ def posterior_reference(norms, weights):
     return w
 
 
-def grid_records_reference(ops, p, b, hypotheses, weights, seed, records, dt, n):
-    """(ydts, walks, means, weights) as grid_filter_records returns them:
-    record r's noise sums each 4 draws of trial_stream(seed, r)."""
+def grid_records_reference(ops, p, b, hypotheses, weights, seed, records, dt, n, F):
+    """(ydts, walks, means, weights) as grid_filter_records returns them,
+    on the record noise of sse_reference.record_noise."""
     ydts = np.empty((records, n))
     walks = np.empty((records, n + 1))
     means = np.empty((records, n + 1))
     finals = np.empty((records, len(hypotheses)))
+    noise = record_noise(p, seed, records, dt, n, F)
     for r in range(records):
-        draws = trial_stream(seed, r).normals(4 * n).reshape(n, 4)
-        noise = draws.sum(axis=1) * math.sqrt(p.sigma_M * dt / 4)
         truth = qsme.coherent_state_x(ops.J)[None, None]
         hyps = np.tile(qsme.coherent_state_x(ops.J), (len(hypotheses), 1, 1))
         norms = np.empty((n, 1, len(hypotheses)))
         for k in range(n):
             walks[r, k] = jz_mean(truth[0], ops.mz)[0]
-            ydts[r, k] = walks[r, k] * dt + noise[k]
+            ydts[r, k] = walks[r, k] * dt + noise[r, k]
             truth = kernel_step(truth, [b], ydts[r, k:k + 1], ops, p, dt)[0]
             hyps, norm2 = kernel_step(hyps, hypotheses, ydts[r, k:k + 1], ops, p, dt)
             norms[k, 0] = norm2[:, 0]

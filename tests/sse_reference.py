@@ -2,7 +2,8 @@
 the oracle used before the exact-measurement kernel, as the comparator of
 the convergence study; the exact step written plainly (unshifted
 exponent, a library exponential per row), as the reference for
-``qsme.StateStack.step``; and the trajectory loop as first written, as the
+``qsme.StateStack.step``; the documented layout of the record noise,
+stream by stream; and the trajectory loop as first written, as the
 reference for ``qsme.simulate_ramp_ensemble`` (records and the averaged
 <Delta Jz^2> formed step by step with np.mean)."""
 
@@ -12,7 +13,7 @@ import numpy as np
 import scipy.linalg
 
 from spintrack import qsme
-from spintrack.numerics import trial_normals
+from spintrack.numerics import trial_stream
 
 
 def jz_mean(psi, mz):
@@ -78,13 +79,19 @@ def euler_step(psi, h, ydt, ops, p, dt):
     return out / np.sqrt(norm2)[:, None], 1.0 + 4.0 * p.M * jz * ydt
 
 
-def ramp_ensemble_reference(ops, p, b, seed, trajectories, dt, n):
+def record_noise(p, seed, rows, dt, n, F):
+    """The record noise (rows, n) of a run of n steps of dt: row r draws F n
+    normals from trial_stream(seed, r), and each run of F, summed and
+    scaled by sqrt(sigma_M dt / F), is the noise of one step."""
+    draws = np.array([trial_stream(seed, r).normals(F * n) for r in range(rows)])
+    return draws.reshape(rows, n, F).sum(axis=2) * math.sqrt(p.sigma_M * dt / F)
+
+
+def ramp_ensemble_reference(ops, p, b, seed, trajectories, dt, n, F):
     """simulate_ramp_ensemble's loop with one record column and one np.mean
     per step, stepping with the module's kernel."""
     psi = np.tile(qsme.coherent_state_x(ops.J), (trajectories, 1))
-    draws = trial_normals(seed, np.arange(trajectories), n)
-    sqrt_dt = math.sqrt(dt)
-    sqrt_sm = math.sqrt(p.sigma_M)
+    noise = record_noise(p, seed, trajectories, dt, n, F)
     mz2 = ops.mz * ops.mz
     ydts = np.empty((trajectories, n))
     jz_walks = np.empty((trajectories, n + 1))
@@ -95,6 +102,6 @@ def ramp_ensemble_reference(ops, p, b, seed, trajectories, dt, n):
         mean_djz2[k] = np.mean((psi * psi) @ mz2 - jz * jz)
         if k == n:
             break
-        ydts[:, k] = jz * dt + sqrt_sm * (draws[:, k] * sqrt_dt)
+        ydts[:, k] = jz * dt + noise[:, k]
         psi = kernel_step(psi[None], [b], ydts[:, k], ops, p, dt)[0][0]
     return ydts, jz_walks, mean_djz2

@@ -1,3 +1,4 @@
+import inspect
 import math
 import re
 
@@ -40,10 +41,10 @@ def _two_point(ops, p, dt, b0, records=1, n=1):
     return qsme.StateStack(ops, p, dt, np.array([b0, -b0, b0]), records, n)
 
 
-def _two_point_run(ops, p, b0, seed, records, dt, n):
+def _two_point_run(ops, p, b0, seed, records, dt, n, F):
     """grid_filter_records on the two-hypothesis grid of _two_point."""
     return qsme.grid_filter_records(ops, p, b0, np.array([-b0, b0]), np.array([0.5, 0.5]),
-                                    seed, records, dt, n)
+                                    seed, records, dt, n, F)
 
 
 def _textbook_step(rho, h, dw, ops, p, dt):
@@ -185,13 +186,15 @@ class TestSmeStep:
         p = PlantParams(J=5.0, gamma=1e6, M=1e4)
         dt, k = 1e-9, 7
         # a NaN draw: the states, stepped before the posterior, fail first;
-        # a grid step sums four draws
-        monkeypatch.setattr(qsme, "trial_normals", _nan_draw(4 * k + 2))
+        # a step sums the F draws its suite declares
+        F = qsme._TWO_POINT_F
+        monkeypatch.setattr(qsme, "trial_normals", _nan_draw(F * k + 2))
         with pytest.raises(InstabilityError, match=f"norm.*t = {k * dt:.6e}"):
-            _two_point_run(ops, p, 1e-3, 1, 2, dt, 12)
-        monkeypatch.setattr(qsme, "trial_normals", _nan_draw(k))
-        with pytest.raises(InstabilityError, match=f"t = {k * dt:.6e}"):
-            qsme.simulate_ramp_ensemble(ops, p, 1e-3, 1, 2, dt, 12)
+            _two_point_run(ops, p, 1e-3, 1, 2, dt, 12, F)
+        for F in (qsme._VARIANCE_TRACKING_F, qsme._RAMP_STATISTICS_F):
+            monkeypatch.setattr(qsme, "trial_normals", _nan_draw(F * k))
+            with pytest.raises(InstabilityError, match=f"t = {k * dt:.6e}"):
+                qsme.simulate_ramp_ensemble(ops, p, 1e-3, 1, 2, dt, 12, F)
 
     @pytest.mark.parametrize("where", ["first", "middle", "last"])
     def test_norm_failure_at_any_step_names_its_time(self, monkeypatch, where):
@@ -202,12 +205,15 @@ class TestSmeStep:
         dt, n = 1e-9, 276
         k = {"first": 0, "middle": n // 2, "last": n - 1}[where]
         named = f"norm.*t = {re.escape(f'{k * dt:.6e}')}"
-        monkeypatch.setattr(qsme, "trial_normals", _nan_draw(4 * k + 3))
+        # the last draw of step k, and the first, at each suite's F
+        F = qsme._GRID_KALMAN_F
+        monkeypatch.setattr(qsme, "trial_normals", _nan_draw(F * k + F - 1))
         with pytest.raises(InstabilityError, match=named):
-            _two_point_run(ops, p, 1e-3, 1, 2, dt, n)
-        monkeypatch.setattr(qsme, "trial_normals", _nan_draw(k))
-        with pytest.raises(InstabilityError, match=named):
-            qsme.simulate_ramp_ensemble(ops, p, 1e-3, 1, 2, dt, n)
+            _two_point_run(ops, p, 1e-3, 1, 2, dt, n, F)
+        for F in (qsme._VARIANCE_TRACKING_F, qsme._RAMP_STATISTICS_F):
+            monkeypatch.setattr(qsme, "trial_normals", _nan_draw(F * k))
+            with pytest.raises(InstabilityError, match=named):
+                qsme.simulate_ramp_ensemble(ops, p, 1e-3, 1, 2, dt, n, F)
 
     def test_inefficient_measurement_rejected(self):
         # a state conditioned on an inefficient measurement is mixed
@@ -216,9 +222,9 @@ class TestSmeStep:
         with pytest.raises(UnsupportedCaseError, match="eta"):
             qsme.propagate_grid(_two_point(ops, p, 1e-9, 1e-3), np.zeros(1))
         with pytest.raises(UnsupportedCaseError, match="eta"):
-            _two_point_run(ops, p, 1e-3, 1, 2, 1e-9, 3)
+            _two_point_run(ops, p, 1e-3, 1, 2, 1e-9, 3, 4)
         with pytest.raises(UnsupportedCaseError, match="eta"):
-            qsme.simulate_ramp_ensemble(ops, p, 0.0, 1, 2, 1e-9, 3)
+            qsme.simulate_ramp_ensemble(ops, p, 0.0, 1, 2, 1e-9, 3, 4)
 
     def test_step_guard(self):
         # every public entry point to a state update enforces dt M (2J+1) < 0.5
@@ -231,33 +237,15 @@ class TestSmeStep:
             "unconditional_jx_decay": lambda dt: qsme.unconditional_jx_decay(ops, p, dt, 1),
             "propagate_grid": lambda dt: qsme.propagate_grid(_two_point(ops, p, dt, 1e-3),
                                                              np.zeros(1)),
-            "grid_filter_records": lambda dt: _two_point_run(ops, p, 1e-3, 1, 2, dt, 1),
+            "grid_filter_records": lambda dt: _two_point_run(ops, p, 1e-3, 1, 2, dt, 1, 4),
             "simulate_ramp_ensemble": lambda dt: qsme.simulate_ramp_ensemble(
-                ops, p, 1e-3, 1, 2, dt, 1),
+                ops, p, 1e-3, 1, 2, dt, 1, 4),
         }
         for name, call in entry_points.items():
             call(ok_dt)
             with pytest.raises(ConfigurationError, match="too large"):
                 call(bad_dt)
                 pytest.fail(f"{name} took a step above the guard")
-
-    def test_grid_records_lie_on_the_fine_path(self):
-        # a grid run at dt sums in fours the record noise that
-        # simulate_ramp_ensemble draws at dt / 4, and its truth rows walk
-        # as lone states stepped on the records they emit
-        ops = qsme.spin_operators(3.0)
-        p = PlantParams(J=3.0, gamma=1e6, M=1e4)
-        b, dt, n = 2e-3, 1e-8, 50
-        ydts, walks, _, _ = _two_point_run(ops, p, b, 17, 2, dt, n)
-        fine_ydts, fine_walks, _ = qsme.simulate_ramp_ensemble(ops, p, b, 17, 2, dt / 4, 4 * n)
-        fine_noise = (fine_ydts - fine_walks[:, :-1] * (dt / 4)).reshape(2, n, 4).sum(axis=2)
-        scale = math.sqrt(p.sigma_M * dt)
-        assert np.max(np.abs(ydts - walks[:, :-1] * dt - fine_noise)) <= 1e-12 * scale
-        for r in range(2):
-            psi = qsme.coherent_state_x(3.0)[None, None]
-            for k in range(n):
-                psi = kernel_step(psi, [b], ydts[r, k:k + 1], ops, p, dt)[0]
-                assert abs(jz_mean(psi[0], ops.mz)[0] - walks[r, k + 1]) <= 1e-12
 
     def test_precession_sign_matches_state_space_model(self):
         # positive field must push <Jz> up at rate gamma <Jx> h; a vanishing
@@ -287,7 +275,7 @@ class TestBayesGrid:
         p = PlantParams(J=2.0, gamma=1e6, M=1e4)
         hypotheses, weights = qsme._gaussian_hypotheses(1e-6, 21)
         _, _, means, _ = qsme.grid_filter_records(ops, p, 0.0, hypotheses, weights, 1, 2,
-                                                  1e-8, 1)
+                                                  1e-8, 1, 4)
         assert np.max(np.abs(means[:, 0])) <= 1e-15
 
     def test_degenerate_posterior_detected(self):
@@ -331,7 +319,7 @@ class TestBayesGrid:
         hypotheses, weights = qsme._gaussian_hypotheses(4e-6, 7)
         dt, n = 1e-8, 60
         ydts, _, means, finals = qsme.grid_filter_records(ops, p, 2e-3, hypotheses, weights,
-                                                          5, 2, dt, n)
+                                                          5, 2, dt, n, 4)
         alone = qsme.StateStack(ops, p, dt, hypotheses, 2, n)
         for k in range(n):
             alone.step(np.ascontiguousarray(ydts[:, k]))
@@ -346,7 +334,7 @@ class TestBayesGrid:
         p = PlantParams(J=3.0, gamma=1e6, M=1e4)
         dt, n = 1e-8, 60
         runs = [qsme.grid_filter_records(ops, p, 2e-3, *qsme._gaussian_hypotheses(4e-6, points),
-                                         5, 2, dt, n) for points in (2, 7)]
+                                         5, 2, dt, n, 4) for points in (2, 7)]
         for few, many in zip(runs[0][:2], runs[1][:2]):
             assert np.array_equal(few, many)
 
@@ -365,13 +353,17 @@ class TestSuites:
         (lambda: qsme.suite_ramp_statistics(dt=1e-8, T=4e-9), "T of at least one step"),
         (lambda: qsme.suite_two_point(dt=1e-30), r"suite_two_point: T / dt = 1e\+26 steps"),
         (lambda: qsme.simulate_ramp_ensemble(qsme.spin_operators(1.0), PlantParams(
-            J=1.0, gamma=1e6, M=1e4), 0.0, 1, 0, 1e-9, 3), "trajectories must be at least 1"),
+            J=1.0, gamma=1e6, M=1e4), 0.0, 1, 0, 1e-9, 3, 1), "trajectories must be at least 1"),
         (lambda: qsme.simulate_ramp_ensemble(qsme.spin_operators(1.0), PlantParams(
-            J=1.0, gamma=1e6, M=1e4), 0.0, 1, 2, 1e-9, 0), "n must be at least 1"),
+            J=1.0, gamma=1e6, M=1e4), 0.0, 1, 2, 1e-9, 0, 1), "n must be at least 1"),
+        (lambda: qsme.simulate_ramp_ensemble(qsme.spin_operators(1.0), PlantParams(
+            J=1.0, gamma=1e6, M=1e4), 0.0, 1, 2, 1e-9, 3, 0), "F must be at least 1"),
+        (lambda: _two_point_run(qsme.spin_operators(1.0), PlantParams(J=1.0, gamma=1e6, M=1e4),
+                                1e-3, 1, 2, 1e-9, 3, 0), "F must be at least 1"),
     ], ids=["two_point-records", "grid_kalman-records", "variance_tracking-trajectories",
             "ramp_statistics-trajectories", "grid_kalman-points", "two_point-T", "jx_decay-dt",
             "variance_tracking-T", "grid_kalman-dt", "ramp_statistics-T", "two_point-index",
-            "simulate-trajectories", "simulate-n"])
+            "simulate-trajectories", "simulate-n", "simulate-F", "grid-F"])
     def test_degenerate_sizes_rejected(self, call, match):
         # each crashed inside numpy, returned NaN standard errors, or
         # reported on zero steps; the suites size their runs by step_count
@@ -420,22 +412,67 @@ class TestSuites:
             assert posteriors == [(n, records, hyps)]
 
     def test_qnd_ensemble_matches_scalar_steps(self):
-        # the batched simulator at b = 0 is the QND ensemble
+        # the batched simulator at b = 0 is the QND ensemble; a step sums
+        # the F draws that variance_tracking declares
         ops = qsme.spin_operators(3.0)
         p = PlantParams(J=3.0, gamma=1e6, M=1e4)
-        n = 40
-        ydts, walks, _ = qsme.simulate_ramp_ensemble(ops, p, 0.0, seed=9,
-                                                     trajectories=2, dt=1e-8, n=n)
+        n, F = 40, qsme._VARIANCE_TRACKING_F
+        ydts, walks, _ = qsme.simulate_ramp_ensemble(ops, p, 0.0, seed=9, trajectories=2,
+                                                     dt=1e-8, n=n, F=F)
         from spintrack.numerics import trial_stream
         for traj in range(2):
             rng = trial_stream(9, traj)
             psi = qsme.coherent_state_x(3.0)
-            draws = rng.normals(n)
+            dws = rng.normals(F * n).reshape(n, F).sum(axis=1) * math.sqrt(1e-8 / F)
             for k in range(n):
-                psi, ydt = _step(psi, 0.0, ops, p, 1e-8, draws[k] * math.sqrt(1e-8))
+                psi, ydt = _step(psi, 0.0, ops, p, 1e-8, dws[k])
                 assert ydts[traj, k] == pytest.approx(ydt, rel=1e-12, abs=1e-20)
             jz = float(jz_mean(psi[None], ops.mz)[0])
             assert walks[traj, -1] == pytest.approx(jz, abs=1e-10)
+
+
+def _dJz2_move(coarse, fine, F):
+    """The largest move of the averaged variance on the shared times,
+    relative to the predicted curve."""
+    return {"dJz2": np.max(np.abs(coarse["dJz2"] - fine["dJz2"][::F]) / coarse["predicted"])}
+
+
+def _ramp_moves(coarse, fine, F):
+    """The moves of the slope deviation, and of the intercept variance in
+    units of its band."""
+    return {"slope_dev": abs(coarse["slope_dev"] - fine["slope_dev"]),
+            "var": abs(coarse["var_measured"] - fine["var_measured"]) / coarse["var_band"]}
+
+
+class TestDeclaredSteps:
+    # each stochastic suite at its declared F against F = 1, the run at the
+    # draw step dt / F on the same draws, at a reduced size.  The bounds sit
+    # just above the moves at the declared F (in brackets); at twice the
+    # declared F, variance_tracking, two_point and ramp_statistics exceed a
+    # bound, so a coarser F cannot move a verdict unseen
+    @pytest.mark.parametrize("name, sizes, moves, bounds", [
+        ("variance_tracking", {"trajectories": 50}, _dJz2_move,
+         {"dJz2": 1.2e-4}),                                  # [8.6e-5]
+        ("two_point", {"records": 2, "T": 2e-5},
+         lambda c, f, F: {"finals": np.max(np.abs(np.subtract(c["finals"], f["finals"])))},
+         {"finals": 6e-4}),                                  # [4.9e-4]
+        ("grid_kalman", {"records": 1, "T": 5e-6},
+         lambda c, f, F: {"devs": np.max(np.abs(np.subtract(c["devs"], f["devs"])))},
+         {"devs": 1e-4}),                                    # [6.3e-5]
+        ("ramp_statistics", {"trajectories": 100}, _ramp_moves,
+         {"slope_dev": 5e-4, "var": 0.03}),                  # [1.7e-4, 0.022]
+    ], ids=["variance_tracking", "two_point", "grid_kalman", "ramp_statistics"])
+    def test_declared_step_moves_values_within_bounds(self, monkeypatch, name, sizes, moves,
+                                                      bounds):
+        suite = getattr(qsme, f"suite_{name}")
+        F = getattr(qsme, f"_{name.upper()}_F")
+        dt = inspect.signature(suite).parameters["dt"].default
+        coarse = suite(**sizes)
+        monkeypatch.setattr(qsme, f"_{name.upper()}_F", 1)
+        fine = suite(dt=dt / F, **sizes)
+        assert coarse["passed"] == fine["passed"]
+        measured = moves(coarse, fine, F)
+        assert all(measured[k] <= bounds[k] for k in bounds), measured
 
 
 class TestKernelProperties:
@@ -468,14 +505,14 @@ class TestKernelProperties:
 
     @settings(max_examples=25, deadline=None)
     @given(two_j=st.integers(1, 8), batch=st.integers(2, 5), seed=st.integers(0, 2**32 - 1),
-           b=st.floats(-0.05, 0.05), n=st.integers(1, 30))
-    def test_records_do_not_depend_on_batch_size(self, two_j, batch, seed, b, n):
+           b=st.floats(-0.05, 0.05), n=st.integers(1, 30), F=st.integers(1, 16))
+    def test_records_do_not_depend_on_batch_size(self, two_j, batch, seed, b, n, F):
         J = two_j / 2.0
         ops = qsme.spin_operators(J)
         p = PlantParams(J=J, gamma=1e6, M=1e4)
         dt = 1e-8
-        full = qsme.simulate_ramp_ensemble(ops, p, b, seed, batch, dt, n)
-        part = qsme.simulate_ramp_ensemble(ops, p, b, seed, batch - 1, dt, n)
+        full = qsme.simulate_ramp_ensemble(ops, p, b, seed, batch, dt, n, F)
+        part = qsme.simulate_ramp_ensemble(ops, p, b, seed, batch - 1, dt, n, F)
         for a, c in zip(full[:2], part[:2]):   # records and <Jz> walks, row by row
             scale = np.max(np.abs(a[:batch - 1]))
             assert np.max(np.abs(a[:batch - 1] - c)) <= 1e-12 * scale
@@ -513,17 +550,43 @@ class TestKernelProperties:
 
     @settings(max_examples=25, deadline=None)
     @given(two_j=st.integers(1, 8), trajectories=st.integers(1, 7), seed=st.integers(0, 2**32 - 1),
-           b=st.floats(-0.05, 0.05), n=st.integers(1, 30))
-    def test_ramp_loop_matches_per_step_reference(self, two_j, trajectories, seed, b, n):
+           b=st.floats(-0.05, 0.05), n=st.integers(1, 30), F=st.integers(1, 16))
+    def test_ramp_loop_matches_per_step_reference(self, two_j, trajectories, seed, b, n, F):
         # records formed after the loop and the mean as add.reduce / count
         # give the bits of one record column and one np.mean per step
         J = two_j / 2.0
         ops = qsme.spin_operators(J)
         p = PlantParams(J=J, gamma=1e6, M=1e4)
-        out = qsme.simulate_ramp_ensemble(ops, p, b, seed, trajectories, 1e-8, n)
-        ref = ramp_ensemble_reference(ops, p, b, seed, trajectories, 1e-8, n)
+        out = qsme.simulate_ramp_ensemble(ops, p, b, seed, trajectories, 1e-8, n, F)
+        ref = ramp_ensemble_reference(ops, p, b, seed, trajectories, 1e-8, n, F)
         for a, c in zip(out, ref):   # records, <Jz> walks, mean_djz2
             assert np.array_equal(a, c)
+
+    @settings(max_examples=25, deadline=None)
+    @given(two_j=st.integers(1, 8), rows=st.integers(1, 4), seed=st.integers(0, 2**32 - 1),
+           b=st.floats(-0.05, 0.05), n=st.integers(1, 20), F=st.integers(1, 16))
+    def test_records_lie_on_the_fine_path(self, two_j, rows, seed, b, n, F):
+        # a trajectory run and a grid run at dt both sum in runs of F the
+        # record noise that a trajectory run at the draw step dt / F draws,
+        # and their truth rows walk as lone states stepped on the records
+        # they emit
+        J = two_j / 2.0
+        ops = qsme.spin_operators(J)
+        p = PlantParams(J=J, gamma=1e6, M=1e4)
+        dt = 4e-8
+        fine_ydts, fine_walks, _ = qsme.simulate_ramp_ensemble(ops, p, b, seed, rows, dt / F,
+                                                               F * n, 1)
+        fine_noise = (fine_ydts - fine_walks[:, :-1] * (dt / F)).reshape(rows, n, F).sum(axis=2)
+        scale = math.sqrt(p.sigma_M * dt)
+        runs = (qsme.simulate_ramp_ensemble(ops, p, b, seed, rows, dt, n, F),
+                _two_point_run(ops, p, b, seed, rows, dt, n, F))
+        for ydts, walks, *_ in runs:
+            assert np.max(np.abs(ydts - walks[:, :-1] * dt - fine_noise)) <= 1e-12 * scale
+            for r in range(rows):
+                psi = qsme.coherent_state_x(J)[None, None]
+                for k in range(n):
+                    psi = kernel_step(psi, [b], ydts[r, k:k + 1], ops, p, dt)[0]
+                    assert abs(jz_mean(psi[0], ops.mz)[0] - walks[r, k + 1]) <= 1e-12
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), records=st.integers(1, 4), hyps=st.integers(2, 6),
@@ -556,8 +619,8 @@ class TestKernelProperties:
 
     @settings(max_examples=25, deadline=None)
     @given(two_j=st.integers(1, 8), hyps=st.integers(2, 6), records=st.integers(1, 4),
-           seed=st.integers(0, 2**32 - 1), n=st.integers(1, 30))
-    def test_stacked_grid_matches_per_record_reference(self, two_j, hyps, records, seed, n):
+           seed=st.integers(0, 2**32 - 1), n=st.integers(1, 30), F=st.integers(1, 16))
+    def test_stacked_grid_matches_per_record_reference(self, two_j, hyps, records, seed, n, F):
         # one stack of truth and hypothesis rows against a truth simulation
         # followed by one grid per record: the truth rows take their raw
         # noise back from the record, so values move by rounding only
@@ -569,8 +632,8 @@ class TestKernelProperties:
         weights = rng.uniform(0.1, 1.0, hyps)
         weights /= weights.sum()
         b = float(rng.uniform(-0.05, 0.05))
-        out = qsme.grid_filter_records(ops, p, b, hypotheses, weights, seed, records, 1e-8, n)
-        ref = grid_records_reference(ops, p, b, hypotheses, weights, seed, records, 1e-8, n)
+        out = qsme.grid_filter_records(ops, p, b, hypotheses, weights, seed, records, 1e-8, n, F)
+        ref = grid_records_reference(ops, p, b, hypotheses, weights, seed, records, 1e-8, n, F)
         # records, walks, means, weights, each against the size of its terms
         for a, c, scale in zip(out, ref, (J * 1e-8, J, np.max(np.abs(hypotheses)), 1.0)):
             assert a.shape == c.shape
@@ -578,14 +641,14 @@ class TestKernelProperties:
 
     @settings(max_examples=25, deadline=None)
     @given(two_j=st.integers(1, 8), records=st.integers(2, 5), seed=st.integers(0, 2**32 - 1),
-           b=st.floats(-0.05, 0.05), n=st.integers(1, 30))
-    def test_grid_records_do_not_depend_on_record_count(self, two_j, records, seed, b, n):
+           b=st.floats(-0.05, 0.05), n=st.integers(1, 30), F=st.integers(1, 16))
+    def test_grid_records_do_not_depend_on_record_count(self, two_j, records, seed, b, n, F):
         J = two_j / 2.0
         ops = qsme.spin_operators(J)
         p = PlantParams(J=J, gamma=1e6, M=1e4)
         dt = 1e-8
-        full = _two_point_run(ops, p, b, seed, records, dt, n)
-        part = _two_point_run(ops, p, b, seed, records - 1, dt, n)
+        full = _two_point_run(ops, p, b, seed, records, dt, n, F)
+        part = _two_point_run(ops, p, b, seed, records - 1, dt, n, F)
         # records, walks, means and weights row by row, each against the
         # size of its terms: another stack shape moves them by rounding
         for a, c, scale in zip(full, part, (J * dt, J, abs(b), 1.0)):
