@@ -4,7 +4,7 @@ Scenario files are plain ``key = value`` text (# comments allowed).  Core
 keys follow the physical-parameter schema: J, gamma, M, eta, gamma_b,
 sigma_bF, sigma_z0, sigma_b0, J_prime, lambda, dt, T, seed, trials.
 Command-specific keys: mode, regime, f_sweep, t_eval, omega_min,
-omega_max, n_omega, J_min, J_max, omega_Q, omega_1, omega_L, decimate.
+omega_max, n_omega, J_min, J_max, omega_Q, omega_1, omega_L.
 Unknown keys are rejected.
 
 Verbs
@@ -48,7 +48,7 @@ _PARSERS = {
     **dict.fromkeys(("J", "gamma", "M", "eta", "gamma_b", "sigma_bF", "sigma_z0", "sigma_b0",
                      "J_prime", "lambda", "dt", "T", "t_eval", "omega_min", "omega_max",
                      "J_min", "J_max", "omega_Q", "omega_1", "omega_L"), float),
-    **dict.fromkeys(("seed", "trials", "n_omega", "decimate"), int),
+    **dict.fromkeys(("seed", "trials", "n_omega"), int),
     **dict.fromkeys(("mode", "regime"), str),
     "f_sweep": lambda val: [float(x) for x in val.split(",") if x.strip()],
 }
@@ -136,10 +136,9 @@ def cmd_simulate(sc: dict, seed: int, out: str, workers: int) -> int:
     if "mode" in sc:
         # closed-loop trial: truth plus the filter history
         d = build_design(sc, p)
-        res = run_closed_loop(p, prior, d, sc["mode"], RngStream(seed), dt, T)
-        traj = res.trajectory
+        traj, m = run_closed_loop(p, prior, d, sc["mode"], RngStream(seed), dt, T)
         write_csv(out, ["t", "z", "b", "u", "z_tilde", "b_tilde"],
-                  [traj.t, traj.z, traj.b, traj.u, res.z_tilde, res.b_tilde])
+                  [traj.t, traj.z, traj.b, traj.u, m[:, 0], m[:, 1]])
         print(f"simulate ({sc['mode']}): {traj.n_steps} steps written to {out}")
         return 0
     traj = simulate_open_loop(p, prior, RngStream(seed), dt, T)
@@ -181,13 +180,6 @@ def cmd_riccati(sc: dict, seed: int, out: str, workers: int) -> int:
     return 0
 
 
-def _mc_blocks(args):
-    """Per-block ensemble sums of one worker's contiguous range of whole blocks."""
-    p, prior, d, mode, seed, lo, hi, dt, T, decimate = args
-    return run_ensemble(p, prior, d, mode, seed, hi - lo, dt, T, decimate=decimate,
-                        trial_offset=lo)
-
-
 def cmd_montecarlo(sc: dict, seed: int, out: str, workers: int) -> int:
     p = build_plant(sc)
     prior = build_priors(sc, p)
@@ -195,22 +187,18 @@ def cmd_montecarlo(sc: dict, seed: int, out: str, workers: int) -> int:
     mode = sc.get("mode", "dynamic_gain")
     trials = sc.get("trials", 2000)
     dt, T = _positive(sc, "dt", "T")
-    decimate = sc.get("decimate")   # None: run_ensemble keeps about 200 rows
-    if decimate is not None and decimate < 1:
-        raise ConfigurationError(f"scenario key 'decimate' must be positive, got {decimate}")
     # each worker takes a contiguous range of whole summation blocks;
     # summarize_ensemble adds all block sums in trial order, so the bytes do
     # not depend on the worker count
     blocks = -(-trials // TRIAL_BLOCK)
     workers = max(1, min(workers, blocks))
     edges = [TRIAL_BLOCK * (blocks * w // workers) for w in range(workers)] + [trials]
-    jobs = [(p, prior, d, mode, seed, lo, hi, dt, T, decimate)
-            for lo, hi in zip(edges[:-1], edges[1:])]
+    jobs = [(p, prior, d, mode, seed, hi - lo, dt, T, lo) for lo, hi in zip(edges, edges[1:])]
     if workers == 1:
-        parts = [_mc_blocks(jobs[0])]
+        parts = [run_ensemble(*jobs[0])]
     else:
         with Pool(processes=workers) as pool:
-            parts = pool.map(_mc_blocks, jobs)
+            parts = pool.starmap(run_ensemble, jobs)
     t_out = parts[0][0]
     summary = summarize_ensemble(np.concatenate([per_block for _, per_block in parts]), trials)
     cov = riccati.linearized_riccati_curve(design_plant(p, d), design_prior(d, prior), t_out)

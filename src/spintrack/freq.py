@@ -276,17 +276,15 @@ def sensitivity_norm(c: RationalTF, J: float, gamma: float, w1: RationalTF,
     if np.any(omega <= 0) or np.any(np.diff(omega) <= 0):
         raise ConfigurationError("sensitivity_norm: grid must be positive and increasing")
     s = 1j * omega
-    p_vals = gamma * J / s
-    loop = p_vals * c(s)
-    if not nyquist_stable(loop):
+    if not nyquist_stable(gamma * J / s * c(s)):
         raise InstabilityError(f"sensitivity_norm: closed loop unstable for J = {J:.4g}")
 
     def ws_mag(w):
+        # |W1 S| at frequencies w, in one operation order for the grid and the refinement
         sv = 1j * w
-        sens = 1.0 / (1.0 + gamma * J / sv * c(sv))
-        return abs(w1(sv) * sens)
+        return abs(w1(sv) * (1.0 / (1.0 + gamma * J / sv * c(sv))))
 
-    mags = np.abs(w1(s) / (1.0 + loop))
+    mags = ws_mag(omega)
     i = int(np.argmax(mags))
     lo = omega[max(i - 1, 0)]
     hi = omega[min(i + 1, len(omega) - 1)]

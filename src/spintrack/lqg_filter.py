@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -45,26 +45,6 @@ from .truth_sim import Trajectory, field_step, step_count
 
 MODES = ("dynamic_gain", "steady_gain")
 TRIAL_BLOCK = 256  # trials per summation block of run_ensemble (the determinism contract)
-
-
-@dataclass
-class RunResult:
-    """One closed-loop trial: truth trajectory plus the filter history.
-
-    m[k] is the estimate at t[k] built from increments before t[k], so the
-    grids align and innovation k is ydt[k] - m[k, 0] * dt.
-    """
-
-    trajectory: Trajectory
-    m: np.ndarray
-
-    @property
-    def z_tilde(self) -> np.ndarray:
-        return self.m[:, 0]
-
-    @property
-    def b_tilde(self) -> np.ndarray:
-        return self.m[:, 1]
 
 
 def design_prior(d: DesignParams, prior: Priors) -> Priors:
@@ -172,8 +152,12 @@ def _scaled_noise(w: np.ndarray, draws: np.ndarray, amp: float, p: PlantParams, 
 
 
 def run_closed_loop(p: PlantParams, prior: Priors, d: DesignParams, mode: str,
-                    rng: RngStream, dt: float, T: float) -> RunResult:
+                    rng: RngStream, dt: float, T: float) -> tuple[Trajectory, np.ndarray]:
     """Single closed-loop trial with u = -K_C m applied causally.
+
+    Returns (trajectory, m): the truth trajectory and the filter history,
+    columns (z~, b~).  m[k] is the estimate at t[k] built from increments
+    before t[k], so the grids align and innovation k is ydt[k] - m[k, 0] dt.
 
     Draw layout: z(0), b(0), then (field, record) per step; the vectorized
     ensemble consumes the identical layout per trial stream.  A non-finite
@@ -195,7 +179,7 @@ def run_closed_loop(p: PlantParams, prior: Priors, d: DesignParams, mode: str,
         raise DivergenceError(f"run_closed_loop: non-finite state at t = {np.argmin(ok) * dt:.6e}")
     traj = Trajectory(t=np.arange(n + 1) * dt, z=h[:, 0], b=h[:, 1],
                       u=np.append(h[1:, 4], h[-1, 4]), ydt=np.append(h[1:, 5], 0.0), dt=dt)
-    return RunResult(trajectory=traj, m=h[:, 2:4])
+    return traj, h[:, 2:4]
 
 
 def _step_block(trials: int) -> int:
@@ -205,11 +189,10 @@ def _step_block(trials: int) -> int:
 
 
 def run_ensemble(p: PlantParams, prior: Priors, d: DesignParams, mode: str,
-                 seed: int, trials: int, dt: float, T: float,
-                 decimate: int | None = 1, trial_offset: int = 0):
+                 seed: int, trials: int, dt: float, T: float, trial_offset: int = 0):
     """Vectorized closed-loop ensemble; per-trial draws match run_closed_loop
-    on trial stream seed XOR (trial_offset + k), with output at every
-    ``decimate``-th of the n steps (None: max(1, n // 200)) and at T.
+    on trial stream seed XOR (trial_offset + k), with output at t = 0, at
+    every max(1, n // 200)-th of the n steps and at T.
 
     Returns (t_out, parts): parts[i] stacks, per output time, the sums and
     sums of squares of (b~-b)^2 and (z~-z)^2 (rows: s1_b, s2_b, s1_z,
@@ -229,13 +212,12 @@ def run_ensemble(p: PlantParams, prior: Priors, d: DesignParams, mode: str,
     n = step_count("run_ensemble", p, dt, T)
     k1, k2, c, amp = _loop_setup(p, prior, d, mode, dt, n)
 
-    out_idx = np.arange(0, n + 1, max(1, n // 200) if decimate is None else decimate)
-    if out_idx[-1] != n:
-        out_idx = np.append(out_idx, n)
-    t_out = out_idx * dt
-    out_pos = {int(k): i for i, k in enumerate(out_idx)}
+    out_steps = list(range(0, n + 1, max(1, n // 200)))
+    if out_steps[-1] != n:
+        out_steps.append(n)
+    t_out = np.array(out_steps) * dt
     full, rest = divmod(trials, TRIAL_BLOCK)
-    parts = np.zeros((full + (rest > 0), 4, len(out_idx)))
+    parts = np.zeros((full + (rest > 0), 4, len(out_steps)))
 
     ids = np.arange(trials) + trial_offset
     init = trial_normals(seed, ids, 2)
@@ -264,6 +246,7 @@ def run_ensemble(p: PlantParams, prior: Priors, d: DesignParams, mode: str,
     noise = np.empty((2 * min(step_block, n), trials))
     with np.errstate(over="ignore", invalid="ignore"):   # the guards below report these
         record(0)
+        row = 1                               # the next output row
         for k0 in range(0, n, step_block):
             k_end = min(k0 + step_block, n)
             # draws 2 + 2k and 3 + 2k are step k's (field, record) normals; one row per draw
@@ -273,8 +256,9 @@ def run_ensemble(p: PlantParams, prior: Priors, d: DesignParams, mode: str,
             start_state = state.copy()
             for j, k in enumerate(range(k0, k_end)):
                 step(j, k)
-                if (k + 1) in out_pos:
-                    record(out_pos[k + 1])
+                if k + 1 == out_steps[row]:
+                    record(row)
+                    row += 1
             if not np.isfinite(state).all():
                 # replay the block step by step to name the first bad step
                 state[...] = start_state

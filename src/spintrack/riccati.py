@@ -101,8 +101,11 @@ def exact_steady_sigma(p: PlantParams):
     return sz, sc, sb
 
 
-def _schedule_offset(p: PlantParams, sz0: float, sb0: float) -> float:
-    """Smallest dynamical timescale at t = 0, from parameters alone."""
+def _internal_times(p: PlantParams, sz0: float, sb0: float, t_end: float, required: np.ndarray):
+    """Union of the stability/accuracy schedule and required output times.
+
+    The schedule starts at the smallest dynamical timescale at t = 0, from
+    parameters alone."""
     sm = p.sigma_M
     scales = [sm / sz0]
     if sb0 > 0:
@@ -110,25 +113,18 @@ def _schedule_offset(p: PlantParams, sz0: float, sb0: float) -> float:
         scales.append((sm / (p.gamma ** 2 * p.J ** 2 * sb0)) ** (1.0 / 3.0))
     if p.gamma_b > 0:
         scales.append(1.0 / p.gamma_b)
+    cap = math.inf
     if p.sigma_bF > 0:
         sz_s, _, _ = exact_steady_sigma(p)
         scales.append(sm / sz_s)
-    return min(scales)
-
-
-def _internal_times(p: PlantParams, sz0: float, sb0: float, t_end: float, required: np.ndarray):
-    """Union of the stability/accuracy schedule and required output times."""
-    cap = math.inf
-    if p.sigma_bF > 0:
         # RK4 stability cap after saturation (local rate ~ 2 K1_steady);
         # accuracy there is free since the solution is stationary
-        sz_s, _, _ = exact_steady_sigma(p)
-        cap = 0.5 * p.sigma_M / sz_s
+        cap = 0.5 * sm / sz_s
         if p.gamma_b > 0:
             cap = min(cap, 0.2 / p.gamma_b)
     elif p.gamma_b > 0:   # decaying field: relative errors add up step by step
         cap = 0.01 / p.gamma_b   # within 1.2e-6 to gamma_b t = 340 (6.9e-5 at 10 without it)
-    grid = geometric_times(t_end, _SCHEDULE_STEP, _schedule_offset(p, sz0, sb0), cap)
+    grid = geometric_times(t_end, _SCHEDULE_STEP, min(scales), cap)
     return np.union1d(grid, required)
 
 

@@ -94,19 +94,18 @@ def test_criterion_04_monte_carlo_self_consistency():
     t0 = time.monotonic()
     d = DesignParams(J_prime=1e6, lam=0.01)
     dt, T = 5e-12, 5e-8
-    n = int(round(T / dt))
     t_checks = np.array([0.0, 2e-9, 4e-9, 7e-9, 1e-8, 1.4e-8, 1.9e-8,
                          2.4e-8, 3e-8, 3.6e-8, 4.3e-8, 5e-8])
 
     t_out, sums = run_ensemble(FLUCT, PRIOR, d, "dynamic_gain", seed=37,
-                               trials=2000, dt=dt, T=T, decimate=n // 200)
+                               trials=2000, dt=dt, T=T)
     s = summarize_ensemble(sums, 2000)
     cov = ric.riccati_at_times(design_plant(FLUCT, d), design_prior(d, PRIOR), t_out)
     pos = np.searchsorted(t_out, t_checks)
     rel2000 = np.max(np.abs(s["sigma_bE"][pos] / cov.sigma_bR[pos] - 1.0))
 
     t_dense, sums20 = run_ensemble(FLUCT, PRIOR, d, "dynamic_gain", seed=101,
-                                   trials=20000, dt=dt, T=T, decimate=n // 200)
+                                   trials=20000, dt=dt, T=T)
     s20 = summarize_ensemble(sums20, 20000)
     rel20k = np.max(np.abs(s20["sigma_bE"] / cov.sigma_bR - 1.0))
     elapsed = time.monotonic() - t0
@@ -268,7 +267,7 @@ def test_criterion_10_quantum_oracle():
                     f"dJz2 tracking dev {track['measured']:.3f} (tol 5%); "
                     f"grid-vs-Kalman worst {grid['measured']:.3f} of the envelope; "
                     f"two-point posterior {two_point['measured']:.3f} (>= 0.9); "
-                    f"runtime {elapsed:.0f}s (< 300s)")
+                    f"runtime {elapsed:.2f}s (< 300s)")
     assert decay["passed"]
     assert track["passed"]
     assert envelope_ok and tight_ok

@@ -59,8 +59,8 @@ class TestScenarioParsing:
         ("simulate", "montecarlo_matched.scn", "T        = 5e-8", "T = -1e-9", "T"),
         ("riccati", "riccati_fluctuating.scn", "dt       = 1e-8", "dt = 0", "dt"),
         ("montecarlo", "montecarlo_matched.scn", "dt       = 5e-12", "dt = 0", "dt"),
-        ("montecarlo", "montecarlo_matched.scn", "seed", "decimate = 0\nseed", "decimate"),
-        ("montecarlo", "montecarlo_matched.scn", "seed", "decimate = -4\nseed", "decimate"),
+        # montecarlo's output schedule is fixed; no scenario key sets it
+        ("montecarlo", "montecarlo_matched.scn", "seed", "decimate = 50\nseed", "decimate"),
         ("mismatch", "mismatch_transient.scn", "t_eval   = 1e-5", "t_eval = 0", "t_eval"),
         ("mismatch", "mismatch_transient.scn", "t_eval   = 1e-5", "t_eval = -1e-5", "t_eval"),
         ("mismatch", "mismatch_steady.scn", _STEADY_F, "f_sweep = 1,inf\n", "f_sweep"),

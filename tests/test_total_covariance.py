@@ -227,9 +227,9 @@ class TestMatchedIdentity:
             assert np.max(np.abs(traj.sigma_bE[1:] / seq[1:, 3, 3] - 1.0)) < 1e-10
 
     def test_failures_name_the_interval(self, monkeypatch):
-        # a NaN gain on interval k surfaces from the generator check before
-        # the exponentials, a non-positive increment from the positivity
-        # check; both name t_k
+        # a NaN gain on interval k surfaces from the finiteness check that
+        # _check_theta_psd runs on Theta, a non-positive increment from the
+        # positivity check; both name t_k
         d = DesignParams(J_prime=1e6, lam=1e-4)
         g = steady_state_gains(FLUCT, d)
         times = np.linspace(0.0, 2e-8, 40)
@@ -383,6 +383,19 @@ class TestSteadyStateError:
 
 
 class TestTransientCurve:
+    @settings(max_examples=60, deadline=None)
+    @given(f=st.floats(0.5, 100.0), lam=st.one_of(st.just(0.0), st.floats(1e-3, 1.0)),
+           gamma_b=st.floats(1e4, 1e6), sigma_bF=st.floats(2e4, 2e6))
+    def test_fluctuating_curve_lands_on_the_steady_solve(self, f, lam, gamma_b, sigma_bF):
+        # two routes that share only build_alpha_beta: the flow with the
+        # observer's time-varying gains, 50 field correlation times in, and
+        # the stationary Lyapunov solve (the closed block at lam = 0)
+        p = PlantParams(J=f * 1e6, gamma=1e6, M=1e4, gamma_b=gamma_b, sigma_bF=sigma_bF)
+        prior = Priors(sigma_z0=p.J / 2.0, sigma_b0=sigma_bF / (2.0 * gamma_b))
+        d = DesignParams(J_prime=1e6, lam=lam)
+        late = tc.transient_error_curve(p, prior, d, [50.0 / gamma_b]).sigma_bE[0]
+        assert late == pytest.approx(tc.steady_state_error(p, d), rel=2e-5)
+
     def test_matched_follows_transient_law(self):
         p = PlantParams(J=1e6, gamma=1e6, M=1e4)
         prior = Priors(sigma_z0=5e5, sigma_b0=1.0)
