@@ -225,6 +225,42 @@ def _halvings(v: np.ndarray) -> np.ndarray:
     return np.where(v > 0.25, e + 2 - (m == 0.5), 0)
 
 
+_BALANCE_LIMIT = 128   # largest |log2| of a balancing factor
+
+
+def _balancing(a: np.ndarray) -> np.ndarray:
+    """Exponents e, shape (m, n), of a diagonal similarity D = diag(2**e)
+    per matrix of an (m, n, n) stack, such that D^-1 a D has column and
+    row 1-norms (diagonal included, as in LAPACK's gebal) close to each
+    other: Parlett & Reinsch, Numer. Math. 13, 293 (1969), swept until no
+    factor moves.  Powers of two, so scaling is exact and commutes with
+    rounding in matrix products.  Each matrix is swept on its own values
+    only, and a sweep that moves nothing leaves the next sweep unchanged,
+    so a stacked call gives every matrix the exponents of its 2-D call; a
+    matrix with a non-finite or zero row or column norm keeps e = 0 there.
+    """
+    b = np.abs(a)
+    e = np.zeros(b.shape[:2], dtype=np.int64)
+    for _ in range(2 * _BALANCE_LIMIT):   # a guard only: the sweeps end when nothing moves
+        moved = np.zeros(len(b), dtype=bool)
+        for i in range(b.shape[-1]):
+            c, r = b[:, :, i].sum(axis=1), b[:, i, :].sum(axis=1)
+            ok = (c > 0) & (r > 0) & np.isfinite(c) & np.isfinite(r)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                k = np.where(ok, np.rint(0.5 * (np.log2(r) - np.log2(c))), 0.0).astype(np.int64)
+            k = np.clip(k, -_BALANCE_LIMIT - e[:, i], _BALANCE_LIMIT - e[:, i])
+            f = np.ldexp(1.0, k)
+            step = ok & (k != 0) & (c * f + r / f < 0.95 * (c + r))
+            k = np.where(step, k, 0)
+            b[:, :, i] = np.ldexp(b[:, :, i], k[:, None])
+            b[:, i, :] = np.ldexp(b[:, i, :], -k[:, None])
+            e[:, i] += k
+            moved |= step
+        if not moved.any():
+            break
+    return e
+
+
 def _compose(phi2, g2, phi1, g1):
     """The covariance map P -> Phi2 (Phi1 P Phi1^T + G1) Phi2^T + G2 as one
     pair (Phi2 Phi1, Phi2 G1 Phi2^T + G2), on matching (..., n, n) stacks."""
@@ -238,6 +274,16 @@ def ou_increment(alpha: np.ndarray, q: np.ndarray, dt: float | np.ndarray):
     For dX = alpha X dt + (noise with intensity q), the covariance obeys
     P(t+dt) = Phi P(t) Phi^T + G with Phi = exp(alpha dt) and
     G = int_0^dt exp(alpha s) q exp(alpha^T s) ds.  Returns (Phi, G).
+
+    The step first balances alpha by an exact power-of-two similarity D
+    (``_balancing``) and works on D^-1 alpha D and D^-1 q D^-1, mapping
+    back Phi -> D Phi D^-1 and G -> D G D at the end.  Without it the
+    largest entry alone sets s and the LU pivots of the Pade solve, and
+    the small entries lose digits: a mismatched field-tracking generator,
+    whose entries span from gamma_b to gamma (J' - J), kept only 5 to 6
+    digits of sigma_bE per step.  Scaling by powers of two is exact and
+    commutes with rounding in the doubling products, so only the norm
+    and the Pade step see it.
 
     On a sub-step h = dt 2**-s with ||alpha h||_1 <= 0.25, which keeps the
     growing block exp(-alpha h) of a stable generator well scaled, both
@@ -256,7 +302,7 @@ def ou_increment(alpha: np.ndarray, q: np.ndarray, dt: float | np.ndarray):
 
     Stacks: ``alpha`` and ``q`` may be (..., n, n) stacks with ``dt`` a
     scalar or an array of the leading shape; Phi and G then have the
-    stack's shape.  Each matrix keeps its own s and k, all blocks go
+    stack's shape.  Each matrix keeps its own D, s and k, all blocks go
     through one stacked Pade step, and doubling pass j touches only the
     matrices with more than j sub-steps (a prefix of the stack sorted by
     s), so matrix k of a stacked call equals the 2-D call on (alpha[k],
@@ -273,12 +319,17 @@ def ou_increment(alpha: np.ndarray, q: np.ndarray, dt: float | np.ndarray):
     shape, n = alpha.shape, alpha.shape[-1]
     alpha, q = alpha.reshape(-1, n, n), q.reshape(-1, n, n)
     dt = np.broadcast_to(np.asarray(dt, dtype=np.float64), shape[:-2]).reshape(-1)
+    bad = ~(np.isfinite(np.abs(alpha).sum(axis=1).max(axis=1) * dt)
+            & np.isfinite(np.abs(q).sum(axis=(1, 2)) * dt))
+    e = _balancing(alpha)
+    alpha = np.ldexp(alpha, e[:, None, :] - e[:, :, None])
+    q = np.ldexp(q, -e[:, None, :] - e[:, :, None])
     a_norm = np.abs(alpha).sum(axis=1).max(axis=1) * dt
     q_norm = np.abs(q).sum(axis=(1, 2)) * dt
+    bad |= ~(np.isfinite(a_norm) & np.isfinite(q_norm))
     s = _halvings(a_norm)
     order = np.argsort(-s, kind="stable")   # most sub-steps first: each pass doubles a prefix
-    alpha, q, dt, s = alpha[order], q[order], dt[order], s[order]
-    bad = ~(np.isfinite(a_norm) & np.isfinite(q_norm))[order]
+    alpha, q, dt, s, bad = alpha[order], q[order], dt[order], s[order], bad[order]
     k = _halvings(np.ldexp(q_norm[order], -s))
     h = np.ldexp(dt, -s)[:, None, None]
     block = np.zeros((len(s), 2 * n, 2 * n))
@@ -295,6 +346,8 @@ def ou_increment(alpha: np.ndarray, q: np.ndarray, dt: float | np.ndarray):
         phi[:m], g[:m] = _compose(phi[:m], g[:m], phi[:m], g[:m])
     out_phi, out_g = np.empty_like(phi), np.empty_like(g)
     out_phi[order], out_g[order] = phi, 0.5 * (g + g.swapaxes(1, 2))
+    out_phi = np.ldexp(out_phi, e[:, :, None] - e[:, None, :])
+    out_g = np.ldexp(out_g, e[:, :, None] + e[:, None, :])
     return out_phi.reshape(shape), out_g.reshape(shape)
 
 

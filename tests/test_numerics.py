@@ -259,6 +259,20 @@ class TestOuIncrement:
         assert np.all(np.isfinite(phi)) and np.all(np.isfinite(g))
         assert np.min(np.linalg.eigvalsh(g)) > -1e-12 * np.trace(g)
 
+    @pytest.mark.parametrize("dt", [1e-5, 1e-4, 7.6e-4])
+    def test_badly_scaled_generator_keeps_the_small_entries(self, dt):
+        # the steady-gain error flow (b, z~-z, b~-b) of a field tracker
+        # designed for J' = J / 88.5: its entries span gamma_b = 1e4 to
+        # gamma (J' - J) = -8.75e13, and an unbalanced step kept only 5 to
+        # 6 digits of G, on the scale sqrt(G_ii G_jj) of each entry
+        k1, k2 = 2.37831423e8, 2.82818929e4
+        a = np.array([[-1e4, 0.0, 0.0], [-8.75e13, -k1, 1e12], [0.0, -k2, -1e4]])
+        b = np.array([[1.0, 0.0], [0.0, k1], [-1.0, k2]]) * [math.sqrt(2e4), 5e-3]
+        _, g = ou_increment(a, b @ b.T, dt)
+        _, g_ref = ou_increment_50_digits(a, b @ b.T, dt)
+        scale = np.sqrt(np.outer(np.diag(g_ref), np.diag(g_ref)))
+        assert np.max(np.abs(g - g_ref) / scale) <= 1e-9
+
     def test_zero_interval(self):
         phi, g = ou_increment(np.array([[-1.0]]), np.array([[1.0]]), 0.0)
         assert phi[0, 0] == 1.0 and g[0, 0] == 0.0
@@ -285,7 +299,8 @@ class TestOuIncrement:
     def test_stack_rows_equal_two_d_calls(self, seed, scale, steps, top, fill):
         # row k of a stacked call is the 2-D call on row k, bit for bit, with
         # one stack mixing matrices of 0 up to >= 6 doubling sub-steps:
-        # ||alpha_k||_1 dt_k = 0.2 fill 2**s_k takes exactly s_k of them
+        # ||alpha_k||_1 dt_k = 0.2 fill 2**s_k takes s_k of them (balancing,
+        # which seldom moves such matrices, can only take fewer)
         steps = [0, *steps, top]
         rng = np.random.default_rng(seed)
         a = rng.normal(size=(len(steps), 4, 4)) * 10 ** scale
