@@ -31,7 +31,6 @@ import argparse
 import math
 import sys
 from dataclasses import replace
-from multiprocessing import Pool
 
 import numpy as np
 
@@ -197,6 +196,7 @@ def cmd_montecarlo(sc: dict, seed: int, out: str, workers: int) -> int:
     if workers == 1:
         parts = [run_ensemble(*jobs[0])]
     else:
+        from multiprocessing import Pool   # only here: it costs every other verb's start
         with Pool(processes=workers) as pool:
             parts = pool.starmap(run_ensemble, jobs)
     t_out = parts[0][0]

@@ -1,21 +1,21 @@
 """Matrix exponentials, exact covariance steps, time grids, reproducible noise.
 
-Everything here is deterministic: ``mat_expm`` (``scipy.linalg.expm``
-behind input guards) and the closed-form ``stable_expm2`` are the general
-matrix exponentials, ``ou_increment`` steps a linear SDE's covariance
-exactly over a given interval (its Van Loan blocks have bounded norm by
-construction, so it takes one stacked Pade [7/7] step of its own, with no
-scipy call, no squaring and no value check), ``geometric_times`` builds
+Everything here is deterministic: ``mat_expm`` (scaling and squaring on
+a Pade [7/7] step, behind input guards) and the closed-form
+``stable_expm2`` are the general matrix exponentials, ``ou_increment``
+steps a linear SDE's covariance exactly over a given interval (its Van
+Loan blocks have bounded norm by construction, so it takes the same Pade
+step with no squaring and no value check), ``geometric_times`` builds
 explicit step schedules (no error-adaptive control), and the random
 stream is counter-based, so a (seed, position) pair always yields the
-same draw on every platform.
+same draw on every platform.  The module needs numpy only.
 
 Stacks: ``mat_expm`` and ``ou_increment`` take a (..., n, n) stack of
 matrices as well as one matrix, and treat each matrix of the stack
 exactly as a call on that matrix alone would, bit for bit (a stacked
 ``ou_increment`` also takes one ``dt`` per matrix).  One call on a stack
-replaces a Python loop of calls; ``mat_expm`` still loops over the stack
-inside scipy, ``ou_increment`` does not.
+replaces a Python loop of calls, and neither function loops over the
+stack in Python.
 
 Random numbers
 --------------
@@ -50,7 +50,6 @@ import math
 from array import array
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ConfigurationError, DimensionError, DivergenceError
 
@@ -177,14 +176,35 @@ def trial_normals(seed: int, trials: np.ndarray, n: int, start: int = 0) -> np.n
 # ---------------------------------------------------------------------------
 
 def mat_expm(a: np.ndarray) -> np.ndarray:
-    """exp(a) of a square matrix, or of every matrix of a (..., n, n) stack,
-    by scipy.linalg.expm; non-square or non-finite input is rejected."""
+    """exp(a) of a square matrix, or of every matrix of a (..., n, n) stack;
+    non-square or non-finite input is rejected.
+
+    Scaling and squaring (Higham, SIAM J. Matrix Anal. Appl. 26, 1179,
+    2005): each matrix is scaled by an exact power of two 2**-s to a
+    1-norm of at most 0.25 (``_halvings``), takes one Pade [7/7] step and
+    is squared s times.  The stack is sorted by s, so squaring pass j
+    works on the prefix of matrices with more than j squarings, and each
+    matrix of a stacked call equals its 2-D call bit for bit.  No
+    balancing: the callers with badly scaled matrices balance them
+    themselves.
+    """
     a = np.asarray(a)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise DimensionError(f"mat_expm needs a square matrix, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise DivergenceError("mat_expm: non-finite entries in input")
-    return scipy.linalg.expm(a)
+    shape, n = a.shape, a.shape[-1]
+    a = a.reshape(-1, n, n)
+    s = _halvings(np.abs(a).sum(axis=1).max(axis=1, initial=0.0))
+    order = np.argsort(-s, kind="stable")   # most squarings first: each pass squares a prefix
+    s = s[order]
+    e = _pade7(a[order] * np.ldexp(1.0, -s)[:, None, None])
+    for j in range(s.max(initial=0)):
+        m = np.count_nonzero(s > j)
+        e[:m] = e[:m] @ e[:m]
+    out = np.empty_like(e)
+    out[order] = e
+    return out.reshape(shape)
 
 
 def stable_expm2(m: np.ndarray, t: np.ndarray) -> np.ndarray:

@@ -39,11 +39,10 @@ from array import array
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import InstabilityError, NumericalError, UnsupportedCaseError
 from .model import DesignParams, PlantParams, Priors, build_system
-from .numerics import geometric_times, mat_expm, stable_expm2
+from .numerics import _balancing, geometric_times, mat_expm, stable_expm2
 
 _SCHEDULE_STEP = 1.01 - 1.0  # fractional step growth of the geometric schedule
 
@@ -338,6 +337,59 @@ def steady_state_gains(p: PlantParams, d: DesignParams) -> SteadyGains:
 # ---------------------------------------------------------------------------
 
 _JUMP_HORIZON = 300.0   # largest gamma_b t of the jump for a decaying field
+_SIGN_STEPS = 100       # a guard only: a split Hamiltonian converges in about 10 steps
+
+
+def _balance(h: np.ndarray):
+    """(D^-1 h D, e): h balanced by the power-of-two similarity D = diag(2**e)
+    of ``numerics._balancing``, exact in floats."""
+    e = _balancing(h[None])[0]
+    return np.ldexp(h, e[None, :] - e[:, None]), e
+
+
+def _stable_split(h: np.ndarray):
+    """Orthonormal bases (us, uu) of the stable and anti-stable invariant
+    subspaces of a real 2m x 2m matrix with m eigenvalues in each open half
+    plane: the ranges of I - Z and I + Z for Z = sign(h), read from their
+    leading left singular vectors (Roberts, Int. J. Control 32, 677, 1980).
+
+    Z comes from the Newton iteration Z <- (c Z + (c Z)^-1) / 2 with the
+    determinant scaling c = |det Z|^(-1/2m) while the relative change of
+    an iterate is above 1e-2 (Higham, Functions of Matrices, SIAM 2008,
+    ch. 5).  It stops at a change of 1e-14, or once a change below 1e-6
+    no longer falls (roundoff).  No eigenvectors appear, so a defective
+    h is no special case.  An eigenvalue on or near the imaginary axis
+    leaves no split: an iterate that turns singular or non-finite, no
+    convergence within _SIGN_STEPS steps, or a limit whose halves are
+    unequal or not invariant (h u != u (u^T h u) beyond 1e-8 ||h||_1;
+    roundoff can send a pair on the axis to either side) raises
+    NumericalError.
+    """
+    n, norm = len(h), np.abs(h).sum(axis=0).max()
+    z, change = h, math.inf
+    with np.errstate(all="ignore"):   # a failing iterate is reported below
+        for _ in range(_SIGN_STEPS):
+            det = np.linalg.det(z)
+            if not (math.isfinite(det) and det != 0.0):
+                break
+            c = abs(det) ** (-1.0 / n) if change > 1e-2 else 1.0
+            new = 0.5 * (c * z + np.linalg.inv(z) / c)
+            last, change = change, np.abs(new - z).sum(axis=0).max() / np.abs(new).sum(axis=0).max()
+            z = new
+            if not math.isfinite(change):
+                break
+            if change <= 1e-14 or last <= change < 1e-6:
+                eye = np.eye(n)
+                us = np.linalg.svd(eye - z)[0][:, :n // 2]
+                uu = np.linalg.svd(eye + z)[0][:, :n // 2]
+                # Z^2 = I, so trace Z = unstable minus stable count
+                if abs(np.trace(z)) < 1.0 and all(
+                        np.abs(h @ u - u @ (u.T @ h @ u)).sum(axis=0).max() <= 1e-8 * norm
+                        for u in (us, uu)):
+                    return us, uu
+                break
+    raise NumericalError("linearized Riccati: the Hamiltonian block has no stable/anti-stable "
+                         "split (an eigenvalue on or near the imaginary axis)")
 
 
 def linearized_riccati_curve(p: PlantParams, prior: Priors, times) -> CovTrajectory:
@@ -345,20 +397,26 @@ def linearized_riccati_curve(p: PlantParams, prior: Priors, times) -> CovTraject
     [Sigma0; I] under the Hamiltonian H = [[A, Sigma1], [C^T C / sigma_M, -A^T]].
 
     sigma_bF > 0: Vaughan's negative-exponential form (IEEE TAC 14, 72,
-    1969).  A balanced real Schur form and one Sylvester solve split
-    H = S diag(H1, H2) S^{-1} into stable and anti-stable 2x2 blocks; with
-    [C1; C2] = S^{-1} [Sigma0; I], M = exp(H1 t) C1 C2^{-1} exp(-H2 t) and
-    Sigma = (S12 + S11 M)(S22 + S21 M)^{-1}.  Only decaying exponentials and
-    no eigenvectors appear: the repeated eigenvalue at gamma J sqrt(sigma_bF
-    / sigma_M) = gamma_b^2 / 2 is no special case.
+    1969).  H = D Hb D^-1 for an exact power-of-two D: the state scaling
+    diag(T, T^-1), T^2 close to the diagonal of the steady Sigma, and then
+    the balancing of the scaled H (``_balance``).  The matrix sign
+    function of Hb gives orthonormal bases Us, Uu of its stable and
+    anti-stable invariant subspaces (``_stable_split``), so that H = S
+    diag(H1, H2) S^{-1} with S = D [Us, Uu], H1 = Us^T Hb Us and H2 = Uu^T
+    Hb Uu; with [C1; C2] = [Us, Uu]^{-1} D^{-1} [Sigma0; I], M = exp(H1 t)
+    C1 C2^{-1} exp(-H2 t) and Sigma = (S12 + S11 M)(S22 + S21 M)^{-1}.
+    Only decaying exponentials and no eigenvectors appear: the repeated
+    eigenvalue at gamma J sqrt(sigma_bF / sigma_M) = gamma_b^2 / 2 is no
+    special case.
 
     sigma_bF = 0: one exact jump exp(H t) [Sigma0; I] from the prior.  For
     a constant field (gamma_b = 0) H is nilpotent, H^4 = 0 exactly in
     floats, and the jump is the cubic (I + H t + (H t)^2/2 + (H t)^3/6)
     [Sigma0; I], with each H^k [Sigma0; I] formed once for all times.  For
-    a decaying field (one mat_expm call on the stack) it grows like
-    exp(gamma_b t), stays within 3e-13 of an 800-digit evaluation up to
-    gamma_b t = _JUMP_HORIZON and overflows near 700: later t is unsupported.
+    a decaying field it is D exp(Hb t) D^-1 [Sigma0; I], one mat_expm call
+    on the stack of balanced Hb t; it grows like exp(gamma_b t), stays
+    within 2.1e-13 of a 200-digit evaluation up to gamma_b t = _JUMP_HORIZON
+    and overflows near 700: later t is unsupported.
     """
     sz0, sb0 = prior.sigma_z0, prior.sigma_b0
     times = np.atleast_1d(np.asarray(times, dtype=np.float64))
@@ -366,21 +424,27 @@ def linearized_riccati_curve(p: PlantParams, prior: Priors, times) -> CovTraject
     h = np.block([[a, sigma1], [c.T @ c / p.sigma_M, -a.T]])
     start = np.array([[sz0, 0.0], [0.0, sb0], [1.0, 0.0], [0.0, 1.0]])
     if p.sigma_bF > 0:
-        hb, bal = scipy.linalg.matrix_balance(h, permute=False)
-        tt, q, _ = scipy.linalg.schur(hb, sort="lhp")
-        x = scipy.linalg.solve_sylvester(tt[:2, :2], -tt[2:, 2:], -tt[:2, 2:])
-        s = bal @ np.hstack([q[:, :2], q[:, :2] @ x + q[:, 2:]])
-        c12 = np.linalg.solve(s, start)
-        m = (stable_expm2(tt[:2, :2], times) @ (c12[:2] @ np.linalg.inv(c12[2:]))
-             @ stable_expm2(-tt[2:, 2:], times))
-        wu = s[:, 2:] + s[:, :2] @ m
+        # the state scaling T = diag(2**f) to the steady state, a symplectic
+        # similarity diag(T, T^-1) of H, before the balancing
+        with np.errstate(divide="ignore", invalid="ignore"):
+            f = np.rint(0.5 * np.log2(exact_steady_sigma(p)[::2]))
+        f = np.where(np.isfinite(f), f, 0.0).astype(np.int64)
+        f = np.concatenate([f, -f])
+        hb, e = _balance(np.ldexp(h, f[None, :] - f[:, None]))
+        e += f
+        us, uu = _stable_split(hb)
+        c12 = np.linalg.solve(np.hstack([us, uu]), np.ldexp(start, -e[:, None]))
+        m = (stable_expm2(us.T @ hb @ us, times) @ (c12[:2] @ np.linalg.inv(c12[2:]))
+             @ stable_expm2(-(uu.T @ hb @ uu), times))
+        wu = np.ldexp(uu + us @ m, e[:, None])
     else:
         far = p.gamma_b * times > _JUMP_HORIZON
         if far.any():
             raise UnsupportedCaseError(f"linearized Riccati: decaying field past gamma_b t = "
                                        f"{_JUMP_HORIZON:g}, first at t = {times[far][0]:.6e}")
         if np.linalg.matrix_power(h, 4).any():
-            wu = mat_expm(h * times[:, None, None]) @ start
+            hb, e = _balance(h)
+            wu = np.ldexp(mat_expm(hb * times[:, None, None]), e[:, None] - e[None, :]) @ start
         else:
             h1 = h @ start
             h2 = h @ h1

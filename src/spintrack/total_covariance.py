@@ -50,7 +50,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (ConfigurationError, DimensionError, DivergenceError, InstabilityError,
                      UnsupportedCaseError)
@@ -208,10 +207,11 @@ def steady_state_error(p: PlantParams, d: DesignParams) -> float:
     """Saturated sigma_bE for a fluctuating field under a J' design.
 
     Solves the stationary Lyapunov equation a X + X a^T + q = 0 of the
-    steady-gain generator in (z, b, z~-z, b~-b).  For lam = 0 the full
-    stack is not stationary (z integrates the field), but with no control
-    nothing else depends on z, so the closed block (b, z~-z, b~-b) is
-    solved instead.
+    steady-gain generator in (z, b, z~-z, b~-b) as one linear system,
+    (a (x) I + I (x) a) vec X = -vec q, of at most 16 unknowns.  For
+    lam = 0 the full stack is not stationary (z integrates the field), but
+    with no control nothing else depends on z, so the closed block (b,
+    z~-z, b~-b) is solved instead.
     """
     if not p.fluctuating:
         raise UnsupportedCaseError("steady_state_error: needs a fluctuating field")
@@ -222,7 +222,8 @@ def steady_state_error(p: PlantParams, d: DesignParams) -> float:
     a, q = alpha[0, keep, keep], q[0, keep, keep]
     if np.max(np.linalg.eigvals(a).real) >= 0:
         raise InstabilityError("steady_state_error: mismatched closed loop is unstable")
-    return float(scipy.linalg.solve_continuous_lyapunov(a, -q)[-1, -1])
+    eye = np.eye(len(a))
+    return float(np.linalg.solve(np.kron(a, eye) + np.kron(eye, a), -q.reshape(-1))[-1])
 
 
 def transient_error_curve(p: PlantParams, prior: Priors, d: DesignParams,

@@ -504,6 +504,28 @@ def test_console_entry_point(tmp_path):
     assert out.exists()
 
 
+def test_the_runtime_needs_numpy_only(tmp_path):
+    # a fresh interpreter runs every route that once called scipy.linalg:
+    # the Vaughan split and the Kronecker Lyapunov solve behind two verbs,
+    # the decaying-field jump, and the oracle's rotations
+    code = f"""
+import sys
+import numpy as np
+from spintrack import cli, qsme, riccati
+from spintrack.model import PlantParams, Priors
+for verb, scenario in (("riccati", "riccati_fluctuating.scn"), ("mismatch", "mismatch_steady.scn")):
+    assert cli.main([verb, "--scenario", {str(SCENARIOS)!r} + "/" + scenario,
+                     "--out", {str(tmp_path)!r} + "/" + verb + ".csv"]) == 0
+p = PlantParams(J=1e6, gamma=1e6, M=1e4, gamma_b=1e5)
+riccati.linearized_riccati_curve(p, Priors(5e5, 1.0), np.geomspace(1e-8, 1e-3, 9))
+qsme.StateStack(qsme.spin_operators(2.0), PlantParams(J=2.0, gamma=1.0, M=1.0), 1e-3,
+                np.array([0.0, 1.0]), 2, 4)
+assert "scipy" not in sys.modules, sorted(m for m in sys.modules if m.startswith("scipy"))
+"""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_blas_threads_default_to_one():
     # importing the package pins BLAS to one thread unless the environment sets it
     blas = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")

@@ -337,6 +337,33 @@ def _assert_rk4_rows_are_the_reference(p, prior, times):
     return traj
 
 
+def _error_against_50_digits(p, prior, times):
+    """Largest |Sigma_ij - ref_ij| / sqrt(ref_ii ref_jj) of the linearized
+    route against mpmath's exponential of the same float H, with W U^-1
+    formed at 50 digits too."""
+    lin = ric.linearized_riccati_curve(p, prior, times)
+    a, _, c, sigma1 = build_system(p)
+    h = np.block([[a, sigma1], [c.T @ c / p.sigma_M, -a.T]])
+    worst = 0.0
+    with mpmath.workdps(50):
+        start = mpmath.matrix([[prior.sigma_z0, 0], [0, prior.sigma_b0], [1, 0], [0, 1]])
+        for k, t in enumerate(times):
+            wu = mpmath.expm(mpmath.matrix(h.tolist()) * mpmath.mpf(t)) * start
+            ref = np.array((wu[:2, :] * wu[2:, :] ** -1).tolist(), dtype=np.float64)
+            scale = np.sqrt(np.outer(np.diag(ref), np.diag(ref)))
+            worst = max(worst, np.max(np.abs(_cov_matrix(lin, k) - ref) / scale))
+    return worst
+
+
+def _defective():
+    """gamma J sqrt(sigma_bF / sigma_M) = gamma_b^2 / 2: the closed-loop
+    filter matrix has a double eigenvalue and the Hamiltonian block is
+    defective."""
+    p0 = PlantParams(J=1e3, gamma=1e3, M=1e2, sigma_bF=1.0)
+    gb = math.sqrt(2.0 * p0.gamma * p0.J * math.sqrt(p0.sigma_bF / p0.sigma_M))
+    return PlantParams(J=p0.J, gamma=p0.gamma, M=p0.M, gamma_b=gb, sigma_bF=p0.sigma_bF)
+
+
 _LOG = st.floats(-1.0, 1.0)   # decades around a reference value
 # The regime around the paper's J = gamma = 1e6, M = 1e4, where RK4's 1%
 # schedule holds 1e-6: at corners of the wide ranges (J = 10 with
@@ -448,21 +475,33 @@ class TestRouteProperties:
     @settings(max_examples=30, deadline=None)
     @given(z0=_LOG, b0=st.floats(-6.0, 2.0), span=st.floats(-1.0, 1.0), **_WIDE)
     def test_constant_field_jump_matches_50_digits(self, j, gamma, m, z0, b0, span):
-        # the cubic jump of the nilpotent H against mpmath's exponential of
-        # the same float H, with W U^-1 formed at 50 digits too
+        # the cubic jump of the nilpotent H
         p = PlantParams(J=10 ** j, gamma=10 ** gamma, M=10 ** m)
         prior = Priors(p.J / 2.0 * 10 ** z0, 10 ** b0)
         times = np.geomspace(1e-2, 1e4 * 10 ** span, 25) * p.sigma_M / prior.sigma_z0
-        lin = ric.linearized_riccati_curve(p, prior, times)
-        a, _, c, sigma1 = build_system(p)
-        h = np.block([[a, sigma1], [c.T @ c / p.sigma_M, -a.T]])
-        with mpmath.workdps(50):
-            start = mpmath.matrix([[prior.sigma_z0, 0], [0, prior.sigma_b0], [1, 0], [0, 1]])
-            for k, t in enumerate(times):
-                wu = mpmath.expm(mpmath.matrix(h.tolist()) * mpmath.mpf(t)) * start
-                ref = np.array((wu[:2, :] * wu[2:, :] ** -1).tolist(), dtype=np.float64)
-                scale = np.sqrt(np.outer(np.diag(ref), np.diag(ref)))
-                assert np.max(np.abs(_cov_matrix(lin, k) - ref) / scale) < 1e-14
+        assert _error_against_50_digits(p, prior, times) < 1e-14
+
+    @settings(max_examples=30, deadline=None)
+    @given(gb=st.floats(-3.0, 1.0), sbf=st.floats(-4.0, 4.0), z0=_LOG, b0=_LOG,
+           span=st.floats(-1.0, 0.0), **_WIDE)
+    # the worst of a 1,620-point grid over these ranges: 7.0e-11, at an
+    # early time where the prior still dominates (the Schur split read
+    # up to 9.5e-10 on that grid)
+    @example(j=7.0, gamma=4.0, m=5.0, gb=1.0, sbf=-4.0, z0=1.0, b0=-1.0, span=-1.0)
+    def test_fluctuating_split_matches_50_digits(self, j, gamma, m, gb, sbf, z0, b0, span):
+        # Vaughan's form on the sign-function split; every |Re| of an
+        # eigenvalue of H is at most K_O1 + gamma_b, so exp(H t) grows by
+        # at most e^20 and 50 digits leave 30 after the cancellation
+        p, rate = _fluctuating(j, gamma, m, gb, sbf)
+        prior = Priors(p.J / 2.0 * 10 ** z0, p.sigma_bF / (2.0 * p.gamma_b) * 10 ** b0)
+        times = np.geomspace(1e-3, 20.0 * 10 ** span, 25) / (rate + p.gamma_b)
+        assert _error_against_50_digits(p, prior, times) < 1e-9
+
+    def test_defective_split_matches_50_digits(self):
+        p = _defective()
+        times = np.geomspace(1e-3, 20.0, 25) / (2.0 * p.gamma_b)
+        assert _error_against_50_digits(p, Priors(p.J / 2.0, p.sigma_bF / (2.0 * p.gamma_b)),
+                                        times) < 1e-12
 
     @settings(max_examples=20, deadline=None)
     @given(j=st.floats(4.0, 7.0), gb=st.floats(1.0, 6.0), z0=_LOG, horizon=st.floats(-1.0, 1.5))
@@ -473,15 +512,29 @@ class TestRouteProperties:
                              np.geomspace(1e-3, 10 ** horizon, 20) / p.gamma_b)
 
     def test_repeated_eigenvalue_needs_no_special_case(self):
-        # gamma J sqrt(sigma_bF / sigma_M) = gamma_b^2 / 2: the closed-loop
-        # filter matrix has a double eigenvalue and the Hamiltonian block is
-        # defective, which an eigenvector form of Vaughan's solution cannot
-        # represent (measured: O(1) errors there)
-        p0 = PlantParams(J=1e3, gamma=1e3, M=1e2, sigma_bF=1.0)
-        gb = math.sqrt(2.0 * p0.gamma * p0.J * math.sqrt(p0.sigma_bF / p0.sigma_M))
-        p = PlantParams(J=p0.J, gamma=p0.gamma, M=p0.M, gamma_b=gb, sigma_bF=p0.sigma_bF)
+        # an eigenvector form of Vaughan's solution cannot represent the
+        # defective block (measured: O(1) errors there)
+        p = _defective()
+        gb = p.gamma_b
         _assert_routes_agree(p, Priors(p.J / 2.0, p.sigma_bF / (2.0 * gb)),
                              np.geomspace(1e-3, 30.0, 40) / gb)
+
+    @pytest.mark.parametrize("seed", [None, 1, 2])
+    def test_sign_iteration_rejects_eigenvalues_on_the_imaginary_axis(self, seed):
+        # the Hamiltonian [[A, G], [Q, -A^T]] with A = diag(-1, 0), G =
+        # diag(0, 1) and Q = diag(0, -1) has eigenvalues +-1 and +-i.  As
+        # is, an iterate turns singular; under a random orthogonal
+        # symplectic similarity the iteration converges, to halves that
+        # are unequal or not invariant
+        h = np.block([[np.diag([-1.0, 0.0]), np.diag([0.0, 1.0])],
+                      [np.diag([0.0, -1.0]), np.diag([1.0, 0.0])]])
+        if seed is not None:
+            rng = np.random.default_rng(seed)
+            w = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))[0]
+            s = np.block([[w.real, -w.imag], [w.imag, w.real]])
+            h = s @ h @ s.T
+        with pytest.raises(NumericalError, match="imaginary axis"):
+            ric._stable_split(h)
 
     def test_decaying_field_past_the_jump_horizon_is_unsupported(self):
         p = PlantParams(J=1e6, gamma=1e6, M=1e4, gamma_b=1e5)

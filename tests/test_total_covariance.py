@@ -3,10 +3,11 @@ import re
 from dataclasses import replace
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from spintrack.errors import (ConfigurationError, DimensionError, DivergenceError,
                               InstabilityError, UnsupportedCaseError)
@@ -186,9 +187,13 @@ class TestMatchedIdentity:
 
     @settings(max_examples=30, deadline=None)
     @given(f=st.floats(0.6, 3.0), log_lam=st.floats(-5.0, 0.0), log_gb=st.floats(4.0, 6.0))
+    # the corner where one RK4 step per interval was itself off by 1.58e-6
+    # (9.9e-8 with two; the exact route matches a 40x finer RK4 to 2.2e-12)
+    @example(f=3.0, log_lam=-4.1875, log_gb=4.0)
     def test_theta_stays_psd_and_matches_rk4(self, f, log_lam, log_gb):
         # random mismatched designs around the paper's regime, frozen design
-        # gains; the grid resolves the fastest closed-loop rate for RK4
+        # gains; the grid resolves the fastest closed-loop rate, and RK4
+        # takes two steps per interval, compared at the grid times
         p = fluctuating_plant(J=f * 1e6, gamma=1e6, M=1e4, gamma_b=10 ** log_gb, sigma_bfree=1.0)
         d = DesignParams(J_prime=1e6, lam=10 ** log_lam)
         g = steady_state_gains(design_plant(p, d), d)
@@ -198,9 +203,9 @@ class TestMatchedIdentity:
         exm = tc.integrate_theta(alpha, beta, tc.theta_init(PRIOR), times)
         for theta in exm.theta:
             assert np.linalg.eigvalsh(theta)[0] >= -1e-9 * np.trace(theta)
-        rk4 = integrate_theta_rk4(joint_generator(p, d, lambda t: g.K_O, g.K_C),
-                                  tc.theta_init(PRIOR), times)
-        assert np.max(np.abs(exm.sigma_bE[1:] / rk4.sigma_bE[1:] - 1.0)) < 1e-6
+        fine = np.arange(799) * (0.005 / rate)   # fine[::2] is times, bit for bit
+        rk4 = integrate_theta_rk4(lambda t: (alpha[0], beta[0]), tc.theta_init(PRIOR), fine)
+        assert np.max(np.abs(exm.sigma_bE[1:] / rk4.sigma_bE[2::2] - 1.0)) < 1e-6
 
     def test_prefix_scan_matches_the_sequential_recursion(self, monkeypatch):
         # every grid of the shipped transient sweep: the scanned Theta against
@@ -365,6 +370,25 @@ class TestSteadyStateError:
                                     [-sqrt_sbf, k2 * sqrt_sm]])
                 ref = scipy.linalg.solve_continuous_lyapunov(a, -(b_noise @ b_noise.T))[2, 2]
                 assert tc.steady_state_error(p, d) == pytest.approx(ref, rel=1e-14, abs=0.0)
+
+    def test_shipped_rows_match_a_50_digit_solve(self):
+        # every f of mismatch_steady.scn: the stationary Lyapunov equation of
+        # the same float generator, its Kronecker system solved at 50 digits
+        sc = cli.parse_scenario(str(SCENARIOS / "mismatch_steady.scn"))
+        p0 = cli.build_plant(sc)
+        d = cli.build_design(sc, p0)
+        for f in sc["f_sweep"]:
+            p = replace(p0, J=f * d.J_prime)
+            g = steady_state_gains(design_plant(p, d), d)
+            alpha, beta = tc.build_alpha_beta(p, d, g.K_O[:1], g.K_O[1:], g.K_C)
+            a, q = alpha[0], (beta @ beta.swapaxes(-1, -2))[0]
+            eye = np.eye(4)
+            with mpmath.workdps(50):
+                kron = (mpmath.matrix(np.kron(a, eye).tolist())
+                        + mpmath.matrix(np.kron(eye, a).tolist()))
+                x = mpmath.lu_solve(kron, mpmath.matrix((-q).reshape(-1).tolist()))
+                ref = float(x[15])
+            assert tc.steady_state_error(p, d) == pytest.approx(ref, rel=1e-9, abs=0.0)
 
     def test_constant_field_rejected(self):
         with pytest.raises(UnsupportedCaseError):
