@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from dataclasses import replace
 
@@ -196,8 +197,17 @@ def cmd_montecarlo(sc: dict, seed: int, out: str, workers: int) -> int:
     if workers == 1:
         parts = [run_ensemble(*jobs[0])]
     else:
-        from multiprocessing import Pool   # only here: it costs every other verb's start
-        with Pool(processes=workers) as pool:
+        from multiprocessing import Pool, SimpleQueue   # only here: it costs every other verb's start
+        # the RNG kernel runs a thread per CPU its process may use, so each
+        # worker gets a disjoint share of ours and the workers do not
+        # oversubscribe them (one CPU each when there are more workers)
+        pin = {}
+        if hasattr(os, "sched_setaffinity"):
+            cpus, shares = sorted(os.sched_getaffinity(0)), SimpleQueue()
+            for w in range(workers):
+                shares.put(cpus[w::workers] or [cpus[w % len(cpus)]])
+            pin = {"initializer": _pin_worker, "initargs": (shares,)}
+        with Pool(processes=workers, **pin) as pool:
             parts = pool.starmap(run_ensemble, jobs)
     t_out = parts[0][0]
     summary = summarize_ensemble(np.concatenate([per_block for _, per_block in parts]), trials)
@@ -210,6 +220,11 @@ def cmd_montecarlo(sc: dict, seed: int, out: str, workers: int) -> int:
     print(f"montecarlo: {trials} trials ({mode}), {len(t_out)} rows to {out}; "
           f"max |sigma_bE/sigma_bR - 1| = {np.nanmax(rel):.4f}")
     return 0
+
+
+def _pin_worker(shares) -> None:
+    """Pool initializer: restrict this worker to the next CPU share queued in ``shares``."""
+    os.sched_setaffinity(0, shares.get())
 
 
 def cmd_mismatch(sc: dict, seed: int, out: str, workers: int) -> int:

@@ -183,8 +183,8 @@ def run_closed_loop(p: PlantParams, prior: Priors, d: DesignParams, mode: str,
 
 
 def _step_block(trials: int) -> int:
-    """Steps per block of draws: about 2**16 trial-steps, so the draw block
-    and its transposed copy stay in cache."""
+    """Steps per block of draws: about 2**16 trial-steps, so the noise block
+    stays in cache."""
     return min(256, max(8, (1 << 16) // trials))
 
 
@@ -243,16 +243,17 @@ def run_ensemble(p: PlantParams, prior: Priors, d: DesignParams, mode: str,
         _loop_step(z, b, mz, mb, w[2 * j], w[2 * j + 1], k1[k], k2[k], c)
 
     step_block = _step_block(trials)
-    noise = np.empty((2 * min(step_block, n), trials))
+    noise = np.empty((2 * min(step_block, n), trials))   # one row per draw, reused by every block
     with np.errstate(over="ignore", invalid="ignore"):   # the guards below report these
         record(0)
         row = 1                               # the next output row
         for k0 in range(0, n, step_block):
             k_end = min(k0 + step_block, n)
-            # draws 2 + 2k and 3 + 2k are step k's (field, record) normals; one row per draw
-            w = _scaled_noise(noise[:2 * (k_end - k0)],
-                              trial_normals(seed, ids, 2 * (k_end - k0), start=2 + 2 * k0).T,
-                              amp, p, dt)
+            cols = 2 * (k_end - k0)
+            # draws 2 + 2k and 3 + 2k are step k's (field, record) normals, drawn
+            # straight into the rows of the noise block and scaled there
+            trial_normals(seed, ids, cols, start=2 + 2 * k0, out=noise[:cols].T)
+            w = _scaled_noise(noise[:cols], noise[:cols], amp, p, dt)
             start_state = state.copy()
             for j, k in enumerate(range(k0, k_end)):
                 step(j, k)

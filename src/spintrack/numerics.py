@@ -38,15 +38,21 @@ One kernel generates every draw, for ``RngStream`` and ``trial_normals``
 alike: it works in cache-sized tiles of about ``_BLOCK_NORMALS`` normals
 (a few streams at a time, or a stretch of positions of one long stream),
 with in-place integer and float operations into a preallocated output.
-Every draw is a pure function of its (stream, position), so the tiling
-changes speed only: the bits are those of the formula above.  The plain
-formula itself lives in the tests (``tests/rng_reference.py``), which
-check the kernel against it bit for bit.
+The tiles of a call are spread over threads, one per CPU the process may
+use and at most one per tile; the caller fills one share and helper
+threads, started and joined within the call, the rest.  Every draw is a
+pure function of its (stream, position), so neither the tiling nor the
+thread count changes anything but speed: the bits are those of the
+formula above.  The plain formula itself lives in the tests
+(``tests/rng_reference.py``), which check the kernel against it bit for
+bit.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 from array import array
 
 import numpy as np
@@ -83,50 +89,112 @@ def _mix64(x) -> np.ndarray:
     return x
 
 
-def _stream_normals(states: np.ndarray, start: int, n: int) -> np.ndarray:
-    """Row k = normals [start, start+n) of the stream with state ``states[k]``.
+def _cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+# Scratch planes of the calling thread, kept from call to call.  A fresh
+# megabyte a call, freed at the top of the heap, is trimmed and faults its
+# pages back in on the next call; the planes hold no result, so sharing
+# them across the calls of one thread changes nothing but that.
+_scratch = threading.local()
+
+
+def _share_planes(threads: int) -> list:
+    """One (raw, tmp) pair of flat uint64 planes of 2 ``_BLOCK_NORMALS``
+    entries per share, allocated in (and kept by) the calling thread."""
+    planes = getattr(_scratch, "planes", [])
+    if len(planes) < threads or planes[0][0].size != 2 * _BLOCK_NORMALS:
+        planes = _scratch.planes = [tuple(np.empty((2, 2 * _BLOCK_NORMALS), dtype=_U64))
+                                    for _ in range(threads)]
+    return planes[:threads]
+
+
+def _stream_normals(states: np.ndarray, start: int, n: int, out: np.ndarray | None = None
+                    ) -> np.ndarray:
+    """Row k = normals [start, start+n) of the stream with state ``states[k]``,
+    written into ``out`` when given (float64, shape (len(states), n)).
 
     Works in tiles of about ``_BLOCK_NORMALS`` draws: a tile is a few rows
     of at most ``_BLOCK_NORMALS`` positions, so a single long stream is cut
-    along its positions and many short ones are grouped by rows.  The even
-    (u1) and odd (u2) outputs of a tile are laid out as two planes of
-    contiguous rows, so every operation runs in place.
+    along its positions and many short ones are grouped by rows.  The
+    tiles are split into contiguous shares, one per thread, with up to one
+    thread per CPU the process may use: the caller fills the first share
+    and short-lived helper threads the others, joined before the call
+    returns.  Every share's scratch comes from the calling thread.
     """
-    out = np.empty((len(states), n))
+    if out is None:
+        out = np.empty((len(states), n))
+    elif out.shape != (len(states), n) or out.dtype != np.float64:
+        raise DimensionError(f"normals: out is {out.dtype} {out.shape}, need float64 "
+                             f"{(len(states), n)}")
     if out.size == 0:
         return out
     width = min(n, _BLOCK_NORMALS)
+    rows = min(max(1, _BLOCK_NORMALS // width), len(states))
     with np.errstate(over="ignore"):
         ctr = np.arange(2 * start + 1, 2 * (start + width) + 1, dtype=_U64)
         ctr *= _U64(_GAMMA)
     ctr = np.ascontiguousarray(ctr.reshape(width, 2).T)[:, None, :]   # (2, 1, width): u1, u2 planes
-    advance = _U64(2 * width * _GAMMA & 0xFFFFFFFFFFFFFFFF)          # counter step per tile, mod 2**64
-    rows = max(1, _BLOCK_NORMALS // width)
-    raw = np.empty((2, min(rows, len(states)), width), dtype=_U64)
-    tmp = np.empty_like(raw)
-    unif = np.empty(raw.shape)
-    for p0 in range(0, n, width):
-        w = min(width, n - p0)
-        if p0:
-            ctr += advance
-        for r0 in range(0, len(states), rows):
-            m = min(rows, len(states) - r0)
-            x, t, u = raw[:, :m, :w], tmp[:, :m, :w], unif[:, :m, :w]
-            with np.errstate(over="ignore"):
-                np.add(ctr[..., :w], states[None, r0:r0 + m, None], out=x)
+    tiles = [(p0, r0) for p0 in range(0, n, width) for r0 in range(0, len(states), rows)]
+    threads = min(_cpus(), len(tiles))
+    shares = [(tiles[len(tiles) * i // threads:len(tiles) * (i + 1) // threads],) + planes
+              for i, planes in enumerate(_share_planes(threads))]
+    errors = []
+    helpers = [threading.Thread(target=_fill_share, args=(errors, out, states, ctr, rows) + share)
+               for share in shares[1:]]
+    for helper in helpers:
+        helper.start()
+    try:
+        _fill_tiles(out, states, ctr, rows, *shares[0])
+    finally:
+        for helper in helpers:
+            helper.join()
+    if errors:
+        raise errors[0]
+    return out
+
+
+def _fill_share(errors: list, *args) -> None:
+    """``_fill_tiles`` in a helper thread; its exception goes to ``errors``
+    for the caller to raise."""
+    try:
+        _fill_tiles(*args)
+    except BaseException as exc:   # re-raised in the calling thread
+        errors.append(exc)
+
+
+def _fill_tiles(out, states, ctr, rows, tiles, raw, tmp) -> None:
+    """Fill the (p0, r0) tiles of ``out``, of ``rows`` rows and ``ctr``'s
+    width, in order.  The even (u1) and odd (u2) outputs of a tile are
+    laid out in ``raw`` as two planes of contiguous rows, so every
+    operation runs in place; ``tmp`` takes the shifts of the mixing and
+    then the uniforms."""
+    width = ctr.shape[-1]
+    advance = 2 * width * _GAMMA   # counter step from one position tile to the next
+    with np.errstate(over="ignore"):   # errstate is per thread: a helper does not inherit it
+        for p0, r0 in tiles:
+            w, m = min(width, out.shape[1] - p0), min(rows, len(states) - r0)
+            x, t = raw[:2 * m * w].reshape(2, m, w), tmp[:2 * m * w].reshape(2, m, w)
+            np.add(ctr[..., :w], states[None, r0:r0 + m, None], out=x)
+            if p0:   # the first tile's counters plus p0 // width advances, mod 2**64
+                x += _U64((p0 // width) * advance & 0xFFFFFFFFFFFFFFFF)
             _mix64_inplace(x, t)
             x >>= _U64(11)
-            u[...] = x                  # < 2**53, so the conversion is exact
-            u[0] += 1.0
-            u *= 1.0 / _TWO53           # power-of-two scaling: exact
+            u = t.view(np.float64)
+            np.copyto(u, x.view(np.int64))   # < 2**53: exact, and int64 converts faster than uint64
             u1, u2 = u[0], u[1]
+            u1 += 1.0
+            u1 *= 1.0 / _TWO53          # power-of-two scaling: exact
             np.log(u1, out=u1)
             u1 *= -2.0
             np.sqrt(u1, out=u1)
-            u2 *= _TWO_PI
+            u2 *= _TWO_PI / _TWO53      # 2 pi (u2 2**-53) in one product: scaling commutes with rounding
             np.cos(u2, out=u2)
             np.multiply(u1, u2, out=out[r0:r0 + m, p0:p0 + w])
-    return out
 
 
 class RngStream:
@@ -159,16 +227,19 @@ def trial_stream(seed: int, trial: int) -> RngStream:
     return RngStream(spread_seed(seed) ^ int(trial))
 
 
-def trial_normals(seed: int, trials: np.ndarray, n: int, start: int = 0) -> np.ndarray:
+def trial_normals(seed: int, trials: np.ndarray, n: int, start: int = 0,
+                  out: np.ndarray | None = None) -> np.ndarray:
     """Matrix of draws, row k = normals [start, start+n) of trial_stream(seed, trials[k]).
 
     Vectorized across trials and generated in cache-sized blocks; identical
     to calling each trial's stream.  Random access by position makes
     ensembles independent of how work is chunked across steps or workers.
+    With ``out`` (float64, shape (len(trials), n)) the draws are written
+    there and ``out`` is returned.
     """
     trials = np.asarray(trials, dtype=np.int64)
     states = _mix64(_U64(spread_seed(seed)) ^ trials.astype(_U64))
-    return _stream_normals(states, start, int(n))
+    return _stream_normals(states, start, int(n), out)
 
 
 # ---------------------------------------------------------------------------

@@ -526,6 +526,27 @@ assert "scipy" not in sys.modules, sorted(m for m in sys.modules if m.startswith
     assert proc.returncode == 0, proc.stderr
 
 
+def test_montecarlo_leaves_no_thread_and_imports_no_pool(tmp_path):
+    # a fresh interpreter, warnings as errors: a montecarlo whose draw blocks
+    # span several tiles joins every helper thread of the noise kernel, and
+    # at --workers 1 neither an executor nor a process pool is imported
+    sc = tmp_path / "mc.scn"
+    base = (SCENARIOS / "montecarlo_matched.scn").read_text()
+    sc.write_text(base.replace("trials   = 2000", "trials   = 600")
+                      .replace("T        = 5e-8", "T        = 5e-9"))
+    code = f"""
+import sys, threading
+from spintrack import cli
+assert cli.main(["montecarlo", "--scenario", {str(sc)!r}, "--out", {str(tmp_path / "mc.csv")!r},
+                 "--workers", "1"]) == 0
+assert "concurrent.futures" not in sys.modules
+assert "multiprocessing" not in sys.modules
+assert threading.active_count() == 1, threading.enumerate()
+"""
+    proc = subprocess.run([sys.executable, "-W", "error", "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_blas_threads_default_to_one():
     # importing the package pins BLAS to one thread unless the environment sets it
     blas = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")

@@ -1,4 +1,5 @@
 import math
+import threading
 
 import mpmath
 import numpy as np
@@ -224,6 +225,60 @@ class TestRngStream:
         assert np.array_equal(at.view(np.uint64), reference_normals(seed, start, n).view(np.uint64))
         ref = reference_normals(seed, 0, sum(pieces))
         assert np.array_equal(taken.view(np.uint64), ref.view(np.uint64))
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**64 - 1), start=st.integers(0, 2**40),
+           cpus=st.integers(1, 5), block=st.sampled_from([4, 7, 64]),
+           tiles=st.sampled_from([1, 2, 3, 7, 12]), long=st.booleans(), pad=st.integers(0, 3),
+           data=st.data())
+    def test_threaded_tiles_are_reference_bit_for_bit(self, seed, start, cpus, block, tiles,
+                                                      long, pad, data):
+        # tile counts of 1, 2, odd and above the thread count, with a partial
+        # last tile, in both layouts (one long stream cut along its positions,
+        # many short streams grouped by rows), into a fresh or a strided out
+        if long:
+            n = data.draw(st.integers(block * (tiles - 1) + 1, block * tiles), label="n")
+            count = 1
+        else:
+            n = data.draw(st.integers(1, block), label="n")
+            rows = block // n
+            count = data.draw(st.integers(rows * (tiles - 1) + 1, rows * tiles), label="count")
+        trials = data.draw(st.lists(st.integers(0, 2**62), min_size=count, max_size=count),
+                           label="trials")
+        out = np.full((count, n + pad), np.inf)[:, :n] if pad else None
+        before = threading.active_count()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(numerics, "_BLOCK_NORMALS", block)
+            mp.setattr(numerics, "_cpus", lambda: cpus)
+            mat = trial_normals(seed, np.array(trials), n, start=start, out=out)
+        assert threading.active_count() == before
+        assert out is None or (mat is out and np.all(out.base[:, n:] == np.inf))
+        for row, k in zip(mat, trials):
+            ref = reference_normals(trial_stream(seed, k).seed, start, n)
+            assert np.array_equal(row.view(np.uint64), ref.view(np.uint64))
+
+    @pytest.mark.parametrize("where", ["caller", "helper"])
+    def test_a_failing_tile_reaches_the_caller(self, monkeypatch, where):
+        stream = RngStream(3)
+        mix = numerics._mix64_inplace
+
+        def failing(x, tmp):
+            if (threading.current_thread() is threading.main_thread()) == (where == "caller"):
+                raise RuntimeError(f"tile failed in the {where}")
+            mix(x, tmp)
+
+        monkeypatch.setattr(numerics, "_BLOCK_NORMALS", 8)
+        monkeypatch.setattr(numerics, "_cpus", lambda: 2)
+        monkeypatch.setattr(numerics, "_mix64_inplace", failing)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match=where):
+            stream.normals_at(0, 40)
+        assert threading.active_count() == before
+
+    def test_out_of_the_wrong_shape_or_type_is_rejected(self):
+        for out in (np.empty((3, 4)), np.empty((2, 5)), np.empty((2, 4), dtype=np.float32)):
+            with pytest.raises(DimensionError, match="out is"):
+                trial_normals(1, np.arange(2), 4, out=out)
 
     def test_moments(self):
         draws = RngStream(2024).normals(200_000)
