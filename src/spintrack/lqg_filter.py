@@ -15,13 +15,27 @@ Modes: ``dynamic_gain`` uses the time-dependent Riccati gain K_O(t);
 which is the filter a constant transfer function would realize.  Both
 reach the same saturation level; the frozen-gain transient is worse.
 
-One closed-loop step (the plant, whose field takes the open loop's exact
-OU step, record, controller and filter update) is written once, in
-``_loop_step`` with the filter update in ``_filter_step``.  The
-same lines run on Python floats for one trial (``run_closed_loop``,
-``filter_record``) and in place on the trials-wide state rows of an
-ensemble (``run_ensemble``).  Float and array arithmetic round alike, so
-a trial of an ensemble equals the one-trial run bit for bit.
+One closed-loop step (controller, record, the plant, whose field takes
+the open loop's exact OU step, and the filter update of ``_filter_step``)
+is linear in x = (z, b, z~, b~) and the step's two normals xi:
+x <- A_k x + B_k xi, with (A_k, B_k) written once, in ``_step_maps``.
+Between two bounds of a segment (the output rows, longer intervals split
+into segments of at most SEGMENT_STEPS steps) the loop is therefore one
+map, the lifted system of sampled-data control (Bamieh, Pearson, Francis
+& Tannenbaum, Syst. Control Lett. 17, 79 (1991)):
+
+    x_out = P x_in + Q xi,  P = A_{L-1}...A_0,  Q_j = A_{L-1}...A_{j+1} B_j,
+
+with Q's columns in the (field, record)-per-step order of the draws.
+``_lift`` builds the maps of many segments at once.  ``run_ensemble``
+applies them to all trials, ``run_closed_loop`` to its one trial, and
+both in tiles of TRIAL_BLOCK columns, zero-padded: every product has the
+same shape whatever the trial count, so a trial's bits do not depend on
+the trials beside it, and trial k of an ensemble equals the one-trial
+run on its stream at every segment bound.  P x and Q xi are rounded
+apart before their sum, so over a one-step segment the field row is the
+exact OU step.  ``filter_record`` re-runs the open-loop filter on Python
+floats through ``_filter_step``.
 
 ``run_ensemble`` reduces the trials in fixed blocks of TRIAL_BLOCK and
 ``summarize_ensemble`` adds the blocks in order; their docstrings state
@@ -44,7 +58,10 @@ from .riccati import controller_gain, integrate_estimator_riccati, steady_state_
 from .truth_sim import Trajectory, field_step, step_count
 
 MODES = ("dynamic_gain", "steady_gain")
-TRIAL_BLOCK = 256  # trials per summation block of run_ensemble (the determinism contract)
+TRIAL_BLOCK = 256  # trials per summation block and per product tile (the determinism contract)
+SEGMENT_STEPS = 64   # most steps per segment map: its noise block has at most 128 rows
+CHUNK_STEPS = 1024   # steps per run of segment maps built at once
+DRAW_TILES = 8       # tiles of trials per noise draw: the block holds at most 128 x 2048 doubles
 
 
 def design_prior(d: DesignParams, prior: Priors) -> Priors:
@@ -60,10 +77,9 @@ def design_plant(p: PlantParams, d: DesignParams) -> PlantParams:
 
 def _filter_step(mz, mb, ydt, u, k1, k2, gjp, gb, dt):
     """One observer step m += (A'm + B'u) dt + K_O (y dt - m_z dt), with
-    A' = [[0, gjp], [0, -gb]] and B' = (gjp, 0).  On arrays the rows
-    passed in are updated in place.  Each update builds its increment in
-    one temporary, in the operation order of the formula above (y dt -
-    m_z dt as m_z (-dt) + y dt, the same bits)."""
+    A' = [[0, gjp], [0, -gb]] and B' = (gjp, 0), on Python floats, in the
+    operation order of the formula above (y dt - m_z dt as
+    m_z (-dt) + y dt, the same bits)."""
     innov = mz * -dt
     innov += ydt
     dm = gjp * mb
@@ -77,29 +93,6 @@ def _filter_step(mz, mb, ydt, u, k1, k2, gjp, gb, dt):
     innov *= k2
     mb += innov
     return mz, mb
-
-
-def _loop_step(z, b, mz, mb, w1, w2, k1, k2, c):
-    """One closed-loop step: u = -K_C m, y dt = z dt + sqrt(sigma_M) dW2,
-    then the plant (Euler in z, the exact OU step b <- decay b + w1 of
-    truth_sim.field_step) and the filter.  w1, w2 are the scaled noises of
-    _scaled_noise; c holds the constants of _loop_setup.  Returns (z, b,
-    z~, b~, u, y dt); on arrays the state rows passed in are updated in
-    place."""
-    gj, gjp, gb, decay, kc0, kc1, dt = c
-    u = kc0 * mz
-    u += kc1 * mb
-    u = -u
-    ydt = z * dt
-    ydt += w2
-    dx = b + u
-    dx *= gj
-    dx *= dt
-    z += dx
-    b *= decay
-    b += w1
-    mz, mb = _filter_step(mz, mb, ydt, u, k1, k2, gjp, gb, dt)
-    return z, b, mz, mb, u, ydt
 
 
 def filter_record(p: PlantParams, k1: np.ndarray, k2: np.ndarray, ydt: np.ndarray,
@@ -119,9 +112,9 @@ def filter_record(p: PlantParams, k1: np.ndarray, k2: np.ndarray, ydt: np.ndarra
 
 
 def _loop_setup(p: PlantParams, prior: Priors, d: DesignParams, mode: str, dt: float, n: int):
-    """The observer gains of the mode on the grid of n steps, the constants
-    of _loop_step and the field noise amplitude; both modes bound dt by the
-    saturated gain, dt * K_O1_steady < 0.1, which steady_gain needs."""
+    """The observer gains of the mode on the grid of n steps and the
+    constants of _step_maps; both modes bound dt by the saturated gain,
+    dt * K_O1_steady < 0.1, which steady_gain needs."""
     if mode not in MODES:
         raise ConfigurationError(f"unknown filter mode '{mode}'; choose one of {MODES}")
     p_des = design_plant(p, d)
@@ -137,18 +130,128 @@ def _loop_setup(p: PlantParams, prior: Priors, d: DesignParams, mode: str, dt: f
         k1, k2 = (np.full(n + 1, k) for k in k_steady)
     kc0, kc1 = controller_gain(p, d)
     decay, amp = field_step(p, dt)
-    return k1, k2, (p.gamma * p.J, p.gamma * d.J_prime, p.gamma_b, decay,
-                    float(kc0), float(kc1), dt), amp
+    return k1, k2, (p.gamma * p.J, p.gamma * d.J_prime, p.gamma_b, decay, float(kc0),
+                    float(kc1), dt, amp, math.sqrt(p.sigma_M * dt))
 
 
-def _scaled_noise(w: np.ndarray, draws: np.ndarray, amp: float, p: PlantParams, dt: float):
-    """Scale rows (xi_1, xi_2, xi_1, ...) of standard normals into w, rows
-    alike, as the noises of _loop_step: amp xi_1 for the field and
-    (xi_2 sqrt(dt)) sqrt(sigma_M) for the record."""
-    np.multiply(draws[0::2], amp, out=w[0::2])
-    np.multiply(draws[1::2], math.sqrt(dt), out=w[1::2])
-    w[1::2] *= math.sqrt(p.sigma_M)
-    return w
+def _step_maps(g1: np.ndarray, g2: np.ndarray, c: tuple):
+    """(A, B) of the closed-loop step x <- A x + B xi at observer gains
+    (g1, g2), stacked over their shape: x = (z, b, z~, b~), xi = the step's
+    (field, record) normals.  The step is u = -K_C m, y dt = z dt + s xi_2
+    with s = sqrt(sigma_M dt), the plant (Euler in z, the exact OU step
+    b <- decay b + amp xi_1 of truth_sim.field_step) and the filter update
+    of _filter_step; c holds the constants of _loop_setup."""
+    gj, gjp, gb, decay, kc0, kc1, dt, amp, s = c
+    a = np.zeros(g1.shape + (4, 4))
+    b = np.zeros(g1.shape + (4, 2))
+    a[..., 0, :] = (1.0, gj * dt, -(gj * dt * kc0), -(gj * dt * kc1))
+    a[..., 1, 1] = decay
+    a[..., 2, 0] = g1 * dt
+    a[..., 2, 2] = (1.0 - gjp * dt * kc0) - g1 * dt
+    a[..., 2, 3] = gjp * dt * (1.0 - kc1)
+    a[..., 3, 0] = g2 * dt
+    a[..., 3, 2] = -(g2 * dt)
+    a[..., 3, 3] = 1.0 - gb * dt
+    b[..., 1, 0] = amp
+    b[..., 2, 1] = g1 * s
+    b[..., 3, 1] = g2 * s
+    return a, b
+
+
+def _lift(a: np.ndarray, b: np.ndarray):
+    """(P, Q) of the segments stacked on the leading axis of a (m, L, 4, 4)
+    and b (m, L, 4, 2): P = A_{L-1}...A_0 and Q[:, :, 2j:2j+2] =
+    A_{L-1}...A_{j+1} B_j, by one backward scan over the steps."""
+    m, steps = a.shape[:2]
+    q = np.empty((m, 4, 2 * steps))
+    q[..., -2:] = b[:, -1]
+    r = a[:, -1]
+    for j in range(steps - 2, -1, -1):
+        np.matmul(r, b[:, j], out=q[..., 2 * j:2 * j + 2])
+        r = r @ a[:, j]
+    return r, q
+
+
+def _schedule(n: int):
+    """Output steps (0, every max(1, n // 200)-th step and n) and segment
+    bounds: the output steps with every longer interval split evenly into
+    segments of at most SEGMENT_STEPS steps."""
+    out_steps = list(range(0, n + 1, max(1, n // 200)))
+    if out_steps[-1] != n:
+        out_steps.append(n)
+    bounds = [0]
+    for lo, hi in zip(out_steps, out_steps[1:]):
+        pieces = -(-(hi - lo) // SEGMENT_STEPS)
+        bounds += [lo + (hi - lo) * i // pieces for i in range(1, pieces + 1)]
+    return out_steps, bounds
+
+
+def _chunks(k1: np.ndarray, k2: np.ndarray, c: tuple, bounds: list):
+    """The maps of the segments between ``bounds``, in runs of consecutive
+    segments of about CHUNK_STEPS steps: yields (edges, idx, a, b, p, q).
+    Segment i runs from step edges[i] to edges[i + 1]; its steps sit at
+    the end of row i of idx (m, L), a and b, behind identity maps
+    (idx = -1) that pad it to the longest segment's L.  (p[i], q[i]) is
+    its _lift, the padding's columns of q[i] being zero."""
+    steps = max(hi - lo for lo, hi in zip(bounds, bounds[1:]))
+    per = max(1, CHUNK_STEPS // steps)
+    for lo in range(0, len(bounds) - 1, per):
+        edges = np.array(bounds[lo:lo + per + 1])
+        idx = edges[1:, None] - steps + np.arange(steps)
+        idx[idx < edges[:-1, None]] = -1
+        g = np.maximum(idx, 0)
+        a, b = _step_maps(k1[g], k2[g], c)
+        a[idx < 0] = np.eye(4)
+        b[idx < 0] = 0.0
+        yield (edges, idx, a, b) + _lift(a, b)
+
+
+def _tiles(rows: np.ndarray) -> np.ndarray:
+    """Rows (r, tiles * TRIAL_BLOCK) viewed as (tiles, r, TRIAL_BLOCK)."""
+    return rows.reshape(len(rows), -1, TRIAL_BLOCK).swapaxes(0, 1)
+
+
+def _step(a: np.ndarray, b: np.ndarray, x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """a x + b w, the two products rounded apart before the sum."""
+    y = a @ x
+    y += b @ w
+    return y
+
+
+def _advance(x, maps, w, trials, k0):
+    """State tiles x (tiles, 4, TRIAL_BLOCK) after the segment from step k0
+    with maps (p, q, a, b), its noise rows w (draws, tiles * TRIAL_BLOCK)
+    holding the first ``trials`` columns.  Every product runs on whole tiles, so a trial's
+    bits do not depend on the other columns.  A trial whose state is not
+    finite is replayed from x step by step through (a, b), and a replay
+    that stays finite replaces that trial's state.  Returns (state, None),
+    or (state, k) when a replayed trial is not finite after step k - 1."""
+    p, q, a, b = maps
+    y = _step(p, q, x, _tiles(w))
+    ok = np.isfinite(y).all(axis=1)
+    ok.reshape(-1)[trials:] = True
+    if not ok.all():
+        z = x
+        for j in range(len(a)):
+            z = _step(a[j], b[j], z, _tiles(w[2 * j:2 * j + 2]))
+            if not np.isfinite(z).all(axis=1)[~ok].all():
+                return y, k0 + j + 1
+        y = np.where(ok[:, None], y, z)
+    return y, None
+
+
+def _diverged(who: str, k: int, dt: float) -> DivergenceError:
+    """The error naming step k's time as the first with a non-finite state."""
+    return DivergenceError(f"{who}: non-finite state at t = {k * dt:.6e}")
+
+
+def _segments(chunk):
+    """(k0, k1, (p, q, a, b)) per segment of a _chunks item, the maps cut to
+    the segment's own steps."""
+    edges, idx, a, b, p, q = chunk
+    pad = a.shape[1] - np.diff(edges)
+    for i, (lo, hi, j) in enumerate(zip(edges.tolist(), edges[1:].tolist(), pad.tolist())):
+        yield lo, hi, (p[i], q[i, :, 2 * j:], a[i, j:], b[i, j:])
 
 
 def run_closed_loop(p: PlantParams, prior: Priors, d: DesignParams, mode: str,
@@ -160,32 +263,52 @@ def run_closed_loop(p: PlantParams, prior: Priors, d: DesignParams, mode: str,
     before t[k], so the grids align and innovation k is ydt[k] - m[k, 0] dt.
 
     Draw layout: z(0), b(0), then (field, record) per step; the vectorized
-    ensemble consumes the identical layout per trial stream.  A non-finite
-    state raises DivergenceError naming the first such time.
+    ensemble consumes the identical layout per trial stream.  The trial is
+    the one-trial ensemble: the states at segment bounds come from the
+    ensemble's segment maps on a one-column tile, so they equal that
+    trial's rows of run_ensemble bit for bit; the steps inside a segment
+    are filled by the step maps from the segment's start, for all segments
+    of a chunk at once.  A non-finite state raises DivergenceError naming
+    the first such time.
     """
     n = step_count("run_closed_loop", p, dt, T)
-    k1, k2, c, amp = _loop_setup(p, prior, d, mode, dt, n)
+    k1, k2, c = _loop_setup(p, prior, d, mode, dt, n)
     draws = rng.normals(2 + 2 * n)
-    w = _scaled_noise(draws[2:], draws[2:], amp, p, dt).tolist()
-    x = (math.sqrt(prior.sigma_z0) * float(draws[0]),
-         math.sqrt(prior.sigma_b0) * float(draws[1]), 0.0, 0.0, 0.0, 0.0)
-    rows = array("d", x)     # per time: z, b, z~, b~, then u and y dt of the step before
-    for w1, w2, g1, g2 in zip(w[0::2], w[1::2], k1.tolist(), k2.tolist()):
-        x = _loop_step(x[0], x[1], x[2], x[3], w1, w2, g1, g2, c)
-        rows.extend(x)
-    h = np.array(rows).reshape(n + 1, 6)
-    ok = np.isfinite(h[:, :4]).all(axis=1)
+    xi = draws[2:].reshape(n, 2)
+    h = np.empty((n + 1, 4))                 # per time: z, b, z~, b~
+    h[0] = (math.sqrt(prior.sigma_z0) * draws[0], math.sqrt(prior.sigma_b0) * draws[1], 0.0, 0.0)
+    x = np.zeros((1, 4, TRIAL_BLOCK))
+    x[0, :, 0] = h[0]
+    w = np.zeros((2 * SEGMENT_STEPS, TRIAL_BLOCK))
+    with np.errstate(over="ignore", invalid="ignore"):   # the guards below report these
+        for chunk in _chunks(k1, k2, c, _schedule(n)[1]):
+            starts = []
+            for k0, k_end, maps in _segments(chunk):
+                starts.append(x[0, :, 0])
+                w[:2 * (k_end - k0), 0] = draws[2 + 2 * k0:2 + 2 * k_end]
+                x, k = _advance(x, maps, w[:2 * (k_end - k0)], 1, k0)
+                if k is not None:
+                    raise _diverged("run_closed_loop", k, dt)
+                h[k_end] = x[0, :, 0]
+            # the steps inside the segments, all segments of the chunk at once
+            _, idx, a, b, _, _ = chunk
+            noise = np.where(idx[..., None] < 0, 0.0, xi[idx])[..., None]
+            y = np.array(starts)[..., None]
+            for j in range(idx.shape[1] - 1):
+                y = _step(a[:, j], b[:, j], y, noise[:, j])
+                inner = idx[:, j] >= 0
+                h[idx[inner, j] + 1] = y[inner, :, 0]
+    ok = np.isfinite(h).all(axis=1)
     if not ok.all():
-        raise DivergenceError(f"run_closed_loop: non-finite state at t = {np.argmin(ok) * dt:.6e}")
+        raise _diverged("run_closed_loop", np.argmin(ok), dt)
+    kc0, kc1, s = c[4], c[5], c[8]
+    u = kc0 * h[:, 2]
+    u += kc1 * h[:, 3]
+    ydt = h[:-1, 0] * dt
+    ydt += s * xi[:, 1]
     traj = Trajectory(t=np.arange(n + 1) * dt, z=h[:, 0], b=h[:, 1],
-                      u=np.append(h[1:, 4], h[-1, 4]), ydt=np.append(h[1:, 5], 0.0), dt=dt)
+                      u=np.append(-u[:-1], -u[-2]), ydt=np.append(ydt, 0.0), dt=dt)
     return traj, h[:, 2:4]
-
-
-def _step_block(trials: int) -> int:
-    """Steps per block of draws: about 2**16 trial-steps, so the noise block
-    stays in cache."""
-    return min(256, max(8, (1 << 16) // trials))
 
 
 def run_ensemble(p: PlantParams, prior: Priors, d: DesignParams, mode: str,
@@ -203,71 +326,69 @@ def run_ensemble(p: PlantParams, prior: Priors, d: DesignParams, mode: str,
     whole blocks) therefore has the same blocks, and the same sums, as one
     call.
 
-    All trials advance together through _loop_step on the trials-wide
-    state rows, so the gain table is solved once per call.  A non-finite
-    state or sum raises DivergenceError naming the time.
+    The step is linear, so each segment between output rows (split into
+    segments of at most SEGMENT_STEPS steps) is one map x <- P x + Q xi
+    over all its draws, built once per call from the step maps and
+    applied to every block of trials as one tile, zero-padded to
+    TRIAL_BLOCK columns.  A segment's normals are drawn for at most
+    DRAW_TILES tiles at a time, which bounds the noise block and changes
+    no bit.  A non-finite state or sum raises DivergenceError naming the
+    time.
     """
     if trials < 1:
         raise ConfigurationError("run_ensemble: need at least one trial")
     n = step_count("run_ensemble", p, dt, T)
-    k1, k2, c, amp = _loop_setup(p, prior, d, mode, dt, n)
-
-    out_steps = list(range(0, n + 1, max(1, n // 200)))
-    if out_steps[-1] != n:
-        out_steps.append(n)
+    k1, k2, c = _loop_setup(p, prior, d, mode, dt, n)
+    out_steps, bounds = _schedule(n)
     t_out = np.array(out_steps) * dt
     full, rest = divmod(trials, TRIAL_BLOCK)
-    parts = np.zeros((full + (rest > 0), 4, len(out_steps)))
+    tiles = full + (rest > 0)
+    parts = np.zeros((tiles, 4, len(out_steps)))
 
     ids = np.arange(trials) + trial_offset
     init = trial_normals(seed, ids, 2)
-    state = np.zeros((4, trials))           # rows z, b, z~, b~
-    z, b, mz, mb = state
-    np.multiply(init[:, 0], math.sqrt(prior.sigma_z0), out=z)
-    np.multiply(init[:, 1], math.sqrt(prior.sigma_b0), out=b)
-    err = np.empty((4, trials))              # (b~-b)^2, its square, (z~-z)^2, its square
+    x = np.zeros((4, tiles * TRIAL_BLOCK))   # rows z, b, z~, b~; padding columns stay zero
+    np.multiply(init[:, 0], math.sqrt(prior.sigma_z0), out=x[0, :trials])
+    np.multiply(init[:, 1], math.sqrt(prior.sigma_b0), out=x[1, :trials])
+    x = _tiles(x).copy()
+    err = np.empty((4, tiles, TRIAL_BLOCK))   # (b~-b)^2, its square, (z~-z)^2, its square
 
     def record(i):
-        np.subtract(mb, b, out=err[0])
-        np.subtract(mz, z, out=err[2])
+        np.subtract(x[:, 3], x[:, 1], out=err[0])
+        np.subtract(x[:, 2], x[:, 0], out=err[2])
         err[0] *= err[0]
         err[2] *= err[2]
         np.multiply(err[0], err[0], out=err[1])
         np.multiply(err[2], err[2], out=err[3])
-        head = err[:, :full * TRIAL_BLOCK].reshape(4, full, TRIAL_BLOCK)
-        parts[:full, :, i] = head.sum(axis=2).T
+        parts[:full, :, i] = err[:, :full].sum(axis=2).T
         if rest:
-            parts[full, :, i] = err[:, full * TRIAL_BLOCK:].sum(axis=1)
+            parts[full, :, i] = err[:, full, :rest].sum(axis=1)
 
-    def step(j, k):
-        _loop_step(z, b, mz, mb, w[2 * j], w[2 * j + 1], k1[k], k2[k], c)
-
-    step_block = _step_block(trials)
-    noise = np.empty((2 * min(step_block, n), trials))   # one row per draw, reused by every block
+    steps = max(hi - lo for lo, hi in zip(bounds, bounds[1:]))
+    # one row per draw, reused by every segment and group of DRAW_TILES tiles
+    noise = np.zeros((2 * steps, min(tiles, DRAW_TILES) * TRIAL_BLOCK))
     with np.errstate(over="ignore", invalid="ignore"):   # the guards below report these
         record(0)
         row = 1                               # the next output row
-        for k0 in range(0, n, step_block):
-            k_end = min(k0 + step_block, n)
-            cols = 2 * (k_end - k0)
-            # draws 2 + 2k and 3 + 2k are step k's (field, record) normals, drawn
-            # straight into the rows of the noise block and scaled there
-            trial_normals(seed, ids, cols, start=2 + 2 * k0, out=noise[:cols].T)
-            w = _scaled_noise(noise[:cols], noise[:cols], amp, p, dt)
-            start_state = state.copy()
-            for j, k in enumerate(range(k0, k_end)):
-                step(j, k)
-                if k + 1 == out_steps[row]:
+        for chunk in _chunks(k1, k2, c, bounds):
+            for k0, k_end, maps in _segments(chunk):
+                first_bad = []
+                for g in range(0, tiles, DRAW_TILES):
+                    g_end = min(tiles, g + DRAW_TILES)
+                    lo, hi = g * TRIAL_BLOCK, min(trials, g_end * TRIAL_BLOCK)
+                    # draws 2 + 2k and 3 + 2k are step k's (field, record) normals,
+                    # drawn straight into the rows of the noise block
+                    w = noise[:2 * (k_end - k0), :(g_end - g) * TRIAL_BLOCK]
+                    trial_normals(seed, ids[lo:hi], len(w), start=2 + 2 * k0,
+                                  out=w[:, :hi - lo].T)
+                    w[:, hi - lo:] = 0.0
+                    x[g:g_end], k = _advance(x[g:g_end], maps, w, hi - lo, k0)
+                    first_bad += [] if k is None else [k]
+                if first_bad:
+                    raise _diverged("run_ensemble", min(first_bad), dt)
+                if k_end == out_steps[row]:
                     record(row)
                     row += 1
-            if not np.isfinite(state).all():
-                # replay the block step by step to name the first bad step
-                state[...] = start_state
-                for j, k in enumerate(range(k0, k_end)):
-                    step(j, k)
-                    if not np.isfinite(state).all():
-                        raise DivergenceError(
-                            f"run_ensemble: non-finite state at t = {(k + 1) * dt:.6e}")
     bad = ~np.isfinite(parts).all(axis=(0, 1))
     if bad.any():
         raise DivergenceError(f"run_ensemble: error sums overflow at t = "

@@ -210,6 +210,21 @@ class TestCommands:
         assert outs[0] == outs[1]  # repeated run byte-identical
         assert outs[0] == outs[2]  # worker count does not change bytes
 
+    def test_montecarlo_one_trial_worker_invariance(self, tmp_path):
+        # 513 = 2 blocks + 1 trial: at --workers 3 the last worker runs its
+        # one trial alone, on the same zero-padded product tile as in one call
+        sc = tmp_path / "mc.scn"
+        base = (SCENARIOS / "montecarlo_matched.scn").read_text()
+        sc.write_text(base.replace("trials   = 2000", "trials   = 513")
+                          .replace("T        = 5e-8", "T        = 5e-9"))
+        outs = []
+        for workers in ("1", "3"):
+            out = tmp_path / f"mc_{workers}.csv"
+            assert run_cli(["montecarlo", "--scenario", str(sc), "--out", str(out),
+                            "--workers", workers]) == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+
     def test_montecarlo_steady_gain_fixture(self, tmp_path, capsys):
         sc = tmp_path / "sg.scn"
         base = (SCENARIOS / "transfer_function_comparison.scn").read_text()

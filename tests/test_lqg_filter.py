@@ -8,9 +8,9 @@ from hypothesis import example, given, settings, strategies as st
 from spintrack.errors import ConfigurationError, DivergenceError
 from spintrack.model import DesignParams, PlantParams, Priors, build_system, fluctuating_plant
 from spintrack.numerics import RngStream, trial_normals, trial_stream
-from spintrack.lqg_filter import (MODES, TRIAL_BLOCK, design_plant, design_prior, filter_record,
-                                  run_closed_loop, run_ensemble, run_open_loop_linefit,
-                                  summarize_ensemble)
+from spintrack.lqg_filter import (DRAW_TILES, MODES, TRIAL_BLOCK, _chunks, _segments,
+                                  design_plant, design_prior, filter_record, run_closed_loop,
+                                  run_ensemble, run_open_loop_linefit, summarize_ensemble)
 from spintrack.riccati import riccati_at_times
 from spintrack.truth_sim import field_step, simulate_open_loop
 
@@ -40,6 +40,17 @@ class TestKalmanStep:
         for k in range(1, 5):
             ref = ref + (a @ ref) * 1e-12
             assert np.allclose(m[k + 1], ref)
+
+
+def _first_bad_time(d, dt, T, trials):
+    """The earliest time at which run_closed_loop names a non-finite state,
+    over steady-gain trials 0 .. trials - 1 of seed 1."""
+    first_bad = []
+    for k in range(trials):
+        with pytest.raises(DivergenceError, match="run_closed_loop: non-finite state") as exc:
+            run_closed_loop(FLUCT, PRIOR, d, "steady_gain", trial_stream(1, k), dt, T)
+        first_bad.append(float(str(exc.value).rpartition("t = ")[2]))
+    return min(first_bad)
 
 
 class TestClosedLoop:
@@ -141,10 +152,13 @@ class TestClosedLoop:
     @settings(max_examples=40, deadline=None)
     @given(f=st.floats(0.5, 2.0), lam=st.one_of(st.just(0.0), st.floats(1e-4, 0.1)),
            mode=st.sampled_from(MODES), seed=st.integers(0, 2**32),
-           k=st.integers(0, 10**6), steps=st.one_of(st.integers(1, 60), st.integers(390, 450)))
+           k=st.integers(0, 10**6), steps=st.one_of(st.integers(1, 60), st.integers(390, 450),
+                                                    st.integers(2000, 4000)))
+    @example(f=1.3, lam=0.01, mode="dynamic_gain", seed=5, k=17, steps=2345)
+    @example(f=0.7, lam=0.05, mode="steady_gain", seed=6, k=3, steps=13001)
     def test_single_run_is_the_ensemble_row(self, f, lam, mode, seed, k, steps):
-        # one step serves both paths, so a one-trial ensemble reproduces the
-        # one-trial run bit for bit, on its output rows (every
+        # one set of segment maps serves both paths, so a one-trial ensemble
+        # reproduces the one-trial run bit for bit, on its output rows (every
         # max(1, n // 200)-th step and T); a one-element block sum is exact
         p = replace(FLUCT, J=f * MATCHED.J_prime)
         d = DesignParams(J_prime=MATCHED.J_prime, lam=lam)
@@ -163,14 +177,9 @@ class TestClosedLoop:
         # a controller gain far beyond the explicit-Euler limit overflows
         d = DesignParams(J_prime=1e6, lam=1e3)
         dt, T, trials = 5e-12, 1e-9, 10
-        first_bad = []
-        for k in range(trials):
-            with pytest.raises(DivergenceError, match="run_closed_loop: non-finite state") as exc:
-                run_closed_loop(FLUCT, PRIOR, d, "steady_gain", trial_stream(1, k), dt, T)
-            first_bad.append(float(str(exc.value).rpartition("t = ")[2]))
-        t_bad = min(first_bad)
+        t_bad = _first_bad_time(d, dt, T, trials)
         assert 0.0 < t_bad < T
-        # the state guard replays the block to name the step itself
+        # the state guard replays the segment to name the step itself
         with pytest.raises(DivergenceError, match=f"non-finite state at t = {t_bad:.6e}"):
             run_ensemble(FLUCT, PRIOR, d, "steady_gain", seed=1, trials=trials, dt=dt, T=T)
         # finite states whose squared errors overflow the sums
@@ -179,11 +188,25 @@ class TestClosedLoop:
             run_ensemble(FLUCT, huge, MATCHED, "steady_gain", seed=1, trials=trials, dt=dt,
                          T=2e-11)
 
+    def test_divergence_inside_a_segment_names_its_step(self):
+        # at n = 2000 the output stride is 10 steps; the overflow falls inside
+        # a segment, whose step-by-step replay names the step itself, the
+        # time that the one-trial runs name too
+        d = DesignParams(J_prime=1e6, lam=1e3)
+        dt, T, trials = 5e-12, 1e-8, 10
+        t_bad = _first_bad_time(d, dt, T, trials)
+        assert round(t_bad / dt) % 10 != 0
+        with pytest.raises(DivergenceError, match=f"non-finite state at t = {t_bad:.6e}"):
+            run_ensemble(FLUCT, PRIOR, d, "steady_gain", seed=1, trials=trials, dt=dt, T=T)
+
     @settings(max_examples=20, deadline=None)
     @given(trials=st.integers(1, 700), first_block=st.integers(0, 3),
            steps=st.one_of(st.integers(1, 40), st.integers(400, 900)),
            seed=st.integers(0, 2**32), mode=st.sampled_from(MODES))
     @example(trials=300, first_block=1, steps=401, seed=7, mode="dynamic_gain")
+    @example(trials=2 * TRIAL_BLOCK + 1, first_block=2, steps=250, seed=9, mode="dynamic_gain")
+    @example(trials=DRAW_TILES * TRIAL_BLOCK + 1, first_block=1, steps=30, seed=3,
+             mode="steady_gain")
     def test_ensemble_is_in_order_sum_of_block_calls(self, trials, first_block, steps, seed,
                                                      mode):
         # the worker-split invariance: one call per block gives the single
@@ -242,6 +265,68 @@ class TestClosedLoop:
         d = DesignParams(J_prime=1e6, lam=0.1)
         traj, _ = run_closed_loop(FLUCT, PRIOR, d, "dynamic_gain", RngStream(8), 2e-12, 2e-8)
         assert np.max(np.abs(traj.z)) < 0.1 * FLUCT.J
+
+
+def _reference_step(x, xi, g1, g2, c):
+    """One closed-loop step on Python floats, term by term: u = -K_C m,
+    y dt = z dt + s xi_2, the plant (Euler in z, the OU step in b), then the
+    Euler filter update with gains (g1, g2)."""
+    gj, gjp, gb, decay, kc0, kc1, dt, amp, s = c
+    z, b, mz, mb = x
+    u = -(kc0 * mz + kc1 * mb)
+    innov = z * dt + s * xi[1] - mz * dt
+    return (z + gj * (b + u) * dt, decay * b + amp * xi[0],
+            mz + gjp * (mb + u) * dt + g1 * innov, mb - gb * mb * dt + g2 * innov)
+
+
+def _reference_maps(g1, g2, c):
+    """[P | Q] of the steps at gains g1, g2, from _reference_step run from
+    each unit state and with each unit draw, and its scale [|A_{L-1}|...|A_0|
+    | ... |A_{L-1}|...|A_{j+1}| |B_j| ...], with each step's (A, B) read
+    off _reference_step the same way."""
+    steps, eye = len(g1), np.eye(6)
+    cols = []
+    for i in range(4 + 2 * steps):
+        x = eye[i, :4] if i < 4 else np.zeros(4)
+        for k in range(steps):
+            x = _reference_step(x, (float(i == 4 + 2 * k), float(i == 5 + 2 * k)), g1[k], g2[k], c)
+        cols.append(x)
+    scale, later = np.empty((4, 4 + 2 * steps)), np.eye(4)   # later: |A_{L-1}|...|A_{k+1}|
+    for k in range(steps - 1, -1, -1):
+        ab = np.abs(np.array([_reference_step(e[:4], e[4:], g1[k], g2[k], c) for e in eye]).T)
+        scale[:, 4 + 2 * k:6 + 2 * k] = later @ ab[:, 4:]
+        later = later @ ab[:, :4]
+    scale[:, :4] = later
+    return np.array(cols).T, scale
+
+
+class TestSegmentMaps:
+    @settings(max_examples=40, deadline=None)
+    @given(steps=st.lists(st.integers(1, 60), min_size=1, max_size=2),
+           gjp=st.floats(1e10, 1e13), f=st.floats(0.5, 2.0),
+           gb=st.one_of(st.just(0.0), st.floats(1.0, 1e9)),
+           r=st.one_of(st.just(0.0), st.floats(1e-6, 0.999)),
+           amp=st.one_of(st.just(0.0), st.floats(1e-6, 1.0)),
+           s=st.floats(1e-12, 1e-6),
+           seed=st.integers(0, 2**32))
+    def test_lift_is_the_product_of_steps(self, steps, gjp, f, gb, r, amp, s, seed):
+        # P = A_{L-1}...A_0 and Q_j = A_{L-1}...A_{j+1} B_j of every segment,
+        # a shorter one padded in a chunk with a longer one, match the
+        # reference steps to 1e-12 of the product of the steps' |A| and |B|;
+        # the controller stays below its Euler limit, lam gamma J' dt < 1
+        dt = 5e-12
+        lam = r / (gjp * dt)
+        kc1 = 0.0 if lam == 0.0 else 1.0 / (1.0 + gb / (gjp * lam))
+        c = (f * gjp, gjp, gb, math.exp(-gb * dt), lam, kc1, dt, amp, s)
+        n = sum(steps)
+        rng = np.random.default_rng(seed)
+        g1, g2 = rng.uniform(0.0, 0.1 / dt, n + 1), rng.uniform(-1e6, 1e6, n + 1)
+        bounds = np.cumsum([0] + steps).tolist()
+        (chunk,) = _chunks(g1, g2, c, bounds)
+        for k0, k_end, (p, q, _, _) in _segments(chunk):
+            ref, scale = _reference_maps(g1[k0:k_end], g2[k0:k_end], c)
+            assert q.shape == (4, 2 * (k_end - k0))
+            assert np.all(np.abs(np.hstack([p, q]) - ref) <= 1e-12 * scale)
 
 
 class TestFilterRecord:
