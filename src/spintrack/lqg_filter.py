@@ -5,7 +5,9 @@ The estimate m = (z~, b~) follows
     dm = A' m dt + B' u dt + K_O(t) [y dt - C m dt],    m(0) = (0, 0)
 
 discretized by explicit Euler on the record grid (the record and filter
-share dt; both modes need dt * K_O1_steady < 0.1, checked in _loop_setup).
+share dt).  Where a steady gain exists, a fluctuating field or the
+steady_gain mode, _loop_setup requires dt * K_O1_steady < 0.1; a
+constant-field dynamic_gain run is not checked.
 Primed quantities use the design spin J'; the observer's own prior is the
 coherent variance J'/2 for spin together with the scenario field prior.
 The controller applies u = -K_C m with the stationary controller gain.
@@ -16,9 +18,10 @@ which is the filter a constant transfer function would realize.  Both
 reach the same saturation level; the frozen-gain transient is worse.
 
 One closed-loop step (controller, record, the plant, whose field takes
-the open loop's exact OU step, and the filter update of ``_filter_step``)
-is linear in x = (z, b, z~, b~) and the step's two normals xi:
-x <- A_k x + B_k xi, with (A_k, B_k) written once, in ``_step_maps``.
+the open loop's exact OU step, and the filter update) is linear in
+x = (z, b, z~, b~) and the step's two normals xi: x <- A_k x + B_k xi.
+``_step_maps`` derives (A_k, B_k) = (I + alpha dt, beta sqrt(dt)) from
+the loop's one generator, ``model.closed_loop_generator``.
 Between two bounds of a segment (the output rows, longer intervals split
 into segments of at most SEGMENT_STEPS steps) the loop is therefore one
 map, the lifted system of sampled-data control (Bamieh, Pearson, Francis
@@ -34,8 +37,9 @@ same shape whatever the trial count, so a trial's bits do not depend on
 the trials beside it, and trial k of an ensemble equals the one-trial
 run on its stream at every segment bound.  P x and Q xi are rounded
 apart before their sum, so over a one-step segment the field row is the
-exact OU step.  ``filter_record`` re-runs the open-loop filter on Python
-floats through ``_filter_step``.
+exact OU step.  ``filter_record`` re-runs the open-loop filter over a
+stored record, m <- (I + alpha_22 dt) m + K_O y dt on the same
+generator's estimator block at lam = 0.
 
 ``run_ensemble`` reduces the trials in fixed blocks of TRIAL_BLOCK and
 ``summarize_ensemble`` adds the blocks in order; their docstrings state
@@ -52,7 +56,7 @@ from dataclasses import replace
 import numpy as np
 
 from .errors import ConfigurationError, DivergenceError
-from .model import DesignParams, PlantParams, Priors
+from .model import DesignParams, PlantParams, Priors, closed_loop_generator
 from .numerics import RngStream, trial_normals
 from .riccati import controller_gain, integrate_estimator_riccati, steady_state_gains
 from .truth_sim import Trajectory, field_step, step_count
@@ -75,46 +79,30 @@ def design_plant(p: PlantParams, d: DesignParams) -> PlantParams:
     return replace(p, J=d.J_prime)
 
 
-def _filter_step(mz, mb, ydt, u, k1, k2, gjp, gb, dt):
-    """One observer step m += (A'm + B'u) dt + K_O (y dt - m_z dt), with
-    A' = [[0, gjp], [0, -gb]] and B' = (gjp, 0), on Python floats, in the
-    operation order of the formula above (y dt - m_z dt as
-    m_z (-dt) + y dt, the same bits)."""
-    innov = mz * -dt
-    innov += ydt
-    dm = gjp * mb
-    dm += gjp * u
-    dm *= dt
-    mz += dm
-    mz += k1 * innov
-    dm = gb * mb
-    dm *= dt
-    mb -= dm
-    innov *= k2
-    mb += innov
-    return mz, mb
-
-
 def filter_record(p: PlantParams, k1: np.ndarray, k2: np.ndarray, ydt: np.ndarray,
                   dt: float) -> np.ndarray:
     """Re-run the open-loop (u = 0) filter of plant p over a stored record;
     returns m with m[0] = 0.  k1, k2 are the gain components tabulated on
-    the record grid."""
-    if min(len(k1), len(k2)) < len(ydt) - 1:
+    the record grid.  The step m <- (I + alpha_22 dt) m + K_O ydt takes the
+    estimator block alpha_22 of ``closed_loop_generator`` at lam = 0."""
+    n = len(ydt) - 1
+    if min(len(k1), len(k2)) < n:
         raise ConfigurationError("filter_record: gain tables are shorter than the record")
-    gj, gb = p.gamma * p.J, p.gamma_b
+    alpha, _ = closed_loop_generator(p, DesignParams(J_prime=p.J), k1[:n], k2[:n], (0.0, 0.0))
+    steps = (np.eye(2) + alpha[:, 2:, 2:] * dt).reshape(n, 4).tolist()
     mz = mb = 0.0
     m = array("d", (mz, mb))
-    for y, g1, g2 in zip(ydt[:-1].tolist(), k1.tolist(), k2.tolist()):
-        mz, mb = _filter_step(mz, mb, y, 0.0, g1, g2, gj, gb, dt)
+    for (a00, a01, a10, a11), y, g1, g2 in zip(steps, ydt.tolist(), k1.tolist(), k2.tolist()):
+        mz, mb = a00 * mz + a01 * mb + g1 * y, a10 * mz + a11 * mb + g2 * y
         m.extend((mz, mb))
     return np.array(m).reshape(-1, 2)
 
 
 def _loop_setup(p: PlantParams, prior: Priors, d: DesignParams, mode: str, dt: float, n: int):
     """The observer gains of the mode on the grid of n steps and the
-    constants of _step_maps; both modes bound dt by the saturated gain,
-    dt * K_O1_steady < 0.1, which steady_gain needs."""
+    constants (p, d, K_C, dt) of _step_maps.  Where a steady gain exists
+    (a fluctuating field, or steady_gain, which needs one) it bounds dt,
+    dt * K_O1_steady < 0.1; a constant-field dynamic_gain run is unchecked."""
     if mode not in MODES:
         raise ConfigurationError(f"unknown filter mode '{mode}'; choose one of {MODES}")
     p_des = design_plant(p, d)
@@ -128,33 +116,21 @@ def _loop_setup(p: PlantParams, prior: Priors, d: DesignParams, mode: str, dt: f
         k1, k2 = cov.gain(p_des.sigma_M)
     else:
         k1, k2 = (np.full(n + 1, k) for k in k_steady)
-    kc0, kc1 = controller_gain(p, d)
-    decay, amp = field_step(p, dt)
-    return k1, k2, (p.gamma * p.J, p.gamma * d.J_prime, p.gamma_b, decay, float(kc0),
-                    float(kc1), dt, amp, math.sqrt(p.sigma_M * dt))
+    return k1, k2, (p, d, controller_gain(p, d), dt)
 
 
 def _step_maps(g1: np.ndarray, g2: np.ndarray, c: tuple):
     """(A, B) of the closed-loop step x <- A x + B xi at observer gains
     (g1, g2), stacked over their shape: x = (z, b, z~, b~), xi = the step's
-    (field, record) normals.  The step is u = -K_C m, y dt = z dt + s xi_2
-    with s = sqrt(sigma_M dt), the plant (Euler in z, the exact OU step
-    b <- decay b + amp xi_1 of truth_sim.field_step) and the filter update
-    of _filter_step; c holds the constants of _loop_setup."""
-    gj, gjp, gb, decay, kc0, kc1, dt, amp, s = c
-    a = np.zeros(g1.shape + (4, 4))
-    b = np.zeros(g1.shape + (4, 2))
-    a[..., 0, :] = (1.0, gj * dt, -(gj * dt * kc0), -(gj * dt * kc1))
-    a[..., 1, 1] = decay
-    a[..., 2, 0] = g1 * dt
-    a[..., 2, 2] = (1.0 - gjp * dt * kc0) - g1 * dt
-    a[..., 2, 3] = gjp * dt * (1.0 - kc1)
-    a[..., 3, 0] = g2 * dt
-    a[..., 3, 2] = -(g2 * dt)
-    a[..., 3, 3] = 1.0 - gb * dt
-    b[..., 1, 0] = amp
-    b[..., 2, 1] = g1 * s
-    b[..., 3, 1] = g2 * s
+    (field, record) normals.  A = I + alpha dt, B = beta sqrt(dt) of
+    ``closed_loop_generator``, but for the field row's exact OU step
+    b <- decay b + amp xi_1 of truth_sim.field_step; c is from _loop_setup."""
+    p, d, k_c, dt = c
+    alpha, beta = closed_loop_generator(p, d, g1, g2, k_c)
+    a = alpha * dt
+    a += np.eye(4)
+    b = beta[..., 1:3] * math.sqrt(dt)
+    a[..., 1, 1], b[..., 1, 0] = field_step(p, dt)
     return a, b
 
 
@@ -301,11 +277,11 @@ def run_closed_loop(p: PlantParams, prior: Priors, d: DesignParams, mode: str,
     ok = np.isfinite(h).all(axis=1)
     if not ok.all():
         raise _diverged("run_closed_loop", np.argmin(ok), dt)
-    kc0, kc1, s = c[4], c[5], c[8]
+    kc0, kc1 = c[2]
     u = kc0 * h[:, 2]
     u += kc1 * h[:, 3]
     ydt = h[:-1, 0] * dt
-    ydt += s * xi[:, 1]
+    ydt += math.sqrt(p.sigma_M * dt) * xi[:, 1]
     traj = Trajectory(t=np.arange(n + 1) * dt, z=h[:, 0], b=h[:, 1],
                       u=np.append(-u[:-1], -u[-2]), ydt=np.append(ydt, 0.0), dt=dt)
     return traj, h[:, 2:4]

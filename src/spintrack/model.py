@@ -12,6 +12,10 @@ measurement sensitivity sigma_M = 1/(4*M*eta), and the field following an
 Ornstein-Uhlenbeck process of bandwidth gamma_b and stationary variance
 sigma_bF / (2*gamma_b).
 
+With the Kalman filter and the controller u = -K_C m, (z, b, z~, b~) is
+one linear system, whose one generator ``closed_loop_generator`` feeds the
+joint covariance, the closed-loop step maps and the record filter.
+
 Units are natural: time in seconds, field and spin dimensionless as in the
 reference scenarios.  Quantum efficiency defaults to 1.  Constant-field
 scenarios are encoded as gamma_b = 0, sigma_bF = 0 with sigma_b0 > 0.
@@ -115,6 +119,37 @@ def build_system(p: PlantParams):
     c = np.array([[1.0, 0.0]])
     sigma1 = np.array([[0.0, 0.0], [0.0, p.sigma_bF]])
     return a, b, c, sigma1
+
+
+def closed_loop_generator(p: PlantParams, d: DesignParams, k1, k2, k_c):
+    """Generator stacks (alpha, beta) of the closed loop in (z, b, z~, b~),
+    stacked over the shape of the observer gains K_O = (k1, k2), with the
+    controller u = -K_C m and primes for the design spin J':
+
+        alpha = [[A, -B K_C], [K_O C, A' - B' K_C - K_O C]]
+
+    beta holds sqrt(sigma_bF) on b and sqrt(sigma_M) K_O on the estimator
+    rows.  gamma J' (1 - K_C2) is one product: gamma J' - gamma J' K_C2
+    loses digits as K_C2 -> 1.
+    """
+    a, b, _, _ = build_system(p)
+    k1, k2 = np.asarray(k1, dtype=np.float64), np.asarray(k2, dtype=np.float64)
+    kc0, kc1 = k_c
+    gjp = p.gamma * d.J_prime
+    alpha = np.zeros(k1.shape + (4, 4))
+    alpha[..., :2, :2] = a
+    alpha[..., :2, 2:] = -np.outer(b, k_c)
+    alpha[..., 2, 0] = k1
+    alpha[..., 3, 0] = k2
+    alpha[..., 2, 2] = -(gjp * kc0) - k1
+    alpha[..., 2, 3] = gjp * (1.0 - kc1)
+    alpha[..., 3, 2] = -k2
+    alpha[..., 3, 3] = -p.gamma_b
+    beta = np.zeros(k1.shape + (4, 4))
+    beta[..., 1, 1] = math.sqrt(p.sigma_bF)
+    beta[..., 2, 2] = math.sqrt(p.sigma_M) * k1
+    beta[..., 3, 2] = math.sqrt(p.sigma_M) * k2
+    return alpha, beta
 
 
 def fluctuating_plant(J: float, gamma: float, M: float, gamma_b: float,

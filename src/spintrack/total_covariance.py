@@ -28,9 +28,11 @@ draw.  The magnetometry error sigma_bE = Theta[3, 3] is a direct entry,
 with no cancellation and no Monte Carlo.
 
 ``build_alpha_beta`` builds alpha and beta as (n, 4, 4) stacks from
-arrays of observer gains, one row per gain pair.  The same stacks feed
-the two consumers: ``integrate_theta`` takes one generator per interval
-of its time grid and steps with exact constant-coefficient increments
+arrays of observer gains, one row per gain pair: the loop's one
+generator, ``model.closed_loop_generator`` in (z, b, z~, b~), conjugated
+by S (S alpha S^-1 and S beta).  The same stacks feed the two
+consumers: ``integrate_theta`` takes one generator per interval of its
+time grid and steps with exact constant-coefficient increments
 Theta <- Phi Theta Phi^T + G (unconditionally stable, which matters for
 aggressive control at rates up to lam * gamma * J * f), and
 ``steady_state_error`` solves the stationary Lyapunov equation of a
@@ -46,14 +48,13 @@ Closed-form mismatch factors, f = J / J':
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (ConfigurationError, DimensionError, DivergenceError, InstabilityError,
                      UnsupportedCaseError)
-from .model import DesignParams, PlantParams, Priors, build_system
+from .model import DesignParams, PlantParams, Priors, closed_loop_generator
 from .numerics import _compose, geometric_times, ou_increment
 from .riccati import controller_gain, linearized_riccati_curve, steady_state_gains
 from .lqg_filter import design_plant, design_prior
@@ -76,51 +77,28 @@ class ThetaTrajectory:
         return self.theta[:, 3, 3]
 
 
+# S maps the raw labeling (z, b, z~, b~) to (z, b, z~-z, b~-b)
+_S, _S_INV = np.eye(4) - np.eye(4, k=-2), np.eye(4) + np.eye(4, k=-2)
+
+
 def theta_init(prior: Priors) -> np.ndarray:
     """Initial joint covariance S diag(sigma_z0, sigma_b0, 0, 0) S^T: the
     estimate starts at zero, so each error starts at minus its truth."""
-    s = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
-    return s @ np.diag([prior.sigma_z0, prior.sigma_b0]) @ s.T
+    return _S @ np.diag([prior.sigma_z0, prior.sigma_b0, 0.0, 0.0]) @ _S.T
 
 
 def build_alpha_beta(p: PlantParams, d: DesignParams, k1, k2, k_c: np.ndarray):
     """Generator stacks (alpha, beta), each of shape (n, 4, 4), of the joint
     flow in (x, e) for n observer gains K_O = (k1[i], k2[i]) and the
-    constant controller gain ``k_c``.
+    constant controller gain ``k_c``: ``model.closed_loop_generator``
+    conjugated by S, S alpha S^-1 and S beta.
 
     Row i of a stack depends only on (k1[i], k2[i]), so the caller chooses
     the times the gains are frozen at (one row per ``integrate_theta``
     interval, or one row for a stationary solve).
     """
-    a_true, b_true, _, _ = build_system(p)
-    a_des, b_des = build_system(design_plant(p, d))[:2]
-    k1 = np.asarray(k1, dtype=np.float64)
-    k2 = np.asarray(k2, dtype=np.float64)
-    k_c = np.asarray(k_c, dtype=np.float64)
-    bk = np.outer(b_true, k_c)
-
-    # the error block starts from the estimator's A' - B' K_C - K_O C
-    # (C = [1, 0]), the coupling block from K_O C - A; every entry is
-    # accumulated onto +0, so the stacks hold no negative zeros and equal
-    # S alpha_raw S^-1 and S beta_raw of the raw (z, b, z~, b~) flow bit for bit
-    alpha = np.zeros((len(k1), 4, 4))
-    alpha[:, :2, :2] += a_true
-    alpha[:, :2, :2] -= bk
-    alpha[:, :2, 2:] -= bk
-    alpha[:, 2:, 2:] += a_des - np.outer(b_des, k_c)
-    alpha[:, 2, 2] -= k1
-    alpha[:, 3, 2] -= k2
-    alpha[:, 2:, 2:] += bk
-    alpha[:, 2, 0] += k1
-    alpha[:, 3, 0] += k2
-    alpha[:, 2:, :2] -= a_true
-    alpha[:, 2:, :2] += alpha[:, 2:, 2:]
-    beta = np.zeros((len(k1), 4, 4))
-    beta[:, 1, 1] += math.sqrt(p.sigma_bF)
-    beta[:, 3, 1] -= math.sqrt(p.sigma_bF)
-    beta[:, 2, 2] += math.sqrt(p.sigma_M) * k1
-    beta[:, 3, 2] += math.sqrt(p.sigma_M) * k2
-    return alpha, beta
+    alpha, beta = closed_loop_generator(p, d, k1, k2, k_c)
+    return _S @ alpha @ _S_INV, _S @ beta
 
 
 def _check_theta_psd(traj: ThetaTrajectory):

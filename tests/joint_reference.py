@@ -26,7 +26,9 @@ S_ERR_INV = np.array([[1.0, 0.0, 0.0, 0.0],
 def raw_alpha_beta(p, d, k1, k2, k_c):
     """(alpha, beta) stacks of the raw flow: alpha = [[A, -B K_C],
     [K_O C, A' - B' K_C - K_O C]], beta with sqrt(sigma_bF) on b and
-    sqrt(sigma_M) K_O on the estimator rows."""
+    sqrt(sigma_M) K_O on the estimator rows.  The estimator's
+    gamma J' (1 - K_C2) is one product, as the package writes it: the
+    difference gamma J' - gamma J' K_C2 loses digits as K_C2 -> 1."""
     a_true, b_true, _, _ = build_system(p)
     a_des, b_des = build_system(design_plant(p, d))[:2]
     k1 = np.asarray(k1, dtype=np.float64)
@@ -36,6 +38,7 @@ def raw_alpha_beta(p, d, k1, k2, k_c):
     alpha[:, :2, :2] = a_true
     alpha[:, :2, 2:] = -np.outer(b_true, k_c)
     alpha[:, 2:, 2:] = a_des - np.outer(b_des, k_c)
+    alpha[:, 2, 3] = a_des[0, 1] * (1.0 - k_c[1])
     alpha[:, 2, 0] = k1
     alpha[:, 3, 0] = k2
     alpha[:, 2, 2] -= k1

@@ -6,7 +6,9 @@ both should go.  The same holds for a defaulted parameter that no call
 in the package sets, and for a parameter that every call in the package
 passes as the same string constant or None (a mode or callback whose
 other branches only the tests reach).  The deliberate exceptions are
-listed with the reason they stay.  Every name a module imports is also
+listed with the reason they stay.  A private function or method (a
+leading underscore, dunders aside) that nothing else in the package
+names is dead, with no exceptions.  Every name a module imports is also
 used by that module: an import left behind by a deleted route goes with
 it.
 """
@@ -55,13 +57,13 @@ def _scopes(tree):
 
 
 def _surface():
-    """Public functions/methods as (where, bare name), and for every bare
-    name the set of places that reference it."""
+    """Functions/methods other than dunders as (where, bare name), and for
+    every bare name the set of places that reference it."""
     defs, refs = [], defaultdict(set)
     for path in sorted(SRC.glob("*.py")):
         for owner, node in _scopes(ast.parse(path.read_text(encoding="utf-8"))):
             where = f"{path.stem}.{owner}" if owner else path.stem
-            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("__"):
                 defs.append((where, node.name))
             for sub in ast.walk(node):
                 if isinstance(sub, ast.Name):
@@ -159,10 +161,21 @@ def _fixed_arguments():
 
 def test_every_public_function_is_used_by_the_package():
     defs, refs = _surface()
-    assert len(defs) > 50   # the parse found the package
-    unused = {where for where, name in defs if not refs[name] - {where}}
+    public = [(where, name) for where, name in defs if not name.startswith("_")]
+    assert len(public) > 50   # the parse found the package
+    unused = {where for where, name in public if not refs[name] - {where}}
     assert sorted(unused - set(ALLOWED_UNUSED)) == [], "public but unused in src: delete or use it"
     assert sorted(set(ALLOWED_UNUSED) - unused) == [], "used now: drop it from ALLOWED_UNUSED"
+
+
+def test_every_private_function_is_used_by_the_package():
+    # a helper left behind by a route that went (or one that only the tests
+    # call) is dead code; no exceptions
+    defs, refs = _surface()
+    private = [(where, name) for where, name in defs if name.startswith("_")]
+    assert len(private) > 30   # the parse found the helpers
+    assert sorted(where for where, name in private if not refs[name] - {where}) == [], \
+        "private but unused in src: delete it"
 
 
 def test_every_defaulted_parameter_is_set_by_the_package():

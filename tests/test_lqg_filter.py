@@ -8,10 +8,11 @@ from hypothesis import example, given, settings, strategies as st
 from spintrack.errors import ConfigurationError, DivergenceError
 from spintrack.model import DesignParams, PlantParams, Priors, build_system, fluctuating_plant
 from spintrack.numerics import RngStream, trial_normals, trial_stream
-from spintrack.lqg_filter import (DRAW_TILES, MODES, TRIAL_BLOCK, _chunks, _segments,
-                                  design_plant, design_prior, filter_record, run_closed_loop,
-                                  run_ensemble, run_open_loop_linefit, summarize_ensemble)
-from spintrack.riccati import riccati_at_times
+from spintrack.lqg_filter import (DRAW_TILES, MODES, TRIAL_BLOCK, _chunks, _loop_setup,
+                                  _segments, design_plant, design_prior, filter_record,
+                                  run_closed_loop, run_ensemble, run_open_loop_linefit,
+                                  summarize_ensemble)
+from spintrack.riccati import controller_gain, riccati_at_times
 from spintrack.truth_sim import field_step, simulate_open_loop
 
 FLUCT = fluctuating_plant(J=1e6, gamma=1e6, M=1e4, gamma_b=1e5, sigma_bfree=1.0)
@@ -269,9 +270,13 @@ class TestClosedLoop:
 
 def _reference_step(x, xi, g1, g2, c):
     """One closed-loop step on Python floats, term by term: u = -K_C m,
-    y dt = z dt + s xi_2, the plant (Euler in z, the OU step in b), then the
-    Euler filter update with gains (g1, g2)."""
-    gj, gjp, gb, decay, kc0, kc1, dt, amp, s = c
+    y dt = z dt + s xi_2 with s = sqrt(sigma_M dt), the plant (Euler in z,
+    the OU step in b), then the Euler filter update with gains (g1, g2);
+    c = (plant, design, K_C, dt)."""
+    p, d, (kc0, kc1), dt = c
+    gj, gjp, gb = p.gamma * p.J, p.gamma * d.J_prime, p.gamma_b
+    decay, amp = field_step(p, dt)
+    s = math.sqrt(p.sigma_M * dt)
     z, b, mz, mb = x
     u = -(kc0 * mz + kc1 * mb)
     innov = z * dt + s * xi[1] - mz * dt
@@ -306,30 +311,49 @@ class TestSegmentMaps:
            gjp=st.floats(1e10, 1e13), f=st.floats(0.5, 2.0),
            gb=st.one_of(st.just(0.0), st.floats(1.0, 1e9)),
            r=st.one_of(st.just(0.0), st.floats(1e-6, 0.999)),
-           amp=st.one_of(st.just(0.0), st.floats(1e-6, 1.0)),
-           s=st.floats(1e-12, 1e-6),
+           sigma_bF=st.one_of(st.just(0.0), st.floats(0.2, 2e11)),
+           M=st.floats(1.25, 1.25e12),
            seed=st.integers(0, 2**32))
-    def test_lift_is_the_product_of_steps(self, steps, gjp, f, gb, r, amp, s, seed):
+    @example(steps=[1], gjp=1e10, f=1.0, gb=1.0, r=0.999, sigma_bF=0.0, M=1e4, seed=0)
+    def test_lift_is_the_product_of_steps(self, steps, gjp, f, gb, r, sigma_bF, M, seed):
         # P = A_{L-1}...A_0 and Q_j = A_{L-1}...A_{j+1} B_j of every segment,
         # a shorter one padded in a chunk with a longer one, match the
         # reference steps to 1e-12 of the product of the steps' |A| and |B|;
-        # the controller stays below its Euler limit, lam gamma J' dt < 1
+        # the controller stays below its Euler limit, lam gamma J' dt < 1.
+        # The field amplitude sqrt(sigma_bF dt) spans 0 and 1e-6 .. 1, the
+        # record's sqrt(sigma_M dt) 1e-12 .. 1e-6
         dt = 5e-12
-        lam = r / (gjp * dt)
-        kc1 = 0.0 if lam == 0.0 else 1.0 / (1.0 + gb / (gjp * lam))
-        c = (f * gjp, gjp, gb, math.exp(-gb * dt), lam, kc1, dt, amp, s)
+        d = DesignParams(J_prime=gjp / 1e6, lam=r / (gjp * dt))
+        p = PlantParams(J=f * d.J_prime, gamma=1e6, M=M, gamma_b=gb, sigma_bF=sigma_bF)
+        c = (p, d, controller_gain(p, d), dt)
         n = sum(steps)
         rng = np.random.default_rng(seed)
         g1, g2 = rng.uniform(0.0, 0.1 / dt, n + 1), rng.uniform(-1e6, 1e6, n + 1)
         bounds = np.cumsum([0] + steps).tolist()
         (chunk,) = _chunks(g1, g2, c, bounds)
-        for k0, k_end, (p, q, _, _) in _segments(chunk):
+        for k0, k_end, (lift_p, lift_q, _, _) in _segments(chunk):
             ref, scale = _reference_maps(g1[k0:k_end], g2[k0:k_end], c)
-            assert q.shape == (4, 2 * (k_end - k0))
-            assert np.all(np.abs(np.hstack([p, q]) - ref) <= 1e-12 * scale)
+            assert lift_q.shape == (4, 2 * (k_end - k0))
+            assert np.all(np.abs(np.hstack([lift_p, lift_q]) - ref) <= 1e-12 * scale)
 
 
 class TestFilterRecord:
+    @pytest.mark.parametrize("p, mode", [(FLUCT, "dynamic_gain"), (FLUCT, "steady_gain"),
+                                         (replace(FLUCT, J=1.3e6), "dynamic_gain"),
+                                         (replace(FLUCT, J=1.3e6), "steady_gain"),
+                                         (PlantParams(J=1e6, gamma=1e6, M=1e4), "dynamic_gain")])
+    def test_reproduces_the_closed_loop_estimates(self, p, mode):
+        # at lam = 0 the loop's filter is the open-loop filter of the design
+        # plant, so re-running it over the loop's own record with the loop's
+        # gains gives the loop's estimates, to rounding: the two routes
+        # round the record's two terms apart or together
+        d = DesignParams(J_prime=1e6, lam=0.0)
+        dt, n = 5e-12, 3000
+        traj, m = run_closed_loop(p, PRIOR, d, mode, RngStream(5), dt, n * dt)
+        k1, k2, _ = _loop_setup(p, PRIOR, d, mode, dt, n)
+        m_rec = filter_record(design_plant(p, d), k1, k2, traj.ydt, dt)
+        assert np.all(np.abs(m_rec - m) <= 1e-12 * np.abs(m).max(axis=0))
+
     def test_causality_by_record_splicing(self):
         p = PlantParams(J=100.0, gamma=1e6, M=1e4)
         prior = Priors(sigma_z0=50.0, sigma_b0=1e-4)

@@ -11,7 +11,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from spintrack.errors import (ConfigurationError, DimensionError, DivergenceError,
                               InstabilityError, UnsupportedCaseError)
-from spintrack.model import DesignParams, PlantParams, Priors, fluctuating_plant
+from spintrack.model import (DesignParams, PlantParams, Priors, closed_loop_generator,
+                             fluctuating_plant)
 from spintrack.numerics import geometric_times, ou_increment
 from spintrack.riccati import (analytic_sigma, controller_gain, exact_steady_sigma,
                                riccati_at_times, steady_state_gains)
@@ -104,13 +105,17 @@ class TestStructure:
            gamma_b=st.one_of(st.just(0.0), st.floats(1e3, 1e6)))
     def test_stacks_equal_conjugated_raw_reference(self, gains, f, lam, gamma_b):
         # S alpha S^-1 and (S beta)(S beta)^T of the raw flow, bit for bit
-        # (negative zeros included), constant fields included
+        # (negative zeros included), constant fields included; the raw
+        # generator equals the reference in value first, since the
+        # conjugation can round away an error in the estimator block
         k1, k2 = np.array(gains).T
         p = PlantParams(J=f * 1e6, gamma=1e6, M=1e4, gamma_b=gamma_b, sigma_bF=2.0 * gamma_b)
         d = DesignParams(J_prime=1e6, lam=lam)
         kc = controller_gain(p, d)
         alpha, beta = tc.build_alpha_beta(p, d, k1, k2, kc)
         alpha_raw, beta_raw = raw_alpha_beta(p, d, k1, k2, kc)
+        for got, ref in zip(closed_loop_generator(p, d, k1, k2, kc), (alpha_raw, beta_raw)):
+            assert np.array_equal(got, ref)
         a_ref, q_ref = error_generator(alpha_raw, beta_raw)
         q = beta @ beta.swapaxes(-1, -2)
         assert np.array_equal(alpha.view(np.uint64), a_ref.view(np.uint64))
