@@ -41,7 +41,7 @@ import numpy as np
 import numpy.polynomial.polynomial as npoly
 
 from .errors import ConfigurationError, InstabilityError, UnsupportedCaseError
-from .model import DesignParams, PlantParams
+from .model import DesignParams, PlantParams, closed_loop_generator
 from .riccati import steady_state_gains
 from .lqg_filter import design_plant
 
@@ -92,27 +92,24 @@ class CharFreqs:
 def closed_loop_tfs(p: PlantParams, d: DesignParams):
     """(G_z, G_b, G_u) of the saturated filter/controller, exact rationals.
 
-    Built by inverting the 2x2 resolvent s I - A' + B' K_C + K_O C
-    symbolically; needs a fluctuating field so the stationary gains exist.
-    A coefficient that overflows (lambda gamma J' past the float range) is
-    a ConfigurationError naming lambda.
+    With a = A' - B' K_C - K_O C, the estimator block of
+    ``model.closed_loop_generator``, (G_z, G_b) = adj(s I - a) K_O /
+    det(s I - a) and G_u = -K_C (G_z, G_b); needs a fluctuating field so
+    the stationary gains exist.  A coefficient that overflows (lambda
+    gamma J' past the float range) is a ConfigurationError naming lambda.
     """
     g = steady_state_gains(design_plant(p, d), d)
     k1, k2 = g.K_O
-    kc1, kc2 = g.K_C
-    a = p.gamma * d.J_prime
-    gb = p.gamma_b
     with np.errstate(over="ignore", invalid="ignore"):
-        den = np.array([(a * kc1 + k1) * gb + a * k2 * (1.0 - kc2),
-                        gb + a * kc1 + k1,
-                        1.0])
-        num_z = np.array([k1 * gb + a * k2 * (1.0 - kc2), k1])
-        num_b = np.array([k2 * a * kc1, k2])
-        num_u = np.array([-(kc1 * (k1 * gb + a * k2 * (1.0 - kc2)) + kc2 * k2 * a * kc1),
-                          -(kc1 * k1 + kc2 * k2)])
+        a = closed_loop_generator(p, d, k1, k2, g.K_C)[0][2:, 2:]
+        den = np.array([a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0], -(a[0, 0] + a[1, 1]), 1.0])
+        num_z = np.array([a[0, 1] * k2 - a[1, 1] * k1, k1])
+        num_b = np.array([a[1, 0] * k1 - a[0, 0] * k2, k2])
+        num_u = -(g.K_C[0] * num_z + g.K_C[1] * num_b)
     if not all(np.isfinite(c).all() for c in (den, num_z, num_b, num_u)):
         raise ConfigurationError(f"closed_loop_tfs: scenario key 'lambda' = {d.lam:.3g} gives "
-                                 f"a loop coefficient that is not finite (gamma J' = {a:.3g})")
+                                 f"a loop coefficient that is not finite "
+                                 f"(gamma J' = {p.gamma * d.J_prime:.3g})")
     return RationalTF(num_z, den), RationalTF(num_b, den), RationalTF(num_u, den)
 
 

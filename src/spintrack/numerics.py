@@ -1,14 +1,14 @@
 """Matrix exponentials, exact covariance steps, time grids, reproducible noise.
 
 Everything here is deterministic: ``mat_expm`` (scaling and squaring on
-a Pade [7/7] step, behind input guards) and the closed-form
-``stable_expm2`` are the general matrix exponentials, ``ou_increment``
-steps a linear SDE's covariance exactly over a given interval (its Van
-Loan blocks have bounded norm by construction, so it takes the same Pade
-step with no squaring and no value check), ``geometric_times`` builds
-explicit step schedules (no error-adaptive control), and the random
-stream is counter-based, so a (seed, position) pair always yields the
-same draw on every platform.  The module needs numpy only.
+a Pade [7/7] step, behind input guards) is the general matrix
+exponential, ``ou_increment`` steps a linear SDE's covariance exactly
+over a given interval (its Van Loan blocks have bounded norm by
+construction, so it takes the same Pade step with no squaring and no
+value check), ``geometric_times`` builds explicit step schedules (no
+error-adaptive control), and the random stream is counter-based, so a
+(seed, position) pair always yields the same draw on every platform.
+The module needs numpy only.
 
 Stacks: ``mat_expm`` and ``ou_increment`` take a (..., n, n) stack of
 matrices as well as one matrix, and treat each matrix of the stack
@@ -276,19 +276,6 @@ def mat_expm(a: np.ndarray) -> np.ndarray:
     out = np.empty_like(e)
     out[order] = e
     return out.reshape(shape)
-
-
-def stable_expm2(m: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """exp(m t) over a vector of times for a real 2x2 m with eigenvalues in
-    the open left half plane: exp(tau t) [cosh(w t) I + sinh(w t) / w N],
-    N = m - tau I, w^2 = -det N, from decaying exponentials only; a
-    repeated eigenvalue (w = 0, m possibly defective) takes sinh(w t) / w = t."""
-    tau = 0.5 * (m[0, 0] + m[1, 1])
-    n = m - tau * np.eye(2)
-    w = np.sqrt(complex(n[0, 1] * n[1, 0] - n[0, 0] * n[1, 1]))
-    g, e = np.exp((tau + w) * t), np.expm1(-2.0 * w * t)
-    c, s = (g * (1.0 + 0.5 * e)).real, (g * t if w == 0 else g * e / (-2.0 * w)).real
-    return c[:, None, None] * np.eye(2) + s[:, None, None] * n
 
 
 # Pade [7/7] coefficients of exp (Higham, SIAM J. Matrix Anal. Appl. 26, 1179, 2005)

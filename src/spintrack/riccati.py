@@ -14,10 +14,12 @@ from Sigma(0) = diag(sigma_z0, sigma_b0), which in components is
 The observer gain is K_O(t) = Sigma(t) C^T / sigma_M = (sigma_zR,
 sigma_cR) / sigma_M.  Three independent solution paths are provided:
 
-* the linearized route Sigma = W U^{-1}, [W; U] under the constant
-  Hamiltonian block [[A, Sigma1], [C^T C / sigma_M, -A^T]], exact at any
-  set of times at once (Vaughan's negative-exponential form, or one jump
-  from the prior for sigma_bF = 0); every gain table comes from it;
+* the linearized route, one exact jump from the prior at any set of
+  times at once: for sigma_bF > 0 measured from the exact steady state,
+  Sigma = Sigma_s + Phi^T E0 (I + G E0)^-1 Phi with (Phi, G) from
+  ``numerics.ou_increment``; for sigma_bF = 0 Sigma = W U^{-1}, [W; U]
+  under the Hamiltonian block [[A, Sigma1], [C^T C / sigma_M, -A^T]];
+  every gain table comes from it;
 * one closed form for the constant-field case, a rational function of t
   in homogeneous prior coordinates that covers zero and infinite priors
   and the late-time law without a case of its own;
@@ -42,7 +44,7 @@ import numpy as np
 
 from .errors import InstabilityError, NumericalError, UnsupportedCaseError
 from .model import DesignParams, PlantParams, Priors, build_system
-from .numerics import _balancing, geometric_times, mat_expm, stable_expm2
+from .numerics import _balancing, geometric_times, mat_expm, ou_increment
 
 _SCHEDULE_STEP = 1.01 - 1.0  # fractional step growth of the geometric schedule
 
@@ -78,8 +80,9 @@ def _is_constant_field(p: PlantParams) -> bool:
 def _steady_gain(p: PlantParams, gj: float):
     """Exact stationary Riccati gain (k1, k2) for the coupling gj = gamma J."""
     r = math.sqrt(p.sigma_bF / p.sigma_M)
-    k1 = math.sqrt(2.0 * gj * r + p.gamma_b ** 2) - p.gamma_b
-    return k1, r - (p.gamma_b / gj) * k1
+    s = math.sqrt(2.0 * gj * r + p.gamma_b ** 2) + p.gamma_b
+    k1 = 2.0 * gj * r / s   # sqrt(2 gj r + gamma_b^2) - gamma_b without the cancellation
+    return k1, r * k1 / s
 
 
 def exact_steady_sigma(p: PlantParams):
@@ -197,16 +200,22 @@ def _rk4_triple(rhs, x0, times: np.ndarray):
     return np.repeat(rows, counts, axis=0)
 
 
-def _check_psd(traj: CovTrajectory):
+@np.errstate(over="ignore", invalid="ignore")   # an overflow is reported below
+def _check_psd(traj: CovTrajectory, route: str):
+    """InstabilityError at the first time whose covariance is not finite and
+    positive semidefinite to 1e-9 of its scale; the determinant test squares
+    that scale, so entries past about 4e158 fail it too."""
     scale = np.maximum(np.abs(traj.sigma_zR) + np.abs(traj.sigma_bR), 1e-300)
     tol = 1e-9 * scale
     bad_diag = (traj.sigma_zR < -tol) | (traj.sigma_bR < -tol)
-    bad_det = traj.sigma_cR ** 2 > traj.sigma_zR * traj.sigma_bR + tol * scale
-    bad = bad_diag | bad_det | ~np.isfinite(traj.sigma_zR + traj.sigma_cR + traj.sigma_bR)
+    bound = traj.sigma_zR * traj.sigma_bR + tol * scale
+    bad = bad_diag | ~(traj.sigma_cR ** 2 <= bound) | ~np.isfinite(bound + traj.sigma_cR)
     if np.any(bad):
         k = int(np.argmax(bad))
-        raise InstabilityError(f"Riccati covariance lost positivity or finiteness at "
-                               f"t = {traj.t[k]:.6e}; use a smaller dt")
+        raise InstabilityError(f"{route} Riccati covariance (sigma_zR, sigma_cR, sigma_bR) = "
+                               f"({traj.sigma_zR[k]:.3e}, {traj.sigma_cR[k]:.3e}, "
+                               f"{traj.sigma_bR[k]:.3e}) fails the check (finite, squares "
+                               f"included, and positive semidefinite) at t = {traj.t[k]:.6e}")
 
 
 def riccati_at_times(p: PlantParams, prior: Priors, times) -> CovTrajectory:
@@ -227,7 +236,7 @@ def riccati_at_times(p: PlantParams, prior: Priors, times) -> CovTrajectory:
     vals = _rk4_triple(rhs, (sz0, 0.0, sb0), grid)
     idx = np.searchsorted(grid, times)
     traj = CovTrajectory(times.copy(), vals[idx, 0], vals[idx, 1], vals[idx, 2])
-    _check_psd(traj)
+    _check_psd(traj, "RK4")
     return traj
 
 
@@ -337,7 +346,7 @@ def steady_state_gains(p: PlantParams, d: DesignParams) -> SteadyGains:
 # ---------------------------------------------------------------------------
 
 _JUMP_HORIZON = 300.0   # largest gamma_b t of the jump for a decaying field
-_SIGN_STEPS = 100       # a guard only: a split Hamiltonian converges in about 10 steps
+_JUMP_RUN = 512         # times per ou_increment call: bounds its stack of Pade blocks
 
 
 def _balance(h: np.ndarray):
@@ -347,70 +356,54 @@ def _balance(h: np.ndarray):
     return np.ldexp(h, e[None, :] - e[:, None]), e
 
 
-def _stable_split(h: np.ndarray):
-    """Orthonormal bases (us, uu) of the stable and anti-stable invariant
-    subspaces of a real 2m x 2m matrix with m eigenvalues in each open half
-    plane: the ranges of I - Z and I + Z for Z = sign(h), read from their
-    leading left singular vectors (Roberts, Int. J. Control 32, 677, 1980).
+@np.errstate(all="ignore")   # _check_psd reports a non-finite result
+def _steady_jump(p: PlantParams, prior: Priors, times: np.ndarray) -> CovTrajectory:
+    """Sigma(t) = Sigma_s + Phi^T E0 (I + G E0)^-1 Phi for sigma_bF > 0, with
+    E0 = Sigma0 - Sigma_s and (Phi, G) = ou_increment(F^T, C^T C / sigma_M, t).
 
-    Z comes from the Newton iteration Z <- (c Z + (c Z)^-1) / 2 with the
-    determinant scaling c = |det Z|^(-1/2m) while the relative change of
-    an iterate is above 1e-2 (Higham, Functions of Matrices, SIAM 2008,
-    ch. 5).  It stops at a change of 1e-14, or once a change below 1e-6
-    no longer falls (roundoff).  No eigenvectors appear, so a defective
-    h is no special case.  An eigenvalue on or near the imaginary axis
-    leaves no split: an iterate that turns singular or non-finite, no
-    convergence within _SIGN_STEPS steps, or a limit whose halves are
-    unequal or not invariant (h u != u (u^T h u) beyond 1e-8 ||h||_1;
-    roundoff can send a pair on the axis to either side) raises
-    NumericalError.
+    Measured from the exact steady state Sigma_s (``exact_steady_sigma``),
+    the error E = Sigma - Sigma_s obeys dE/dt = F E + E F^T - E C^T C E /
+    sigma_M with the stable F = A - Sigma_s C^T C / sigma_M, so E^-1 obeys
+    the linear d(E^-1)/dt = C^T C / sigma_M - F^T E^-1 - E^-1 F, whose
+    solution is the formula: no inverse of E0, no growing exponential.
+    The times go in runs of _JUMP_RUN.  I + G E0 is inverted by its
+    adjugate and ou_increment balances F^T by powers of two, so a prior
+    far from the steady state costs no digits: power-of-two coordinates
+    that bring the diagonal of E0 near 1 moved 8 of 300 random plants,
+    by at most 5.3e-15 relative, and are not used.
     """
-    n, norm = len(h), np.abs(h).sum(axis=0).max()
-    z, change = h, math.inf
-    with np.errstate(all="ignore"):   # a failing iterate is reported below
-        for _ in range(_SIGN_STEPS):
-            det = np.linalg.det(z)
-            if not (math.isfinite(det) and det != 0.0):
-                break
-            c = abs(det) ** (-1.0 / n) if change > 1e-2 else 1.0
-            new = 0.5 * (c * z + np.linalg.inv(z) / c)
-            last, change = change, np.abs(new - z).sum(axis=0).max() / np.abs(new).sum(axis=0).max()
-            z = new
-            if not math.isfinite(change):
-                break
-            if change <= 1e-14 or last <= change < 1e-6:
-                eye = np.eye(n)
-                us = np.linalg.svd(eye - z)[0][:, :n // 2]
-                uu = np.linalg.svd(eye + z)[0][:, :n // 2]
-                # Z^2 = I, so trace Z = unstable minus stable count
-                if abs(np.trace(z)) < 1.0 and all(
-                        np.abs(h @ u - u @ (u.T @ h @ u)).sum(axis=0).max() <= 1e-8 * norm
-                        for u in (us, uu)):
-                    return us, uu
-                break
-    raise NumericalError("linearized Riccati: the Hamiltonian block has no stable/anti-stable "
-                         "split (an eigenvalue on or near the imaginary axis)")
+    sz_s, sc_s, sb_s = exact_steady_sigma(p)
+    sigma_s = np.array([[sz_s, sc_s], [sc_s, sb_s]])
+    e0 = np.diag([prior.sigma_z0, prior.sigma_b0]) - sigma_s
+    a, _, c, _ = build_system(p)
+    r = c.T @ c / p.sigma_M
+    f_t = (a - sigma_s @ r).T
+    e = np.empty((len(times), 2, 2))
+    for lo in range(0, len(times), _JUMP_RUN):
+        t = times[lo:lo + _JUMP_RUN]
+        phi, g = ou_increment(np.broadcast_to(f_t, t.shape + (2, 2)),
+                              np.broadcast_to(r, t.shape + (2, 2)), t)
+        n = np.eye(2) + g @ e0
+        det = n[:, 0, 0] * n[:, 1, 1] - n[:, 0, 1] * n[:, 1, 0]
+        adj = np.stack([n[:, 1, 1], -n[:, 0, 1], -n[:, 1, 0], n[:, 0, 0]], axis=-1)
+        x = e0 @ adj.reshape(-1, 2, 2) / det[:, None, None]   # E0 (I + G E0)^-1
+        e[lo:lo + _JUMP_RUN] = phi.swapaxes(1, 2) @ x @ phi
+    return CovTrajectory(times.copy(), sz_s + e[:, 0, 0],
+                         sc_s + 0.5 * (e[:, 0, 1] + e[:, 1, 0]), sb_s + e[:, 1, 1])
 
 
 def linearized_riccati_curve(p: PlantParams, prior: Priors, times) -> CovTrajectory:
-    """Sigma(t) = W U^{-1} at all requested times at once; [W; U] starts at
-    [Sigma0; I] under the Hamiltonian H = [[A, Sigma1], [C^T C / sigma_M, -A^T]].
+    """The Riccati solution at all requested times at once, exact at each.
 
-    sigma_bF > 0: Vaughan's negative-exponential form (IEEE TAC 14, 72,
-    1969).  H = D Hb D^-1 for an exact power-of-two D: the state scaling
-    diag(T, T^-1), T^2 close to the diagonal of the steady Sigma, and then
-    the balancing of the scaled H (``_balance``).  The matrix sign
-    function of Hb gives orthonormal bases Us, Uu of its stable and
-    anti-stable invariant subspaces (``_stable_split``), so that H = S
-    diag(H1, H2) S^{-1} with S = D [Us, Uu], H1 = Us^T Hb Us and H2 = Uu^T
-    Hb Uu; with [C1; C2] = [Us, Uu]^{-1} D^{-1} [Sigma0; I], M = exp(H1 t)
-    C1 C2^{-1} exp(-H2 t) and Sigma = (S12 + S11 M)(S22 + S21 M)^{-1}.
-    Only decaying exponentials and no eigenvectors appear: the repeated
+    sigma_bF > 0: one jump from the prior measured from the exact steady
+    state (``_steady_jump``): only decaying exponentials, from the same
+    ``ou_increment`` kernel as the joint covariance, so the repeated
     eigenvalue at gamma J sqrt(sigma_bF / sigma_M) = gamma_b^2 / 2 is no
     special case.
 
-    sigma_bF = 0: one exact jump exp(H t) [Sigma0; I] from the prior.  For
-    a constant field (gamma_b = 0) H is nilpotent, H^4 = 0 exactly in
+    sigma_bF = 0: Sigma = W U^{-1}, [W; U] = exp(H t) [Sigma0; I] under
+    the Hamiltonian H = [[A, Sigma1], [C^T C / sigma_M, -A^T]].  For a
+    constant field (gamma_b = 0) H is nilpotent, H^4 = 0 exactly in
     floats, and the jump is the cubic (I + H t + (H t)^2/2 + (H t)^3/6)
     [Sigma0; I], with each H^k [Sigma0; I] formed once for all times.  For
     a decaying field it is D exp(Hb t) D^-1 [Sigma0; I], one mat_expm call
@@ -418,44 +411,32 @@ def linearized_riccati_curve(p: PlantParams, prior: Priors, times) -> CovTraject
     within 2.1e-13 of a 200-digit evaluation up to gamma_b t = _JUMP_HORIZON
     and overflows near 700: later t is unsupported.
     """
-    sz0, sb0 = prior.sigma_z0, prior.sigma_b0
     times = np.atleast_1d(np.asarray(times, dtype=np.float64))
+    if p.sigma_bF > 0:
+        traj = _steady_jump(p, prior, times)
+        _check_psd(traj, "linearized")
+        return traj
+    far = p.gamma_b * times > _JUMP_HORIZON
+    if far.any():
+        raise UnsupportedCaseError(f"linearized Riccati: decaying field past gamma_b t = "
+                                   f"{_JUMP_HORIZON:g}, first at t = {times[far][0]:.6e}")
     a, _, c, sigma1 = build_system(p)
     h = np.block([[a, sigma1], [c.T @ c / p.sigma_M, -a.T]])
-    start = np.array([[sz0, 0.0], [0.0, sb0], [1.0, 0.0], [0.0, 1.0]])
-    if p.sigma_bF > 0:
-        # the state scaling T = diag(2**f) to the steady state, a symplectic
-        # similarity diag(T, T^-1) of H, before the balancing
-        with np.errstate(divide="ignore", invalid="ignore"):
-            f = np.rint(0.5 * np.log2(exact_steady_sigma(p)[::2]))
-        f = np.where(np.isfinite(f), f, 0.0).astype(np.int64)
-        f = np.concatenate([f, -f])
-        hb, e = _balance(np.ldexp(h, f[None, :] - f[:, None]))
-        e += f
-        us, uu = _stable_split(hb)
-        c12 = np.linalg.solve(np.hstack([us, uu]), np.ldexp(start, -e[:, None]))
-        m = (stable_expm2(us.T @ hb @ us, times) @ (c12[:2] @ np.linalg.inv(c12[2:]))
-             @ stable_expm2(-(uu.T @ hb @ uu), times))
-        wu = np.ldexp(uu + us @ m, e[:, None])
+    start = np.array([[prior.sigma_z0, 0.0], [0.0, prior.sigma_b0], [1.0, 0.0], [0.0, 1.0]])
+    if np.linalg.matrix_power(h, 4).any():
+        hb, e = _balance(h)
+        wu = np.ldexp(mat_expm(hb * times[:, None, None]), e[:, None] - e[None, :]) @ start
     else:
-        far = p.gamma_b * times > _JUMP_HORIZON
-        if far.any():
-            raise UnsupportedCaseError(f"linearized Riccati: decaying field past gamma_b t = "
-                                       f"{_JUMP_HORIZON:g}, first at t = {times[far][0]:.6e}")
-        if np.linalg.matrix_power(h, 4).any():
-            hb, e = _balance(h)
-            wu = np.ldexp(mat_expm(hb * times[:, None, None]), e[:, None] - e[None, :]) @ start
-        else:
-            h1 = h @ start
-            h2 = h @ h1
-            h3 = h @ h2
-            t = times[:, None, None]
-            wu = start + t * (h1 + t * (0.5 * h2 + t * (h3 / 6.0)))
+        h1 = h @ start
+        h2 = h @ h1
+        h3 = h @ h2
+        t = times[:, None, None]
+        wu = start + t * (h1 + t * (0.5 * h2 + t * (h3 / 6.0)))
     w, u = wu[:, :2], wu[:, 2:]
     det = u[:, 0, 0] * u[:, 1, 1] - u[:, 0, 1] * u[:, 1, 0]
     traj = CovTrajectory(times.copy(),
                          (w[:, 0, 0] * u[:, 1, 1] - w[:, 0, 1] * u[:, 1, 0]) / det,
                          (w[:, 0, 1] * u[:, 0, 0] - w[:, 0, 0] * u[:, 0, 1]) / det,
                          (w[:, 1, 1] * u[:, 0, 0] - w[:, 1, 0] * u[:, 0, 1]) / det)
-    _check_psd(traj)
+    _check_psd(traj, "linearized")
     return traj

@@ -185,6 +185,16 @@ class TestCommands:
                 assert np.all(np.isnan(lin))
                 assert "linearized columns left NaN" in capsys.readouterr().out
 
+    def test_riccati_slowly_saturating_routes_agree(self, tmp_path, capsys):
+        # little field noise on the paper's plant: the transient never
+        # saturates in the window (the sign-function split printed 1.166)
+        sc = tmp_path / "slow.scn"
+        sc.write_text("J = 1e6\ngamma = 1e6\nM = 1e4\nsigma_bF = 1e-12\nsigma_z0 = 5e5\n"
+                      "sigma_b0 = 1\ndt = 1e-9\nT = 1e-5\n")
+        assert run_cli(["riccati", "--scenario", str(sc), "--out", str(tmp_path / "o.csv")]) == 0
+        worst = re.search(r"worst cross-route deviation (\S+)", capsys.readouterr().out)
+        assert float(worst.group(1)) <= 1e-6
+
     def test_montecarlo_small(self, tmp_path):
         out = tmp_path / "mc.csv"
         sc = tmp_path / "mc.scn"

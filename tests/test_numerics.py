@@ -1,7 +1,6 @@
 import math
 import threading
 
-import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
@@ -10,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from spintrack import numerics
 from spintrack.errors import ConfigurationError, DimensionError, DivergenceError
 from spintrack.numerics import (RngStream, geometric_times, mat_expm, ou_increment,
-                                stable_expm2, trial_normals, trial_stream)
+                                trial_normals, trial_stream)
 
 from ou_reference import ou_increment_50_digits, ou_increment_gl
 from rk4_reference import rk4_nonuniform
@@ -54,41 +53,6 @@ class TestMatExpm:
         out = mat_expm(stack)
         for a, e in zip(stack, out):
             assert np.array_equal(e, mat_expm(a))
-
-
-def _expm_50_digits(m, t):
-    """exp(m t) of a float matrix, evaluated in 50-digit arithmetic."""
-    with mpmath.workdps(50):
-        e = mpmath.expm(mpmath.matrix(m.tolist()) * mpmath.mpf(t))
-        return np.array(e.tolist(), dtype=np.float64)
-
-
-class TestStableExpm2:
-    @settings(max_examples=100, deadline=None)
-    @given(entries=st.lists(st.floats(-3.0, 3.0), min_size=4, max_size=4),
-           shift=st.floats(0.01, 3.0), times=st.lists(st.floats(0.0, 50.0), min_size=1, max_size=5))
-    # scipy.linalg.expm is off by 3.8e-10 relative in entry [1, 0] here
-    @example(entries=[0.0, 0.0, 1.0, 1.192092896e-07], shift=2.0, times=[2.0])
-    def test_matches_mpmath_on_stable_matrices(self, entries, shift, times):
-        m = np.array(entries).reshape(2, 2)
-        m -= (np.max(np.linalg.eigvals(m).real) + shift) * np.eye(2)
-        t = np.array(times)
-        out = stable_expm2(m, t)
-        for k, tk in enumerate(t):
-            ref = _expm_50_digits(m, tk)
-            assert np.allclose(out[k], ref, rtol=1e-10, atol=1e-13 * max(1.0, np.abs(ref).max()))
-
-    def test_defective_matrix(self):
-        # a repeated eigenvalue with one eigenvector: exp(m t) = e^{-t} [[1, t], [0, 1]]
-        t = np.array([0.0, 0.5, 3.0, 800.0])
-        out = stable_expm2(np.array([[-1.0, 1.0], [0.0, -1.0]]), t)
-        ref = np.exp(-t)[:, None, None] * np.array([[[1.0, tk], [0.0, 1.0]] for tk in t])
-        assert np.allclose(out, ref, rtol=1e-14, atol=0.0)
-
-    def test_no_overflow_at_long_times(self):
-        # cosh(w t) alone would overflow; the decaying form gives 0
-        out = stable_expm2(np.array([[-1.0, 0.0], [0.0, -1000.0]]), np.array([1e3]))
-        assert np.all(np.isfinite(out)) and np.all(out == 0.0)
 
 
 def _uniform(t1: float, dt: float) -> np.ndarray:
