@@ -37,9 +37,8 @@ import numpy as np
 
 from . import freq, qsme, riccati, total_covariance as tc
 from .errors import ConfigurationError, NumericalError, SpintrackError, UnsupportedCaseError
-from .lqg_filter import (TRIAL_BLOCK, design_plant, design_prior, run_closed_loop, run_ensemble,
-                         summarize_ensemble)
-from .model import DesignParams, PlantParams, Priors
+from .lqg_filter import TRIAL_BLOCK, run_closed_loop, run_ensemble, summarize_ensemble
+from .model import DesignParams, PlantParams, Priors, design_plant, design_prior
 from .numerics import RngStream
 from .truth_sim import simulate_open_loop
 
@@ -175,8 +174,13 @@ def cmd_riccati(sc: dict, seed: int, out: str, workers: int) -> int:
                     "bdev_analytic", "bdev_linearized"],
               [times, cov.sigma_zR, cov.sigma_cR, cov.sigma_bR,
                sz_an, sb_an, sz_lin, sb_lin, dev_an, dev_lin])
-    worst = np.fmax.reduce(np.concatenate([dev_an, dev_lin]))   # nan: no second route
-    print(f"riccati: {len(times)} rows to {out}; worst cross-route deviation {worst:.3e}")
+    devs = np.stack([dev_an, dev_lin])
+    worst = np.fmax.reduce(devs.ravel())   # nan: no second route
+    where = ""
+    if not math.isnan(worst):
+        column, row = divmod(int(np.nanargmax(devs)), len(times))
+        where = f" ({('bdev_analytic', 'bdev_linearized')[column]} at t = {times[row]:.6e})"
+    print(f"riccati: {len(times)} rows to {out}; worst cross-route deviation {worst:.3e}{where}")
     return 0
 
 
@@ -197,18 +201,16 @@ def cmd_montecarlo(sc: dict, seed: int, out: str, workers: int) -> int:
     if workers == 1:
         parts = [run_ensemble(*jobs[0])]
     else:
-        from multiprocessing import Pool, SimpleQueue   # only here: it costs every other verb's start
+        from multiprocessing import Pool   # only here: it costs every other verb's start
         # the RNG kernel runs a thread per CPU its process may use, so each
-        # worker gets a disjoint share of ours and the workers do not
+        # job gets a disjoint share of ours and the workers do not
         # oversubscribe them (one CPU each when there are more workers)
-        pin = {}
+        shares = [None] * workers
         if hasattr(os, "sched_setaffinity"):
-            cpus, shares = sorted(os.sched_getaffinity(0)), SimpleQueue()
-            for w in range(workers):
-                shares.put(cpus[w::workers] or [cpus[w % len(cpus)]])
-            pin = {"initializer": _pin_worker, "initargs": (shares,)}
-        with Pool(processes=workers, **pin) as pool:
-            parts = pool.starmap(run_ensemble, jobs)
+            cpus = sorted(os.sched_getaffinity(0))
+            shares = [cpus[w::workers] or [cpus[w % len(cpus)]] for w in range(workers)]
+        with Pool(processes=workers) as pool:
+            parts = pool.starmap(_run_pinned, [(share, *job) for share, job in zip(shares, jobs)])
     t_out = parts[0][0]
     summary = summarize_ensemble(np.concatenate([per_block for _, per_block in parts]), trials)
     cov = riccati.linearized_riccati_curve(design_plant(p, d), design_prior(d, prior), t_out)
@@ -222,9 +224,11 @@ def cmd_montecarlo(sc: dict, seed: int, out: str, workers: int) -> int:
     return 0
 
 
-def _pin_worker(shares) -> None:
-    """Pool initializer: restrict this worker to the next CPU share queued in ``shares``."""
-    os.sched_setaffinity(0, shares.get())
+def _run_pinned(cpus, *job):
+    """run_ensemble(*job) in a pool worker pinned first to ``cpus`` (None: not pinned)."""
+    if cpus is not None:
+        os.sched_setaffinity(0, cpus)
+    return run_ensemble(*job)
 
 
 def cmd_mismatch(sc: dict, seed: int, out: str, workers: int) -> int:
@@ -254,7 +258,7 @@ def cmd_mismatch(sc: dict, seed: int, out: str, workers: int) -> int:
         if regime == "fluctuating_steady":
             t, err, valid = math.inf, tc.steady_state_error(p, d), 1
             if d.lam > 0:
-                ref = riccati.steady_state_gains(design_plant(p, d), d).sigma_bS
+                ref = riccati.steady_state_gains(p, d).sigma_bS
                 pred = tc.mismatch_factors(f, "controlled_steady")
             else:
                 ref = p.sigma_bFree

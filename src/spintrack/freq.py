@@ -42,8 +42,8 @@ import numpy.polynomial.polynomial as npoly
 
 from .errors import ConfigurationError, InstabilityError, UnsupportedCaseError
 from .model import DesignParams, PlantParams, closed_loop_generator
+from .numerics import _square
 from .riccati import steady_state_gains
-from .lqg_filter import design_plant
 
 
 @dataclass
@@ -98,7 +98,7 @@ def closed_loop_tfs(p: PlantParams, d: DesignParams):
     the stationary gains exist.  A coefficient that overflows (lambda
     gamma J' past the float range) is a ConfigurationError naming lambda.
     """
-    g = steady_state_gains(design_plant(p, d), d)
+    g = steady_state_gains(p, d)
     k1, k2 = g.K_O
     with np.errstate(over="ignore", invalid="ignore"):
         a = closed_loop_generator(p, d, k1, k2, g.K_C)[0][2:, 2:]
@@ -135,7 +135,8 @@ def approximation_margins(p: PlantParams, d: DesignParams) -> dict:
     r = math.sqrt(p.sigma_bF / p.sigma_M)
     gj = p.gamma * d.J_prime
     lam_margin = d.lam ** 2 / math.sqrt(r / (2.0 * gj)) if d.lam > 0 else 0.0
-    gj_margin = gj / (p.gamma_b ** 2 * math.sqrt(p.sigma_M / p.sigma_bF)) if p.gamma_b > 0 else math.inf
+    gj_margin = (gj / (_square(p.gamma_b, "gamma_b") * math.sqrt(p.sigma_M / p.sigma_bF))
+                 if p.gamma_b > 0 else math.inf)
     return {"lambda_margin": lam_margin, "gammaJ_margin": gj_margin}
 
 

@@ -1,4 +1,4 @@
-"""Kalman filtering and LQG control against simulated measurement records.
+"""The Monte Carlo: Kalman filtering and LQG control on simulated records.
 
 The estimate m = (z~, b~) follows
 
@@ -8,8 +8,9 @@ discretized by explicit Euler on the record grid (the record and filter
 share dt).  Where a steady gain exists, a fluctuating field or the
 steady_gain mode, _loop_setup requires dt * K_O1_steady < 0.1; a
 constant-field dynamic_gain run is not checked.
-Primed quantities use the design spin J'; the observer's own prior is the
-coherent variance J'/2 for spin together with the scenario field prior.
+Primed quantities use the design spin J' (``model.design_plant``); the
+observer's own prior (``model.design_prior``) is the coherent variance
+J'/2 for spin together with the scenario field prior.
 The controller applies u = -K_C m with the stationary controller gain.
 
 Modes: ``dynamic_gain`` uses the time-dependent Riccati gain K_O(t);
@@ -51,12 +52,12 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import replace
 
 import numpy as np
 
 from .errors import ConfigurationError, DivergenceError
-from .model import DesignParams, PlantParams, Priors, closed_loop_generator
+from .model import (DesignParams, PlantParams, Priors, closed_loop_generator, design_plant,
+                    design_prior)
 from .numerics import RngStream, trial_normals
 from .riccati import controller_gain, integrate_estimator_riccati, steady_state_gains
 from .truth_sim import Trajectory, field_step, step_count
@@ -66,17 +67,6 @@ TRIAL_BLOCK = 256  # trials per summation block and per product tile (the determ
 SEGMENT_STEPS = 64   # most steps per segment map: its noise block has at most 128 rows
 CHUNK_STEPS = 1024   # steps per run of segment maps built at once
 DRAW_TILES = 8       # tiles of trials per noise draw: the block holds at most 128 x 2048 doubles
-
-
-def design_prior(d: DesignParams, prior: Priors) -> Priors:
-    """What the observer assumes initially: coherent spin variance J'/2
-    plus the scenario's field prior."""
-    return Priors(sigma_z0=d.J_prime / 2.0, sigma_b0=prior.sigma_b0)
-
-
-def design_plant(p: PlantParams, d: DesignParams) -> PlantParams:
-    """The plant the observer believes in: true rates with spin J'."""
-    return replace(p, J=d.J_prime)
 
 
 def filter_record(p: PlantParams, k1: np.ndarray, k2: np.ndarray, ydt: np.ndarray,
@@ -105,15 +95,14 @@ def _loop_setup(p: PlantParams, prior: Priors, d: DesignParams, mode: str, dt: f
     dt * K_O1_steady < 0.1; a constant-field dynamic_gain run is unchecked."""
     if mode not in MODES:
         raise ConfigurationError(f"unknown filter mode '{mode}'; choose one of {MODES}")
-    p_des = design_plant(p, d)
     if mode == "steady_gain" or p.sigma_bF > 0:
-        k_steady = steady_state_gains(p_des, d).K_O   # UnsupportedCaseError at sigma_bF = 0
+        k_steady = steady_state_gains(p, d).K_O   # UnsupportedCaseError at sigma_bF = 0
         if dt * k_steady[0] >= 0.1:
             raise ConfigurationError(f"Euler filter: dt * K_O1_steady >= 0.1; choose dt below "
                                      f"{0.1 / k_steady[0]:.3e}")
     if mode == "dynamic_gain":
-        cov = integrate_estimator_riccati(p_des, design_prior(d, prior), dt, n * dt)
-        k1, k2 = cov.gain(p_des.sigma_M)
+        cov = integrate_estimator_riccati(design_plant(p, d), design_prior(d, prior), dt, n * dt)
+        k1, k2 = cov.gain(p.sigma_M)
     else:
         k1, k2 = (np.full(n + 1, k) for k in k_steady)
     return k1, k2, (p, d, controller_gain(p, d), dt)
@@ -238,8 +227,8 @@ def run_closed_loop(p: PlantParams, prior: Priors, d: DesignParams, mode: str,
     columns (z~, b~).  m[k] is the estimate at t[k] built from increments
     before t[k], so the grids align and innovation k is ydt[k] - m[k, 0] dt.
 
-    Draw layout: z(0), b(0), then (field, record) per step; the vectorized
-    ensemble consumes the identical layout per trial stream.  The trial is
+    Draw layout from position 0: z(0), b(0), then (field, record) per
+    step; the vectorized ensemble reads it per trial stream.  The trial is
     the one-trial ensemble: the states at segment bounds come from the
     ensemble's segment maps on a one-column tile, so they equal that
     trial's rows of run_ensemble bit for bit; the steps inside a segment
@@ -249,7 +238,7 @@ def run_closed_loop(p: PlantParams, prior: Priors, d: DesignParams, mode: str,
     """
     n = step_count("run_closed_loop", p, dt, T)
     k1, k2, c = _loop_setup(p, prior, d, mode, dt, n)
-    draws = rng.normals(2 + 2 * n)
+    draws = rng.normals_at(0, 2 + 2 * n)
     xi = draws[2:].reshape(n, 2)
     h = np.empty((n + 1, 4))                 # per time: z, b, z~, b~
     h[0] = (math.sqrt(prior.sigma_z0) * draws[0], math.sqrt(prior.sigma_b0) * draws[1], 0.0, 0.0)

@@ -12,8 +12,9 @@ measurement sensitivity sigma_M = 1/(4*M*eta), and the field following an
 Ornstein-Uhlenbeck process of bandwidth gamma_b and stationary variance
 sigma_bF / (2*gamma_b).
 
-With the Kalman filter and the controller u = -K_C m, (z, b, z~, b~) is
-one linear system, whose one generator ``closed_loop_generator`` feeds the
+The observer assumes spin J' (``design_plant``, ``design_prior``).  With
+the Kalman filter and the controller u = -K_C m, (z, b, z~, b~) is one
+linear system, whose one generator ``closed_loop_generator`` feeds the
 joint covariance, the closed-loop step maps and the record filter.
 
 Units are natural: time in seconds, field and spin dimensionless as in the
@@ -24,7 +25,7 @@ scenarios are encoded as gamma_b = 0, sigma_bF = 0 with sigma_b0 > 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -109,6 +110,17 @@ class DesignParams:
     def __post_init__(self):
         _require_finite("DesignParams", "J_prime", self.J_prime, positive=True)
         _require_finite("DesignParams", "lam (lambda)", self.lam)
+
+
+def design_plant(p: PlantParams, d: DesignParams) -> PlantParams:
+    """The plant the observer believes in: true rates with spin J'."""
+    return replace(p, J=d.J_prime)
+
+
+def design_prior(d: DesignParams, prior: Priors) -> Priors:
+    """What the observer assumes initially: coherent spin variance J'/2
+    plus the scenario's field prior."""
+    return Priors(sigma_z0=d.J_prime / 2.0, sigma_b0=prior.sigma_b0)
 
 
 def build_system(p: PlantParams):

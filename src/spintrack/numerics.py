@@ -57,7 +57,7 @@ from array import array
 
 import numpy as np
 
-from .errors import ConfigurationError, DimensionError, DivergenceError
+from .errors import ConfigurationError, DimensionError, DivergenceError, NumericalError
 
 # splitmix64 constants (Steele, Lea & Flood 2014)
 _GAMMA = 0x9E3779B97F4A7C15
@@ -198,23 +198,17 @@ def _fill_tiles(out, states, ctr, rows, tiles, raw, tmp) -> None:
 
 
 class RngStream:
-    """Counter-based standard-normal stream; reproducible and splittable."""
+    """Counter-based standard-normal stream, read by position only: the
+    stream keeps no cursor, so a (seed, position) pair names one draw."""
 
     def __init__(self, seed: int):
         seed = int(seed) & 0xFFFFFFFFFFFFFFFF
         self.seed = seed
         self._state0 = _mix64(seed).reshape(1)   # the kernel takes one state per row
-        self._pos = 0  # normals consumed so far
 
     def normals_at(self, start: int, n: int) -> np.ndarray:
-        """Normals [start, start+n) by counter, without touching position."""
+        """Normals [start, start+n) by counter."""
         return _stream_normals(self._state0, start, int(n))[0]
-
-    def normals(self, n: int) -> np.ndarray:
-        """Next n standard-normal draws, advancing the stream."""
-        out = self.normals_at(self._pos, int(n))
-        self._pos += int(n)
-        return out
 
 
 def spread_seed(seed: int) -> int:
@@ -337,6 +331,15 @@ def _balancing(a: np.ndarray) -> np.ndarray:
         if not moved.any():
             break
     return e
+
+
+def _square(x: float, name: str) -> float:
+    """x ** 2 of a Python float, or NumericalError naming the quantity
+    ``name`` where the square overflows (float ** raises OverflowError)."""
+    try:
+        return x ** 2
+    except OverflowError:
+        raise NumericalError(f"{name} = {x:.6g}: its square overflows") from None
 
 
 def _compose(phi2, g2, phi1, g1):

@@ -44,7 +44,7 @@ import numpy as np
 
 from .errors import InstabilityError, NumericalError, UnsupportedCaseError
 from .model import DesignParams, PlantParams, Priors, build_system
-from .numerics import _balancing, geometric_times, mat_expm, ou_increment
+from .numerics import _balancing, _square, geometric_times, mat_expm, ou_increment
 
 _SCHEDULE_STEP = 1.01 - 1.0  # fractional step growth of the geometric schedule
 
@@ -80,7 +80,7 @@ def _is_constant_field(p: PlantParams) -> bool:
 def _steady_gain(p: PlantParams, gj: float):
     """Exact stationary Riccati gain (k1, k2) for the coupling gj = gamma J."""
     r = math.sqrt(p.sigma_bF / p.sigma_M)
-    s = math.sqrt(2.0 * gj * r + p.gamma_b ** 2) + p.gamma_b
+    s = math.sqrt(2.0 * gj * r + _square(p.gamma_b, "gamma_b")) + p.gamma_b
     k1 = 2.0 * gj * r / s   # sqrt(2 gj r + gamma_b^2) - gamma_b without the cancellation
     return k1, r * k1 / s
 
@@ -112,7 +112,8 @@ def _internal_times(p: PlantParams, sz0: float, sb0: float, t_end: float, requir
     scales = [sm / sz0]
     if sb0 > 0:
         # onset of field information transfer through the z-c coupling
-        scales.append((sm / (p.gamma ** 2 * p.J ** 2 * sb0)) ** (1.0 / 3.0))
+        scales.append((sm / (_square(p.gamma, "gamma") * _square(p.J, "J") * sb0))
+                      ** (1.0 / 3.0))
     if p.gamma_b > 0:
         scales.append(1.0 / p.gamma_b)
     cap = math.inf
@@ -289,7 +290,7 @@ def analytic_sigma(p: PlantParams, prior, t: float) -> tuple[float, float]:
     a, alpha = (1.0, 0.0) if math.isinf(sz0) else (sz0, 1.0)
     c, beta = (1.0, 0.0) if math.isinf(sb0) else (sb0, 1.0)
     sm = p.sigma_M
-    g2 = (p.gamma * p.J) ** 2
+    g2 = _square(p.gamma * p.J, "gamma J")
     try:
         t4 = t ** 4
         den = (12.0 * sm ** 2 * (alpha * beta) + g2 * c * a * t4
@@ -311,7 +312,7 @@ def controller_gain(p: PlantParams, d: DesignParams) -> np.ndarray:
     """Stationary controller gain K_C = [lam, 1/(1 + gamma_b/(gamma J' lam))].
 
     Exact stationary solution of the reverse-time cost Riccati; lam = 0
-    means control off (K_C = 0).
+    means control off (K_C = 0).  J' is read from d only, never p.J.
     """
     if d.lam == 0.0:
         return np.zeros(2)
@@ -323,7 +324,8 @@ def steady_state_gains(p: PlantParams, d: DesignParams) -> SteadyGains:
     """Stationary observer and controller gains for fluctuating fields.
 
     K_O is the exact stationary Riccati gain evaluated with the design
-    spin J'.  The saturated variances are the large-spin closed forms
+    spin J', read from d only (never p.J, so the true plant will do).
+    The saturated variances are the large-spin closed forms
     (accurate once gamma J' >> gamma_b^2 sqrt(sigma_M / sigma_bF)):
 
         sigma_zS = sqrt(2 gamma J') sigma_M^(3/4) sigma_bF^(1/4)

@@ -53,11 +53,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (ConfigurationError, DimensionError, DivergenceError, InstabilityError,
-                     UnsupportedCaseError)
-from .model import DesignParams, PlantParams, Priors, closed_loop_generator
-from .numerics import _compose, geometric_times, ou_increment
+                     NumericalError, UnsupportedCaseError)
+from .model import (DesignParams, PlantParams, Priors, closed_loop_generator, design_plant,
+                    design_prior)
+from .numerics import _compose, _square, geometric_times, ou_increment
 from .riccati import controller_gain, linearized_riccati_curve, steady_state_gains
-from .lqg_filter import design_plant, design_prior
 
 REGIMES = ("uncontrolled_fluctuating", "controlled_steady", "controlled_transient")
 
@@ -162,11 +162,12 @@ def integrate_theta(alpha, beta, theta0: np.ndarray, times) -> ThetaTrajectory:
 
 
 def mismatch_factors(f: float, regime: str) -> float:
-    """Closed-form error factor for spin-number mismatch f = J / J'."""
+    """Closed-form error factor for spin-number mismatch f = J / J'; a
+    factor past the float range raises NumericalError."""
     if not f > 0:
         raise ConfigurationError("mismatch_factors: f must be positive")
     if regime == "uncontrolled_fluctuating":
-        return (1.0 - f) ** 2
+        return _square(1.0 - f, "1 - f")
     if regime == "controlled_steady":
         return (1.0 + f) / (2.0 * f)
     if regime == "controlled_transient":
@@ -189,11 +190,12 @@ def steady_state_error(p: PlantParams, d: DesignParams) -> float:
     (a (x) I + I (x) a) vec X = -vec q, of at most 16 unknowns.  For
     lam = 0 the full stack is not stationary (z integrates the field), but
     with no control nothing else depends on z, so the closed block (b,
-    z~-z, b~-b) is solved instead.
+    z~-z, b~-b) is solved instead.  A system singular in floats (a huge
+    mismatch J / J') raises NumericalError.
     """
     if not p.fluctuating:
         raise UnsupportedCaseError("steady_state_error: needs a fluctuating field")
-    g = steady_state_gains(design_plant(p, d), d)
+    g = steady_state_gains(p, d)
     alpha, beta = build_alpha_beta(p, d, g.K_O[:1], g.K_O[1:], g.K_C)
     q = beta @ beta.swapaxes(-1, -2)
     keep = slice(0, 4) if d.lam > 0 else slice(1, 4)
@@ -201,7 +203,11 @@ def steady_state_error(p: PlantParams, d: DesignParams) -> float:
     if np.max(np.linalg.eigvals(a).real) >= 0:
         raise InstabilityError("steady_state_error: mismatched closed loop is unstable")
     eye = np.eye(len(a))
-    return float(np.linalg.solve(np.kron(a, eye) + np.kron(eye, a), -q.reshape(-1))[-1])
+    try:
+        return float(np.linalg.solve(np.kron(a, eye) + np.kron(eye, a), -q.reshape(-1))[-1])
+    except np.linalg.LinAlgError:
+        raise NumericalError(f"steady_state_error: the stationary Lyapunov system is singular "
+                             f"in floats (J / J' = {p.J / d.J_prime:.3g})") from None
 
 
 def transient_error_curve(p: PlantParams, prior: Priors, d: DesignParams,

@@ -87,12 +87,12 @@ def simulate_open_loop(p: PlantParams, prior: Priors, rng: RngStream, dt: float,
     """Open-loop truth run (u = 0): field path, spin ramp and measurement
     record on the grid t[k] = k dt, k = 0 .. round(T / dt).
 
-    Draw layout on ``rng``: b(0), then one field increment per step, then
-    z(0), then one measurement increment per step.
+    Draw layout from position 0 of ``rng``: b(0), then one field increment
+    per step, then z(0), then one measurement increment per step.
     """
     n = step_count("simulate_open_loop", p, dt, T)
     decay, amp = field_step(p, dt)
-    draws = rng.normals(2 + 2 * n)
+    draws = rng.normals_at(0, 2 + 2 * n)
     x, w = draws[:1 + n], draws[1 + n:]
     x[0] *= math.sqrt(prior.sigma_b0)
     x[1:] *= amp

@@ -8,8 +8,7 @@ import math
 
 import numpy as np
 
-from spintrack.lqg_filter import design_plant
-from spintrack.model import build_system
+from spintrack.model import build_system, design_plant
 from spintrack.numerics import ou_increment
 
 # S maps (z, b, z~, b~) to (z, b, z~-z, b~-b)

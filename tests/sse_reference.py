@@ -83,7 +83,7 @@ def record_noise(p, seed, rows, dt, n, F):
     """The record noise (rows, n) of a run of n steps of dt: row r draws F n
     normals from trial_stream(seed, r), and each run of F, summed and
     scaled by sqrt(sigma_M dt / F), is the noise of one step."""
-    draws = np.array([trial_stream(seed, r).normals(F * n) for r in range(rows)])
+    draws = np.array([trial_stream(seed, r).normals_at(0, F * n) for r in range(rows)])
     return draws.reshape(rows, n, F).sum(axis=2) * math.sqrt(p.sigma_M * dt / F)
 
 

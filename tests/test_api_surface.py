@@ -216,3 +216,27 @@ def _unused_imports():
 
 def test_every_import_is_used():
     assert sorted(_unused_imports()) == [], "imported but never used: drop the import"
+
+
+# the analysis layers follow from the classical model alone; the Monte
+# Carlo, the truth simulator, the quantum oracle and the runner only check
+# or drive them, so none of them may be imported by an analysis layer
+ANALYSIS_LAYERS = ("model", "numerics", "riccati", "total_covariance", "freq")
+SIMULATION_LAYERS = {"lqg_filter", "truth_sim", "qsme", "cli"}
+
+
+def _relative_imports(stem):
+    """The package modules that module ``stem`` names in its relative imports."""
+    tree = ast.parse((SRC / f"{stem}.py").read_text(encoding="utf-8"))
+    named = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            named |= {node.module.split(".")[0]} if node.module else {a.name for a in node.names}
+    return named
+
+
+def test_analysis_layers_import_no_simulation():
+    imports = {stem: _relative_imports(stem) for stem in ANALYSIS_LAYERS}
+    assert imports["total_covariance"] >= {"model", "riccati"}   # the parse found the imports
+    assert {stem: sorted(named & SIMULATION_LAYERS) for stem, named in imports.items()
+            if named & SIMULATION_LAYERS} == {}

@@ -195,6 +195,24 @@ class TestCommands:
         worst = re.search(r"worst cross-route deviation (\S+)", capsys.readouterr().out)
         assert float(worst.group(1)) <= 1e-6
 
+    def test_riccati_names_the_row_of_its_worst_deviation(self, tmp_path, capsys):
+        # RK4 drifts off the linearized route while a large field prior
+        # decays at gamma_b = 1e6: the report names the CSV's argmax
+        sc = tmp_path / "decay.scn"
+        sc.write_text("J = 1e-3\ngamma = 1e-3\nM = 1e-3\ngamma_b = 1e6\nsigma_bF = 1e-30\n"
+                      "sigma_z0 = 5e-4\nsigma_b0 = 1\ndt = 1e-9\nT = 1e-4\n")
+        out = tmp_path / "o.csv"
+        assert run_cli(["riccati", "--scenario", str(sc), "--out", str(out)]) == 0
+        line = capsys.readouterr().out
+        found = re.search(r"worst cross-route deviation (\S+) \((\w+) at t = (\S+)\)\n", line)
+        header, rows = read_csv(out)
+        cols = [header.index("bdev_analytic"), header.index("bdev_linearized")]
+        devs = np.array([[float(r[c]) for r in rows] for c in cols])
+        column, row = np.unravel_index(np.nanargmax(devs), devs.shape)
+        assert found.groups() == ("%.3e" % devs[column, row], header[cols[column]],
+                                  "%.6e" % float(rows[row][0]))
+        assert found.group(2) == "bdev_linearized" and devs[column, row] > 1e-3
+
     def test_montecarlo_small(self, tmp_path):
         out = tmp_path / "mc.csv"
         sc = tmp_path / "mc.scn"
@@ -411,6 +429,41 @@ class TestCommands:
         assert rc == 3
         assert re.fullmatch(r"numerical error: .*\(interval from t = [^)]*\)\n",
                             capsys.readouterr().err)
+
+    @pytest.mark.parametrize("verb, fixture, edits, named", [
+        ("riccati", "riccati_fluctuating.scn", [("gamma_b  = 1e5", "gamma_b = 1e200")],
+         "gamma_b = 1e+200: its square overflows"),
+        ("bode", "bode_nominal.scn", [("gamma_b   = 1e5", "gamma_b = 1e200")],
+         "gamma_b = 1e+200: its square overflows"),
+        ("riccati", "constant_field_tables.scn", [("J        = 1e6", "J = 1e160")],
+         "J = 1e+160: its square overflows"),
+        ("mismatch", "mismatch_transient.scn",
+         [("J        = 1e6", "J = 1e160"), ("J_prime  = 1e6", "J_prime = 1e160")],
+         "gamma J = 1e+166: its square overflows"),
+        ("mismatch", "mismatch_steady.scn",
+         [("lambda   = 1\n", "lambda = 0\n"), (_STEADY_F, "f_sweep = 1e200\n")],
+         "steady_state_error: the stationary Lyapunov system is singular"),
+        ("mismatch", "mismatch_steady.scn",
+         [("lambda   = 1\n", "lambda = 0\n"), (_STEADY_F, "f_sweep = 1e155\n")],
+         "1 - f = -1e+155: its square overflows"),
+    ], ids=["riccati-gamma_b", "bode-gamma_b", "riccati-J", "mismatch-J", "mismatch-singular",
+            "mismatch-factor"])
+    def test_finite_values_past_the_float_range_are_numerical_errors(
+            self, tmp_path, capsys, verb, fixture, edits, named):
+        # a square that overflows a Python float, or a stationary solve
+        # singular in floats: one stderr line, no traceback and no CSV
+        base = (SCENARIOS / fixture).read_text()
+        for old, new in edits:
+            assert base.count(old) == 1
+            base = base.replace(old, new)
+        sc = tmp_path / "big.scn"
+        sc.write_text(base)
+        out = tmp_path / "o.csv"
+        rc = run_cli([verb, "--scenario", str(sc), "--out", str(out)])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical error:") and err.count("\n") == 1 and named in err
+        assert not out.exists()
 
     def test_bode_report(self, tmp_path, capsys):
         out = tmp_path / "bode.csv"

@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from spintrack.errors import ConfigurationError, InstabilityError, UnsupportedCaseError
-from spintrack.model import DesignParams, fluctuating_plant
+from spintrack.errors import (ConfigurationError, InstabilityError, NumericalError,
+                             UnsupportedCaseError)
+from spintrack.model import DesignParams, PlantParams, fluctuating_plant
 from spintrack.riccati import steady_state_gains
-from spintrack.lqg_filter import design_plant
 from spintrack import freq
 
 FLUCT = fluctuating_plant(J=1e6, gamma=1e6, M=1e4, gamma_b=1e5, sigma_bfree=1.0)
@@ -34,7 +34,7 @@ class TestRationalTF:
 class TestClosedLoopTFs:
     def test_matches_direct_resolvent(self):
         gz, gb, gu = freq.closed_loop_tfs(FLUCT, DESIGN)
-        g = steady_state_gains(design_plant(FLUCT, DESIGN), DESIGN)
+        g = steady_state_gains(FLUCT, DESIGN)
         a = np.array([[0.0, 1e12], [0.0, -1e5]])
         b = np.array([1e12, 0.0])
         c = np.array([[1.0, 0.0]])
@@ -128,6 +128,12 @@ class TestCharFreqs:
         weak = fluctuating_plant(J=10.0, gamma=1.0, M=1e4, gamma_b=1e3, sigma_bfree=1.0)
         with pytest.raises(UnsupportedCaseError):
             freq.char_freqs(weak, DesignParams(J_prime=10.0, lam=1e6))
+
+    def test_margin_past_the_float_range_is_numerical_error(self):
+        # gamma_b^2 overflows a float: the documented class, not OverflowError
+        wide = PlantParams(J=1e6, gamma=1e6, M=1e4, gamma_b=1e200, sigma_bF=2e5)
+        with pytest.raises(NumericalError, match="gamma_b = 1e\\+200"):
+            freq.approximation_margins(wide, DESIGN)
 
     def test_closure_bisection_structural_offset(self):
         # the exact |P G_u| = 1 crossing solves 2 sqrt(1+x^2) = x^2 with

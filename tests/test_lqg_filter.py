@@ -6,12 +6,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from spintrack.errors import ConfigurationError, DivergenceError
-from spintrack.model import DesignParams, PlantParams, Priors, build_system, fluctuating_plant
+from spintrack.model import (DesignParams, PlantParams, Priors, build_system, design_plant,
+                             design_prior, fluctuating_plant)
 from spintrack.numerics import RngStream, trial_normals, trial_stream
 from spintrack.lqg_filter import (DRAW_TILES, MODES, TRIAL_BLOCK, _chunks, _loop_setup,
-                                  _segments, design_plant, design_prior, filter_record,
-                                  run_closed_loop, run_ensemble, run_open_loop_linefit,
-                                  summarize_ensemble)
+                                  _segments, filter_record, run_closed_loop, run_ensemble,
+                                  run_open_loop_linefit, summarize_ensemble)
 from spintrack.riccati import controller_gain, riccati_at_times
 from spintrack.truth_sim import field_step, simulate_open_loop
 
@@ -144,7 +144,7 @@ class TestClosedLoop:
         dt, n = 5e-12, 40
         traj, _ = run_closed_loop(p, PRIOR, MATCHED, "dynamic_gain", RngStream(3), dt, n * dt)
         decay, amp = field_step(p, dt)
-        draws = RngStream(3).normals(2 + 2 * n)
+        draws = RngStream(3).normals_at(0, 2 + 2 * n)
         b = [math.sqrt(PRIOR.sigma_b0) * draws[1]]
         for k in range(n):
             b.append(decay * b[k] + amp * draws[2 + 2 * k])

@@ -5,8 +5,8 @@ import pytest
 
 from spintrack.errors import ConfigurationError, UnsupportedCaseError
 from spintrack.cli import build_priors
-from spintrack.lqg_filter import design_prior
-from spintrack.model import DesignParams, PlantParams, Priors, build_system, fluctuating_plant
+from spintrack.model import (DesignParams, PlantParams, Priors, build_system, design_prior,
+                             fluctuating_plant)
 
 
 class TestBuildSystem:

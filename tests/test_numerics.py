@@ -124,24 +124,17 @@ def _documented_draw(seed, trial, i):
 
 class TestRngStream:
     def test_bitwise_reproducible(self):
-        a = RngStream(42).normals(1000)
-        b = RngStream(42).normals(1000)
+        a = RngStream(42).normals_at(0, 1000)
+        b = RngStream(42).normals_at(0, 1000)
         assert np.array_equal(a, b)
 
     def test_distinct_seeds_differ(self):
-        assert not np.array_equal(RngStream(1).normals(100), RngStream(2).normals(100))
-
-    def test_position_advances_consistently(self):
-        s = RngStream(7)
-        first = s.normals(5)
-        second = s.normals(5)
-        joined = RngStream(7).normals(10)
-        assert np.array_equal(np.concatenate([first, second]), joined)
+        assert not np.array_equal(RngStream(1).normals_at(0, 100), RngStream(2).normals_at(0, 100))
 
     def test_trial_matrix_matches_streams(self):
         mat = trial_normals(11, np.arange(4), 6)
         for k in range(4):
-            assert np.array_equal(mat[k], trial_stream(11, k).normals(6))
+            assert np.array_equal(mat[k], trial_stream(11, k).normals_at(0, 6))
 
     def test_trial_matrix_random_access(self):
         full = trial_normals(5, np.arange(3), 10)
@@ -183,8 +176,10 @@ class TestRngStream:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(numerics, "_BLOCK_NORMALS", block)
             at = RngStream(seed).normals_at(start, n)
-            stream = RngStream(seed)
-            taken = np.concatenate([np.empty(0)] + [stream.normals(k) for k in pieces])
+            # consecutive pieces, each read at its own position, join into one run
+            stream, ends = RngStream(seed), np.cumsum([0] + pieces).tolist()
+            taken = np.concatenate([np.empty(0)] + [stream.normals_at(lo, hi - lo)
+                                                    for lo, hi in zip(ends, ends[1:])])
         assert at.shape == (n,)
         assert np.array_equal(at.view(np.uint64), reference_normals(seed, start, n).view(np.uint64))
         ref = reference_normals(seed, 0, sum(pieces))
@@ -245,7 +240,7 @@ class TestRngStream:
                 trial_normals(1, np.arange(2), 4, out=out)
 
     def test_moments(self):
-        draws = RngStream(2024).normals(200_000)
+        draws = RngStream(2024).normals_at(0, 200_000)
         assert abs(draws.mean()) < 3.0 / math.sqrt(200_000)
         assert abs(draws.var() - 1.0) < 3.0 * math.sqrt(2.0 / 200_000)
 

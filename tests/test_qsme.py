@@ -138,7 +138,7 @@ class TestSmeStep:
         coh0 = psi[:-1] * psi[1:]
         coh = coh0.copy()
         for k in range(200):
-            psi, _ = _step(psi, 1e-3, ops, p, 1e-9, rng.normals(1)[0] * math.sqrt(1e-9))
+            psi, _ = _step(psi, 1e-3, ops, p, 1e-9, rng.normals_at(k, 1)[0] * math.sqrt(1e-9))
             coh = qsme.sme_step(coh, ops, p, 1e-9)
         assert abs(psi @ psi - 1.0) < 1e-12
         # the dephasing step touches only the coherences <Jx> reads, each by
@@ -154,7 +154,7 @@ class TestSmeStep:
             psi = qsme.coherent_state_x(5.0)
             n = int(round(2e-6 / dt))
             for k in range(n):
-                psi, _ = _step(psi, 1e-3, ops, p, dt, rng.normals(1)[0] * math.sqrt(dt))
+                psi, _ = _step(psi, 1e-3, ops, p, dt, rng.normals_at(k, 1)[0] * math.sqrt(dt))
                 if k % (n // 4) == n // 4 - 1:
                     assert np.min(np.linalg.eigvalsh(np.outer(psi, psi))) > -1e-15
 
@@ -423,7 +423,7 @@ class TestSuites:
         for traj in range(2):
             rng = trial_stream(9, traj)
             psi = qsme.coherent_state_x(3.0)
-            dws = rng.normals(F * n).reshape(n, F).sum(axis=1) * math.sqrt(1e-8 / F)
+            dws = rng.normals_at(0, F * n).reshape(n, F).sum(axis=1) * math.sqrt(1e-8 / F)
             for k in range(n):
                 psi, ydt = _step(psi, 0.0, ops, p, 1e-8, dws[k])
                 assert ydts[traj, k] == pytest.approx(ydt, rel=1e-12, abs=1e-20)

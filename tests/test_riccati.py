@@ -8,7 +8,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from spintrack.errors import NumericalError, UnsupportedCaseError
-from spintrack.model import DesignParams, PlantParams, Priors, build_system, fluctuating_plant
+from spintrack.model import (DesignParams, PlantParams, Priors, build_system, design_plant,
+                             fluctuating_plant)
 from spintrack import cli, riccati as ric
 
 import closed_form_reference as closed_ref
@@ -193,6 +194,15 @@ class TestSteadyState:
     def test_constant_field_rejected(self):
         with pytest.raises(UnsupportedCaseError):
             ric.steady_state_gains(CONST, DesignParams(J_prime=1e6))
+
+    @pytest.mark.parametrize("f", [1e-3, 0.5, 2.0, 1e3])
+    def test_gains_read_the_spin_from_the_design_only(self, f):
+        # callers pass the true plant: its J must not enter the gains
+        d = DesignParams(J_prime=1e6, lam=0.1)
+        p = PlantParams(J=f * 1e6, gamma=1e6, M=1e4, gamma_b=1e5, sigma_bF=2e5)
+        got, want = ric.steady_state_gains(p, d), ric.steady_state_gains(design_plant(p, d), d)
+        assert np.array_equal(got.K_O, want.K_O) and np.array_equal(got.K_C, want.K_C)
+        assert (got.sigma_zS, got.sigma_bS) == (want.sigma_zS, want.sigma_bS)
 
     @pytest.mark.parametrize("p", [
         PlantParams(J=10.0, gamma=1e4, M=100.0, gamma_b=1e6, sigma_bF=1e-4),

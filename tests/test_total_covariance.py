@@ -12,11 +12,10 @@ from hypothesis import example, given, settings, strategies as st
 from spintrack.errors import (ConfigurationError, DimensionError, DivergenceError,
                               InstabilityError, UnsupportedCaseError)
 from spintrack.model import (DesignParams, PlantParams, Priors, closed_loop_generator,
-                             fluctuating_plant)
+                             design_plant, fluctuating_plant)
 from spintrack.numerics import geometric_times, ou_increment
 from spintrack.riccati import (analytic_sigma, controller_gain, exact_steady_sigma,
                                riccati_at_times, steady_state_gains)
-from spintrack.lqg_filter import design_plant
 from spintrack import cli, total_covariance as tc
 
 from joint_reference import (S_ERR, error_generator, integrate_theta_sequential,
@@ -201,7 +200,7 @@ class TestMatchedIdentity:
         # takes two steps per interval, compared at the grid times
         p = fluctuating_plant(J=f * 1e6, gamma=1e6, M=1e4, gamma_b=10 ** log_gb, sigma_bfree=1.0)
         d = DesignParams(J_prime=1e6, lam=10 ** log_lam)
-        g = steady_state_gains(design_plant(p, d), d)
+        g = steady_state_gains(p, d)
         alpha, beta = _frozen(p, d, g, 399)
         rate = np.max(np.abs(np.linalg.eigvals(alpha[0])))
         times = np.arange(400) * (0.01 / rate)
@@ -340,7 +339,7 @@ class TestSteadyStateError:
         for f in (0.5, 2.0, 10.0):
             p = fluctuating_plant(J=f * 1e6, gamma=1e6, M=1e4, gamma_b=1e5, sigma_bfree=1.0)
             err = tc.steady_state_error(p, d)
-            ref = steady_state_gains(design_plant(p, d), d).sigma_bS
+            ref = steady_state_gains(p, d).sigma_bS
             assert err / ref == pytest.approx(tc.mismatch_factors(f, "controlled_steady"), rel=0.02)
 
     def test_uncontrolled_saturation(self):
@@ -364,7 +363,7 @@ class TestSteadyStateError:
             for gamma_b in (1e4, 1e5, 1e6):
                 p = fluctuating_plant(J=f * 1e6, gamma=1e6, M=1e4, gamma_b=gamma_b,
                                       sigma_bfree=1.0)
-                k1, k2 = steady_state_gains(design_plant(p, d), d).K_O
+                k1, k2 = steady_state_gains(p, d).K_O
                 gj, gjp = p.gamma * p.J, p.gamma * d.J_prime
                 sqrt_sbf, sqrt_sm = math.sqrt(p.sigma_bF), math.sqrt(p.sigma_M)
                 a = np.array([[-k1, gjp - gj, gjp],
@@ -384,7 +383,7 @@ class TestSteadyStateError:
         d = cli.build_design(sc, p0)
         for f in sc["f_sweep"]:
             p = replace(p0, J=f * d.J_prime)
-            g = steady_state_gains(design_plant(p, d), d)
+            g = steady_state_gains(p, d)
             alpha, beta = tc.build_alpha_beta(p, d, g.K_O[:1], g.K_O[1:], g.K_C)
             a, q = alpha[0], (beta @ beta.swapaxes(-1, -2))[0]
             eye = np.eye(4)

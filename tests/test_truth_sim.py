@@ -9,15 +9,16 @@ from spintrack.truth_sim import field_step, simulate_open_loop
 
 
 class _FirstDraw:
-    """Stand-in stream whose first draw (b(0) in the open-loop layout) is
-    prescribed and whose other draws are zero (noise-free runs)."""
+    """Stand-in stream whose draw at position 0 (b(0) in the open-loop
+    layout) is prescribed and whose other draws are zero (noise-free runs)."""
 
     def __init__(self, first):
         self.first = first
 
-    def normals(self, n):
+    def normals_at(self, start, n):
         out = np.zeros(n)
-        out[0] = self.first
+        if start == 0:
+            out[:1] = self.first
         return out
 
 
@@ -102,7 +103,7 @@ class TestSimulatePlant:
         prior = Priors(sigma_z0=50.0, sigma_b0=0.0)
         traj = simulate_open_loop(p, prior, RngStream(12), 1e-6, 1e-4)
         n = traj.n_steps
-        draws = RngStream(12).normals(2 * (n + 1))
+        draws = RngStream(12).normals_at(0, 2 * (n + 1))
         assert traj.z[0] == math.sqrt(prior.sigma_z0) * draws[n + 1]
         dW2 = draws[n + 2:] * math.sqrt(traj.dt)
         recon = traj.z[:n] * traj.dt + math.sqrt(p.sigma_M) * dW2
