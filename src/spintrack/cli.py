@@ -113,6 +113,12 @@ def _fmt(x) -> str:
     return "%.17g" % x if isinstance(x, (float, np.floating)) else str(x)
 
 
+def _fixed(x: float, decimals: int) -> str:
+    """x with the given decimals below 1e6 in magnitude, in exponent form
+    from there on (and for inf and nan): a table entry of bounded width."""
+    return f"{x:.{decimals}f}" if abs(x) < 1e6 else f"{x:.{decimals}e}"
+
+
 def write_csv(path: str, header: list[str], columns: list[np.ndarray]):
     """One line per row, each entry as _fmt writes it: one format line from
     the column dtypes (%.17g for float columns, %s for the rest) applied
@@ -239,6 +245,9 @@ def cmd_mismatch(sc: dict, seed: int, out: str, workers: int) -> int:
     f_values = sc.get("f_sweep")
     if not f_values:
         raise ConfigurationError("mismatch: scenario must set f_sweep")
+    if "sigma_z0" in sc:
+        raise ConfigurationError("mismatch: scenario key 'sigma_z0' is not used: each f starts "
+                                 "from the coherent prior J/2 of its true spin f J_prime")
     p0 = build_plant(sc)
     d = build_design(sc, p0)
     for f in f_values:
@@ -275,10 +284,10 @@ def cmd_mismatch(sc: dict, seed: int, out: str, workers: int) -> int:
     print(f"mismatch ({regime}): factor at reference point vs prediction")
     for f, _, _, factor, pred, _ in rows:
         if math.isnan(pred):
-            print(f"  f = {f:8.3g}: measured {factor:.4f}, prediction out of validity")
+            print(f"  f = {f:8.3g}: measured {_fixed(factor, 4)}, prediction out of validity")
         else:
-            print(f"  f = {f:8.3g}: measured {factor:.4f}  predicted {pred:.4f}  "
-                  f"rel dev {abs(factor / pred - 1):.3f}")
+            print(f"  f = {f:8.3g}: measured {_fixed(factor, 4)}  predicted {_fixed(pred, 4)}  "
+                  f"rel dev {_fixed(abs(factor / pred - 1), 3)}")
     return 0
 
 
@@ -320,7 +329,10 @@ def cmd_bode(sc: dict, seed: int, out: str, workers: int) -> int:
 
 def cmd_design(sc: dict, seed: int, out: str, workers: int) -> int:
     sc = {"n_omega": 600, **sc}
-    _positive(sc, "J_min", "J_max", "omega_Q", "omega_1", "gamma", "n_omega")
+    _positive(sc, "J_min", "J_max", "omega_Q", "omega_1", "gamma")
+    if not sc["n_omega"] >= 400:
+        raise ConfigurationError(f"design: scenario key 'n_omega' must be at least 400, the "
+                                 f"grid sensitivity_norm needs, got {sc['n_omega']}")
     if "omega_L" in sc:
         _positive(sc, "omega_L")
     c, w10 = freq.design_robust_controller(sc["J_min"], sc["J_max"], sc["omega_Q"],
@@ -329,7 +341,7 @@ def cmd_design(sc: dict, seed: int, out: str, workers: int) -> int:
     w1 = freq.performance_weight(w10, sc["omega_1"])
     omega_h = sc["omega_1"] * w10
     omega_l = sc.get("omega_L", omega_h / 100.0)
-    grid = np.geomspace(omega_l / 10.0, 10.0 * sc["omega_Q"], max(400, sc["n_omega"]))
+    grid = np.geomspace(omega_l / 10.0, 10.0 * sc["omega_Q"], sc["n_omega"])
     j_grid = np.geomspace(sc["J_min"], sc["J_max"], 25)
     norms = np.empty(25)
     stable = np.empty(25)

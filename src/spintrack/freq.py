@@ -95,9 +95,13 @@ def closed_loop_tfs(p: PlantParams, d: DesignParams):
     With a = A' - B' K_C - K_O C, the estimator block of
     ``model.closed_loop_generator``, (G_z, G_b) = adj(s I - a) K_O /
     det(s I - a) and G_u = -K_C (G_z, G_b); needs a fluctuating field so
-    the stationary gains exist.  A coefficient that overflows (lambda
-    gamma J' past the float range) is a ConfigurationError naming lambda.
+    the stationary gains exist.  A coefficient that overflows is a
+    ConfigurationError naming gamma * J_prime where that product is not
+    finite, and lambda otherwise (lambda gamma J' past the float range).
     """
+    if not p.gamma * d.J_prime < math.inf:
+        raise ConfigurationError(f"closed_loop_tfs: gamma * J_prime must be finite, got gamma = "
+                                 f"{p.gamma:.3g} and J_prime = {d.J_prime:.3g}")
     g = steady_state_gains(p, d)
     k1, k2 = g.K_O
     with np.errstate(over="ignore", invalid="ignore"):

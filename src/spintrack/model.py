@@ -67,6 +67,9 @@ class PlantParams:
             raise ConfigurationError("PlantParams: eta must lie in (0, 1]")
         for name in ("gamma_b", "sigma_bF"):
             _require_finite("PlantParams", name, getattr(self, name))
+        if not self.gamma * self.J < math.inf:
+            raise ConfigurationError(f"PlantParams: gamma * J must be finite, got gamma = "
+                                     f"{self.gamma:.3g} and J = {self.J:.3g}")
 
     @property
     def sigma_M(self) -> float:

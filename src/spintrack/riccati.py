@@ -23,10 +23,10 @@ sigma_cR) / sigma_M.  Three independent solution paths are provided:
 * one closed form for the constant-field case, a rational function of t
   in homogeneous prior coordinates that covers zero and infinite priors
   and the late-time law without a case of its own;
-* fixed-step RK4 on a deterministic quasi-geometric schedule (the local
-  timescale of the transient is sigma_M / sigma_zR(t), which grows like
-  elapsed time, so steps proportional to t + sigma_M/sigma_z0 keep the
-  per-step gain-times-step product constant).
+* fixed-step RK4 on a deterministic quasi-geometric schedule: the local
+  timescale of the transient, sigma_M / sigma_zR(t), grows like elapsed
+  time, so steps proportional to t + sigma_M/sigma_z0 keep the per-step
+  gain-times-step product constant, up to one cap (``_internal_times``).
 
 The controller Riccati for the quadratic cost with weight ratio
 lam^2 = p/q runs in reverse time; its stationary solution is the closed
@@ -73,10 +73,6 @@ class SteadyGains:
     sigma_bS: float
 
 
-def _is_constant_field(p: PlantParams) -> bool:
-    return p.sigma_bF == 0.0 and p.gamma_b == 0.0
-
-
 def _steady_gain(p: PlantParams, gj: float):
     """Exact stationary Riccati gain (k1, k2) for the coupling gj = gamma J."""
     r = math.sqrt(p.sigma_bF / p.sigma_M)
@@ -107,26 +103,22 @@ def _internal_times(p: PlantParams, sz0: float, sb0: float, t_end: float, requir
     """Union of the stability/accuracy schedule and required output times.
 
     The schedule starts at the smallest dynamical timescale at t = 0, from
-    parameters alone."""
+    parameters alone.  One cap bounds every step: 0.01 / gamma_b while a
+    mode decays (errors add up step by step: 1.2e-6 to gamma_b t = 340;
+    it also bounds the first step, so 1 / gamma_b is no timescale), and
+    0.5 sigma_M / sigma_zS, RK4's stability bound once saturated (local
+    rate ~ 2 K1_steady), where the stationary solution costs no accuracy."""
     sm = p.sigma_M
     scales = [sm / sz0]
     if sb0 > 0:
         # onset of field information transfer through the z-c coupling
         scales.append((sm / (_square(p.gamma, "gamma") * _square(p.J, "J") * sb0))
                       ** (1.0 / 3.0))
-    if p.gamma_b > 0:
-        scales.append(1.0 / p.gamma_b)
-    cap = math.inf
+    cap = 0.01 / p.gamma_b if p.gamma_b > 0 else math.inf
     if p.sigma_bF > 0:
         sz_s, _, _ = exact_steady_sigma(p)
         scales.append(sm / sz_s)
-        # RK4 stability cap after saturation (local rate ~ 2 K1_steady);
-        # accuracy there is free since the solution is stationary
-        cap = 0.5 * sm / sz_s
-        if p.gamma_b > 0:
-            cap = min(cap, 0.2 / p.gamma_b)
-    elif p.gamma_b > 0:   # decaying field: relative errors add up step by step
-        cap = 0.01 / p.gamma_b   # within 1.2e-6 to gamma_b t = 340 (6.9e-5 at 10 without it)
+        cap = min(cap, 0.5 * sm / sz_s)
     grid = geometric_times(t_end, _SCHEDULE_STEP, min(scales), cap)
     return np.union1d(grid, required)
 
@@ -277,7 +269,7 @@ def analytic_sigma(p: PlantParams, prior, t: float) -> tuple[float, float]:
     scaling a least-squares line fit to the record achieves.
     Fluctuating-field parameters are rejected.
     """
-    if not _is_constant_field(p):
+    if p.gamma_b > 0 or p.sigma_bF > 0:
         raise UnsupportedCaseError(
             "analytic_sigma: closed form holds for constant fields only; integrate numerically")
     if isinstance(prior, Priors):
@@ -351,13 +343,6 @@ _JUMP_HORIZON = 300.0   # largest gamma_b t of the jump for a decaying field
 _JUMP_RUN = 512         # times per ou_increment call: bounds its stack of Pade blocks
 
 
-def _balance(h: np.ndarray):
-    """(D^-1 h D, e): h balanced by the power-of-two similarity D = diag(2**e)
-    of ``numerics._balancing``, exact in floats."""
-    e = _balancing(h[None])[0]
-    return np.ldexp(h, e[None, :] - e[:, None]), e
-
-
 @np.errstate(all="ignore")   # _check_psd reports a non-finite result
 def _steady_jump(p: PlantParams, prior: Priors, times: np.ndarray) -> CovTrajectory:
     """Sigma(t) = Sigma_s + Phi^T E0 (I + G E0)^-1 Phi for sigma_bF > 0, with
@@ -418,21 +403,22 @@ def linearized_riccati_curve(p: PlantParams, prior: Priors, times) -> CovTraject
         traj = _steady_jump(p, prior, times)
         _check_psd(traj, "linearized")
         return traj
-    far = p.gamma_b * times > _JUMP_HORIZON
-    if far.any():
-        raise UnsupportedCaseError(f"linearized Riccati: decaying field past gamma_b t = "
-                                   f"{_JUMP_HORIZON:g}, first at t = {times[far][0]:.6e}")
     a, _, c, sigma1 = build_system(p)
     h = np.block([[a, sigma1], [c.T @ c / p.sigma_M, -a.T]])
     start = np.array([[prior.sigma_z0, 0.0], [0.0, prior.sigma_b0], [1.0, 0.0], [0.0, 1.0]])
-    if np.linalg.matrix_power(h, 4).any():
-        hb, e = _balance(h)
-        wu = np.ldexp(mat_expm(hb * times[:, None, None]), e[:, None] - e[None, :]) @ start
+    t = times[:, None, None]
+    if p.gamma_b > 0:
+        far = p.gamma_b * times > _JUMP_HORIZON
+        if far.any():
+            raise UnsupportedCaseError(f"linearized Riccati: decaying field past gamma_b t = "
+                                       f"{_JUMP_HORIZON:g}, first at t = {times[far][0]:.6e}")
+        e = _balancing(h[None])[0]   # D = diag(2**e), exact in floats
+        hb = np.ldexp(h, e[None, :] - e[:, None])   # D^-1 H D
+        wu = np.ldexp(mat_expm(hb * t), e[:, None] - e[None, :]) @ start
     else:
         h1 = h @ start
         h2 = h @ h1
         h3 = h @ h2
-        t = times[:, None, None]
         wu = start + t * (h1 + t * (0.5 * h2 + t * (h3 / 6.0)))
     w, u = wu[:, :2], wu[:, 2:]
     det = u[:, 0, 0] * u[:, 1, 1] - u[:, 0, 1] * u[:, 1, 0]

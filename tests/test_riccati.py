@@ -5,7 +5,7 @@ from pathlib import Path
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from spintrack.errors import NumericalError, UnsupportedCaseError
 from spintrack.model import (DesignParams, PlantParams, Priors, build_system, design_plant,
@@ -572,6 +572,24 @@ class TestRouteProperties:
         p = PlantParams(J=10 ** j, gamma=1e6, M=1e4, gamma_b=10 ** gb)
         _assert_routes_agree(p, Priors(p.J / 2.0 * 10 ** z0, 1.0),
                              np.geomspace(1e-3, 10 ** horizon, 20) / p.gamma_b)
+
+    @settings(max_examples=50, deadline=None)
+    @given(j=st.floats(-3.0, 6.0), gamma=st.floats(-3.0, 6.0), m=st.floats(-3.0, 6.0),
+           gb=st.floats(0.0, 7.0), free=st.floats(-30.0, 0.0), z0=st.floats(-2.0, 2.0),
+           b0=st.floats(0.0, 6.0))
+    def test_rk4_holds_a_noisy_field_while_it_decays(self, j, gamma, m, gb, free, z0, b0):
+        # plants where the saturated stability bound 0.5 sigma_M / sigma_zS
+        # is above 0.2 / gamma_b: the 0.01 / gamma_b cap alone holds RK4's
+        # steps while the prior decays, and its errors add up step by step
+        p = fluctuating_plant(J=10 ** j, gamma=10 ** gamma, M=10 ** m, gamma_b=10 ** gb,
+                              sigma_bfree=10 ** free)
+        sz_s = ric.exact_steady_sigma(p)[0]
+        assume(0.5 * p.sigma_M / sz_s > 0.2 / p.gamma_b)
+        prior = Priors(sz_s * 10 ** z0, p.sigma_bFree * 10 ** b0)
+        times = np.geomspace(1.0, 30.0, 16) / p.gamma_b
+        rk4 = ric.riccati_at_times(p, prior, times)
+        lin = ric.linearized_riccati_curve(p, prior, times)
+        assert np.max(np.abs(rk4.sigma_bR / lin.sigma_bR - 1.0)) < 1e-6
 
     def test_repeated_eigenvalue_needs_no_special_case(self):
         # an eigenvector form of the solution cannot represent the
