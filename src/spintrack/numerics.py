@@ -38,14 +38,17 @@ One kernel generates every draw, for ``RngStream`` and ``trial_normals``
 alike: it works in cache-sized tiles of about ``_BLOCK_NORMALS`` normals
 (a few streams at a time, or a stretch of positions of one long stream),
 with in-place integer and float operations into a preallocated output.
-The tiles of a call are spread over threads, one per CPU the process may
-use and at most one per tile; the caller fills one share and helper
-threads, started and joined within the call, the rest.  Every draw is a
-pure function of its (stream, position), so neither the tiling nor the
-thread count changes anything but speed: the bits are those of the
-formula above.  The plain formula itself lives in the tests
-(``tests/rng_reference.py``), which check the kernel against it bit for
-bit.
+The tiles of a call are claimed from one shared iterator by up to one
+thread per CPU the process may use (at most one per tile), each taking
+the next unclaimed tile as it frees up: the caller claims from the start
+and helper threads, started and joined within the call, join in.  A tile
+is built in its output's memory order, as (streams, positions) or, into
+a column-major output, as (positions, streams).  Every draw is a pure
+function of its (stream, position), so neither the tiling, the thread
+that claims a tile nor the thread count changes anything but speed: the
+bits are those of the formula above.  The plain formula itself lives in
+the tests (``tests/rng_reference.py``), which check the kernel against
+it bit for bit.
 """
 
 from __future__ import annotations
@@ -67,6 +70,7 @@ _U64 = np.uint64
 _TWO53 = float(1 << 53)
 _TWO_PI = 2.0 * np.pi
 _BLOCK_NORMALS = 16384  # normals per generated tile (256 KB of uint64 outputs)
+_POSITIONS = (np.iinfo(np.int64).max - 1) // 2   # largest start + n: 2 (start + n) + 1 fits int64
 
 
 def _mix64_inplace(x: np.ndarray, tmp: np.ndarray) -> None:
@@ -103,9 +107,10 @@ def _cpus() -> int:
 _scratch = threading.local()
 
 
-def _share_planes(threads: int) -> list:
+def _thread_planes(threads: int) -> list:
     """One (raw, tmp) pair of flat uint64 planes of 2 ``_BLOCK_NORMALS``
-    entries per share, allocated in (and kept by) the calling thread."""
+    entries per thread of a call, allocated in (and kept by) the calling
+    thread."""
     planes = getattr(_scratch, "planes", [])
     if len(planes) < threads or planes[0][0].size != 2 * _BLOCK_NORMALS:
         planes = _scratch.planes = [tuple(np.empty((2, 2 * _BLOCK_NORMALS), dtype=_U64))
@@ -120,12 +125,26 @@ def _stream_normals(states: np.ndarray, start: int, n: int, out: np.ndarray | No
 
     Works in tiles of about ``_BLOCK_NORMALS`` draws: a tile is a few rows
     of at most ``_BLOCK_NORMALS`` positions, so a single long stream is cut
-    along its positions and many short ones are grouped by rows.  The
-    tiles are split into contiguous shares, one per thread, with up to one
-    thread per CPU the process may use: the caller fills the first share
-    and short-lived helper threads the others, joined before the call
-    returns.  Every share's scratch comes from the calling thread.
+    along its positions and many short ones are grouped by rows.  Up to
+    one thread per CPU the process may use, and at most one per tile,
+    claim the tiles from one shared iterator, each taking the next
+    unclaimed tile until none is left: the caller claims from the start,
+    and short-lived helper threads join in as they start and are joined
+    before the call returns.  Every thread's scratch comes from the
+    calling thread.  When ``out`` is column-major (the transpose of a
+    block of positions by streams), each tile is built as (positions,
+    rows), so its result is written to contiguous memory.
+
+    ``start`` and ``n`` must be non-negative and start + n at most
+    ``_POSITIONS``, so that the counters' ``arange`` fits int64.
     """
+    start, n = int(start), int(n)
+    for name, value in (("start", start), ("n", n)):
+        if value < 0:
+            raise DimensionError(f"normals: {name} = {value} is negative")
+    if start + n > _POSITIONS:
+        raise DimensionError(f"normals: start + n = {start} + {n} passes {_POSITIONS}, the "
+                             f"most that the int64 counter arange holds")
     if out is None:
         out = np.empty((len(states), n))
     elif out.shape != (len(states), n) or out.dtype != np.float64:
@@ -138,18 +157,18 @@ def _stream_normals(states: np.ndarray, start: int, n: int, out: np.ndarray | No
     with np.errstate(over="ignore"):
         ctr = np.arange(2 * start + 1, 2 * (start + width) + 1, dtype=_U64)
         ctr *= _U64(_GAMMA)
-    ctr = np.ascontiguousarray(ctr.reshape(width, 2).T)[:, None, :]   # (2, 1, width): u1, u2 planes
+    ctr = np.ascontiguousarray(ctr.reshape(width, 2).T)   # (2, width): u1, u2 planes
     tiles = [(p0, r0) for p0 in range(0, n, width) for r0 in range(0, len(states), rows)]
-    threads = min(_cpus(), len(tiles))
-    shares = [(tiles[len(tiles) * i // threads:len(tiles) * (i + 1) // threads],) + planes
-              for i, planes in enumerate(_share_planes(threads))]
+    claims = iter(tiles)   # shared: each next() hands one tile to one thread (atomic under the GIL)
+    planes = _thread_planes(min(_cpus(), len(tiles)))
     errors = []
-    helpers = [threading.Thread(target=_fill_share, args=(errors, out, states, ctr, rows) + share)
-               for share in shares[1:]]
+    helpers = [threading.Thread(target=_fill_helper,
+                                args=(errors, out, states, ctr, rows, claims) + pair)
+               for pair in planes[1:]]
     for helper in helpers:
         helper.start()
     try:
-        _fill_tiles(out, states, ctr, rows, *shares[0])
+        _fill_tiles(out, states, ctr, rows, claims, *planes[0])
     finally:
         for helper in helpers:
             helper.join()
@@ -158,7 +177,7 @@ def _stream_normals(states: np.ndarray, start: int, n: int, out: np.ndarray | No
     return out
 
 
-def _fill_share(errors: list, *args) -> None:
+def _fill_helper(errors: list, *args) -> None:
     """``_fill_tiles`` in a helper thread; its exception goes to ``errors``
     for the caller to raise."""
     try:
@@ -167,19 +186,27 @@ def _fill_share(errors: list, *args) -> None:
         errors.append(exc)
 
 
-def _fill_tiles(out, states, ctr, rows, tiles, raw, tmp) -> None:
-    """Fill the (p0, r0) tiles of ``out``, of ``rows`` rows and ``ctr``'s
-    width, in order.  The even (u1) and odd (u2) outputs of a tile are
-    laid out in ``raw`` as two planes of contiguous rows, so every
-    operation runs in place; ``tmp`` takes the shifts of the mixing and
-    then the uniforms."""
-    width = ctr.shape[-1]
+def _fill_tiles(out, states, ctr, rows, claims, raw, tmp) -> None:
+    """Fill the (p0, r0) tiles of ``out`` that ``claims`` hands out, of
+    ``rows`` rows and ``ctr``'s width, until it is empty.  The even (u1)
+    and odd (u2) outputs of a tile are laid out in ``raw`` as two planes,
+    of (rows, positions), or of (positions, rows) when ``out`` is
+    column-major, so every operation runs in place and the last one
+    writes ``out`` in its memory order; ``tmp`` takes the shifts of the
+    mixing and then the uniforms."""
+    columns = out.strides[0] < out.strides[1]
+    width = ctr.shape[1]
     advance = 2 * width * _GAMMA   # counter step from one position tile to the next
     with np.errstate(over="ignore"):   # errstate is per thread: a helper does not inherit it
-        for p0, r0 in tiles:
+        for p0, r0 in claims:
             w, m = min(width, out.shape[1] - p0), min(rows, len(states) - r0)
-            x, t = raw[:2 * m * w].reshape(2, m, w), tmp[:2 * m * w].reshape(2, m, w)
-            np.add(ctr[..., :w], states[None, r0:r0 + m, None], out=x)
+            dest = out[r0:r0 + m, p0:p0 + w]
+            if columns:
+                dest, c, s = dest.T, ctr[:, :w, None], states[None, None, r0:r0 + m]
+            else:
+                c, s = ctr[:, None, :w], states[None, r0:r0 + m, None]
+            x, t = (plane[:2 * m * w].reshape((2,) + dest.shape) for plane in (raw, tmp))
+            np.add(c, s, out=x)
             if p0:   # the first tile's counters plus p0 // width advances, mod 2**64
                 x += _U64((p0 // width) * advance & 0xFFFFFFFFFFFFFFFF)
             _mix64_inplace(x, t)
@@ -194,7 +221,7 @@ def _fill_tiles(out, states, ctr, rows, tiles, raw, tmp) -> None:
             np.sqrt(u1, out=u1)
             u2 *= _TWO_PI / _TWO53      # 2 pi (u2 2**-53) in one product: scaling commutes with rounding
             np.cos(u2, out=u2)
-            np.multiply(u1, u2, out=out[r0:r0 + m, p0:p0 + w])
+            np.multiply(u1, u2, out=dest)
 
 
 class RngStream:

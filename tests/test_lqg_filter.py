@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from spintrack import numerics
 from spintrack.errors import ConfigurationError, DivergenceError
 from spintrack.model import (DesignParams, PlantParams, Priors, build_system, design_plant,
                              design_prior, fluctuating_plant)
@@ -229,6 +230,21 @@ class TestClosedLoop:
             summed = summarize_ensemble(total[None], trials)
             for key, value in summarize_ensemble(per_block, trials).items():
                 assert np.array_equal(value, summed[key]), key
+
+    def test_ensemble_is_independent_of_the_noise_threads(self, monkeypatch):
+        # 200 segments of 8 steps: with 128-normal tiles, each segment draws
+        # 300 trials x 16 normals into the noise block's transpose as 38 tiles
+        # of 8 trials (the last of 4), which 1, 2 or 3 threads claim
+        steps, dt = 1600, 5e-12
+        monkeypatch.setattr(numerics, "_BLOCK_NORMALS", 128)
+        blocks = []
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(numerics, "_cpus", lambda: cpus)
+            _, parts = run_ensemble(FLUCT, PRIOR, MATCHED, "dynamic_gain", 21, 300, dt,
+                                    steps * dt)
+            blocks.append(parts)
+        for parts in blocks[1:]:
+            assert np.array_equal(parts.view(np.uint64), blocks[0].view(np.uint64))
 
     def test_innovation_whiteness_matched(self):
         # gentle-gain regime so the O(K1 dt) variance correction stays

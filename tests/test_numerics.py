@@ -1,4 +1,5 @@
 import math
+import sys
 import threading
 
 import numpy as np
@@ -188,13 +189,16 @@ class TestRngStream:
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**64 - 1), start=st.integers(0, 2**40),
            cpus=st.integers(1, 5), block=st.sampled_from([4, 7, 64]),
-           tiles=st.sampled_from([1, 2, 3, 7, 12]), long=st.booleans(), pad=st.integers(0, 3),
+           tiles=st.sampled_from([1, 2, 3, 7, 12]), long=st.booleans(),
+           layout=st.sampled_from(["fresh", "rows", "columns"]), pad=st.integers(0, 3),
            data=st.data())
     def test_threaded_tiles_are_reference_bit_for_bit(self, seed, start, cpus, block, tiles,
-                                                      long, pad, data):
+                                                      long, layout, pad, data):
         # tile counts of 1, 2, odd and above the thread count, with a partial
-        # last tile, in both layouts (one long stream cut along its positions,
-        # many short streams grouped by rows), into a fresh or a strided out
+        # last tile, in both tilings (one long stream cut along its positions,
+        # many short streams grouped by rows), into a fresh out, a strided
+        # row-major one, or the column-major transpose of a wider block of
+        # positions by streams (run_ensemble's noise block)
         if long:
             n = data.draw(st.integers(block * (tiles - 1) + 1, block * tiles), label="n")
             count = 1
@@ -204,35 +208,89 @@ class TestRngStream:
             count = data.draw(st.integers(rows * (tiles - 1) + 1, rows * tiles), label="count")
         trials = data.draw(st.lists(st.integers(0, 2**62), min_size=count, max_size=count),
                            label="trials")
-        out = np.full((count, n + pad), np.inf)[:, :n] if pad else None
+        out = base = None
+        if layout == "rows":
+            base = np.full((count, n + pad), np.inf)
+            out = base[:, :n]
+        elif layout == "columns":
+            base = np.full((n, count + pad), np.inf)
+            out = base[:, :count].T
         before = threading.active_count()
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(numerics, "_BLOCK_NORMALS", block)
             mp.setattr(numerics, "_cpus", lambda: cpus)
             mat = trial_normals(seed, np.array(trials), n, start=start, out=out)
         assert threading.active_count() == before
-        assert out is None or (mat is out and np.all(out.base[:, n:] == np.inf))
+        if base is not None:   # filled in place, and the padding is untouched
+            assert mat is out and np.all(base[:, base.shape[1] - pad:] == np.inf)
         for row, k in zip(mat, trials):
             ref = reference_normals(trial_stream(seed, k).seed, start, n)
             assert np.array_equal(row.view(np.uint64), ref.view(np.uint64))
 
-    @pytest.mark.parametrize("where", ["caller", "helper"])
-    def test_a_failing_tile_reaches_the_caller(self, monkeypatch, where):
-        stream = RngStream(3)
+    @pytest.mark.parametrize("tile", [0, -1])
+    def test_a_failing_tile_reaches_the_caller(self, monkeypatch, tile):
+        # which thread claims a tile is not fixed, so the failure is tied to
+        # the tile: its first counter, the stream state plus (2 p0 + 1) GAMMA
+        stream, block, n = RngStream(3), 8, 36
+        p0 = range(0, n, block)[tile]
+        first = (int(stream._state0[0]) + (2 * p0 + 1) * numerics._GAMMA) % 2**64
         mix = numerics._mix64_inplace
 
         def failing(x, tmp):
-            if (threading.current_thread() is threading.main_thread()) == (where == "caller"):
-                raise RuntimeError(f"tile failed in the {where}")
+            if x.flat[0] == first:
+                raise RuntimeError(f"tile at position {p0} failed")
             mix(x, tmp)
 
-        monkeypatch.setattr(numerics, "_BLOCK_NORMALS", 8)
+        monkeypatch.setattr(numerics, "_BLOCK_NORMALS", block)
         monkeypatch.setattr(numerics, "_cpus", lambda: 2)
         monkeypatch.setattr(numerics, "_mix64_inplace", failing)
         before = threading.active_count()
-        with pytest.raises(RuntimeError, match=where):
-            stream.normals_at(0, 40)
+        with pytest.raises(RuntimeError, match=f"position {p0} failed"):
+            stream.normals_at(0, n)
         assert threading.active_count() == before
+
+    def test_each_tile_is_claimed_once_under_contention(self, monkeypatch):
+        # more threads than CPUs and a short switch interval: a claim lost or
+        # handed out twice would show in the count of mixed tiles, and a tile
+        # left out as NaN in the output
+        mix, mixed = numerics._mix64_inplace, []
+
+        def counting(x, tmp):
+            if x.ndim == 3:   # a tile's two planes, not the seed or stream states
+                mixed.append(x.size)
+            mix(x, tmp)
+
+        monkeypatch.setattr(numerics, "_BLOCK_NORMALS", 64)
+        monkeypatch.setattr(numerics, "_cpus", lambda: 8)
+        monkeypatch.setattr(numerics, "_mix64_inplace", counting)
+        trials, n = np.arange(1000), 10   # 6 trials a tile: 167 tiles, the last of 4 trials
+        base = np.full((n, len(trials) + 1), np.nan)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                mixed.clear()
+                out = trial_normals(8, trials, n, out=base[:, :-1].T)
+                assert len(mixed) == 167 and sum(mixed) == 2 * out.size
+        finally:
+            sys.setswitchinterval(interval)
+        assert np.isnan(base[:, -1]).all()
+        ref = np.array([reference_normals(trial_stream(8, k).seed, 0, n) for k in trials])
+        assert np.array_equal(out.view(np.uint64), ref.view(np.uint64))
+
+    @pytest.mark.parametrize("start, n, name", [(-1, 5, "start = -1"), (0, -3, "n = -3"),
+                                                 (2**63, 4, "start [+] n"),
+                                                 (2**62 - 4, 4, "start [+] n")])
+    def test_positions_outside_the_counter_range_are_rejected(self, start, n, name):
+        with pytest.raises(DimensionError, match=name):
+            RngStream(5).normals_at(start, n)
+        with pytest.raises(DimensionError, match=name):
+            trial_normals(5, np.arange(3), n, start=start)
+
+    def test_the_last_counted_positions_are_reference_bit_for_bit(self):
+        start, n = numerics._POSITIONS - 4, 4
+        assert np.array_equal(RngStream(5).normals_at(start, n).view(np.uint64),
+                              reference_normals(5, start, n).view(np.uint64))
 
     def test_out_of_the_wrong_shape_or_type_is_rejected(self):
         for out in (np.empty((3, 4)), np.empty((2, 5)), np.empty((2, 4), dtype=np.float32)):
